@@ -70,9 +70,13 @@ class SolverOptions:
     """Knobs of the per-step Newton solve.
 
     newton_tol is relative to the natural residual scale (coefficient
-    magnitudes times field size); after meeting it the solver applies
-    `polish_steps` extra iterations, keeping them only if the residual
-    improves, which drives the residual to its round-off floor.
+    magnitudes times field size); iterations before it is met backtrack
+    (Armijo, at most `max_backtracks` halvings).  After meeting it the solver
+    applies up to `polish_steps` extra iterations, each of which tries the
+    full Newton step once (shortened only by the separation ceiling of the
+    logarithmic potential) and keeps it only if the residual strictly drops;
+    the first one that does not help ends the polish.  This drives the
+    residual to its round-off floor.
     """
 
     newton_tol: float = 1e-12
@@ -183,13 +187,8 @@ def solve_state(params: ModelParams, potential: PotentialSpec,
         x, n_it = _newton_step(stepper, x_prev, u1k, u2k, opts, guard, lo, hi, k)
         mu[k], phi[k], sigma[k] = stepper.split(x)
         iters[k] = n_it
-        mass_k = _total_mass(grid, params, x)
-        pointwise = inner(grid, control.u2[k]
-                          - nonlin.eval("h", phi[k]) * control.u1[k],
-                          np.ones(n))
-        raw = (mass_k - mass_prev) / tgrid.dt - pointwise
-        mass_rel[k] = abs(raw) / max(1.0, abs(mass_k) / tgrid.dt, abs(pointwise))
-        mass_prev = mass_k
+        mass_rel[k], mass_prev = _mass_defect(grid, params, nonlin, tgrid.dt,
+                                              mass_prev, x, u1k, u2k)
         energy[k] = _energy_value(grid, params, potential, opts.yosida_eps, x)
         if abs(energy[k]) > e_limit:
             raise SolverError(
@@ -222,8 +221,13 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
         if converged:
             polish_left -= 1
         it += 1
+        if not np.isfinite(rnorm):
+            raise SolverError(f"step {k}: non-finite Newton residual")
         mu, phi, sigma = stepper.split(x)
-        lu = stepper.factorize(mu, phi, sigma, u1k)
+        try:
+            lu = stepper.factorize(mu, phi, sigma, u1k)
+        except SolverError as exc:
+            raise SolverError(f"step {k}: {exc}") from None
         delta = lu.solve(-res)
         t = 1.0
         if guard:
@@ -233,6 +237,15 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
                 raise SolverError(
                     f"step {k}: Newton update pinned at the separation margin; "
                     "reduce dt or start further from the potential barrier")
+        if converged:
+            # polish: one trial of the full step, kept only if it helps
+            x_new = x + t * delta
+            res_new = stepper.residual(x_new, x_prev, u1k, u2k)
+            rnorm_new = float(np.max(np.abs(res_new)))
+            if not rnorm_new < rnorm:
+                break
+            x, res, rnorm = x_new, res_new, rnorm_new
+            continue
         best = None
         for _ in range(opts.max_backtracks):
             x_try = x + t * delta
@@ -244,14 +257,12 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
                 break
             t *= 0.5
         x_new, res_new, rnorm_new = best
-        if converged and rnorm_new >= rnorm:
-            break  # polishing no longer helps
-        if not converged and rnorm_new >= rnorm:
+        if rnorm_new >= rnorm:
             raise SolverError(
                 f"step {k}: Newton stalled at residual {rnorm:.3e} "
                 f"after {it} iterations")
         x, res, rnorm = x_new, res_new, rnorm_new
-        converged = converged or rnorm <= tol_at(x)
+        converged = rnorm <= tol_at(x)
     if not converged:
         raise SolverError(
             f"step {k}: Newton did not converge within "
@@ -263,6 +274,19 @@ def _total_mass(grid: Grid, params: ModelParams, x: np.ndarray) -> float:
     n = grid.n
     combo = params.alpha * x[:n] + x[n:2 * n] + x[2 * n:]
     return inner(grid, combo, np.ones(n))
+
+
+def _mass_defect(grid: Grid, params: ModelParams, nonlin: NonlinearitySpec,
+                 dt: float, mass_prev: float, x: np.ndarray, u1k: np.ndarray,
+                 u2k: np.ndarray) -> tuple[float, float]:
+    """Relative defect of the discrete mass identity over one step ending at
+    the stacked state x, and the total mass of x."""
+    n = grid.n
+    mass = _total_mass(grid, params, x)
+    pointwise = inner(grid, u2k - nonlin.eval("h", x[n:2 * n]) * u1k,
+                      np.ones(n))
+    raw = (mass - mass_prev) / dt - pointwise
+    return abs(raw) / max(1.0, abs(mass) / dt, abs(pointwise)), mass
 
 
 def _potential_value(potential: PotentialSpec, yosida_eps: float | None,
@@ -292,16 +316,12 @@ def mass_balance_residual(traj: StateTrajectory, control: Control,
     The identity states that the weighted total of alpha*mu + phi + sigma
     changes per step exactly by the integral of u2 - h(phi) u1.
     """
-    ones = np.ones(grid.n)
     out = np.zeros(tgrid.steps)
     mass_prev = _total_mass(grid, params, traj.snapshot(0))
     for k in range(1, tgrid.steps + 1):
-        mass_k = _total_mass(grid, params, traj.snapshot(k))
-        pointwise = inner(grid, control.u2[k]
-                          - nonlin.eval("h", traj.phi[k]) * control.u1[k], ones)
-        raw = (mass_k - mass_prev) / tgrid.dt - pointwise
-        out[k - 1] = abs(raw) / max(1.0, abs(mass_k) / tgrid.dt, abs(pointwise))
-        mass_prev = mass_k
+        out[k - 1], mass_prev = _mass_defect(
+            grid, params, nonlin, tgrid.dt, mass_prev, traj.snapshot(k),
+            control.u1[k], control.u2[k])
     return out
 
 

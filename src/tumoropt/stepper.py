@@ -27,11 +27,15 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .grid import Grid
 from .model import (ModelParams, NonlinearitySpec, PotentialSpec,
-                    _f1_eval, _f2_eval, prox_f1, yosida_derivative,
-                    yosida_second, yosida_third)
+                    _f1_eval, _f2_eval, yosida_derivative, yosida_second,
+                    yosida_third)
+
+# (row, column) blocks of the Jacobian that carry a reaction diagonal
+_REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
+                    (2, 0), (2, 1), (2, 2))
 
 
 class Stepper:
@@ -70,6 +74,30 @@ class Stepper:
             [-eye, self.s_b * eye - lap, None],
             [None, self.chi * lap, self.s * eye - lap],
         ], format="csc")
+        # Fixed CSC pattern of the full Jacobian: _K plus the reaction
+        # diagonals of the blocks in _REACTION_BLOCKS, duplicates summed and
+        # indices sorted.  `_base_data` holds _K's values on that pattern and
+        # `_diag_slots` maps each diagonal entry to its slot in the data array.
+        size = 3 * n
+        node = np.arange(n)
+        diag_rows = np.concatenate([i * n + node for i, _ in _REACTION_BLOCKS])
+        diag_cols = np.concatenate([j * n + node for _, j in _REACTION_BLOCKS])
+        k_coo = self._K.tocoo()
+        full = sps.csc_matrix(
+            (np.concatenate([k_coo.data, np.zeros(diag_rows.size)]),
+             (np.concatenate([k_coo.row, diag_rows]),
+              np.concatenate([k_coo.col, diag_cols]))), shape=(size, size))
+        full.sum_duplicates()
+        self._base_data = full.data
+        # (column, row) keys of the pattern, ascending in CSC order
+        keys = (np.repeat(np.arange(size), np.diff(full.indptr)) * size
+                + full.indices)
+        self._diag_slots = np.searchsorted(keys, diag_cols * size + diag_rows)
+        self._indices = full.indices
+        self._indptr = full.indptr
+        # shared by every assembled matrix, so no caller may edit them in place
+        self._indices.setflags(write=False)
+        self._indptr.setflags(write=False)
         self.w3 = np.concatenate([grid.weights] * 3)
         # scale of residual entries, used for convergence thresholds
         row_abs = np.abs(lap).sum(axis=1).max()
@@ -79,15 +107,6 @@ class Stepper:
                                 + nonlin.sup_H)
 
     # -- potential derivatives, Yosida-aware ------------------------------
-
-    def fvalue(self, phi: np.ndarray) -> np.ndarray:
-        if self.yosida_eps is None:
-            return (_f1_eval(self.potential, phi, 0)
-                    + _f2_eval(self.potential, phi, 0))
-        eps = self.yosida_eps
-        s = prox_f1(self.potential, eps, phi)
-        envelope = _f1_eval(self.potential, s, 0) + (phi - s) ** 2 / (2.0 * eps)
-        return envelope + _f2_eval(self.potential, phi, 0)
 
     def fprime(self, phi: np.ndarray) -> np.ndarray:
         if self.yosida_eps is None:
@@ -138,24 +157,49 @@ class Stepper:
         return np.concatenate([r1, r2, r3])
 
     def assemble(self, mu, phi, sigma, u1k, lam1: float = 1.0) -> sps.csc_matrix:
-        """Jacobian of the step residual with the reaction entries scaled by lam1."""
+        """Jacobian of the step residual with the reaction entries scaled by lam1.
+
+        For lam1 != 0 the values are written into the sparsity pattern fixed
+        at construction (the pattern of _K plus all reaction diagonals).
+        When no entry vanishes the result uses that pattern as is, and its
+        index arrays are shared between calls and read-only; entries that
+        vanish are dropped from a private copy of the pattern.  For
+        lam1 == 0 the result is a copy of the reaction-free operator.
+        """
         if lam1 == 0.0:
             return self._K.copy()
         m = self.m_field(mu, phi, sigma)
         pv = self.nonlin.eval("P", phi)
         dpm = self.nonlin.eval("P", phi, 1) * m
         hpu = self.nonlin.eval("h", phi, 1) * u1k
-        dg = sps.diags
-        ones = np.ones(self.n)
-        d = sps.bmat([
-            [dg(pv), dg(-dpm + self.chi * pv + hpu), dg(-pv)],
-            [None, dg(self.fsecond(phi)), dg(-self.chi * ones)],
-            [dg(-pv), dg(dpm - self.chi * pv), dg(pv)],
-        ], format="csc")
-        return (self._K + lam1 * d).tocsc()
+        # one value vector per block of _REACTION_BLOCKS, in that order
+        vals = np.concatenate([
+            pv, -dpm + self.chi * pv + hpu, -pv,
+            self.fsecond(phi), np.full(self.n, -self.chi),
+            -pv, dpm - self.chi * pv, pv,
+        ])
+        data = self._base_data.copy()
+        data[self._diag_slots] += lam1 * vals
+        size = 3 * self.n
+        if data.all():
+            return sps.csc_matrix((data, self._indices, self._indptr),
+                                  shape=(size, size), copy=False)
+        # Vanished entries (chi = 0, P = 0, ...) are dropped, as a sparse sum
+        # drops them: explicit zeros would change SuperLU's column ordering.
+        jac = sps.csc_matrix((data, self._indices.copy(), self._indptr.copy()),
+                             shape=(size, size), copy=False)
+        jac.eliminate_zeros()
+        return jac
 
     def factorize(self, mu, phi, sigma, u1k, lam1: float = 1.0):
-        return splu(self.assemble(mu, phi, sigma, u1k, lam1))
+        """Sparse LU of `assemble(...)`; SolverError if it cannot be formed."""
+        jac = self.assemble(mu, phi, sigma, u1k, lam1)
+        if not np.all(np.isfinite(jac.data)):
+            raise SolverError("non-finite Jacobian entries")
+        try:
+            return splu(jac)
+        except RuntimeError as exc:
+            raise SolverError(f"sparse LU failed: {exc}") from None
 
     def solve_adjoint_step(self, lu, rhs: np.ndarray) -> np.ndarray:
         """Solve A* y = rhs where A* is the weighted-inner-product transpose."""

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +130,21 @@ def test_verify_passes_on_coupled_configuration(tmp_path, capsys):
     assert report["all_passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert "duality" in names and "gradient_fd" in names
+
+
+def test_non_finite_control_override_exits_without_traceback(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tumoropt.cli", "simulate",
+         "--config", str(root / "configs" / "canonical_1d.yaml"),
+         "--out-dir", str(tmp_path / "out"),
+         "--set", "control.initial.u1=.nan"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode in (EXIT_CONFIG, EXIT_SOLVER)
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_gate_failure_exit_code(tmp_path):

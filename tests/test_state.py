@@ -13,6 +13,8 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       mass_balance_residual, potential_eval, ramp_shape,
                       regular_potential, separation_bounds, solve_state)
 from tumoropt.problem import ControlProblem
+from tumoropt.state import _newton_step
+from tumoropt.stepper import Stepper
 
 from _support import make_problem, random_control, smooth_control
 
@@ -195,6 +197,49 @@ def test_newton_budget_exhaustion_raises():
     pr = make_problem(newton_max_iter=1, steps=4)
     with pytest.raises(SolverError, match="Newton"):
         pr.solve(smooth_control(pr, amp=0.5))
+
+
+def test_polish_tries_the_full_step_once(monkeypatch):
+    pr = make_problem(potential="logarithmic", steps=8)
+    u = smooth_control(pr, amp=0.4)
+    stepper = Stepper(pr.grid, pr.params, pr.potential, pr.nonlin,
+                      pr.tgrid.dt)
+    lo, hi = pr.potential.domain
+    residual = Stepper.residual
+    calls = []
+
+    def counted(self, *args):
+        calls.append(None)
+        return residual(self, *args)
+
+    monkeypatch.setattr(Stepper, "residual", counted)
+    traj = pr.solve(u)
+    for k in range(1, pr.n_levels):
+        x_prev = traj.snapshot(k - 1)
+        runs = {}
+        for polish in (0, 1, 4):
+            calls.clear()
+            x, iters = _newton_step(
+                stepper, x_prev, u.u1[k], u.u2[k],
+                SolverOptions(polish_steps=polish), True, lo, hi, k)
+            rnorm = np.abs(residual(stepper, x, x_prev, u.u1[k],
+                                    u.u2[k])).max()
+            runs[polish] = (len(calls), iters, rnorm)
+        calls0, iters0, rnorm0 = runs[0]
+        assert runs[1][1] == iters0 + 1
+        for polish in (1, 4):
+            # each polish iteration costs exactly one residual evaluation
+            assert runs[polish][0] - calls0 == runs[polish][1] - iters0
+        assert runs[1][2] <= rnorm0
+    assert traj.mass_residual.max() <= 1e-12
+
+
+def test_non_finite_control_is_solver_error():
+    pr = make_problem(steps=4)
+    u = smooth_control(pr)
+    u.u1[2, 3] = np.nan
+    with pytest.raises(SolverError, match="step 2: non-finite"):
+        pr.solve(u)
 
 
 def test_control_shape_mismatch_rejected():
