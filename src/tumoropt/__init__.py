@@ -9,16 +9,15 @@ cone, with a verification harness covering each identity.
 from .adjoint import AdjointTrajectory, solve_adjoint
 from .config import RunConfig, RunSetup, build_setup, compile_expression
 from .errors import ConfigError, SeparationViolation, SolverError
-from .grid import Grid, build_grid, inner, laplacian_apply, norm
+from .grid import Grid, build_grid, inner, norm
 from .model import (BoxConstraints, Control, CostSpec, ModelParams,
                     NonlinearitySpec, PotentialSpec, ScalarShape, bump_shape,
                     constant_shape, custom_polynomial_potential,
                     logarithmic_potential, make_nonlinearity,
-                    nonlinearity_eval, obstacle_potential, potential_eval,
-                    project_admissible, prox_f1, ramp_shape,
-                    regular_potential, table_shape, unbounded_box,
-                    yosida_derivative, yosida_second, yosida_third,
-                    zero_control)
+                    obstacle_potential, potential_eval, project_admissible,
+                    prox_f1, ramp_shape, regular_potential, table_shape,
+                    unbounded_box, yosida_derivative, yosida_second,
+                    yosida_third, zero_control)
 from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
                        SecondOrderContext, SscReport, cone_project, cost_eval,
                        default_tau, dense_hessian, projected_gradient,
@@ -28,10 +27,8 @@ from .problem import (ControlProblem, control_inner, control_norm, st_inner,
                       st_norm)
 from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
-from .state import (EnergyReport, InitialData, SeparationReport,
-                    SolverOptions, StateTrajectory, TimeGrid,
-                    energy_diagnostic, mass_balance_residual,
-                    separation_bounds, solve_state)
+from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,
+                    mass_balance_residual, solve_state)
 from .stepper import Stepper
 from .verify import (SlopeReport, StabilityReport, adjoint_continuous_residual,
                      check_duality, check_gradient_fd, check_stability_ratios,

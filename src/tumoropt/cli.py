@@ -159,10 +159,6 @@ def _snapshot_levels(setup: RunSetup) -> list[int]:
     return [min(max(k, 0), setup.problem.tgrid.steps) for k in levels]
 
 
-def _level_tag(setup: RunSetup, k: int) -> str:
-    return f"{k:04d}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -170,7 +166,7 @@ def _run_simulate(args, setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     state = problem.solve(setup.initial_control)
     for k in _snapshot_levels(setup):
-        _write_fields_csv(out_dir / f"state_{_level_tag(setup, k)}.csv",
+        _write_fields_csv(out_dir / f"state_{k:04d}.csv",
                           problem.grid,
                           {"mu": state.mu[k], "phi": state.phi[k],
                            "sigma": state.sigma[k]})
@@ -240,7 +236,7 @@ def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
                       "r": adj.terminal_r}
         else:
             fields = {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k]}
-        _write_fields_csv(out_dir / f"adjoint_{_level_tag(setup, k)}.csv",
+        _write_fields_csv(out_dir / f"adjoint_{k:04d}.csv",
                           problem.grid, fields)
 
     tau = setup.ssc["tau"]
@@ -268,7 +264,6 @@ def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
                           "sample_count": ssc.sample_count,
                           "requested_samples": ssc.requested_samples,
                           "min_rayleigh": ssc.min_rayleigh,
-                          "delta_estimate": ssc.delta_estimate,
                           "satisfied": ssc.satisfied}
         say(f"analyze: min Rayleigh quotient {ssc.min_rayleigh:.6e} "
             f"over {ssc.sample_count} samples")

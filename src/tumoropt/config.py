@@ -284,6 +284,8 @@ def _number(block: dict, block_name: str, key: str, *, positive=False,
         raise ConfigError(f"{block_name}.{key} is required")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{block_name}.{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{block_name}.{key} must be finite, got {value!r}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"{block_name}.{key} must be an integer")
@@ -355,54 +357,74 @@ def build_nonlinearity(block: dict) -> NonlinearitySpec:
         raise ConfigError(f"nonlinearity: {exc}")
 
 
+def _finite(values: np.ndarray, key: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(
+            f"{key}: non-finite values (NaN, infinity or overflow)")
+    return values
+
+
+# expressions may overflow or divide by zero; _finite reports it, not numpy
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 def _spatial_field(value, grid: Grid, base_dir: Path, key: str):
-    """Resolve a field spec into an (n,) array, or None when unset."""
+    """Resolve a field spec into a finite (n,) array, or None when unset."""
     if value is None:
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.full(grid.n, float(value))
+        return _finite(np.full(grid.n, float(value)), key)
     coords = grid.coordinates()
     x = coords[:, 0]
     y = coords[:, 1] if grid.dim == 2 else np.zeros(grid.n)
     if isinstance(value, str):
-        return compile_expression(value, key, allow_t=False)(x, y)
+        func = compile_expression(value, key, allow_t=False)
+        out = np.empty(grid.n)  # a constant expression evaluates to a scalar
+        with np.errstate(**_QUIET):
+            out[:] = func(x, y)
+        return _finite(out, key)
     if isinstance(value, dict) and set(value) == {"file"}:
-        return read_spatial_csv(base_dir / value["file"], grid, key)
+        return _finite(read_spatial_csv(base_dir / value["file"], grid, key),
+                       key)
     raise ConfigError(f"{key}: expected a number, an expression string, "
                       "or {file: path}")
 
 
 def _space_time_field(value, grid: Grid, tgrid: TimeGrid, base_dir: Path,
                       key: str):
-    """Resolve a field spec into an (N_t+1, n) array, or None when unset."""
+    """Resolve a field spec into a finite (N_t+1, n) array, or None when unset."""
     if value is None:
         return None
     n_levels = tgrid.steps + 1
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.full((n_levels, grid.n), float(value))
+        return _finite(np.full((n_levels, grid.n), float(value)), key)
     coords = grid.coordinates()
     x = coords[:, 0]
     y = coords[:, 1] if grid.dim == 2 else np.zeros(grid.n)
     if isinstance(value, str):
         func = compile_expression(value, key, allow_t=True)
         out = np.empty((n_levels, grid.n))
-        for k, t in enumerate(tgrid.times):
-            out[k] = func(x, y, t)
-        return out
+        with np.errstate(**_QUIET):
+            for k, t in enumerate(tgrid.times):
+                out[k] = func(x, y, t)
+        return _finite(out, key)
     if isinstance(value, dict) and set(value) == {"file"}:
-        return read_space_time_csv(base_dir / value["file"], grid, tgrid, key)
+        return _finite(read_space_time_csv(base_dir / value["file"], grid,
+                                           tgrid, key), key)
     raise ConfigError(f"{key}: expected a number, an expression string, "
                       "or {file: path}")
 
 
 def _bound_field(value, grid: Grid, tgrid: TimeGrid, base_dir: Path,
                  key: str, default: float):
+    """A numeric bound (+-inf allowed, NaN not) or a finite field."""
     if value is None:
         return default
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if math.isnan(value):
+            raise ConfigError(f"{key} must not be NaN")
         return float(value)
-    field = _space_time_field(value, grid, tgrid, base_dir, key)
-    return field
+    return _space_time_field(value, grid, tgrid, base_dir, key)
 
 
 @dataclass(eq=False)

@@ -115,14 +115,6 @@ def build_grid(dim: int, shape: list[int] | tuple[int, ...],
                 weights=weights, lap=lap)
 
 
-def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Apply the Neumann Laplacian to a nodal field."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n,):
-        raise ValueError(f"field has shape {v.shape}, expected ({grid.n},)")
-    return grid.lap @ v
-
-
 def inner(grid: Grid, v: np.ndarray, w: np.ndarray) -> float:
     """Trapezoid-weighted L2 inner product of two nodal fields."""
     v = np.asarray(v, dtype=float)

@@ -372,10 +372,6 @@ class NonlinearitySpec:
         return shape.eval(r, order)
 
 
-def nonlinearity_eval(spec: NonlinearitySpec, which: str, r, order: int = 0):
-    return spec.eval(which, r, order)
-
-
 def make_nonlinearity(P: ScalarShape, H: ScalarShape) -> NonlinearitySpec:
     """Bundle P and H, recording sup bounds and self-checking derivatives."""
     sample = np.linspace(-2.0, 2.0, 401)

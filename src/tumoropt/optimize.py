@@ -280,32 +280,22 @@ class SecondOrderContext:
             lin_k = self.linearize(k) if k is not h else lin_h
         cost = pr.cost
         stepper = self.factors.stepper
-        nl = pr.nonlin
-        chi = pr.params.chi
+        state = self.state
         wt = pr.tgrid.weights()
-        w = pr.grid.weights
 
         total = cost.b0 * control_inner(pr.grid, pr.tgrid, h, k)
         if cost.b1 != 0.0:
             total += cost.b1 * st_inner(pr.grid, pr.tgrid, lin_h.xi, lin_k.xi)
 
+        # sum_j <lambda_j, S_j(h, k)>: each step multiplier paired with the
+        # source of the bilinearized step
         acc = 0.0
         for j in range(1, pr.n_levels):
-            phi = self.state.phi[j]
-            m = stepper.m_field(self.state.mu[j], phi, self.state.sigma[j])
-            xih, xik = lin_h.xi[j], lin_k.xi[j]
-            mh = lin_h.theta[j] - chi * xih - lin_h.eta[j]
-            mk = lin_k.theta[j] - chi * xik - lin_k.eta[j]
-            dp = nl.eval("P", phi, 1)
-            ddp = nl.eval("P", phi, 2)
-            dh = nl.eval("h", phi, 1)
-            ddh = nl.eval("h", phi, 2)
-            pmr = self.adjoint.p[j] - self.adjoint.r[j]
-            integrand = (pmr * (ddp * m * xih * xik + dp * (xih * mk + xik * mh))
-                         - self.adjoint.p[j] * (ddh * self.ubar.u1[j] * xih * xik
-                                                + dh * (xih * k.u1[j] + xik * h.u1[j]))
-                         - self.adjoint.q[j] * stepper.fthird(phi) * xih * xik)
-            acc += wt[j] * float(np.dot(w, integrand))
+            src = stepper.second_order_source(
+                state.mu[j], state.phi[j], state.sigma[j], self.ubar.u1[j],
+                lin_h.snapshot(j), lin_k.snapshot(j), h.u1[j], k.u1[j])
+            acc += float(np.dot(stepper.w3,
+                                self.adjoint.multiplier(j, wt) * src))
         return float(total + acc)
 
 
@@ -327,7 +317,6 @@ class SscReport:
     sample_count: int
     requested_samples: int
     min_rayleigh: float
-    delta_estimate: float
     satisfied: bool
 
 
@@ -371,7 +360,7 @@ def ssc_certificate(ubar: Control, tau: float | None, n_samples: int,
             "at this tau (all points strongly active)")
     return SscReport(tau=float(tau), seed=int(seed), sample_count=kept,
                      requested_samples=int(n_samples),
-                     min_rayleigh=float(min_q), delta_estimate=float(min_q),
+                     min_rayleigh=float(min_q),
                      satisfied=bool(min_q > 0.0))
 
 

@@ -174,25 +174,10 @@ def solve_bilinearized(problem: ControlProblem, state: StateTrajectory,
     elif factors.lam1 != 1:
         raise ValueError("bilinearized march needs factors with l1 = 1")
     stepper = factors.stepper
-    nl = problem.nonlin
-    chi = problem.params.chi
-    n = problem.grid.n
 
     def sources(j: int):
-        phi = state.phi[j]
-        m = stepper.m_field(state.mu[j], phi, state.sigma[j])
-        xih, xik = lin_h.xi[j], lin_k.xi[j]
-        mh = lin_h.theta[j] - chi * xih - lin_h.eta[j]
-        mk = lin_k.theta[j] - chi * xik - lin_k.eta[j]
-        dp = nl.eval("P", phi, 1)
-        ddp = nl.eval("P", phi, 2)
-        dh = nl.eval("h", phi, 1)
-        ddh = nl.eval("h", phi, 2)
-        reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
-        s1 = (reaction - ddh * xih * xik * ubar.u1[j]
-              - dh * (xih * k.u1[j] + xik * h.u1[j]))
-        s2 = -stepper.fthird(phi) * xih * xik
-        s3 = -reaction
-        return np.concatenate([s1, s2, s3])
+        return stepper.second_order_source(
+            state.mu[j], state.phi[j], state.sigma[j], ubar.u1[j],
+            lin_h.snapshot(j), lin_k.snapshot(j), h.u1[j], k.u1[j])
 
-    return _march(factors, sources, np.zeros(3 * n))
+    return _march(factors, sources, np.zeros(3 * problem.grid.n))

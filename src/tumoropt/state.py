@@ -323,40 +323,3 @@ def mass_balance_residual(traj: StateTrajectory, control: Control,
             grid, params, nonlin, tgrid.dt, mass_prev, traj.snapshot(k),
             control.u1[k], control.u2[k])
     return out
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    energy: np.ndarray
-    flagged: bool
-    blowup_factor: float
-
-
-def energy_diagnostic(traj: StateTrajectory, params: ModelParams,
-                      potential: PotentialSpec, grid: Grid,
-                      yosida_eps: float | None = None,
-                      blowup_factor: float = 1e8) -> EnergyReport:
-    """Free-energy values along the trajectory with a blow-up flag."""
-    vals = np.array([
-        _energy_value(grid, params, potential, yosida_eps, traj.snapshot(k))
-        for k in range(traj.n_levels)])
-    limit = blowup_factor * max(abs(vals[0]), 1.0)
-    return EnergyReport(energy=vals, flagged=bool(np.any(np.abs(vals) > limit)),
-                        blowup_factor=blowup_factor)
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    phi_min: np.ndarray
-    phi_max: np.ndarray
-    global_min: float
-    global_max: float
-
-
-def separation_bounds(traj: StateTrajectory) -> SeparationReport:
-    """Envelope of the phase field over time."""
-    mins = traj.phi.min(axis=1)
-    maxs = traj.phi.max(axis=1)
-    return SeparationReport(phi_min=mins, phi_max=maxs,
-                            global_min=float(mins.min()),
-                            global_max=float(maxs.max()))

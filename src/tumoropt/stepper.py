@@ -139,6 +139,43 @@ class Stepper:
     def m_field(self, mu, phi, sigma) -> np.ndarray:
         return sigma + self.chi * (1.0 - phi) - mu
 
+    def reaction_terms(self, mu, phi, sigma, u1k):
+        """Pointwise first-order reaction coefficients at a state snapshot.
+
+        Returns (P, P' m, h' u1, F'') evaluated at phi, with m the field of
+        `m_field`: the values that fill the reaction diagonals of the step
+        Jacobian and the reaction terms of the adjoint equations.
+        """
+        m = self.m_field(mu, phi, sigma)
+        return (self.nonlin.eval("P", phi), self.nonlin.eval("P", phi, 1) * m,
+                self.nonlin.eval("h", phi, 1) * u1k, self.fsecond(phi))
+
+    def second_order_source(self, mu, phi, sigma, u1k, dh, dk, h1, k1):
+        """Source S(h, k) of the bilinearized step at a state snapshot.
+
+        The second derivative of the step residual, moved to the right-hand
+        side, applied to the first-order fields of two control directions.
+        `dh` and `dk` are their stacked (eta, xi, theta) snapshots and `h1`,
+        `k1` their u1 components on the same level; u1k is the control.
+        Returns the stacked (s1, s2, s3).  Paired with the step multiplier it
+        gives that level's adjoint term of the Hessian form.
+        """
+        m = self.m_field(mu, phi, sigma)
+        eta_h, xih, theta_h = self.split(dh)
+        eta_k, xik, theta_k = self.split(dk)
+        mh = theta_h - self.chi * xih - eta_h
+        mk = theta_k - self.chi * xik - eta_k
+        nl = self.nonlin
+        dp = nl.eval("P", phi, 1)
+        ddp = nl.eval("P", phi, 2)
+        dhv = nl.eval("h", phi, 1)
+        ddh = nl.eval("h", phi, 2)
+        reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
+        s1 = (reaction - ddh * xih * xik * u1k
+              - dhv * (xih * k1 + xik * h1))
+        s2 = -self.fthird(phi) * xih * xik
+        return np.concatenate([s1, s2, -reaction])
+
     def residual(self, x: np.ndarray, x_prev: np.ndarray,
                  u1k: np.ndarray, u2k: np.ndarray) -> np.ndarray:
         mu, phi, sigma = self.split(x)
@@ -168,14 +205,11 @@ class Stepper:
         """
         if lam1 == 0.0:
             return self._K.copy()
-        m = self.m_field(mu, phi, sigma)
-        pv = self.nonlin.eval("P", phi)
-        dpm = self.nonlin.eval("P", phi, 1) * m
-        hpu = self.nonlin.eval("h", phi, 1) * u1k
+        pv, dpm, hpu, f2 = self.reaction_terms(mu, phi, sigma, u1k)
         # one value vector per block of _REACTION_BLOCKS, in that order
         vals = np.concatenate([
             pv, -dpm + self.chi * pv + hpu, -pv,
-            self.fsecond(phi), np.full(self.n, -self.chi),
+            f2, np.full(self.n, -self.chi),
             -pv, dpm - self.chi * pv, pv,
         ])
         data = self._base_data.copy()

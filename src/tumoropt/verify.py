@@ -1,10 +1,16 @@
 """Independent oracles and convergence regressions.
 
-Every check here exercises a code path against an implementation it does not
+Most checks here exercise a code path against an implementation it does not
 share: finite differences of the cost against the adjoint gradient, an
 adaptive ODE integrator against the time stepper on spatially constant data,
-a bilinearized march against the adjoint-weighted quadratic form, and a
-centered strong-form assembly against the transposed recursion.
+and a centered strong-form assembly against the transposed recursion.
+
+The bilinearized march and the adjoint-weighted quadratic form share the
+pointwise second-order terms (`Stepper.second_order_source`), so comparing
+the two routes checks the adjoint pairing but not those terms.  The
+independent oracles for them difference the cost or the linearized map:
+the cubic cost remainder and the quadratic DS-increment remainder of
+`check_taylor_orders`.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from .adjoint import solve_adjoint
 from .grid import build_grid, inner, norm
 from .model import Control, CostSpec
 from .optimize import SecondOrderContext, cost_eval, reduced_gradient
-from .problem import (ControlProblem, control_inner, control_norm, st_inner,
-                      st_norm)
+from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
 from .state import InitialData, StateTrajectory, TimeGrid, solve_state
@@ -171,22 +176,17 @@ def check_duality(problem: ControlProblem, ubar: Control,
 # Taylor regressions
 
 
-def _traj_norm(problem: ControlProblem, t: LinearizedTrajectory | StateTrajectory,
-               fields=("eta", "xi", "theta")) -> float:
-    total = 0.0
-    for name in fields:
-        total += st_inner(problem.grid, problem.tgrid,
-                          getattr(t, name), getattr(t, name))
-    return float(np.sqrt(max(total, 0.0)))
+def _fields(t: LinearizedTrajectory | StateTrajectory) -> tuple:
+    """The three field histories of a linearized or a state trajectory."""
+    if isinstance(t, LinearizedTrajectory):
+        return t.eta, t.xi, t.theta
+    return t.mu, t.phi, t.sigma
 
 
-def _state_diff_norm(problem: ControlProblem, a: StateTrajectory,
-                     b: StateTrajectory) -> float:
-    total = 0.0
-    for name in ("mu", "phi", "sigma"):
-        d = getattr(a, name) - getattr(b, name)
-        total += st_inner(problem.grid, problem.tgrid, d, d)
-    return float(np.sqrt(max(total, 0.0)))
+def _norm3(problem: ControlProblem, fields) -> float:
+    """Space-time norm of three (N_t+1, n) field histories taken together."""
+    return float(np.sqrt(sum(st_inner(problem.grid, problem.tgrid, d, d)
+                             for d in fields)))
 
 
 def check_taylor_orders(problem: ControlProblem, ubar: Control,
@@ -231,23 +231,21 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
     err_state = []
     err_ds = []
     err_cost = []
-    state_scale = max(_traj_norm(problem, lin_v), 1e-300)
+    state_scale = max(_norm3(problem, _fields(lin_v)), 1e-300)
     for e in eps_values:
         u_e = _shifted(ubar, v, e)
         state_e = problem.solve(u_e)
         factors_e = StepFactors(problem, state_e, u_e, lam1=1)
         # 1: state remainder
-        diff = _state_diff_norm_linearized(problem, state_e, state, lin_v, e)
+        diff = _norm3(problem, (a - b - e * c for a, b, c in zip(
+            _fields(state_e), _fields(state), _fields(lin_v))))
         err_state.append(diff / state_scale)
         # 2: DS increment remainder
         lin_h_e = solve_generalized_linear(problem, state_e, u_e, flags, h=h,
                                            factors=factors_e)
-        rem = 0.0
-        for nm in ("eta", "xi", "theta"):
-            d = (getattr(lin_h_e, nm) - getattr(lin_h, nm)
-                 - e * getattr(bilin_vh, nm))
-            rem += st_inner(grid, tgrid, d, d)
-        err_ds.append(np.sqrt(rem) / max(_traj_norm(problem, lin_h), 1e-300))
+        rem = _norm3(problem, (a - b - e * c for a, b, c in zip(
+            _fields(lin_h_e), _fields(lin_h), _fields(bilin_vh))))
+        err_ds.append(rem / max(_norm3(problem, _fields(lin_h)), 1e-300))
         # 3: cost remainder
         j_e = cost_eval(state_e, u_e, problem.cost, grid, tgrid)
         r3 = j_e - j0 - e * slope_v - 0.5 * e * e * b_vv
@@ -258,16 +256,6 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
         make_slope_report(eps_values, err_ds, 2.0, slope_bands[1]),
         make_slope_report(eps_values, err_cost, 3.0, slope_bands[2]),
     )
-
-
-def _state_diff_norm_linearized(problem, state_e, state, lin_v, e) -> float:
-    total = 0.0
-    pairs = (("mu", "eta"), ("phi", "xi"), ("sigma", "theta"))
-    for sname, lname in pairs:
-        d = (getattr(state_e, sname) - getattr(state, sname)
-             - e * getattr(lin_v, lname))
-        total += st_inner(problem.grid, problem.tgrid, d, d)
-    return float(np.sqrt(max(total, 0.0)))
 
 
 def _second_derivative_from_bilinear(problem, state, lin_h, lin_k, bilin,
@@ -389,23 +377,22 @@ class StabilityReport:
     passed: bool
 
 
-def _interp_1d(values: np.ndarray, m: int) -> np.ndarray:
-    x_old = np.linspace(0.0, 1.0, values.shape[-1])
-    x_new = np.linspace(0.0, 1.0, m)
-    return np.interp(x_new, x_old, values)
+def _refine_nested(values: np.ndarray, shape) -> np.ndarray:
+    """Nodal values on the nested refinement of a tensor grid of `shape`.
 
-
-def _refine_field_space(values: np.ndarray, grid, fine_grid) -> np.ndarray:
-    if grid.dim == 1:
-        return _interp_1d(values, fine_grid.shape[0])
-    a = values.reshape(grid.shape)
-    mid_x = np.empty((fine_grid.shape[0], grid.shape[1]))
-    for j in range(grid.shape[1]):
-        mid_x[:, j] = _interp_1d(a[:, j], fine_grid.shape[0])
-    out = np.empty(fine_grid.shape)
-    for i in range(fine_grid.shape[0]):
-        out[i, :] = _interp_1d(mid_x[i, :], fine_grid.shape[1])
-    return out.ravel()
+    Every axis of m nodes becomes one of 2m - 1: the old nodes keep their
+    values and each new midpoint is the average of its two neighbours.  A
+    leading axis of `values` is time and is refined after the space axes.
+    """
+    a = values.reshape(values.shape[:-1] + tuple(shape))
+    lead = a.ndim - len(shape)
+    for axis in list(range(lead, a.ndim)) + list(range(lead)):
+        a = np.moveaxis(a, axis, 0)
+        fine = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
+        fine[0::2] = a
+        fine[1::2] = 0.5 * (a[:-1] + a[1:])
+        a = np.moveaxis(fine, 0, axis)
+    return a.reshape(a.shape[:lead] + (-1,))
 
 
 def refine_problem(problem: ControlProblem) -> ControlProblem:
@@ -415,17 +402,16 @@ def refine_problem(problem: ControlProblem) -> ControlProblem:
     fine_grid = build_grid(g.dim, fine_shape, list(g.lengths))
     fine_tgrid = TimeGrid(2 * problem.tgrid.steps, problem.tgrid.t_final)
     init = InitialData(
-        mu0=_refine_field_space(problem.init.mu0, g, fine_grid),
-        phi0=_refine_field_space(problem.init.phi0, g, fine_grid),
-        sigma0=_refine_field_space(problem.init.sigma0, g, fine_grid))
+        mu0=_refine_nested(problem.init.mu0, g.shape),
+        phi0=_refine_nested(problem.init.phi0, g.shape),
+        sigma0=_refine_nested(problem.init.sigma0, g.shape))
     cost = problem.cost
     target_q = None
     if cost.target_Q is not None:
-        target_q = _refine_space_time(cost.target_Q, problem, fine_grid,
-                                      fine_tgrid)
+        target_q = _refine_nested(cost.target_Q, g.shape)
     target_omega = None
     if cost.target_Omega is not None:
-        target_omega = _refine_field_space(cost.target_Omega, g, fine_grid)
+        target_omega = _refine_nested(cost.target_Omega, g.shape)
     fine_cost = CostSpec(b0=cost.b0, b1=cost.b1, b2=cost.b2,
                          target_Q=target_q, target_Omega=target_omega)
     return ControlProblem(grid=fine_grid, tgrid=fine_tgrid,
@@ -434,23 +420,10 @@ def refine_problem(problem: ControlProblem) -> ControlProblem:
                           options=problem.options)
 
 
-def _refine_space_time(values: np.ndarray, problem: ControlProblem,
-                       fine_grid, fine_tgrid) -> np.ndarray:
-    spatial = np.stack([_refine_field_space(values[k], problem.grid, fine_grid)
-                        for k in range(values.shape[0])])
-    t_old = problem.tgrid.times
-    t_new = fine_tgrid.times
-    out = np.empty((t_new.size, spatial.shape[1]))
-    for i in range(spatial.shape[1]):
-        out[:, i] = np.interp(t_new, t_old, spatial[:, i])
-    return out
-
-
-def refine_control(u: Control, problem: ControlProblem, fine_problem:
-                   ControlProblem) -> Control:
-    return Control(
-        _refine_space_time(u.u1, problem, fine_problem.grid, fine_problem.tgrid),
-        _refine_space_time(u.u2, problem, fine_problem.grid, fine_problem.tgrid))
+def refine_control(u: Control, problem: ControlProblem) -> Control:
+    """Transfer a control of `problem` to `refine_problem(problem)`."""
+    return Control(_refine_nested(u.u1, problem.grid.shape),
+                   _refine_nested(u.u2, problem.grid.shape))
 
 
 def _smooth_random_control(problem: ControlProblem,
@@ -511,18 +484,16 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
                 continue  # coincident draw: the ratio is undefined, skip it
             st_a = pr.solve(ua)
             st_b = pr.solve(ub)
-            out["state"].append(_state_diff_norm(pr, st_a, st_b) / du)
+            out["state"].append(_norm3(pr, (a - b for a, b in zip(
+                _fields(st_a), _fields(st_b)))) / du)
             fac_a = StepFactors(pr, st_a, ua, lam1=1)
             fac_b = StepFactors(pr, st_b, ub, lam1=1)
             lin_ha = solve_generalized_linear(pr, st_a, ua, flags, h=h,
                                               factors=fac_a)
             lin_hb = solve_generalized_linear(pr, st_b, ub, flags, h=h,
                                               factors=fac_b)
-            dd = 0.0
-            for nm in ("eta", "xi", "theta"):
-                d = getattr(lin_ha, nm) - getattr(lin_hb, nm)
-                dd += st_inner(pr.grid, pr.tgrid, d, d)
-            out["ds"].append(float(np.sqrt(dd)) / (du * nh))
+            out["ds"].append(_norm3(pr, (a - b for a, b in zip(
+                _fields(lin_ha), _fields(lin_hb)))) / (du * nh))
             lin_va = solve_generalized_linear(pr, st_a, ua, flags, h=v,
                                               factors=fac_a)
             lin_vb = solve_generalized_linear(pr, st_b, ub, flags, h=v,
@@ -531,11 +502,8 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
                                        factors=fac_a)
             bil_b = solve_bilinearized(pr, st_b, ub, lin_hb, lin_vb, h, v,
                                        factors=fac_b)
-            d2 = 0.0
-            for nm in ("eta", "xi", "theta"):
-                d = getattr(bil_a, nm) - getattr(bil_b, nm)
-                d2 += st_inner(pr.grid, pr.tgrid, d, d)
-            out["d2s"].append(float(np.sqrt(d2)) / (du * nh * nv))
+            out["d2s"].append(_norm3(pr, (a - b for a, b in zip(
+                _fields(bil_a), _fields(bil_b)))) / (du * nh * nv))
         return {k: float(np.max(vals)) if vals else 0.0
                 for k, vals in out.items()}
 
@@ -559,10 +527,9 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
     h2 = Control(2.0 * h.u1, 2.0 * h.u2)
     lin2 = solve_generalized_linear(problem, st_a, ua, flags, h=h2, factors=fac)
     hom = 0.0
-    scale = max(_traj_norm(problem, lin1), 1e-300)
-    for nm in ("eta", "xi", "theta"):
-        d = getattr(lin2, nm) - 2.0 * getattr(lin1, nm)
-        hom = max(hom, float(np.max(np.abs(d))))
+    scale = max(_norm3(problem, _fields(lin1)), 1e-300)
+    for a, b in zip(_fields(lin2), _fields(lin1)):
+        hom = max(hom, float(np.max(np.abs(a - 2.0 * b))))
     hom_rel = hom / scale
 
     passed = bool(max_factor < factor_bound and hom_rel < 1e-12)
@@ -613,9 +580,8 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
     state = problem.solve(ubar)
     adj = solve_adjoint(problem, state, ubar)
     pr = problem.params
-    nl = problem.nonlin
     grid, tgrid = problem.grid, problem.tgrid
-    stepper = Stepper(grid, pr, problem.potential, nl, tgrid.dt,
+    stepper = Stepper(grid, pr, problem.potential, problem.nonlin, tgrid.dt,
                       yosida_eps=problem.options.yosida_eps)
     dt = tgrid.dt
     lap = grid.lap
@@ -634,15 +600,11 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
     eq3 = np.zeros(levels.size)
 
     def fields_at(k):
-        phi = state.phi[k]
-        m = stepper.m_field(state.mu[k], phi, state.sigma[k])
-        return {
-            "p": adj.p[k], "q": adj.q[k], "r": adj.r[k],
-            "P": nl.eval("P", phi), "dP": nl.eval("P", phi, 1) * m,
-            "dh_u": nl.eval("h", phi, 1) * ubar.u1[k],
-            "f2": stepper.fsecond(phi),
-            "mis": phi - target[k],
-        }
+        pv, dpm, hpu, f2 = stepper.reaction_terms(
+            state.mu[k], state.phi[k], state.sigma[k], ubar.u1[k])
+        return {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k], "P": pv,
+                "dP": dpm, "dh_u": hpu, "f2": f2,
+                "mis": state.phi[k] - target[k]}
 
     for i, k in enumerate(levels):
         a = fields_at(k)
@@ -756,11 +718,11 @@ def run_verification(problem: ControlProblem, ubar: Control,
     if problem.cost.b2 == 0.0:
         fine = refine_problem(problem)
         finer = refine_problem(fine)
-        u_fine = refine_control(ubar, problem, fine)
+        u_fine = refine_control(ubar, problem)
         aggregates = [adjoint_continuous_residual(problem, ubar).aggregate,
                       adjoint_continuous_residual(fine, u_fine).aggregate,
                       adjoint_continuous_residual(
-                          finer, refine_control(u_fine, fine, finer)).aggregate]
+                          finer, refine_control(u_fine, fine)).aggregate]
         if max(aggregates) == 0.0:
             order = np.inf
             passed = True

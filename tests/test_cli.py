@@ -132,7 +132,15 @@ def test_verify_passes_on_coupled_configuration(tmp_path, capsys):
     assert "duality" in names and "gradient_fd" in names
 
 
-def test_non_finite_control_override_exits_without_traceback(tmp_path):
+@pytest.mark.parametrize("override", [
+    "control.initial.u1=.nan",
+    "initial.phi0=.nan",
+    "model.chi=.nan",
+    "control.initial.u1=exp(800)",
+    "control.initial.u2=1/x",
+    "control.bounds.lower1=.nan",
+])
+def test_non_finite_config_input_is_config_error(tmp_path, override):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -140,11 +148,11 @@ def test_non_finite_control_override_exits_without_traceback(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "tumoropt.cli", "simulate",
          "--config", str(root / "configs" / "canonical_1d.yaml"),
-         "--out-dir", str(tmp_path / "out"),
-         "--set", "control.initial.u1=.nan"],
+         "--out-dir", str(tmp_path / "out"), "--set", override],
         capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode in (EXIT_CONFIG, EXIT_SOLVER)
+    assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_verify_gate_failure_exit_code(tmp_path):
@@ -168,6 +176,9 @@ def test_analyze_outputs(tmp_path, capsys):
     report = json.loads((out / "ssc_report.json").read_text())
     assert report["ssc"]["satisfied"] is True
     assert report["ssc"]["sample_count"] >= 1
+    assert set(report["ssc"]) == {"tau", "seed", "sample_count",
+                                  "requested_samples", "min_rayleigh",
+                                  "satisfied"}
     assert 0.0 <= report["active_fraction_u1"] <= 1.0
     for tag in ("0000", "0006"):
         assert (out / f"adjoint_{tag}.csv").is_file()

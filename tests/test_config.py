@@ -132,6 +132,12 @@ def test_initial_fields_from_expressions():
     assert np.all(setup.problem.init.sigma0 == 0.0)
 
 
+def test_constant_expression_fills_spatial_field():
+    setup = build_setup(_small(initial={"phi0": "0.1 * 2"}))
+    assert setup.problem.init.phi0.shape == (9,)
+    assert np.all(setup.problem.init.phi0 == 0.2)
+
+
 def test_space_time_expression_evaluated_per_level():
     cfg = _small(cost={"b1": 1.0, "target_Q": "x * (1 + t)"})
     setup = build_setup(cfg)

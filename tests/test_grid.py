@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tumoropt import build_grid, inner, laplacian_apply, norm
+from tumoropt import build_grid, inner, norm
 
 
 def test_1d_spacing_and_weights():
@@ -70,7 +70,7 @@ def test_norm_nonnegative_definite(rng):
 ])
 def test_laplacian_annihilates_constants(dim, shape, lengths):
     g = build_grid(dim, shape, lengths)
-    out = laplacian_apply(g, np.ones(g.n))
+    out = g.lap @ np.ones(g.n)
     assert np.abs(out).max() < 1e-13
 
 
@@ -81,7 +81,7 @@ def test_laplacian_annihilates_constants(dim, shape, lengths):
 def test_laplacian_conserves_weighted_sum(dim, shape, lengths, rng):
     g = build_grid(dim, shape, lengths)
     v = rng.standard_normal(g.n)
-    assert abs(np.dot(g.weights, laplacian_apply(g, v))) < 1e-12
+    assert abs(np.dot(g.weights, g.lap @ v)) < 1e-12
 
 
 @pytest.mark.parametrize("dim,shape,lengths", [
@@ -93,8 +93,8 @@ def test_laplacian_weighted_symmetry(dim, shape, lengths, rng):
     for _ in range(5):
         v = rng.standard_normal(g.n)
         w = rng.standard_normal(g.n)
-        lhs = inner(g, laplacian_apply(g, v), w)
-        rhs = inner(g, v, laplacian_apply(g, w))
+        lhs = inner(g, g.lap @ v, w)
+        rhs = inner(g, v, g.lap @ w)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_laplacian_negative_semidefinite(rng):
     g = build_grid(2, [7, 7], [1.0, 1.0])
     for _ in range(10):
         v = rng.standard_normal(g.n)
-        assert inner(g, laplacian_apply(g, v), v) <= 1e-12
+        assert inner(g, g.lap @ v, v) <= 1e-12
 
 
 def test_neumann_eigenfunction_second_order():
@@ -113,7 +113,7 @@ def test_neumann_eigenfunction_second_order():
         g = build_grid(1, [m], [1.0])
         x = g.coordinates()[:, 0]
         v = np.cos(np.pi * x)
-        err = laplacian_apply(g, v) + np.pi**2 * v
+        err = g.lap @ v + np.pi**2 * v
         errs.append(norm(g, err))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(slopes - 2.0) < 0.1)
@@ -127,9 +127,9 @@ def test_2d_kron_splits_separable_fields(rng):
     v = rng.standard_normal(9)
     w = rng.standard_normal(7)
     field = np.outer(v, w).ravel()
-    lhs = laplacian_apply(g2, field)
-    rhs = (np.outer(laplacian_apply(gx, v), w)
-           + np.outer(v, laplacian_apply(gy, w))).ravel()
+    lhs = g2.lap @ field
+    rhs = (np.outer(gx.lap @ v, w)
+           + np.outer(v, gy.lap @ w)).ravel()
     assert np.abs(lhs - rhs).max() < 1e-12
 
 

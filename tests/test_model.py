@@ -7,11 +7,10 @@ from scipy.optimize import brentq
 from tumoropt import (BoxConstraints, Control, CostSpec, ModelParams,
                       bump_shape, constant_shape, custom_polynomial_potential,
                       logarithmic_potential, make_nonlinearity,
-                      nonlinearity_eval, obstacle_potential, potential_eval,
-                      project_admissible, prox_f1, ramp_shape,
-                      regular_potential, table_shape, unbounded_box,
-                      yosida_derivative, yosida_second, yosida_third,
-                      zero_control)
+                      obstacle_potential, potential_eval, project_admissible,
+                      prox_f1, ramp_shape, regular_potential, table_shape,
+                      unbounded_box, yosida_derivative, yosida_second,
+                      yosida_third, zero_control)
 from tumoropt.model import _f1_eval
 
 
@@ -252,11 +251,10 @@ def test_make_nonlinearity_rejects_negative_shapes():
 def test_nonlinearity_eval_dispatch():
     nl = make_nonlinearity(constant_shape(0.4), ramp_shape())
     r = np.array([0.3])
-    assert nonlinearity_eval(nl, "P", r)[0] == 0.4
-    assert nonlinearity_eval(nl, "h", r)[0] == pytest.approx(
-        ramp_shape().eval(r)[0])
+    assert nl.eval("P", r)[0] == 0.4
+    assert nl.eval("h", r)[0] == pytest.approx(ramp_shape().eval(r)[0])
     with pytest.raises(ValueError):
-        nonlinearity_eval(nl, "Q", r)
+        nl.eval("Q", r)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,6 @@ def test_ssc_decoupled_rayleigh_equals_b0():
     assert rep.satisfied
     assert rep.sample_count == 8
     assert rep.min_rayleigh == pytest.approx(0.9, rel=1e-12)
-    assert rep.delta_estimate == rep.min_rayleigh
 
 
 def test_ssc_deterministic_under_seed():

@@ -8,12 +8,11 @@ from scipy.integrate import solve_ivp
 
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       SeparationViolation, SolverError, SolverOptions,
-                      TimeGrid, build_grid, bump_shape, constant_shape,
-                      energy_diagnostic, make_nonlinearity,
+                      TimeGrid, build_grid, bump_shape, make_nonlinearity,
                       mass_balance_residual, potential_eval, ramp_shape,
-                      regular_potential, separation_bounds, solve_state)
+                      regular_potential, solve_state)
 from tumoropt.problem import ControlProblem
-from tumoropt.state import _newton_step
+from tumoropt.state import _energy_value, _newton_step
 from tumoropt.stepper import Stepper
 
 from _support import make_problem, random_control, smooth_control
@@ -128,17 +127,19 @@ def test_constant_data_reduces_to_ode(potential):
 def test_separation_logarithmic(rng):
     pr = make_problem(potential="logarithmic", steps=10)
     traj = pr.solve(random_control(pr, seed=5, amp=0.3))
-    rep = separation_bounds(traj)
-    assert rep.global_min > -1.0
-    assert rep.global_max < 1.0
-    assert min(rep.global_min + 1.0, 1.0 - rep.global_max) > 1e-3
-    assert rep.phi_min.shape == (pr.n_levels,)
+    lo, hi = traj.phi_min.min(), traj.phi_max.max()
+    assert lo > -1.0
+    assert hi < 1.0
+    assert min(lo + 1.0, 1.0 - hi) > 1e-3
+    assert traj.phi_min.shape == (pr.n_levels,)
+    assert np.array_equal(traj.phi_min, traj.phi.min(axis=1))
+    assert np.array_equal(traj.phi_max, traj.phi.max(axis=1))
 
 
 def test_separation_report_zero_state():
     pr = _with_zero_data(make_problem(coupling="none", chi=0.0))
-    rep = separation_bounds(pr.solve(pr.zero_control()))
-    assert rep.global_min == 0.0 and rep.global_max == 0.0
+    traj = pr.solve(pr.zero_control())
+    assert np.all(traj.phi_min == 0.0) and np.all(traj.phi_max == 0.0)
 
 
 def test_initial_data_on_log_boundary_rejected():
@@ -160,15 +161,14 @@ def test_initial_data_outside_obstacle_range_rejected():
         pr.solve(pr.zero_control())
 
 
-def test_energy_diagnostic_flags():
+def test_trajectory_energy_is_free_energy_per_level():
     pr = make_problem(steps=6)
     traj = pr.solve(smooth_control(pr))
-    rep = energy_diagnostic(traj, pr.params, pr.potential, pr.grid)
-    assert not rep.flagged
-    assert rep.energy.shape == (pr.n_levels,)
-    tight = energy_diagnostic(traj, pr.params, pr.potential, pr.grid,
-                              blowup_factor=1e-16)
-    assert tight.flagged
+    assert traj.energy.shape == (pr.n_levels,)
+    for k in range(pr.n_levels):
+        assert traj.energy[k] == _energy_value(pr.grid, pr.params,
+                                               pr.potential, None,
+                                               traj.snapshot(k))
 
 
 def test_energy_blowup_raises_during_march():

@@ -1,4 +1,5 @@
-"""Step Jacobian: fixed-pattern assembly against the block-matrix reference."""
+"""Step operator: Jacobian assembly and second-order sources against the
+block-matrix and inline references they replaced."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 import tumoropt.stepper as stepper_module
-from tumoropt import (ModelParams, SolverError, build_grid, bump_shape,
-                      constant_shape, logarithmic_potential,
-                      make_nonlinearity, obstacle_potential, ramp_shape,
-                      regular_potential)
+from tumoropt import (Control, ModelParams, SecondOrderContext, SolverError,
+                      build_grid, bump_shape, constant_shape, control_inner,
+                      logarithmic_potential, make_nonlinearity,
+                      obstacle_potential, ramp_shape, regular_potential,
+                      st_inner)
 from tumoropt.stepper import Stepper
+
+from _support import make_problem, smooth_control
 
 POTENTIALS = {
     "regular": (regular_potential, None),
@@ -112,3 +116,59 @@ def test_factorize_turns_lu_failure_into_solver_error(monkeypatch):
     st = _stepper("regular", 1, "full")
     with pytest.raises(SolverError, match="exactly singular"):
         st.factorize(*_state(st, seed=0))
+
+
+def _reference_source(st: Stepper, mu, phi, sigma, u1k, dh, dk, h1, k1):
+    """The bilinearized source as the march once wrote it inline."""
+    nl, chi = st.nonlin, st.params.chi
+    m = st.m_field(mu, phi, sigma)
+    (eta_h, xih, theta_h), (eta_k, xik, theta_k) = dh, dk
+    mh = theta_h - chi * xih - eta_h
+    mk = theta_k - chi * xik - eta_k
+    dp = nl.eval("P", phi, 1)
+    ddp = nl.eval("P", phi, 2)
+    dhv = nl.eval("h", phi, 1)
+    ddh = nl.eval("h", phi, 2)
+    reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
+    s1 = (reaction - ddh * xih * xik * u1k
+          - dhv * (xih * k1 + xik * h1))
+    s2 = -st.fthird(phi) * xih * xik
+    s3 = -reaction
+    return np.concatenate([s1, s2, s3])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_second_order_source_matches_inline_reference(potential, dim):
+    st = _stepper(potential, dim, "full")
+    state = _state(st, seed=dim)
+    rng = np.random.default_rng(7)
+    dh, dk = (tuple(rng.standard_normal((3, st.n))) for _ in range(2))
+    h1, k1 = rng.standard_normal((2, st.n))
+    ref = _reference_source(st, *state, dh, dk, h1, k1)
+    src = st.second_order_source(*state, np.concatenate(dh),
+                                 np.concatenate(dk), h1, k1)
+    assert src.tobytes() == ref.tobytes()
+
+
+def test_form_is_multiplier_weighted_sum_of_sources():
+    pr = make_problem(steps=6)
+    ubar = smooth_control(pr, amp=0.3)
+    ctx = SecondOrderContext(pr, ubar)
+    h = smooth_control(pr, amp=0.5)
+    k = Control(np.sin(h.u1), -0.5 * h.u2)
+    lin_h, lin_k = ctx.linearize(h), ctx.linearize(k)
+    st, state, adj = ctx.factors.stepper, ctx.state, ctx.adjoint
+    wt, w = pr.tgrid.weights(), pr.grid.weights
+    expected = (pr.cost.b0 * control_inner(pr.grid, pr.tgrid, h, k)
+                + pr.cost.b1 * st_inner(pr.grid, pr.tgrid, lin_h.xi, lin_k.xi))
+    for j in range(1, pr.n_levels):
+        s1, s2, s3 = st.split(_reference_source(
+            st, state.mu[j], state.phi[j], state.sigma[j], ubar.u1[j],
+            (lin_h.eta[j], lin_h.xi[j], lin_h.theta[j]),
+            (lin_k.eta[j], lin_k.xi[j], lin_k.theta[j]), h.u1[j], k.u1[j]))
+        expected += wt[j] * (np.dot(w, adj.p[j] * s1)
+                             + np.dot(w, adj.q[j] * s2)
+                             + np.dot(w, adj.r[j] * s3))
+    assert ctx.form(h, k, lin_h=lin_h, lin_k=lin_k) == pytest.approx(
+        expected, rel=1e-13, abs=0.0)

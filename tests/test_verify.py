@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tumoropt import (Control, CostSpec, InitialData, quadratic_form)
-from tumoropt.verify import (adjoint_continuous_residual, check_duality,
+from tumoropt import (Control, CostSpec, InitialData, TimeGrid,
+                      quadratic_form)
+from tumoropt.verify import (_refine_nested, adjoint_continuous_residual,
+                             check_duality,
                              check_stability_ratios, check_taylor_orders,
                              fit_slope, make_slope_report,
                              ode_reduction_reference,
@@ -153,7 +155,7 @@ def test_refine_control_is_exact_on_bilinear_data():
     x = pr.grid.coordinates()[:, 0][None, :]
     t = pr.tgrid.times[:, None]
     u = Control((1.0 + t) * (0.2 + x), (2.0 - t) * (0.1 - 0.3 * x))
-    uf = refine_control(u, pr, fine)
+    uf = refine_control(u, pr)
     xf = fine.grid.coordinates()[:, 0][None, :]
     tf = fine.tgrid.times[:, None]
     assert np.abs(uf.u1 - (1.0 + tf) * (0.2 + xf)).max() < 1e-14
@@ -178,6 +180,73 @@ def test_refine_problem_2d():
     xyf = fine.grid.coordinates()
     expected = 0.3 * xyf[:, 0] + 0.1 * xyf[:, 1]
     assert np.abs(fine.init.phi0 - expected).max() < 1e-14
+
+
+def _interp_1d(values, m):
+    return np.interp(np.linspace(0.0, 1.0, m),
+                     np.linspace(0.0, 1.0, values.size), values)
+
+
+def _interp_refinement(values, shape, tgrid):
+    """Nested refinement by the np.interp loops it replaced: x, y, then t."""
+    fine = [2 * m - 1 for m in shape]
+
+    def space(v):
+        if len(shape) == 1:
+            return _interp_1d(v, fine[0])
+        a = v.reshape(shape)
+        mid_x = np.empty((fine[0], shape[1]))
+        for j in range(shape[1]):
+            mid_x[:, j] = _interp_1d(a[:, j], fine[0])
+        out = np.empty(fine)
+        for i in range(fine[0]):
+            out[i, :] = _interp_1d(mid_x[i, :], fine[1])
+        return out.ravel()
+
+    if tgrid is None:
+        return space(values)
+    spatial = np.stack([space(v) for v in values])
+    t_new = TimeGrid(2 * tgrid.steps, tgrid.t_final).times
+    out = np.empty((t_new.size, spatial.shape[1]))
+    for i in range(spatial.shape[1]):
+        out[:, i] = np.interp(t_new, tgrid.times, spatial[:, i])
+    return out
+
+
+def _cell_max(values, shape, lead):
+    """Per fine node, the largest |value| over the coarse nodes of its cell."""
+    a = np.abs(values).reshape(values.shape[:lead] + tuple(shape))
+    for axis in range(a.ndim):
+        a = np.moveaxis(a, axis, 0)
+        fine = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
+        fine[0::2] = a
+        fine[1::2] = np.maximum(a[:-1], a[1:])
+        a = np.moveaxis(fine, 0, axis)
+    return a.reshape(a.shape[:lead] + (-1,))
+
+
+# Node counts 2^k + 1 and a dyadic time step keep np.interp's sample points
+# exactly on the midpoints, so the reference differs from the average by the
+# rounding of its own formula only; off such grids the rounding of its sample
+# points alone moves it by a few eps more.
+@pytest.mark.parametrize("shape,space_time", [
+    ((17,), False), ((9, 5), False), ((17,), True), ((9, 5), True)])
+def test_refinement_matches_interp_reference(shape, space_time, rng):
+    tgrid = TimeGrid(8, 0.5) if space_time else None
+    lead = (tgrid.steps + 1,) if space_time else ()
+    values = rng.standard_normal(lead + (int(np.prod(shape)),))
+    new = _refine_nested(values, shape)
+    old = _interp_refinement(values, shape, tgrid)
+    assert new.shape == old.shape
+
+    def coarse_nodes(fine):
+        a = fine.reshape(tuple(2 * m - 1 for m in lead + shape))
+        return a[(slice(None, None, 2),) * a.ndim].reshape(values.shape)
+
+    assert np.array_equal(coarse_nodes(new), values)
+    assert np.array_equal(coarse_nodes(old), values)
+    bound = 2.0 * np.finfo(float).eps * _cell_max(values, shape, len(lead))
+    assert np.all(np.abs(old - new) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +341,7 @@ def test_adjoint_residual_shrinks_under_refinement():
     for _ in range(3):
         aggregates.append(adjoint_continuous_residual(pr, uc).aggregate)
         fine = refine_problem(pr)
-        uc = refine_control(uc, pr, fine)
+        uc = refine_control(uc, pr)
         pr = fine
     order = np.log2(aggregates[1] / aggregates[2])
     assert order >= THRESHOLDS["adjoint_residual_order"]
