@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .adjoint import solve_adjoint
 from .config import RunConfig, RunSetup, build_setup
 from .errors import ConfigError, SolverError
 from .grid import Grid
 from .optimize import (SecondOrderContext, cost_eval, default_tau,
-                       projected_gradient, reduced_gradient, ssc_certificate,
+                       projected_gradient, ssc_certificate,
                        stationarity_measure, strongly_active_sets)
 from .verify import run_verification
 
@@ -43,17 +42,16 @@ def main(argv=None) -> int:
         setup = build_setup(cfg)
         out_dir = Path(args.out_dir) if args.out_dir else Path(setup.output["out_dir"])
         _prepare_out_dir(out_dir, force=args.force)
+        (out_dir / "resolved_config.yaml").write_text(
+            yaml.safe_dump(setup.resolved, sort_keys=True))
+        runner = {"simulate": _run_simulate, "optimize": _run_optimize,
+                  "verify": _run_verify, "analyze": _run_analyze}[args.command]
+        # the first solve builds the step operator, which may still reject
+        # the configuration (an obstacle potential without yosida_eps)
+        return runner(args, setup, out_dir, say)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    (out_dir / "resolved_config.yaml").write_text(
-        yaml.safe_dump(setup.resolved, sort_keys=True))
-
-    runner = {"simulate": _run_simulate, "optimize": _run_optimize,
-              "verify": _run_verify, "analyze": _run_analyze}[args.command]
-    try:
-        return runner(args, setup, out_dir, say)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -226,9 +224,8 @@ def _run_verify(args, setup: RunSetup, out_dir: Path, say) -> int:
 def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     ubar = setup.initial_control
-    state = problem.solve(ubar)
-    adj = solve_adjoint(problem, state, ubar)
-    grad = reduced_gradient(ubar, problem, state=state, adj=adj)
+    context = SecondOrderContext(problem, ubar)
+    adj, grad = context.adjoint, context.gradient
 
     for k in _snapshot_levels(setup):
         if k == problem.tgrid.steps:
@@ -249,14 +246,14 @@ def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
     _write_space_time_csv(out_dir / "active_set_u2.csv", grid, "a2",
                           sets.A2.astype(int))
 
-    cost_value = cost_eval(state, ubar, problem.cost, grid, problem.tgrid)
+    cost_value = cost_eval(context.state, ubar, problem.cost, grid,
+                           problem.tgrid)
     stationarity = stationarity_measure(ubar, problem, setup.box, grad=grad)
     payload = {"cost": cost_value, "stationarity": stationarity, "tau": tau,
                "active_fraction_u1": float(sets.A1.mean()),
                "active_fraction_u2": float(sets.A2.mean())}
 
     if problem.cost.b2 == 0.0:
-        context = SecondOrderContext(problem, ubar, state=state)
         ssc = ssc_certificate(ubar, tau, setup.ssc["n_samples"], problem,
                               setup.box, seed=setup.ssc["seed"],
                               context=context)

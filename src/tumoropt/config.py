@@ -8,6 +8,7 @@ sin/cos/exp -- parsed through `ast`, never eval'd), or as CSV files.
 from __future__ import annotations
 
 import ast
+import contextlib
 import copy
 import math
 from dataclasses import dataclass
@@ -147,41 +148,36 @@ def compile_expression(text: str, key: str, allow_t: bool = True):
 
 def read_spatial_csv(path: Path, grid: Grid, key: str) -> np.ndarray:
     """One row per node: index, coordinates..., value."""
-    data = _load_csv(path, key)
-    if data.shape[0] != grid.n or data.shape[1] != grid.dim + 2:
-        raise ConfigError(f"{key}: {path} must have {grid.n} rows and "
-                          f"{grid.dim + 2} columns (index, coords, value)")
-    order = np.argsort(data[:, 0])
-    data = data[order]
-    if not np.array_equal(data[:, 0], np.arange(grid.n)):
-        raise ConfigError(f"{key}: {path} node indices must cover 0..{grid.n - 1}")
-    return np.ascontiguousarray(data[:, -1])
+    values = _read_node_rows(path, grid, key, 1, "index, coords, value")
+    return np.ascontiguousarray(values[:, 0])
 
 
 def read_space_time_csv(path: Path, grid: Grid, tgrid: TimeGrid,
                         key: str) -> np.ndarray:
     """One row per node: index, coordinates..., one value column per level."""
-    data = _load_csv(path, key)
     n_levels = tgrid.steps + 1
-    want = grid.dim + 1 + n_levels
-    if data.shape[0] != grid.n or data.shape[1] != want:
-        raise ConfigError(f"{key}: {path} must have {grid.n} rows and {want} "
-                          f"columns (index, coords, {n_levels} level values)")
-    order = np.argsort(data[:, 0])
-    data = data[order]
-    if not np.array_equal(data[:, 0], np.arange(grid.n)):
-        raise ConfigError(f"{key}: {path} node indices must cover 0..{grid.n - 1}")
-    return np.ascontiguousarray(data[:, grid.dim + 1:].T)
+    values = _read_node_rows(path, grid, key, n_levels,
+                             f"index, coords, {n_levels} level values")
+    return np.ascontiguousarray(values.T)
 
 
-def _load_csv(path: Path, key: str) -> np.ndarray:
+def _read_node_rows(path: Path, grid: Grid, key: str, n_values: int,
+                    layout: str) -> np.ndarray:
+    """The value columns of a node-per-row CSV file, in node index order."""
     if not path.is_file():
         raise ConfigError(f"{key}: file not found: {path}")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot read {path}: {exc}")
-    return data
+    want = grid.dim + 1 + n_values
+    if data.shape[0] != grid.n or data.shape[1] != want:
+        raise ConfigError(f"{key}: {path} must have {grid.n} rows and {want} "
+                          f"columns ({layout})")
+    data = data[np.argsort(data[:, 0])]
+    if not np.array_equal(data[:, 0], np.arange(grid.n)):
+        raise ConfigError(f"{key}: {path} node indices must cover 0..{grid.n - 1}")
+    return data[:, grid.dim + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +295,18 @@ def _number(block: dict, block_name: str, key: str, *, positive=False,
     return value
 
 
+@contextlib.contextmanager
+def _prefixed(block_name: str):
+    """Re-raise a library ValueError or TypeError as a ConfigError naming
+    `block_name`; a ConfigError already names its key and passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{block_name}: {exc}") from None
+
+
 def _build_shape(block: dict, key: str) -> ScalarShape:
     if not isinstance(block, dict) or "shape" not in block:
         raise ConfigError(f"{key} must be a mapping with a 'shape' entry")
@@ -313,7 +321,7 @@ def _build_shape(block: dict, key: str) -> ScalarShape:
     if extra:
         raise ConfigError(f"{key}: unexpected entries {sorted(extra)} "
                           f"for shape '{kind}'")
-    try:
+    with _prefixed(key):
         if kind == "constant":
             return constant_shape(_number(block, key, "value", nonnegative=True))
         if kind == "ramp":
@@ -323,13 +331,11 @@ def _build_shape(block: dict, key: str) -> ScalarShape:
                               center=float(block.get("center", 0.0)),
                               width=float(block.get("width", 1.0)))
         return table_shape(block.get("xs"), block.get("ys"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}")
 
 
 def build_potential(block: dict) -> PotentialSpec:
     kind = block.get("kind")
-    try:
+    with _prefixed("potential"):
         if kind == "regular":
             return regular_potential()
         if kind == "logarithmic":
@@ -342,8 +348,6 @@ def build_potential(block: dict) -> PotentialSpec:
                 raise ConfigError("potential.coefficients is required for "
                                   "kind 'custom'")
             return custom_polynomial_potential(coeffs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"potential: {exc}")
     raise ConfigError("potential.kind must be one of "
                       "['regular', 'logarithmic', 'obstacle', 'custom']")
 
@@ -351,10 +355,8 @@ def build_potential(block: dict) -> PotentialSpec:
 def build_nonlinearity(block: dict) -> NonlinearitySpec:
     shape_p = _build_shape(block["P"], "nonlinearity.P")
     shape_h = _build_shape(block["h"], "nonlinearity.h")
-    try:
+    with _prefixed("nonlinearity"):
         return make_nonlinearity(shape_p, shape_h)
-    except ValueError as exc:
-        raise ConfigError(f"nonlinearity: {exc}")
 
 
 def _finite(values: np.ndarray, key: str) -> np.ndarray:
@@ -368,49 +370,34 @@ def _finite(values: np.ndarray, key: str) -> np.ndarray:
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
-def _spatial_field(value, grid: Grid, base_dir: Path, key: str):
-    """Resolve a field spec into a finite (n,) array, or None when unset."""
+def _field(value, grid: Grid, base_dir: Path, key: str,
+           tgrid: TimeGrid | None = None):
+    """Resolve a field spec into a finite array, or None when unset.
+
+    The array has shape (n,) without `tgrid` and (N_t+1, n) with it; only a
+    space-time field may use t in an expression.
+    """
     if value is None:
         return None
+    shape = (grid.n,) if tgrid is None else (tgrid.steps + 1, grid.n)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(np.full(grid.n, float(value)), key)
-    coords = grid.coordinates()
-    x = coords[:, 0]
-    y = coords[:, 1] if grid.dim == 2 else np.zeros(grid.n)
+        return _finite(np.full(shape, float(value)), key)
     if isinstance(value, str):
-        func = compile_expression(value, key, allow_t=False)
-        out = np.empty(grid.n)  # a constant expression evaluates to a scalar
+        func = compile_expression(value, key, allow_t=tgrid is not None)
+        coords = grid.coordinates()
+        x = coords[:, 0]
+        y = coords[:, 1] if grid.dim == 2 else np.zeros(grid.n)
+        times = [0.0] if tgrid is None else tgrid.times
+        out = np.empty((len(times), grid.n))  # a constant expression is a scalar
         with np.errstate(**_QUIET):
-            out[:] = func(x, y)
-        return _finite(out, key)
-    if isinstance(value, dict) and set(value) == {"file"}:
-        return _finite(read_spatial_csv(base_dir / value["file"], grid, key),
-                       key)
-    raise ConfigError(f"{key}: expected a number, an expression string, "
-                      "or {file: path}")
-
-
-def _space_time_field(value, grid: Grid, tgrid: TimeGrid, base_dir: Path,
-                      key: str):
-    """Resolve a field spec into a finite (N_t+1, n) array, or None when unset."""
-    if value is None:
-        return None
-    n_levels = tgrid.steps + 1
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(np.full((n_levels, grid.n), float(value)), key)
-    coords = grid.coordinates()
-    x = coords[:, 0]
-    y = coords[:, 1] if grid.dim == 2 else np.zeros(grid.n)
-    if isinstance(value, str):
-        func = compile_expression(value, key, allow_t=True)
-        out = np.empty((n_levels, grid.n))
-        with np.errstate(**_QUIET):
-            for k, t in enumerate(tgrid.times):
+            for k, t in enumerate(times):
                 out[k] = func(x, y, t)
-        return _finite(out, key)
+        return _finite(out.reshape(shape), key)
     if isinstance(value, dict) and set(value) == {"file"}:
-        return _finite(read_space_time_csv(base_dir / value["file"], grid,
-                                           tgrid, key), key)
+        path = base_dir / value["file"]
+        if tgrid is None:
+            return _finite(read_spatial_csv(path, grid, key), key)
+        return _finite(read_space_time_csv(path, grid, tgrid, key), key)
     raise ConfigError(f"{key}: expected a number, an expression string, "
                       "or {file: path}")
 
@@ -424,7 +411,7 @@ def _bound_field(value, grid: Grid, tgrid: TimeGrid, base_dir: Path,
         if math.isnan(value):
             raise ConfigError(f"{key} must not be NaN")
         return float(value)
-    return _space_time_field(value, grid, tgrid, base_dir, key)
+    return _field(value, grid, base_dir, key, tgrid)
 
 
 @dataclass(eq=False)
@@ -442,42 +429,36 @@ class RunSetup:
 
 def build_setup(cfg: RunConfig) -> RunSetup:
     gb = cfg.grid
-    try:
+    with _prefixed("grid"):
         grid = build_grid(_number(gb, "grid", "dim", integer=True),
                           gb["shape"], gb["lengths"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}")
 
     t_final = _number(cfg.time, "time", "T", positive=True)
     steps = _number(cfg.time, "time", "steps", positive=True, integer=True)
     tgrid = TimeGrid(steps=steps, t_final=t_final)
 
-    try:
+    with _prefixed("model"):
         params = ModelParams(alpha=_number(cfg.model, "model", "alpha"),
                              beta=_number(cfg.model, "model", "beta"),
                              chi=_number(cfg.model, "model", "chi"),
                              T=t_final)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}")
 
     potential = build_potential(cfg.potential)
     nonlin = build_nonlinearity(cfg.nonlinearity)
 
     cb = cfg.cost
-    try:
+    with _prefixed("cost"):
         cost = CostSpec(
             b0=_number(cb, "cost", "b0", positive=True),
             b1=_number(cb, "cost", "b1", nonnegative=True),
             b2=_number(cb, "cost", "b2", nonnegative=True),
-            target_Q=_space_time_field(cb["target_Q"], grid, tgrid,
-                                       cfg.base_dir, "cost.target_Q"),
-            target_Omega=_spatial_field(cb["target_Omega"], grid,
-                                        cfg.base_dir, "cost.target_Omega"))
-    except ValueError as exc:
-        raise ConfigError(f"cost: {exc}")
+            target_Q=_field(cb["target_Q"], grid, cfg.base_dir,
+                            "cost.target_Q", tgrid),
+            target_Omega=_field(cb["target_Omega"], grid, cfg.base_dir,
+                                "cost.target_Omega"))
 
     def spatial(block, name, key):
-        out = _spatial_field(block[key], grid, cfg.base_dir, f"{name}.{key}")
+        out = _field(block[key], grid, cfg.base_dir, f"{name}.{key}")
         return np.zeros(grid.n) if out is None else out
 
     init = InitialData(mu0=spatial(cfg.initial, "initial", "mu0"),
@@ -509,7 +490,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         raise ConfigError(str(exc))
 
     bounds = cfg.control["bounds"]
-    try:
+    with _prefixed("control.bounds"):
         box = BoxConstraints(
             lower1=_bound_field(bounds["lower1"], grid, tgrid, cfg.base_dir,
                                 "control.bounds.lower1", -np.inf),
@@ -519,15 +500,11 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                                 "control.bounds.lower2", -np.inf),
             upper2=_bound_field(bounds["upper2"], grid, tgrid, cfg.base_dir,
                                 "control.bounds.upper2", np.inf))
-    except ValueError as exc:
-        raise ConfigError(f"control.bounds: {exc}")
 
     guess = cfg.control["initial"]
     n_levels = tgrid.steps + 1
-    u1 = _space_time_field(guess["u1"], grid, tgrid, cfg.base_dir,
-                           "control.initial.u1")
-    u2 = _space_time_field(guess["u2"], grid, tgrid, cfg.base_dir,
-                           "control.initial.u2")
+    u1 = _field(guess["u1"], grid, cfg.base_dir, "control.initial.u1", tgrid)
+    u2 = _field(guess["u2"], grid, cfg.base_dir, "control.initial.u2", tgrid)
     initial_control = Control(
         u1=np.zeros((n_levels, grid.n)) if u1 is None else u1,
         u2=np.zeros((n_levels, grid.n)) if u2 is None else u2)

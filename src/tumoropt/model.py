@@ -414,6 +414,12 @@ class CostSpec:
     target_Omega: np.ndarray | None = None   # (n,) final-time target
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.b0, self.b1, self.b2])):
+            raise ValueError("cost weights b0, b1, b2 must be finite")
+        for name in ("target_Q", "target_Omega"):
+            target = getattr(self, name)
+            if target is not None and not np.all(np.isfinite(target)):
+                raise ValueError(f"{name} must be finite")
         if self.b0 <= 0.0:
             raise ValueError("control cost weight b0 must be positive")
         if self.b1 < 0.0 or self.b2 < 0.0:
@@ -432,6 +438,8 @@ class Control:
         self.u2 = np.asarray(self.u2, dtype=float)
         if self.u1.shape != self.u2.shape or self.u1.ndim != 2:
             raise ValueError("u1 and u2 must share a (N_t+1, n) shape")
+        if not (np.all(np.isfinite(self.u1)) and np.all(np.isfinite(self.u2))):
+            raise ValueError("u1 and u2 must be finite")
 
     def copy(self) -> "Control":
         return Control(self.u1.copy(), self.u2.copy())
@@ -457,6 +465,8 @@ class BoxConstraints:
     def __post_init__(self):
         for lo, hi, tag in ((self.lower1, self.upper1, "1"),
                             (self.lower2, self.upper2, "2")):
+            if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+                raise ValueError(f"component {tag}: bounds must not be NaN")
             if np.any(np.asarray(lo) > np.asarray(hi)):
                 raise ValueError(f"component {tag}: lower bound exceeds upper bound")
 

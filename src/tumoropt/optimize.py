@@ -11,6 +11,7 @@ bilinearized system.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .grid import Grid, inner
 from .model import (BoxConstraints, Control, CostSpec, project_admissible)
 from .problem import (ControlProblem, control_inner, control_norm, st_inner)
 from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
-                          solve_generalized_linear)
+                          solve_bilinearized, solve_generalized_linear)
 from .state import StateTrajectory, TimeGrid
 
 
@@ -57,30 +58,10 @@ class GradientField:
         return Control(self.grad1.copy(), self.grad2.copy())
 
 
-def _gradient_from_adjoint(problem: ControlProblem, state: StateTrajectory,
-                           adj: AdjointTrajectory, ubar: Control) -> GradientField:
-    n_levels = problem.n_levels
-    d1 = np.zeros((n_levels, problem.grid.n))
-    d2 = np.zeros((n_levels, problem.grid.n))
-    for k in range(1, n_levels):
-        # 0.0 - x rather than -x: a negated zero field would leak -0.0
-        d1[k] = 0.0 - problem.nonlin.eval("h", state.phi[k]) * adj.p[k]
-        d2[k] = adj.r[k]
-    b0 = problem.cost.b0
-    return GradientField(d1=d1, d2=d2,
-                         grad1=b0 * ubar.u1 + d1,
-                         grad2=b0 * ubar.u2 + d2)
-
-
 def reduced_gradient(ubar: Control, problem: ControlProblem,
-                     state: StateTrajectory | None = None,
-                     adj: AdjointTrajectory | None = None) -> GradientField:
+                     state: StateTrajectory | None = None) -> GradientField:
     """Gradient of the reduced cost at ubar in the space-time inner product."""
-    if state is None:
-        state = problem.solve(ubar)
-    if adj is None:
-        adj = solve_adjoint(problem, state, ubar)
-    return _gradient_from_adjoint(problem, state, adj, ubar)
+    return SecondOrderContext(problem, ubar, state).gradient
 
 
 def stationarity_measure(ubar: Control, problem: ControlProblem,
@@ -243,43 +224,67 @@ def cone_project(h: Control, ubar: Control, box: BoxConstraints,
 
 
 class SecondOrderContext:
-    """Cached state, adjoint and step factors for curvature evaluations.
+    """State, step factors and adjoint at one control, each built once.
 
-    Amortizes one forward solve, one adjoint solve and one factorization
-    pass over many quadratic-form evaluations at the same control.
+    The gradient, the linearized and bilinearized marches and the exact
+    Hessian form at `ubar` all reuse the one factor pass along the state.
     """
 
     def __init__(self, problem: ControlProblem, ubar: Control,
                  state: StateTrajectory | None = None):
-        if problem.cost.b2 != 0.0:
-            raise ValueError(
-                "final-time tracking must be disabled for second-order "
-                "analysis (set b2 = 0)")
         self.problem = problem
         self.ubar = ubar
         self.state = state if state is not None else problem.solve(ubar)
-        self.factors = StepFactors(problem, self.state, ubar, lam1=1)
-        self.adjoint = solve_adjoint(problem, self.state, ubar,
-                                     factors=self.factors)
-        self.gradient = _gradient_from_adjoint(problem, self.state,
-                                               self.adjoint, ubar)
-        self._flags = LambdaFlags(l1=1, l2=1, l3=0, l4=0)
+
+    @functools.cached_property
+    def factors(self) -> StepFactors:
+        return StepFactors(self.problem, self.state, self.ubar)
+
+    @functools.cached_property
+    def adjoint(self) -> AdjointTrajectory:
+        return solve_adjoint(self.problem, self.state, self.ubar,
+                             factors=self.factors)
+
+    @functools.cached_property
+    def gradient(self) -> GradientField:
+        pr, adj = self.problem, self.adjoint
+        d1 = np.zeros((pr.n_levels, pr.grid.n))
+        d2 = np.zeros((pr.n_levels, pr.grid.n))
+        for k in range(1, pr.n_levels):
+            # 0.0 - x rather than -x: a negated zero field would leak -0.0
+            d1[k] = 0.0 - pr.nonlin.eval("h", self.state.phi[k]) * adj.p[k]
+            d2[k] = adj.r[k]
+        b0 = pr.cost.b0
+        return GradientField(d1=d1, d2=d2,
+                             grad1=b0 * self.ubar.u1 + d1,
+                             grad2=b0 * self.ubar.u2 + d2)
 
     def linearize(self, h: Control) -> LinearizedTrajectory:
         return solve_generalized_linear(self.problem, self.state, self.ubar,
-                                        self._flags, h=h, factors=self.factors)
+                                        LambdaFlags(), h=h,
+                                        factors=self.factors)
+
+    def bilinearize(self, lin_h: LinearizedTrajectory,
+                    lin_k: LinearizedTrajectory, h: Control,
+                    k: Control) -> LinearizedTrajectory:
+        return solve_bilinearized(self.problem, self.state, self.ubar,
+                                  lin_h, lin_k, h, k, factors=self.factors)
 
     def form(self, h: Control, k: Control,
              lin_h: LinearizedTrajectory | None = None,
              lin_k: LinearizedTrajectory | None = None) -> float:
-        """Exact Hessian form B(h, k) of the discrete reduced cost."""
+        """Exact Hessian form B(h, k) of the discrete reduced cost (b2 = 0)."""
         pr = self.problem
+        if pr.cost.b2 != 0.0:
+            raise ValueError(
+                "final-time tracking must be disabled for second-order "
+                "analysis (set b2 = 0)")
         if lin_h is None:
             lin_h = self.linearize(h)
         if lin_k is None:
             lin_k = self.linearize(k) if k is not h else lin_h
         cost = pr.cost
-        stepper = self.factors.stepper
+        stepper = pr.stepper
         state = self.state
         wt = pr.tgrid.weights()
 

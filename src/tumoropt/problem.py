@@ -7,6 +7,7 @@ form in the package is taken with respect to this product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ from .model import (Control, CostSpec, ModelParams, NonlinearitySpec,
                     PotentialSpec, zero_control)
 from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,
                     solve_state)
+from .stepper import Stepper
 
 
 def st_inner(grid: Grid, tgrid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -37,9 +39,10 @@ def control_norm(grid: Grid, tgrid: TimeGrid, u: Control) -> float:
     return float(np.sqrt(max(control_inner(grid, tgrid, u, u), 0.0)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ControlProblem:
-    """Everything needed to evaluate the reduced cost and its derivatives."""
+    """Everything needed to evaluate the reduced cost and its derivatives;
+    frozen, so `stepper` is built once (derive variants with `replace`)."""
 
     grid: Grid
     tgrid: TimeGrid
@@ -66,6 +69,12 @@ class ControlProblem:
         if self.cost.target_Omega is not None and self.cost.target_Omega.shape != (n,):
             raise ValueError(f"target_Omega must have shape ({n},)")
 
+    @functools.cached_property
+    def stepper(self) -> Stepper:
+        """The backward Euler step operator every solve of this problem uses."""
+        return Stepper(self.grid, self.params, self.potential, self.nonlin,
+                       self.tgrid.dt, yosida_eps=self.options.yosida_eps)
+
     @property
     def n_levels(self) -> int:
         return self.tgrid.steps + 1
@@ -84,5 +93,4 @@ class ControlProblem:
         return self.cost.target_Omega
 
     def solve(self, u: Control) -> StateTrajectory:
-        return solve_state(self.params, self.potential, self.nonlin, u,
-                           self.init, self.grid, self.tgrid, self.options)
+        return solve_state(self, u)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
 from .model import Control
 from .problem import ControlProblem
 from .state import InitialData, StateTrajectory
-from .stepper import Stepper
 
 # factorizations along a 200-step 1-D trajectory are small; 2-D ones are not
 _CACHE_MAX_DOF = 1500
@@ -62,9 +62,7 @@ class StepFactors:
 
     def __init__(self, problem: ControlProblem, state: StateTrajectory,
                  ubar: Control, lam1: int = 1):
-        self.stepper = Stepper(problem.grid, problem.params, problem.potential,
-                               problem.nonlin, problem.tgrid.dt,
-                               yosida_eps=problem.options.yosida_eps)
+        self.stepper = problem.stepper
         self.state = state
         self.ubar = ubar
         self.lam1 = lam1
@@ -83,9 +81,12 @@ class StepFactors:
         hit = self._lus.get(k)
         if hit is not None:
             return hit
-        fac = self.stepper.factorize(self.state.mu[k], self.state.phi[k],
-                                     self.state.sigma[k], self.ubar.u1[k],
-                                     lam1=float(self.lam1))
+        try:
+            fac = self.stepper.factorize(self.state.mu[k], self.state.phi[k],
+                                         self.state.sigma[k], self.ubar.u1[k],
+                                         lam1=float(self.lam1))
+        except SolverError as exc:
+            raise SolverError(f"step {k}: {exc}") from None
         if self._cache_all:
             self._lus[k] = fac
         return fac

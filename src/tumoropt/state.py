@@ -10,6 +10,7 @@ the whole line and no ceiling is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from .grid import Grid, inner
 from .model import (Control, ModelParams, NonlinearitySpec, PotentialSpec,
                     _f1_eval, _f2_eval, prox_f1)
 from .stepper import Stepper
+
+if TYPE_CHECKING:
+    from .problem import ControlProblem
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,8 @@ class InitialData:
         self.sigma0 = np.asarray(self.sigma0, dtype=float)
         if not (self.mu0.shape == self.phi0.shape == self.sigma0.shape):
             raise ValueError("initial fields must share one shape")
+        if not np.all(np.isfinite(self.stacked())):
+            raise ValueError("initial fields must be finite")
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.mu0, self.phi0, self.sigma0])
@@ -140,11 +146,8 @@ def _step_ceiling(phi: np.ndarray, dphi: np.ndarray, lo: float, hi: float,
     return max(t, 0.0)
 
 
-def solve_state(params: ModelParams, potential: PotentialSpec,
-                nonlin: NonlinearitySpec, control: Control, init: InitialData,
-                grid: Grid, tgrid: TimeGrid,
-                options: SolverOptions | None = None) -> StateTrajectory:
-    """March the implicit scheme over all time steps.
+def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
+    """March the implicit scheme of `problem` over all time steps.
 
     Raises
     ------
@@ -153,18 +156,17 @@ def solve_state(params: ModelParams, potential: PotentialSpec,
     SeparationViolation
         If initial data sit outside the potential's admissible interval.
     """
-    opts = options or SolverOptions()
+    grid, tgrid, params = problem.grid, problem.tgrid, problem.params
+    potential, nonlin, init = problem.potential, problem.nonlin, problem.init
+    opts = problem.options
     n = grid.n
     n_levels = tgrid.steps + 1
     if control.shape != (n_levels, n):
         raise ValueError(
             f"control has shape {control.shape}, expected ({n_levels}, {n})")
-    if init.phi0.shape != (n,):
-        raise ValueError(f"initial fields must have shape ({n},)")
     _validate_initial(init, potential, opts.yosida_eps)
 
-    stepper = Stepper(grid, params, potential, nonlin, tgrid.dt,
-                      yosida_eps=opts.yosida_eps)
+    stepper = problem.stepper
     guard = potential.kind == "logarithmic" and opts.yosida_eps is None
     lo, hi = potential.domain
 

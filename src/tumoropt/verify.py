@@ -11,24 +11,27 @@ the two routes checks the adjoint pairing but not those terms.  The
 independent oracles for them difference the cost or the linearized map:
 the cubic cost remainder and the quadratic DS-increment remainder of
 `check_taylor_orders`.
+
+Each check takes the state, step factors and adjoint at a control from one
+`SecondOrderContext` there, and every solve of a problem shares its
+`ControlProblem.stepper`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .adjoint import solve_adjoint
 from .grid import build_grid, inner, norm
 from .model import Control, CostSpec
 from .optimize import SecondOrderContext, cost_eval, reduced_gradient
 from .problem import ControlProblem, control_inner, control_norm, st_inner
-from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
-                          solve_bilinearized, solve_generalized_linear)
-from .state import InitialData, StateTrajectory, TimeGrid, solve_state
-from .stepper import Stepper
+from .sensitivity import LinearizedTrajectory
+from .state import (InitialData, StateTrajectory, TimeGrid,
+                    mass_balance_residual)
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 FD_SEARCH_LADDER = EPS_LADDER + (3e-4, 1e-4, 3e-5, 1e-5)
@@ -150,12 +153,8 @@ def check_duality(problem: ControlProblem, ubar: Control,
     if h is None:
         h = _random_direction(problem, np.random.default_rng(seed))
     grid, tgrid = problem.grid, problem.tgrid
-    state = problem.solve(ubar)
-    factors = StepFactors(problem, state, ubar, lam1=1)
-    adj = solve_adjoint(problem, state, ubar, factors=factors)
-    lin = solve_generalized_linear(problem, state, ubar,
-                                   LambdaFlags(1, 1, 0, 0), h=h,
-                                   factors=factors)
+    ctx = SecondOrderContext(problem, ubar)
+    state, adj, lin = ctx.state, ctx.adjoint, ctx.linearize(h)
     wt = tgrid.weights()
     lhs = 0.0
     for k in range(1, problem.n_levels):
@@ -205,49 +204,40 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
     if h is None:
         h = _random_direction(problem, rng)
     grid, tgrid = problem.grid, problem.tgrid
-    flags = LambdaFlags(1, 1, 0, 0)
 
-    state = problem.solve(ubar)
-    factors = StepFactors(problem, state, ubar, lam1=1)
-    lin_v = solve_generalized_linear(problem, state, ubar, flags, h=v,
-                                     factors=factors)
-    lin_h = solve_generalized_linear(problem, state, ubar, flags, h=h,
-                                     factors=factors)
-    bilin_vh = solve_bilinearized(problem, state, ubar, lin_v, lin_h, v, h,
-                                  factors=factors)
+    ctx = SecondOrderContext(problem, ubar)
+    state = ctx.state
+    lin_v = ctx.linearize(v)
+    lin_h = ctx.linearize(h)
+    bilin_vh = ctx.bilinearize(lin_v, lin_h, v, h)
     j0 = cost_eval(state, ubar, problem.cost, grid, tgrid)
-    grad = reduced_gradient(ubar, problem, state=state)
-    slope_v = control_inner(grid, tgrid, grad.as_control(), v)
+    slope_v = control_inner(grid, tgrid, ctx.gradient.as_control(), v)
     # curvature via the adjoint-weighted form when b2 = 0, else bilinearized route
     if problem.cost.b2 == 0.0:
-        ctx = SecondOrderContext(problem, ubar, state=state)
         b_vv = ctx.form(v, v, lin_h=lin_v, lin_k=lin_v)
     else:
-        bilin_vv = solve_bilinearized(problem, state, ubar, lin_v, lin_v, v, v,
-                                      factors=factors)
-        b_vv = _second_derivative_from_bilinear(problem, state, lin_v, lin_v,
-                                                bilin_vv, v, v)
+        b_vv = _second_derivative_from_bilinear(
+            problem, state, lin_v, lin_v, ctx.bilinearize(lin_v, lin_v, v, v),
+            v, v)
 
     err_state = []
     err_ds = []
     err_cost = []
     state_scale = max(_norm3(problem, _fields(lin_v)), 1e-300)
     for e in eps_values:
-        u_e = _shifted(ubar, v, e)
-        state_e = problem.solve(u_e)
-        factors_e = StepFactors(problem, state_e, u_e, lam1=1)
+        ctx_e = SecondOrderContext(problem, _shifted(ubar, v, e))
+        state_e = ctx_e.state
         # 1: state remainder
         diff = _norm3(problem, (a - b - e * c for a, b, c in zip(
             _fields(state_e), _fields(state), _fields(lin_v))))
         err_state.append(diff / state_scale)
         # 2: DS increment remainder
-        lin_h_e = solve_generalized_linear(problem, state_e, u_e, flags, h=h,
-                                           factors=factors_e)
+        lin_h_e = ctx_e.linearize(h)
         rem = _norm3(problem, (a - b - e * c for a, b, c in zip(
             _fields(lin_h_e), _fields(lin_h), _fields(bilin_vh))))
         err_ds.append(rem / max(_norm3(problem, _fields(lin_h)), 1e-300))
         # 3: cost remainder
-        j_e = cost_eval(state_e, u_e, problem.cost, grid, tgrid)
+        j_e = cost_eval(state_e, ctx_e.ubar, problem.cost, grid, tgrid)
         r3 = j_e - j0 - e * slope_v - 0.5 * e * e * b_vv
         err_cost.append(abs(r3) / max(1.0, abs(j0)))
 
@@ -281,17 +271,11 @@ def _second_derivative_from_bilinear(problem, state, lin_h, lin_k, bilin,
 def quadratic_form_bilinear_route(ubar: Control, h: Control, k: Control,
                                   problem: ControlProblem) -> float:
     """B(h,k) assembled without the adjoint: cross-check of quadratic_form."""
-    state = problem.solve(ubar)
-    factors = StepFactors(problem, state, ubar, lam1=1)
-    flags = LambdaFlags(1, 1, 0, 0)
-    lin_h = solve_generalized_linear(problem, state, ubar, flags, h=h,
-                                     factors=factors)
-    lin_k = solve_generalized_linear(problem, state, ubar, flags, h=k,
-                                     factors=factors)
-    bilin = solve_bilinearized(problem, state, ubar, lin_h, lin_k, h, k,
-                               factors=factors)
-    return _second_derivative_from_bilinear(problem, state, lin_h, lin_k,
-                                            bilin, h, k)
+    ctx = SecondOrderContext(problem, ubar)
+    lin_h, lin_k = ctx.linearize(h), ctx.linearize(k)
+    return _second_derivative_from_bilinear(
+        problem, ctx.state, lin_h, lin_k, ctx.bilinearize(lin_h, lin_k, h, k),
+        h, k)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +296,12 @@ def ode_reduction_reference(problem: ControlProblem, u1_of_t, u2_of_t,
     """
     pr = problem.params
     nl = problem.nonlin
-    stepper = Stepper(problem.grid, pr, problem.potential, nl,
-                      problem.tgrid.dt, yosida_eps=problem.options.yosida_eps)
 
     def rhs(t, y):
         mu, phi, sigma = y
         m = sigma + pr.chi * (1.0 - phi) - mu
         arr = np.array([phi])
-        fp = float(stepper.fprime(arr)[0])
+        fp = float(problem.stepper.fprime(arr)[0])
         pv = float(nl.eval("P", phi))
         hv = float(nl.eval("h", phi))
         dphi = (-fp + mu + pr.chi * sigma) / pr.beta
@@ -346,14 +328,14 @@ def richardson_state_at_T(problem: ControlProblem, u1_of_t, u2_of_t):
     vals = []
     for factor in (1, 2, 4):
         tg = TimeGrid(problem.tgrid.steps * factor, problem.tgrid.t_final)
-        n_levels = tg.steps + 1
         n = problem.grid.n
         times = tg.times
         u = Control(
             np.repeat([[u1_of_t(t) for t in times]], n, axis=0).T.copy(),
             np.repeat([[u2_of_t(t) for t in times]], n, axis=0).T.copy())
-        traj = solve_state(problem.params, problem.potential, problem.nonlin,
-                           u, problem.init, problem.grid, tg, problem.options)
+        # no targets: they are shaped for the base grid, and no cost is taken
+        traj = dataclasses.replace(
+            problem, tgrid=tg, cost=CostSpec(b0=problem.cost.b0)).solve(u)
         vals.append(np.array([traj.mu[-1][0], traj.phi[-1][0],
                               traj.sigma[-1][0]]))
     y1, y2, y3 = vals
@@ -469,7 +451,6 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
 
     def ratios_at(pr: ControlProblem, seeds) -> dict:
         out = {"state": [], "ds": [], "d2s": []}
-        flags = LambdaFlags(1, 1, 0, 0)
         for s in seeds:
             rng = np.random.default_rng(int(s))
             ua = _smooth_random_control(pr, rng, amp)
@@ -482,26 +463,15 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
             nv = control_norm(pr.grid, pr.tgrid, v)
             if du == 0.0 or nh == 0.0 or nv == 0.0:
                 continue  # coincident draw: the ratio is undefined, skip it
-            st_a = pr.solve(ua)
-            st_b = pr.solve(ub)
+            ctx_a = SecondOrderContext(pr, ua)
+            ctx_b = SecondOrderContext(pr, ub)
             out["state"].append(_norm3(pr, (a - b for a, b in zip(
-                _fields(st_a), _fields(st_b)))) / du)
-            fac_a = StepFactors(pr, st_a, ua, lam1=1)
-            fac_b = StepFactors(pr, st_b, ub, lam1=1)
-            lin_ha = solve_generalized_linear(pr, st_a, ua, flags, h=h,
-                                              factors=fac_a)
-            lin_hb = solve_generalized_linear(pr, st_b, ub, flags, h=h,
-                                              factors=fac_b)
+                _fields(ctx_a.state), _fields(ctx_b.state)))) / du)
+            lin_ha, lin_hb = ctx_a.linearize(h), ctx_b.linearize(h)
             out["ds"].append(_norm3(pr, (a - b for a, b in zip(
                 _fields(lin_ha), _fields(lin_hb)))) / (du * nh))
-            lin_va = solve_generalized_linear(pr, st_a, ua, flags, h=v,
-                                              factors=fac_a)
-            lin_vb = solve_generalized_linear(pr, st_b, ub, flags, h=v,
-                                              factors=fac_b)
-            bil_a = solve_bilinearized(pr, st_a, ua, lin_ha, lin_va, h, v,
-                                       factors=fac_a)
-            bil_b = solve_bilinearized(pr, st_b, ub, lin_hb, lin_vb, h, v,
-                                       factors=fac_b)
+            bil_a = ctx_a.bilinearize(lin_ha, ctx_a.linearize(v), h, v)
+            bil_b = ctx_b.bilinearize(lin_hb, ctx_b.linearize(v), h, v)
             out["d2s"].append(_norm3(pr, (a - b for a, b in zip(
                 _fields(bil_a), _fields(bil_b)))) / (du * nh * nv))
         return {k: float(np.max(vals)) if vals else 0.0
@@ -520,12 +490,9 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
     rng = np.random.default_rng(int(pair_seeds[0]))
     ua = _smooth_random_control(problem, rng, amp)
     h = _smooth_random_control(problem, rng, amp)
-    st_a = problem.solve(ua)
-    fac = StepFactors(problem, st_a, ua, lam1=1)
-    flags = LambdaFlags(1, 1, 0, 0)
-    lin1 = solve_generalized_linear(problem, st_a, ua, flags, h=h, factors=fac)
-    h2 = Control(2.0 * h.u1, 2.0 * h.u2)
-    lin2 = solve_generalized_linear(problem, st_a, ua, flags, h=h2, factors=fac)
+    ctx = SecondOrderContext(problem, ua)
+    lin1 = ctx.linearize(h)
+    lin2 = ctx.linearize(Control(2.0 * h.u1, 2.0 * h.u2))
     hom = 0.0
     scale = max(_norm3(problem, _fields(lin1)), 1e-300)
     for a, b in zip(_fields(lin2), _fields(lin1)):
@@ -577,12 +544,10 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
         raise ValueError(f"unknown form {form!r}")
     if not 0.0 <= cut < 0.5:
         raise ValueError("cut must lie in [0, 0.5)")
-    state = problem.solve(ubar)
-    adj = solve_adjoint(problem, state, ubar)
+    ctx = SecondOrderContext(problem, ubar)
+    state, adj = ctx.state, ctx.adjoint
     pr = problem.params
     grid, tgrid = problem.grid, problem.tgrid
-    stepper = Stepper(grid, pr, problem.potential, problem.nonlin, tgrid.dt,
-                      yosida_eps=problem.options.yosida_eps)
     dt = tgrid.dt
     lap = grid.lap
     target = problem.target_q()
@@ -600,7 +565,7 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
     eq3 = np.zeros(levels.size)
 
     def fields_at(k):
-        pv, dpm, hpu, f2 = stepper.reaction_terms(
+        pv, dpm, hpu, f2 = problem.stepper.reaction_terms(
             state.mu[k], state.phi[k], state.sigma[k], ubar.u1[k])
         return {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k], "P": pv,
                 "dP": dpm, "dh_u": hpu, "f2": f2,
@@ -665,8 +630,6 @@ def run_verification(problem: ControlProblem, ubar: Control,
     Returns a dict with one entry per check (name, description, metrics,
     passed) and an overall gate flag.
     """
-    from .state import mass_balance_residual  # local to avoid cycle at import
-
     checks: list[dict] = []
 
     def add(name: str, description: str, metrics: dict, passed: bool,

@@ -14,10 +14,9 @@ from scipy.optimize import brentq
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
                       PgdOptions, SecondOrderContext, cost_eval, cone_project,
                       logarithmic_potential, obstacle_potential,
-                      projected_gradient, prox_f1, reduced_gradient,
-                      regular_potential, solve_adjoint, ssc_certificate,
-                      strongly_active_sets, project_admissible,
-                      yosida_derivative)
+                      projected_gradient, prox_f1, regular_potential,
+                      ssc_certificate, strongly_active_sets,
+                      project_admissible, yosida_derivative)
 from tumoropt.config import RunConfig, build_setup
 from tumoropt.model import _f1_eval
 from tumoropt.problem import ControlProblem, control_norm, control_inner, st_inner
@@ -70,9 +69,8 @@ def test_criterion_01_zero_fixed_point():
     setup = _load_setup("zero.yaml")
     pr = setup.problem
     u = setup.initial_control
-    traj = pr.solve(u)
-    adj = solve_adjoint(pr, traj, u)
-    grad = reduced_gradient(u, pr, state=traj, adj=adj)
+    ctx = SecondOrderContext(pr, u)
+    traj, adj, grad = ctx.state, ctx.adjoint, ctx.gradient
     j = cost_eval(traj, u, pr.cost, pr.grid, pr.tgrid)
     ok = (_bitwise_zero(traj.mu, traj.phi, traj.sigma,
                         adj.p, adj.q, adj.r,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from tumoropt import StepFactors, solve_adjoint
 from tumoropt.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_SOLVER, main)
 from tumoropt.config import RunConfig, build_setup
 
@@ -139,6 +140,8 @@ def test_verify_passes_on_coupled_configuration(tmp_path, capsys):
     "control.initial.u1=exp(800)",
     "control.initial.u2=1/x",
     "control.bounds.lower1=.nan",
+    "cost.target_Q=.nan",
+    "cost.b0=.nan",
 ])
 def test_non_finite_config_input_is_config_error(tmp_path, override):
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -151,8 +154,18 @@ def test_non_finite_config_input_is_config_error(tmp_path, override):
          "--out-dir", str(tmp_path / "out"), "--set", override],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == EXIT_CONFIG
+    key = override.partition("=")[0]
+    assert proc.stderr.startswith(f"config error: {key}")
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_obstacle_without_yosida_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, ZERO)
+    code = main(["simulate", "--config", str(cfg), "--out-dir",
+                 str(tmp_path / "out"), "--set", "potential.kind=obstacle"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: the obstacle")
 
 
 def test_verify_gate_failure_exit_code(tmp_path):
@@ -185,6 +198,30 @@ def test_analyze_outputs(tmp_path, capsys):
     rows = _read_rows(out / "active_set_u1.csv")
     flat = {v for row in rows[1:] for v in row[2:]}
     assert flat <= {"0", "1"}
+
+
+def test_analyze_factors_and_marches_the_adjoint_once(tmp_path, monkeypatch):
+    factor_passes, marches = [], []
+    init = StepFactors.__init__
+
+    def count_factors(self, *args, **kwargs):
+        factor_passes.append(None)
+        init(self, *args, **kwargs)
+
+    def count_marches(*args, **kwargs):
+        marches.append(None)
+        return solve_adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(StepFactors, "__init__", count_factors)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("tumoropt")
+                and vars(module).get("solve_adjoint") is solve_adjoint):
+            monkeypatch.setattr(module, "solve_adjoint", count_marches)
+    cfg = _write(tmp_path, COUPLED)
+    assert main(["analyze", "--config", str(cfg), "--out-dir",
+                 str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    assert len(factor_passes) == 1
+    assert len(marches) == 1
 
 
 def test_analyze_skips_curvature_with_final_tracking(tmp_path):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from tumoropt import (BoxConstraints, Control, CostSpec, ModelParams,
-                      bump_shape, constant_shape, custom_polynomial_potential,
-                      logarithmic_potential, make_nonlinearity,
-                      obstacle_potential, potential_eval, project_admissible,
-                      prox_f1, ramp_shape, regular_potential, table_shape,
-                      unbounded_box, yosida_derivative, yosida_second,
-                      yosida_third, zero_control)
+from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
+                      ModelParams, bump_shape, constant_shape,
+                      custom_polynomial_potential, logarithmic_potential,
+                      make_nonlinearity, obstacle_potential, potential_eval,
+                      project_admissible, prox_f1, ramp_shape,
+                      regular_potential, table_shape, unbounded_box,
+                      yosida_derivative, yosida_second, yosida_third,
+                      zero_control)
 from tumoropt.model import _f1_eval
 
 
@@ -283,6 +284,28 @@ def test_control_shape_validation():
     v = u.copy()
     v.u1[0, 0] = 1.0
     assert u.u1[0, 0] == 0.0
+
+
+_NAN = np.full((3, 2), np.nan)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Control(_NAN, np.zeros((3, 2))),
+    lambda: Control(np.zeros((3, 2)), np.full((3, 2), np.inf)),
+    lambda: InitialData(np.zeros(2), np.array([0.0, np.nan]), np.zeros(2)),
+    lambda: InitialData(np.zeros(2), np.zeros(2), np.array([np.inf, 0.0])),
+    lambda: CostSpec(b0=np.nan),
+    lambda: CostSpec(b0=1.0, b1=np.inf),
+    lambda: CostSpec(b0=1.0, b2=np.nan),
+    lambda: CostSpec(b0=1.0, b1=1.0, target_Q=_NAN),
+    lambda: CostSpec(b0=1.0, b2=1.0, target_Omega=np.array([np.inf, 0.0])),
+    lambda: BoxConstraints(lower1=np.nan),
+    lambda: BoxConstraints(upper2=_NAN),
+], ids=["u1", "u2", "phi0", "sigma0", "b0", "b1", "b2", "target_Q",
+        "target_Omega", "lower1", "upper2"])
+def test_non_finite_model_data_is_rejected(build):
+    with pytest.raises(ValueError, match="finite|NaN"):
+        build()
 
 
 def test_box_validation_and_span():

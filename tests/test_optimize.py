@@ -333,8 +333,10 @@ def test_ssc_trivial_cone_raises():
 
 def test_second_order_context_rejects_final_tracking():
     pr = make_problem(b2=1.0)
+    ctx = SecondOrderContext(pr, pr.zero_control())
+    h = random_control(pr)
     with pytest.raises(ValueError, match="b2"):
-        SecondOrderContext(pr, pr.zero_control())
+        ctx.form(h, h)
     with pytest.raises(ValueError):
         quadratic_form(pr.zero_control(), random_control(pr),
                        random_control(pr), pr)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from tumoropt import (Control, InitialData, LambdaFlags, StepFactors,
-                      solve_bilinearized, solve_generalized_linear)
+from tumoropt import (Control, InitialData, LambdaFlags, SolverError,
+                      StepFactors, solve_bilinearized,
+                      solve_generalized_linear)
 
 from _support import make_problem, random_control, smooth_control
 
@@ -105,6 +106,15 @@ def test_factor_flag_mismatch_rejected():
                                        h=random_control(pr), factors=factors)
         solve_bilinearized(pr, state, u, lin, lin, random_control(pr),
                            random_control(pr), factors=factors)
+
+
+def test_factor_failure_names_the_step():
+    pr = make_problem(steps=4)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    state.phi[3, 2] = np.nan
+    with pytest.raises(SolverError, match="step 3: non-finite Jacobian"):
+        StepFactors(pr, state, u).lu(3)
 
 
 def test_reaction_off_march_ignores_linearization_point(rng):

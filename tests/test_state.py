@@ -67,8 +67,10 @@ def test_mass_identity_2d():
     rng = np.random.default_rng(7)
     u = Control(0.1 * rng.standard_normal((7, grid.n)),
                 0.1 * rng.standard_normal((7, grid.n)))
-    traj = solve_state(params, regular_potential(), nonlin, u, init, grid,
-                       tgrid)
+    problem = ControlProblem(grid=grid, tgrid=tgrid, params=params,
+                             potential=regular_potential(), nonlin=nonlin,
+                             cost=CostSpec(b0=1.0), init=init)
+    traj = solve_state(problem, u)
     res = mass_balance_residual(traj, u, params, nonlin, grid, tgrid)
     assert res.max() <= 1e-10
 
@@ -202,8 +204,7 @@ def test_newton_budget_exhaustion_raises():
 def test_polish_tries_the_full_step_once(monkeypatch):
     pr = make_problem(potential="logarithmic", steps=8)
     u = smooth_control(pr, amp=0.4)
-    stepper = Stepper(pr.grid, pr.params, pr.potential, pr.nonlin,
-                      pr.tgrid.dt)
+    stepper = pr.stepper
     lo, hi = pr.potential.domain
     residual = Stepper.residual
     calls = []

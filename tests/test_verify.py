@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tumoropt import (Control, CostSpec, InitialData, TimeGrid,
-                      quadratic_form)
-from tumoropt.verify import (_refine_nested, adjoint_continuous_residual,
+from tumoropt import (Control, ControlProblem, CostSpec, InitialData,
+                      StepFactors, Stepper, TimeGrid, quadratic_form)
+from tumoropt.verify import (EPS_LADDER, _refine_nested,
+                             adjoint_continuous_residual,
                              check_duality,
                              check_stability_ratios, check_taylor_orders,
                              fit_slope, make_slope_report,
@@ -90,6 +91,22 @@ def test_taylor_deterministic_given_directions():
     b = check_taylor_orders(pr, u, v=v, h=h)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.error_values, rb.error_values)
+
+
+def test_taylor_orders_factor_once_at_ubar(monkeypatch):
+    pr = make_problem(steps=4)
+    u = smooth_control(pr)
+    at = []
+    init = StepFactors.__init__
+
+    def counted(self, problem, state, ubar, lam1=1):
+        at.append(ubar)
+        init(self, problem, state, ubar, lam1)
+
+    monkeypatch.setattr(StepFactors, "__init__", counted)
+    check_taylor_orders(pr, u)
+    assert sum(ubar is u for ubar in at) == 1
+    assert len(at) == 1 + len(EPS_LADDER)
 
 
 def test_duality_zero_cost_is_exactly_zero():
@@ -364,6 +381,26 @@ def test_run_verification_all_pass():
         assert check["passed"], (check["name"], check["metrics"])
         assert not check["skipped"]
     assert report["all_passed"]
+
+
+def test_run_verification_builds_one_stepper_per_problem(monkeypatch):
+    pr = make_problem(nodes=9, steps=4)
+    problems, steppers = [pr], []
+    post_init = ControlProblem.__post_init__
+    stepper_init = Stepper.__init__
+
+    def count_problem(self):
+        post_init(self)
+        problems.append(self)
+
+    def count_stepper(self, *args, **kwargs):
+        stepper_init(self, *args, **kwargs)
+        steppers.append(self)
+
+    monkeypatch.setattr(ControlProblem, "__post_init__", count_problem)
+    monkeypatch.setattr(Stepper, "__init__", count_stepper)
+    run_verification(pr, smooth_control(pr, amp=0.1), n_dirs=1, n_pairs=1)
+    assert len(steppers) <= len(problems) <= 4
 
 
 def test_run_verification_skips_strong_form_with_final_tracking():
