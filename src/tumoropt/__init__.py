@@ -21,8 +21,8 @@ from .model import (BoxConstraints, Control, CostSpec, ModelParams,
 from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
                        SecondOrderContext, SscReport, cone_project, cost_eval,
                        default_tau, dense_hessian, projected_gradient,
-                       quadratic_form, reduced_gradient, ssc_certificate,
-                       stationarity_measure, strongly_active_sets)
+                       reduced_gradient, ssc_certificate, stationarity_measure,
+                       strongly_active_sets)
 from .problem import (ControlProblem, control_inner, control_norm, st_inner,
                       st_norm)
 from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Control, CostSpec
+from .model import Control
 from .problem import ControlProblem
 from .sensitivity import StepFactors
 from .state import StateTrajectory
@@ -29,9 +29,10 @@ from .state import StateTrajectory
 class AdjointTrajectory:
     """Adjoint snapshots (p, q, r) plus exact terminal-time fields.
 
-    p, q, r hold the weight-rescaled multipliers on levels 1..N_t; level 0 is
-    zero (no step residual pairs with it).  terminal_p/q/r carry the discrete
-    terminal conditions at t = T.
+    p, q, r hold the step multipliers divided by the time quadrature weight
+    of their level, on levels 1..N_t; level 0 is zero (no step residual
+    pairs with it).  The raw step-k multiplier is wt_k (p_k, q_k, r_k).
+    terminal_p/q/r carry the discrete terminal conditions at t = T.
     """
 
     p: np.ndarray
@@ -41,21 +42,18 @@ class AdjointTrajectory:
     terminal_q: np.ndarray
     terminal_r: np.ndarray
 
-    def multiplier(self, k: int, wt: np.ndarray) -> np.ndarray:
-        """Raw step-k multiplier (undo the quadrature rescaling)."""
-        return wt[k] * np.concatenate([self.p[k], self.q[k], self.r[k]])
-
 
 def solve_adjoint(problem: ControlProblem, state: StateTrajectory,
-                  ubar: Control, cost: CostSpec | None = None,
+                  ubar: Control,
                   factors: StepFactors | None = None) -> AdjointTrajectory:
     """Backward march of the transposed linearized system.
 
-    The sources are the tracking misfits: b1 w_k (phi_k - target_Q_k) on
-    every level and additionally b2 (phi_N - target_Omega) at the final one.
-    Zero sources short-circuit to exactly zero multipliers.
+    The sources are the tracking misfits of `problem.cost`: b1 w_k (phi_k -
+    target_Q_k) on every level and additionally b2 (phi_N - target_Omega)
+    at the final one.  Zero sources short-circuit to exactly zero
+    multipliers.
     """
-    cost = cost or problem.cost
+    cost = problem.cost
     if factors is None:
         factors = StepFactors(problem, state, ubar, lam1=1)
     elif factors.lam1 != 1:
@@ -64,23 +62,18 @@ def solve_adjoint(problem: ControlProblem, state: StateTrajectory,
     n = problem.grid.n
     n_steps = problem.tgrid.steps
     wt = problem.tgrid.weights()
-    target_q = (cost.target_Q if cost.target_Q is not None
-                else np.zeros((n_steps + 1, n)))
-    target_omega = (cost.target_Omega if cost.target_Omega is not None
-                    else np.zeros(n))
 
     p = np.zeros((n_steps + 1, n))
     q = np.zeros((n_steps + 1, n))
     r = np.zeros((n_steps + 1, n))
 
-    misfit_T = state.phi[n_steps] - target_omega
+    misfit_T = state.phi[n_steps] - problem.target_omega()
+    src_q = (cost.b1 * wt)[:, None] * (state.phi - problem.target_q())
+    src_q[n_steps] = src_q[n_steps] + cost.b2 * misfit_T
     lam_next = np.zeros(3 * n)
     zeros = np.zeros(n)
     for k in range(n_steps, 0, -1):
-        src_q = cost.b1 * wt[k] * (state.phi[k] - target_q[k])
-        if k == n_steps:
-            src_q = src_q + cost.b2 * misfit_T
-        rhs = np.concatenate([zeros, src_q, zeros])
+        rhs = np.concatenate([zeros, src_q[k], zeros])
         rhs = rhs + stepper.transport_adjoint(lam_next)
         if np.any(rhs):
             lam = stepper.solve_adjoint_step(factors.lu(k), rhs)

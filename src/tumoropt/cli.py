@@ -246,8 +246,7 @@ def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
     _write_space_time_csv(out_dir / "active_set_u2.csv", grid, "a2",
                           sets.A2.astype(int))
 
-    cost_value = cost_eval(context.state, ubar, problem.cost, grid,
-                           problem.tgrid)
+    cost_value = cost_eval(problem, context.state, ubar)
     stationarity = stationarity_measure(ubar, problem, setup.box, grad=grad)
     payload = {"cost": cost_value, "stationarity": stationarity, "tau": tau,
                "active_fraction_u1": float(sets.A1.mean()),

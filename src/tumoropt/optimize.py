@@ -17,30 +17,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint
-from .grid import Grid, inner
-from .model import (BoxConstraints, Control, CostSpec, project_admissible)
+from .grid import inner
+from .model import BoxConstraints, Control, project_admissible
 from .problem import (ControlProblem, control_inner, control_norm, st_inner)
 from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
-from .state import StateTrajectory, TimeGrid
+from .state import StateTrajectory
 
 
-def cost_eval(state: StateTrajectory, u: Control, cost: CostSpec,
-              grid: Grid, tgrid: TimeGrid) -> float:
-    """Tracking plus control cost of a state/control pair."""
-    n_steps = tgrid.steps
-    n = grid.n
-    target_q = (cost.target_Q if cost.target_Q is not None
-                else np.zeros((n_steps + 1, n)))
-    target_omega = (cost.target_Omega if cost.target_Omega is not None
-                    else np.zeros(n))
+def cost_eval(problem: ControlProblem, state: StateTrajectory,
+              u: Control) -> float:
+    """Tracking plus control cost of a state/control pair of `problem`."""
+    grid, tgrid, cost = problem.grid, problem.tgrid, problem.cost
     j = 0.5 * cost.b0 * (st_inner(grid, tgrid, u.u1, u.u1)
                          + st_inner(grid, tgrid, u.u2, u.u2))
     if cost.b1 != 0.0:
-        mis = state.phi - target_q
+        mis = state.phi - problem.target_q()
         j += 0.5 * cost.b1 * st_inner(grid, tgrid, mis, mis)
     if cost.b2 != 0.0:
-        mis_t = state.phi[n_steps] - target_omega
+        mis_t = state.phi[tgrid.steps] - problem.target_omega()
         j += 0.5 * cost.b2 * inner(grid, mis_t, mis_t)
     return float(j)
 
@@ -117,7 +112,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     grid, tgrid = problem.grid, problem.tgrid
     u = project_admissible(u0, box)
     state = problem.solve(u)
-    j = cost_eval(state, u, problem.cost, grid, tgrid)
+    j = cost_eval(problem, state, u)
     grad = reduced_gradient(u, problem, state=state)
     history: list[dict] = []
     step = opts.initial_step
@@ -156,7 +151,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
                 grid, tgrid, grad.as_control(),
                 Control(u.u1 - trial.u1, u.u2 - trial.u2))
             state_new = problem.solve(trial)
-            j_new = cost_eval(state_new, trial, problem.cost, grid, tgrid)
+            j_new = cost_eval(problem, state_new, trial)
             if j_new <= j - opts.armijo_c * decrease:
                 accepted = True
                 break
@@ -250,10 +245,9 @@ class SecondOrderContext:
         pr, adj = self.problem, self.adjoint
         d1 = np.zeros((pr.n_levels, pr.grid.n))
         d2 = np.zeros((pr.n_levels, pr.grid.n))
-        for k in range(1, pr.n_levels):
-            # 0.0 - x rather than -x: a negated zero field would leak -0.0
-            d1[k] = 0.0 - pr.nonlin.eval("h", self.state.phi[k]) * adj.p[k]
-            d2[k] = adj.r[k]
+        # 0.0 - x rather than -x: a negated zero field would leak -0.0
+        d1[1:] = 0.0 - pr.nonlin.eval("h", self.state.phi[1:]) * adj.p[1:]
+        d2[1:] = adj.r[1:]
         b0 = pr.cost.b0
         return GradientField(d1=d1, d2=d2,
                              grad1=b0 * self.ubar.u1 + d1,
@@ -283,34 +277,22 @@ class SecondOrderContext:
             lin_h = self.linearize(h)
         if lin_k is None:
             lin_k = self.linearize(k) if k is not h else lin_h
-        cost = pr.cost
-        stepper = pr.stepper
-        state = self.state
-        wt = pr.tgrid.weights()
-
+        cost, adj = pr.cost, self.adjoint
         total = cost.b0 * control_inner(pr.grid, pr.tgrid, h, k)
         if cost.b1 != 0.0:
             total += cost.b1 * st_inner(pr.grid, pr.tgrid, lin_h.xi, lin_k.xi)
 
-        # sum_j <lambda_j, S_j(h, k)>: each step multiplier paired with the
-        # source of the bilinearized step
-        acc = 0.0
-        for j in range(1, pr.n_levels):
-            src = stepper.second_order_source(
-                state.mu[j], state.phi[j], state.sigma[j], self.ubar.u1[j],
-                lin_h.snapshot(j), lin_k.snapshot(j), h.u1[j], k.u1[j])
-            acc += float(np.dot(stepper.w3,
-                                self.adjoint.multiplier(j, wt) * src))
+        # sum_k <lambda_k, S_k(h, k)>: the step multipliers, wt_k (p, q, r)_k,
+        # paired with the sources of the bilinearized steps 1..N_t
+        state = self.state
+        s1, s2, s3 = pr.stepper.second_order_source(
+            state.mu[1:], state.phi[1:], state.sigma[1:], self.ubar.u1[1:],
+            (lin_h.eta[1:], lin_h.xi[1:], lin_h.theta[1:]),
+            (lin_k.eta[1:], lin_k.xi[1:], lin_k.theta[1:]), h.u1[1:], k.u1[1:])
+        pairing = adj.p[1:] * s1 + adj.q[1:] * s2 + adj.r[1:] * s3
+        acc = np.einsum("k,ki,i->", pr.tgrid.weights()[1:], pairing,
+                        pr.grid.weights)
         return float(total + acc)
-
-
-def quadratic_form(ubar: Control, h: Control, k: Control,
-                   problem: ControlProblem,
-                   context: SecondOrderContext | None = None) -> float:
-    """Second derivative of the reduced cost at ubar applied to (h, k)."""
-    if context is None:
-        context = SecondOrderContext(problem, ubar)
-    return context.form(h, k)
 
 
 @dataclass(frozen=True)

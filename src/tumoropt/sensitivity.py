@@ -47,9 +47,6 @@ class LinearizedTrajectory:
     xi: np.ndarray
     theta: np.ndarray
 
-    def snapshot(self, k: int) -> np.ndarray:
-        return np.concatenate([self.eta[k], self.xi[k], self.theta[k]])
-
 
 class StepFactors:
     """LU factorizations of the linearized step operators along a trajectory.
@@ -92,8 +89,13 @@ class StepFactors:
         return fac
 
 
-def _march(factors: StepFactors, sources, y0: np.ndarray) -> LinearizedTrajectory:
-    """Run the linear recursion A_k y^k = B y^{k-1} + S^k from y^0 = y0."""
+def _march(factors: StepFactors, sources: np.ndarray | None,
+           y0: np.ndarray) -> LinearizedTrajectory:
+    """Run the linear recursion A_k y^k = B y^{k-1} + S^k from y^0 = y0.
+
+    `sources` holds the stacked S^k as one (N_t+1, 3n) array, level 0
+    unused, or is None for a source-free march.
+    """
     stepper = factors.stepper
     n = stepper.n
     n_levels = factors.n_steps + 1
@@ -104,9 +106,8 @@ def _march(factors: StepFactors, sources, y0: np.ndarray) -> LinearizedTrajector
     eta[0], xi[0], theta[0] = stepper.split(y0)
     for k in range(1, n_levels):
         rhs = stepper.transport(y)
-        src = sources(k)
-        if src is not None:
-            rhs = rhs + src
+        if sources is not None:
+            rhs = rhs + sources[k]
         if np.any(rhs):
             y = factors.lu(k).solve(rhs)
         else:
@@ -123,10 +124,13 @@ def solve_generalized_linear(problem: ControlProblem, state: StateTrajectory,
                              factors: StepFactors | None = None) -> LinearizedTrajectory:
     """Solve the switched linear system along `state`.
 
+    The sources of every level are built once, as whole histories, before
+    the march.
+
     Parameters
     ----------
     h : Control, optional
-        Control direction; enters step k as (-h(phi_k) h1_k, 0, h2_k),
+        Control direction; enters as (-h(phi) h1, 0, h2) on every level,
         scaled by flags.l2.
     f : triple of (N_t+1, n) arrays, optional
         General sources per equation, scaled by flags.l3; level 0 unused.
@@ -139,24 +143,19 @@ def solve_generalized_linear(problem: ControlProblem, state: StateTrajectory,
         factors = StepFactors(problem, state, ubar, lam1=flags.l1)
     elif factors.lam1 != flags.l1:
         raise ValueError("supplied factors were built for a different l1 flag")
-    n = problem.grid.n
 
-    hshape = problem.nonlin
-
-    def sources(k: int):
-        parts = None
-        if flags.l2 and h is not None:
-            hv = hshape.eval("h", state.phi[k])
-            parts = np.concatenate([-hv * h.u1[k], np.zeros(n), h.u2[k]])
-        if flags.l3 and f is not None:
-            extra = np.concatenate([f[0][k], f[1][k], f[2][k]])
-            parts = extra if parts is None else parts + extra
-        return parts
+    sources = None
+    if flags.l2 and h is not None:
+        hv = problem.nonlin.eval("h", state.phi)
+        sources = np.concatenate([-hv * h.u1, np.zeros_like(hv), h.u2], axis=1)
+    if flags.l3 and f is not None:
+        extra = np.concatenate(f, axis=1)
+        sources = extra if sources is None else sources + extra
 
     if flags.l4 and init is not None:
         y0 = init.stacked()
     else:
-        y0 = np.zeros(3 * n)
+        y0 = np.zeros(3 * problem.grid.n)
     return _march(factors, sources, y0)
 
 
@@ -174,11 +173,9 @@ def solve_bilinearized(problem: ControlProblem, state: StateTrajectory,
         factors = StepFactors(problem, state, ubar, lam1=1)
     elif factors.lam1 != 1:
         raise ValueError("bilinearized march needs factors with l1 = 1")
-    stepper = factors.stepper
-
-    def sources(j: int):
-        return stepper.second_order_source(
-            state.mu[j], state.phi[j], state.sigma[j], ubar.u1[j],
-            lin_h.snapshot(j), lin_k.snapshot(j), h.u1[j], k.u1[j])
-
-    return _march(factors, sources, np.zeros(3 * problem.grid.n))
+    sources = factors.stepper.second_order_source(
+        state.mu, state.phi, state.sigma, ubar.u1,
+        (lin_h.eta, lin_h.xi, lin_h.theta), (lin_k.eta, lin_k.xi, lin_k.theta),
+        h.u1, k.u1)
+    return _march(factors, np.concatenate(sources, axis=1),
+                  np.zeros(3 * problem.grid.n))

@@ -310,18 +310,18 @@ def _energy_value(grid: Grid, params: ModelParams, potential: PotentialSpec,
                  + 0.5 * params.alpha * inner(grid, mu, mu))
 
 
-def mass_balance_residual(traj: StateTrajectory, control: Control,
-                          params: ModelParams, nonlin: NonlinearitySpec,
-                          grid: Grid, tgrid: TimeGrid) -> np.ndarray:
+def mass_balance_residual(problem: ControlProblem, traj: StateTrajectory,
+                          control: Control) -> np.ndarray:
     """Relative residual of the discrete mass identity, one entry per step.
 
     The identity states that the weighted total of alpha*mu + phi + sigma
     changes per step exactly by the integral of u2 - h(phi) u1.
     """
+    grid, params, tgrid = problem.grid, problem.params, problem.tgrid
     out = np.zeros(tgrid.steps)
     mass_prev = _total_mass(grid, params, traj.snapshot(0))
     for k in range(1, tgrid.steps + 1):
         out[k - 1], mass_prev = _mass_defect(
-            grid, params, nonlin, tgrid.dt, mass_prev, traj.snapshot(k),
-            control.u1[k], control.u2[k])
+            grid, params, problem.nonlin, tgrid.dt, mass_prev,
+            traj.snapshot(k), control.u1[k], control.u2[k])
     return out

@@ -150,19 +150,20 @@ class Stepper:
         return (self.nonlin.eval("P", phi), self.nonlin.eval("P", phi, 1) * m,
                 self.nonlin.eval("h", phi, 1) * u1k, self.fsecond(phi))
 
-    def second_order_source(self, mu, phi, sigma, u1k, dh, dk, h1, k1):
-        """Source S(h, k) of the bilinearized step at a state snapshot.
+    def second_order_source(self, mu, phi, sigma, u1, dh, dk, h1, k1):
+        """Source S(h, k) of the bilinearized step, pointwise in space and time.
 
         The second derivative of the step residual, moved to the right-hand
         side, applied to the first-order fields of two control directions.
-        `dh` and `dk` are their stacked (eta, xi, theta) snapshots and `h1`,
-        `k1` their u1 components on the same level; u1k is the control.
-        Returns the stacked (s1, s2, s3).  Paired with the step multiplier it
-        gives that level's adjoint term of the Hessian form.
+        `dh` and `dk` are their (eta, xi, theta) triples and `h1`, `k1` their
+        u1 components; u1 is the control.  Every argument is a field of the
+        same shape: one level (n,) or whole histories (N_t+1, n).  Returns
+        the triple (s1, s2, s3).  Paired with the step multipliers it gives
+        the adjoint term of the Hessian form.
         """
         m = self.m_field(mu, phi, sigma)
-        eta_h, xih, theta_h = self.split(dh)
-        eta_k, xik, theta_k = self.split(dk)
+        eta_h, xih, theta_h = dh
+        eta_k, xik, theta_k = dk
         mh = theta_h - self.chi * xih - eta_h
         mk = theta_k - self.chi * xik - eta_k
         nl = self.nonlin
@@ -171,10 +172,10 @@ class Stepper:
         dhv = nl.eval("h", phi, 1)
         ddh = nl.eval("h", phi, 2)
         reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
-        s1 = (reaction - ddh * xih * xik * u1k
+        s1 = (reaction - ddh * xih * xik * u1
               - dhv * (xih * k1 + xik * h1))
         s2 = -self.fthird(phi) * xih * xik
-        return np.concatenate([s1, s2, -reaction])
+        return s1, s2, -reaction
 
     def residual(self, x: np.ndarray, x_prev: np.ndarray,
                  u1k: np.ndarray, u2k: np.ndarray) -> np.ndarray:

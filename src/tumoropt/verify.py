@@ -124,10 +124,10 @@ def check_gradient_fd(problem: ControlProblem, ubar: Control,
         exact = control_inner(grid, tgrid, gc, v)
         exact_vals[d] = exact
         for i, e in enumerate(all_eps):
-            jp = cost_eval(problem.solve(_shifted(ubar, v, e)),
-                           _shifted(ubar, v, e), problem.cost, grid, tgrid)
-            jm = cost_eval(problem.solve(_shifted(ubar, v, -e)),
-                           _shifted(ubar, v, -e), problem.cost, grid, tgrid)
+            jp = cost_eval(problem, problem.solve(_shifted(ubar, v, e)),
+                           _shifted(ubar, v, e))
+            jm = cost_eval(problem, problem.solve(_shifted(ubar, v, -e)),
+                           _shifted(ubar, v, -e))
             fd = (jp - jm) / (2.0 * e)
             errors[d, i] = abs(fd - exact) / max(1.0, abs(exact))
     best = errors.min(axis=1)
@@ -146,21 +146,18 @@ def check_duality(problem: ControlProblem, ubar: Control,
                   h: Control | None = None, seed: int = 0) -> float:
     """Relative residual of the linearized/adjoint duality identity.
 
-    LHS pairs the adjoint field with the control direction, RHS pairs the
-    tracking misfits with the linearized state; both sides are assembled
-    from different solves and must agree to round-off.
+    LHS pairs the adjoint field d of the reduced gradient with the control
+    direction, RHS pairs the tracking misfits with the linearized state;
+    both sides are assembled from different solves and must agree to
+    round-off.
     """
     if h is None:
         h = _random_direction(problem, np.random.default_rng(seed))
     grid, tgrid = problem.grid, problem.tgrid
     ctx = SecondOrderContext(problem, ubar)
-    state, adj, lin = ctx.state, ctx.adjoint, ctx.linearize(h)
-    wt = tgrid.weights()
-    lhs = 0.0
-    for k in range(1, problem.n_levels):
-        hv = problem.nonlin.eval("h", state.phi[k])
-        lhs += wt[k] * (inner(grid, -hv * adj.p[k], h.u1[k])
-                        + inner(grid, adj.r[k], h.u2[k]))
+    state, lin = ctx.state, ctx.linearize(h)
+    lhs = control_inner(grid, tgrid,
+                        Control(ctx.gradient.d1, ctx.gradient.d2), h)
     cost = problem.cost
     misfit = state.phi - problem.target_q()
     rhs = cost.b1 * st_inner(grid, tgrid, misfit, lin.xi)
@@ -210,7 +207,7 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
     lin_v = ctx.linearize(v)
     lin_h = ctx.linearize(h)
     bilin_vh = ctx.bilinearize(lin_v, lin_h, v, h)
-    j0 = cost_eval(state, ubar, problem.cost, grid, tgrid)
+    j0 = cost_eval(problem, state, ubar)
     slope_v = control_inner(grid, tgrid, ctx.gradient.as_control(), v)
     # curvature via the adjoint-weighted form when b2 = 0, else bilinearized route
     if problem.cost.b2 == 0.0:
@@ -237,7 +234,7 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
             _fields(lin_h_e), _fields(lin_h), _fields(bilin_vh))))
         err_ds.append(rem / max(_norm3(problem, _fields(lin_h)), 1e-300))
         # 3: cost remainder
-        j_e = cost_eval(state_e, ctx_e.ubar, problem.cost, grid, tgrid)
+        j_e = cost_eval(problem, state_e, ctx_e.ubar)
         r3 = j_e - j0 - e * slope_v - 0.5 * e * e * b_vv
         err_cost.append(abs(r3) / max(1.0, abs(j0)))
 
@@ -270,7 +267,8 @@ def _second_derivative_from_bilinear(problem, state, lin_h, lin_k, bilin,
 
 def quadratic_form_bilinear_route(ubar: Control, h: Control, k: Control,
                                   problem: ControlProblem) -> float:
-    """B(h,k) assembled without the adjoint: cross-check of quadratic_form."""
+    """B(h,k) assembled without the adjoint: cross-check of
+    `SecondOrderContext.form`."""
     ctx = SecondOrderContext(problem, ubar)
     lin_h, lin_k = ctx.linearize(h), ctx.linearize(k)
     return _second_derivative_from_bilinear(
@@ -639,8 +637,7 @@ def run_verification(problem: ControlProblem, ubar: Control,
                        "skipped": bool(skipped)})
 
     state = problem.solve(ubar)
-    mass = mass_balance_residual(state, ubar, problem.params, problem.nonlin,
-                                 problem.grid, problem.tgrid)
+    mass = mass_balance_residual(problem, state, ubar)
     worst_mass = float(np.max(mass)) if mass.size else 0.0
     add("mass_identity",
         "per-step relative residual of the discrete mass balance",

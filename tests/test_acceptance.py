@@ -71,7 +71,7 @@ def test_criterion_01_zero_fixed_point():
     u = setup.initial_control
     ctx = SecondOrderContext(pr, u)
     traj, adj, grad = ctx.state, ctx.adjoint, ctx.gradient
-    j = cost_eval(traj, u, pr.cost, pr.grid, pr.tgrid)
+    j = cost_eval(pr, traj, u)
     ok = (_bitwise_zero(traj.mu, traj.phi, traj.sigma,
                         adj.p, adj.q, adj.r,
                         grad.d1, grad.d2, grad.grad1, grad.grad2)
@@ -92,9 +92,7 @@ def test_criterion_02_mass_identity(canonical, canonical_traj):
     runs.append((zero.problem, zero.initial_control,
                  zero.problem.solve(zero.initial_control)))
     for problem, control, traj in runs:
-        res = mass_balance_residual(traj, control, problem.params,
-                                    problem.nonlin, problem.grid,
-                                    problem.tgrid)
+        res = mass_balance_residual(problem, traj, control)
         worst = max(worst, float(res.max()))
     _emit(2, "discrete mass identity on every step of every run",
           worst <= 1e-10, f"max relative residual = {worst:.3e}")
@@ -240,14 +238,13 @@ def test_criterion_08_bilinear_form():
     val = dctx.form(hdec, hdec)
     dec_rel = abs(val - closed) / max(1.0, abs(closed))
 
-    j0 = cost_eval(ctx.state, ubar, pr.cost, pr.grid, pr.tgrid)
+    j0 = cost_eval(pr, ctx.state, ubar)
 
     def second_diff(e):
         vals = []
         for s in (e, -e):
             us = Control(ubar.u1 + s * h.u1, ubar.u2 + s * h.u2)
-            vals.append(cost_eval(pr.solve(us), us, pr.cost, pr.grid,
-                                  pr.tgrid))
+            vals.append(cost_eval(pr, pr.solve(us), us))
         return (vals[0] - 2.0 * j0 + vals[1]) / e**2
 
     eps = 2e-2

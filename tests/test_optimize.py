@@ -8,7 +8,7 @@ import pytest
 from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       PgdOptions, SecondOrderContext, cost_eval, cone_project,
                       default_tau, dense_hessian, projected_gradient,
-                      quadratic_form, reduced_gradient, ssc_certificate,
+                      reduced_gradient, ssc_certificate,
                       stationarity_measure, strongly_active_sets,
                       solve_bilinearized, unbounded_box, zero_control)
 from tumoropt.problem import control_inner, st_inner
@@ -25,14 +25,15 @@ def test_cost_of_zero_pair_is_zero():
     pr = make_problem(b1=0.0, b2=0.0, tracking=False)
     u = pr.zero_control()
     state = pr.solve(u)
-    assert cost_eval(state, u, CostSpec(b0=1.0), pr.grid, pr.tgrid) == 0.0
+    free = dataclasses.replace(pr, cost=CostSpec(b0=1.0))
+    assert cost_eval(free, state, u) == 0.0
 
 
 def test_cost_matches_composed_trapezoids():
     pr = make_problem(b1=2.0, b2=0.7, steps=6)
     u = smooth_control(pr)
     state = pr.solve(u)
-    j = cost_eval(state, u, pr.cost, pr.grid, pr.tgrid)
+    j = cost_eval(pr, state, u)
 
     x = pr.grid.coordinates()[:, 0]
     t = pr.tgrid.times
@@ -59,7 +60,7 @@ def test_cost_closed_form_constant_misfit():
     u = pr.zero_control()
     state = pr.solve(u)
     assert np.all(state.phi == 0.0)
-    j = cost_eval(state, u, pr.cost, pr.grid, pr.tgrid)
+    j = cost_eval(pr, state, u)
     x = pr.grid.coordinates()[:, 0]
     qdens = np.trapezoid((0.3 * np.cos(np.pi * x))**2, x)
     odens = np.trapezoid((0.1 * np.sin(np.pi * x))**2, x)
@@ -248,8 +249,7 @@ def test_quadratic_form_against_cost_differences():
         vals = []
         for s in (eps, 0.0, -eps):
             us = Control(u.u1 + s * h.u1, u.u2 + s * h.u2)
-            vals.append(cost_eval(pr.solve(us), us, pr.cost, pr.grid,
-                                  pr.tgrid))
+            vals.append(cost_eval(pr, pr.solve(us), us))
         return (vals[0] - 2.0 * vals[1] + vals[2]) / eps**2
 
     fd = second_diff(1e-2)
@@ -337,15 +337,3 @@ def test_second_order_context_rejects_final_tracking():
     h = random_control(pr)
     with pytest.raises(ValueError, match="b2"):
         ctx.form(h, h)
-    with pytest.raises(ValueError):
-        quadratic_form(pr.zero_control(), random_control(pr),
-                       random_control(pr), pr)
-
-
-def test_quadratic_form_convenience_wrapper():
-    pr = make_problem()
-    u = smooth_control(pr)
-    h = random_control(pr, seed=1)
-    ctx = SecondOrderContext(pr, u)
-    assert quadratic_form(u, h, h, pr) == pytest.approx(
-        ctx.form(h, h), rel=1e-13)

@@ -48,8 +48,7 @@ def test_mass_identity_1d(potential, rng):
     pr = make_problem(potential=potential, steps=12)
     u = random_control(pr, seed=3, amp=0.2)
     traj = pr.solve(u)
-    res = mass_balance_residual(traj, u, pr.params, pr.nonlin, pr.grid,
-                                pr.tgrid)
+    res = mass_balance_residual(pr, traj, u)
     assert res.max() <= 1e-10
     assert np.abs(traj.mass_residual[1:] - res).max() <= 1e-14
 
@@ -71,7 +70,7 @@ def test_mass_identity_2d():
                              potential=regular_potential(), nonlin=nonlin,
                              cost=CostSpec(b0=1.0), init=init)
     traj = solve_state(problem, u)
-    res = mass_balance_residual(traj, u, params, nonlin, grid, tgrid)
+    res = mass_balance_residual(problem, traj, u)
     assert res.max() <= 1e-10
 
 

@@ -146,9 +146,20 @@ def test_second_order_source_matches_inline_reference(potential, dim):
     dh, dk = (tuple(rng.standard_normal((3, st.n))) for _ in range(2))
     h1, k1 = rng.standard_normal((2, st.n))
     ref = _reference_source(st, *state, dh, dk, h1, k1)
-    src = st.second_order_source(*state, np.concatenate(dh),
-                                 np.concatenate(dk), h1, k1)
-    assert src.tobytes() == ref.tobytes()
+    src = st.second_order_source(*state, dh, dk, h1, k1)
+    assert np.concatenate(src).tobytes() == ref.tobytes()
+    # whole histories shaped (levels, n) give the reference level by level
+    levels = 5
+    hist = tuple(np.stack(f) for f in zip(*(_state(st, seed=10 + j)
+                                             for j in range(levels))))
+    dh, dk = (tuple(rng.standard_normal((3, levels, st.n))) for _ in range(2))
+    h1, k1 = rng.standard_normal((2, levels, st.n))
+    src = st.second_order_source(*hist, dh, dk, h1, k1)
+    for j in range(levels):
+        ref = _reference_source(st, *(f[j] for f in hist),
+                                tuple(d[j] for d in dh),
+                                tuple(d[j] for d in dk), h1[j], k1[j])
+        assert np.concatenate([s[j] for s in src]).tobytes() == ref.tobytes()
 
 
 def test_form_is_multiplier_weighted_sum_of_sources():

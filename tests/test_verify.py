@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tumoropt import (Control, ControlProblem, CostSpec, InitialData,
-                      StepFactors, Stepper, TimeGrid, quadratic_form)
+                      SecondOrderContext, StepFactors, Stepper, TimeGrid)
 from tumoropt.verify import (EPS_LADDER, _refine_nested,
                              adjoint_continuous_residual,
                              check_duality,
@@ -289,7 +289,7 @@ def test_bilinear_route_matches_adjoint_route():
     u = smooth_control(pr)
     h = random_control(pr, seed=1)
     k = random_control(pr, seed=2)
-    a = quadratic_form(u, h, k, pr)
+    a = SecondOrderContext(pr, u).form(h, k)
     b = quadratic_form_bilinear_route(u, h, k, pr)
     assert a == pytest.approx(b, rel=1e-11)
 
@@ -303,7 +303,7 @@ def test_bilinear_route_supports_final_tracking():
     from tumoropt import cost_eval
     def jval(s):
         us = Control(u.u1 + s * h.u1, u.u2 + s * h.u2)
-        return cost_eval(pr.solve(us), us, pr.cost, pr.grid, pr.tgrid)
+        return cost_eval(pr, pr.solve(us), us)
 
     eps = 1e-2
     fd = (jval(eps) - 2.0 * jval(0.0) + jval(-eps)) / eps**2
