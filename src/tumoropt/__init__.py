@@ -16,15 +16,13 @@ from .model import (BoxConstraints, Control, CostSpec, ModelParams,
                     logarithmic_potential, make_nonlinearity,
                     obstacle_potential, potential_eval, project_admissible,
                     prox_f1, ramp_shape, regular_potential, table_shape,
-                    unbounded_box, yosida_derivative, yosida_second,
-                    yosida_third, zero_control)
+                    unbounded_box, yosida_eval, zero_control)
 from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
                        SecondOrderContext, SscReport, cone_project, cost_eval,
                        default_tau, dense_hessian, projected_gradient,
                        reduced_gradient, ssc_certificate, stationarity_measure,
                        strongly_active_sets)
-from .problem import (ControlProblem, control_inner, control_norm, st_inner,
-                      st_norm)
+from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
 from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,

@@ -44,11 +44,6 @@ class PotentialSpec:
     domain: tuple[float, float] = (-np.inf, np.inf)
     coefficients: np.ndarray | None = None
 
-    @property
-    def singular(self) -> bool:
-        """True when the potential confines r to a bounded interval."""
-        return self.kind in ("logarithmic", "obstacle")
-
 
 def regular_potential() -> PotentialSpec:
     return PotentialSpec(kind="regular")
@@ -224,42 +219,32 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
     return out if np.ndim(r) else float(out[0])
 
 
-def yosida_derivative(spec: PotentialSpec, eps: float, r):
-    """Derivative of the Yosida-regularized convex part, (r - prox)/eps."""
-    arr = np.asarray(r, dtype=float)
-    out = (arr - prox_f1(spec, eps, arr)) / eps
-    return out if np.ndim(r) else float(out)
+def yosida_eval(spec: PotentialSpec, eps: float, r, order: int = 1):
+    """Yosida-regularized convex part F1_eps (order 0) or its k-th derivative.
 
-
-def yosida_second(spec: PotentialSpec, eps: float, r):
-    """Second derivative of the regularized convex part.
-
-    Equals f1''(s) / (1 + eps f1''(s)) at s = prox(r); for the obstacle this
-    is 0 inside [-1, 1] and 1/eps outside (the a.e. derivative of the clamp).
+    Every order is computed from one point s = prox_{eps F1}(r): the envelope
+    F1(s) + (r - s)^2 / (2 eps), its derivative (r - s)/eps, then
+    f1''(s) / (1 + eps f1''(s)) and f1'''(s) / (1 + eps f1''(s))^3.  For the
+    obstacle the second derivative is 0 inside [-1, 1] and 1/eps outside (the
+    a.e. derivative of the clamp), and the third is 0.
     """
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be in 0..3, got {order}")
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if spec.kind == "obstacle":
+    s = prox_f1(spec, eps, arr)
+    if order == 0:
+        out = _f1_eval(spec, s, 0) + (arr - s) ** 2 / (2.0 * eps)
+    elif order == 1:
+        out = (arr - s) / eps
+    elif spec.kind == "obstacle" and order == 2:
         outside = (arr < -1.0) | (arr > 1.0)
         out = np.where(outside, 1.0 / eps, 0.0)
-    elif spec.kind == "custom":
+    elif spec.kind in ("obstacle", "custom"):
         out = np.zeros_like(arr)
     else:
-        s = prox_f1(spec, eps, arr)
         f2nd = _f1_eval(spec, s, 2)
-        out = f2nd / (1.0 + eps * f2nd)
-    return out if np.ndim(r) else float(out[0])
-
-
-def yosida_third(spec: PotentialSpec, eps: float, r):
-    """Third derivative of the regularized convex part, f1'''(s)/(1+eps f1''(s))^3."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if spec.kind in ("obstacle", "custom"):
-        out = np.zeros_like(arr)
-    else:
-        s = prox_f1(spec, eps, arr)
-        f2nd = _f1_eval(spec, s, 2)
-        f3rd = _f1_eval(spec, s, 3)
-        out = f3rd / (1.0 + eps * f2nd) ** 3
+        out = (f2nd / (1.0 + eps * f2nd) if order == 2
+               else _f1_eval(spec, s, 3) / (1.0 + eps * f2nd) ** 3)
     return out if np.ndim(r) else float(out[0])
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint
+from .errors import ConfigError
 from .grid import inner
 from .model import BoxConstraints, Control, project_admissible
 from .problem import (ControlProblem, control_inner, control_norm, st_inner)
@@ -342,9 +343,9 @@ def ssc_certificate(ubar: Control, tau: float | None, n_samples: int,
         if val < min_q:
             min_q = val
     if kept == 0:
-        raise ValueError(
+        raise ConfigError(
             "every sampled direction projected to zero; the cone is trivial "
-            "at this tau (all points strongly active)")
+            f"at ssc.tau = {tau:g} (all points strongly active); raise it")
     return SscReport(tau=float(tau), seed=int(seed), sample_count=kept,
                      requested_samples=int(n_samples),
                      min_rayleigh=float(min_q),

@@ -26,10 +26,6 @@ def st_inner(grid: Grid, tgrid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float
     return float(np.einsum("k,ki,i->", wt, a * b, grid.weights))
 
 
-def st_norm(grid: Grid, tgrid: TimeGrid, a: np.ndarray) -> float:
-    return float(np.sqrt(max(st_inner(grid, tgrid, a, a), 0.0)))
-
-
 def control_inner(grid: Grid, tgrid: TimeGrid, u: Control, v: Control) -> float:
     return (st_inner(grid, tgrid, u.u1, v.u1)
             + st_inner(grid, tgrid, u.u2, v.u2))

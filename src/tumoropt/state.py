@@ -15,9 +15,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SeparationViolation, SolverError
-from .grid import Grid, inner
-from .model import (Control, ModelParams, NonlinearitySpec, PotentialSpec,
-                    _f1_eval, _f2_eval, prox_f1)
+from .grid import inner
+from .model import Control
 from .stepper import Stepper
 
 if TYPE_CHECKING:
@@ -116,13 +115,12 @@ class StateTrajectory:
         return np.concatenate([self.mu[k], self.phi[k], self.sigma[k]])
 
 
-def _validate_initial(init: InitialData, potential: PotentialSpec,
-                      yosida_eps: float | None) -> None:
-    lo, hi = potential.domain
+def _validate_initial(stepper: Stepper, init: InitialData) -> None:
+    lo, hi = stepper.potential.domain
     if not np.isfinite(lo):
         return
     phimin, phimax = float(np.min(init.phi0)), float(np.max(init.phi0))
-    if potential.kind == "logarithmic" and yosida_eps is None:
+    if stepper.separation_guard:
         if phimin <= lo or phimax >= hi:
             raise SeparationViolation(
                 f"initial phase field must lie strictly inside ({lo}, {hi}); "
@@ -156,19 +154,14 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     SeparationViolation
         If initial data sit outside the potential's admissible interval.
     """
-    grid, tgrid, params = problem.grid, problem.tgrid, problem.params
-    potential, nonlin, init = problem.potential, problem.nonlin, problem.init
-    opts = problem.options
-    n = grid.n
+    tgrid, init, opts = problem.tgrid, problem.init, problem.options
+    n = problem.grid.n
     n_levels = tgrid.steps + 1
     if control.shape != (n_levels, n):
         raise ValueError(
             f"control has shape {control.shape}, expected ({n_levels}, {n})")
-    _validate_initial(init, potential, opts.yosida_eps)
-
     stepper = problem.stepper
-    guard = potential.kind == "logarithmic" and opts.yosida_eps is None
-    lo, hi = potential.domain
+    _validate_initial(stepper, init)
 
     mu = np.empty((n_levels, n))
     phi = np.empty((n_levels, n))
@@ -179,19 +172,18 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     mu[0], phi[0], sigma[0] = init.mu0, init.phi0, init.sigma0
 
     x = init.stacked()
-    energy[0] = _energy_value(grid, params, potential, opts.yosida_eps, x)
+    energy[0] = _energy_value(stepper, x)
     e_limit = opts.energy_blowup_factor * max(abs(energy[0]), 1.0)
-    mass_prev = _total_mass(grid, params, x)
+    mass_prev = _total_mass(stepper, x)
 
     for k in range(1, n_levels):
         x_prev = x
         u1k, u2k = control.u1[k], control.u2[k]
-        x, n_it = _newton_step(stepper, x_prev, u1k, u2k, opts, guard, lo, hi, k)
+        x, n_it = _newton_step(stepper, x_prev, u1k, u2k, opts, k)
         mu[k], phi[k], sigma[k] = stepper.split(x)
         iters[k] = n_it
-        mass_rel[k], mass_prev = _mass_defect(grid, params, nonlin, tgrid.dt,
-                                              mass_prev, x, u1k, u2k)
-        energy[k] = _energy_value(grid, params, potential, opts.yosida_eps, x)
+        mass_rel[k], mass_prev = _mass_defect(stepper, mass_prev, x, u1k, u2k)
+        energy[k] = _energy_value(stepper, x)
         if abs(energy[k]) > e_limit:
             raise SolverError(
                 f"energy grew past {opts.energy_blowup_factor:g} x initial "
@@ -204,8 +196,7 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
 
 
 def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
-                 opts: SolverOptions, guard: bool, lo: float, hi: float,
-                 k: int) -> tuple[np.ndarray, int]:
+                 opts: SolverOptions, k: int) -> tuple[np.ndarray, int]:
     x = x_prev.copy()
     res = stepper.residual(x, x_prev, u1k, u2k)
     rnorm = float(np.max(np.abs(res)))
@@ -232,9 +223,10 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
             raise SolverError(f"step {k}: {exc}") from None
         delta = lu.solve(-res)
         t = 1.0
-        if guard:
+        if stepper.separation_guard:
             dphi = stepper.split(delta)[1]
-            t = _step_ceiling(phi, dphi, lo, hi, opts.separation_margin)
+            t = _step_ceiling(phi, dphi, *stepper.potential.domain,
+                              opts.separation_margin)
             if t <= 0.0:
                 raise SolverError(
                     f"step {k}: Newton update pinned at the separation margin; "
@@ -272,42 +264,32 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
     return x, it
 
 
-def _total_mass(grid: Grid, params: ModelParams, x: np.ndarray) -> float:
-    n = grid.n
-    combo = params.alpha * x[:n] + x[n:2 * n] + x[2 * n:]
-    return inner(grid, combo, np.ones(n))
+def _total_mass(stepper: Stepper, x: np.ndarray) -> float:
+    n = stepper.n
+    combo = stepper.params.alpha * x[:n] + x[n:2 * n] + x[2 * n:]
+    return inner(stepper.grid, combo, np.ones(n))
 
 
-def _mass_defect(grid: Grid, params: ModelParams, nonlin: NonlinearitySpec,
-                 dt: float, mass_prev: float, x: np.ndarray, u1k: np.ndarray,
-                 u2k: np.ndarray) -> tuple[float, float]:
+def _mass_defect(stepper: Stepper, mass_prev: float, x: np.ndarray,
+                 u1k: np.ndarray, u2k: np.ndarray) -> tuple[float, float]:
     """Relative defect of the discrete mass identity over one step ending at
     the stacked state x, and the total mass of x."""
-    n = grid.n
-    mass = _total_mass(grid, params, x)
-    pointwise = inner(grid, u2k - nonlin.eval("h", x[n:2 * n]) * u1k,
+    n, dt = stepper.n, stepper.dt
+    mass = _total_mass(stepper, x)
+    pointwise = inner(stepper.grid,
+                      u2k - stepper.nonlin.eval("h", x[n:2 * n]) * u1k,
                       np.ones(n))
     raw = (mass - mass_prev) / dt - pointwise
     return abs(raw) / max(1.0, abs(mass) / dt, abs(pointwise)), mass
 
 
-def _potential_value(potential: PotentialSpec, yosida_eps: float | None,
-                     phi: np.ndarray) -> np.ndarray:
-    if yosida_eps is None:
-        return _f1_eval(potential, phi, 0) + _f2_eval(potential, phi, 0)
-    s = prox_f1(potential, yosida_eps, phi)
-    envelope = _f1_eval(potential, s, 0) + (phi - s) ** 2 / (2.0 * yosida_eps)
-    return envelope + _f2_eval(potential, phi, 0)
-
-
-def _energy_value(grid: Grid, params: ModelParams, potential: PotentialSpec,
-                  yosida_eps: float | None, x: np.ndarray) -> float:
-    n = grid.n
-    mu, phi, sigma = x[:n], x[n:2 * n], x[2 * n:]
+def _energy_value(stepper: Stepper, x: np.ndarray) -> float:
+    grid = stepper.grid
+    mu, phi, sigma = stepper.split(x)
     grad_sq = -inner(grid, grid.lap @ phi, phi)
-    fv = inner(grid, _potential_value(potential, yosida_eps, phi), np.ones(n))
+    fv = inner(grid, stepper.potential_eval(phi, 0), np.ones(stepper.n))
     return float(fv + 0.5 * grad_sq + 0.5 * inner(grid, sigma, sigma)
-                 + 0.5 * params.alpha * inner(grid, mu, mu))
+                 + 0.5 * stepper.params.alpha * inner(grid, mu, mu))
 
 
 def mass_balance_residual(problem: ControlProblem, traj: StateTrajectory,
@@ -317,11 +299,11 @@ def mass_balance_residual(problem: ControlProblem, traj: StateTrajectory,
     The identity states that the weighted total of alpha*mu + phi + sigma
     changes per step exactly by the integral of u2 - h(phi) u1.
     """
-    grid, params, tgrid = problem.grid, problem.params, problem.tgrid
-    out = np.zeros(tgrid.steps)
-    mass_prev = _total_mass(grid, params, traj.snapshot(0))
-    for k in range(1, tgrid.steps + 1):
+    stepper, steps = problem.stepper, problem.tgrid.steps
+    out = np.zeros(steps)
+    mass_prev = _total_mass(stepper, traj.snapshot(0))
+    for k in range(1, steps + 1):
         out[k - 1], mass_prev = _mass_defect(
-            grid, params, problem.nonlin, tgrid.dt, mass_prev,
-            traj.snapshot(k), control.u1[k], control.u2[k])
+            stepper, mass_prev, traj.snapshot(k), control.u1[k],
+            control.u2[k])
     return out

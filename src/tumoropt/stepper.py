@@ -30,8 +30,7 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigError, SolverError
 from .grid import Grid
 from .model import (ModelParams, NonlinearitySpec, PotentialSpec,
-                    _f1_eval, _f2_eval, yosida_derivative, yosida_second,
-                    yosida_third)
+                    _f1_eval, _f2_eval, yosida_eval)
 
 # (row, column) blocks of the Jacobian that carry a reaction diagonal
 _REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
@@ -58,6 +57,10 @@ class Stepper:
         self.nonlin = nonlin
         self.dt = float(dt)
         self.yosida_eps = yosida_eps
+        # the derivatives of an exact logarithmic potential blow up at +-1,
+        # so its Newton updates must keep phi strictly inside (-1, 1)
+        self.separation_guard = (potential.kind == "logarithmic"
+                                 and yosida_eps is None)
 
         n = grid.n
         self.n = n
@@ -106,28 +109,19 @@ class Stepper:
                                 + nonlin.sup_P * (1.0 + params.chi)
                                 + nonlin.sup_H)
 
-    # -- potential derivatives, Yosida-aware ------------------------------
+    def potential_eval(self, phi: np.ndarray, order: int) -> np.ndarray:
+        """The potential this step uses (order 0) or one of its derivatives.
 
-    def fprime(self, phi: np.ndarray) -> np.ndarray:
+        That is F1 + F2, with the Yosida regularization F1_eps in place of F1
+        when yosida_eps is set.  There is no domain check: for an exact
+        logarithmic potential the separation ceiling of Newton
+        (`separation_guard`) keeps phi strictly inside (-1, 1).
+        """
         if self.yosida_eps is None:
-            f1 = _f1_eval(self.potential, phi, 1)
+            f1 = _f1_eval(self.potential, phi, order)
         else:
-            f1 = yosida_derivative(self.potential, self.yosida_eps, phi)
-        return f1 + _f2_eval(self.potential, phi, 1)
-
-    def fsecond(self, phi: np.ndarray) -> np.ndarray:
-        if self.yosida_eps is None:
-            f1 = _f1_eval(self.potential, phi, 2)
-        else:
-            f1 = yosida_second(self.potential, self.yosida_eps, phi)
-        return f1 + _f2_eval(self.potential, phi, 2)
-
-    def fthird(self, phi: np.ndarray) -> np.ndarray:
-        if self.yosida_eps is None:
-            f1 = _f1_eval(self.potential, phi, 3)
-        else:
-            f1 = yosida_third(self.potential, self.yosida_eps, phi)
-        return f1 + _f2_eval(self.potential, phi, 3)
+            f1 = yosida_eval(self.potential, self.yosida_eps, phi, order)
+        return f1 + _f2_eval(self.potential, phi, order)
 
     # -- residual and Jacobian ---------------------------------------------
 
@@ -148,7 +142,7 @@ class Stepper:
         """
         m = self.m_field(mu, phi, sigma)
         return (self.nonlin.eval("P", phi), self.nonlin.eval("P", phi, 1) * m,
-                self.nonlin.eval("h", phi, 1) * u1k, self.fsecond(phi))
+                self.nonlin.eval("h", phi, 1) * u1k, self.potential_eval(phi, 2))
 
     def second_order_source(self, mu, phi, sigma, u1, dh, dk, h1, k1):
         """Source S(h, k) of the bilinearized step, pointwise in space and time.
@@ -174,7 +168,7 @@ class Stepper:
         reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
         s1 = (reaction - ddh * xih * xik * u1
               - dhv * (xih * k1 + xik * h1))
-        s2 = -self.fthird(phi) * xih * xik
+        s2 = -self.potential_eval(phi, 3) * xih * xik
         return s1, s2, -reaction
 
     def residual(self, x: np.ndarray, x_prev: np.ndarray,
@@ -188,7 +182,7 @@ class Stepper:
         lphi = lap @ phi
         r1 = (self.s_a * (mu - mu0) + self.s * (phi - phi0)
               - lap @ mu - pv * m + hv * u1k)
-        r2 = (self.s_b * (phi - phi0) - lphi + self.fprime(phi)
+        r2 = (self.s_b * (phi - phi0) - lphi + self.potential_eval(phi, 1)
               - mu - self.chi * sigma)
         r3 = (self.s * (sigma - sigma0) - lap @ sigma + self.chi * lphi
               + pv * m - u2k)

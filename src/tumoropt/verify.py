@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .errors import ConfigError
 from .grid import build_grid, inner, norm
 from .model import Control, CostSpec
 from .optimize import SecondOrderContext, cost_eval, reduced_gradient
@@ -299,7 +300,7 @@ def ode_reduction_reference(problem: ControlProblem, u1_of_t, u2_of_t,
         mu, phi, sigma = y
         m = sigma + pr.chi * (1.0 - phi) - mu
         arr = np.array([phi])
-        fp = float(problem.stepper.fprime(arr)[0])
+        fp = float(problem.stepper.potential_eval(arr, 1)[0])
         pv = float(nl.eval("P", phi))
         hv = float(nl.eval("h", phi))
         dphi = (-fp + mu + pr.chi * sigma) / pr.beta
@@ -557,7 +558,9 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
     keep = (t_mid[pairs] >= lo) & (t_mid[pairs] <= hi)
     levels = pairs[keep]
     if levels.size < 2:
-        raise ValueError("window too narrow: fewer than two level pairs kept")
+        raise ConfigError(
+            "window too narrow: fewer than two level pairs kept at "
+            f"time.steps = {n_steps}; use more time steps")
     eq1 = np.zeros(levels.size)
     eq2 = np.zeros(levels.size)
     eq3 = np.zeros(levels.size)

@@ -16,7 +16,7 @@ from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
                       logarithmic_potential, obstacle_potential,
                       projected_gradient, prox_f1, regular_potential,
                       ssc_certificate, strongly_active_sets,
-                      project_admissible, yosida_derivative)
+                      project_admissible, yosida_eval)
 from tumoropt.config import RunConfig, build_setup
 from tumoropt.model import _f1_eval
 from tumoropt.problem import ControlProblem, control_norm, control_inner, st_inner
@@ -142,7 +142,7 @@ def test_criterion_05_yosida_properties():
              ("obstacle", obstacle_potential()))
     eps_ladder = (0.8, 0.4, 0.2, 0.1, 0.05, 0.025)
 
-    exact_zero = all(yosida_derivative(pot, eps, 0.0) == 0.0
+    exact_zero = all(yosida_eval(pot, eps, 0.0) == 0.0
                      for _, pot in kinds for eps in eps_ladder)
 
     lipschitz = True
@@ -150,8 +150,8 @@ def test_criterion_05_yosida_properties():
         for eps in (0.5, 0.1, 0.05):
             a = rng.uniform(-2.0, 2.0, 10_000)
             b = rng.uniform(-2.0, 2.0, 10_000)
-            diff = np.abs(yosida_derivative(pot, eps, a)
-                          - yosida_derivative(pot, eps, b))
+            diff = np.abs(yosida_eval(pot, eps, a)
+                          - yosida_eval(pot, eps, b))
             bound = np.abs(a - b) / eps * (1.0 + 1e-12) + 1e-14
             lipschitz &= bool(np.all(diff <= bound))
 
@@ -177,7 +177,7 @@ def test_criterion_05_yosida_properties():
     for _, pot in kinds:
         prev = None
         for eps in eps_ladder:
-            vals = np.abs(yosida_derivative(pot, eps, r))
+            vals = np.abs(yosida_eval(pot, eps, r))
             if prev is not None:
                 monotone &= bool(np.all(vals >= prev - 1e-12))
             prev = vals

@@ -133,6 +133,20 @@ def test_verify_passes_on_coupled_configuration(tmp_path, capsys):
     assert "duality" in names and "gradient_fd" in names
 
 
+def _run_canonical(tmp_path, command, overrides):
+    """Run the CLI in a fresh interpreter on the shipped canonical config."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    return subprocess.run(
+        [sys.executable, "-m", "tumoropt.cli", command,
+         "--config", str(root / "configs" / "canonical_1d.yaml"),
+         "--out-dir", str(tmp_path / "out"), *sets],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("override", [
     "control.initial.u1=.nan",
     "initial.phi0=.nan",
@@ -144,20 +158,29 @@ def test_verify_passes_on_coupled_configuration(tmp_path, capsys):
     "cost.b0=.nan",
 ])
 def test_non_finite_config_input_is_config_error(tmp_path, override):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tumoropt.cli", "simulate",
-         "--config", str(root / "configs" / "canonical_1d.yaml"),
-         "--out-dir", str(tmp_path / "out"), "--set", override],
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = _run_canonical(tmp_path, "simulate", [override])
     assert proc.returncode == EXIT_CONFIG
     key = override.partition("=")[0]
     assert proc.stderr.startswith(f"config error: {key}")
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    # a nonzero control keeps every gradient entry above tau = 0, so every
+    # point is strongly active and the critical cone is trivial
+    ("analyze", ["control.initial.u1=0.5", "control.initial.u2=0.5",
+                 "ssc.tau=0", "grid.shape=[17]", "time.steps=20"], "ssc.tau"),
+    # the adjoint strong-form window [0.1 T, 0.9 T] needs two level pairs
+    ("verify", ["time.steps=2", "grid.shape=[9]"], "time.steps"),
+], ids=["trivial-cone", "narrow-window"])
+def test_degenerate_check_settings_are_config_errors(tmp_path, command,
+                                                     overrides, key):
+    proc = _run_canonical(tmp_path, command, overrides)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: ")
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_obstacle_without_yosida_is_config_error(tmp_path, capsys):

@@ -10,8 +10,7 @@ from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
                       make_nonlinearity, obstacle_potential, potential_eval,
                       project_admissible, prox_f1, ramp_shape,
                       regular_potential, table_shape, unbounded_box,
-                      yosida_derivative, yosida_second, yosida_third,
-                      zero_control)
+                      yosida_eval, zero_control)
 from tumoropt.model import _f1_eval
 
 
@@ -122,7 +121,7 @@ def test_prox_obstacle_is_clamp(rng):
     r = rng.uniform(-3, 3, 50)
     assert np.array_equal(prox_f1(pot, 0.3, r), np.clip(r, -1.0, 1.0))
     # spec'd point: prox(1.5) = 1, derivative (1.5-1)/0.5 = 1
-    assert yosida_derivative(pot, 0.5, 1.5) == pytest.approx(1.0)
+    assert yosida_eval(pot, 0.5, 1.5) == pytest.approx(1.0)
 
 
 def test_prox_custom_is_identity(rng):
@@ -135,7 +134,7 @@ def test_prox_custom_is_identity(rng):
                                  obstacle_potential(),
                                  custom_polynomial_potential([0.0, -1.0])])
 def test_yosida_derivative_zero_at_origin(pot):
-    assert yosida_derivative(pot, 0.1, 0.0) == 0.0
+    assert yosida_eval(pot, 0.1, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential(),
@@ -144,7 +143,7 @@ def test_yosida_derivative_lipschitz(pot, rng):
     eps = 0.07
     a = rng.uniform(-2, 2, 2000)
     b = rng.uniform(-2, 2, 2000)
-    gap = np.abs(yosida_derivative(pot, eps, a) - yosida_derivative(pot, eps, b))
+    gap = np.abs(yosida_eval(pot, eps, a) - yosida_eval(pot, eps, b))
     assert np.all(gap <= np.abs(a - b) / eps * (1 + 1e-12) + 1e-14)
 
 
@@ -156,7 +155,7 @@ def test_yosida_derivative_monotone_in_eps(pot, rng):
     r = rng.uniform(-0.95, 0.95, 64)
     prev = None
     for eps in (0.8, 0.4, 0.2, 0.1, 0.05, 0.025):
-        cur = np.abs(yosida_derivative(pot, eps, r))
+        cur = np.abs(yosida_eval(pot, eps, r))
         if prev is not None:
             assert np.all(cur >= prev - 1e-12)
         prev = cur
@@ -173,12 +172,20 @@ def test_yosida_second_third_consistency(rng):
     pot = regular_potential()
     eps, d = 0.2, 1e-6
     r = rng.uniform(-2, 2, 20)
-    fd = (yosida_derivative(pot, eps, r + d)
-          - yosida_derivative(pot, eps, r - d)) / (2 * d)
-    assert np.abs(fd - yosida_second(pot, eps, r)).max() < 1e-6
-    fd3 = (yosida_second(pot, eps, r + d)
-           - yosida_second(pot, eps, r - d)) / (2 * d)
-    assert np.abs(fd3 - yosida_third(pot, eps, r)).max() < 1e-5
+    fd = (yosida_eval(pot, eps, r + d, 1)
+          - yosida_eval(pot, eps, r - d, 1)) / (2 * d)
+    assert np.abs(fd - yosida_eval(pot, eps, r, 2)).max() < 1e-6
+    fd3 = (yosida_eval(pot, eps, r + d, 2)
+           - yosida_eval(pot, eps, r - d, 2)) / (2 * d)
+    assert np.abs(fd3 - yosida_eval(pot, eps, r, 3)).max() < 1e-5
+    # FD of the envelope (order 0) against the first derivative
+    for pot in (regular_potential(), logarithmic_potential(),
+                obstacle_potential(), custom_polynomial_potential([0.0, -1.0])):
+        fd0 = (yosida_eval(pot, eps, r + d, 0)
+               - yosida_eval(pot, eps, r - d, 0)) / (2 * d)
+        assert np.abs(fd0 - yosida_eval(pot, eps, r, 1)).max() < 1e-6
+    with pytest.raises(ValueError, match="order"):
+        yosida_eval(pot, eps, r, 4)
 
 
 def test_yosida_rejects_nonpositive_eps():

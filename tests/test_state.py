@@ -162,14 +162,13 @@ def test_initial_data_outside_obstacle_range_rejected():
         pr.solve(pr.zero_control())
 
 
-def test_trajectory_energy_is_free_energy_per_level():
-    pr = make_problem(steps=6)
+@pytest.mark.parametrize("yosida_eps", [None, 0.1], ids=["exact", "yosida"])
+def test_trajectory_energy_is_free_energy_per_level(yosida_eps):
+    pr = make_problem(steps=6, yosida_eps=yosida_eps)
     traj = pr.solve(smooth_control(pr))
     assert traj.energy.shape == (pr.n_levels,)
     for k in range(pr.n_levels):
-        assert traj.energy[k] == _energy_value(pr.grid, pr.params,
-                                               pr.potential, None,
-                                               traj.snapshot(k))
+        assert traj.energy[k] == _energy_value(pr.stepper, traj.snapshot(k))
 
 
 def test_energy_blowup_raises_during_march():
@@ -204,7 +203,7 @@ def test_polish_tries_the_full_step_once(monkeypatch):
     pr = make_problem(potential="logarithmic", steps=8)
     u = smooth_control(pr, amp=0.4)
     stepper = pr.stepper
-    lo, hi = pr.potential.domain
+    assert stepper.separation_guard
     residual = Stepper.residual
     calls = []
 
@@ -221,7 +220,7 @@ def test_polish_tries_the_full_step_once(monkeypatch):
             calls.clear()
             x, iters = _newton_step(
                 stepper, x_prev, u.u1[k], u.u2[k],
-                SolverOptions(polish_steps=polish), True, lo, hi, k)
+                SolverOptions(polish_steps=polish), k)
             rnorm = np.abs(residual(stepper, x, x_prev, u.u1[k],
                                     u.u2[k])).max()
             runs[polish] = (len(calls), iters, rnorm)

@@ -35,7 +35,7 @@ def _reference_jacobian(st: Stepper, mu, phi, sigma, u1k, lam1):
     ones = np.ones(st.n)
     d = sps.bmat([
         [dg(pv), dg(-dpm + st.chi * pv + hpu), dg(-pv)],
-        [None, dg(st.fsecond(phi)), dg(-st.chi * ones)],
+        [None, dg(st.potential_eval(phi, 2)), dg(-st.chi * ones)],
         [dg(-pv), dg(dpm - st.chi * pv), dg(pv)],
     ], format="csc")
     return (st._K + lam1 * d).tocsc()
@@ -132,7 +132,7 @@ def _reference_source(st: Stepper, mu, phi, sigma, u1k, dh, dk, h1, k1):
     reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
     s1 = (reaction - ddh * xih * xik * u1k
           - dhv * (xih * k1 + xik * h1))
-    s2 = -st.fthird(phi) * xih * xik
+    s2 = -st.potential_eval(phi, 3) * xih * xik
     s3 = -reaction
     return np.concatenate([s1, s2, s3])
 
