@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Control
-from .problem import ControlProblem
 from .sensitivity import StepFactors
-from .state import StateTrajectory
 
 
 @dataclass(eq=False)
@@ -43,22 +40,16 @@ class AdjointTrajectory:
     terminal_r: np.ndarray
 
 
-def solve_adjoint(problem: ControlProblem, state: StateTrajectory,
-                  ubar: Control,
-                  factors: StepFactors | None = None) -> AdjointTrajectory:
-    """Backward march of the transposed linearized system.
+def solve_adjoint(factors: StepFactors) -> AdjointTrajectory:
+    """Backward march of the transposed linearized system at `factors`.
 
-    The sources are the tracking misfits of `problem.cost`: b1 w_k (phi_k -
-    target_Q_k) on every level and additionally b2 (phi_N - target_Omega)
-    at the final one.  Zero sources short-circuit to exactly zero
-    multipliers.
+    The sources are the tracking misfits of the factors' problem cost: b1
+    w_k (phi_k - target_Q_k) on every level and additionally b2 (phi_N -
+    target_Omega) at the final one.  Zero sources short-circuit to exactly
+    zero multipliers.
     """
-    cost = problem.cost
-    if factors is None:
-        factors = StepFactors(problem, state, ubar, lam1=1)
-    elif factors.lam1 != 1:
-        raise ValueError("adjoint march needs factors with l1 = 1")
-    stepper = factors.stepper
+    problem, state = factors.problem, factors.state
+    cost, stepper = problem.cost, problem.stepper
     n = problem.grid.n
     n_steps = problem.tgrid.steps
     wt = problem.tgrid.weights()

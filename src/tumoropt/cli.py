@@ -42,13 +42,16 @@ def main(argv=None) -> int:
         setup = build_setup(cfg)
         out_dir = Path(args.out_dir) if args.out_dir else Path(setup.output["out_dir"])
         _prepare_out_dir(out_dir, force=args.force)
-        (out_dir / "resolved_config.yaml").write_text(
-            yaml.safe_dump(setup.resolved, sort_keys=True))
         runner = {"simulate": _run_simulate, "optimize": _run_optimize,
                   "verify": _run_verify, "analyze": _run_analyze}[args.command]
         # the first solve builds the step operator, which may still reject
-        # the configuration (an obstacle potential without yosida_eps)
-        return runner(args, setup, out_dir, say)
+        # the configuration (an obstacle potential without yosida_eps); the
+        # resolved config is written only once the run got through, so a
+        # config error leaves the directory empty for a rerun
+        code = runner(args, setup, out_dir, say)
+        (out_dir / "resolved_config.yaml").write_text(
+            yaml.safe_dump(setup.resolved, sort_keys=True))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -126,12 +129,8 @@ def _write_fields_csv(path: Path, grid: Grid, fields: dict) -> None:
 def _write_space_time_csv(path: Path, grid: Grid, name: str,
                           field: np.ndarray) -> None:
     """One row per node: index, coordinates, one column per time level."""
-    coords = grid.coordinates()
-    levels = field.shape[0]
-    header = ["index", *_coord_names(grid),
-              *(f"{name}_{k:04d}" for k in range(levels))]
-    rows = ([i, *coords[i], *field[:, i]] for i in range(grid.n))
-    _write_csv(path, header, rows)
+    _write_fields_csv(path, grid, {f"{name}_{k:04d}": level
+                                   for k, level in enumerate(field)})
 
 
 def _write_report(path: Path, payload: dict) -> None:
@@ -227,35 +226,20 @@ def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
     context = SecondOrderContext(problem, ubar)
     adj, grad = context.adjoint, context.gradient
 
-    for k in _snapshot_levels(setup):
-        if k == problem.tgrid.steps:
-            fields = {"p": adj.terminal_p, "q": adj.terminal_q,
-                      "r": adj.terminal_r}
-        else:
-            fields = {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k]}
-        _write_fields_csv(out_dir / f"adjoint_{k:04d}.csv",
-                          problem.grid, fields)
-
+    # every number first: the certificate may still reject ssc.tau, and a
+    # config error must leave no file behind
     tau = setup.ssc["tau"]
     if tau is None:
         tau = default_tau(grad)
     sets = strongly_active_sets(grad, tau)
-    grid = problem.grid
-    _write_space_time_csv(out_dir / "active_set_u1.csv", grid, "a1",
-                          sets.A1.astype(int))
-    _write_space_time_csv(out_dir / "active_set_u2.csv", grid, "a2",
-                          sets.A2.astype(int))
-
     cost_value = cost_eval(problem, context.state, ubar)
-    stationarity = stationarity_measure(ubar, problem, setup.box, grad=grad)
+    stationarity = stationarity_measure(ubar, problem, setup.box, grad)
     payload = {"cost": cost_value, "stationarity": stationarity, "tau": tau,
                "active_fraction_u1": float(sets.A1.mean()),
                "active_fraction_u2": float(sets.A2.mean())}
-
     if problem.cost.b2 == 0.0:
-        ssc = ssc_certificate(ubar, tau, setup.ssc["n_samples"], problem,
-                              setup.box, seed=setup.ssc["seed"],
-                              context=context)
+        ssc = ssc_certificate(context, tau, setup.ssc["n_samples"], setup.box,
+                              seed=setup.ssc["seed"])
         payload["ssc"] = {"tau": ssc.tau, "seed": ssc.seed,
                           "sample_count": ssc.sample_count,
                           "requested_samples": ssc.requested_samples,
@@ -267,6 +251,19 @@ def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
         payload["ssc"] = None
         say("analyze: curvature sampling skipped (b2 != 0)")
 
+    for k in _snapshot_levels(setup):
+        if k == problem.tgrid.steps:
+            fields = {"p": adj.terminal_p, "q": adj.terminal_q,
+                      "r": adj.terminal_r}
+        else:
+            fields = {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k]}
+        _write_fields_csv(out_dir / f"adjoint_{k:04d}.csv",
+                          problem.grid, fields)
+    grid = problem.grid
+    _write_space_time_csv(out_dir / "active_set_u1.csv", grid, "a1",
+                          sets.A1.astype(int))
+    _write_space_time_csv(out_dir / "active_set_u2.csv", grid, "a2",
+                          sets.A2.astype(int))
     _write_report(out_dir / "ssc_report.json", payload)
     return EXIT_OK
 

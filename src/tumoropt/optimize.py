@@ -61,11 +61,8 @@ def reduced_gradient(ubar: Control, problem: ControlProblem,
 
 
 def stationarity_measure(ubar: Control, problem: ControlProblem,
-                         box: BoxConstraints,
-                         grad: GradientField | None = None) -> float:
+                         box: BoxConstraints, grad: GradientField) -> float:
     """Norm of ubar - proj(ubar - grad), zero exactly at a stationary point."""
-    if grad is None:
-        grad = reduced_gradient(ubar, problem)
     trial = project_admissible(
         Control(ubar.u1 - grad.grad1, ubar.u2 - grad.grad2), box)
     diff = Control(ubar.u1 - trial.u1, ubar.u2 - trial.u2)
@@ -123,7 +120,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     it = 0
 
     for it in range(opts.max_iter + 1):
-        stat = stationarity_measure(u, problem, box, grad=grad)
+        stat = stationarity_measure(u, problem, box, grad)
         history.append({"iteration": it, "cost": j, "stationarity": stat,
                         "step_size": step})
         if stat <= opts.tol:
@@ -238,8 +235,7 @@ class SecondOrderContext:
 
     @functools.cached_property
     def adjoint(self) -> AdjointTrajectory:
-        return solve_adjoint(self.problem, self.state, self.ubar,
-                             factors=self.factors)
+        return solve_adjoint(self.factors)
 
     @functools.cached_property
     def gradient(self) -> GradientField:
@@ -255,15 +251,12 @@ class SecondOrderContext:
                              grad2=b0 * self.ubar.u2 + d2)
 
     def linearize(self, h: Control) -> LinearizedTrajectory:
-        return solve_generalized_linear(self.problem, self.state, self.ubar,
-                                        LambdaFlags(), h=h,
-                                        factors=self.factors)
+        return solve_generalized_linear(self.factors, LambdaFlags(), h=h)
 
     def bilinearize(self, lin_h: LinearizedTrajectory,
                     lin_k: LinearizedTrajectory, h: Control,
                     k: Control) -> LinearizedTrajectory:
-        return solve_bilinearized(self.problem, self.state, self.ubar,
-                                  lin_h, lin_k, h, k, factors=self.factors)
+        return solve_bilinearized(self.factors, lin_h, lin_k, h, k)
 
     def form(self, h: Control, k: Control,
              lin_h: LinearizedTrajectory | None = None,
@@ -308,21 +301,19 @@ class SscReport:
     satisfied: bool
 
 
-def ssc_certificate(ubar: Control, tau: float | None, n_samples: int,
-                    problem: ControlProblem, box: BoxConstraints,
-                    seed: int = 0,
-                    context: SecondOrderContext | None = None) -> SscReport:
+def ssc_certificate(context: SecondOrderContext, tau: float | None,
+                    n_samples: int, box: BoxConstraints,
+                    seed: int = 0) -> SscReport:
     """Estimate the coercivity constant on the critical cone by sampling.
 
     Draws seeded Gaussian directions, projects them onto the cone (strongly
     active points zeroed, signs clipped at the bounds), and minimizes the
-    Rayleigh quotient B(h, h)/|h|^2 over the retained samples.  Deterministic
-    for a fixed seed.
+    Rayleigh quotient B(h, h)/|h|^2 over the retained samples at the
+    context's control.  Deterministic for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if context is None:
-        context = SecondOrderContext(problem, ubar)
+    problem, ubar = context.problem, context.ubar
     if tau is None:
         tau = default_tau(context.gradient)
     sets = strongly_active_sets(context.gradient, tau)
@@ -352,19 +343,17 @@ def ssc_certificate(ubar: Control, tau: float | None, n_samples: int,
                      satisfied=bool(min_q > 0.0))
 
 
-def dense_hessian(ubar: Control, problem: ControlProblem,
-                  context: SecondOrderContext | None = None) -> np.ndarray:
-    """Full Hessian matrix in the nodal basis, for tiny control spaces.
+def dense_hessian(context: SecondOrderContext) -> np.ndarray:
+    """Full Hessian matrix in the nodal basis at the context's control.
 
     Guarded to at most 400 space-time control unknowns; used as an eigenvalue
     cross-check of the sampled certificate.
     """
+    problem = context.problem
     n_unknowns = 2 * problem.n_levels * problem.grid.n
     if n_unknowns > 400:
         raise ValueError(
             f"dense Hessian limited to 400 unknowns, got {n_unknowns}")
-    if context is None:
-        context = SecondOrderContext(problem, ubar)
     shape = (problem.n_levels, problem.grid.n)
     size = problem.n_levels * problem.grid.n
 

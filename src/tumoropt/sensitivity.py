@@ -1,16 +1,17 @@
 """Linearized and bilinearized sensitivities along a state trajectory.
 
 The generalized linear system marches the exact Jacobian of the implicit
-step, with four switches: lam1 scales the reaction/coupling entries, lam2
-the control-direction sources, lam3 arbitrary sources, lam4 the initial
-data.  With (1, 1, 0, 0) it is the derivative of the control-to-state map;
-with (1, 0, 1, 0) and second-order sources it yields the bilinearized
-(second derivative) fields.
+step, with four switches: l1 scales the reaction/coupling entries, l2 the
+control-direction sources, l3 arbitrary sources, l4 the initial data.
+With (1, 1, 0, 0) it is the derivative of the control-to-state map; with
+(1, 0, 1, 0) and second-order sources it yields the bilinearized (second
+derivative) fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,37 +52,29 @@ class LinearizedTrajectory:
 class StepFactors:
     """LU factorizations of the linearized step operators along a trajectory.
 
-    The same factors serve the linearized and bilinearized marches (direct
-    solves) and the adjoint march (transpose solves), so a single assembly
-    pass per step covers every first- and second-order quantity.  Factors are
-    cached when the stacked dimension is small, otherwise rebuilt on demand.
+    One instance is the linearization point (problem, state S(ubar), ubar) of
+    every first- and second-order solve: the linearized and bilinearized
+    marches (direct solves) and the adjoint march (transpose solves) share
+    its single assembly pass per step.  Factors are cached when the stacked
+    dimension is small, otherwise rebuilt on demand.
     """
 
     def __init__(self, problem: ControlProblem, state: StateTrajectory,
-                 ubar: Control, lam1: int = 1):
-        self.stepper = problem.stepper
+                 ubar: Control):
+        self.problem = problem
         self.state = state
         self.ubar = ubar
-        self.lam1 = lam1
-        self.n_steps = problem.tgrid.steps
         self._cache_all = 3 * problem.grid.n <= _CACHE_MAX_DOF
         self._lus: dict[int, object] = {}
-        self._constant_lu = None
-        if lam1 == 0:
-            # reaction switched off: every step shares one operator
-            self._constant_lu = self.stepper.factorize(
-                state.mu[1], state.phi[1], state.sigma[1], ubar.u1[1], lam1=0.0)
 
     def lu(self, k: int):
-        if self._constant_lu is not None:
-            return self._constant_lu
         hit = self._lus.get(k)
         if hit is not None:
             return hit
         try:
-            fac = self.stepper.factorize(self.state.mu[k], self.state.phi[k],
-                                         self.state.sigma[k], self.ubar.u1[k],
-                                         lam1=float(self.lam1))
+            fac = self.problem.stepper.factorize(
+                self.state.mu[k], self.state.phi[k], self.state.sigma[k],
+                self.ubar.u1[k])
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
         if self._cache_all:
@@ -89,16 +82,16 @@ class StepFactors:
         return fac
 
 
-def _march(factors: StepFactors, sources: np.ndarray | None,
-           y0: np.ndarray) -> LinearizedTrajectory:
+def _march(problem: ControlProblem, lu_at: Callable[[int], object],
+           sources: np.ndarray | None, y0: np.ndarray) -> LinearizedTrajectory:
     """Run the linear recursion A_k y^k = B y^{k-1} + S^k from y^0 = y0.
 
-    `sources` holds the stacked S^k as one (N_t+1, 3n) array, level 0
-    unused, or is None for a source-free march.
+    `lu_at(k)` gives the LU of A_k.  `sources` holds the stacked S^k as one
+    (N_t+1, 3n) array, level 0 unused, or is None for a source-free march.
     """
-    stepper = factors.stepper
+    stepper = problem.stepper
     n = stepper.n
-    n_levels = factors.n_steps + 1
+    n_levels = problem.n_levels
     eta = np.zeros((n_levels, n))
     xi = np.zeros((n_levels, n))
     theta = np.zeros((n_levels, n))
@@ -109,23 +102,22 @@ def _march(factors: StepFactors, sources: np.ndarray | None,
         if sources is not None:
             rhs = rhs + sources[k]
         if np.any(rhs):
-            y = factors.lu(k).solve(rhs)
+            y = lu_at(k).solve(rhs)
         else:
             y = np.zeros(3 * n)
         eta[k], xi[k], theta[k] = stepper.split(y)
     return LinearizedTrajectory(eta=eta, xi=xi, theta=theta)
 
 
-def solve_generalized_linear(problem: ControlProblem, state: StateTrajectory,
-                             ubar: Control, flags: LambdaFlags,
+def solve_generalized_linear(factors: StepFactors, flags: LambdaFlags,
                              h: Control | None = None,
                              f: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                             init: InitialData | None = None,
-                             factors: StepFactors | None = None) -> LinearizedTrajectory:
-    """Solve the switched linear system along `state`.
+                             init: InitialData | None = None) -> LinearizedTrajectory:
+    """Solve the switched linear system at the linearization point `factors`.
 
     The sources of every level are built once, as whole histories, before
-    the march.
+    the march.  With flags.l1 = 0 every step shares one reaction-free
+    operator, factored once per call.
 
     Parameters
     ----------
@@ -136,13 +128,14 @@ def solve_generalized_linear(problem: ControlProblem, state: StateTrajectory,
         General sources per equation, scaled by flags.l3; level 0 unused.
     init : InitialData, optional
         Initial snapshot, scaled by flags.l4.
-    factors : StepFactors, optional
-        Reused factorizations; must match (state, ubar, flags.l1).
     """
-    if factors is None:
-        factors = StepFactors(problem, state, ubar, lam1=flags.l1)
-    elif factors.lam1 != flags.l1:
-        raise ValueError("supplied factors were built for a different l1 flag")
+    problem, state = factors.problem, factors.state
+    lu_at = factors.lu
+    if not flags.l1:
+        fixed = problem.stepper.factorize(
+            state.mu[1], state.phi[1], state.sigma[1], factors.ubar.u1[1],
+            lam1=0.0)
+        lu_at = lambda k: fixed
 
     sources = None
     if flags.l2 and h is not None:
@@ -156,26 +149,22 @@ def solve_generalized_linear(problem: ControlProblem, state: StateTrajectory,
         y0 = init.stacked()
     else:
         y0 = np.zeros(3 * problem.grid.n)
-    return _march(factors, sources, y0)
+    return _march(problem, lu_at, sources, y0)
 
 
-def solve_bilinearized(problem: ControlProblem, state: StateTrajectory,
-                       ubar: Control, lin_h: LinearizedTrajectory,
-                       lin_k: LinearizedTrajectory, h: Control, k: Control,
-                       factors: StepFactors | None = None) -> LinearizedTrajectory:
+def solve_bilinearized(factors: StepFactors, lin_h: LinearizedTrajectory,
+                       lin_k: LinearizedTrajectory, h: Control,
+                       k: Control) -> LinearizedTrajectory:
     """Second directional derivative of the control-to-state map.
 
     Marches the linearized operator (reaction on, zero initial data) with
     the sources produced by differentiating the step residual twice, mixing
     the first-order fields of the two directions.
     """
-    if factors is None:
-        factors = StepFactors(problem, state, ubar, lam1=1)
-    elif factors.lam1 != 1:
-        raise ValueError("bilinearized march needs factors with l1 = 1")
-    sources = factors.stepper.second_order_source(
+    problem, state, ubar = factors.problem, factors.state, factors.ubar
+    sources = problem.stepper.second_order_source(
         state.mu, state.phi, state.sigma, ubar.u1,
         (lin_h.eta, lin_h.xi, lin_h.theta), (lin_k.eta, lin_k.xi, lin_k.theta),
         h.u1, k.u1)
-    return _march(factors, np.concatenate(sources, axis=1),
+    return _march(problem, factors.lu, np.concatenate(sources, axis=1),
                   np.zeros(3 * problem.grid.n))

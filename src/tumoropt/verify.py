@@ -36,6 +36,8 @@ from .state import (InitialData, StateTrajectory, TimeGrid,
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 FD_SEARCH_LADDER = EPS_LADDER + (3e-4, 1e-4, 3e-5, 1e-5)
+# share of [0, T] cut off at each end of the adjoint strong-form window
+STRONG_FORM_CUT = 0.1
 
 
 @dataclass(eq=False)
@@ -520,9 +522,22 @@ class AdjointResidualReport:
     form: str
 
 
+def _strong_form_levels(tgrid: TimeGrid, cut: float) -> np.ndarray:
+    """Levels k whose pair (k, k+1) has its midpoint in [cut*T, (1-cut)*T]."""
+    t_mid = 0.5 * (tgrid.times[:-1] + tgrid.times[1:])
+    lo, hi = cut * tgrid.t_final, (1.0 - cut) * tgrid.t_final
+    pairs = np.arange(1, tgrid.steps)
+    levels = pairs[(t_mid[pairs] >= lo) & (t_mid[pairs] <= hi)]
+    if levels.size < 2:
+        raise ConfigError(
+            "window too narrow: fewer than two level pairs kept at "
+            f"time.steps = {tgrid.steps}; use more time steps")
+    return levels
+
+
 def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
                                 form: str = "primal",
-                                cut: float = 0.1) -> AdjointResidualReport:
+                                cut: float = STRONG_FORM_CUT) -> AdjointResidualReport:
     """Plug the transpose multipliers into a centered strong-form assembly.
 
     The backward-Euler form of the strong equations reproduces the transpose
@@ -543,6 +558,7 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
         raise ValueError(f"unknown form {form!r}")
     if not 0.0 <= cut < 0.5:
         raise ValueError("cut must lie in [0, 0.5)")
+    levels = _strong_form_levels(problem.tgrid, cut)
     ctx = SecondOrderContext(problem, ubar)
     state, adj = ctx.state, ctx.adjoint
     pr = problem.params
@@ -550,17 +566,6 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
     dt = tgrid.dt
     lap = grid.lap
     target = problem.target_q()
-    n_steps = tgrid.steps
-
-    t_mid = 0.5 * (tgrid.times[:-1] + tgrid.times[1:])  # pair (k, k+1) midpoints
-    lo, hi = cut * tgrid.t_final, (1.0 - cut) * tgrid.t_final
-    pairs = np.arange(1, n_steps)
-    keep = (t_mid[pairs] >= lo) & (t_mid[pairs] <= hi)
-    levels = pairs[keep]
-    if levels.size < 2:
-        raise ConfigError(
-            "window too narrow: fewer than two level pairs kept at "
-            f"time.steps = {n_steps}; use more time steps")
     eq1 = np.zeros(levels.size)
     eq2 = np.zeros(levels.size)
     eq3 = np.zeros(levels.size)
@@ -631,6 +636,9 @@ def run_verification(problem: ControlProblem, ubar: Control,
     Returns a dict with one entry per check (name, description, metrics,
     passed) and an overall gate flag.
     """
+    if problem.cost.b2 == 0.0:
+        # the strong-form check runs last; reject its window before any solve
+        _strong_form_levels(problem.tgrid, STRONG_FORM_CUT)
     checks: list[dict] = []
 
     def add(name: str, description: str, metrics: dict, passed: bool,

@@ -304,15 +304,15 @@ def test_criterion_10_ssc_sampling(canonical):
         nrm = control_norm(dec.grid, dec.tgrid, hdir)
         q = ctx.form(hdir, hdir) / nrm**2
         worst = max(worst, abs(q - 0.9) / 0.9)
-    rep = ssc_certificate(ubar, None, 16, dec, box, seed=0, context=ctx)
+    rep = ssc_certificate(ctx, None, 16, box, seed=0)
     dec_ok = (worst <= 1e-12
               and abs(rep.min_rayleigh - 0.9) / 0.9 <= 1e-12)
 
     pr = canonical.problem
-    a = ssc_certificate(canonical.initial_control, None, 64, pr,
-                        canonical.box, seed=0)
-    b = ssc_certificate(canonical.initial_control, None, 64, pr,
-                        canonical.box, seed=0)
+    a = ssc_certificate(SecondOrderContext(pr, canonical.initial_control),
+                        None, 64, canonical.box, seed=0)
+    b = ssc_certificate(SecondOrderContext(pr, canonical.initial_control),
+                        None, 64, canonical.box, seed=0)
     canon_ok = (a.requested_samples == 64 and a.sample_count == 64
                 and np.isfinite(a.min_rayleigh) and a == b)
 

@@ -14,8 +14,7 @@ from _support import make_problem, random_control, smooth_control
 def test_terminal_fields_without_final_tracking():
     pr = make_problem(b1=2.0, b2=0.0)
     u = smooth_control(pr)
-    state = pr.solve(u)
-    adj = solve_adjoint(pr, state, u)
+    adj = solve_adjoint(StepFactors(pr, pr.solve(u), u))
     assert np.all(adj.terminal_p == 0.0)
     assert np.all(adj.terminal_q == 0.0)
     assert np.all(adj.terminal_r == 0.0)
@@ -28,7 +27,7 @@ def test_terminal_condition_with_final_tracking():
     pr = make_problem(b1=0.0, b2=1.5)
     u = smooth_control(pr)
     state = pr.solve(u)
-    adj = solve_adjoint(pr, state, u)
+    adj = solve_adjoint(StepFactors(pr, state, u))
     misfit = state.phi[-1] - pr.target_omega()
     expected = 1.5 * misfit / pr.params.beta
     assert np.abs(adj.terminal_q - expected).max() == 0.0
@@ -41,7 +40,7 @@ def test_zero_cost_gives_bitwise_zero_multipliers():
     u = smooth_control(pr)
     state = pr.solve(u)
     free = dataclasses.replace(pr, cost=CostSpec(b0=1.0, b1=0.0, b2=0.0))
-    adj = solve_adjoint(free, state, u)
+    adj = solve_adjoint(StepFactors(free, state, u))
     assert np.all(adj.p == 0.0)
     assert np.all(adj.q == 0.0)
     assert np.all(adj.r == 0.0)
@@ -52,11 +51,10 @@ def test_adjoint_is_linear_in_tracking_weights():
     pr = make_problem(b1=0.7, b2=0.3)
     u = smooth_control(pr)
     state = pr.solve(u)
-    factors = StepFactors(pr, state, u, lam1=1)
-    base = solve_adjoint(pr, state, u, factors=factors)
+    base = solve_adjoint(StepFactors(pr, state, u))
     doubled_pr = dataclasses.replace(
         pr, cost=dataclasses.replace(pr.cost, b1=1.4, b2=0.6))
-    doubled = solve_adjoint(doubled_pr, state, u, factors=factors)
+    doubled = solve_adjoint(StepFactors(doubled_pr, state, u))
     for name in ("p", "q", "r"):
         a, b = getattr(base, name), getattr(doubled, name)
         assert np.abs(b - 2.0 * a).max() < 1e-14 * max(np.abs(a).max(), 1.0)
@@ -67,23 +65,13 @@ def test_none_target_means_zero_target():
     assert pr.cost.target_Q is None
     u = smooth_control(pr)
     state = pr.solve(u)
-    factors = StepFactors(pr, state, u, lam1=1)
-    implicit = solve_adjoint(pr, state, u, factors=factors)
+    implicit = solve_adjoint(StepFactors(pr, state, u))
     zeros_pr = dataclasses.replace(pr, cost=CostSpec(
         b0=pr.cost.b0, b1=pr.cost.b1, b2=pr.cost.b2,
         target_Q=np.zeros((pr.n_levels, pr.grid.n))))
-    explicit = solve_adjoint(zeros_pr, state, u, factors=factors)
+    explicit = solve_adjoint(StepFactors(zeros_pr, state, u))
     assert np.array_equal(implicit.q, explicit.q)
     assert np.array_equal(implicit.p, explicit.p)
-
-
-def test_factor_flag_mismatch_rejected():
-    pr = make_problem()
-    u = smooth_control(pr)
-    state = pr.solve(u)
-    with pytest.raises(ValueError):
-        solve_adjoint(pr, state, u,
-                      factors=StepFactors(pr, state, u, lam1=0))
 
 
 @pytest.mark.parametrize("potential,b1,b2", [

@@ -181,6 +181,12 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     assert proc.stderr.startswith("config error: ")
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+    # the run leaves no file behind, so a rerun without --force meets the
+    # same config error rather than a non-empty output directory
+    assert list((tmp_path / "out").iterdir()) == []
+    again = _run_canonical(tmp_path, command, overrides)
+    assert again.returncode == EXIT_CONFIG
+    assert again.stderr == proc.stderr
 
 
 def test_obstacle_without_yosida_is_config_error(tmp_path, capsys):
@@ -201,6 +207,7 @@ def test_verify_gate_failure_exit_code(tmp_path):
     assert code == EXIT_GATE
     report = json.loads((out / "verification_report.json").read_text())
     assert report["all_passed"] is False
+    assert (out / "resolved_config.yaml").is_file()
 
 
 def test_analyze_outputs(tmp_path, capsys):

@@ -126,7 +126,8 @@ def test_pgd_tracking_run_descends_and_stops_at_fixed_point():
     gap = max(np.abs(res.control.u1 - fixed.u1).max(),
               np.abs(res.control.u2 - fixed.u2).max())
     assert gap <= 1e-7
-    assert stationarity_measure(res.control, pr, box) <= 1e-8
+    assert stationarity_measure(res.control, pr, box,
+                                reduced_gradient(res.control, pr)) <= 1e-8
 
 
 def test_pgd_history_schema():
@@ -228,8 +229,7 @@ def test_quadratic_form_matches_bilinearized_route():
     h = random_control(pr, seed=5)
     k = random_control(pr, seed=6)
     lh, lk = ctx.linearize(h), ctx.linearize(k)
-    bil = solve_bilinearized(pr, ctx.state, u, lh, lk, h, k,
-                             factors=ctx.factors)
+    bil = solve_bilinearized(ctx.factors, lh, lk, h, k)
     misfit = ctx.state.phi - pr.target_q()
     route2 = (pr.cost.b0 * control_inner(pr.grid, pr.tgrid, h, k)
               + pr.cost.b1 * (st_inner(pr.grid, pr.tgrid, lh.xi, lk.xi)
@@ -260,7 +260,7 @@ def test_dense_hessian_small_problem():
     pr = make_problem(nodes=5, steps=3)
     u = smooth_control(pr, amp=0.1)
     ctx = SecondOrderContext(pr, u)
-    hess = dense_hessian(u, pr, context=ctx)
+    hess = dense_hessian(ctx)
     assert hess.shape == (40, 40)
     assert np.abs(hess - hess.T).max() <= 1e-12 * max(np.abs(hess).max(), 1.0)
     h = random_control(pr, seed=7)
@@ -271,8 +271,7 @@ def test_dense_hessian_small_problem():
 def test_dense_hessian_decoupled_is_weighted_identity():
     pr = make_problem(nodes=5, steps=3, coupling="none", b0=1.3, b1=0.0,
                       tracking=False)
-    u = pr.zero_control()
-    hess = dense_hessian(u, pr)
+    hess = dense_hessian(SecondOrderContext(pr, pr.zero_control()))
     wt = pr.tgrid.weights()
     diag = np.kron(wt, pr.grid.weights)
     expected = 1.3 * np.diag(np.concatenate([diag, diag]))
@@ -282,7 +281,7 @@ def test_dense_hessian_decoupled_is_weighted_identity():
 def test_dense_hessian_size_guard():
     pr = make_problem(nodes=17, steps=12)
     with pytest.raises(ValueError, match="400"):
-        dense_hessian(smooth_control(pr), pr)
+        dense_hessian(SecondOrderContext(pr, smooth_control(pr)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +290,8 @@ def test_dense_hessian_size_guard():
 
 def test_ssc_decoupled_rayleigh_equals_b0():
     pr = make_problem(coupling="none", b0=0.9, b1=0.0, tracking=False)
-    rep = ssc_certificate(pr.zero_control(), tau=None, n_samples=8,
-                          problem=pr, box=unbounded_box(), seed=0)
+    rep = ssc_certificate(SecondOrderContext(pr, pr.zero_control()), tau=None,
+                          n_samples=8, box=unbounded_box(), seed=0)
     assert rep.satisfied
     assert rep.sample_count == 8
     assert rep.min_rayleigh == pytest.approx(0.9, rel=1e-12)
@@ -303,11 +302,11 @@ def test_ssc_deterministic_under_seed():
     u = smooth_control(pr, amp=0.1)
     box = BoxConstraints(lower1=-0.5, upper1=0.5, lower2=-0.5, upper2=0.5)
     ctx = SecondOrderContext(pr, u)
-    a = ssc_certificate(u, None, 6, pr, box, seed=3, context=ctx)
-    b = ssc_certificate(u, None, 6, pr, box, seed=3, context=ctx)
+    a = ssc_certificate(ctx, None, 6, box, seed=3)
+    b = ssc_certificate(ctx, None, 6, box, seed=3)
     assert a.min_rayleigh == b.min_rayleigh
     assert a.tau == b.tau and a.sample_count == b.sample_count
-    c = ssc_certificate(u, None, 6, pr, box, seed=4, context=ctx)
+    c = ssc_certificate(ctx, None, 6, box, seed=4)
     assert c.min_rayleigh != a.min_rayleigh
 
 
@@ -315,20 +314,18 @@ def test_ssc_positive_on_tracking_problem():
     pr = make_problem(b0=1.0, b1=2.0)
     u = smooth_control(pr, amp=0.05)
     box = BoxConstraints(lower1=-0.5, upper1=0.5, lower2=-0.5, upper2=0.5)
-    rep = ssc_certificate(u, None, 16, pr, box, seed=0)
+    rep = ssc_certificate(SecondOrderContext(pr, u), None, 16, box, seed=0)
     assert rep.satisfied
     assert rep.min_rayleigh >= 0.9  # b0 = 1 dominates on this small problem
 
 
 def test_ssc_trivial_cone_raises():
     pr = make_problem(b1=2.0)
-    u = random_control(pr, seed=9, amp=0.2)
+    ctx = SecondOrderContext(pr, random_control(pr, seed=9, amp=0.2))
     with pytest.raises(ValueError, match="strongly active"):
-        ssc_certificate(u, tau=0.0, n_samples=4, problem=pr,
-                        box=unbounded_box(), seed=0)
+        ssc_certificate(ctx, tau=0.0, n_samples=4, box=unbounded_box(), seed=0)
     with pytest.raises(ValueError):
-        ssc_certificate(u, tau=None, n_samples=0, problem=pr,
-                        box=unbounded_box())
+        ssc_certificate(ctx, tau=None, n_samples=0, box=unbounded_box())
 
 
 def test_second_order_context_rejects_final_tracking():

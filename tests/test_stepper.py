@@ -169,7 +169,7 @@ def test_form_is_multiplier_weighted_sum_of_sources():
     h = smooth_control(pr, amp=0.5)
     k = Control(np.sin(h.u1), -0.5 * h.u2)
     lin_h, lin_k = ctx.linearize(h), ctx.linearize(k)
-    st, state, adj = ctx.factors.stepper, ctx.state, ctx.adjoint
+    st, state, adj = ctx.problem.stepper, ctx.state, ctx.adjoint
     wt, w = pr.tgrid.weights(), pr.grid.weights
     expected = (pr.cost.b0 * control_inner(pr.grid, pr.tgrid, h, k)
                 + pr.cost.b1 * st_inner(pr.grid, pr.tgrid, lin_h.xi, lin_k.xi))

@@ -99,9 +99,9 @@ def test_taylor_orders_factor_once_at_ubar(monkeypatch):
     at = []
     init = StepFactors.__init__
 
-    def counted(self, problem, state, ubar, lam1=1):
+    def counted(self, problem, state, ubar):
         at.append(ubar)
-        init(self, problem, state, ubar, lam1)
+        init(self, problem, state, ubar)
 
     monkeypatch.setattr(StepFactors, "__init__", counted)
     check_taylor_orders(pr, u)
