@@ -168,11 +168,12 @@ def _run_simulate(args, setup: RunSetup, out_dir: Path, say) -> int:
                           {"mu": state.mu[k], "phi": state.phi[k],
                            "sigma": state.sigma[k]})
     _write_csv(out_dir / "diagnostics.csv",
-               ["level", "time", "newton_iters", "mass_residual", "energy",
-                "phi_min", "phi_max"],
+               ["level", "time", "newton_iters", "factorizations",
+                "mass_residual", "energy", "phi_min", "phi_max"],
                ([k, state.times[k], int(state.newton_iters[k]),
-                 state.mass_residual[k], state.energy[k], state.phi_min[k],
-                 state.phi_max[k]] for k in range(state.n_levels)))
+                 int(state.factorizations[k]), state.mass_residual[k],
+                 state.energy[k], state.phi_min[k], state.phi_max[k]]
+                for k in range(state.n_levels)))
     say(f"simulate: {state.n_levels - 1} steps, "
         f"max mass residual {state.mass_residual.max():.3e}")
     return EXIT_OK
@@ -198,7 +199,8 @@ def _run_optimize(args, setup: RunSetup, out_dir: Path, say) -> int:
                 for h in result.history))
     _write_report(out_dir / "optimize_report.json",
                   {"cost": result.cost, "stationarity": result.stationarity,
-                   "converged": result.converged, "n_iter": result.n_iter})
+                   "converged": result.converged, "reason": result.reason,
+                   "n_iter": result.n_iter})
     say(f"optimize: {result.n_iter} iterations, cost {result.cost:.6e}, "
         f"stationarity {result.stationarity:.3e}")
     return EXIT_OK

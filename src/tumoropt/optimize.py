@@ -87,13 +87,24 @@ class PgdOptions:
 
 @dataclass(eq=False)
 class PgdResult:
+    """Outcome of `projected_gradient`.
+
+    `reason` says why it stopped: "converged" (stationarity within tol),
+    "max_iter" (the iteration budget ran out) or "line_search_failed" (no
+    Armijo trial was accepted within max_backtracks).
+    """
+
     control: Control
     cost: float
     stationarity: float
-    converged: bool
+    reason: str
     n_iter: int
     history: list[dict] = field(default_factory=list)
     gradient: GradientField | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 def projected_gradient(u0: Control, problem: ControlProblem,
@@ -116,7 +127,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     step = opts.initial_step
     u_prev = None
     grad_prev = None
-    converged = False
+    reason = "max_iter"
     it = 0
 
     for it in range(opts.max_iter + 1):
@@ -124,7 +135,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
         history.append({"iteration": it, "cost": j, "stationarity": stat,
                         "step_size": step})
         if stat <= opts.tol:
-            converged = True
+            reason = "converged"
             break
         if it == opts.max_iter:
             break
@@ -155,6 +166,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
                 break
             t *= opts.shrink
         if not accepted:
+            reason = "line_search_failed"
             break
         u_prev, grad_prev = u, grad
         u, j, state, step = trial, j_new, state_new, t
@@ -162,7 +174,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
 
     return PgdResult(control=u, cost=j,
                      stationarity=history[-1]["stationarity"],
-                     converged=converged, n_iter=it, history=history,
+                     reason=reason, n_iter=it, history=history,
                      gradient=grad)
 
 

@@ -74,14 +74,21 @@ class InitialData:
 class SolverOptions:
     """Knobs of the per-step Newton solve.
 
+    From the second step on, Newton starts at the linear extrapolation
+    2 x_{k-1} - x_{k-2} of the two previous levels; it starts at x_{k-1}
+    instead on the first step, when the guess leaves the separation interval
+    (lo + separation_margin, hi - separation_margin) of an exact logarithmic
+    potential, or when the step residual at the guess is not finite.
     newton_tol is relative to the natural residual scale (coefficient
-    magnitudes times field size); iterations before it is met backtrack
-    (Armijo, at most `max_backtracks` halvings).  After meeting it the solver
-    applies up to `polish_steps` extra iterations, each of which tries the
-    full Newton step once (shortened only by the separation ceiling of the
-    logarithmic potential) and keeps it only if the residual strictly drops;
-    the first one that does not help ends the polish.  This drives the
-    residual to its round-off floor.
+    magnitudes times field size); iterations before it is met factor the
+    Jacobian at the iterate and backtrack (Armijo, at most `max_backtracks`
+    halvings).  After meeting it the solver applies up to `polish_steps`
+    extra chord iterations: each reuses the LU of the last Newton iteration
+    (it factors only when the start already met the tolerance), tries the
+    full step once (shortened only by the separation ceiling) and keeps it
+    only if the residual strictly drops; the first one that does not help
+    ends the polish.  This drives the residual to its round-off floor at
+    about one factorization per step.
     """
 
     newton_tol: float = 1e-12
@@ -102,6 +109,7 @@ class StateTrajectory:
     sigma: np.ndarray
     times: np.ndarray   # (N_t+1,)
     newton_iters: np.ndarray
+    factorizations: np.ndarray  # Jacobian LUs formed per step, entry 0 is 0
     mass_residual: np.ndarray   # relative, entry k for step k, entry 0 is 0
     energy: np.ndarray
     phi_min: np.ndarray
@@ -167,6 +175,7 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     phi = np.empty((n_levels, n))
     sigma = np.empty((n_levels, n))
     iters = np.zeros(n_levels, dtype=int)
+    lus = np.zeros(n_levels, dtype=int)
     mass_rel = np.zeros(n_levels)
     energy = np.empty(n_levels)
     mu[0], phi[0], sigma[0] = init.mu0, init.phi0, init.sigma0
@@ -176,12 +185,15 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     e_limit = opts.energy_blowup_factor * max(abs(energy[0]), 1.0)
     mass_prev = _total_mass(stepper, x)
 
+    x_prev = x
     for k in range(1, n_levels):
+        # linear extrapolation of the last two levels predicts the step
+        guess = None if k == 1 else 2.0 * x - x_prev
         x_prev = x
         u1k, u2k = control.u1[k], control.u2[k]
-        x, n_it = _newton_step(stepper, x_prev, u1k, u2k, opts, k)
+        x, iters[k], lus[k] = _newton_step(stepper, x_prev, u1k, u2k, opts, k,
+                                           start=guess)
         mu[k], phi[k], sigma[k] = stepper.split(x)
-        iters[k] = n_it
         mass_rel[k], mass_prev = _mass_defect(stepper, mass_prev, x, u1k, u2k)
         energy[k] = _energy_value(stepper, x)
         if abs(energy[k]) > e_limit:
@@ -191,14 +203,25 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
 
     return StateTrajectory(
         mu=mu, phi=phi, sigma=sigma, times=tgrid.times,
-        newton_iters=iters, mass_residual=mass_rel, energy=energy,
-        phi_min=phi.min(axis=1), phi_max=phi.max(axis=1))
+        newton_iters=iters, factorizations=lus, mass_residual=mass_rel,
+        energy=energy, phi_min=phi.min(axis=1), phi_max=phi.max(axis=1))
 
 
 def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
-                 opts: SolverOptions, k: int) -> tuple[np.ndarray, int]:
-    x = x_prev.copy()
-    res = stepper.residual(x, x_prev, u1k, u2k)
+                 opts: SolverOptions, k: int,
+                 start: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, int, int]:
+    """Solve step k from `start` (x_prev if None or unusable).
+
+    Returns the state, the Newton iterations and the LUs formed.
+    """
+    res = None
+    if start is not None and _inside_margin(stepper, start, opts):
+        res = stepper.residual(start, x_prev, u1k, u2k)
+        x = start
+    if res is None or not np.all(np.isfinite(res)):
+        x = x_prev.copy()
+        res = stepper.residual(x, x_prev, u1k, u2k)
     rnorm = float(np.max(np.abs(res)))
 
     def tol_at(z: np.ndarray) -> float:
@@ -207,6 +230,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
 
     polish_left = opts.polish_steps
     converged = rnorm <= tol_at(x)
+    lu, n_lu = None, 0
     it = 0
     while it < opts.newton_max_iter:
         if converged and polish_left <= 0:
@@ -217,10 +241,13 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
         if not np.isfinite(rnorm):
             raise SolverError(f"step {k}: non-finite Newton residual")
         mu, phi, sigma = stepper.split(x)
-        try:
-            lu = stepper.factorize(mu, phi, sigma, u1k)
-        except SolverError as exc:
-            raise SolverError(f"step {k}: {exc}") from None
+        # a chord polish iteration reuses the last Newton iteration's LU
+        if lu is None or not converged:
+            try:
+                lu = stepper.factorize(mu, phi, sigma, u1k)
+            except SolverError as exc:
+                raise SolverError(f"step {k}: {exc}") from None
+            n_lu += 1
         delta = lu.solve(-res)
         t = 1.0
         if stepper.separation_guard:
@@ -261,7 +288,19 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
         raise SolverError(
             f"step {k}: Newton did not converge within "
             f"{opts.newton_max_iter} iterations (residual {rnorm:.3e})")
-    return x, it
+    return x, it, n_lu
+
+
+def _inside_margin(stepper: Stepper, x: np.ndarray,
+                   opts: SolverOptions) -> bool:
+    """False when the separation guard is on and the phi of the stacked state
+    x leaves (lo + separation_margin, hi - separation_margin)."""
+    if not stepper.separation_guard:
+        return True
+    lo, hi = stepper.potential.domain
+    phi = stepper.split(x)[1]
+    margin = opts.separation_margin
+    return bool(np.all((phi > lo + margin) & (phi < hi - margin)))
 
 
 def _total_mass(stepper: Stepper, x: np.ndarray) -> float:

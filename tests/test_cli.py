@@ -80,6 +80,25 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_simulate_diagnostics_record_factorizations(tmp_path):
+    cfg = _write(tmp_path, COUPLED)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet"]) == EXIT_OK
+    with (out / "diagnostics.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[2:4] == ["newton_iters", "factorizations"]
+    setup = build_setup(RunConfig.from_file(cfg))
+    state = setup.problem.solve(setup.initial_control)
+    assert [int(r["factorizations"]) for r in rows] == \
+        state.factorizations.tolist()
+    # chord polish: fewer LUs than Newton iterations, at least one per step
+    lus = [int(r["factorizations"]) for r in rows[1:]]
+    iters = [int(r["newton_iters"]) for r in rows[1:]]
+    assert min(lus) >= 1
+    assert sum(lus) < sum(iters)
+
+
 def test_optimize_pure_control_cost_hits_bound(tmp_path):
     raw = """\
 grid: {shape: [9]}
@@ -98,6 +117,7 @@ optimizer: {tol: 1.0e-10}
     assert np.abs(vals - 0.1).max() <= 1e-12
     report = json.loads((out / "optimize_report.json").read_text())
     assert report["converged"] is True
+    assert report["reason"] == "converged"
     assert report["stationarity"] <= 1e-10
     hist = _read_rows(out / "history.csv")
     assert hist[0] == ["iteration", "cost", "stationarity", "step_size"]

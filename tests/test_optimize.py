@@ -140,6 +140,30 @@ def test_pgd_history_schema():
     assert res.n_iter == len(res.history) - 1
 
 
+@pytest.mark.parametrize("opts, reason", [
+    (PgdOptions(tol=1e-12, max_iter=10), "converged"),
+    (PgdOptions(tol=1e-12, max_iter=1), "max_iter"),
+    # a step far too long for the three halvings the line search may take:
+    # every trial lands on the corners of the box, and the cost rises
+    (PgdOptions(tol=1e-12, initial_step=1e8, max_backtracks=3),
+     "line_search_failed"),
+], ids=["converged", "max_iter", "line_search_failed"])
+def test_pgd_reports_why_it_stopped(opts, reason):
+    # linear state with a tracking term: the cost is quadratic, not trivial
+    pr = make_problem(coupling="none", b0=1.0, b1=2.0, steps=6)
+    box = BoxConstraints(lower1=-1.0, upper1=1.0, lower2=-1.0, upper2=1.0)
+    res = projected_gradient(random_control(pr, seed=2), pr, box, opts)
+    assert res.reason == reason
+    assert res.converged == (reason == "converged")
+    if reason == "max_iter":
+        assert res.n_iter == opts.max_iter
+        assert res.stationarity > opts.tol
+    if reason == "line_search_failed":
+        # the rejected trials leave the control and its cost in place
+        assert res.n_iter == 0
+        assert res.cost == res.history[0]["cost"]
+
+
 # ---------------------------------------------------------------------------
 # active sets and the critical cone
 

@@ -199,38 +199,166 @@ def test_newton_budget_exhaustion_raises():
         pr.solve(smooth_control(pr, amp=0.5))
 
 
+def _counting(monkeypatch, name):
+    """Patch a Stepper method to log each call; returns the original and
+    the call log."""
+    original = getattr(Stepper, name)
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stepper, name, counted)
+    return original, calls
+
+
 def test_polish_tries_the_full_step_once(monkeypatch):
     pr = make_problem(potential="logarithmic", steps=8)
     u = smooth_control(pr, amp=0.4)
     stepper = pr.stepper
     assert stepper.separation_guard
-    residual = Stepper.residual
-    calls = []
-
-    def counted(self, *args):
-        calls.append(None)
-        return residual(self, *args)
-
-    monkeypatch.setattr(Stepper, "residual", counted)
+    residual, calls = _counting(monkeypatch, "residual")
+    _, lu_calls = _counting(monkeypatch, "factorize")
     traj = pr.solve(u)
     for k in range(1, pr.n_levels):
         x_prev = traj.snapshot(k - 1)
         runs = {}
         for polish in (0, 1, 4):
             calls.clear()
-            x, iters = _newton_step(
+            lu_calls.clear()
+            x, iters, lus = _newton_step(
                 stepper, x_prev, u.u1[k], u.u2[k],
                 SolverOptions(polish_steps=polish), k)
+            assert lus == len(lu_calls)
             rnorm = np.abs(residual(stepper, x, x_prev, u.u1[k],
                                     u.u2[k])).max()
-            runs[polish] = (len(calls), iters, rnorm)
-        calls0, iters0, rnorm0 = runs[0]
+            runs[polish] = (len(calls), iters, rnorm, lus)
+        calls0, iters0, rnorm0, lus0 = runs[0]
         assert runs[1][1] == iters0 + 1
+        assert lus0 == iters0
         for polish in (1, 4):
             # each polish iteration costs exactly one residual evaluation
             assert runs[polish][0] - calls0 == runs[polish][1] - iters0
+            # and no factorization: it reuses the last Newton LU
+            assert runs[polish][3] == max(lus0, 1)
         assert runs[1][2] <= rnorm0
+        # a start that already meets the tolerance factors once, to polish
+        lu_calls.clear()
+        _, iters, lus = _newton_step(stepper, x_prev, u.u1[k], u.u2[k],
+                                     SolverOptions(polish_steps=4), k,
+                                     start=traj.snapshot(k))
+        assert lus == len(lu_calls) == 1
+        assert 1 <= iters <= 4
     assert traj.mass_residual.max() <= 1e-12
+
+
+def _predictor_case(potential):
+    """Problem, control, x_prev and k for a step in the middle of a run."""
+    pr = make_problem(potential=potential, steps=8)
+    u = smooth_control(pr, amp=0.4)
+    k = 4
+    return pr, u, pr.solve(u).snapshot(k - 1), k
+
+
+def _step_from(pr, u, x_prev, k, start):
+    return _newton_step(pr.stepper, x_prev, u.u1[k], u.u2[k], pr.options, k,
+                        start=start)
+
+
+def test_predictor_outside_separation_interval_falls_back(monkeypatch):
+    pr, u, x_prev, k = _predictor_case("logarithmic")
+    assert pr.stepper.separation_guard
+    _, hi = pr.potential.domain
+    n = pr.grid.n
+    guess = x_prev.copy()
+    # one node inside (hi - margin, hi): admissible, but too close to +1
+    guess[n + n // 2] = hi - 0.5 * pr.options.separation_margin
+    _, calls = _counting(monkeypatch, "residual")
+    x_ref, iters_ref, lus_ref = _step_from(pr, u, x_prev, k, None)
+    ref_calls = len(calls)
+    calls.clear()
+    x, iters, lus = _step_from(pr, u, x_prev, k, guess)
+    # the guess is dropped without a residual evaluation: same solve
+    assert len(calls) == ref_calls
+    assert (iters, lus) == (iters_ref, lus_ref)
+    assert np.array_equal(x, x_ref)
+    res = pr.stepper.residual(x, x_prev, u.u1[k], u.u2[k])
+    assert np.abs(res).max() <= (pr.options.newton_tol * pr.stepper.coef_scale
+                                 * (1.0 + np.abs(x).max()))
+
+
+def test_predictor_with_non_finite_residual_falls_back(monkeypatch):
+    pr, u, x_prev, k = _predictor_case("regular")
+    assert not pr.stepper.separation_guard
+    guess = x_prev.copy()
+    guess[0] = np.nan
+    _, calls = _counting(monkeypatch, "residual")
+    x_ref, iters_ref, lus_ref = _step_from(pr, u, x_prev, k, None)
+    ref_calls = len(calls)
+    calls.clear()
+    x, iters, lus = _step_from(pr, u, x_prev, k, guess)
+    # one residual at the guess, then the solve from x_prev
+    assert len(calls) == ref_calls + 1
+    assert (iters, lus) == (iters_ref, lus_ref)
+    assert np.array_equal(x, x_ref)
+
+
+def _obstacle_yosida_problem() -> ControlProblem:
+    from tumoropt import obstacle_potential
+    pr = make_problem(steps=60, t_final=0.3, yosida_eps=0.05)
+    return dataclasses.replace(pr, potential=obstacle_potential())
+
+
+def _log_2d_problem() -> ControlProblem:
+    from tumoropt import logarithmic_potential
+    grid = build_grid(2, [9, 9], [1.0, 1.0])
+    xy = grid.coordinates()
+    init = InitialData(
+        mu0=0.05 * np.cos(np.pi * xy[:, 0]),
+        phi0=0.2 * np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1]),
+        sigma0=np.full(grid.n, 0.1))
+    return ControlProblem(
+        grid=grid, tgrid=TimeGrid(steps=40, t_final=0.1),
+        params=ModelParams(alpha=1.0, beta=0.8, chi=0.3, T=0.1),
+        potential=logarithmic_potential(),
+        nonlin=make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape()),
+        cost=CostSpec(b0=1.0), init=init)
+
+
+ORACLE_CASES = {
+    "log-1d": lambda: make_problem(potential="logarithmic", steps=60,
+                                   t_final=0.3),
+    "regular-1d": lambda: make_problem(potential="regular", steps=60,
+                                       t_final=0.3),
+    "obstacle-yosida-1d": _obstacle_yosida_problem,
+    "log-2d": _log_2d_problem,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_predicted_march_matches_march_from_previous_level(case):
+    pr = ORACLE_CASES[case]()
+    u = smooth_control(pr, amp=0.4)
+    traj = pr.solve(u)
+    # oracle: every step starts Newton at the previous level
+    x = pr.init.stacked()
+    oracle = [x]
+    oracle_iters = 0
+    for k in range(1, pr.n_levels):
+        x, iters, _ = _newton_step(pr.stepper, x, u.u1[k], u.u2[k],
+                                   pr.options, k)
+        oracle.append(x)
+        oracle_iters += iters
+    # the predictor is in play: it saves iterations over the oracle
+    assert traj.newton_iters.sum() < oracle_iters
+    got = np.stack([traj.snapshot(k) for k in range(pr.n_levels)])
+    oracle = np.stack(oracle)
+    # both solves end at the round-off floor of the same step equations
+    assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert mass_balance_residual(pr, traj, u).max() <= 1e-13
+    assert np.all(traj.factorizations[1:] >= 1)
+    assert traj.factorizations[0] == 0
 
 
 def test_non_finite_control_is_solver_error():
