@@ -3,9 +3,10 @@
 The generalized linear system marches the exact Jacobian of the implicit
 step, with four switches: l1 scales the reaction/coupling entries, l2 the
 control-direction sources, l3 arbitrary sources, l4 the initial data.
-With (1, 1, 0, 0) it is the derivative of the control-to-state map; with
-(1, 0, 1, 0) and second-order sources it yields the bilinearized (second
-derivative) fields.
+With the default (1, 1, 0, 0) it is the derivative of the control-to-state
+map.  The bilinearized (second derivative) fields do not go through the
+switches: `solve_bilinearized` runs the same recursion (`_march`) directly,
+with the second-order sources of the step residual and zero initial data.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ the whole line and no ceiling is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -329,20 +329,3 @@ def _energy_value(stepper: Stepper, x: np.ndarray) -> float:
     fv = inner(grid, stepper.potential_eval(phi, 0), np.ones(stepper.n))
     return float(fv + 0.5 * grad_sq + 0.5 * inner(grid, sigma, sigma)
                  + 0.5 * stepper.params.alpha * inner(grid, mu, mu))
-
-
-def mass_balance_residual(problem: ControlProblem, traj: StateTrajectory,
-                          control: Control) -> np.ndarray:
-    """Relative residual of the discrete mass identity, one entry per step.
-
-    The identity states that the weighted total of alpha*mu + phi + sigma
-    changes per step exactly by the integral of u2 - h(phi) u1.
-    """
-    stepper, steps = problem.stepper, problem.tgrid.steps
-    out = np.zeros(steps)
-    mass_prev = _total_mass(stepper, traj.snapshot(0))
-    for k in range(1, steps + 1):
-        out[k - 1], mass_prev = _mass_defect(
-            stepper, mass_prev, traj.snapshot(k), control.u1[k],
-            control.u2[k])
-    return out

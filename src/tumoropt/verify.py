@@ -12,9 +12,13 @@ independent oracles for them difference the cost or the linearized map:
 the cubic cost remainder and the quadratic DS-increment remainder of
 `check_taylor_orders`.
 
-Each check takes the state, step factors and adjoint at a control from one
-`SecondOrderContext` there, and every solve of a problem shares its
-`ControlProblem.stepper`.
+Every check at the verified control takes one `SecondOrderContext` there:
+`run_verification` builds it once, so the battery solves the state at that
+control once and factors its step operators once, and the mass check reads
+the per-step residual `solve_state` stored with that state.  The Taylor
+check adds a context per shifted control, and the stability and refinement
+checks one per control they draw or transfer.  Every solve of a problem
+shares its `ControlProblem.stepper`.
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError
-from .grid import build_grid, inner, norm
+from .grid import build_grid, inner
 from .model import Control, CostSpec
-from .optimize import SecondOrderContext, cost_eval, reduced_gradient
+from .optimize import SecondOrderContext, cost_eval
 from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import LinearizedTrajectory
-from .state import (InitialData, StateTrajectory, TimeGrid,
-                    mass_balance_residual)
+from .state import InitialData, StateTrajectory, TimeGrid
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 FD_SEARCH_LADDER = EPS_LADDER + (3e-4, 1e-4, 3e-5, 1e-5)
@@ -102,7 +105,7 @@ def _shifted(u: Control, v: Control, t: float) -> Control:
 # gradient and duality
 
 
-def check_gradient_fd(problem: ControlProblem, ubar: Control,
+def check_gradient_fd(context: SecondOrderContext,
                       n_dirs: int = 10, seed: int = 0,
                       eps_values=EPS_LADDER,
                       search_values=FD_SEARCH_LADDER,
@@ -111,12 +114,12 @@ def check_gradient_fd(problem: ControlProblem, ubar: Control,
 
     Fits the truncation slope (expected 2) on `eps_values` and records, per
     direction, the best relative agreement over the wider `search_values`
-    ladder; `details` carries those optima.
+    ladder at the context's control; `details` carries those optima.
     """
+    problem, ubar = context.problem, context.ubar
     rng = np.random.default_rng(seed)
     grid, tgrid = problem.grid, problem.tgrid
-    grad = reduced_gradient(ubar, problem)
-    gc = grad.as_control()
+    gc = context.gradient.as_control()
 
     all_eps = tuple(sorted(set(eps_values) | set(search_values), reverse=True))
     ladder_idx = [all_eps.index(e) for e in eps_values]
@@ -127,10 +130,9 @@ def check_gradient_fd(problem: ControlProblem, ubar: Control,
         exact = control_inner(grid, tgrid, gc, v)
         exact_vals[d] = exact
         for i, e in enumerate(all_eps):
-            jp = cost_eval(problem, problem.solve(_shifted(ubar, v, e)),
-                           _shifted(ubar, v, e))
-            jm = cost_eval(problem, problem.solve(_shifted(ubar, v, -e)),
-                           _shifted(ubar, v, -e))
+            up, down = _shifted(ubar, v, e), _shifted(ubar, v, -e)
+            jp = cost_eval(problem, problem.solve(up), up)
+            jm = cost_eval(problem, problem.solve(down), down)
             fd = (jp - jm) / (2.0 * e)
             errors[d, i] = abs(fd - exact) / max(1.0, abs(exact))
     best = errors.min(axis=1)
@@ -145,8 +147,8 @@ def check_gradient_fd(problem: ControlProblem, ubar: Control,
     return report
 
 
-def check_duality(problem: ControlProblem, ubar: Control,
-                  h: Control | None = None, seed: int = 0) -> float:
+def check_duality(context: SecondOrderContext, h: Control | None = None,
+                  seed: int = 0) -> float:
     """Relative residual of the linearized/adjoint duality identity.
 
     LHS pairs the adjoint field d of the reduced gradient with the control
@@ -154,13 +156,13 @@ def check_duality(problem: ControlProblem, ubar: Control,
     both sides are assembled from different solves and must agree to
     round-off.
     """
+    problem = context.problem
     if h is None:
         h = _random_direction(problem, np.random.default_rng(seed))
     grid, tgrid = problem.grid, problem.tgrid
-    ctx = SecondOrderContext(problem, ubar)
-    state, lin = ctx.state, ctx.linearize(h)
+    state, lin = context.state, context.linearize(h)
     lhs = control_inner(grid, tgrid,
-                        Control(ctx.gradient.d1, ctx.gradient.d2), h)
+                        Control(context.gradient.d1, context.gradient.d2), h)
     cost = problem.cost
     misfit = state.phi - problem.target_q()
     rhs = cost.b1 * st_inner(grid, tgrid, misfit, lin.xi)
@@ -188,7 +190,7 @@ def _norm3(problem: ControlProblem, fields) -> float:
                              for d in fields)))
 
 
-def check_taylor_orders(problem: ControlProblem, ubar: Control,
+def check_taylor_orders(context: SecondOrderContext,
                         v: Control | None = None, h: Control | None = None,
                         eps_values=EPS_LADDER, seed: int = 0,
                         slope_bands=(0.2, 0.2, 0.2)) -> tuple[SlopeReport, SlopeReport, SlopeReport]:
@@ -197,7 +199,10 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
     1. state remainder   |S(u+ev) - S(u) - e DS(u)v|            -> slope 2
     2. DS increment      |DS(u+ev)h - DS(u)h - e D2S(u)(v,h)|   -> slope 2
     3. cost remainder    |J(u+ev) - J(u) - e<g,v> - e^2/2 B(v,v)| -> slope 3
+
+    u is the context's control; each shifted control gets its own context.
     """
+    problem, ubar = context.problem, context.ubar
     rng = np.random.default_rng(seed)
     if v is None:
         v = _random_direction(problem, rng)
@@ -205,20 +210,18 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
         h = _random_direction(problem, rng)
     grid, tgrid = problem.grid, problem.tgrid
 
-    ctx = SecondOrderContext(problem, ubar)
-    state = ctx.state
-    lin_v = ctx.linearize(v)
-    lin_h = ctx.linearize(h)
-    bilin_vh = ctx.bilinearize(lin_v, lin_h, v, h)
+    state = context.state
+    lin_v = context.linearize(v)
+    lin_h = context.linearize(h)
+    bilin_vh = context.bilinearize(lin_v, lin_h, v, h)
     j0 = cost_eval(problem, state, ubar)
-    slope_v = control_inner(grid, tgrid, ctx.gradient.as_control(), v)
+    slope_v = control_inner(grid, tgrid, context.gradient.as_control(), v)
     # curvature via the adjoint-weighted form when b2 = 0, else bilinearized route
     if problem.cost.b2 == 0.0:
-        b_vv = ctx.form(v, v, lin_h=lin_v, lin_k=lin_v)
+        b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
     else:
-        b_vv = _second_derivative_from_bilinear(
-            problem, state, lin_v, lin_v, ctx.bilinearize(lin_v, lin_v, v, v),
-            v, v)
+        b_vv = quadratic_form_bilinear_route(context, v, v, lin_h=lin_v,
+                                             lin_k=lin_v)
 
     err_state = []
     err_ds = []
@@ -248,13 +251,23 @@ def check_taylor_orders(problem: ControlProblem, ubar: Control,
     )
 
 
-def _second_derivative_from_bilinear(problem, state, lin_h, lin_k, bilin,
-                                     h: Control, k: Control) -> float:
-    """Independent route to B(h,k): differentiate the reduced gradient.
+def quadratic_form_bilinear_route(context: SecondOrderContext, h: Control,
+                                  k: Control,
+                                  lin_h: LinearizedTrajectory | None = None,
+                                  lin_k: LinearizedTrajectory | None = None
+                                  ) -> float:
+    """B(h,k) without the adjoint: differentiate the reduced gradient.
 
     Uses b1 <misfit, psi> with psi the bilinearized phase component, plus the
-    first-order tracking and control terms; valid for b2 = 0 and b2 != 0.
+    first-order tracking and control terms; valid for b2 = 0 and b2 != 0, and
+    a cross-check of `SecondOrderContext.form`.
     """
+    problem, state = context.problem, context.state
+    if lin_h is None:
+        lin_h = context.linearize(h)
+    if lin_k is None:
+        lin_k = context.linearize(k) if k is not h else lin_h
+    bilin = context.bilinearize(lin_h, lin_k, h, k)
     grid, tgrid = problem.grid, problem.tgrid
     cost = problem.cost
     total = cost.b0 * control_inner(grid, tgrid, h, k)
@@ -266,17 +279,6 @@ def _second_derivative_from_bilinear(problem, state, lin_h, lin_k, bilin,
         total += cost.b2 * inner(grid, state.phi[-1] - problem.target_omega(),
                                  bilin.xi[-1])
     return float(total)
-
-
-def quadratic_form_bilinear_route(ubar: Control, h: Control, k: Control,
-                                  problem: ControlProblem) -> float:
-    """B(h,k) assembled without the adjoint: cross-check of
-    `SecondOrderContext.form`."""
-    ctx = SecondOrderContext(problem, ubar)
-    lin_h, lin_k = ctx.linearize(h), ctx.linearize(k)
-    return _second_derivative_from_bilinear(
-        problem, ctx.state, lin_h, lin_k, ctx.bilinearize(lin_h, lin_k, h, k),
-        h, k)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +537,7 @@ def _strong_form_levels(tgrid: TimeGrid, cut: float) -> np.ndarray:
     return levels
 
 
-def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
+def adjoint_continuous_residual(context: SecondOrderContext,
                                 form: str = "primal",
                                 cut: float = STRONG_FORM_CUT) -> AdjointResidualReport:
     """Plug the transpose multipliers into a centered strong-form assembly.
@@ -548,8 +550,11 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
     the primal first equation or the equivalent one with the nutrient
     diffusion eliminated through the third equation.  Level pairs are kept
     only on the fixed window [cut*T, (1-cut)*T] so that runs at different
-    resolutions integrate the residual over the same time interval.
+    resolutions integrate the residual over the same time interval.  The
+    state and adjoint are the context's, and every pair of the window is
+    assembled at once.
     """
+    problem = context.problem
     if problem.cost.b2 != 0.0:
         raise ValueError(
             "the strong-form diagnostic needs final-time tracking disabled "
@@ -559,55 +564,45 @@ def adjoint_continuous_residual(problem: ControlProblem, ubar: Control,
     if not 0.0 <= cut < 0.5:
         raise ValueError("cut must lie in [0, 0.5)")
     levels = _strong_form_levels(problem.tgrid, cut)
-    ctx = SecondOrderContext(problem, ubar)
-    state, adj = ctx.state, ctx.adjoint
+    state, adj = context.state, context.adjoint
     pr = problem.params
-    grid, tgrid = problem.grid, problem.tgrid
-    dt = tgrid.dt
-    lap = grid.lap
-    target = problem.target_q()
-    eq1 = np.zeros(levels.size)
-    eq2 = np.zeros(levels.size)
-    eq3 = np.zeros(levels.size)
+    grid, dt, lap = problem.grid, problem.tgrid.dt, problem.grid.lap
+    # the kept levels are consecutive: rows levels and levels + 1 together
+    rows = slice(levels[0], levels[-1] + 2)
+    P, dPm, dh_u, f2 = problem.stepper.reaction_terms(
+        state.mu[rows], state.phi[rows], state.sigma[rows],
+        context.ubar.u1[rows])
+    p, q, r = adj.p[rows], adj.q[rows], adj.r[rows]
+    mis = state.phi[rows] - problem.target_q()[rows]
 
-    def fields_at(k):
-        pv, dpm, hpu, f2 = problem.stepper.reaction_terms(
-            state.mu[k], state.phi[k], state.sigma[k], ubar.u1[k])
-        return {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k], "P": pv,
-                "dP": dpm, "dh_u": hpu, "f2": f2,
-                "mis": state.phi[k] - target[k]}
+    def avg(f):
+        return 0.5 * (f[:-1] + f[1:])
 
-    for i, k in enumerate(levels):
-        a = fields_at(k)
-        b = fields_at(k + 1)
+    def ddt(f):
+        return (f[1:] - f[:-1]) / dt
 
-        def avg(key):
-            return 0.5 * (a[key] + b[key])
+    def lap_of(f):
+        return (lap @ f.T).T
 
-        dtp = (b["p"] - a["p"]) / dt
-        dtq = (b["q"] - a["q"]) / dt
-        dtr = (b["r"] - a["r"]) / dt
-        p_bar, q_bar, r_bar = avg("p"), avg("q"), avg("r")
-        reactP_bar = 0.5 * (a["P"] * (a["p"] - a["r"])
-                            + b["P"] * (b["p"] - b["r"]))
-        hu_p = 0.5 * (a["dh_u"] * a["p"] + b["dh_u"] * b["p"])
-        dPm_pmr = 0.5 * (a["dP"] * (a["p"] - a["r"])
-                         + b["dP"] * (b["p"] - b["r"]))
-        f2q = 0.5 * (a["f2"] * a["q"] + b["f2"] * b["q"])
-        src = problem.cost.b1 * avg("mis")
-        if form == "primal":
-            res1 = (-dtp - pr.beta * dtq - lap @ q_bar + pr.chi * (lap @ r_bar)
-                    + f2q + hu_p - dPm_pmr + pr.chi * reactP_bar - src)
-        else:
-            # Delta r replaced through the third equation; the chi P (p - r)
-            # contributions cancel and a chi^2 q term appears
-            res1 = (-dtp - pr.beta * dtq - pr.chi * dtr - lap @ q_bar
-                    + f2q - pr.chi * pr.chi * q_bar + hu_p - dPm_pmr - src)
-        res2 = -pr.alpha * dtp - lap @ p_bar - q_bar + reactP_bar
-        res3 = -dtr - lap @ r_bar - pr.chi * q_bar - reactP_bar
-        eq1[i] = norm(grid, res1)
-        eq2[i] = norm(grid, res2)
-        eq3[i] = norm(grid, res3)
+    dtp, dtq, dtr = ddt(p), ddt(q), ddt(r)
+    p_bar, q_bar, r_bar = avg(p), avg(q), avg(r)
+    reactP_bar = avg(P * (p - r))
+    hu_p = avg(dh_u * p)
+    dPm_pmr = avg(dPm * (p - r))
+    f2q = avg(f2 * q)
+    src = problem.cost.b1 * avg(mis)
+    if form == "primal":
+        res1 = (-dtp - pr.beta * dtq - lap_of(q_bar) + pr.chi * lap_of(r_bar)
+                + f2q + hu_p - dPm_pmr + pr.chi * reactP_bar - src)
+    else:
+        # Delta r replaced through the third equation; the chi P (p - r)
+        # contributions cancel and a chi^2 q term appears
+        res1 = (-dtp - pr.beta * dtq - pr.chi * dtr - lap_of(q_bar)
+                + f2q - pr.chi * pr.chi * q_bar + hu_p - dPm_pmr - src)
+    res2 = -pr.alpha * dtp - lap_of(p_bar) - q_bar + reactP_bar
+    res3 = -dtr - lap_of(r_bar) - pr.chi * q_bar - reactP_bar
+    eq1, eq2, eq3 = (np.sqrt((res * res) @ grid.weights)
+                     for res in (res1, res2, res3))
 
     aggregate = float(np.sqrt(dt * np.sum(eq1**2 + eq2**2 + eq3**2)))
     return AdjointResidualReport(levels=levels, eq1=eq1, eq2=eq2, eq3=eq3,
@@ -647,20 +642,19 @@ def run_verification(problem: ControlProblem, ubar: Control,
                        "metrics": metrics, "passed": bool(passed),
                        "skipped": bool(skipped)})
 
-    state = problem.solve(ubar)
-    mass = mass_balance_residual(problem, state, ubar)
-    worst_mass = float(np.max(mass)) if mass.size else 0.0
+    context = SecondOrderContext(problem, ubar)
+    worst_mass = float(np.max(context.state.mass_residual[1:]))
     add("mass_identity",
         "per-step relative residual of the discrete mass balance",
         {"max_relative_residual": worst_mass},
         worst_mass <= THRESHOLDS["mass_residual"])
 
-    dual = check_duality(problem, ubar, seed=seed)
+    dual = check_duality(context, seed=seed)
     add("duality",
         "linearized/adjoint pairing identity, relative residual",
         {"relative_residual": dual}, dual <= THRESHOLDS["duality"])
 
-    gradient = check_gradient_fd(problem, ubar, n_dirs=n_dirs, seed=seed)
+    gradient = check_gradient_fd(context, n_dirs=n_dirs, seed=seed)
     worst_best = gradient.details["worst_best_rel_error"]
     add("gradient_fd",
         "central differences of the cost against the adjoint gradient",
@@ -668,7 +662,7 @@ def run_verification(problem: ControlProblem, ubar: Control,
          "worst_best_rel_error": worst_best},
         gradient.passed and worst_best <= THRESHOLDS["fd_agreement"])
 
-    taylor = check_taylor_orders(problem, ubar, seed=seed)
+    taylor = check_taylor_orders(context, seed=seed)
     names = ("taylor_state", "taylor_ds_increment", "taylor_cost")
     descriptions = (
         "first-order state remainder, expected quadratic decay",
@@ -690,10 +684,11 @@ def run_verification(problem: ControlProblem, ubar: Control,
         fine = refine_problem(problem)
         finer = refine_problem(fine)
         u_fine = refine_control(ubar, problem)
-        aggregates = [adjoint_continuous_residual(problem, ubar).aggregate,
-                      adjoint_continuous_residual(fine, u_fine).aggregate,
+        aggregates = [adjoint_continuous_residual(context).aggregate,
                       adjoint_continuous_residual(
-                          finer, refine_control(u_fine, fine)).aggregate]
+                          SecondOrderContext(fine, u_fine)).aggregate,
+                      adjoint_continuous_residual(SecondOrderContext(
+                          finer, refine_control(u_fine, fine))).aggregate]
         if max(aggregates) == 0.0:
             order = np.inf
             passed = True

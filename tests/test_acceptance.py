@@ -20,7 +20,6 @@ from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
 from tumoropt.config import RunConfig, build_setup
 from tumoropt.model import _f1_eval
 from tumoropt.problem import ControlProblem, control_norm, control_inner, st_inner
-from tumoropt.state import mass_balance_residual
 from tumoropt.verify import (check_duality, check_gradient_fd,
                              check_stability_ratios, check_taylor_orders,
                              ode_reduction_reference, richardson_state_at_T)
@@ -84,16 +83,11 @@ def test_criterion_02_mass_identity(canonical, canonical_traj):
     worst = 0.0
     pr = make_problem(**DESK)
     ubar = smooth_control(pr, amp=0.1)
-    runs = [
-        (pr, ubar, pr.solve(ubar)),
-        (canonical.problem, canonical.initial_control, canonical_traj),
-    ]
     zero = _load_setup("zero.yaml")
-    runs.append((zero.problem, zero.initial_control,
-                 zero.problem.solve(zero.initial_control)))
-    for problem, control, traj in runs:
-        res = mass_balance_residual(problem, traj, control)
-        worst = max(worst, float(res.max()))
+    runs = [pr.solve(ubar), canonical_traj,
+            zero.problem.solve(zero.initial_control)]
+    for traj in runs:
+        worst = max(worst, float(traj.mass_residual[1:].max()))
     _emit(2, "discrete mass identity on every step of every run",
           worst <= 1e-10, f"max relative residual = {worst:.3e}")
 
@@ -192,10 +186,12 @@ def test_criterion_05_yosida_properties():
 def test_criterion_06_gradient_exactness(canonical):
     pr = make_problem(**DESK)
     ubar = smooth_control(pr, amp=0.1)
-    dual_coupled = check_duality(pr, ubar, seed=0)
-    dual_canonical = check_duality(canonical.problem,
-                                   canonical.initial_control, seed=0)
-    rep = check_gradient_fd(pr, ubar, n_dirs=10, seed=0,
+    ctx = SecondOrderContext(pr, ubar)
+    dual_coupled = check_duality(ctx, seed=0)
+    dual_canonical = check_duality(
+        SecondOrderContext(canonical.problem, canonical.initial_control),
+        seed=0)
+    rep = check_gradient_fd(ctx, n_dirs=10, seed=0,
                             eps_values=(1e-2, 3e-3, 1e-3),
                             search_values=(1e-4, 1e-5))
     worst = rep.details["worst_best_rel_error"]
@@ -211,7 +207,8 @@ def test_criterion_07_taylor_orders():
     ubar = smooth_control(pr, amp=0.1)
     v = _unit_smooth(pr, 1.0, 0.6)
     h = _unit_smooth(pr, 0.5, -1.0)
-    state, ds, cost = check_taylor_orders(pr, ubar, v=v, h=h)
+    state, ds, cost = check_taylor_orders(SecondOrderContext(pr, ubar),
+                                          v=v, h=h)
     ok = state.passed and ds.passed and cost.passed
     _emit(7, "remainder slopes of the first and second order expansions", ok,
           f"state = {state.fitted_slope:.3f}, increment = "

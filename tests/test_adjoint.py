@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tumoropt import (Control, CostSpec, StepFactors, solve_adjoint)
+from tumoropt import (Control, CostSpec, SecondOrderContext, StepFactors,
+                      solve_adjoint)
 from tumoropt.verify import check_duality
 
 from _support import make_problem, random_control, smooth_control
@@ -82,7 +83,8 @@ def test_none_target_means_zero_target():
 def test_duality_identity(potential, b1, b2):
     pr = make_problem(potential=potential, b1=b1, b2=b2)
     u = smooth_control(pr)
-    assert check_duality(pr, u, h=random_control(pr, seed=11)) <= 1e-10
+    assert check_duality(SecondOrderContext(pr, u),
+                         h=random_control(pr, seed=11)) <= 1e-10
 
 
 def test_duality_linear_in_direction(rng):
@@ -92,7 +94,8 @@ def test_duality_linear_in_direction(rng):
     u = smooth_control(pr)
     h = random_control(pr, seed=2)
     big = Control(10.0 * h.u1, 10.0 * h.u2)
-    r1 = check_duality(pr, u, h=h)
-    r2 = check_duality(pr, u, h=big)
+    ctx = SecondOrderContext(pr, u)
+    r1 = check_duality(ctx, h=h)
+    r2 = check_duality(ctx, h=big)
     assert r1 <= 1e-10 and r2 <= 1e-10
 

@@ -345,3 +345,77 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out-dir",
                  str(tmp_path / "out"), "--quiet"]) == EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# error contract under malformed overrides
+
+FUZZ_SIZE = ["grid.shape=[9]", "time.steps=4"]
+FUZZ_SCALARS = ("model.alpha", "model.beta", "model.chi", "time.T",
+                "time.steps", "cost.b0", "cost.b1", "potential.k1",
+                "solver.newton_tol", "solver.newton_max_iter",
+                "optimizer.tol", "optimizer.shrink", "ssc.n_samples",
+                "ssc.seed", "control.bounds.lower1", "initial.sigma0")
+FUZZ_LISTS = ("grid.shape", "grid.lengths", "output.snapshot_times")
+# field keys and whether they hold one value per time level
+FUZZ_FIELDS = (("initial.phi0", False), ("initial.mu0", False),
+               ("control.initial.u1", True), ("cost.target_Q", True))
+FUZZ_WRONG_TYPES = ("[1, 2]", "{a: 1}", "true", "abc", "'0.5'", "null")
+FUZZ_COMMANDS = ("simulate", "optimize", "analyze", "verify")
+
+
+def _fuzz_table(seed=20201):
+    """(id, command, key, kind, value) rows of malformed overrides, seeded."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for key in FUZZ_SCALARS:
+        rows.append((key, "wrong-type",
+                     str(rng.choice(FUZZ_WRONG_TYPES))))
+        rows.append((key, "negative", f"-{rng.uniform(0.01, 5.0):.3g}"))
+        rows.append((key, "nan", ".nan"))
+    rows.extend((key, "empty-list", "[]") for key in FUZZ_LISTS)
+    for key, _ in FUZZ_FIELDS:
+        rows.extend((key, kind, None) for kind in
+                    ("missing-csv", "csv-row-count", "csv-non-numeric"))
+    return [(f"{key}-{kind}", str(rng.choice(FUZZ_COMMANDS)), key, kind, value)
+            for key, kind, value in rows]
+
+
+def _fuzz_csv(tmp_path, key, kind):
+    """Path of a field file for `key`, missing or malformed by `kind`."""
+    path = tmp_path / f"{key}.csv"
+    if kind == "missing-csv":
+        return path
+    per_level = dict(FUZZ_FIELDS)[key]
+    n_values = 5 if per_level else 1  # time.steps=4 gives 5 levels
+    n_rows = 8 if kind == "csv-row-count" else 9
+    lines = ["index,x," + ",".join(f"v{j}" for j in range(n_values))]
+    for i in range(n_rows):
+        cells = [str(i), repr(i / 8.0)] + ["0.1"] * n_values
+        if kind == "csv-non-numeric" and i == 4:
+            cells[-1] = "zero"
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", _fuzz_table(), ids=lambda row: row[0])
+def test_malformed_override_keeps_error_contract(tmp_path, capsys, case):
+    _, command, key, kind, value = case
+    if value is None:
+        value = "{file: " + str(_fuzz_csv(tmp_path, key, kind)) + "}"
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    sets = [arg for override in FUZZ_SIZE + [f"{key}={value}"]
+            for arg in ("--set", override)]
+    try:
+        code = main([command, "--config", str(root / "configs" /
+                                              "canonical_1d.yaml"),
+                     "--out-dir", str(out), "--quiet", *sets])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_GATE), err
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert not out.exists() or list(out.iterdir()) == []

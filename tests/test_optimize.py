@@ -80,7 +80,8 @@ def test_gradient_is_plain_control_without_tracking():
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])
 def test_gradient_against_finite_differences(potential):
     pr = make_problem(potential=potential)
-    rep = check_gradient_fd(pr, smooth_control(pr, amp=0.1), n_dirs=3, seed=1)
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.1))
+    rep = check_gradient_fd(ctx, n_dirs=3, seed=1)
     assert rep.passed
     assert abs(rep.fitted_slope - 2.0) <= 0.2
     assert rep.details["worst_best_rel_error"] <= 1e-8

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from tumoropt import (Control, ControlProblem, CostSpec, InitialData,
-                      SecondOrderContext, StepFactors, Stepper, TimeGrid)
-from tumoropt.verify import (EPS_LADDER, _refine_nested,
-                             adjoint_continuous_residual,
+                      ModelParams, SecondOrderContext, StepFactors, Stepper,
+                      TimeGrid, build_grid, bump_shape, logarithmic_potential,
+                      make_nonlinearity, norm, ramp_shape)
+from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _refine_nested,
+                             _strong_form_levels, adjoint_continuous_residual,
                              check_duality,
                              check_stability_ratios, check_taylor_orders,
                              fit_slope, make_slope_report,
@@ -66,7 +68,8 @@ def test_make_slope_report_requires_decreasing_ladder():
 
 def test_taylor_orders_on_coupled_problem():
     pr = make_problem()
-    st, ds, cost = check_taylor_orders(pr, smooth_control(pr, amp=0.1), seed=2)
+    st, ds, cost = check_taylor_orders(
+        SecondOrderContext(pr, smooth_control(pr, amp=0.1)), seed=2)
     assert st.passed and abs(st.fitted_slope - 2.0) <= 0.2
     assert ds.passed and abs(ds.fitted_slope - 2.0) <= 0.2
     assert cost.passed and abs(cost.fitted_slope - 3.0) <= 0.2
@@ -76,7 +79,7 @@ def test_taylor_zero_direction_is_exact():
     pr = make_problem()
     u = smooth_control(pr)
     z = pr.zero_control()
-    st, ds, cost = check_taylor_orders(pr, u, v=z, h=z)
+    st, ds, cost = check_taylor_orders(SecondOrderContext(pr, u), v=z, h=z)
     for rep in (st, ds, cost):
         assert rep.passed
         assert np.all(rep.error_values == 0.0)
@@ -87,8 +90,8 @@ def test_taylor_deterministic_given_directions():
     u = smooth_control(pr)
     v = random_control(pr, seed=1)
     h = random_control(pr, seed=2)
-    a = check_taylor_orders(pr, u, v=v, h=h)
-    b = check_taylor_orders(pr, u, v=v, h=h)
+    a = check_taylor_orders(SecondOrderContext(pr, u), v=v, h=h)
+    b = check_taylor_orders(SecondOrderContext(pr, u), v=v, h=h)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.error_values, rb.error_values)
 
@@ -104,14 +107,14 @@ def test_taylor_orders_factor_once_at_ubar(monkeypatch):
         init(self, problem, state, ubar)
 
     monkeypatch.setattr(StepFactors, "__init__", counted)
-    check_taylor_orders(pr, u)
+    check_taylor_orders(SecondOrderContext(pr, u))
     assert sum(ubar is u for ubar in at) == 1
     assert len(at) == 1 + len(EPS_LADDER)
 
 
 def test_duality_zero_cost_is_exactly_zero():
     pr = make_problem(b1=0.0, b2=0.0, tracking=False)
-    assert check_duality(pr, smooth_control(pr)) == 0.0
+    assert check_duality(SecondOrderContext(pr, smooth_control(pr))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,7 @@ def test_bilinear_route_matches_adjoint_route():
     h = random_control(pr, seed=1)
     k = random_control(pr, seed=2)
     a = SecondOrderContext(pr, u).form(h, k)
-    b = quadratic_form_bilinear_route(u, h, k, pr)
+    b = quadratic_form_bilinear_route(SecondOrderContext(pr, u), h, k)
     assert a == pytest.approx(b, rel=1e-11)
 
 
@@ -298,7 +301,7 @@ def test_bilinear_route_supports_final_tracking():
     pr = make_problem(b1=1.0, b2=0.5, steps=6, nodes=9)
     u = smooth_control(pr, amp=0.1)
     h = smooth_control(pr, amp=0.3)
-    exact = quadratic_form_bilinear_route(u, h, h, pr)
+    exact = quadratic_form_bilinear_route(SecondOrderContext(pr, u), h, h)
 
     from tumoropt import cost_eval
     def jval(s):
@@ -316,26 +319,28 @@ def test_bilinear_route_supports_final_tracking():
 
 def test_adjoint_residual_zero_cost():
     pr = make_problem(b1=0.0, b2=0.0, tracking=False)
-    rep = adjoint_continuous_residual(pr, smooth_control(pr))
-    assert rep.aggregate == 0.0
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    assert adjoint_continuous_residual(ctx).aggregate == 0.0
 
 
 def test_adjoint_residual_rejects_bad_arguments():
     pr = make_problem(b2=0.5)
     with pytest.raises(ValueError, match="b2"):
-        adjoint_continuous_residual(pr, smooth_control(pr))
+        adjoint_continuous_residual(SecondOrderContext(pr, smooth_control(pr)))
     pr = make_problem()
+    ctx = SecondOrderContext(pr, smooth_control(pr))
     with pytest.raises(ValueError, match="form"):
-        adjoint_continuous_residual(pr, smooth_control(pr), form="weak")
+        adjoint_continuous_residual(ctx, form="weak")
     with pytest.raises(ValueError, match="cut"):
-        adjoint_continuous_residual(pr, smooth_control(pr), cut=0.5)
+        adjoint_continuous_residual(ctx, cut=0.5)
     with pytest.raises(ValueError, match="window"):
-        adjoint_continuous_residual(pr, smooth_control(pr), cut=0.49)
+        adjoint_continuous_residual(ctx, cut=0.49)
 
 
 def test_adjoint_residual_window_selection():
     pr = make_problem(steps=8)
-    rep = adjoint_continuous_residual(pr, smooth_control(pr), cut=0.4)
+    rep = adjoint_continuous_residual(
+        SecondOrderContext(pr, smooth_control(pr)), cut=0.4)
     t_mid = 0.5 * (pr.tgrid.times[:-1] + pr.tgrid.times[1:])
     assert np.all(t_mid[rep.levels] >= 0.4 * pr.params.T)
     assert np.all(t_mid[rep.levels] <= 0.6 * pr.params.T)
@@ -343,9 +348,9 @@ def test_adjoint_residual_window_selection():
 
 def test_adjoint_residual_forms_agree_to_leading_order():
     pr = make_problem(steps=32)
-    u = smooth_control(pr)
-    primal = adjoint_continuous_residual(pr, u, form="primal")
-    elim = adjoint_continuous_residual(pr, u, form="eliminated")
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    primal = adjoint_continuous_residual(ctx, form="primal")
+    elim = adjoint_continuous_residual(ctx, form="eliminated")
     gap = abs(primal.aggregate - elim.aggregate)
     assert gap <= 0.1 * max(primal.aggregate, elim.aggregate)
 
@@ -356,13 +361,94 @@ def test_adjoint_residual_shrinks_under_refinement():
     aggregates = []
     pr, uc = base, u
     for _ in range(3):
-        aggregates.append(adjoint_continuous_residual(pr, uc).aggregate)
+        aggregates.append(
+            adjoint_continuous_residual(SecondOrderContext(pr, uc)).aggregate)
         fine = refine_problem(pr)
         uc = refine_control(uc, pr)
         pr = fine
     order = np.log2(aggregates[1] / aggregates[2])
     assert order >= THRESHOLDS["adjoint_residual_order"]
     assert aggregates[0] > aggregates[2]
+
+
+def _strong_form_by_level(context, form, cut=STRONG_FORM_CUT):
+    """The strong-form residual norms by the per-level loop it replaced."""
+    problem, ubar = context.problem, context.ubar
+    levels = _strong_form_levels(problem.tgrid, cut)
+    state, adj = context.state, context.adjoint
+    pr = problem.params
+    grid, dt, lap = problem.grid, problem.tgrid.dt, problem.grid.lap
+    target = problem.target_q()
+    eqs = np.zeros((3, levels.size))
+
+    def fields_at(k):
+        pv, dpm, hpu, f2 = problem.stepper.reaction_terms(
+            state.mu[k], state.phi[k], state.sigma[k], ubar.u1[k])
+        return {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k], "P": pv,
+                "dP": dpm, "dh_u": hpu, "f2": f2,
+                "mis": state.phi[k] - target[k]}
+
+    for i, k in enumerate(levels):
+        a, b = fields_at(k), fields_at(k + 1)
+
+        def avg(key):
+            return 0.5 * (a[key] + b[key])
+
+        dtp = (b["p"] - a["p"]) / dt
+        dtq = (b["q"] - a["q"]) / dt
+        dtr = (b["r"] - a["r"]) / dt
+        p_bar, q_bar, r_bar = avg("p"), avg("q"), avg("r")
+        react = 0.5 * (a["P"] * (a["p"] - a["r"]) + b["P"] * (b["p"] - b["r"]))
+        hu_p = 0.5 * (a["dh_u"] * a["p"] + b["dh_u"] * b["p"])
+        dpm = 0.5 * (a["dP"] * (a["p"] - a["r"]) + b["dP"] * (b["p"] - b["r"]))
+        f2q = 0.5 * (a["f2"] * a["q"] + b["f2"] * b["q"])
+        src = problem.cost.b1 * avg("mis")
+        if form == "primal":
+            res1 = (-dtp - pr.beta * dtq - lap @ q_bar + pr.chi * (lap @ r_bar)
+                    + f2q + hu_p - dpm + pr.chi * react - src)
+        else:
+            res1 = (-dtp - pr.beta * dtq - pr.chi * dtr - lap @ q_bar
+                    + f2q - pr.chi * pr.chi * q_bar + hu_p - dpm - src)
+        res2 = -pr.alpha * dtp - lap @ p_bar - q_bar + react
+        res3 = -dtr - lap @ r_bar - pr.chi * q_bar - react
+        eqs[:, i] = [norm(grid, res) for res in (res1, res2, res3)]
+    return levels, eqs, float(np.sqrt(dt * np.sum(eqs**2)))
+
+
+def _tracking_problem_2d():
+    grid = build_grid(2, [9, 7], [1.0, 0.8])
+    xy = grid.coordinates()
+    tgrid = TimeGrid(steps=8, t_final=0.4)
+    target = 0.3 * np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1] / 0.8)
+    return ControlProblem(
+        grid=grid, tgrid=tgrid,
+        params=ModelParams(alpha=1.0, beta=0.8, chi=0.3, T=0.4),
+        potential=logarithmic_potential(),
+        nonlin=make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape()),
+        cost=CostSpec(b0=1.0, b1=2.0, target_Q=np.tile(target, (9, 1))),
+        init=InitialData(mu0=0.05 * np.cos(np.pi * xy[:, 0]),
+                         phi0=0.2 * np.cos(np.pi * xy[:, 0]),
+                         sigma0=np.full(grid.n, 0.1)))
+
+
+@pytest.mark.parametrize("form", ["primal", "eliminated"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_adjoint_residual_matches_per_level_loop(dim, form):
+    if dim == 1:
+        pr = make_problem(steps=20, potential="logarithmic")
+        u = smooth_control(pr, amp=0.3)
+    else:
+        pr = _tracking_problem_2d()
+        u = random_control(pr, seed=5)
+    ctx = SecondOrderContext(pr, u)
+    rep = adjoint_continuous_residual(ctx, form=form)
+    levels, eqs, aggregate = _strong_form_by_level(ctx, form)
+    assert np.array_equal(rep.levels, levels)
+    assert rep.form == form
+    assert np.all(eqs > 0.0)
+    for got, want in zip((rep.eq1, rep.eq2, rep.eq3), eqs):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert rep.aggregate == pytest.approx(aggregate, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +487,31 @@ def test_run_verification_builds_one_stepper_per_problem(monkeypatch):
     monkeypatch.setattr(Stepper, "__init__", count_stepper)
     run_verification(pr, smooth_control(pr, amp=0.1), n_dirs=1, n_pairs=1)
     assert len(steppers) <= len(problems) <= 4
+
+
+def test_run_verification_solves_and_factors_once_at_ubar(monkeypatch):
+    import tumoropt.problem
+    pr = make_problem(nodes=9, steps=6)
+    u = smooth_control(pr, amp=0.1)
+    solves, lus = [], []
+    solve_state = tumoropt.problem.solve_state
+    lu = StepFactors.lu
+
+    def count_solve(problem, control):
+        solves.append((problem, control))
+        return solve_state(problem, control)
+
+    def count_lu(self, k):
+        if self.ubar is u and k not in self._lus:
+            lus.append(k)
+        return lu(self, k)
+
+    monkeypatch.setattr(tumoropt.problem, "solve_state", count_solve)
+    monkeypatch.setattr(StepFactors, "lu", count_lu)
+    run_verification(pr, u, n_dirs=1, n_pairs=1)
+    assert sum(p is pr and c is u for p, c in solves) == 1
+    # one factor pass: each step operator at ubar factored exactly once
+    assert sorted(lus) == list(range(1, pr.n_levels))
 
 
 def test_run_verification_skips_strong_form_with_final_tracking():
