@@ -1,9 +1,9 @@
 """Optimal control of a viscous Cahn-Hilliard tumor-growth model.
 
-Finite-difference state solver, switched linearized/bilinearized
-sensitivities, transpose-exact adjoint and gradient, projected gradient
-descent under box constraints, and second-order analysis on the critical
-cone, with a verification harness covering each identity.
+Finite-difference state solver, linearized/bilinearized sensitivities,
+transpose-exact adjoint and gradient, projected gradient descent under box
+constraints, and second-order analysis on the critical cone, with a
+verification harness covering each identity.
 """
 
 from .adjoint import AdjointTrajectory, solve_adjoint
@@ -23,7 +23,7 @@ from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
                        reduced_gradient, ssc_certificate, stationarity_measure,
                        strongly_active_sets)
 from .problem import ControlProblem, control_inner, control_norm, st_inner
-from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
+from .sensitivity import (LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
 from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,
                     solve_state)

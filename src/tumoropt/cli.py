@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         # the configuration (an obstacle potential without yosida_eps); the
         # resolved config is written only once the run got through, so a
         # config error leaves the directory empty for a rerun
-        code = runner(args, setup, out_dir, say)
+        code = runner(setup, out_dir, say)
         (out_dir / "resolved_config.yaml").write_text(
             yaml.safe_dump(setup.resolved, sort_keys=True))
         return code
@@ -159,7 +159,7 @@ def _snapshot_levels(setup: RunSetup) -> list[int]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_simulate(args, setup: RunSetup, out_dir: Path, say) -> int:
+def _run_simulate(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     state = problem.solve(setup.initial_control)
     for k in _snapshot_levels(setup):
@@ -179,7 +179,7 @@ def _run_simulate(args, setup: RunSetup, out_dir: Path, say) -> int:
     return EXIT_OK
 
 
-def _run_optimize(args, setup: RunSetup, out_dir: Path, say) -> int:
+def _run_optimize(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     result = projected_gradient(setup.initial_control, problem, setup.box,
                                 setup.pgd)
@@ -188,11 +188,10 @@ def _run_optimize(args, setup: RunSetup, out_dir: Path, say) -> int:
                           result.control.u1)
     _write_space_time_csv(out_dir / "control_u2.csv", grid, "u2",
                           result.control.u2)
-    if result.gradient is not None:
-        _write_space_time_csv(out_dir / "gradient_u1.csv", grid, "g1",
-                              result.gradient.grad1)
-        _write_space_time_csv(out_dir / "gradient_u2.csv", grid, "g2",
-                              result.gradient.grad2)
+    _write_space_time_csv(out_dir / "gradient_u1.csv", grid, "g1",
+                          result.gradient.grad1)
+    _write_space_time_csv(out_dir / "gradient_u2.csv", grid, "g2",
+                          result.gradient.grad2)
     _write_csv(out_dir / "history.csv",
                ["iteration", "cost", "stationarity", "step_size"],
                ([h["iteration"], h["cost"], h["stationarity"], h["step_size"]]
@@ -206,7 +205,7 @@ def _run_optimize(args, setup: RunSetup, out_dir: Path, say) -> int:
     return EXIT_OK
 
 
-def _run_verify(args, setup: RunSetup, out_dir: Path, say) -> int:
+def _run_verify(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     report = run_verification(problem, setup.initial_control,
                               seed=setup.ssc["seed"])
@@ -222,7 +221,7 @@ def _run_verify(args, setup: RunSetup, out_dir: Path, say) -> int:
     return EXIT_OK
 
 
-def _run_analyze(args, setup: RunSetup, out_dir: Path, say) -> int:
+def _run_analyze(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     ubar = setup.initial_control
     context = SecondOrderContext(problem, ubar)

@@ -245,7 +245,7 @@ class RunConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = yaml.safe_load(path.read_text()) or {}
+            raw = yaml.safe_load(path.read_bytes()) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}")
         return cls.from_dict(raw, base_dir=path.parent, overrides=overrides)

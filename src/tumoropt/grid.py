@@ -8,6 +8,7 @@ inner product, conservative, and exact on constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ class Grid:
     weights: np.ndarray
     lap: sps.csr_matrix = field(repr=False)
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return int(np.prod(self.shape))
 

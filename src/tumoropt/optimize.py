@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .grid import inner
 from .model import BoxConstraints, Control, project_admissible
 from .problem import (ControlProblem, control_inner, control_norm, st_inner)
-from .sensitivity import (LambdaFlags, LinearizedTrajectory, StepFactors,
+from .sensitivity import (LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
 from .state import StateTrajectory
 
@@ -99,8 +99,8 @@ class PgdResult:
     stationarity: float
     reason: str
     n_iter: int
+    gradient: GradientField
     history: list[dict] = field(default_factory=list)
-    gradient: GradientField | None = None
 
     @property
     def converged(self) -> bool:
@@ -263,7 +263,7 @@ class SecondOrderContext:
                              grad2=b0 * self.ubar.u2 + d2)
 
     def linearize(self, h: Control) -> LinearizedTrajectory:
-        return solve_generalized_linear(self.factors, LambdaFlags(), h=h)
+        return solve_generalized_linear(self.factors, h)
 
     def bilinearize(self, lin_h: LinearizedTrajectory,
                     lin_k: LinearizedTrajectory, h: Control,

@@ -9,11 +9,7 @@ solves R(x; x_prev, u) = 0 with
 
 where m = sigma + chi (1 - phi) - mu.  The Jacobian of R at a state snapshot
 doubles as the step operator of the linearized, bilinearized and adjoint
-systems.  A switch lam1 multiplies exactly the reaction and coupling entries
-(P, P', F'', h' u1, and the chi sigma coupling in the second equation), while
-the transport and diffusion structure stays; this reproduces the generalized
-linear problem whose lam-flag specializations are the linearized system, the
-pure-source system, and the initial-value system.
+systems.
 
 All inner products are trapezoid-weighted, and every Jacobian block is
 self-adjoint with respect to those weights.  The adjoint step can therefore
@@ -71,25 +67,26 @@ class Stepper:
 
         eye = sps.identity(n, format="csr")
         lap = grid.lap
-        # lam1-independent structure of the Jacobian
-        self._K = sps.bmat([
+        # state-independent transport and diffusion part of the Jacobian
+        base = sps.bmat([
             [self.s_a * eye - lap, self.s * eye, None],
             [-eye, self.s_b * eye - lap, None],
             [None, self.chi * lap, self.s * eye - lap],
         ], format="csc")
-        # Fixed CSC pattern of the full Jacobian: _K plus the reaction
+        # Fixed CSC pattern of the full Jacobian: `base` plus the reaction
         # diagonals of the blocks in _REACTION_BLOCKS, duplicates summed and
-        # indices sorted.  `_base_data` holds _K's values on that pattern and
-        # `_diag_slots` maps each diagonal entry to its slot in the data array.
+        # indices sorted.  `_base_data` holds base's values on that pattern
+        # and `_diag_slots` maps each diagonal entry to its slot in the data
+        # array.
         size = 3 * n
         node = np.arange(n)
         diag_rows = np.concatenate([i * n + node for i, _ in _REACTION_BLOCKS])
         diag_cols = np.concatenate([j * n + node for _, j in _REACTION_BLOCKS])
-        k_coo = self._K.tocoo()
+        base_coo = base.tocoo()
         full = sps.csc_matrix(
-            (np.concatenate([k_coo.data, np.zeros(diag_rows.size)]),
-             (np.concatenate([k_coo.row, diag_rows]),
-              np.concatenate([k_coo.col, diag_cols]))), shape=(size, size))
+            (np.concatenate([base_coo.data, np.zeros(diag_rows.size)]),
+             (np.concatenate([base_coo.row, diag_rows]),
+              np.concatenate([base_coo.col, diag_cols]))), shape=(size, size))
         full.sum_duplicates()
         self._base_data = full.data
         # (column, row) keys of the pattern, ascending in CSC order
@@ -188,18 +185,15 @@ class Stepper:
               + pv * m - u2k)
         return np.concatenate([r1, r2, r3])
 
-    def assemble(self, mu, phi, sigma, u1k, lam1: float = 1.0) -> sps.csc_matrix:
-        """Jacobian of the step residual with the reaction entries scaled by lam1.
+    def assemble(self, mu, phi, sigma, u1k) -> sps.csc_matrix:
+        """Jacobian of the step residual at a state snapshot.
 
-        For lam1 != 0 the values are written into the sparsity pattern fixed
-        at construction (the pattern of _K plus all reaction diagonals).
-        When no entry vanishes the result uses that pattern as is, and its
-        index arrays are shared between calls and read-only; entries that
-        vanish are dropped from a private copy of the pattern.  For
-        lam1 == 0 the result is a copy of the reaction-free operator.
+        The values are written into the sparsity pattern fixed at
+        construction (the transport and diffusion part plus all reaction
+        diagonals).  When no entry vanishes the result uses that pattern as
+        is, and its index arrays are shared between calls and read-only;
+        entries that vanish are dropped from a private copy of the pattern.
         """
-        if lam1 == 0.0:
-            return self._K.copy()
         pv, dpm, hpu, f2 = self.reaction_terms(mu, phi, sigma, u1k)
         # one value vector per block of _REACTION_BLOCKS, in that order
         vals = np.concatenate([
@@ -208,7 +202,7 @@ class Stepper:
             -pv, dpm - self.chi * pv, pv,
         ])
         data = self._base_data.copy()
-        data[self._diag_slots] += lam1 * vals
+        data[self._diag_slots] += vals
         size = 3 * self.n
         if data.all():
             return sps.csc_matrix((data, self._indices, self._indptr),
@@ -220,9 +214,9 @@ class Stepper:
         jac.eliminate_zeros()
         return jac
 
-    def factorize(self, mu, phi, sigma, u1k, lam1: float = 1.0):
+    def factorize(self, mu, phi, sigma, u1k):
         """Sparse LU of `assemble(...)`; SolverError if it cannot be formed."""
-        jac = self.assemble(mu, phi, sigma, u1k, lam1)
+        jac = self.assemble(mu, phi, sigma, u1k)
         if not np.all(np.isfinite(jac.data)):
             raise SolverError("non-finite Jacobian entries")
         try:

@@ -308,6 +308,24 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("text", [
+    b"grid: {shape: [9]}\ntime: {steps: 4, T: 0.5}  # \xff\n",
+    b"grid: {shape: [9]\ntime: {steps: 4, T: 0.5}\n",
+    b"grid:\n\tshape: [9]\ntime: {steps: 4, T: 0.5}\n",
+], ids=["non-utf8", "unclosed-flow-mapping", "tab-indent"])
+def test_malformed_yaml_file_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: cannot parse {cfg}")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_output_collision_needs_force(tmp_path):
     cfg = _write(tmp_path, ZERO)
     out = tmp_path / "out"
@@ -377,6 +395,10 @@ def _fuzz_table(seed=20201):
     for key, _ in FUZZ_FIELDS:
         rows.extend((key, kind, None) for kind in
                     ("missing-csv", "csv-row-count", "csv-non-numeric"))
+    # appended last, so the rows above keep their ids and command draws
+    for key, _ in FUZZ_FIELDS:
+        rows.extend((key, kind, None) for kind in
+                    ("csv-non-finite", "csv-duplicate-index"))
     return [(f"{key}-{kind}", str(rng.choice(FUZZ_COMMANDS)), key, kind, value)
             for key, kind, value in rows]
 
@@ -394,6 +416,10 @@ def _fuzz_csv(tmp_path, key, kind):
         cells = [str(i), repr(i / 8.0)] + ["0.1"] * n_values
         if kind == "csv-non-numeric" and i == 4:
             cells[-1] = "zero"
+        if kind == "csv-non-finite" and i in (2, 6):
+            cells[-1] = "nan" if i == 2 else "inf"
+        if kind == "csv-duplicate-index" and i == 5:
+            cells[0] = "4"  # node 4 twice, node 5 missing
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -1,10 +1,9 @@
-"""Switched linearized system and the bilinearized second derivative."""
+"""Linearized system and the bilinearized second derivative."""
 
 import numpy as np
 import pytest
 
-from tumoropt import (Control, InitialData, LambdaFlags, SolverError,
-                      StepFactors, Stepper, solve_bilinearized,
+from tumoropt import (Control, SolverError, StepFactors, solve_bilinearized,
                       solve_generalized_linear)
 
 from _support import make_problem, random_control, smooth_control
@@ -15,65 +14,16 @@ def _state_err(a, b):
                np.abs(a.theta - b.theta).max())
 
 
-def test_flag_validation():
-    with pytest.raises(ValueError):
-        LambdaFlags(l1=2)
-    with pytest.raises(ValueError):
-        LambdaFlags(l2=-1)
-
-
-def test_control_sources_off_gives_zero():
-    pr = make_problem()
-    u = smooth_control(pr)
-    h = random_control(pr, seed=1)
-    out = solve_generalized_linear(StepFactors(pr, pr.solve(u), u),
-                                   LambdaFlags(1, 0, 0, 0), h=h)
-    assert np.all(out.eta == 0.0)
-    assert np.all(out.xi == 0.0)
-    assert np.all(out.theta == 0.0)
-
-
-def test_initial_data_flag_is_bitwise(rng):
-    pr = make_problem()
-    u = smooth_control(pr)
-    factors = StepFactors(pr, pr.solve(u), u)
-    n = pr.grid.n
-    init = InitialData(rng.standard_normal(n), rng.standard_normal(n),
-                       rng.standard_normal(n))
-    out = solve_generalized_linear(factors, LambdaFlags(1, 0, 0, 1),
-                                   init=init)
-    assert np.array_equal(out.eta[0], init.mu0)
-    assert np.array_equal(out.xi[0], init.phi0)
-    assert np.array_equal(out.theta[0], init.sigma0)
-    assert np.abs(out.xi[-1]).max() > 0.0  # the data propagates
-    off = solve_generalized_linear(factors, LambdaFlags(1, 0, 0, 0),
-                                   init=init)
-    assert _state_err(off, off) == 0.0 and np.all(off.xi == 0.0)
-
-
-def test_general_sources_flag(rng):
-    pr = make_problem()
-    u = smooth_control(pr)
-    factors = StepFactors(pr, pr.solve(u), u)
-    shape = (pr.n_levels, pr.grid.n)
-    f = tuple(rng.standard_normal(shape) for _ in range(3))
-    on = solve_generalized_linear(factors, LambdaFlags(1, 0, 1, 0), f=f)
-    assert np.abs(on.xi).max() > 0.0
-    off = solve_generalized_linear(factors, LambdaFlags(1, 0, 0, 0), f=f)
-    assert np.all(off.eta == 0.0) and np.all(off.theta == 0.0)
-
-
 def test_superposition_of_directions():
     pr = make_problem()
     u = smooth_control(pr)
-    flags = LambdaFlags()
     factors = StepFactors(pr, pr.solve(u), u)
     h1 = random_control(pr, seed=2)
     h2 = random_control(pr, seed=3)
     both = Control(h1.u1 + h2.u1, h1.u2 + h2.u2)
-    a = solve_generalized_linear(factors, flags, h=h1)
-    b = solve_generalized_linear(factors, flags, h=h2)
-    c = solve_generalized_linear(factors, flags, h=both)
+    a = solve_generalized_linear(factors, h1)
+    b = solve_generalized_linear(factors, h2)
+    c = solve_generalized_linear(factors, both)
     gap = max(np.abs(c.eta - a.eta - b.eta).max(),
               np.abs(c.xi - a.xi - b.xi).max(),
               np.abs(c.theta - a.theta - b.theta).max())
@@ -85,14 +35,36 @@ def test_factor_reuse_matches_fresh_build():
     u = smooth_control(pr)
     state = pr.solve(u)
     h = random_control(pr, seed=4)
-    fresh = solve_generalized_linear(StepFactors(pr, state, u), LambdaFlags(),
-                                     h=h)
+    fresh = solve_generalized_linear(StepFactors(pr, state, u), h)
     factors = StepFactors(pr, state, u)
     # a first march with another direction fills the cache
-    solve_generalized_linear(factors, LambdaFlags(), h=random_control(pr))
-    reused = solve_generalized_linear(factors, LambdaFlags(), h=h)
+    solve_generalized_linear(factors, random_control(pr))
+    reused = solve_generalized_linear(factors, h)
     assert np.array_equal(fresh.xi, reused.xi)
     assert np.array_equal(fresh.eta, reused.eta)
+
+
+def test_march_starts_at_zero_and_skips_source_free_levels(monkeypatch):
+    # a direction that vanishes before level 3 leaves levels 0-2 at zero and
+    # factors no step Jacobian there
+    pr = make_problem(steps=6)
+    u = smooth_control(pr)
+    factors = StepFactors(pr, pr.solve(u), u)
+    h = random_control(pr, seed=8)
+    h.u1[:3] = 0.0
+    h.u2[:3] = 0.0
+    requested, lu = [], StepFactors.lu
+
+    def count_lu(self, k):
+        requested.append(k)
+        return lu(self, k)
+
+    monkeypatch.setattr(StepFactors, "lu", count_lu)
+    out = solve_generalized_linear(factors, h)
+    for field in (out.eta, out.xi, out.theta):
+        assert np.all(field[:3] == 0.0)
+    assert np.all(np.abs(out.xi[3:]).max(axis=1) > 0.0)
+    assert requested == [3, 4, 5, 6]
 
 
 def test_factor_failure_names_the_step():
@@ -104,55 +76,13 @@ def test_factor_failure_names_the_step():
         StepFactors(pr, state, u).lu(3)
 
 
-def test_reaction_off_march_ignores_linearization_point(rng):
-    # with l1 = 0 the step operator has no state-dependent entries
-    pr = make_problem()
-    ua, ub = smooth_control(pr), random_control(pr, seed=9, amp=0.3)
-    shape = (pr.n_levels, pr.grid.n)
-    f = tuple(rng.standard_normal(shape) for _ in range(3))
-    flags = LambdaFlags(1 - 1, 0, 1, 0)
-    out_a = solve_generalized_linear(StepFactors(pr, pr.solve(ua), ua), flags,
-                                     f=f)
-    out_b = solve_generalized_linear(StepFactors(pr, pr.solve(ub), ub), flags,
-                                     f=f)
-    assert np.array_equal(out_a.xi, out_b.xi)
-    assert np.array_equal(out_a.eta, out_b.eta)
-    assert np.array_equal(out_a.theta, out_b.theta)
-
-
-def test_reaction_off_march_factors_once(monkeypatch):
-    # with l1 = 0 one reaction-free LU serves every step of the march
-    pr = make_problem(steps=6)
-    u = smooth_control(pr)
-    factors = StepFactors(pr, pr.solve(u), u)
-    factorized, requested = [], []
-    factorize, lu = Stepper.factorize, StepFactors.lu
-
-    def count_factorize(self, *args, **kwargs):
-        factorized.append(kwargs.get("lam1"))
-        return factorize(self, *args, **kwargs)
-
-    def count_lu(self, k):
-        requested.append(k)
-        return lu(self, k)
-
-    monkeypatch.setattr(Stepper, "factorize", count_factorize)
-    monkeypatch.setattr(StepFactors, "lu", count_lu)
-    out = solve_generalized_linear(factors, LambdaFlags(0, 1, 0, 0),
-                                   h=random_control(pr, seed=8))
-    assert np.all(np.abs(out.xi[1:]).max(axis=1) > 0.0)  # every step solves
-    assert factorized == [0.0]
-    assert requested == []
-
-
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])
 def test_linearization_is_first_derivative(potential):
     pr = make_problem(potential=potential)
     u = smooth_control(pr, amp=0.1)
     state = pr.solve(u)
     h = smooth_control(pr, amp=0.05)
-    lin = solve_generalized_linear(StepFactors(pr, state, u), LambdaFlags(),
-                                   h=h)
+    lin = solve_generalized_linear(StepFactors(pr, state, u), h)
 
     def remainder(eps):
         pert = pr.solve(Control(u.u1 + eps * h.u1, u.u2 + eps * h.u2))
@@ -170,8 +100,8 @@ def test_bilinearized_symmetry():
     factors = StepFactors(pr, pr.solve(u), u)
     h = random_control(pr, seed=5)
     k = random_control(pr, seed=6)
-    lh = solve_generalized_linear(factors, LambdaFlags(), h=h)
-    lk = solve_generalized_linear(factors, LambdaFlags(), h=k)
+    lh = solve_generalized_linear(factors, h)
+    lk = solve_generalized_linear(factors, k)
     hk = solve_bilinearized(factors, lh, lk, h, k)
     kh = solve_bilinearized(factors, lk, lh, k, h)
     # sources are symmetric up to re-association of triple products
@@ -184,13 +114,12 @@ def test_bilinearized_is_derivative_increment():
     u = smooth_control(pr, amp=0.1)
     factors = StepFactors(pr, pr.solve(u), u)
     h = smooth_control(pr, amp=0.05)
-    lin = solve_generalized_linear(factors, LambdaFlags(), h=h)
+    lin = solve_generalized_linear(factors, h)
     bil = solve_bilinearized(factors, lin, lin, h, h)
 
     def remainder(eps):
         up = Control(u.u1 + eps * h.u1, u.u2 + eps * h.u2)
-        lp = solve_generalized_linear(StepFactors(pr, pr.solve(up), up),
-                                      LambdaFlags(), h=h)
+        lp = solve_generalized_linear(StepFactors(pr, pr.solve(up), up), h)
         return max(np.abs(lp.eta - lin.eta - eps * bil.eta).max(),
                    np.abs(lp.xi - lin.xi - eps * bil.xi).max(),
                    np.abs(lp.theta - lin.theta - eps * bil.theta).max())
@@ -205,7 +134,7 @@ def test_second_order_taylor_expansion():
     state = pr.solve(u)
     h = smooth_control(pr, amp=0.05)
     factors = StepFactors(pr, state, u)
-    lin = solve_generalized_linear(factors, LambdaFlags(), h=h)
+    lin = solve_generalized_linear(factors, h)
     bil = solve_bilinearized(factors, lin, lin, h, h)
 
     def remainder(eps):
