@@ -101,15 +101,13 @@ def _prepare_out_dir(out_dir: Path, force: bool) -> None:
 # ---------------------------------------------------------------------------
 # formatting helpers
 
-def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
+    """One line per row, formatted by `fmt` in one % operation.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    Integer columns use %d and real ones %.17g, which round-trips a float64.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    lines.extend(fmt % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -119,11 +117,11 @@ def _coord_names(grid: Grid) -> list[str]:
 
 def _write_fields_csv(path: Path, grid: Grid, fields: dict) -> None:
     """One row per node: index, coordinates, one column per named field."""
-    coords = grid.coordinates()
     header = ["index", *_coord_names(grid), *fields]
-    rows = ([i, *coords[i], *(arr[i] for arr in fields.values())]
-            for i in range(grid.n))
-    _write_csv(path, header, rows)
+    # integer fields (0/1 active sets) print alike under %d and %.17g
+    table = np.column_stack([grid.coordinates(), *fields.values()]).tolist()
+    _write_csv(path, header, "%d" + ",%.17g" * (len(header) - 1),
+               ((i, *row) for i, row in enumerate(table)))
 
 
 def _write_space_time_csv(path: Path, grid: Grid, name: str,
@@ -170,6 +168,7 @@ def _run_simulate(setup: RunSetup, out_dir: Path, say) -> int:
     _write_csv(out_dir / "diagnostics.csv",
                ["level", "time", "newton_iters", "factorizations",
                 "mass_residual", "energy", "phi_min", "phi_max"],
+               "%d,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g",
                ([k, state.times[k], int(state.newton_iters[k]),
                  int(state.factorizations[k]), state.mass_residual[k],
                  state.energy[k], state.phi_min[k], state.phi_max[k]]
@@ -194,6 +193,7 @@ def _run_optimize(setup: RunSetup, out_dir: Path, say) -> int:
                           result.gradient.grad2)
     _write_csv(out_dir / "history.csv",
                ["iteration", "cost", "stationarity", "step_size"],
+               "%d,%.17g,%.17g,%.17g",
                ([h["iteration"], h["cost"], h["stationarity"], h["step_size"]]
                 for h in result.history))
     _write_report(out_dir / "optimize_report.json",

@@ -18,8 +18,10 @@ from .model import Control
 from .problem import ControlProblem
 from .state import StateTrajectory
 
-# factorizations along a 200-step 1-D trajectory are small; 2-D ones are not
-_CACHE_MAX_DOF = 1500
+# Bytes of step factors one StepFactors keeps, counted as 12 bytes (a float64
+# value and an int32 index) per nonzero of L + U.  The 30 steps of a 33x33
+# rectangle take about 78 MB; all 200 steps of a 129-node line about 8 MB.
+_CACHE_BYTES = 128 * 2**20
 
 
 @dataclass(eq=False)
@@ -37,8 +39,9 @@ class StepFactors:
     One instance is the linearization point (problem, state S(ubar), ubar) of
     every first- and second-order solve: the linearized and bilinearized
     marches (direct solves) and the adjoint march (transpose solves) share
-    its single assembly pass per step.  Factors are cached when the stacked
-    dimension is small, otherwise rebuilt on demand.
+    its single assembly pass per step.  Each factor is kept while the bytes
+    of all kept factors stay within `_CACHE_BYTES`; a factor past the budget
+    is formed again on each request.
     """
 
     def __init__(self, problem: ControlProblem, state: StateTrajectory,
@@ -46,8 +49,8 @@ class StepFactors:
         self.problem = problem
         self.state = state
         self.ubar = ubar
-        self._cache_all = 3 * problem.grid.n <= _CACHE_MAX_DOF
         self._lus: dict[int, object] = {}
+        self._cached_bytes = 0
 
     def lu(self, k: int):
         hit = self._lus.get(k)
@@ -59,8 +62,11 @@ class StepFactors:
                 self.ubar.u1[k])
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
-        if self._cache_all:
+        # SuperLU's own count: `fac.L` and `fac.U` would build CSC copies
+        size = 12 * fac.nnz
+        if self._cached_bytes + size <= _CACHE_BYTES:
             self._lus[k] = fac
+            self._cached_bytes += size
         return fac
 
 

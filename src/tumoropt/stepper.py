@@ -99,6 +99,8 @@ class Stepper:
         self._indices.setflags(write=False)
         self._indptr.setflags(write=False)
         self.w3 = np.concatenate([grid.weights] * 3)
+        # SuperLU's column ordering, fixed by the dimension (see `factorize`)
+        self._permc_spec = "COLAMD" if grid.dim == 1 else "MMD_AT_PLUS_A"
         # scale of residual entries, used for convergence thresholds
         row_abs = np.abs(lap).sum(axis=1).max()
         self.coef_scale = float((params.alpha + params.beta + 1.0) / dt
@@ -215,12 +217,21 @@ class Stepper:
         return jac
 
     def factorize(self, mu, phi, sigma, u1k):
-        """Sparse LU of `assemble(...)`; SolverError if it cannot be formed."""
+        """Sparse LU of `assemble(...)`; SolverError if it cannot be formed.
+
+        The column ordering depends on the dimension.  A 1-D Jacobian is a
+        narrow band, and SuperLU's default COLAMD order keeps it so: its
+        solves run about twice as fast as under minimum degree on A^T + A.
+        The 2-D Jacobian is structurally symmetric, and minimum degree on
+        A^T + A leaves far less fill than COLAMD (204k against 354k nonzeros
+        in L + U on a 33x33 grid), so both its factor and its solves are
+        faster.
+        """
         jac = self.assemble(mu, phi, sigma, u1k)
         if not np.all(np.isfinite(jac.data)):
             raise SolverError("non-finite Jacobian entries")
         try:
-            return splu(jac)
+            return splu(jac, permc_spec=self._permc_spec)
         except RuntimeError as exc:
             raise SolverError(f"sparse LU failed: {exc}") from None
 

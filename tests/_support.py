@@ -14,15 +14,21 @@ from tumoropt.state import SolverOptions
 
 def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
                  alpha=1.0, beta=0.8, chi=0.4, b0=1.0, b1=2.0, b2=0.0,
-                 coupling="full", tracking=True, yosida_eps=None,
+                 coupling="full", tracking=True, yosida_eps=None, ny=None,
                  **solver_kwargs) -> ControlProblem:
     """1-D problem small enough for exhaustive checks.
+
+    With `ny` set, the same data on the unit square with `nodes` x `ny`
+    nodes: every field depends on x alone.
 
     coupling="full" uses a Gaussian proliferation bump and the smooth ramp;
     coupling="none" zeroes both shapes and switches to a quadratic potential,
     which makes the reduced cost exactly quadratic in the control.
     """
-    grid = build_grid(1, [nodes], [1.0])
+    if ny is None:
+        grid = build_grid(1, [nodes], [1.0])
+    else:
+        grid = build_grid(2, [nodes, ny], [1.0, 1.0])
     tgrid = TimeGrid(steps=steps, t_final=t_final)
     params = ModelParams(alpha=alpha, beta=beta, chi=chi, T=t_final)
     kinds = {"regular": regular_potential, "logarithmic": logarithmic_potential}
@@ -42,7 +48,7 @@ def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
                     target_Omega=target_om)
     init = InitialData(mu0=0.05 * np.cos(np.pi * x),
                        phi0=0.2 * np.cos(np.pi * x),
-                       sigma0=np.full(nodes, 0.1))
+                       sigma0=np.full(grid.n, 0.1))
     options = SolverOptions(yosida_eps=yosida_eps, **solver_kwargs)
     return ControlProblem(grid=grid, tgrid=tgrid, params=params,
                           potential=pot, nonlin=nonlin, cost=cost, init=init,

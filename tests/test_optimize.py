@@ -1,6 +1,7 @@
 """Reduced cost, gradient, projected descent, and curvature analysis."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       default_tau, dense_hessian, projected_gradient,
                       reduced_gradient, ssc_certificate,
                       stationarity_measure, strongly_active_sets,
-                      solve_bilinearized, unbounded_box, zero_control)
+                      solve_bilinearized, StepFactors, unbounded_box,
+                      zero_control)
 from tumoropt.problem import control_inner, st_inner
 from tumoropt.verify import check_gradient_fd
 
@@ -75,6 +77,51 @@ def test_gradient_is_plain_control_without_tracking():
     assert np.array_equal(grad.grad1, 1.7 * u.u1)
     assert np.array_equal(grad.grad2, 1.7 * u.u2)
     assert np.all(grad.d1 == 0.0) and np.all(grad.d2 == 0.0)
+
+
+def test_reduced_gradient_releases_its_step_factors(monkeypatch):
+    # PGD calls it once per iteration; a factor set kept alive would pile up
+    refs, init = [], StepFactors.__init__
+
+    def track(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(StepFactors, "__init__", track)
+    pr = make_problem()
+    reduced_gradient(smooth_control(pr), pr)
+    assert len(refs) == 1
+    assert refs[0]() is None
+
+
+@pytest.mark.parametrize("potential", ["regular", "logarithmic"])
+def test_extruded_2d_problem_reproduces_1d_row_by_row(potential):
+    # on data that do not vary with y, every y-row of the 2-D solution is the
+    # 1-D one: the Kronecker Laplacian, the product weights and the 2-D LUs
+    # against the 1-D stack
+    nx, ny = 17, 5
+    pr1 = make_problem(nodes=nx, steps=16, potential=potential)
+    pr2 = make_problem(nodes=nx, steps=16, potential=potential, ny=ny)
+
+    def extrude(c):
+        return Control(np.repeat(c.u1, ny, axis=1), np.repeat(c.u2, ny, axis=1))
+
+    def rows_err(a, b):
+        gap = np.abs(b.reshape(pr1.n_levels, nx, ny) - a[:, :, None]).max()
+        return gap / np.abs(a).max()
+
+    u = smooth_control(pr1, amp=0.1)
+    h = random_control(pr1, seed=3, amp=0.05)
+    ctx1 = SecondOrderContext(pr1, u)
+    ctx2 = SecondOrderContext(pr2, extrude(u))
+    for name in ("mu", "phi", "sigma"):
+        assert rows_err(getattr(ctx1.state, name),
+                        getattr(ctx2.state, name)) < 1e-14
+    for name in ("grad1", "grad2"):
+        assert rows_err(getattr(ctx1.gradient, name),
+                        getattr(ctx2.gradient, name)) < 1e-14
+    form1, form2 = ctx1.form(h, h), ctx2.form(extrude(h), extrude(h))
+    assert abs(form2 - form1) <= 2e-14 * abs(form1)
 
 
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from tumoropt import (Control, SolverError, StepFactors, solve_bilinearized,
-                      solve_generalized_linear)
+import tumoropt.sensitivity as sensitivity_module
+from tumoropt import (Control, SolverError, StepFactors, solve_adjoint,
+                      solve_bilinearized, solve_generalized_linear)
+from tumoropt.stepper import Stepper
 
 from _support import make_problem, random_control, smooth_control
 
@@ -65,6 +67,52 @@ def test_march_starts_at_zero_and_skips_source_free_levels(monkeypatch):
         assert np.all(field[:3] == 0.0)
     assert np.all(np.abs(out.xi[3:]).max(axis=1) > 0.0)
     assert requested == [3, 4, 5, 6]
+
+
+def _count_factorize(monkeypatch):
+    """A list that gains one entry per `Stepper.factorize` call."""
+    calls, factorize = [], Stepper.factorize
+
+    def count(self, *args):
+        calls.append(None)
+        return factorize(self, *args)
+
+    monkeypatch.setattr(Stepper, "factorize", count)
+    return calls
+
+
+def test_2d_factors_are_cached(monkeypatch):
+    # 3n = 1587 unknowns per step: 2-D factors fit the byte budget too
+    pr = make_problem(nodes=23, ny=23, steps=4)
+    u = smooth_control(pr)
+    factors = StepFactors(pr, pr.solve(u), u)
+    calls = _count_factorize(monkeypatch)
+    solve_generalized_linear(factors, random_control(pr, seed=1))
+    solve_generalized_linear(factors, random_control(pr, seed=2))
+    solve_adjoint(factors)
+    assert len(calls) == pr.tgrid.steps
+    assert sorted(factors._lus) == list(range(1, pr.n_levels))
+
+
+def test_factors_past_the_byte_budget_are_formed_again(monkeypatch):
+    pr = make_problem(steps=6)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    h = random_control(pr, seed=9)
+    full = StepFactors(pr, state, u)
+    ref = solve_generalized_linear(full, h)
+    # room for exactly the first two steps
+    monkeypatch.setattr(sensitivity_module, "_CACHE_BYTES",
+                        12 * (full.lu(1).nnz + full.lu(2).nnz))
+    factors = StepFactors(pr, state, u)
+    calls = _count_factorize(monkeypatch)
+    first = solve_generalized_linear(factors, h)
+    second = solve_generalized_linear(factors, h)
+    assert sorted(factors._lus) == [1, 2]
+    assert len(calls) == 2 + 2 * (pr.tgrid.steps - 2)
+    for out in (first, second):
+        for field in ("eta", "xi", "theta"):
+            assert getattr(out, field).tobytes() == getattr(ref, field).tobytes()
 
 
 def test_factor_failure_names_the_step():

@@ -114,13 +114,42 @@ def test_factorize_rejects_non_finite_jacobian():
 
 
 def test_factorize_turns_lu_failure_into_solver_error(monkeypatch):
-    def singular(_matrix):
+    def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(stepper_module, "splu", singular)
     st = _stepper("regular", 1, "full")
     with pytest.raises(SolverError, match="exactly singular"):
         st.factorize(*_state(st, seed=0))
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_factorize_1d_is_plain_splu(potential):
+    # 1-D keeps SuperLU's default order, so its factors are bitwise unchanged
+    st = _stepper(potential, 1, "full")
+    state = _state(st, seed=4)
+    lu, ref = st.factorize(*state), splu(st.assemble(*state))
+    assert lu.nnz == ref.nnz
+    assert np.array_equal(lu.perm_c, ref.perm_c)
+    assert np.array_equal(lu.perm_r, ref.perm_r)
+    rhs = np.random.default_rng(5).standard_normal(3 * st.n)
+    for trans in ("N", "T"):
+        assert (lu.solve(rhs, trans=trans).tobytes()
+                == ref.solve(rhs, trans=trans).tobytes())
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_factorize_2d_solves_match_colamd_lu(potential):
+    # the minimum-degree order moves 2-D solves at round-off only
+    st = _stepper(potential, 2, "full")
+    state = _state(st, seed=6)
+    jac = st.assemble(*state)
+    lu, ref = st.factorize(*state), splu(jac, permc_spec="COLAMD")
+    assert lu.nnz < ref.nnz
+    rhs = np.random.default_rng(7).standard_normal(3 * st.n)
+    for trans in ("N", "T"):
+        x, x_ref = lu.solve(rhs, trans=trans), ref.solve(rhs, trans=trans)
+        assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
 
 
 def _reference_source(st: Stepper, mu, phi, sigma, u1k, dh, dk, h1, k1):
