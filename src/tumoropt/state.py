@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SeparationViolation, SolverError
-from .grid import inner
 from .model import Control
 from .stepper import Stepper
 
@@ -158,7 +157,8 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     Raises
     ------
     SolverError
-        If a Newton solve stalls or diverges (reduce dt or soften data).
+        If a Newton solve stalls or diverges (reduce dt or soften data), or
+        the free energy grows past `energy_blowup_factor` x max(|E_0|, 1).
     SeparationViolation
         If initial data sit outside the potential's admissible interval.
     """
@@ -176,35 +176,62 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     sigma = np.empty((n_levels, n))
     iters = np.zeros(n_levels, dtype=int)
     lus = np.zeros(n_levels, dtype=int)
-    mass_rel = np.zeros(n_levels)
-    energy = np.empty(n_levels)
     mu[0], phi[0], sigma[0] = init.mu0, init.phi0, init.sigma0
 
-    x = init.stacked()
-    energy[0] = _energy_value(stepper, x)
-    e_limit = opts.energy_blowup_factor * max(abs(energy[0]), 1.0)
-    mass_prev = _total_mass(stepper, x)
+    x = x_prev = init.stacked()
+    try:
+        for k in range(1, n_levels):
+            # linear extrapolation of the last two levels predicts the step
+            guess = None if k == 1 else 2.0 * x - x_prev
+            x_prev = x
+            x, iters[k], lus[k] = _newton_step(
+                stepper, x_prev, control.u1[k], control.u2[k], opts, k,
+                start=guess)
+            mu[k], phi[k], sigma[k] = stepper.split(x)
+    except SolverError:
+        # an energy blow-up on a level already marched is the earlier failure
+        _check_energy(_step_diagnostics(stepper, mu[:k], phi[:k], sigma[:k],
+                                        control)[0], opts)
+        raise
 
-    x_prev = x
-    for k in range(1, n_levels):
-        # linear extrapolation of the last two levels predicts the step
-        guess = None if k == 1 else 2.0 * x - x_prev
-        x_prev = x
-        u1k, u2k = control.u1[k], control.u2[k]
-        x, iters[k], lus[k] = _newton_step(stepper, x_prev, u1k, u2k, opts, k,
-                                           start=guess)
-        mu[k], phi[k], sigma[k] = stepper.split(x)
-        mass_rel[k], mass_prev = _mass_defect(stepper, mass_prev, x, u1k, u2k)
-        energy[k] = _energy_value(stepper, x)
-        if abs(energy[k]) > e_limit:
-            raise SolverError(
-                f"energy grew past {opts.energy_blowup_factor:g} x initial "
-                f"at step {k} (E = {energy[k]:.3e})")
-
+    energy, mass_rel = _step_diagnostics(stepper, mu, phi, sigma, control)
+    _check_energy(energy, opts)
     return StateTrajectory(
         mu=mu, phi=phi, sigma=sigma, times=tgrid.times,
         newton_iters=iters, factorizations=lus, mass_residual=mass_rel,
         energy=energy, phi_min=phi.min(axis=1), phi_max=phi.max(axis=1))
+
+
+def _step_diagnostics(stepper: Stepper, mu: np.ndarray, phi: np.ndarray,
+                      sigma: np.ndarray, control: Control
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Free energy of every level and relative mass defect of every step
+    (entry 0 is 0) over the (L, n) histories of the first L levels.
+
+    The energy is int F(phi) + |grad phi|^2/2 + sigma^2/2 + alpha mu^2/2; the
+    mass identity says int alpha mu + phi + sigma changes over step k by dt
+    times the source int u2 - h(phi) u1 at level k.
+    """
+    w, dt, alpha = stepper.grid.weights, stepper.dt, stepper.params.alpha
+    grad_sq = -((stepper.grid.lap @ phi.T).T * phi) @ w
+    energy = (stepper.potential_eval(phi, 0) @ w + 0.5 * grad_sq
+              + 0.5 * ((sigma * sigma) @ w) + 0.5 * alpha * ((mu * mu) @ w))
+    mass = (alpha * mu + phi + sigma) @ w
+    u1, u2 = control.u1[1:len(phi)], control.u2[1:len(phi)]
+    source = (u2 - stepper.nonlin.eval("h", phi[1:]) * u1) @ w
+    raw = (mass[1:] - mass[:-1]) / dt - source
+    scale = np.maximum(np.maximum(1.0, np.abs(mass[1:]) / dt), np.abs(source))
+    return energy, np.concatenate([[0.0], np.abs(raw) / scale])
+
+
+def _check_energy(energy: np.ndarray, opts: SolverOptions) -> None:
+    """Raise SolverError naming the first level past the blow-up limit."""
+    factor = opts.energy_blowup_factor
+    past = np.flatnonzero(np.abs(energy[1:]) > factor * max(abs(energy[0]), 1.0))
+    if past.size:
+        k = int(past[0]) + 1
+        raise SolverError(f"energy grew past {factor:g} x initial "
+                          f"at step {k} (E = {energy[k]:.3e})")
 
 
 def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
@@ -301,31 +328,3 @@ def _inside_margin(stepper: Stepper, x: np.ndarray,
     phi = stepper.split(x)[1]
     margin = opts.separation_margin
     return bool(np.all((phi > lo + margin) & (phi < hi - margin)))
-
-
-def _total_mass(stepper: Stepper, x: np.ndarray) -> float:
-    n = stepper.n
-    combo = stepper.params.alpha * x[:n] + x[n:2 * n] + x[2 * n:]
-    return inner(stepper.grid, combo, np.ones(n))
-
-
-def _mass_defect(stepper: Stepper, mass_prev: float, x: np.ndarray,
-                 u1k: np.ndarray, u2k: np.ndarray) -> tuple[float, float]:
-    """Relative defect of the discrete mass identity over one step ending at
-    the stacked state x, and the total mass of x."""
-    n, dt = stepper.n, stepper.dt
-    mass = _total_mass(stepper, x)
-    pointwise = inner(stepper.grid,
-                      u2k - stepper.nonlin.eval("h", x[n:2 * n]) * u1k,
-                      np.ones(n))
-    raw = (mass - mass_prev) / dt - pointwise
-    return abs(raw) / max(1.0, abs(mass) / dt, abs(pointwise)), mass
-
-
-def _energy_value(stepper: Stepper, x: np.ndarray) -> float:
-    grid = stepper.grid
-    mu, phi, sigma = stepper.split(x)
-    grad_sq = -inner(grid, grid.lap @ phi, phi)
-    fv = inner(grid, stepper.potential_eval(phi, 0), np.ones(stepper.n))
-    return float(fv + 0.5 * grad_sq + 0.5 * inner(grid, sigma, sigma)
-                 + 0.5 * stepper.params.alpha * inner(grid, mu, mu))

@@ -8,6 +8,7 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams, TimeGrid,
                       build_grid, bump_shape, constant_shape,
                       custom_polynomial_potential, logarithmic_potential,
                       make_nonlinearity, ramp_shape, regular_potential)
+from tumoropt.grid import inner
 from tumoropt.problem import ControlProblem
 from tumoropt.state import SolverOptions
 
@@ -67,3 +68,26 @@ def smooth_control(problem: ControlProblem, amp=0.2) -> Control:
     t = problem.tgrid.times[:, None]
     return Control(amp * np.cos(np.pi * x) * np.cos(2.0 * t),
                    0.5 * amp * np.sin(np.pi * x) * (1.0 + t))
+
+
+def energy_by_level(stepper, x: np.ndarray) -> float:
+    """Reference: free energy of one stacked state, one `inner` per term."""
+    grid = stepper.grid
+    mu, phi, sigma = stepper.split(x)
+    grad_sq = -inner(grid, grid.lap @ phi, phi)
+    fv = inner(grid, stepper.potential_eval(phi, 0), np.ones(stepper.n))
+    return float(fv + 0.5 * grad_sq + 0.5 * inner(grid, sigma, sigma)
+                 + 0.5 * stepper.params.alpha * inner(grid, mu, mu))
+
+
+def mass_defect_by_level(stepper, traj, control: Control, k: int) -> float:
+    """Reference: relative defect of the discrete mass identity over step k."""
+    grid, n, dt = stepper.grid, stepper.n, stepper.dt
+    alpha = stepper.params.alpha
+    mass = [inner(grid, alpha * traj.mu[j] + traj.phi[j] + traj.sigma[j],
+                  np.ones(n)) for j in (k - 1, k)]
+    source = inner(grid, control.u2[k]
+                   - stepper.nonlin.eval("h", traj.phi[k]) * control.u1[k],
+                   np.ones(n))
+    raw = (mass[1] - mass[0]) / dt - source
+    return abs(raw) / max(1.0, abs(mass[1]) / dt, abs(source))

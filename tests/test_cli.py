@@ -346,6 +346,17 @@ def test_newton_budget_exhaustion_is_solver_error(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_energy_blowup_is_solver_error(tmp_path):
+    # YAML 1.1 reads an exponent without a dot (1e-16) as a string
+    proc = _run_canonical(tmp_path, "simulate",
+                          ["solver.energy_blowup_factor=1.0e-16"])
+    assert proc.returncode == EXIT_SOLVER
+    assert proc.stderr.startswith("solver failure: energy ")
+    assert "at step 1 " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_resolved_config_reparses(tmp_path):
     cfg = _write(tmp_path, COUPLED)
     out = tmp_path / "out"

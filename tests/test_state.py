@@ -11,11 +11,13 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       TimeGrid, build_grid, bump_shape, make_nonlinearity,
                       potential_eval, ramp_shape, regular_potential,
                       solve_state)
+from tumoropt import state
 from tumoropt.problem import ControlProblem
-from tumoropt.state import _energy_value, _newton_step
+from tumoropt.state import _newton_step
 from tumoropt.stepper import Stepper
 
-from _support import make_problem, random_control, smooth_control
+from _support import (energy_by_level, make_problem, mass_defect_by_level,
+                      random_control, smooth_control)
 
 
 def _with_zero_data(problem: ControlProblem) -> ControlProblem:
@@ -159,18 +161,42 @@ def test_initial_data_outside_obstacle_range_rejected():
         pr.solve(pr.zero_control())
 
 
-@pytest.mark.parametrize("yosida_eps", [None, 0.1], ids=["exact", "yosida"])
-def test_trajectory_energy_is_free_energy_per_level(yosida_eps):
-    pr = make_problem(steps=6, yosida_eps=yosida_eps)
-    traj = pr.solve(smooth_control(pr))
-    assert traj.energy.shape == (pr.n_levels,)
+@pytest.mark.parametrize("yosida_eps,ny", [(None, None), (0.1, None),
+                                            (None, 5)],
+                         ids=["exact", "yosida", "2d"])
+def test_trajectory_energy_is_free_energy_per_level(yosida_eps, ny):
+    # the history sums run in another order than one `inner` per level, and a
+    # vectorized prox iterates until its worst entry converges: round-off only
+    pr = make_problem(steps=6, yosida_eps=yosida_eps, ny=ny)
+    u = smooth_control(pr)
+    traj = pr.solve(u)
+    assert traj.energy.shape == traj.mass_residual.shape == (pr.n_levels,)
+    assert traj.mass_residual[0] == 0.0
     for k in range(pr.n_levels):
-        assert traj.energy[k] == _energy_value(pr.stepper, traj.snapshot(k))
+        ref = energy_by_level(pr.stepper, traj.snapshot(k))
+        assert abs(traj.energy[k] - ref) <= 1e-14 * max(abs(ref), 1.0)
+    for k in range(1, pr.n_levels):
+        ref = mass_defect_by_level(pr.stepper, traj, u, k)
+        assert abs(traj.mass_residual[k] - ref) <= 1e-14
 
 
 def test_energy_blowup_raises_during_march():
     pr = make_problem(steps=6, energy_blowup_factor=1e-16)
     with pytest.raises(SolverError, match="energy"):
+        pr.solve(smooth_control(pr))
+
+
+def test_earlier_energy_blowup_wins_over_later_newton_failure(monkeypatch):
+    newton = state._newton_step
+
+    def failing_at_step_4(*args, **kwargs):
+        if args[5] == 4:
+            raise SolverError("step 4: Newton stalled")
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(state, "_newton_step", failing_at_step_4)
+    pr = make_problem(steps=6, energy_blowup_factor=1e-16)
+    with pytest.raises(SolverError, match=r"energy .* at step 1 "):
         pr.solve(smooth_control(pr))
 
 
