@@ -161,10 +161,9 @@ def _run_simulate(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     state = problem.solve(setup.initial_control)
     for k in _snapshot_levels(setup):
-        _write_fields_csv(out_dir / f"state_{k:04d}.csv",
-                          problem.grid,
-                          {"mu": state.mu[k], "phi": state.phi[k],
-                           "sigma": state.sigma[k]})
+        _write_fields_csv(out_dir / f"state_{k:04d}.csv", problem.grid,
+                          dict(zip(("mu", "phi", "sigma"),
+                                   problem.stepper.split(state.x[k]))))
     _write_csv(out_dir / "diagnostics.csv",
                ["level", "time", "newton_iters", "factorizations",
                 "mass_residual", "energy", "phi_min", "phi_max"],
@@ -253,13 +252,9 @@ def _run_analyze(setup: RunSetup, out_dir: Path, say) -> int:
         say("analyze: curvature sampling skipped (b2 != 0)")
 
     for k in _snapshot_levels(setup):
-        if k == problem.tgrid.steps:
-            fields = {"p": adj.terminal_p, "q": adj.terminal_q,
-                      "r": adj.terminal_r}
-        else:
-            fields = {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k]}
-        _write_fields_csv(out_dir / f"adjoint_{k:04d}.csv",
-                          problem.grid, fields)
+        lam = adj.terminal if k == problem.tgrid.steps else adj.lam[k]
+        _write_fields_csv(out_dir / f"adjoint_{k:04d}.csv", problem.grid,
+                          dict(zip("pqr", problem.stepper.split(lam))))
     grid = problem.grid
     _write_space_time_csv(out_dir / "active_set_u1.csv", grid, "a1",
                           sets.A1.astype(int))

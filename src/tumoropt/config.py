@@ -11,6 +11,7 @@ import ast
 import contextlib
 import copy
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -199,6 +200,17 @@ def deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     return merged
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML's safe loader, also reading 1e-10, 1E+5 or -2e-3 as floats: the
+    YAML 1.1 float pattern needs a dot and would leave them strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def apply_override(cfg: dict, assignment: str) -> None:
     """Apply one `--set key.path=value` assignment in place."""
     if "=" not in assignment:
@@ -206,7 +218,7 @@ def apply_override(cfg: dict, assignment: str) -> None:
     key, _, raw = assignment.partition("=")
     key = key.strip()
     try:
-        value = yaml.safe_load(raw)
+        value = yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError:
         raise ConfigError(f"override {key}: cannot parse value {raw!r}")
     node = cfg
@@ -245,7 +257,7 @@ class RunConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = yaml.safe_load(path.read_bytes()) or {}
+            raw = yaml.load(path.read_bytes(), Loader=_Loader) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}")
         return cls.from_dict(raw, base_dir=path.parent, overrides=overrides)

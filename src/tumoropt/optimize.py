@@ -252,11 +252,10 @@ class SecondOrderContext:
     @functools.cached_property
     def gradient(self) -> GradientField:
         pr, adj = self.problem, self.adjoint
-        d1 = np.zeros((pr.n_levels, pr.grid.n))
-        d2 = np.zeros((pr.n_levels, pr.grid.n))
-        # 0.0 - x rather than -x: a negated zero field would leak -0.0
-        d1[1:] = 0.0 - pr.nonlin.eval("h", self.state.phi[1:]) * adj.p[1:]
-        d2[1:] = adj.r[1:]
+        # level 0 of the multipliers is zero; 0.0 - x rather than -x keeps
+        # a negated zero field from leaking -0.0
+        d1 = 0.0 - pr.nonlin.eval("h", self.state.phi) * adj.p
+        d2 = adj.r.copy()
         b0 = pr.cost.b0
         return GradientField(d1=d1, d2=d2,
                              grad1=b0 * self.ubar.u1 + d1,
@@ -290,11 +289,9 @@ class SecondOrderContext:
 
         # sum_k <lambda_k, S_k(h, k)>: the step multipliers, wt_k (p, q, r)_k,
         # paired with the sources of the bilinearized steps 1..N_t
-        state = self.state
-        s1, s2, s3 = pr.stepper.second_order_source(
-            state.mu[1:], state.phi[1:], state.sigma[1:], self.ubar.u1[1:],
-            (lin_h.eta[1:], lin_h.xi[1:], lin_h.theta[1:]),
-            (lin_k.eta[1:], lin_k.xi[1:], lin_k.theta[1:]), h.u1[1:], k.u1[1:])
+        s1, s2, s3 = pr.stepper.split(pr.stepper.second_order_source(
+            self.state.x[1:], self.ubar.u1[1:], lin_h.y[1:], lin_k.y[1:],
+            h.u1[1:], k.u1[1:]))
         pairing = adj.p[1:] * s1 + adj.q[1:] * s2 + adj.r[1:] * s3
         acc = np.einsum("k,ki,i->", pr.tgrid.weights()[1:], pairing,
                         pr.grid.weights)

@@ -1,10 +1,11 @@
 """Linearized and bilinearized sensitivities along a state trajectory.
 
-Both march the exact Jacobian of the implicit step from zero initial data.
-The linearized system, the derivative of the control-to-state map, takes
-the sources of one control direction; the bilinearized system (the second
-derivative) takes the second-order sources of the step residual, which mix
-the first-order fields of two directions.
+Both march the exact Jacobian of the implicit step from zero initial data,
+y^k = A_k^-1 (B y^{k-1} + S^k) with B the step's `transport`, on stacked
+(N_t+1, 3n) histories.  The linearized system, the derivative of the
+control-to-state map, takes the sources of one control direction; the
+bilinearized system (the second derivative) takes the second-order sources
+of the step residual, which mix the first-order fields of two directions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import SolverError
 from .model import Control
 from .problem import ControlProblem
 from .state import StateTrajectory
+from .stepper import Stepper
 
 # Bytes of step factors one StepFactors keeps, counted as 12 bytes (a float64
 # value and an int32 index) per nonzero of L + U.  The 30 steps of a 33x33
@@ -26,11 +28,13 @@ _CACHE_BYTES = 128 * 2**20
 
 @dataclass(eq=False)
 class LinearizedTrajectory:
-    """Directional state sensitivities (eta, xi, theta) on all time levels."""
+    """Directional state sensitivities (eta, xi, theta), stacked per level."""
 
-    eta: np.ndarray
-    xi: np.ndarray
-    theta: np.ndarray
+    y: np.ndarray   # (N_t+1, 3n)
+
+    eta = property(lambda self: Stepper.split(self.y)[0])
+    xi = property(lambda self: Stepper.split(self.y)[1])
+    theta = property(lambda self: Stepper.split(self.y)[2])
 
 
 class StepFactors:
@@ -57,9 +61,8 @@ class StepFactors:
         if hit is not None:
             return hit
         try:
-            fac = self.problem.stepper.factorize(
-                self.state.mu[k], self.state.phi[k], self.state.sigma[k],
-                self.ubar.u1[k])
+            fac = self.problem.stepper.factorize(self.state.x[k],
+                                                 self.ubar.u1[k])
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
         # SuperLU's own count: `fac.L` and `fac.U` would build CSC copies
@@ -73,24 +76,16 @@ class StepFactors:
 def _march(factors: StepFactors, sources: np.ndarray) -> LinearizedTrajectory:
     """Run the linear recursion A_k y^k = B y^{k-1} + S^k from y^0 = 0.
 
-    A_k is the step Jacobian of `factors` at level k.  `sources` holds the
-    stacked S^k as one (N_t+1, 3n) array, level 0 unused.
+    A_k is the step Jacobian of `factors` at level k and B the step's
+    `transport`.  `sources` is the stacked history of S^k, level 0 unused.
     """
-    stepper = factors.problem.stepper
-    n = stepper.n
-    n_levels = factors.problem.n_levels
-    eta = np.zeros((n_levels, n))
-    xi = np.zeros((n_levels, n))
-    theta = np.zeros((n_levels, n))
-    y = np.zeros(3 * n)
-    for k in range(1, n_levels):
-        rhs = stepper.transport(y) + sources[k]
+    transport = factors.problem.stepper.transport
+    y = np.zeros_like(sources)
+    for k in range(1, len(y)):
+        rhs = transport @ y[k - 1] + sources[k]
         if np.any(rhs):
-            y = factors.lu(k).solve(rhs)
-        else:
-            y = np.zeros(3 * n)
-        eta[k], xi[k], theta[k] = stepper.split(y)
-    return LinearizedTrajectory(eta=eta, xi=xi, theta=theta)
+            y[k] = factors.lu(k).solve(rhs)
+    return LinearizedTrajectory(y)
 
 
 def solve_generalized_linear(factors: StepFactors,
@@ -98,10 +93,12 @@ def solve_generalized_linear(factors: StepFactors,
     """Derivative of the control-to-state map at `factors` in direction `h`.
 
     The direction enters as the source (-h(phi) h1, 0, h2) on every level,
-    built once as whole histories before the march.
+    built once as a whole history before the march.
     """
-    hv = factors.problem.nonlin.eval("h", factors.state.phi)
-    sources = np.concatenate([-hv * h.u1, np.zeros_like(hv), h.u2], axis=1)
+    sources = np.zeros_like(factors.state.x)
+    s1, _, s3 = Stepper.split(sources)
+    s1[:] = -factors.problem.nonlin.eval("h", factors.state.phi) * h.u1
+    s3[:] = h.u2
     return _march(factors, sources)
 
 
@@ -114,9 +111,5 @@ def solve_bilinearized(factors: StepFactors, lin_h: LinearizedTrajectory,
     produced by differentiating the step residual twice, mixing the
     first-order fields of the two directions.
     """
-    problem, state, ubar = factors.problem, factors.state, factors.ubar
-    sources = problem.stepper.second_order_source(
-        state.mu, state.phi, state.sigma, ubar.u1,
-        (lin_h.eta, lin_h.xi, lin_h.theta), (lin_k.eta, lin_k.xi, lin_k.theta),
-        h.u1, k.u1)
-    return _march(factors, np.concatenate(sources, axis=1))
+    return _march(factors, factors.problem.stepper.second_order_source(
+        factors.state.x, factors.ubar.u1, lin_h.y, lin_k.y, h.u1, k.u1))

@@ -4,7 +4,8 @@ Time stepping is implicit (backward Euler) with a damped Newton method per
 step.  For singular potentials evaluated exactly, the damping enforces a
 separation margin that keeps the phase field strictly inside the potential's
 domain; with a Yosida parameter set, the regularized potential is defined on
-the whole line and no ceiling is needed.
+the whole line and no ceiling is needed.  The Newton solutions, stacked
+levels (mu, phi, sigma), are the rows of one (N_t+1, 3n) history.
 """
 
 from __future__ import annotations
@@ -101,11 +102,9 @@ class SolverOptions:
 
 @dataclass(eq=False)
 class StateTrajectory:
-    """Snapshots of (mu, phi, sigma) on all time levels plus step diagnostics."""
+    """Stacked states (mu, phi, sigma) of all time levels plus diagnostics."""
 
-    mu: np.ndarray      # (N_t+1, n)
-    phi: np.ndarray
-    sigma: np.ndarray
+    x: np.ndarray       # (N_t+1, 3n)
     times: np.ndarray   # (N_t+1,)
     newton_iters: np.ndarray
     factorizations: np.ndarray  # Jacobian LUs formed per step, entry 0 is 0
@@ -114,12 +113,13 @@ class StateTrajectory:
     phi_min: np.ndarray
     phi_max: np.ndarray
 
+    mu = property(lambda self: Stepper.split(self.x)[0])
+    phi = property(lambda self: Stepper.split(self.x)[1])
+    sigma = property(lambda self: Stepper.split(self.x)[2])
+
     @property
     def n_levels(self) -> int:
-        return self.mu.shape[0]
-
-    def snapshot(self, k: int) -> np.ndarray:
-        return np.concatenate([self.mu[k], self.phi[k], self.sigma[k]])
+        return self.x.shape[0]
 
 
 def _validate_initial(stepper: Stepper, init: InitialData) -> None:
@@ -171,48 +171,42 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     stepper = problem.stepper
     _validate_initial(stepper, init)
 
-    mu = np.empty((n_levels, n))
-    phi = np.empty((n_levels, n))
-    sigma = np.empty((n_levels, n))
+    x = np.empty((n_levels, 3 * n))
     iters = np.zeros(n_levels, dtype=int)
     lus = np.zeros(n_levels, dtype=int)
-    mu[0], phi[0], sigma[0] = init.mu0, init.phi0, init.sigma0
-
-    x = x_prev = init.stacked()
+    x[0] = init.stacked()
     try:
         for k in range(1, n_levels):
             # linear extrapolation of the last two levels predicts the step
-            guess = None if k == 1 else 2.0 * x - x_prev
-            x_prev = x
-            x, iters[k], lus[k] = _newton_step(
-                stepper, x_prev, control.u1[k], control.u2[k], opts, k,
+            guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
+            x[k], iters[k], lus[k] = _newton_step(
+                stepper, x[k - 1], control.u1[k], control.u2[k], opts, k,
                 start=guess)
-            mu[k], phi[k], sigma[k] = stepper.split(x)
     except SolverError:
         # an energy blow-up on a level already marched is the earlier failure
-        _check_energy(_step_diagnostics(stepper, mu[:k], phi[:k], sigma[:k],
-                                        control)[0], opts)
+        _check_energy(_step_diagnostics(stepper, x[:k], control)[0], opts)
         raise
 
-    energy, mass_rel = _step_diagnostics(stepper, mu, phi, sigma, control)
+    energy, mass_rel = _step_diagnostics(stepper, x, control)
     _check_energy(energy, opts)
+    phi = stepper.split(x)[1]
     return StateTrajectory(
-        mu=mu, phi=phi, sigma=sigma, times=tgrid.times,
-        newton_iters=iters, factorizations=lus, mass_residual=mass_rel,
-        energy=energy, phi_min=phi.min(axis=1), phi_max=phi.max(axis=1))
+        x=x, times=tgrid.times, newton_iters=iters, factorizations=lus,
+        mass_residual=mass_rel, energy=energy, phi_min=phi.min(axis=1),
+        phi_max=phi.max(axis=1))
 
 
-def _step_diagnostics(stepper: Stepper, mu: np.ndarray, phi: np.ndarray,
-                      sigma: np.ndarray, control: Control
+def _step_diagnostics(stepper: Stepper, x: np.ndarray, control: Control
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Free energy of every level and relative mass defect of every step
-    (entry 0 is 0) over the (L, n) histories of the first L levels.
+    (entry 0 is 0) over the (L, 3n) history of the first L levels.
 
     The energy is int F(phi) + |grad phi|^2/2 + sigma^2/2 + alpha mu^2/2; the
     mass identity says int alpha mu + phi + sigma changes over step k by dt
     times the source int u2 - h(phi) u1 at level k.
     """
     w, dt, alpha = stepper.grid.weights, stepper.dt, stepper.params.alpha
+    mu, phi, sigma = stepper.split(x)
     grad_sq = -((stepper.grid.lap @ phi.T).T * phi) @ w
     energy = (stepper.potential_eval(phi, 0) @ w + 0.5 * grad_sq
               + 0.5 * ((sigma * sigma) @ w) + 0.5 * alpha * ((mu * mu) @ w))
@@ -267,19 +261,18 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
         it += 1
         if not np.isfinite(rnorm):
             raise SolverError(f"step {k}: non-finite Newton residual")
-        mu, phi, sigma = stepper.split(x)
         # a chord polish iteration reuses the last Newton iteration's LU
         if lu is None or not converged:
             try:
-                lu = stepper.factorize(mu, phi, sigma, u1k)
+                lu = stepper.factorize(x, u1k)
             except SolverError as exc:
                 raise SolverError(f"step {k}: {exc}") from None
             n_lu += 1
         delta = lu.solve(-res)
         t = 1.0
         if stepper.separation_guard:
-            dphi = stepper.split(delta)[1]
-            t = _step_ceiling(phi, dphi, *stepper.potential.domain,
+            t = _step_ceiling(stepper.split(x)[1], stepper.split(delta)[1],
+                              *stepper.potential.domain,
                               opts.separation_margin)
             if t <= 0.0:
                 raise SolverError(

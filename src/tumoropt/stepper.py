@@ -9,7 +9,9 @@ solves R(x; x_prev, u) = 0 with
 
 where m = sigma + chi (1 - phi) - mu.  The Jacobian of R at a state snapshot
 doubles as the step operator of the linearized, bilinearized and adjoint
-systems.
+systems, all coupled between levels by one matrix B (`Stepper.transport`).
+A level of any of them is stacked (length 3n), a history is (N_t+1, 3n),
+and `Stepper.split` gives the three fields of either as views.
 
 All inner products are trapezoid-weighted, and every Jacobian block is
 self-adjoint with respect to those weights.  The adjoint step can therefore
@@ -67,6 +69,12 @@ class Stepper:
 
         eye = sps.identity(n, format="csr")
         lap = grid.lap
+        # coupling of consecutive levels: (s_a mu + s phi, s_b phi, s sigma)
+        self.transport = sps.bmat([
+            [self.s_a * eye, self.s * eye, None],
+            [None, self.s_b * eye, None],
+            [None, None, self.s * eye],
+        ], format="csr")
         # state-independent transport and diffusion part of the Jacobian
         base = sps.bmat([
             [self.s_a * eye - lap, self.s * eye, None],
@@ -126,37 +134,41 @@ class Stepper:
 
     @staticmethod
     def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = x.size // 3
-        return x[:n], x[n:2 * n], x[2 * n:]
+        """Views of the three fields of a level (3n,) or history (L, 3n)."""
+        n = x.shape[-1] // 3
+        return x[..., :n], x[..., n:2 * n], x[..., 2 * n:]
 
     def m_field(self, mu, phi, sigma) -> np.ndarray:
         return sigma + self.chi * (1.0 - phi) - mu
 
-    def reaction_terms(self, mu, phi, sigma, u1k):
-        """Pointwise first-order reaction coefficients at a state snapshot.
+    def reaction_terms(self, x: np.ndarray, u1: np.ndarray):
+        """Pointwise first-order reaction coefficients at a stacked state.
 
         Returns (P, P' m, h' u1, F'') evaluated at phi, with m the field of
         `m_field`: the values that fill the reaction diagonals of the step
         Jacobian and the reaction terms of the adjoint equations.
         """
+        mu, phi, sigma = self.split(x)
         m = self.m_field(mu, phi, sigma)
         return (self.nonlin.eval("P", phi), self.nonlin.eval("P", phi, 1) * m,
-                self.nonlin.eval("h", phi, 1) * u1k, self.potential_eval(phi, 2))
+                self.nonlin.eval("h", phi, 1) * u1, self.potential_eval(phi, 2))
 
-    def second_order_source(self, mu, phi, sigma, u1, dh, dk, h1, k1):
+    def second_order_source(self, x: np.ndarray, u1: np.ndarray,
+                            yh: np.ndarray, yk: np.ndarray,
+                            h1: np.ndarray, k1: np.ndarray) -> np.ndarray:
         """Source S(h, k) of the bilinearized step, pointwise in space and time.
 
         The second derivative of the step residual, moved to the right-hand
         side, applied to the first-order fields of two control directions.
-        `dh` and `dk` are their (eta, xi, theta) triples and `h1`, `k1` their
-        u1 components; u1 is the control.  Every argument is a field of the
-        same shape: one level (n,) or whole histories (N_t+1, n).  Returns
-        the triple (s1, s2, s3).  Paired with the step multipliers it gives
-        the adjoint term of the Hessian form.
+        `x` is the state and u1 the control, `yh` and `yk` the linearized
+        states of the two directions and `h1`, `k1` their u1 components:
+        one level or whole histories.  Paired with the step multipliers the
+        stacked source gives the adjoint term of the Hessian form.
         """
+        mu, phi, sigma = self.split(x)
         m = self.m_field(mu, phi, sigma)
-        eta_h, xih, theta_h = dh
-        eta_k, xik, theta_k = dk
+        eta_h, xih, theta_h = self.split(yh)
+        eta_k, xik, theta_k = self.split(yk)
         mh = theta_h - self.chi * xih - eta_h
         mk = theta_k - self.chi * xik - eta_k
         nl = self.nonlin
@@ -168,27 +180,25 @@ class Stepper:
         s1 = (reaction - ddh * xih * xik * u1
               - dhv * (xih * k1 + xik * h1))
         s2 = -self.potential_eval(phi, 3) * xih * xik
-        return s1, s2, -reaction
+        return np.concatenate([s1, s2, -reaction], axis=-1)
 
     def residual(self, x: np.ndarray, x_prev: np.ndarray,
                  u1k: np.ndarray, u2k: np.ndarray) -> np.ndarray:
         mu, phi, sigma = self.split(x)
-        mu0, phi0, sigma0 = self.split(x_prev)
         lap = self.grid.lap
-        m = self.m_field(mu, phi, sigma)
-        pv = self.nonlin.eval("P", phi)
-        hv = self.nonlin.eval("h", phi)
+        pm = self.nonlin.eval("P", phi) * self.m_field(mu, phi, sigma)
         lphi = lap @ phi
-        r1 = (self.s_a * (mu - mu0) + self.s * (phi - phi0)
-              - lap @ mu - pv * m + hv * u1k)
-        r2 = (self.s_b * (phi - phi0) - lphi + self.potential_eval(phi, 1)
-              - mu - self.chi * sigma)
-        r3 = (self.s * (sigma - sigma0) - lap @ sigma + self.chi * lphi
-              + pv * m - u2k)
-        return np.concatenate([r1, r2, r3])
+        # the time differences are the transport of x - x_prev
+        res = self.transport @ (x - x_prev)
+        r1, r2, r3 = self.split(res)
+        r1[:] = r1 - lap @ mu - pm + self.nonlin.eval("h", phi) * u1k
+        r2[:] = (r2 - lphi + self.potential_eval(phi, 1) - mu
+                 - self.chi * sigma)
+        r3[:] = r3 - lap @ sigma + self.chi * lphi + pm - u2k
+        return res
 
-    def assemble(self, mu, phi, sigma, u1k) -> sps.csc_matrix:
-        """Jacobian of the step residual at a state snapshot.
+    def assemble(self, x: np.ndarray, u1k: np.ndarray) -> sps.csc_matrix:
+        """Jacobian of the step residual at a stacked state `x` (3n,).
 
         The values are written into the sparsity pattern fixed at
         construction (the transport and diffusion part plus all reaction
@@ -196,7 +206,7 @@ class Stepper:
         is, and its index arrays are shared between calls and read-only;
         entries that vanish are dropped from a private copy of the pattern.
         """
-        pv, dpm, hpu, f2 = self.reaction_terms(mu, phi, sigma, u1k)
+        pv, dpm, hpu, f2 = self.reaction_terms(x, u1k)
         # one value vector per block of _REACTION_BLOCKS, in that order
         vals = np.concatenate([
             pv, -dpm + self.chi * pv + hpu, -pv,
@@ -216,7 +226,7 @@ class Stepper:
         jac.eliminate_zeros()
         return jac
 
-    def factorize(self, mu, phi, sigma, u1k):
+    def factorize(self, x: np.ndarray, u1k: np.ndarray):
         """Sparse LU of `assemble(...)`; SolverError if it cannot be formed.
 
         The column ordering depends on the dimension.  A 1-D Jacobian is a
@@ -227,7 +237,7 @@ class Stepper:
         in L + U on a 33x33 grid), so both its factor and its solves are
         faster.
         """
-        jac = self.assemble(mu, phi, sigma, u1k)
+        jac = self.assemble(x, u1k)
         if not np.all(np.isfinite(jac.data)):
             raise SolverError("non-finite Jacobian entries")
         try:
@@ -238,21 +248,3 @@ class Stepper:
     def solve_adjoint_step(self, lu, rhs: np.ndarray) -> np.ndarray:
         """Solve A* y = rhs where A* is the weighted-inner-product transpose."""
         return lu.solve(self.w3 * rhs, trans="T") / self.w3
-
-    # -- transport between consecutive levels ------------------------------
-
-    def transport(self, x: np.ndarray) -> np.ndarray:
-        mu, phi, sigma = self.split(x)
-        return np.concatenate([
-            self.s_a * mu + self.s * phi,
-            self.s_b * phi,
-            self.s * sigma,
-        ])
-
-    def transport_adjoint(self, lam: np.ndarray) -> np.ndarray:
-        l1, l2, l3 = self.split(lam)
-        return np.concatenate([
-            self.s_a * l1,
-            self.s * l1 + self.s_b * l2,
-            self.s * l3,
-        ])

@@ -35,7 +35,7 @@ from .model import Control, CostSpec
 from .optimize import SecondOrderContext, cost_eval
 from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import LinearizedTrajectory
-from .state import InitialData, StateTrajectory, TimeGrid
+from .state import InitialData, TimeGrid
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 FD_SEARCH_LADDER = EPS_LADDER + (3e-4, 1e-4, 3e-5, 1e-5)
@@ -177,17 +177,10 @@ def check_duality(context: SecondOrderContext, h: Control | None = None,
 # Taylor regressions
 
 
-def _fields(t: LinearizedTrajectory | StateTrajectory) -> tuple:
-    """The three field histories of a linearized or a state trajectory."""
-    if isinstance(t, LinearizedTrajectory):
-        return t.eta, t.xi, t.theta
-    return t.mu, t.phi, t.sigma
-
-
-def _norm3(problem: ControlProblem, fields) -> float:
-    """Space-time norm of three (N_t+1, n) field histories taken together."""
+def _norm3(problem: ControlProblem, y: np.ndarray) -> float:
+    """Space-time norm of a stacked (N_t+1, 3n) history, summed by field."""
     return float(np.sqrt(sum(st_inner(problem.grid, problem.tgrid, d, d)
-                             for d in fields)))
+                             for d in problem.stepper.split(y))))
 
 
 def check_taylor_orders(context: SecondOrderContext,
@@ -226,19 +219,17 @@ def check_taylor_orders(context: SecondOrderContext,
     err_state = []
     err_ds = []
     err_cost = []
-    state_scale = max(_norm3(problem, _fields(lin_v)), 1e-300)
+    state_scale = max(_norm3(problem, lin_v.y), 1e-300)
     for e in eps_values:
         ctx_e = SecondOrderContext(problem, _shifted(ubar, v, e))
         state_e = ctx_e.state
         # 1: state remainder
-        diff = _norm3(problem, (a - b - e * c for a, b, c in zip(
-            _fields(state_e), _fields(state), _fields(lin_v))))
+        diff = _norm3(problem, state_e.x - state.x - e * lin_v.y)
         err_state.append(diff / state_scale)
         # 2: DS increment remainder
         lin_h_e = ctx_e.linearize(h)
-        rem = _norm3(problem, (a - b - e * c for a, b, c in zip(
-            _fields(lin_h_e), _fields(lin_h), _fields(bilin_vh))))
-        err_ds.append(rem / max(_norm3(problem, _fields(lin_h)), 1e-300))
+        rem = _norm3(problem, lin_h_e.y - lin_h.y - e * bilin_vh.y)
+        err_ds.append(rem / max(_norm3(problem, lin_h.y), 1e-300))
         # 3: cost remainder
         j_e = cost_eval(problem, state_e, ctx_e.ubar)
         r3 = j_e - j0 - e * slope_v - 0.5 * e * e * b_vv
@@ -312,8 +303,7 @@ def ode_reduction_reference(problem: ControlProblem, u1_of_t, u2_of_t,
         dsigma = -pv * m + u2_of_t(t)
         return [dmu, dphi, dsigma]
 
-    y0 = [float(problem.init.mu0[0]), float(problem.init.phi0[0]),
-          float(problem.init.sigma0[0])]
+    y0 = [float(f[0]) for f in problem.stepper.split(problem.init.stacked())]
     sol = solve_ivp(rhs, (0.0, pr.T), y0, method="RK45", rtol=rtol, atol=atol,
                     dense_output=False)
     if not sol.success:
@@ -339,8 +329,7 @@ def richardson_state_at_T(problem: ControlProblem, u1_of_t, u2_of_t):
         # no targets: they are shaped for the base grid, and no cost is taken
         traj = dataclasses.replace(
             problem, tgrid=tg, cost=CostSpec(b0=problem.cost.b0)).solve(u)
-        vals.append(np.array([traj.mu[-1][0], traj.phi[-1][0],
-                              traj.sigma[-1][0]]))
+        vals.append(np.array([f[0] for f in problem.stepper.split(traj.x[-1])]))
     y1, y2, y3 = vals
     z12 = 2.0 * y2 - y1
     z23 = 2.0 * y3 - y2
@@ -468,15 +457,14 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
                 continue  # coincident draw: the ratio is undefined, skip it
             ctx_a = SecondOrderContext(pr, ua)
             ctx_b = SecondOrderContext(pr, ub)
-            out["state"].append(_norm3(pr, (a - b for a, b in zip(
-                _fields(ctx_a.state), _fields(ctx_b.state)))) / du)
+            out["state"].append(_norm3(pr, ctx_a.state.x - ctx_b.state.x)
+                                / du)
             lin_ha, lin_hb = ctx_a.linearize(h), ctx_b.linearize(h)
-            out["ds"].append(_norm3(pr, (a - b for a, b in zip(
-                _fields(lin_ha), _fields(lin_hb)))) / (du * nh))
+            out["ds"].append(_norm3(pr, lin_ha.y - lin_hb.y) / (du * nh))
             bil_a = ctx_a.bilinearize(lin_ha, ctx_a.linearize(v), h, v)
             bil_b = ctx_b.bilinearize(lin_hb, ctx_b.linearize(v), h, v)
-            out["d2s"].append(_norm3(pr, (a - b for a, b in zip(
-                _fields(bil_a), _fields(bil_b)))) / (du * nh * nv))
+            out["d2s"].append(_norm3(pr, bil_a.y - bil_b.y)
+                              / (du * nh * nv))
         return {k: float(np.max(vals)) if vals else 0.0
                 for k, vals in out.items()}
 
@@ -496,11 +484,8 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
     ctx = SecondOrderContext(problem, ua)
     lin1 = ctx.linearize(h)
     lin2 = ctx.linearize(Control(2.0 * h.u1, 2.0 * h.u2))
-    hom = 0.0
-    scale = max(_norm3(problem, _fields(lin1)), 1e-300)
-    for a, b in zip(_fields(lin2), _fields(lin1)):
-        hom = max(hom, float(np.max(np.abs(a - 2.0 * b))))
-    hom_rel = hom / scale
+    hom = float(np.max(np.abs(lin2.y - 2.0 * lin1.y)))
+    hom_rel = hom / max(_norm3(problem, lin1.y), 1e-300)
 
     passed = bool(max_factor < factor_bound and hom_rel < 1e-12)
     return StabilityReport(base_ratios=base, refined_ratios=refined,
@@ -570,8 +555,7 @@ def adjoint_continuous_residual(context: SecondOrderContext,
     # the kept levels are consecutive: rows levels and levels + 1 together
     rows = slice(levels[0], levels[-1] + 2)
     P, dPm, dh_u, f2 = problem.stepper.reaction_terms(
-        state.mu[rows], state.phi[rows], state.sigma[rows],
-        context.ubar.u1[rows])
+        state.x[rows], context.ubar.u1[rows])
     p, q, r = adj.p[rows], adj.q[rows], adj.r[rows]
     mis = state.phi[rows] - problem.target_q()[rows]
 

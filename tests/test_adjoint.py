@@ -7,6 +7,7 @@ import pytest
 
 from tumoropt import (Control, CostSpec, SecondOrderContext, StepFactors,
                       solve_adjoint)
+from tumoropt.stepper import Stepper
 from tumoropt.verify import check_duality
 
 from _support import make_problem, random_control, smooth_control
@@ -16,9 +17,8 @@ def test_terminal_fields_without_final_tracking():
     pr = make_problem(b1=2.0, b2=0.0)
     u = smooth_control(pr)
     adj = solve_adjoint(StepFactors(pr, pr.solve(u), u))
-    assert np.all(adj.terminal_p == 0.0)
-    assert np.all(adj.terminal_q == 0.0)
-    assert np.all(adj.terminal_r == 0.0)
+    assert adj.terminal.shape == (3 * pr.grid.n,)
+    assert np.all(adj.terminal == 0.0)
     assert np.abs(adj.q[1:]).max() > 0.0
     # level 0 pairs with no step residual
     assert np.all(adj.p[0] == 0.0) and np.all(adj.q[0] == 0.0)
@@ -31,9 +31,10 @@ def test_terminal_condition_with_final_tracking():
     adj = solve_adjoint(StepFactors(pr, state, u))
     misfit = state.phi[-1] - pr.target_omega()
     expected = 1.5 * misfit / pr.params.beta
-    assert np.abs(adj.terminal_q - expected).max() == 0.0
-    assert np.all(adj.terminal_p == 0.0)
-    assert np.all(adj.terminal_r == 0.0)
+    terminal_p, terminal_q, terminal_r = Stepper.split(adj.terminal)
+    assert np.abs(terminal_q - expected).max() == 0.0
+    assert np.all(terminal_p == 0.0)
+    assert np.all(terminal_r == 0.0)
 
 
 def test_zero_cost_gives_bitwise_zero_multipliers():
@@ -45,7 +46,7 @@ def test_zero_cost_gives_bitwise_zero_multipliers():
     assert np.all(adj.p == 0.0)
     assert np.all(adj.q == 0.0)
     assert np.all(adj.r == 0.0)
-    assert np.all(adj.terminal_q == 0.0)
+    assert np.all(adj.terminal == 0.0)
 
 
 def test_adjoint_is_linear_in_tracking_weights():

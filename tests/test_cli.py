@@ -347,9 +347,9 @@ def test_newton_budget_exhaustion_is_solver_error(tmp_path, capsys):
 
 
 def test_energy_blowup_is_solver_error(tmp_path):
-    # YAML 1.1 reads an exponent without a dot (1e-16) as a string
+    # an exponent without a dot is a number, not a string
     proc = _run_canonical(tmp_path, "simulate",
-                          ["solver.energy_blowup_factor=1.0e-16"])
+                          ["solver.energy_blowup_factor=1e-16"])
     assert proc.returncode == EXIT_SOLVER
     assert proc.stderr.startswith("solver failure: energy ")
     assert "at step 1 " in proc.stderr

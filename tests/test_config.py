@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from tumoropt import ConfigError, build_grid
 from tumoropt.config import (RunConfig, apply_override, build_setup,
@@ -52,6 +53,39 @@ def test_override_assignments():
     assert cfg.model["chi"] == 0.7
     assert cfg.grid["shape"] == [17]
     assert cfg.time["steps"] == 8
+
+
+EXPONENT_CASES = [("solver.newton_tol", "1e-10", 1e-10),
+                  ("solver.energy_blowup_factor", "1E+5", 1e5),
+                  ("model.chi", "-2e-3", -2e-3)]
+
+
+@pytest.mark.parametrize("key,text,value", EXPONENT_CASES)
+def test_exponent_without_dot_is_a_number(tmp_path, key, text, value):
+    # YAML 1.1 floats need a dot; these spellings must still be numbers
+    block, name = key.split(".")
+    path = tmp_path / "run.yaml"
+    path.write_text(f"{block}:\n  {name}: {text}\n")
+    by_set = RunConfig.from_dict({}, overrides=(f"{key}={text}",))
+    by_file = RunConfig.from_file(path)
+    resolved = tmp_path / "resolved.yaml"
+    resolved.write_text(yaml.safe_dump(by_set.resolved()))
+    again = RunConfig.from_file(resolved)
+    for cfg in (by_set, by_file, again):
+        got = getattr(cfg, block)[name]
+        assert isinstance(got, float) and got == value
+        build_setup(cfg)
+
+
+def test_exponent_loader_keeps_strings_and_special_values():
+    cfg = RunConfig.from_dict({}, overrides=(
+        "initial.phi0=1e-3 * cos(pi * x)", "control.bounds.upper1=.inf",
+        "initial.sigma0=2e-1x"))
+    assert cfg.initial["phi0"] == "1e-3 * cos(pi * x)"
+    assert cfg.initial["sigma0"] == "2e-1x"
+    assert cfg.control["bounds"]["upper1"] == np.inf
+    with pytest.raises(ConfigError, match="model.chi must be finite"):
+        build_setup(RunConfig.from_dict({}, overrides=("model.chi=.nan",)))
 
 
 def test_override_requires_known_key_and_equals():

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every
+module-level private name is used somewhere in the package."""
 
 import ast
 import pathlib
@@ -38,3 +39,47 @@ def test_module_has_no_unused_import(path):
     imported = _imported_names(tree)
     unused = sorted(set(imported) - _used_names(tree))
     assert not unused, [f"{path.name}:{imported[n]}: {n}" for n in unused]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private names (`_x`, not dunders) bound at module level -> line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in bound for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in a module, as variables or as attributes."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and not isinstance(node.ctx, ast.Store)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_the_check_sees_an_unused_private_name():
+    tree = ast.parse("_A = 1\n_B, _C = _A, 2\ndef _f(): pass\n"
+                     "def _g(): return _f() + _C\nclass _K: pass\n"
+                     "__all__ = []\n_S: int = 0\n")
+    unused = sorted(set(_private_definitions(tree)) - _referenced_names(tree))
+    assert unused == ["_B", "_K", "_S", "_g"]
+
+
+def test_every_private_name_is_used_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_referenced_names, trees.values()))
+    unused = [f"{name}:{line}: {private}" for name, tree in trees.items()
+              for private, line in _private_definitions(tree).items()
+              if private not in used]
+    assert not unused, unused

@@ -14,7 +14,8 @@ from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       solve_bilinearized, StepFactors, unbounded_box,
                       zero_control)
 from tumoropt.problem import control_inner, st_inner
-from tumoropt.verify import check_gradient_fd
+from tumoropt.verify import (_random_direction, check_gradient_fd,
+                             check_taylor_orders)
 
 from _support import make_problem, random_control, smooth_control
 
@@ -122,6 +123,14 @@ def test_extruded_2d_problem_reproduces_1d_row_by_row(potential):
                         getattr(ctx2.gradient, name)) < 1e-14
     form1, form2 = ctx1.form(h, h), ctx2.form(extrude(h), extrude(h))
     assert abs(form2 - form1) <= 2e-14 * abs(form1)
+    # the Taylor oracle along the same extruded unit directions: an extruded
+    # direction keeps its norm, so both cost remainders fall alike
+    rng = np.random.default_rng(0)
+    v, w = _random_direction(pr1, rng), _random_direction(pr1, rng)
+    cost1 = check_taylor_orders(ctx1, v=v, h=w)[2]
+    cost2 = check_taylor_orders(ctx2, v=extrude(v), h=extrude(w))[2]
+    assert cost1.passed and cost2.passed
+    assert abs(cost2.fitted_slope - cost1.fitted_slope) <= 0.01
 
 
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
-                      SeparationViolation, SolverError, SolverOptions,
-                      TimeGrid, build_grid, bump_shape, make_nonlinearity,
-                      potential_eval, ramp_shape, regular_potential,
-                      solve_state)
+                      SecondOrderContext, SeparationViolation, SolverError,
+                      SolverOptions, TimeGrid, build_grid, bump_shape,
+                      make_nonlinearity, potential_eval, ramp_shape,
+                      regular_potential, solve_state)
 from tumoropt import state
 from tumoropt.problem import ControlProblem
 from tumoropt.state import _newton_step
@@ -173,11 +173,35 @@ def test_trajectory_energy_is_free_energy_per_level(yosida_eps, ny):
     assert traj.energy.shape == traj.mass_residual.shape == (pr.n_levels,)
     assert traj.mass_residual[0] == 0.0
     for k in range(pr.n_levels):
-        ref = energy_by_level(pr.stepper, traj.snapshot(k))
+        ref = energy_by_level(pr.stepper, traj.x[k])
         assert abs(traj.energy[k] - ref) <= 1e-14 * max(abs(ref), 1.0)
     for k in range(1, pr.n_levels):
         ref = mass_defect_by_level(pr.stepper, traj, u, k)
         assert abs(traj.mass_residual[k] - ref) <= 1e-14
+
+
+def test_trajectory_fields_are_views_of_the_stacked_histories():
+    pr = make_problem(steps=4)
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    traj, adj = ctx.state, ctx.adjoint
+    lin = ctx.linearize(smooth_control(pr, amp=0.5))
+    n = pr.grid.n
+    # level k is stacked as (mu, phi, sigma); level 0 is the initial data
+    assert np.array_equal(traj.x[0], np.concatenate(
+        [pr.init.mu0, pr.init.phi0, pr.init.sigma0]))
+    assert np.array_equal(traj.phi_min, traj.x[:, n:2 * n].min(axis=1))
+    for obj, stacked, names in ((traj, traj.x, ("mu", "phi", "sigma")),
+                                (lin, lin.y, ("eta", "xi", "theta")),
+                                (adj, adj.lam, ("p", "q", "r"))):
+        assert stacked.shape == (pr.n_levels, 3 * n)
+        for i, name in enumerate(names):
+            view = getattr(obj, name)
+            assert view.shape == (pr.n_levels, n)
+            assert np.shares_memory(view, stacked)
+            assert np.array_equal(view, stacked[:, i * n:(i + 1) * n])
+    # a write through a view lands in the stacked history
+    traj.sigma[2, 1] = 7.0
+    assert traj.x[2, 2 * n + 1] == 7.0
 
 
 def test_energy_blowup_raises_during_march():
@@ -245,7 +269,7 @@ def test_polish_tries_the_full_step_once(monkeypatch):
     _, lu_calls = _counting(monkeypatch, "factorize")
     traj = pr.solve(u)
     for k in range(1, pr.n_levels):
-        x_prev = traj.snapshot(k - 1)
+        x_prev = traj.x[k - 1]
         runs = {}
         for polish in (0, 1, 4):
             calls.clear()
@@ -270,7 +294,7 @@ def test_polish_tries_the_full_step_once(monkeypatch):
         lu_calls.clear()
         _, iters, lus = _newton_step(stepper, x_prev, u.u1[k], u.u2[k],
                                      SolverOptions(polish_steps=4), k,
-                                     start=traj.snapshot(k))
+                                     start=traj.x[k])
         assert lus == len(lu_calls) == 1
         assert 1 <= iters <= 4
     assert traj.mass_residual.max() <= 1e-12
@@ -281,7 +305,7 @@ def _predictor_case(potential):
     pr = make_problem(potential=potential, steps=8)
     u = smooth_control(pr, amp=0.4)
     k = 4
-    return pr, u, pr.solve(u).snapshot(k - 1), k
+    return pr, u, pr.solve(u).x[k - 1], k
 
 
 def _step_from(pr, u, x_prev, k, start):
@@ -375,10 +399,9 @@ def test_predicted_march_matches_march_from_previous_level(case):
         oracle_iters += iters
     # the predictor is in play: it saves iterations over the oracle
     assert traj.newton_iters.sum() < oracle_iters
-    got = np.stack([traj.snapshot(k) for k in range(pr.n_levels)])
     oracle = np.stack(oracle)
     # both solves end at the round-off floor of the same step equations
-    assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.abs(traj.x - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert traj.mass_residual[1:].max() <= 1e-13
     assert np.all(traj.factorizations[1:] >= 1)
     assert traj.factorizations[0] == 0

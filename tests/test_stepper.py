@@ -1,5 +1,5 @@
-"""Step operator: Jacobian assembly and second-order sources against the
-block-matrix and inline references they replaced."""
+"""Step operator: Jacobian assembly, second-order sources and the level
+transport against the block-matrix and per-field references they replaced."""
 
 import numpy as np
 import pytest
@@ -23,8 +23,9 @@ POTENTIALS = {
 }
 
 
-def _reference_jacobian(st: Stepper, mu, phi, sigma, u1k):
+def _reference_jacobian(st: Stepper, x, u1k):
     """The step Jacobian built block by block with scipy.sparse.bmat."""
+    mu, phi, sigma = st.split(x)
     eye = sps.identity(st.n, format="csr")
     lap = st.grid.lap
     prm, dt = st.params, st.dt
@@ -62,12 +63,13 @@ def _stepper(potential, dim, coupling):
 
 
 def _state(st: Stepper, seed):
+    """A stacked state (mu, phi, sigma) and a control level u1."""
     rng = np.random.default_rng(seed)
     n = st.n
-    return (0.1 * rng.standard_normal(n),
-            np.clip(0.4 * rng.standard_normal(n), -0.9, 0.9),
-            0.2 + 0.1 * rng.standard_normal(n),
-            0.3 * rng.standard_normal(n))
+    x = np.concatenate([0.1 * rng.standard_normal(n),
+                        np.clip(0.4 * rng.standard_normal(n), -0.9, 0.9),
+                        0.2 + 0.1 * rng.standard_normal(n)])
+    return x, 0.3 * rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("coupling", ["full", "vanishing"])
@@ -76,7 +78,7 @@ def _state(st: Stepper, seed):
 def test_assembly_matches_block_reference(potential, dim, coupling):
     st = _stepper(potential, dim, coupling)
     state = _state(st, seed=dim)
-    assert np.any(state[3] != 0.0)
+    assert np.any(state[1] != 0.0)
     ref = _reference_jacobian(st, *state)
     jac = st.assemble(*state)
     assert jac.format == "csc"
@@ -107,10 +109,10 @@ def test_assembly_pattern_is_shared_across_calls(dim):
 
 def test_factorize_rejects_non_finite_jacobian():
     st = _stepper("regular", 1, "full")
-    mu, phi, sigma, u1 = _state(st, seed=0)
+    x, u1 = _state(st, seed=0)
     u1[4] = np.nan
     with pytest.raises(SolverError, match="non-finite Jacobian"):
-        st.factorize(mu, phi, sigma, u1)
+        st.factorize(x, u1)
 
 
 def test_factorize_turns_lu_failure_into_solver_error(monkeypatch):
@@ -153,7 +155,8 @@ def test_factorize_2d_solves_match_colamd_lu(potential):
 
 
 def _reference_source(st: Stepper, mu, phi, sigma, u1k, dh, dk, h1, k1):
-    """The bilinearized source as the march once wrote it inline."""
+    """The bilinearized source as the march once wrote it inline, from the
+    separate fields of one level and the (eta, xi, theta) triples dh, dk."""
     nl, chi = st.nonlin, st.params.chi
     m = st.m_field(mu, phi, sigma)
     (eta_h, xih, theta_h), (eta_k, xik, theta_k) = dh, dk
@@ -175,25 +178,84 @@ def _reference_source(st: Stepper, mu, phi, sigma, u1k, dh, dk, h1, k1):
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
 def test_second_order_source_matches_inline_reference(potential, dim):
     st = _stepper(potential, dim, "full")
-    state = _state(st, seed=dim)
+    x, u1 = _state(st, seed=dim)
     rng = np.random.default_rng(7)
-    dh, dk = (tuple(rng.standard_normal((3, st.n))) for _ in range(2))
+    yh, yk = rng.standard_normal((2, 3 * st.n))
     h1, k1 = rng.standard_normal((2, st.n))
-    ref = _reference_source(st, *state, dh, dk, h1, k1)
-    src = st.second_order_source(*state, dh, dk, h1, k1)
-    assert np.concatenate(src).tobytes() == ref.tobytes()
-    # whole histories shaped (levels, n) give the reference level by level
+    ref = _reference_source(st, *st.split(x), u1, st.split(yh), st.split(yk),
+                            h1, k1)
+    src = st.second_order_source(x, u1, yh, yk, h1, k1)
+    assert src.shape == (3 * st.n,)
+    assert src.tobytes() == ref.tobytes()
+    # whole stacked histories (levels, 3n) give the reference level by level
     levels = 5
-    hist = tuple(np.stack(f) for f in zip(*(_state(st, seed=10 + j)
-                                             for j in range(levels))))
-    dh, dk = (tuple(rng.standard_normal((3, levels, st.n))) for _ in range(2))
+    xs, u1s = (np.stack(f) for f in zip(*(_state(st, seed=10 + j)
+                                          for j in range(levels))))
+    yh, yk = rng.standard_normal((2, levels, 3 * st.n))
     h1, k1 = rng.standard_normal((2, levels, st.n))
-    src = st.second_order_source(*hist, dh, dk, h1, k1)
+    src = st.second_order_source(xs, u1s, yh, yk, h1, k1)
+    assert src.shape == (levels, 3 * st.n)
     for j in range(levels):
-        ref = _reference_source(st, *(f[j] for f in hist),
-                                tuple(d[j] for d in dh),
-                                tuple(d[j] for d in dk), h1[j], k1[j])
-        assert np.concatenate([s[j] for s in src]).tobytes() == ref.tobytes()
+        ref = _reference_source(st, *st.split(xs[j]), u1s[j], st.split(yh[j]),
+                                st.split(yk[j]), h1[j], k1[j])
+        assert src[j].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_transport_matches_per_field_formula(dim):
+    st = _stepper("regular", dim, "full")
+    rng = np.random.default_rng(11)
+    y, lam = rng.standard_normal((2, 3 * st.n))
+    mu, phi, sigma = st.split(y)
+    ref = np.concatenate([st.s_a * mu + st.s * phi, st.s_b * phi,
+                          st.s * sigma])
+    assert (st.transport @ y).tobytes() == ref.tobytes()
+    # the adjoint march transports with the transpose
+    l1, l2, l3 = st.split(lam)
+    ref_t = np.concatenate([st.s_a * l1, st.s * l1 + st.s_b * l2, st.s * l3])
+    assert (st.transport.T @ lam).tobytes() == ref_t.tobytes()
+    # a (3n, m) block, as a march of m directions would pass, is transported
+    # column by column
+    block = rng.standard_normal((3 * st.n, 4))
+    out = st.transport @ block
+    for j in range(4):
+        assert out[:, j].tobytes() == (st.transport @ block[:, j]).tobytes()
+
+
+def _reference_residual(st: Stepper, x, x_prev, u1k, u2k):
+    """The step residual field by field, time differences written out."""
+    (mu, phi, sigma), (mu0, phi0, sigma0) = st.split(x), st.split(x_prev)
+    lap = st.grid.lap
+    m = st.m_field(mu, phi, sigma)
+    pv, hv = st.nonlin.eval("P", phi), st.nonlin.eval("h", phi)
+    lphi = lap @ phi
+    r1 = (st.s_a * (mu - mu0) + st.s * (phi - phi0)
+          - lap @ mu - pv * m + hv * u1k)
+    r2 = (st.s_b * (phi - phi0) - lphi + st.potential_eval(phi, 1)
+          - mu - st.chi * sigma)
+    r3 = (st.s * (sigma - sigma0) - lap @ sigma + st.chi * lphi
+          + pv * m - u2k)
+    return np.concatenate([r1, r2, r3])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_residual_matches_per_field_reference(potential, dim):
+    st = _stepper(potential, dim, "full")
+    (x, u1), (x_prev, u2) = _state(st, seed=dim), _state(st, seed=5)
+    ref = _reference_residual(st, x, x_prev, u1, u2)
+    assert st.residual(x, x_prev, u1, u2).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_split_gives_views_of_levels_and_histories(dim):
+    st = _stepper("regular", dim, "full")
+    x = np.arange(2 * 3 * st.n, dtype=float).reshape(2, 3 * st.n)
+    for level in (x, x[1]):
+        fields = st.split(level)
+        assert [f.shape[-1] for f in fields] == [st.n] * 3
+        assert all(np.shares_memory(f, level) for f in fields)
+        assert np.array_equal(np.concatenate(fields, axis=-1), level)
 
 
 def test_form_is_multiplier_weighted_sum_of_sources():

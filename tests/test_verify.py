@@ -382,8 +382,8 @@ def _strong_form_by_level(context, form, cut=STRONG_FORM_CUT):
     eqs = np.zeros((3, levels.size))
 
     def fields_at(k):
-        pv, dpm, hpu, f2 = problem.stepper.reaction_terms(
-            state.mu[k], state.phi[k], state.sigma[k], ubar.u1[k])
+        pv, dpm, hpu, f2 = problem.stepper.reaction_terms(state.x[k],
+                                                          ubar.u1[k])
         return {"p": adj.p[k], "q": adj.q[k], "r": adj.r[k], "P": pv,
                 "dP": dpm, "dh_u": hpu, "f2": f2,
                 "mis": state.phi[k] - target[k]}
