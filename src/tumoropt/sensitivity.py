@@ -20,9 +20,11 @@ from .problem import ControlProblem
 from .state import StateTrajectory
 from .stepper import Stepper
 
-# Bytes of step factors one StepFactors keeps, counted as 12 bytes (a float64
-# value and an int32 index) per nonzero of L + U.  The 30 steps of a 33x33
-# rectangle take about 78 MB; all 200 steps of a 129-node line about 8 MB.
+# Bytes of step factors one StepFactors keeps, counted as 12 bytes per stored
+# entry (`nnz`) of a factor: a float64 value and an int32 index of SuperLU's
+# L + U in 2-D, or a float64 band entry in 1-D, which it over-counts.  The
+# 30 steps of a 33x33 rectangle take about 78 MB; all 200 steps of a 129-node
+# line about 11 MB.
 _CACHE_BYTES = 128 * 2**20
 
 
@@ -65,7 +67,6 @@ class StepFactors:
                                                  self.ubar.u1[k])
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
-        # SuperLU's own count: `fac.L` and `fac.U` would build CSC copies
         size = 12 * fac.nnz
         if self._cached_bytes + size <= _CACHE_BYTES:
             self._lus[k] = fac

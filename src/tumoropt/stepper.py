@@ -16,13 +16,16 @@ and `Stepper.split` gives the three fields of either as views.
 All inner products are trapezoid-weighted, and every Jacobian block is
 self-adjoint with respect to those weights.  The adjoint step can therefore
 reuse a factorization of the forward Jacobian: solving A* y = s amounts to
-y = W^-1 A^-T (W s), which `scipy`'s LU object provides via trans="T".
+y = W^-1 A^-T (W s), which every step factor provides via trans="T".  A 1-D
+Jacobian is a narrow band and is factored by LAPACK (`BandLU`); a 2-D one
+by SuperLU.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolverError
@@ -33,6 +36,36 @@ from .model import (ModelParams, NonlinearitySpec, PotentialSpec,
 # (row, column) blocks of the Jacobian that carry a reaction diagonal
 _REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
                     (2, 0), (2, 1), (2, 2))
+
+# LAPACK's `trans` argument for SuperLU's trans="N" and "T"
+_LAPACK_TRANS = {"N": 0, "T": 1}
+
+
+class BandLU:
+    """LAPACK band LU (dgbtrf) of a 1-D step Jacobian.
+
+    The factor holds the Jacobian in node-interleaved order (mu_i, phi_i,
+    sigma_i), in which every entry lies at most `kl` rows below and `ku`
+    rows above the diagonal.  `solve` takes and returns the stacked order
+    (mu, phi, sigma) with SuperLU's protocol: b of shape (3n,) or (3n, m),
+    trans "N" for A x = b and "T" for A^T x = b.  `nnz` counts the stored
+    band entries.
+    """
+
+    def __init__(self, lu: np.ndarray, ipiv: np.ndarray, kl: int, ku: int,
+                 perm: np.ndarray, inv_perm: np.ndarray):
+        self._lu = lu
+        self._ipiv = ipiv
+        self.kl = kl
+        self.ku = ku
+        self._perm = perm           # stacked index of each interleaved one
+        self._inv_perm = inv_perm   # interleaved index of each stacked one
+        self.nnz = lu.size
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        x, _ = dgbtrs(self._lu, self.kl, self.ku, b[self._perm], self._ipiv,
+                      trans=_LAPACK_TRANS[trans], overwrite_b=True)
+        return x[self._inv_perm]
 
 
 class Stepper:
@@ -101,20 +134,46 @@ class Stepper:
         keys = (np.repeat(np.arange(size), np.diff(full.indptr)) * size
                 + full.indices)
         self._diag_slots = np.searchsorted(keys, diag_cols * size + diag_rows)
+        if grid.dim == 1:
+            self._init_band(full.indices, keys // size)
         self._indices = full.indices
         self._indptr = full.indptr
         # shared by every assembled matrix, so no caller may edit them in place
         self._indices.setflags(write=False)
         self._indptr.setflags(write=False)
         self.w3 = np.concatenate([grid.weights] * 3)
-        # SuperLU's column ordering, fixed by the dimension (see `factorize`)
-        self._permc_spec = "COLAMD" if grid.dim == 1 else "MMD_AT_PLUS_A"
         # scale of residual entries, used for convergence thresholds
         row_abs = np.abs(lap).sum(axis=1).max()
         self.coef_scale = float((params.alpha + params.beta + 1.0) / dt
                                 + 3.0 * row_abs
                                 + nonlin.sup_P * (1.0 + params.chi)
                                 + nonlin.sup_H)
+
+    def _init_band(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """LAPACK band storage of the 1-D Jacobian pattern.
+
+        `rows` and `cols` are the stacked indices of the pattern's slots.  In
+        node-interleaved order the three-point stencil keeps every entry
+        within kl rows below and ku rows above the diagonal (kl = 4 from
+        chi Lap in the sigma row, ku = 3).  `_band_base` holds `_base_data`
+        in dgbtrf's (2 kl + ku + 1, 3n) Fortran-ordered storage, flattened,
+        and `_band_slots` maps each reaction-diagonal entry to its position
+        there.
+        """
+        stacked = np.arange(3 * self.n)
+        # interleaved index of each stacked one, and the stacked index of
+        # each interleaved one
+        self._band_inv_perm = 3 * (stacked % self.n) + stacked // self.n
+        self._band_perm = np.argsort(self._band_inv_perm)
+        rows = self._band_inv_perm[rows]
+        cols = self._band_inv_perm[cols]
+        self._kl = int(np.max(rows - cols))
+        self._ku = int(np.max(cols - rows))
+        self._ldab = 2 * self._kl + self._ku + 1
+        pos = self._kl + self._ku + rows - cols + self._ldab * cols
+        self._band_base = np.zeros(self._ldab * stacked.size)
+        self._band_base[pos] = self._base_data
+        self._band_slots = pos[self._diag_slots]
 
     def potential_eval(self, phi: np.ndarray, order: int) -> np.ndarray:
         """The potential this step uses (order 0) or one of its derivatives.
@@ -197,6 +256,16 @@ class Stepper:
         r3[:] = r3 - lap @ sigma + self.chi * lphi + pm - u2k
         return res
 
+    def _jacobian_data(self, x: np.ndarray, u1k: np.ndarray) -> np.ndarray:
+        """Values of the Jacobian's reaction diagonals at a stacked state,
+        one block of _REACTION_BLOCKS after another."""
+        pv, dpm, hpu, f2 = self.reaction_terms(x, u1k)
+        return np.concatenate([
+            pv, -dpm + self.chi * pv + hpu, -pv,
+            f2, np.full(self.n, -self.chi),
+            -pv, dpm - self.chi * pv, pv,
+        ])
+
     def assemble(self, x: np.ndarray, u1k: np.ndarray) -> sps.csc_matrix:
         """Jacobian of the step residual at a stacked state `x` (3n,).
 
@@ -206,15 +275,8 @@ class Stepper:
         is, and its index arrays are shared between calls and read-only;
         entries that vanish are dropped from a private copy of the pattern.
         """
-        pv, dpm, hpu, f2 = self.reaction_terms(x, u1k)
-        # one value vector per block of _REACTION_BLOCKS, in that order
-        vals = np.concatenate([
-            pv, -dpm + self.chi * pv + hpu, -pv,
-            f2, np.full(self.n, -self.chi),
-            -pv, dpm - self.chi * pv, pv,
-        ])
         data = self._base_data.copy()
-        data[self._diag_slots] += vals
+        data[self._diag_slots] += self._jacobian_data(x, u1k)
         size = 3 * self.n
         if data.all():
             return sps.csc_matrix((data, self._indices, self._indptr),
@@ -227,23 +289,37 @@ class Stepper:
         return jac
 
     def factorize(self, x: np.ndarray, u1k: np.ndarray):
-        """Sparse LU of `assemble(...)`; SolverError if it cannot be formed.
+        """LU of the step Jacobian at `x`; SolverError if it cannot be formed.
 
-        The column ordering depends on the dimension.  A 1-D Jacobian is a
-        narrow band, and SuperLU's default COLAMD order keeps it so: its
-        solves run about twice as fast as under minimum degree on A^T + A.
-        The 2-D Jacobian is structurally symmetric, and minimum degree on
-        A^T + A leaves far less fill than COLAMD (204k against 354k nonzeros
+        Either factor solves `solve(b, trans="N"|"T")` in the stacked order
+        and counts its stored entries in `nnz`.  A 1-D Jacobian is written
+        straight into band storage and factored by LAPACK (`BandLU`), with
+        no sparse matrix formed.  A 2-D Jacobian goes to SuperLU with minimum
+        degree on A^T + A: the matrix is structurally symmetric, and that
+        order leaves far less fill than COLAMD (204k against 354k nonzeros
         in L + U on a 33x33 grid), so both its factor and its solves are
         faster.
         """
-        jac = self.assemble(x, u1k)
-        if not np.all(np.isfinite(jac.data)):
+        if self.grid.dim == 2:
+            jac = self.assemble(x, u1k)
+            if not np.all(np.isfinite(jac.data)):
+                raise SolverError("non-finite Jacobian entries")
+            try:
+                return splu(jac, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise SolverError(f"sparse LU failed: {exc}") from None
+        band = self._band_base.copy()
+        band[self._band_slots] += self._jacobian_data(x, u1k)
+        if not np.all(np.isfinite(band)):
             raise SolverError("non-finite Jacobian entries")
-        try:
-            return splu(jac, permc_spec=self._permc_spec)
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU failed: {exc}") from None
+        # the (ldab, 3n) Fortran-ordered view dgbtrf factors in place
+        lu, ipiv, info = dgbtrf(band.reshape(-1, self._ldab).T, self._kl,
+                                self._ku, overwrite_ab=True)
+        if info > 0:
+            raise SolverError(
+                f"band LU failed: exactly singular at column {info}")
+        return BandLU(lu, ipiv, self._kl, self._ku, self._band_perm,
+                      self._band_inv_perm)
 
     def solve_adjoint_step(self, lu, rhs: np.ndarray) -> np.ndarray:
         """Solve A* y = rhs where A* is the weighted-inner-product transpose."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import tumoropt.stepper
 from tumoropt import StepFactors, solve_adjoint
 from tumoropt.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_SOLVER, main)
 from tumoropt.config import RunConfig, build_setup
@@ -344,6 +345,31 @@ def test_newton_budget_exhaustion_is_solver_error(tmp_path, capsys):
                  "solver.newton_max_iter=1"])
     assert code == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_band_lu_failure_is_solver_error(tmp_path, capsys, monkeypatch):
+    def singular(ab, kl, ku, **kwargs):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+
+    monkeypatch.setattr(tumoropt.stepper, "dgbtrf", singular)
+    cfg = _write(tmp_path, COUPLED)
+    code = main(["simulate", "--config", str(cfg), "--out-dir",
+                 str(tmp_path / "out")])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith(
+        "solver failure: step 1: band LU failed")
+
+
+def test_1d_commands_never_call_splu(tmp_path, monkeypatch):
+    # 1-D step operators are band LUs; SuperLU is the 2-D path only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("splu called on a 1-D run")
+
+    monkeypatch.setattr(tumoropt.stepper, "splu", forbidden)
+    cfg = _write(tmp_path, COUPLED)
+    for command in ("simulate", "optimize", "analyze"):
+        assert main([command, "--config", str(cfg), "--out-dir",
+                     str(tmp_path / command), "--quiet"]) == EXIT_OK
 
 
 def test_energy_blowup_is_solver_error(tmp_path):

@@ -208,6 +208,17 @@ def test_ramp_endpoint_values_exact():
         assert h.eval(np.array([-1.0, 1.0, -3.0, 3.0]), order).max() == 0.0
 
 
+def test_ramp_value_is_bitwise_its_polynomial(rng):
+    # the unrolled Horner form gives numpy's polyval bit for bit, clipped
+    # ends included
+    r = np.concatenate([[-3.0, -1.0, 1.0, 3.0],
+                        rng.uniform(-1.1, 1.1, 200_000)])
+    x = np.clip(0.5 * (r + 1.0), 0.0, 1.0)
+    ref = np.polynomial.polynomial.polyval(
+        x, [0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])
+    assert ramp_shape().eval(r).tobytes() == ref.tobytes()
+
+
 def test_ramp_monotone_and_bounded():
     h = ramp_shape()
     r = np.linspace(-1.2, 1.2, 201)

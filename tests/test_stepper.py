@@ -8,10 +8,10 @@ from scipy.sparse.linalg import splu
 
 import tumoropt.stepper as stepper_module
 from tumoropt import (Control, ModelParams, SecondOrderContext, SolverError,
-                      build_grid, bump_shape, constant_shape, control_inner,
-                      logarithmic_potential, make_nonlinearity,
+                      StepFactors, build_grid, bump_shape, constant_shape,
+                      control_inner, logarithmic_potential, make_nonlinearity,
                       obstacle_potential, ramp_shape, regular_potential,
-                      st_inner)
+                      solve_state, st_inner)
 from tumoropt.stepper import Stepper
 
 from _support import make_problem, smooth_control
@@ -116,28 +116,55 @@ def test_factorize_rejects_non_finite_jacobian():
 
 
 def test_factorize_turns_lu_failure_into_solver_error(monkeypatch):
+    # the 2-D sparse path
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(stepper_module, "splu", singular)
-    st = _stepper("regular", 1, "full")
+    st = _stepper("regular", 2, "full")
     with pytest.raises(SolverError, match="exactly singular"):
         st.factorize(*_state(st, seed=0))
+    x, u1 = _state(st, seed=0)
+    u1[4] = np.inf
+    with pytest.raises(SolverError, match="non-finite Jacobian"):
+        st.factorize(x, u1)
+
+
+def test_factorize_turns_band_lu_failure_into_solver_error(monkeypatch):
+    pr = make_problem(steps=4)
+    ubar = smooth_control(pr, amp=0.3)
+    state = solve_state(pr, ubar)
+
+    def singular(ab, kl, ku, **kwargs):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 7
+
+    monkeypatch.setattr(stepper_module, "dgbtrf", singular)
+    st = _stepper("regular", 1, "full")
+    with pytest.raises(SolverError, match="exactly singular at column 7"):
+        st.factorize(*_state(st, seed=0))
+    # both callers name the step
+    with pytest.raises(SolverError, match="^step 1: band LU failed"):
+        solve_state(pr, ubar)
+    with pytest.raises(SolverError, match="^step 3: band LU failed"):
+        StepFactors(pr, state, ubar).lu(3)
 
 
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
-def test_factorize_1d_is_plain_splu(potential):
-    # 1-D keeps SuperLU's default order, so its factors are bitwise unchanged
+def test_factorize_1d_band_solves_match_splu(potential):
+    # the band LU pivots differently from SuperLU, so its solves move at
+    # round-off only
     st = _stepper(potential, 1, "full")
     state = _state(st, seed=4)
     lu, ref = st.factorize(*state), splu(st.assemble(*state))
-    assert lu.nnz == ref.nnz
-    assert np.array_equal(lu.perm_c, ref.perm_c)
-    assert np.array_equal(lu.perm_r, ref.perm_r)
-    rhs = np.random.default_rng(5).standard_normal(3 * st.n)
+    # 4 subdiagonals (chi Lap in the sigma row) and 3 superdiagonals
+    assert (lu.kl, lu.ku) == (4, 3)
+    assert lu.nnz == (2 * 4 + 3 + 1) * 3 * st.n
+    block = np.random.default_rng(5).standard_normal((3 * st.n, 8))
     for trans in ("N", "T"):
-        assert (lu.solve(rhs, trans=trans).tobytes()
-                == ref.solve(rhs, trans=trans).tobytes())
+        for rhs in (block[:, 0], block):
+            x, x_ref = lu.solve(rhs, trans=trans), ref.solve(rhs, trans=trans)
+            assert x.shape == rhs.shape
+            assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
 
 
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
