@@ -56,8 +56,29 @@ class GradientField:
 
 def reduced_gradient(ubar: Control, problem: ControlProblem,
                      state: StateTrajectory | None = None) -> GradientField:
-    """Gradient of the reduced cost at ubar in the space-time inner product."""
-    return SecondOrderContext(problem, ubar, state).gradient
+    """Gradient of the reduced cost at ubar in the space-time inner product.
+
+    Its adjoint march uses each step factor once, so none is kept: each is
+    dropped after its solve (`SecondOrderContext` keeps them for the
+    curvature marches that reuse them).
+    """
+    if state is None:
+        state = problem.solve(ubar)
+    adjoint = solve_adjoint(StepFactors(problem, state, ubar, cache_bytes=0))
+    return _gradient_field(problem, state, ubar, adjoint)
+
+
+def _gradient_field(problem: ControlProblem, state: StateTrajectory,
+                    ubar: Control, adjoint: AdjointTrajectory
+                    ) -> GradientField:
+    """The gradient (-h(phi) p + b0 u1, r + b0 u2) from the adjoint at ubar."""
+    # level 0 of the multipliers is zero; 0.0 - x rather than -x keeps a
+    # negated zero field from leaking -0.0
+    d1 = 0.0 - problem.nonlin.eval("h", state.phi) * adjoint.p
+    d2 = adjoint.r.copy()
+    b0 = problem.cost.b0
+    return GradientField(d1=d1, d2=d2, grad1=b0 * ubar.u1 + d1,
+                         grad2=b0 * ubar.u2 + d2)
 
 
 def stationarity_measure(ubar: Control, problem: ControlProblem,
@@ -251,15 +272,8 @@ class SecondOrderContext:
 
     @functools.cached_property
     def gradient(self) -> GradientField:
-        pr, adj = self.problem, self.adjoint
-        # level 0 of the multipliers is zero; 0.0 - x rather than -x keeps
-        # a negated zero field from leaking -0.0
-        d1 = 0.0 - pr.nonlin.eval("h", self.state.phi) * adj.p
-        d2 = adj.r.copy()
-        b0 = pr.cost.b0
-        return GradientField(d1=d1, d2=d2,
-                             grad1=b0 * self.ubar.u1 + d1,
-                             grad2=b0 * self.ubar.u2 + d2)
+        return _gradient_field(self.problem, self.state, self.ubar,
+                               self.adjoint)
 
     def linearize(self, h: Control) -> LinearizedTrajectory:
         return solve_generalized_linear(self.factors, h)

@@ -46,17 +46,21 @@ class StepFactors:
     every first- and second-order solve: the linearized and bilinearized
     marches (direct solves) and the adjoint march (transpose solves) share
     its single assembly pass per step.  Each factor is kept while the bytes
-    of all kept factors stay within `_CACHE_BYTES`; a factor past the budget
-    is formed again on each request.
+    of all kept factors stay within `cache_bytes` (`_CACHE_BYTES` when
+    None); a factor past the budget is formed again on each request.  A
+    single march that uses each factor once (the adjoint of a gradient)
+    passes `cache_bytes=0` and keeps none.
     """
 
     def __init__(self, problem: ControlProblem, state: StateTrajectory,
-                 ubar: Control):
+                 ubar: Control, cache_bytes: int | None = None):
         self.problem = problem
         self.state = state
         self.ubar = ubar
         self._lus: dict[int, object] = {}
         self._cached_bytes = 0
+        self._cache_bytes = (_CACHE_BYTES if cache_bytes is None
+                             else cache_bytes)
 
     def lu(self, k: int):
         hit = self._lus.get(k)
@@ -68,7 +72,7 @@ class StepFactors:
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
         size = 12 * fac.nnz
-        if self._cached_bytes + size <= _CACHE_BYTES:
+        if self._cached_bytes + size <= self._cache_bytes:
             self._lus[k] = fac
             self._cached_bytes += size
         return fac

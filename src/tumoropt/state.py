@@ -80,15 +80,26 @@ class SolverOptions:
     (lo + separation_margin, hi - separation_margin) of an exact logarithmic
     potential, or when the step residual at the guess is not finite.
     newton_tol is relative to the natural residual scale (coefficient
-    magnitudes times field size); iterations before it is met factor the
-    Jacobian at the iterate and backtrack (Armijo, at most `max_backtracks`
-    halvings).  After meeting it the solver applies up to `polish_steps`
-    extra chord iterations: each reuses the LU of the last Newton iteration
-    (it factors only when the start already met the tolerance), tries the
-    full step once (shortened only by the separation ceiling) and keeps it
-    only if the residual strictly drops; the first one that does not help
-    ends the polish.  This drives the residual to its round-off floor at
-    about one factorization per step.
+    magnitudes times field size).  A Newton iteration factors the Jacobian
+    at the iterate and backtracks (Armijo, at most `max_backtracks`
+    halvings).  After meeting the tolerance the solver polishes with chord
+    iterations: each reuses an LU formed at an earlier iterate (it factors
+    only when there is none), tries the full step once (shortened only by
+    the separation ceiling) and keeps it only if the residual strictly
+    drops; the first one that does not help ends the polish, and
+    `polish_steps = 0` turns it off.
+
+    How far the LU of an earlier iterate is trusted depends on the LU
+    backend.  A 1-D band LU costs about one residual: every Newton iteration
+    factors, and the polish takes at most `polish_steps` chord iterations
+    with the LU of the last one.  A 2-D SuperLU factor costs far more, so
+    the march carries the last LU across iterations and steps (chord
+    Newton): each iteration first tries the full chord step with it and
+    keeps that step when the residual stays finite and falls to at most
+    0.25 of its value; otherwise, or when the separation ceiling pins the
+    chord step at t = 0, it factors at the iterate and takes the damped
+    Newton step.  The 2-D polish runs while the residual strictly falls,
+    within `newton_max_iter` iterations, so most 2-D steps form no LU.
     """
 
     newton_tol: float = 1e-12
@@ -175,13 +186,16 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     iters = np.zeros(n_levels, dtype=int)
     lus = np.zeros(n_levels, dtype=int)
     x[0] = init.stacked()
+    # a SuperLU factor costs far more than a residual, so the march carries
+    # one from iteration to iteration and step to step (chord Newton)
+    carried = CarriedLU() if stepper.superlu else None
     try:
         for k in range(1, n_levels):
             # linear extrapolation of the last two levels predicts the step
             guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
             x[k], iters[k], lus[k] = _newton_step(
                 stepper, x[k - 1], control.u1[k], control.u2[k], opts, k,
-                start=guess)
+                start=guess, carried=carried)
     except SolverError:
         # an energy blow-up on a level already marched is the earlier failure
         _check_energy(_step_diagnostics(stepper, x[:k], control)[0], opts)
@@ -228,13 +242,30 @@ def _check_energy(energy: np.ndarray, opts: SolverOptions) -> None:
                           f"at step {k} (E = {energy[k]:.3e})")
 
 
+# a chord step with a carried LU is kept when it cuts the residual to this
+# fraction of its value; a weaker one means the LU has gone stale
+_CHORD_CONTRACTION = 0.25
+
+
+@dataclass(eq=False)
+class CarriedLU:
+    """The last step LU of a march, which later Newton iterations and steps
+    may reuse (chord Newton); `lu` is None until the first factorization."""
+
+    lu: object = None
+
+
 def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
                  opts: SolverOptions, k: int,
-                 start: np.ndarray | None = None
+                 start: np.ndarray | None = None,
+                 carried: CarriedLU | None = None
                  ) -> tuple[np.ndarray, int, int]:
     """Solve step k from `start` (x_prev if None or unusable).
 
-    Returns the state, the Newton iterations and the LUs formed.
+    With `carried`, each iteration first tries a chord step with the LU of
+    an earlier iterate, and `carried.lu` holds the last LU on return;
+    without it every Newton iteration factors at its iterate.  Returns the
+    state, the iterations (chord ones included) and the LUs formed.
     """
     res = None
     if start is not None and _inside_margin(stepper, start, opts):
@@ -249,9 +280,40 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
         return opts.newton_tol * stepper.coef_scale * (
             1.0 + float(np.max(np.abs(z))))
 
-    polish_left = opts.polish_steps
+    lag = carried is not None
+    lu = carried.lu if lag else None
+    n_lu = 0
+
+    def factor_at_x():
+        nonlocal n_lu
+        try:
+            fac = stepper.factorize(x, u1k)
+        except SolverError as exc:
+            raise SolverError(f"step {k}: {exc}") from None
+        n_lu += 1
+        return fac
+
+    def direction(fac, may_pin: bool = False) -> tuple[np.ndarray, float]:
+        """Newton direction of `fac` at x and the largest step fraction the
+        separation ceiling allows; 0 when pinned, which raises unless
+        `may_pin`."""
+        delta = fac.solve(-res)
+        t = 1.0
+        if stepper.separation_guard:
+            t = _step_ceiling(stepper.split(x)[1], stepper.split(delta)[1],
+                              *stepper.potential.domain,
+                              opts.separation_margin)
+            if t <= 0.0 and not may_pin:
+                raise SolverError(
+                    f"step {k}: Newton update pinned at the separation "
+                    "margin; reduce dt or start further from the potential "
+                    "barrier")
+        return delta, t
+
+    # a lagged polish runs while the residual falls, within the budget
+    polish_left = (opts.newton_max_iter if lag and opts.polish_steps > 0
+                   else opts.polish_steps)
     converged = rnorm <= tol_at(x)
-    lu, n_lu = None, 0
     it = 0
     while it < opts.newton_max_iter:
         if converged and polish_left <= 0:
@@ -261,32 +323,34 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
         it += 1
         if not np.isfinite(rnorm):
             raise SolverError(f"step {k}: non-finite Newton residual")
-        # a chord polish iteration reuses the last Newton iteration's LU
-        if lu is None or not converged:
-            try:
-                lu = stepper.factorize(x, u1k)
-            except SolverError as exc:
-                raise SolverError(f"step {k}: {exc}") from None
-            n_lu += 1
-        delta = lu.solve(-res)
-        t = 1.0
-        if stepper.separation_guard:
-            t = _step_ceiling(stepper.split(x)[1], stepper.split(delta)[1],
-                              *stepper.potential.domain,
-                              opts.separation_margin)
-            if t <= 0.0:
-                raise SolverError(
-                    f"step {k}: Newton update pinned at the separation margin; "
-                    "reduce dt or start further from the potential barrier")
-        if converged:
-            # polish: one trial of the full step, kept only if it helps
+        # the LU of an earlier iterate serves the polish and, when lagging,
+        # a first chord trial of every iteration
+        chord = lu is not None and (converged or lag)
+        if not chord:
+            lu = factor_at_x()
+        delta, t = direction(lu, may_pin=chord and lag)
+        if t <= 0.0:
+            # a lagged chord step pinned at the ceiling: factor afresh
+            lu, chord = factor_at_x(), False
+            delta, t = direction(lu)
+        if converged or chord:
+            # one trial of the full step
             x_new = x + t * delta
             res_new = stepper.residual(x_new, x_prev, u1k, u2k)
             rnorm_new = float(np.max(np.abs(res_new)))
-            if not rnorm_new < rnorm:
-                break
-            x, res, rnorm = x_new, res_new, rnorm_new
-            continue
+            if converged:
+                # polish: kept only if it helps
+                if not rnorm_new < rnorm:
+                    break
+                x, res, rnorm = x_new, res_new, rnorm_new
+                continue
+            # chord: kept if it contracts (False for a non-finite residual)
+            if rnorm_new <= _CHORD_CONTRACTION * rnorm:
+                x, res, rnorm = x_new, res_new, rnorm_new
+                converged = rnorm <= tol_at(x)
+                continue
+            lu = factor_at_x()
+            delta, t = direction(lu)
         best = None
         for _ in range(opts.max_backtracks):
             x_try = x + t * delta
@@ -304,6 +368,8 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
                 f"after {it} iterations")
         x, res, rnorm = x_new, res_new, rnorm_new
         converged = rnorm <= tol_at(x)
+    if lag:
+        carried.lu = lu
     if not converged:
         raise SolverError(
             f"step {k}: Newton did not converge within "

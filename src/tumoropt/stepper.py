@@ -92,6 +92,9 @@ class Stepper:
         # so its Newton updates must keep phi strictly inside (-1, 1)
         self.separation_guard = (potential.kind == "logarithmic"
                                  and yosida_eps is None)
+        # a 2-D step LU goes to SuperLU and costs far more than a residual;
+        # a 1-D band LU costs about as much as one
+        self.superlu = grid.dim == 2
 
         n = grid.n
         self.n = n
@@ -134,7 +137,7 @@ class Stepper:
         keys = (np.repeat(np.arange(size), np.diff(full.indptr)) * size
                 + full.indices)
         self._diag_slots = np.searchsorted(keys, diag_cols * size + diag_rows)
-        if grid.dim == 1:
+        if not self.superlu:
             self._init_band(full.indices, keys // size)
         self._indices = full.indices
         self._indptr = full.indptr
@@ -300,7 +303,7 @@ class Stepper:
         in L + U on a 33x33 grid), so both its factor and its solves are
         faster.
         """
-        if self.grid.dim == 2:
+        if self.superlu:
             jac = self.assemble(x, u1k)
             if not np.all(np.isfinite(jac.data)):
                 raise SolverError("non-finite Jacobian entries")

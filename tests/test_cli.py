@@ -360,6 +360,51 @@ def test_band_lu_failure_is_solver_error(tmp_path, capsys, monkeypatch):
         "solver failure: step 1: band LU failed")
 
 
+# the coupled run on a 9x9 square: its step LUs go to SuperLU
+SQUARE = ["--set", "grid.dim=2", "--set", "grid.shape=[9,9]",
+          "--set", "grid.lengths=[1.0,1.0]", "--set", "time.steps=16"]
+
+
+def test_sparse_lu_failure_is_solver_error(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(tumoropt.stepper, "splu", singular)
+    cfg = _write(tmp_path, COUPLED)
+    code = main(["simulate", "--config", str(cfg), "--out-dir",
+                 str(tmp_path / "out"), *SQUARE])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith(
+        "solver failure: step 1: sparse LU failed")
+
+
+def test_2d_simulate_carries_its_lu_across_steps(tmp_path, monkeypatch):
+    # a 2-D march reuses one SuperLU factor while chord steps contract
+    calls = []
+    splu = tumoropt.stepper.splu
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(tumoropt.stepper, "splu", counted)
+    cfg = _write(tmp_path, COUPLED)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet", *SQUARE]) == EXIT_OK
+    steps, n_splu = 16, len(calls)
+    assert 1 <= n_splu <= steps // 4
+    rows = _read_rows(out / "diagnostics.csv")
+    column = [int(row[rows[0].index("factorizations")]) for row in rows[1:]]
+    assert sum(column) == n_splu
+    setup = build_setup(RunConfig.from_dict(
+        yaml.safe_load((out / "resolved_config.yaml").read_text()),
+        base_dir=tmp_path))
+    assert setup.problem.tgrid.steps == steps
+    traj = setup.problem.solve(setup.initial_control)
+    assert column == traj.factorizations.tolist()
+
+
 def test_1d_commands_never_call_splu(tmp_path, monkeypatch):
     # 1-D step operators are band LUs; SuperLU is the 2-D path only
     def forbidden(*args, **kwargs):

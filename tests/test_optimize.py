@@ -11,8 +11,8 @@ from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       default_tau, dense_hessian, projected_gradient,
                       reduced_gradient, ssc_certificate,
                       stationarity_measure, strongly_active_sets,
-                      solve_bilinearized, StepFactors, unbounded_box,
-                      zero_control)
+                      solve_bilinearized, StepFactors, Stepper,
+                      unbounded_box, zero_control)
 from tumoropt.problem import control_inner, st_inner
 from tumoropt.verify import (_random_direction, check_gradient_fd,
                              check_taylor_orders)
@@ -84,8 +84,8 @@ def test_reduced_gradient_releases_its_step_factors(monkeypatch):
     # PGD calls it once per iteration; a factor set kept alive would pile up
     refs, init = [], StepFactors.__init__
 
-    def track(self, *args):
-        init(self, *args)
+    def track(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         refs.append(weakref.ref(self))
 
     monkeypatch.setattr(StepFactors, "__init__", track)
@@ -93,6 +93,40 @@ def test_reduced_gradient_releases_its_step_factors(monkeypatch):
     reduced_gradient(smooth_control(pr), pr)
     assert len(refs) == 1
     assert refs[0]() is None
+
+
+@pytest.mark.parametrize("ny", [None, 5])
+def test_reduced_gradient_drops_each_step_factor_after_its_solve(
+        monkeypatch, ny):
+    pr = make_problem(steps=6, nodes=9, ny=ny)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    alive = []
+    factorize = Stepper.factorize
+
+    class Held:
+        """A factor behind a proxy that weak references can follow (a
+        SuperLU object takes none)."""
+
+        def __init__(self, fac):
+            self.nnz, self.solve = fac.nnz, fac.solve
+
+    def tracked(self, *args):
+        # every factor formed before this one is gone already
+        assert not any(ref() is not None for ref in alive), (
+            f"a factor outlived its solve at LU {len(alive) + 1}")
+        fac = Held(factorize(self, *args))
+        alive.append(weakref.ref(fac))
+        return fac
+
+    monkeypatch.setattr(Stepper, "factorize", tracked)
+    grad = reduced_gradient(u, pr, state=state)
+    # one LU per step, as many as a factor set that keeps them all forms
+    assert len(alive) == pr.tgrid.steps
+    monkeypatch.setattr(Stepper, "factorize", factorize)
+    ref = SecondOrderContext(pr, u, state).gradient
+    for name in ("d1", "d2", "grad1", "grad2"):
+        assert getattr(grad, name).tobytes() == getattr(ref, name).tobytes()
 
 
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])

@@ -1,6 +1,7 @@
 """Forward solver: invariants, reductions, and failure modes."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from scipy.integrate import solve_ivp
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       SecondOrderContext, SeparationViolation, SolverError,
                       SolverOptions, TimeGrid, build_grid, bump_shape,
-                      make_nonlinearity, potential_eval, ramp_shape,
+                      logarithmic_potential, make_nonlinearity,
+                      obstacle_potential, potential_eval, ramp_shape,
                       regular_potential, solve_state)
 from tumoropt import state
+from tumoropt import stepper as stepper_module
 from tumoropt.problem import ControlProblem
-from tumoropt.state import _newton_step
+from tumoropt.state import CarriedLU, _newton_step
 from tumoropt.stepper import Stepper
 
 from _support import (energy_by_level, make_problem, mass_defect_by_level,
@@ -352,13 +355,16 @@ def test_predictor_with_non_finite_residual_falls_back(monkeypatch):
 
 
 def _obstacle_yosida_problem() -> ControlProblem:
-    from tumoropt import obstacle_potential
     pr = make_problem(steps=60, t_final=0.3, yosida_eps=0.05)
     return dataclasses.replace(pr, potential=obstacle_potential())
 
 
-def _log_2d_problem() -> ControlProblem:
-    from tumoropt import logarithmic_potential
+def _problem_2d(potential="logarithmic", yosida_eps=None,
+                steps=40) -> ControlProblem:
+    """9x9 problem on the unit square whose initial data vary in x and y."""
+    kinds = {"regular": regular_potential,
+             "logarithmic": logarithmic_potential,
+             "obstacle": obstacle_potential}
     grid = build_grid(2, [9, 9], [1.0, 1.0])
     xy = grid.coordinates()
     init = InitialData(
@@ -366,11 +372,12 @@ def _log_2d_problem() -> ControlProblem:
         phi0=0.2 * np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1]),
         sigma0=np.full(grid.n, 0.1))
     return ControlProblem(
-        grid=grid, tgrid=TimeGrid(steps=40, t_final=0.1),
+        grid=grid, tgrid=TimeGrid(steps=steps, t_final=0.1),
         params=ModelParams(alpha=1.0, beta=0.8, chi=0.3, T=0.1),
-        potential=logarithmic_potential(),
+        potential=kinds[potential](),
         nonlin=make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape()),
-        cost=CostSpec(b0=1.0), init=init)
+        cost=CostSpec(b0=1.0), init=init,
+        options=SolverOptions(yosida_eps=yosida_eps))
 
 
 ORACLE_CASES = {
@@ -379,7 +386,7 @@ ORACLE_CASES = {
     "regular-1d": lambda: make_problem(potential="regular", steps=60,
                                        t_final=0.3),
     "obstacle-yosida-1d": _obstacle_yosida_problem,
-    "log-2d": _log_2d_problem,
+    "log-2d": _problem_2d,
 }
 
 
@@ -388,23 +395,238 @@ def test_predicted_march_matches_march_from_previous_level(case):
     pr = ORACLE_CASES[case]()
     u = smooth_control(pr, amp=0.4)
     traj = pr.solve(u)
-    # oracle: every step starts Newton at the previous level
+    # oracle: every step starts Newton at the previous level and factors at
+    # every Newton iteration
     x = pr.init.stacked()
     oracle = [x]
-    oracle_iters = 0
+    oracle_iters = oracle_lus = 0
     for k in range(1, pr.n_levels):
-        x, iters, _ = _newton_step(pr.stepper, x, u.u1[k], u.u2[k],
-                                   pr.options, k)
+        x, iters, lus = _newton_step(pr.stepper, x, u.u1[k], u.u2[k],
+                                     pr.options, k)
         oracle.append(x)
         oracle_iters += iters
-    # the predictor is in play: it saves iterations over the oracle
-    assert traj.newton_iters.sum() < oracle_iters
+        oracle_lus += lus
+    if pr.stepper.superlu:
+        # the 2-D march carries one LU across iterations and steps: it takes
+        # more (chord) iterations but forms fewer LUs, and forms one on
+        # step 1 at least, where there is no LU to carry yet
+        assert traj.factorizations.sum() < oracle_lus
+        assert traj.factorizations[1] >= 1
+    else:
+        # the predictor is in play: it saves iterations over the oracle
+        assert traj.newton_iters.sum() < oracle_iters
+        assert np.all(traj.factorizations[1:] >= 1)
     oracle = np.stack(oracle)
     # both solves end at the round-off floor of the same step equations
     assert np.abs(traj.x - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert traj.mass_residual[1:].max() <= 1e-13
-    assert np.all(traj.factorizations[1:] >= 1)
     assert traj.factorizations[0] == 0
+
+
+def _per_iteration_march(pr, u):
+    """The march of `solve_state`, predictor included, with an LU at every
+    Newton iteration and none carried between iterations or steps."""
+    x = np.empty((pr.n_levels, 3 * pr.grid.n))
+    iters = np.zeros(pr.n_levels, dtype=int)
+    lus = np.zeros(pr.n_levels, dtype=int)
+    x[0] = pr.init.stacked()
+    for k in range(1, pr.n_levels):
+        guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
+        x[k], iters[k], lus[k] = _newton_step(
+            pr.stepper, x[k - 1], u.u1[k], u.u2[k], pr.options, k,
+            start=guess)
+    return x, iters, lus
+
+
+def _assert_levels_agree(x, ref, rtol=1e-12):
+    """Every level of x within rtol of ref, relative to ref's largest entry;
+    a failure names the first step off."""
+    scale = np.abs(ref).max()
+    for k in range(1, len(ref)):
+        err = np.abs(x[k] - ref[k]).max()
+        assert err <= rtol * scale, (
+            f"step {k}: off by {err:.2e} relative to {scale:.2e}")
+
+
+CHORD_CASES = {
+    "regular": lambda: _problem_2d("regular", steps=20),
+    "logarithmic": lambda: _problem_2d("logarithmic", steps=20),
+    "obstacle-yosida": lambda: _problem_2d("obstacle", yosida_eps=0.05,
+                                           steps=20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHORD_CASES))
+def test_2d_chord_march_matches_per_iteration_newton(case):
+    pr = CHORD_CASES[case]()
+    assert pr.stepper.superlu
+    u = smooth_control(pr, amp=0.4)
+    traj = pr.solve(u)
+    ref, ref_iters, ref_lus = _per_iteration_march(pr, u)
+    _assert_levels_agree(traj.x, ref)
+    assert traj.mass_residual[1:].max() <= 1e-13
+    # chord iterations replace LUs: one LU serves many steps
+    assert 1 <= traj.factorizations.sum() < ref_lus.sum() // 4
+    assert traj.newton_iters.sum() > ref_iters.sum()
+
+
+def test_2d_chord_polish_runs_until_the_residual_stops_falling():
+    pr = _problem_2d("regular", steps=12)
+    u = smooth_control(pr, amp=0.4)
+    traj = pr.solve(u)
+    stepper, x = pr.stepper, traj.x
+    # the march of solve_state, step by step, with the LU it carries
+    carried = CarriedLU()
+    for k in range(1, pr.n_levels):
+        guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
+        xk, iters, lus = _newton_step(stepper, x[k - 1], u.u1[k], u.u2[k],
+                                      pr.options, k, start=guess,
+                                      carried=carried)
+        assert xk.tobytes() == x[k].tobytes(), f"step {k}: march differs"
+        assert (iters, lus) == (traj.newton_iters[k], traj.factorizations[k])
+        # one more chord step would not lower the residual
+        res = stepper.residual(xk, x[k - 1], u.u1[k], u.u2[k])
+        more = stepper.residual(xk + carried.lu.solve(-res), x[k - 1],
+                                u.u1[k], u.u2[k])
+        assert not np.abs(more).max() < np.abs(res).max(), (
+            f"step {k}: the polish stopped while the residual still fell")
+    # polish_steps = 0 stops each step at the tolerance
+    bare = dataclasses.replace(pr, options=SolverOptions(polish_steps=0))
+    unpolished = bare.solve(u)
+    assert unpolished.newton_iters.sum() < traj.newton_iters.sum()
+    _assert_levels_agree(unpolished.x, traj.x, rtol=1e-8)
+
+
+def _first_step(pr):
+    u = smooth_control(pr, amp=0.4)
+    return pr.stepper, pr.init.stacked(), u.u1[1], u.u2[1]
+
+
+def _distant_lu(stepper, x, u1):
+    """Step LU at x with phi moved near the barrier everywhere."""
+    far = x.copy()
+    stepper.split(far)[1][:] = 0.99
+    return stepper.factorize(far, u1)
+
+
+def test_chord_step_refactors_when_the_carried_lu_does_not_contract():
+    pr = _problem_2d(steps=4)
+    stepper, x_prev, u1, u2 = _first_step(pr)
+    # an LU carried from a distant state
+    carried = CarriedLU(_distant_lu(stepper, x_prev, u1))
+    stale = carried.lu
+    res = stepper.residual(x_prev, x_prev, u1, u2)
+    chord = x_prev + stale.solve(-res)
+    # its full step does not cut the residual to a quarter
+    assert (np.abs(stepper.residual(chord, x_prev, u1, u2)).max()
+            > 0.25 * np.abs(res).max())
+    x, iters, lus = _newton_step(stepper, x_prev, u1, u2, pr.options, 1,
+                                 carried=carried)
+    assert lus >= 1, "step 1: the stale LU was never replaced"
+    assert carried.lu is not stale
+    ref, _, _ = _newton_step(stepper, x_prev, u1, u2, pr.options, 1)
+    _assert_levels_agree(np.stack([x_prev, x]), np.stack([x_prev, ref]))
+    assert (np.abs(stepper.residual(x, x_prev, u1, u2)).max()
+            <= pr.options.newton_tol * stepper.coef_scale
+            * (1.0 + np.abs(x).max()))
+
+
+class _Reversed:
+    """A factor whose solves point the opposite way to those of `lu`."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b, trans="N"):
+        return -self.lu.solve(b, trans)
+
+
+def test_stale_chord_step_pinned_at_the_ceiling_factors_again():
+    # one node of the initial phase field sits inside the separation margin
+    pr = _problem_2d(steps=4)
+    phi0 = pr.init.phi0.copy()
+    phi0[pr.grid.n // 2] = 1.0 - 0.5 * pr.options.separation_margin
+    pr = dataclasses.replace(pr, init=dataclasses.replace(pr.init,
+                                                          phi0=phi0))
+    stepper, x_prev, u1, u2 = _first_step(pr)
+    assert stepper.separation_guard
+    fresh = stepper.factorize(x_prev, u1)
+    res = stepper.residual(x_prev, x_prev, u1, u2)
+    lo, hi = pr.potential.domain
+    margin = pr.options.separation_margin
+
+    def ceiling(lu):
+        delta = lu.solve(-res)
+        return state._step_ceiling(stepper.split(x_prev)[1],
+                                   stepper.split(delta)[1], lo, hi, margin)
+
+    # the Newton step at x_prev moves that node inward, the carried one
+    # outward: the ceiling pins the chord step at t = 0
+    assert ceiling(fresh) > 0.0
+    assert ceiling(_Reversed(fresh)) == 0.0
+    carried = CarriedLU(_Reversed(fresh))
+    x, iters, lus = _newton_step(stepper, x_prev, u1, u2, pr.options, 1,
+                                 carried=carried)
+    assert lus >= 1, "step 1: the pinned stale LU was never replaced"
+    assert not isinstance(carried.lu, _Reversed)
+    ref, _, _ = _newton_step(stepper, x_prev, u1, u2, pr.options, 1)
+    _assert_levels_agree(np.stack([x_prev, x]), np.stack([x_prev, ref]))
+
+
+# sha256 of StateTrajectory.x and the step counts of 1-D marches, recorded
+# before the 2-D march learned to carry LUs: the band path keeps factoring
+# at every Newton iteration, so not a bit of it may move
+BAND_MARCH_DIGESTS = {
+    ("logarithmic", None):
+        "71b118a543d2257e68af3176c62f1ebb43a7a53faa5034634cf576555b0c7c48",
+    ("regular", None):
+        "670348df8bf0b93096c7ff09b2964bdda6a9ad80d585ef9314073f3d868f62bd",
+    ("logarithmic", 0.05):
+        "386033c3cdd0e93f65f40c367ccb81c88ff76f847ac87e7174f80e72287afcc5",
+}
+
+
+@pytest.mark.parametrize("potential,yosida_eps", sorted(
+    BAND_MARCH_DIGESTS, key=str))
+def test_1d_march_is_bitwise_the_per_iteration_newton(potential, yosida_eps):
+    pr = make_problem(potential=potential, steps=12, yosida_eps=yosida_eps)
+    assert not pr.stepper.superlu
+    u = smooth_control(pr, amp=0.4)
+    traj = pr.solve(u)
+    ref, ref_iters, ref_lus = _per_iteration_march(pr, u)
+    for k in range(1, pr.n_levels):
+        assert traj.x[k].tobytes() == ref[k].tobytes(), f"step {k} moved"
+    assert np.array_equal(traj.newton_iters, ref_iters)
+    assert np.array_equal(traj.factorizations, ref_lus)
+    assert traj.newton_iters.tolist() == [0] + [3] * 12
+    assert traj.factorizations.tolist() == [0] + [2] * 12
+    assert (hashlib.sha256(traj.x.tobytes()).hexdigest()
+            == BAND_MARCH_DIGESTS[potential, yosida_eps])
+
+
+def test_2d_newton_failures_name_the_step(monkeypatch):
+    pr = _problem_2d(steps=4)
+    u = smooth_control(pr, amp=0.4)
+    with pytest.raises(SolverError, match="^step 1: Newton did not converge"):
+        dataclasses.replace(pr, options=SolverOptions(newton_max_iter=1)
+                            ).solve(u)
+    bad = Control(u.u1.copy(), u.u2.copy())
+    bad.u1[3, 5] = np.nan
+    # step 3 starts with an LU carried from the steps before it
+    with pytest.raises(SolverError, match="^step 3: non-finite"):
+        pr.solve(bad)
+    # a refactor forced by a stale LU names its step when SuperLU fails
+    stepper, x_prev, u1, u2 = _first_step(pr)
+    carried = CarriedLU(_distant_lu(stepper, x_prev, u1))
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(stepper_module, "splu", singular)
+    with pytest.raises(SolverError, match="^step 5: sparse LU failed"):
+        _newton_step(stepper, x_prev, u1, u2, pr.options, 5, carried=carried)
+    with pytest.raises(SolverError, match="^step 1: sparse LU failed"):
+        pr.solve(u)
 
 
 def test_non_finite_control_is_solver_error():
