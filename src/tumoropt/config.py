@@ -283,27 +283,42 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # resolving blocks into objects
 
-def _number(block: dict, block_name: str, key: str, *, positive=False,
-            nonnegative=False, integer=False, optional=False):
+def _number(block: dict, block_name: str, key: str, *, optional=False,
+            **rules):
     value = block.get(key)
     if value is None:
         if optional:
             return None
         raise ConfigError(f"{block_name}.{key} is required")
+    return _checked(value, f"{block_name}.{key}", **rules)
+
+
+def _numbers(block: dict, block_name: str, key: str, **rules) -> list:
+    """A list entry whose every item passes the `_number` rules."""
+    values = block.get(key)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{block_name}.{key} must be a list of numbers, "
+                          f"got {values!r}")
+    return [_checked(value, f"{block_name}.{key}", **rules)
+            for value in values]
+
+
+def _checked(value, name: str, *, positive=False, nonnegative=False,
+             integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{block_name}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{block_name}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if integer:
         if int(value) != value:
-            raise ConfigError(f"{block_name}.{key} must be an integer")
+            raise ConfigError(f"{name} must be an integer")
         value = int(value)
     else:
         value = float(value)
     if positive and value <= 0:
-        raise ConfigError(f"{block_name}.{key} must be positive")
+        raise ConfigError(f"{name} must be positive")
     if nonnegative and value < 0:
-        raise ConfigError(f"{block_name}.{key} must be nonnegative")
+        raise ConfigError(f"{name} must be nonnegative")
     return value
 
 
@@ -441,9 +456,11 @@ class RunSetup:
 
 def build_setup(cfg: RunConfig) -> RunSetup:
     gb = cfg.grid
+    dim = _number(gb, "grid", "dim", integer=True)
+    shape = _numbers(gb, "grid", "shape", positive=True, integer=True)
+    lengths = _numbers(gb, "grid", "lengths", positive=True)
     with _prefixed("grid"):
-        grid = build_grid(_number(gb, "grid", "dim", integer=True),
-                          gb["shape"], gb["lengths"])
+        grid = build_grid(dim, shape, lengths)
 
     t_final = _number(cfg.time, "time", "T", positive=True)
     steps = _number(cfg.time, "time", "steps", positive=True, integer=True)
@@ -485,7 +502,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         newton_max_iter=_number(sb, "solver", "newton_max_iter",
                                 positive=True, integer=True),
         max_backtracks=_number(sb, "solver", "max_backtracks",
-                               nonnegative=True, integer=True),
+                               positive=True, integer=True),
         separation_margin=_number(sb, "solver", "separation_margin",
                                   nonnegative=True),
         yosida_eps=yosida_eps,

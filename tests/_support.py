@@ -1,8 +1,11 @@
-"""Shared builders for small test problems."""
+"""Shared builders for small test problems, and the test-only oracles."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from tumoropt import (Control, CostSpec, InitialData, ModelParams, TimeGrid,
                       build_grid, bump_shape, constant_shape,
@@ -91,3 +94,63 @@ def mass_defect_by_level(stepper, traj, control: Control, k: int) -> float:
                    np.ones(n))
     raw = (mass[1] - mass[0]) / dt - source
     return abs(raw) / max(1.0, abs(mass[1]) / dt, abs(source))
+
+
+def ode_reduction_reference(problem: ControlProblem, u1_of_t, u2_of_t,
+                            rtol: float = 1e-10, atol: float = 1e-12):
+    """Adaptive high-order integration of the space-homogeneous reduction.
+
+    For spatially constant data the three PDEs collapse to ODEs:
+
+        beta phi' = -F'(phi) + mu + chi sigma
+        alpha mu' = P(phi) m - h(phi) u1 - phi'
+        sigma'    = -P(phi) m + u2,   m = sigma + chi (1 - phi) - mu
+
+    Returns the (mu, phi, sigma) values at T.
+    """
+    pr = problem.params
+    nl = problem.nonlin
+
+    def rhs(t, y):
+        mu, phi, sigma = y
+        m = sigma + pr.chi * (1.0 - phi) - mu
+        arr = np.array([phi])
+        fp = float(problem.stepper.potential_eval(arr, 1)[0])
+        pv = float(nl.eval("P", phi))
+        hv = float(nl.eval("h", phi))
+        dphi = (-fp + mu + pr.chi * sigma) / pr.beta
+        dmu = (pv * m - hv * u1_of_t(t) - dphi) / pr.alpha
+        dsigma = -pv * m + u2_of_t(t)
+        return [dmu, dphi, dsigma]
+
+    y0 = [float(f[0]) for f in problem.stepper.split(problem.init.stacked())]
+    sol = solve_ivp(rhs, (0.0, pr.T), y0, method="RK45", rtol=rtol, atol=atol,
+                    dense_output=False)
+    if not sol.success:
+        raise RuntimeError(f"reference integration failed: {sol.message}")
+    return sol.y[:, -1]
+
+
+def richardson_state_at_T(problem: ControlProblem, u1_of_t, u2_of_t):
+    """Scheme values at T extrapolated over three time resolutions.
+
+    Runs the stepper at N, 2N and 4N steps on spatially constant data and
+    eliminates the first- and second-order error terms, exposing the
+    scheme's continuum limit at T.
+    """
+    vals = []
+    for factor in (1, 2, 4):
+        tg = TimeGrid(problem.tgrid.steps * factor, problem.tgrid.t_final)
+        n = problem.grid.n
+        times = tg.times
+        u = Control(
+            np.repeat([[u1_of_t(t) for t in times]], n, axis=0).T.copy(),
+            np.repeat([[u2_of_t(t) for t in times]], n, axis=0).T.copy())
+        # no targets: they are shaped for the base grid, and no cost is taken
+        traj = dataclasses.replace(
+            problem, tgrid=tg, cost=CostSpec(b0=problem.cost.b0)).solve(u)
+        vals.append(np.array([f[0] for f in problem.stepper.split(traj.x[-1])]))
+    y1, y2, y3 = vals
+    z12 = 2.0 * y2 - y1
+    z23 = 2.0 * y3 - y2
+    return (4.0 * z23 - z12) / 3.0

@@ -21,10 +21,10 @@ from tumoropt.config import RunConfig, build_setup
 from tumoropt.model import _f1_eval
 from tumoropt.problem import ControlProblem, control_norm, control_inner, st_inner
 from tumoropt.verify import (check_duality, check_gradient_fd,
-                             check_stability_ratios, check_taylor_orders,
-                             ode_reduction_reference, richardson_state_at_T)
+                             check_stability_ratios, check_taylor_orders)
 
-from _support import make_problem, random_control, smooth_control
+from _support import (make_problem, ode_reduction_reference, random_control,
+                      richardson_state_at_T, smooth_control)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DESK = dict(nodes=129, steps=200, t_final=1.0)

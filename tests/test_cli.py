@@ -210,6 +210,31 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     assert again.stderr == proc.stderr
 
 
+@pytest.mark.parametrize("override", [
+    "grid.shape=[.inf]",
+    "grid.shape=[1e400]",
+    "grid.shape=[9.5]",
+    "grid.shape=[true]",
+    "grid.shape=abc",
+    "grid.lengths=[true]",
+    "grid.lengths=[.inf]",
+    "solver.max_backtracks=0",
+])
+def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
+                                                       override):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    code = main(["simulate", "--config",
+                 str(root / "configs" / "canonical_1d.yaml"),
+                 "--out-dir", str(out), "--quiet", "--set", "time.steps=4",
+                 "--set", override])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(f"config error: {override.partition('=')[0]} ")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_obstacle_without_yosida_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, ZERO)
     code = main(["simulate", "--config", str(cfg), "--out-dir",
@@ -481,6 +506,13 @@ def _fuzz_table(seed=20201):
     for key, _ in FUZZ_FIELDS:
         rows.extend((key, kind, None) for kind in
                     ("csv-non-finite", "csv-duplicate-index"))
+    rows.extend([("grid.shape", "infinite", "[.inf]"),
+                 ("grid.shape", "overflow", "[1e400]"),
+                 ("grid.shape", "non-integral", "[9.5]"),
+                 ("grid.shape", "boolean", "[true]"),
+                 ("grid.shape", "string", "abc"),
+                 ("grid.lengths", "boolean", "[true]"),
+                 ("solver.max_backtracks", "zero", "0")])
     return [(f"{key}-{kind}", str(rng.choice(FUZZ_COMMANDS)), key, kind, value)
             for key, kind, value in rows]
 

@@ -269,6 +269,12 @@ def test_invalid_configs_raise(raw, needle):
         build_setup(RunConfig.from_dict(raw))
 
 
+def test_integral_float_grid_shape_is_accepted():
+    setup = build_setup(_small(grid={"shape": [9.0], "lengths": [2]}))
+    assert setup.problem.grid.shape == (9,)
+    assert setup.problem.grid.lengths == (2.0,)
+
+
 def test_bounds_accept_expressions():
     cfg = _small(control={"bounds": {"lower1": -1.0,
                                      "upper1": "1 + x * 0.5"}})

@@ -1,12 +1,17 @@
-"""Every module of the package uses each name it imports, and every
-module-level private name is used somewhere in the package."""
+"""Every module of the package uses each name it imports, every
+module-level private name is used somewhere in the package, and a CLI run
+imports no scipy module that only the tests need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tumoropt"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tumoropt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -83,3 +88,28 @@ def test_every_private_name_is_used_in_the_package():
               for private, line in _private_definitions(tree).items()
               if private not in used]
     assert not unused, unused
+
+
+# scipy.integrate and scipy.optimize serve only the tests' ODE oracle; a CLI
+# run that imports either pays their start-up for nothing
+GUARD = """\
+import sys
+import tumoropt.cli
+code = tumoropt.cli.main(sys.argv[1:])
+print(code, *[m for m in ("scipy.integrate", "scipy.optimize")
+              if m in sys.modules])
+"""
+
+
+def test_cli_run_imports_no_test_only_scipy_module(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD, "simulate",
+         "--config", str(ROOT / "configs" / "zero.yaml"),
+         "--out-dir", str(tmp_path / "out"), "--quiet",
+         "--set", "grid.shape=[9]", "--set", "time.steps=4"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

@@ -5,14 +5,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       SecondOrderContext, SeparationViolation, SolverError,
                       SolverOptions, TimeGrid, build_grid, bump_shape,
                       logarithmic_potential, make_nonlinearity,
-                      obstacle_potential, potential_eval, ramp_shape,
-                      regular_potential, solve_state)
+                      obstacle_potential, ramp_shape, regular_potential,
+                      solve_state)
 from tumoropt import state
 from tumoropt import stepper as stepper_module
 from tumoropt.problem import ControlProblem
@@ -20,7 +19,7 @@ from tumoropt.state import CarriedLU, _newton_step
 from tumoropt.stepper import Stepper
 
 from _support import (energy_by_level, make_problem, mass_defect_by_level,
-                      random_control, smooth_control)
+                      ode_reduction_reference, random_control, smooth_control)
 
 
 def _with_zero_data(problem: ControlProblem) -> ControlProblem:
@@ -85,25 +84,6 @@ def _constant_problem(potential: str, steps: int) -> ControlProblem:
     return dataclasses.replace(pr, init=init)
 
 
-def _ode_reference(pr: ControlProblem, u1: float, u2: float) -> np.ndarray:
-    """Space-constant fields reduce the scheme to a 3-component ODE."""
-    pot, nl, p = pr.potential, pr.nonlin, pr.params
-
-    def rhs(_t, y):
-        mu, phi, sig = y
-        m = sig + p.chi * (1.0 - phi) - mu
-        r = np.array([phi])
-        growth = float(nl.eval("P", r)[0]) * m
-        dphi = (mu + p.chi * sig - float(potential_eval(pot, phi, 1))) / p.beta
-        dmu = (growth - float(nl.eval("h", r)[0]) * u1 - dphi) / p.alpha
-        dsig = -growth + u2
-        return [dmu, dphi, dsig]
-
-    sol = solve_ivp(rhs, (0.0, p.T), [0.05, 0.2, 0.1], rtol=1e-12, atol=1e-14,
-                    dense_output=False, t_eval=[p.T])
-    return sol.y[:, -1]
-
-
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])
 def test_constant_data_reduces_to_ode(potential):
     u1v, u2v = 0.15, -0.1
@@ -118,7 +98,9 @@ def test_constant_data_reduces_to_ode(potential):
                    np.ptp(traj.sigma[-1])) < 1e-12
         finals[steps] = np.array([traj.mu[-1, 0], traj.phi[-1, 0],
                                   traj.sigma[-1, 0]])
-    ref = _ode_reference(_constant_problem(potential, 64), u1v, u2v)
+    ref = ode_reduction_reference(_constant_problem(potential, 64),
+                                  lambda t: u1v, lambda t: u2v,
+                                  rtol=1e-12, atol=1e-14)
     err_coarse = np.abs(finals[64] - ref).max()
     err_fine = np.abs(finals[128] - ref).max()
     # first order in dt, so halving dt roughly halves the error

@@ -14,12 +14,11 @@ from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _refine_nested,
                              check_duality,
                              check_stability_ratios, check_taylor_orders,
                              fit_slope, make_slope_report,
-                             ode_reduction_reference,
                              quadratic_form_bilinear_route, refine_control,
-                             refine_problem, richardson_state_at_T,
-                             run_verification, THRESHOLDS)
+                             refine_problem, run_verification, THRESHOLDS)
 
-from _support import make_problem, random_control, smooth_control
+from _support import (make_problem, ode_reduction_reference, random_control,
+                      richardson_state_at_T, smooth_control)
 
 
 # ---------------------------------------------------------------------------
