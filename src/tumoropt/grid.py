@@ -9,6 +9,7 @@ inner product, conservative, and exact on constants.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,12 @@ def build_grid(dim: int, shape: list[int] | tuple[int, ...],
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if any(isinstance(v, bool) for v in (*shape, *lengths)):
+        raise ValueError(
+            f"shape and lengths must hold numbers, got {list(shape)} and "
+            f"{list(lengths)}")
+    if not all(float(m).is_integer() for m in shape):
+        raise ValueError(f"node counts must be integers, got {list(shape)}")
     shape = tuple(int(m) for m in shape)
     lengths = tuple(float(l) for l in lengths)
     if len(shape) != dim or len(lengths) != dim:
@@ -88,8 +95,9 @@ def build_grid(dim: int, shape: list[int] | tuple[int, ...],
         if m < 3:
             raise ValueError(f"need at least 3 nodes per axis, got {m}")
     for l in lengths:
-        if l <= 0.0:
-            raise ValueError(f"domain lengths must be positive, got {l}")
+        if not (math.isfinite(l) and l > 0.0):
+            raise ValueError(
+                f"domain lengths must be positive and finite, got {l}")
 
     spacing = tuple(l / (m - 1) for m, l in zip(shape, lengths))
 

@@ -12,6 +12,7 @@ bilinearized system.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,13 @@ from .problem import (ControlProblem, control_inner, control_norm, st_inner)
 from .sensitivity import (LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
 from .state import StateTrajectory
+
+# Bytes of linearized histories, (N_t+1) x 3n float64 values per direction,
+# that one block march of curvature directions holds: 6 directions of a
+# 129-node line over 200 steps, 5 of a 33x33 rectangle over 30.  A march
+# holds its sources and draws beside them, so peak memory grows by about
+# four times this; larger blocks measured no faster on either.
+_BLOCK_BYTES = 4 * 2**20
 
 
 def cost_eval(problem: ControlProblem, state: StateTrajectory,
@@ -275,7 +283,10 @@ class SecondOrderContext:
         return _gradient_field(self.problem, self.state, self.ubar,
                                self.adjoint)
 
-    def linearize(self, h: Control) -> LinearizedTrajectory:
+    def linearize(self, h: Control | Sequence[Control]
+                  ) -> LinearizedTrajectory | list[LinearizedTrajectory]:
+        """`solve_generalized_linear` at this control: one trajectory for
+        one Control, a list of them for a sequence marched as one block."""
         return solve_generalized_linear(self.factors, h)
 
     def bilinearize(self, lin_h: LinearizedTrajectory,
@@ -304,12 +315,17 @@ class SecondOrderContext:
         # sum_k <lambda_k, S_k(h, k)>: the step multipliers, wt_k (p, q, r)_k,
         # paired with the sources of the bilinearized steps 1..N_t
         s1, s2, s3 = pr.stepper.split(pr.stepper.second_order_source(
-            self.state.x[1:], self.ubar.u1[1:], lin_h.y[1:], lin_k.y[1:],
-            h.u1[1:], k.u1[1:]))
+            self.factors.coefficients, lin_h.y[1:], lin_k.y[1:], h.u1[1:],
+            k.u1[1:]))
         pairing = adj.p[1:] * s1 + adj.q[1:] * s2 + adj.r[1:] * s3
         acc = np.einsum("k,ki,i->", pr.tgrid.weights()[1:], pairing,
                         pr.grid.weights)
         return float(total + acc)
+
+
+def _block_len(problem: ControlProblem) -> int:
+    """Directions one block march takes within `_BLOCK_BYTES` (at least 1)."""
+    return max(1, _BLOCK_BYTES // (24 * problem.n_levels * problem.grid.n))
 
 
 @dataclass(frozen=True)
@@ -332,7 +348,9 @@ def ssc_certificate(context: SecondOrderContext, tau: float | None,
     Draws seeded Gaussian directions, projects them onto the cone (strongly
     active points zeroed, signs clipped at the bounds), and minimizes the
     Rayleigh quotient B(h, h)/|h|^2 over the retained samples at the
-    context's control.  Deterministic for a fixed seed.
+    context's control.  The draws come in blocks of `_block_len` directions,
+    the same stream as one direction at a time, and the retained directions
+    of a block are linearized in one march.  Deterministic for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -346,16 +364,24 @@ def ssc_certificate(context: SecondOrderContext, tau: float | None,
 
     kept = 0
     min_q = np.inf
-    for _ in range(n_samples):
-        raw = Control(rng.standard_normal(shape), rng.standard_normal(shape))
-        hdir = cone_project(raw, ubar, box, sets)
-        nrm = control_norm(grid, tgrid, hdir)
-        if nrm <= 1e-12 * max(control_norm(grid, tgrid, raw), 1.0):
+    block = _block_len(problem)
+    for start in range(0, n_samples, block):
+        draws = rng.standard_normal((min(block, n_samples - start), 2) + shape)
+        dirs, norms = [], []
+        for raw in map(Control, draws[:, 0], draws[:, 1]):
+            hdir = cone_project(raw, ubar, box, sets)
+            nrm = control_norm(grid, tgrid, hdir)
+            if nrm <= 1e-12 * max(control_norm(grid, tgrid, raw), 1.0):
+                continue
+            dirs.append(hdir)
+            norms.append(nrm)
+        if not dirs:
             continue
-        kept += 1
-        val = context.form(hdir, hdir) / nrm**2
-        if val < min_q:
-            min_q = val
+        kept += len(dirs)
+        for hdir, nrm, lin in zip(dirs, norms, context.linearize(dirs)):
+            val = context.form(hdir, hdir, lin_h=lin, lin_k=lin) / nrm**2
+            if val < min_q:
+                min_q = val
     if kept == 0:
         raise ConfigError(
             "every sampled direction projected to zero; the cone is trivial "
@@ -386,7 +412,9 @@ def dense_hessian(context: SecondOrderContext) -> np.ndarray:
         return Control(flat[:size].reshape(shape), flat[size:].reshape(shape))
 
     dirs = [basis(i) for i in range(n_unknowns)]
-    lins = [context.linearize(d) for d in dirs]
+    block = _block_len(problem)
+    lins = [lin for start in range(0, n_unknowns, block)
+            for lin in context.linearize(dirs[start:start + block])]
     hess = np.empty((n_unknowns, n_unknowns))
     for a in range(n_unknowns):
         for b in range(a, n_unknowns):

@@ -110,6 +110,12 @@ class SolverOptions:
     polish_steps: int = 1
     energy_blowup_factor: float = 1e8
 
+    def __post_init__(self):
+        # every damped Newton step takes at least one trial
+        if self.max_backtracks < 1:
+            raise ValueError(
+                f"max_backtracks must be at least 1, got {self.max_backtracks}")
+
 
 @dataclass(eq=False)
 class StateTrajectory:

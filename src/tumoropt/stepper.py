@@ -23,6 +23,8 @@ by SuperLU.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sps
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -66,6 +68,20 @@ class BandLU:
         x, _ = dgbtrs(self._lu, self.kl, self.ku, b[self._perm], self._ipiv,
                       trans=_LAPACK_TRANS[trans], overwrite_b=True)
         return x[self._inv_perm]
+
+
+class SecondOrderCoefficients(NamedTuple):
+    """Pointwise factors of the bilinearized step source that depend only on
+    the state and control: m, P'(phi), P''(phi), h'(phi), h''(phi), F'''(phi)
+    and u1, each shaped like the phi field they were evaluated on."""
+
+    m: np.ndarray
+    dp: np.ndarray
+    ddp: np.ndarray
+    dh: np.ndarray
+    ddh: np.ndarray
+    d3f: np.ndarray
+    u1: np.ndarray
 
 
 class Stepper:
@@ -215,33 +231,39 @@ class Stepper:
         return (self.nonlin.eval("P", phi), self.nonlin.eval("P", phi, 1) * m,
                 self.nonlin.eval("h", phi, 1) * u1, self.potential_eval(phi, 2))
 
-    def second_order_source(self, x: np.ndarray, u1: np.ndarray,
+    def second_order_coefficients(self, x: np.ndarray,
+                                  u1: np.ndarray) -> SecondOrderCoefficients:
+        """The state-only factors of `second_order_source` at a state `x`
+        and control component `u1`: one level or whole histories."""
+        mu, phi, sigma = self.split(x)
+        nl = self.nonlin
+        return SecondOrderCoefficients(
+            m=self.m_field(mu, phi, sigma), dp=nl.eval("P", phi, 1),
+            ddp=nl.eval("P", phi, 2), dh=nl.eval("h", phi, 1),
+            ddh=nl.eval("h", phi, 2), d3f=self.potential_eval(phi, 3), u1=u1)
+
+    def second_order_source(self, coef: SecondOrderCoefficients,
                             yh: np.ndarray, yk: np.ndarray,
                             h1: np.ndarray, k1: np.ndarray) -> np.ndarray:
         """Source S(h, k) of the bilinearized step, pointwise in space and time.
 
         The second derivative of the step residual, moved to the right-hand
         side, applied to the first-order fields of two control directions.
-        `x` is the state and u1 the control, `yh` and `yk` the linearized
-        states of the two directions and `h1`, `k1` their u1 components:
-        one level or whole histories.  Paired with the step multipliers the
-        stacked source gives the adjoint term of the Hessian form.
+        `coef` holds the factors at the state and control
+        (`second_order_coefficients`), `yh` and `yk` the linearized states of
+        the two directions and `h1`, `k1` their u1 components: one level or
+        whole histories.  Paired with the step multipliers the stacked source
+        gives the adjoint term of the Hessian form.
         """
-        mu, phi, sigma = self.split(x)
-        m = self.m_field(mu, phi, sigma)
         eta_h, xih, theta_h = self.split(yh)
         eta_k, xik, theta_k = self.split(yk)
         mh = theta_h - self.chi * xih - eta_h
         mk = theta_k - self.chi * xik - eta_k
-        nl = self.nonlin
-        dp = nl.eval("P", phi, 1)
-        ddp = nl.eval("P", phi, 2)
-        dhv = nl.eval("h", phi, 1)
-        ddh = nl.eval("h", phi, 2)
-        reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
-        s1 = (reaction - ddh * xih * xik * u1
-              - dhv * (xih * k1 + xik * h1))
-        s2 = -self.potential_eval(phi, 3) * xih * xik
+        reaction = (coef.ddp * xih * xik * coef.m
+                    + coef.dp * (xih * mk + xik * mh))
+        s1 = (reaction - coef.ddh * xih * xik * coef.u1
+              - coef.dh * (xih * k1 + xik * h1))
+        s2 = -coef.d3f * xih * xik
         return np.concatenate([s1, s2, -reaction], axis=-1)
 
     def residual(self, x: np.ndarray, x_prev: np.ndarray,

@@ -201,8 +201,7 @@ def check_taylor_orders(context: SecondOrderContext,
     grid, tgrid = problem.grid, problem.tgrid
 
     state = context.state
-    lin_v = context.linearize(v)
-    lin_h = context.linearize(h)
+    lin_v, lin_h = context.linearize([v, h])
     bilin_vh = context.bilinearize(lin_v, lin_h, v, h)
     j0 = cost_eval(problem, state, ubar)
     slope_v = control_inner(grid, tgrid, context.gradient.as_control(), v)
@@ -392,10 +391,11 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
             ctx_b = SecondOrderContext(pr, ub)
             out["state"].append(_norm3(pr, ctx_a.state.x - ctx_b.state.x)
                                 / du)
-            lin_ha, lin_hb = ctx_a.linearize(h), ctx_b.linearize(h)
+            lin_ha, lin_va = ctx_a.linearize([h, v])
+            lin_hb, lin_vb = ctx_b.linearize([h, v])
             out["ds"].append(_norm3(pr, lin_ha.y - lin_hb.y) / (du * nh))
-            bil_a = ctx_a.bilinearize(lin_ha, ctx_a.linearize(v), h, v)
-            bil_b = ctx_b.bilinearize(lin_hb, ctx_b.linearize(v), h, v)
+            bil_a = ctx_a.bilinearize(lin_ha, lin_va, h, v)
+            bil_b = ctx_b.bilinearize(lin_hb, lin_vb, h, v)
             out["d2s"].append(_norm3(pr, bil_a.y - bil_b.y)
                               / (du * nh * nv))
         return {k: float(np.max(vals)) if vals else 0.0
@@ -415,8 +415,7 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
     ua = _smooth_random_control(problem, rng, amp)
     h = _smooth_random_control(problem, rng, amp)
     ctx = SecondOrderContext(problem, ua)
-    lin1 = ctx.linearize(h)
-    lin2 = ctx.linearize(Control(2.0 * h.u1, 2.0 * h.u2))
+    lin1, lin2 = ctx.linearize([h, Control(2.0 * h.u1, 2.0 * h.u2)])
     hom = float(np.max(np.abs(lin2.y - 2.0 * lin1.y)))
     hom_rel = hom / max(_norm3(problem, lin1.y), 1e-300)
 

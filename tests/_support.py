@@ -7,10 +7,11 @@ import dataclasses
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from tumoropt import (Control, CostSpec, InitialData, ModelParams, TimeGrid,
-                      build_grid, bump_shape, constant_shape,
-                      custom_polynomial_potential, logarithmic_potential,
-                      make_nonlinearity, ramp_shape, regular_potential)
+from tumoropt import (Control, CostSpec, InitialData, ModelParams, SscReport,
+                      TimeGrid, build_grid, bump_shape, cone_project,
+                      constant_shape, control_norm, custom_polynomial_potential,
+                      default_tau, logarithmic_potential, make_nonlinearity,
+                      ramp_shape, regular_potential, strongly_active_sets)
 from tumoropt.grid import inner
 from tumoropt.problem import ControlProblem
 from tumoropt.state import SolverOptions
@@ -154,3 +155,54 @@ def richardson_state_at_T(problem: ControlProblem, u1_of_t, u2_of_t):
     z12 = 2.0 * y2 - y1
     z23 = 2.0 * y3 - y2
     return (4.0 * z23 - z12) / 3.0
+
+
+def ssc_certificate_per_direction(context, tau, n_samples, box, seed=0):
+    """Reference: the sampled certificate one direction at a time.
+
+    Each seeded draw is projected onto the cone and, if kept, linearized and
+    formed on its own.  Returns the report and every kept Rayleigh quotient
+    in draw order.
+    """
+    problem, ubar = context.problem, context.ubar
+    if tau is None:
+        tau = default_tau(context.gradient)
+    sets = strongly_active_sets(context.gradient, tau)
+    rng = np.random.default_rng(seed)
+    grid, tgrid = problem.grid, problem.tgrid
+    shape = (problem.n_levels, grid.n)
+    quotients = []
+    for _ in range(n_samples):
+        raw = Control(rng.standard_normal(shape), rng.standard_normal(shape))
+        hdir = cone_project(raw, ubar, box, sets)
+        nrm = control_norm(grid, tgrid, hdir)
+        if nrm <= 1e-12 * max(control_norm(grid, tgrid, raw), 1.0):
+            continue
+        quotients.append(context.form(hdir, hdir) / nrm**2)
+    min_q = min(quotients)
+    report = SscReport(tau=float(tau), seed=int(seed),
+                       sample_count=len(quotients),
+                       requested_samples=int(n_samples),
+                       min_rayleigh=float(min_q), satisfied=bool(min_q > 0.0))
+    return report, quotients
+
+
+def dense_hessian_per_pair(context) -> np.ndarray:
+    """Reference: the nodal Hessian, each basis direction linearized on its
+    own and each entry of the upper triangle one form."""
+    problem = context.problem
+    size = problem.n_levels * problem.grid.n
+    shape = (problem.n_levels, problem.grid.n)
+    dirs = []
+    for i in range(2 * size):
+        flat = np.zeros(2 * size)
+        flat[i] = 1.0
+        dirs.append(Control(flat[:size].reshape(shape),
+                            flat[size:].reshape(shape)))
+    lins = [context.linearize(d) for d in dirs]
+    hess = np.empty((2 * size, 2 * size))
+    for a in range(2 * size):
+        for b in range(a, 2 * size):
+            hess[a, b] = hess[b, a] = context.form(
+                dirs[a], dirs[b], lin_h=lins[a], lin_k=lins[b])
+    return hess

@@ -26,6 +26,15 @@ def test_too_few_nodes_rejected():
         build_grid(1, [2], [1.0])
 
 
+def test_non_integral_boolean_or_non_finite_entries_rejected():
+    bad = [([9.5], [1.0]), ([True], [1.0]), ([9], [True]),
+           ([np.inf], [1.0]), ([9], [np.inf]), ([9], [np.nan])]
+    for shape, lengths in bad:
+        with pytest.raises(ValueError):
+            build_grid(1, shape, lengths)
+    assert build_grid(1, [9.0], [1.0]).shape == (9,)
+
+
 def test_bad_dimension_rejected():
     with pytest.raises(ValueError):
         build_grid(3, [5, 5, 5], [1.0, 1.0, 1.0])

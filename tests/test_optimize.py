@@ -13,11 +13,13 @@ from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       stationarity_measure, strongly_active_sets,
                       solve_bilinearized, StepFactors, Stepper,
                       unbounded_box, zero_control)
-from tumoropt.problem import control_inner, st_inner
+from tumoropt import optimize as optimize_module
+from tumoropt.problem import control_inner, control_norm, st_inner
 from tumoropt.verify import (_random_direction, check_gradient_fd,
                              check_taylor_orders)
 
-from _support import make_problem, random_control, smooth_control
+from _support import (dense_hessian_per_pair, make_problem, random_control,
+                      smooth_control, ssc_certificate_per_direction)
 
 
 def _trapz_time(values, times):
@@ -399,6 +401,22 @@ def test_dense_hessian_size_guard():
         dense_hessian(SecondOrderContext(pr, smooth_control(pr)))
 
 
+def _block_of(pr, directions):
+    """`_BLOCK_BYTES` that fits exactly `directions` histories of `pr`."""
+    return directions * 24 * pr.n_levels * pr.grid.n
+
+
+@pytest.mark.parametrize("directions", [None, 7])
+def test_dense_hessian_is_bitwise_the_per_pair_loop(monkeypatch, directions):
+    pr = make_problem(nodes=5, steps=3)
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.1))
+    if directions is not None:
+        # 40 basis directions in blocks of 7: the last block is shorter
+        monkeypatch.setattr(optimize_module, "_BLOCK_BYTES",
+                            _block_of(pr, directions))
+    assert dense_hessian(ctx).tobytes() == dense_hessian_per_pair(ctx).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sampled coercivity certificate
 
@@ -441,6 +459,73 @@ def test_ssc_trivial_cone_raises():
         ssc_certificate(ctx, tau=0.0, n_samples=4, box=unbounded_box(), seed=0)
     with pytest.raises(ValueError):
         ssc_certificate(ctx, tau=None, n_samples=0, box=unbounded_box())
+
+
+def _ssc_case(case):
+    """(context, tau, box) of a certificate test.
+
+    "interior": a tracking problem with tau above every gradient entry, so
+    no point is strongly active and every draw marches from level 1.
+    "zero": the control sits on the lower bound everywhere and tau leaves
+    two points free, on different levels, so a draw that is negative at both
+    projects to zero and directions start on different levels.
+    """
+    pr = make_problem(b0=1.0, b1=2.0)
+    if case == "interior":
+        box = BoxConstraints(lower1=-0.5, upper1=0.5, lower2=-0.5, upper2=0.5)
+        return SecondOrderContext(pr, smooth_control(pr, amp=0.05)), 0.1, box
+    u = random_control(pr, seed=3)
+    box = BoxConstraints(lower1=u.u1, upper1=u.u1 + 1.0, lower2=u.u2,
+                         upper2=u.u2 + 1.0)
+    ctx = SecondOrderContext(pr, u)
+    grad = np.sort(np.abs(np.concatenate([ctx.gradient.grad1.ravel(),
+                                          ctx.gradient.grad2.ravel()])))
+    return ctx, 0.5 * (grad[1] + grad[2]), box
+
+
+@pytest.mark.parametrize("directions", [None, 1, 3])
+@pytest.mark.parametrize("case", ["interior", "zero"])
+def test_ssc_blocks_are_bitwise_the_per_direction_loop(monkeypatch, case,
+                                                       directions):
+    ctx, tau, box = _ssc_case(case)
+    pr = ctx.problem
+    if directions is not None:
+        # 16 draws in blocks of 1, or of 3 with a last block of 1
+        monkeypatch.setattr(optimize_module, "_BLOCK_BYTES",
+                            _block_of(pr, directions))
+    quotients, form = [], SecondOrderContext.form
+
+    def record(self, h, k, **lins):
+        val = form(self, h, k, **lins)
+        quotients.append(val / control_norm(pr.grid, pr.tgrid, h)**2)
+        return val
+
+    monkeypatch.setattr(SecondOrderContext, "form", record)
+    report = ssc_certificate(ctx, tau, 16, box, seed=1)
+    blocked = quotients[:]
+    ref, ref_quotients = ssc_certificate_per_direction(ctx, tau, 16, box,
+                                                       seed=1)
+    assert report == ref
+    assert np.array(blocked).tobytes() == np.array(ref_quotients).tobytes()
+    if case == "zero":
+        assert 0 < report.sample_count < 16
+
+
+def test_ssc_requests_each_step_factor_at_most_once(monkeypatch):
+    # the 16 directions march as one block: one factor request per level,
+    # where one march per direction would make 16 per level
+    ctx, tau, box = _ssc_case("interior")
+    ctx.gradient  # the adjoint march requests every factor once beforehand
+    requested, lu = [], StepFactors.lu
+
+    def count_lu(self, k):
+        requested.append(k)
+        return lu(self, k)
+
+    monkeypatch.setattr(StepFactors, "lu", count_lu)
+    report = ssc_certificate(ctx, tau, 16, box, seed=0)
+    assert report.sample_count == 16
+    assert len(requested) <= ctx.problem.tgrid.steps
 
 
 def test_second_order_context_rejects_final_tracking():

@@ -69,6 +69,79 @@ def test_march_starts_at_zero_and_skips_source_free_levels(monkeypatch):
     assert requested == [3, 4, 5, 6]
 
 
+def _march_one_direction(factors, sources):
+    """Reference: the march of one direction's (N_t+1, 3n) sources, level by
+    level with vector solves, skipping every level whose right-hand side
+    vanishes."""
+    transport = factors.problem.stepper.transport
+    y = np.zeros_like(sources)
+    for k in range(1, len(y)):
+        rhs = transport @ y[k - 1] + sources[k]
+        if np.any(rhs):
+            y[k] = factors.lu(k).solve(rhs)
+    return y
+
+
+def _staggered_sources(pr, starts, seed=1):
+    """Random sources of len(starts) directions, direction j zero on the
+    levels before starts[j]."""
+    rng = np.random.default_rng(seed)
+    sources = rng.standard_normal((len(starts), pr.n_levels, 3 * pr.grid.n))
+    for src, start in zip(sources, starts):
+        src[:start] = 0.0
+    return sources
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_march_matches_one_direction_at_a_time(dim):
+    pr = (make_problem(steps=6) if dim == 1
+          else make_problem(nodes=9, ny=7, steps=5))
+    u = smooth_control(pr)
+    factors = StepFactors(pr, pr.solve(u), u)
+    starts = [3, 1, 5, 3, 2]
+    sources = _staggered_sources(pr, starts)
+
+    def assert_matches(out, ref):
+        if dim == 1:
+            # the band LU solves a (3n, m) block column by column; a
+            # direction's levels before its own first source are solved as
+            # zero columns and may hold -0.0, which + 0.0 makes +0.0
+            assert (out + 0.0).tobytes() == (ref + 0.0).tobytes()
+        else:
+            # SuperLU may order a block solve's arithmetic otherwise
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    block = sensitivity_module._march(factors, sources)
+    assert block.shape == sources.shape
+    for out, src, start in zip(block, sources, starts):
+        assert np.all(out[:start] == 0.0)
+        assert_matches(out, _march_one_direction(factors, src))
+    # a sequence of directions is one block, returned in order
+    hs = [random_control(pr, seed=s) for s in (1, 2, 3)]
+    for h, lin in zip(hs, solve_generalized_linear(factors, hs)):
+        assert_matches(lin.y, solve_generalized_linear(factors, h).y)
+
+
+def test_block_march_starts_at_the_first_source_of_the_block(monkeypatch):
+    # a block whose every source vanishes before level 3 requests one factor
+    # per level from there and leaves levels 0-2 exactly zero
+    pr = make_problem(steps=6)
+    u = smooth_control(pr)
+    factors = StepFactors(pr, pr.solve(u), u)
+    sources = _staggered_sources(pr, [4, 3, 5])
+    requested, lu = [], StepFactors.lu
+
+    def count_lu(self, k):
+        requested.append(k)
+        return lu(self, k)
+
+    monkeypatch.setattr(StepFactors, "lu", count_lu)
+    out = sensitivity_module._march(factors, sources)
+    assert requested == [3, 4, 5, 6]
+    assert out[:, :3].tobytes() == bytes(out[:, :3].nbytes)
+    assert np.all(np.abs(out[1, 3:]).max(axis=1) > 0.0)
+
+
 def _count_factorize(monkeypatch):
     """A list that gains one entry per `Stepper.factorize` call."""
     calls, factorize = [], Stepper.factorize

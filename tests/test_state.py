@@ -633,6 +633,12 @@ def test_newton_converges_fast_on_smooth_data():
     assert traj.mass_residual.max() <= 1e-10
 
 
+def test_solver_options_need_a_backtrack():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_backtracks"):
+            SolverOptions(max_backtracks=bad)
+
+
 def test_timegrid_validation():
     with pytest.raises(ValueError):
         TimeGrid(steps=0, t_final=1.0)

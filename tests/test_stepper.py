@@ -211,7 +211,8 @@ def test_second_order_source_matches_inline_reference(potential, dim):
     h1, k1 = rng.standard_normal((2, st.n))
     ref = _reference_source(st, *st.split(x), u1, st.split(yh), st.split(yk),
                             h1, k1)
-    src = st.second_order_source(x, u1, yh, yk, h1, k1)
+    src = st.second_order_source(st.second_order_coefficients(x, u1), yh,
+                                 yk, h1, k1)
     assert src.shape == (3 * st.n,)
     assert src.tobytes() == ref.tobytes()
     # whole stacked histories (levels, 3n) give the reference level by level
@@ -220,7 +221,8 @@ def test_second_order_source_matches_inline_reference(potential, dim):
                                           for j in range(levels))))
     yh, yk = rng.standard_normal((2, levels, 3 * st.n))
     h1, k1 = rng.standard_normal((2, levels, st.n))
-    src = st.second_order_source(xs, u1s, yh, yk, h1, k1)
+    src = st.second_order_source(st.second_order_coefficients(xs, u1s), yh,
+                                 yk, h1, k1)
     assert src.shape == (levels, 3 * st.n)
     for j in range(levels):
         ref = _reference_source(st, *st.split(xs[j]), u1s[j], st.split(yh[j]),
