@@ -174,7 +174,9 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
     logarithmic kind the root of eps ln((1+s)/(1-s)) + s = r in (-1, 1),
     for the obstacle kind the clamp onto [-1, 1], and the identity for the
     custom kind (F1 = 0).  Smooth kinds use a safeguarded Newton iteration
-    driven to round-off.
+    driven to round-off.  Each row along the last axis iterates until all
+    of its components meet the tolerance, so the rows of a stack come out
+    bitwise as if each were mapped alone.
     """
     if eps <= 0.0:
         raise ValueError("Yosida parameter eps must be positive")
@@ -187,9 +189,10 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
         s = arr / (1.0 + eps)
         for _ in range(60):
             g = eps * s**3 + s - arr
-            if np.all(np.abs(g) <= 1e-16 * (1.0 + np.abs(arr))):
+            live = ~np.all(np.abs(g) <= 1e-16 * (1.0 + np.abs(arr)), axis=-1)
+            if not live.any():
                 break
-            s = s - g / (3.0 * eps * s**2 + 1.0)
+            s = np.where(live[..., None], s - g / (3.0 * eps * s**2 + 1.0), s)
         out = s
     elif spec.kind == "logarithmic":
         # bracket strictly inside (-1, 1); for |r| so large that the root is
@@ -198,19 +201,23 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
         lo = np.full_like(arr, -edge)
         hi = np.full_like(arr, edge)
         s = np.clip(arr, -1.0 + 1e-6, 1.0 - 1e-6)
+        done = np.zeros(arr.shape[:-1], dtype=bool)
         for _ in range(200):
             g = eps * (np.log1p(s) - np.log1p(-s)) + s - arr
-            if np.all(np.abs(g) <= 1e-16 * (1.0 + np.abs(arr))):
+            done |= np.all(np.abs(g) <= 1e-16 * (1.0 + np.abs(arr)), axis=-1)
+            if done.all():
                 break
             hi = np.where(g > 0.0, s, hi)
             lo = np.where(g < 0.0, s, lo)
-            if np.all(hi - lo <= 0.0):
+            done |= np.all(hi - lo <= 0.0, axis=-1)
+            if done.all():
                 break
             dg = eps * (1.0 / (1.0 + s) + 1.0 / (1.0 - s)) + 1.0
             step = s - g / dg
             # fall back to bisection when Newton leaves the bracket
             bad = (step <= lo) | (step >= hi)
-            s = np.where(bad, 0.5 * (lo + hi), step)
+            s = np.where(done[..., None], s,
+                         np.where(bad, 0.5 * (lo + hi), step))
         out = s
     else:
         raise ValueError(f"unknown potential kind {spec.kind!r}")

@@ -6,10 +6,15 @@ separation margin that keeps the phase field strictly inside the potential's
 domain; with a Yosida parameter set, the regularized potential is defined on
 the whole line and no ceiling is needed.  The Newton solutions, stacked
 levels (mu, phi, sigma), are the rows of one (N_t+1, 3n) history.
+
+The Newton step of one level asks for its residuals and LUs instead of
+calling the stepper, so `solve_states` marches many controls level by level
+and answers the requests of all of them with one stacked stepper call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -100,6 +105,11 @@ class SolverOptions:
     chord step at t = 0, it factors at the iterate and takes the damped
     Newton step.  The 2-D polish runs while the residual strictly falls,
     within `newton_max_iter` iterations, so most 2-D steps form no LU.
+
+    The options hold for each control of a batch march (`solve_states`)
+    as for a lone one: every control runs its own Newton step, with its own
+    carried LU, and only the residuals and LUs it asks for are evaluated
+    together with those of the other controls.
     """
 
     newton_tol: float = 1e-12
@@ -179,41 +189,164 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     SeparationViolation
         If initial data sit outside the potential's admissible interval.
     """
+    return solve_states(problem, [control])[0]
+
+
+def solve_states(problem: ControlProblem, controls: Sequence[Control]
+                 ) -> list[StateTrajectory]:
+    """March the implicit scheme of `problem` for every control at once.
+
+    Each control gets its own Newton step (`_newton_step`) at every level,
+    and every round of the level answers the pending requests of one kind
+    for all controls in one stacked call of the stepper; once one control
+    is left solving, it is answered by one-level calls.  Every trajectory
+    is bitwise the one `solve_state` gives for its control alone, and owns
+    its arrays.
+
+    Raises the errors of `solve_state`.  When Newton fails for some control,
+    the error is that of the lowest-index control failing at the first
+    level where any fails (after the energy check on the levels it had
+    marched); an energy blow-up alone is reported for the lowest-index
+    control it happens to, once the march is done.
+    """
     tgrid, init, opts = problem.tgrid, problem.init, problem.options
     n = problem.grid.n
     n_levels = tgrid.steps + 1
-    if control.shape != (n_levels, n):
-        raise ValueError(
-            f"control has shape {control.shape}, expected ({n_levels}, {n})")
+    for control in controls:
+        if control.shape != (n_levels, n):
+            raise ValueError(f"control has shape {control.shape}, "
+                             f"expected ({n_levels}, {n})")
     stepper = problem.stepper
     _validate_initial(stepper, init)
 
-    x = np.empty((n_levels, 3 * n))
-    iters = np.zeros(n_levels, dtype=int)
-    lus = np.zeros(n_levels, dtype=int)
-    x[0] = init.stacked()
-    # a SuperLU factor costs far more than a residual, so the march carries
-    # one from iteration to iteration and step to step (chord Newton)
-    carried = CarriedLU() if stepper.superlu else None
-    try:
-        for k in range(1, n_levels):
-            # linear extrapolation of the last two levels predicts the step
-            guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
-            x[k], iters[k], lus[k] = _newton_step(
-                stepper, x[k - 1], control.u1[k], control.u2[k], opts, k,
-                start=guess, carried=carried)
-    except SolverError:
-        # an energy blow-up on a level already marched is the earlier failure
-        _check_energy(_step_diagnostics(stepper, x[:k], control)[0], opts)
-        raise
+    members = range(len(controls))
+    xs = [np.empty((n_levels, 3 * n)) for _ in members]
+    iters = [np.zeros(n_levels, dtype=int) for _ in members]
+    lus = [np.zeros(n_levels, dtype=int) for _ in members]
+    for x in xs:
+        x[0] = init.stacked()
+    # a SuperLU factor costs far more than a residual, so each march
+    # carries one from iteration to iteration and step to step (chord Newton)
+    carried = [CarriedLU() if stepper.superlu else None for _ in members]
+    for k in range(1, n_levels):
+        failures = _march_level(stepper, opts, k, xs, iters, lus, carried,
+                                controls)
+        if failures:
+            # an energy blow-up on a level already marched is the earlier
+            # failure
+            i = min(failures)
+            _check_energy(
+                _step_diagnostics(stepper, xs[i][:k], controls[i])[0], opts)
+            raise failures[i]
 
-    energy, mass_rel = _step_diagnostics(stepper, x, control)
-    _check_energy(energy, opts)
-    phi = stepper.split(x)[1]
-    return StateTrajectory(
-        x=x, times=tgrid.times, newton_iters=iters, factorizations=lus,
-        mass_residual=mass_rel, energy=energy, phi_min=phi.min(axis=1),
-        phi_max=phi.max(axis=1))
+    trajectories = []
+    for x, its, factorizations, control in zip(xs, iters, lus, controls):
+        energy, mass_rel = _step_diagnostics(stepper, x, control)
+        _check_energy(energy, opts)
+        phi = stepper.split(x)[1]
+        trajectories.append(StateTrajectory(
+            x=x, times=tgrid.times, newton_iters=its,
+            factorizations=factorizations, mass_residual=mass_rel,
+            energy=energy, phi_min=phi.min(axis=1), phi_max=phi.max(axis=1)))
+    return trajectories
+
+
+def _march_level(stepper: Stepper, opts: SolverOptions, k: int,
+                 xs: list, iters: list, lus: list, carried: list,
+                 controls: Sequence[Control]) -> dict[int, SolverError]:
+    """Solve step k of every march: x[k], its iterations and LUs go into
+    xs[i], iters[i] and lus[i].  Returns the SolverError of each member
+    whose step failed."""
+    x_prev = [x[k - 1] for x in xs]
+    u1 = [c.u1[k] for c in controls]
+    u2 = [c.u2[k] for c in controls]
+    steps, failures = [], {}
+    for i, x in enumerate(xs):
+        # linear extrapolation of the last two levels predicts the step
+        guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
+        steps.append(_newton_step(stepper, x_prev[i], opts, k, start=guess,
+                                  carried=carried[i]))
+
+    def resume(i, answer, error):
+        """Send member i its answer (or throw its error in); returns its
+        next request, or None once its step is solved or has failed."""
+        try:
+            return (steps[i].throw(error) if error is not None
+                    else steps[i].send(answer))
+        except StopIteration as done:
+            xs[i][k], iters[i][k], lus[i][k] = done.value
+        except SolverError as exc:
+            failures[i] = exc
+        return None
+
+    # (member, answer, error) to resume each member with; None starts it
+    replies = [(i, None, None) for i in range(len(steps))]
+    while len(replies) > 1:
+        asked = {}
+        for i, answer, error in replies:
+            request = resume(i, answer, error)
+            if request is not None:
+                asked.setdefault(request[0], []).append((i, request[1]))
+        replies = []
+        for kind, batch in asked.items():
+            replies += _answers(stepper, kind, batch, x_prev, u1, u2)
+    # the one member still solving is answered alone to the end of its step
+    for i, answer, error in replies:
+        try:
+            xs[i][k], iters[i][k], lus[i][k] = _solve_alone(
+                steps[i], stepper, x_prev[i], u1[i], u2[i], answer, error)
+        except SolverError as exc:
+            failures[i] = exc
+    return failures
+
+
+def _solve_alone(step, stepper: Stepper, x_prev: np.ndarray,
+                 u1k: np.ndarray, u2k: np.ndarray, answer=None,
+                 error: SolverError | None = None
+                 ) -> tuple[np.ndarray, int, int]:
+    """Resume a Newton step with (answer, error) and run it to its end,
+    answering its requests by one-level stepper calls; returns its result
+    and raises its SolverError."""
+    while True:
+        try:
+            kind, z = (step.throw(error) if error is not None
+                       else step.send(answer))
+        except StopIteration as done:
+            return done.value
+        answer, error = _answer(stepper, kind, z, x_prev, u1k, u2k)
+
+
+def _answers(stepper: Stepper, kind: str, batch: list, x_prev: list,
+             u1: list, u2: list) -> list:
+    """(member, answer, error) for each (member, state) request of `kind`
+    in `batch`, by one stepper call on their stacked rows; x_prev, u1 and
+    u2 hold each member's previous level and control components.  When the
+    stacked factorization fails, each member is answered alone, to meet its
+    own error."""
+    who = [i for i, _ in batch]
+    rows = np.stack([z for _, z in batch])
+    u1_rows = np.stack([u1[i] for i in who])
+    try:
+        answers = (stepper.factorize(rows, u1_rows) if kind == "factor"
+                   else stepper.residual(
+                       rows, np.stack([x_prev[i] for i in who]), u1_rows,
+                       np.stack([u2[i] for i in who])))
+    except SolverError:
+        return [(i, *_answer(stepper, kind, z, x_prev[i], u1[i], u2[i]))
+                for i, z in batch]
+    return [(i, answer, None) for i, answer in zip(who, answers)]
+
+
+def _answer(stepper: Stepper, kind: str, z: np.ndarray, x_prev: np.ndarray,
+            u1k: np.ndarray, u2k: np.ndarray) -> tuple:
+    """(answer, error) for one request at state z by the one-level stepper
+    call, error None on success."""
+    try:
+        if kind == "factor":
+            return stepper.factorize(z, u1k), None
+        return stepper.residual(z, x_prev, u1k, u2k), None
+    except SolverError as exc:
+        return None, exc
 
 
 def _step_diagnostics(stepper: Stepper, x: np.ndarray, control: Control
@@ -261,12 +394,19 @@ class CarriedLU:
     lu: object = None
 
 
-def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
-                 opts: SolverOptions, k: int,
-                 start: np.ndarray | None = None,
+def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
+                 k: int, start: np.ndarray | None = None,
                  carried: CarriedLU | None = None
-                 ) -> tuple[np.ndarray, int, int]:
+                 ) -> Generator[tuple[str, np.ndarray], object,
+                                tuple[np.ndarray, int, int]]:
     """Solve step k from `start` (x_prev if None or unusable).
+
+    A request loop: the step never calls the stepper for a residual or an
+    LU.  It yields ("residual", x) and is sent the step residual at x
+    (from x_prev and the step's control), or yields ("factor", x) and is
+    sent the LU of the step Jacobian at x; a failed factorization is thrown
+    into it as the stepper's SolverError.  So one driver (`_march_level`)
+    can answer the requests of many steps in one stacked call.
 
     With `carried`, each iteration first tries a chord step with the LU of
     an earlier iterate, and `carried.lu` holds the last LU on return;
@@ -275,11 +415,11 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
     """
     res = None
     if start is not None and _inside_margin(stepper, start, opts):
-        res = stepper.residual(start, x_prev, u1k, u2k)
+        res = yield ("residual", start)
         x = start
     if res is None or not np.all(np.isfinite(res)):
         x = x_prev.copy()
-        res = stepper.residual(x, x_prev, u1k, u2k)
+        res = yield ("residual", x)
     rnorm = float(np.max(np.abs(res)))
 
     def tol_at(z: np.ndarray) -> float:
@@ -293,7 +433,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
     def factor_at_x():
         nonlocal n_lu
         try:
-            fac = stepper.factorize(x, u1k)
+            fac = yield ("factor", x)
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
         n_lu += 1
@@ -333,16 +473,16 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
         # a first chord trial of every iteration
         chord = lu is not None and (converged or lag)
         if not chord:
-            lu = factor_at_x()
+            lu = yield from factor_at_x()
         delta, t = direction(lu, may_pin=chord and lag)
         if t <= 0.0:
             # a lagged chord step pinned at the ceiling: factor afresh
-            lu, chord = factor_at_x(), False
+            lu, chord = (yield from factor_at_x()), False
             delta, t = direction(lu)
         if converged or chord:
             # one trial of the full step
             x_new = x + t * delta
-            res_new = stepper.residual(x_new, x_prev, u1k, u2k)
+            res_new = yield ("residual", x_new)
             rnorm_new = float(np.max(np.abs(res_new)))
             if converged:
                 # polish: kept only if it helps
@@ -355,12 +495,12 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, u1k, u2k,
                 x, res, rnorm = x_new, res_new, rnorm_new
                 converged = rnorm <= tol_at(x)
                 continue
-            lu = factor_at_x()
+            lu = yield from factor_at_x()
             delta, t = direction(lu)
         best = None
         for _ in range(opts.max_backtracks):
             x_try = x + t * delta
-            res_try = stepper.residual(x_try, x_prev, u1k, u2k)
+            res_try = yield ("residual", x_try)
             rnorm_try = float(np.max(np.abs(res_try)))
             if best is None or rnorm_try < best[2]:
                 best = (x_try, res_try, rnorm_try)

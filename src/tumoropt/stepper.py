@@ -43,6 +43,12 @@ _REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
 _LAPACK_TRANS = {"N": 0, "T": 1}
 
 
+def _product(mat, v: np.ndarray) -> np.ndarray:
+    """mat @ v for one vector, or for each row of a (m, size) stack; a CSR
+    product sums every row in the same order either way."""
+    return mat @ v if v.ndim == 1 else (mat @ v.T).T
+
+
 class BandLU:
     """LAPACK band LU (dgbtrf) of a 1-D step Jacobian.
 
@@ -121,6 +127,9 @@ class Stepper:
 
         eye = sps.identity(n, format="csr")
         lap = grid.lap
+        # the Laplacian of each field of a stacked level in one product; its
+        # rows are those of `lap`, so each sums in the same order
+        self._lap3 = sps.block_diag([lap] * 3, format="csr")
         # coupling of consecutive levels: (s_a mu + s phi, s_b phi, s sigma)
         self.transport = sps.bmat([
             [self.s_a * eye, self.s * eye, None],
@@ -268,17 +277,19 @@ class Stepper:
 
     def residual(self, x: np.ndarray, x_prev: np.ndarray,
                  u1k: np.ndarray, u2k: np.ndarray) -> np.ndarray:
+        """Step residual at a stacked state x (3n,), or at rows (m, 3n) of
+        them with rows of x_prev, u1k and u2k: row i is the residual of row
+        i, bitwise as if it were evaluated alone."""
         mu, phi, sigma = self.split(x)
-        lap = self.grid.lap
         pm = self.nonlin.eval("P", phi) * self.m_field(mu, phi, sigma)
-        lphi = lap @ phi
+        lmu, lphi, lsigma = self.split(_product(self._lap3, x))
         # the time differences are the transport of x - x_prev
-        res = self.transport @ (x - x_prev)
+        res = _product(self.transport, x - x_prev)
         r1, r2, r3 = self.split(res)
-        r1[:] = r1 - lap @ mu - pm + self.nonlin.eval("h", phi) * u1k
+        r1[:] = r1 - lmu - pm + self.nonlin.eval("h", phi) * u1k
         r2[:] = (r2 - lphi + self.potential_eval(phi, 1) - mu
                  - self.chi * sigma)
-        r3[:] = r3 - lap @ sigma + self.chi * lphi + pm - u2k
+        r3[:] = r3 - lsigma + self.chi * lphi + pm - u2k
         return res
 
     def _jacobian_data(self, x: np.ndarray, u1k: np.ndarray) -> np.ndarray:
@@ -287,9 +298,23 @@ class Stepper:
         pv, dpm, hpu, f2 = self.reaction_terms(x, u1k)
         return np.concatenate([
             pv, -dpm + self.chi * pv + hpu, -pv,
-            f2, np.full(self.n, -self.chi),
+            f2, np.full_like(pv, -self.chi),
             -pv, dpm - self.chi * pv, pv,
-        ])
+        ], axis=-1)
+
+    def _with_reaction(self, base: np.ndarray, slots: np.ndarray,
+                       x: np.ndarray, u1k: np.ndarray) -> np.ndarray:
+        """A copy of `base` per state, the reaction diagonals of the
+        Jacobian at that state added at `slots`: (len(base),) for one
+        state x (3n,), (m, len(base)) for rows (m, 3n)."""
+        data = self._jacobian_data(x, u1k)
+        if x.ndim == 1:
+            values = base.copy()
+            values[slots] += data
+        else:
+            values = np.repeat(base[None], len(x), axis=0)
+            values[:, slots] += data
+        return values
 
     def assemble(self, x: np.ndarray, u1k: np.ndarray) -> sps.csc_matrix:
         """Jacobian of the step residual at a stacked state `x` (3n,).
@@ -299,9 +324,14 @@ class Stepper:
         diagonals).  When no entry vanishes the result uses that pattern as
         is, and its index arrays are shared between calls and read-only;
         entries that vanish are dropped from a private copy of the pattern.
+        Rows (m, 3n) of states give a list of m Jacobians.
         """
-        data = self._base_data.copy()
-        data[self._diag_slots] += self._jacobian_data(x, u1k)
+        data = self._with_reaction(self._base_data, self._diag_slots, x, u1k)
+        if x.ndim == 2:
+            return [self._csc(row) for row in data]
+        return self._csc(data)
+
+    def _csc(self, data: np.ndarray) -> sps.csc_matrix:
         size = 3 * self.n
         if data.all():
             return sps.csc_matrix((data, self._indices, self._indptr),
@@ -324,17 +354,33 @@ class Stepper:
         order leaves far less fill than COLAMD (204k against 354k nonzeros
         in L + U on a 33x33 grid), so both its factor and its solves are
         faster.
+
+        Rows (m, 3n) of states with rows (m, n) of u1k give a list of m
+        factors, each bitwise the factor of its row alone: the reaction
+        diagonals of all rows are evaluated at once, then every row is
+        factored on its own.  A row that cannot be factored raises for the
+        whole call.
         """
         if self.superlu:
-            jac = self.assemble(x, u1k)
-            if not np.all(np.isfinite(jac.data)):
-                raise SolverError("non-finite Jacobian entries")
-            try:
-                return splu(jac, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SolverError(f"sparse LU failed: {exc}") from None
-        band = self._band_base.copy()
-        band[self._band_slots] += self._jacobian_data(x, u1k)
+            factor, values = self._sparse_lu, self.assemble(x, u1k)
+        else:
+            factor, values = self._band_lu, self._with_reaction(
+                self._band_base, self._band_slots, x, u1k)
+        if x.ndim == 1:
+            return factor(values)
+        return [factor(row) for row in values]
+
+    @staticmethod
+    def _sparse_lu(jac: sps.csc_matrix):
+        if not np.all(np.isfinite(jac.data)):
+            raise SolverError("non-finite Jacobian entries")
+        try:
+            return splu(jac, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(f"sparse LU failed: {exc}") from None
+
+    def _band_lu(self, band: np.ndarray) -> BandLU:
+        """LAPACK LU of one Jacobian in flattened band storage, in place."""
         if not np.all(np.isfinite(band)):
             raise SolverError("non-finite Jacobian entries")
         # the (ldab, 3n) Fortran-ordered view dgbtrf factors in place

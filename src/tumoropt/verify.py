@@ -14,14 +14,17 @@ the cubic cost remainder and the quadratic DS-increment remainder of
 Every check at the verified control takes one `SecondOrderContext` there:
 `run_verification` builds it once, so the battery solves the state at that
 control once and factors its step operators once, and the mass check reads
-the per-step residual `solve_state` stored with that state.  The Taylor
-check adds a context per shifted control, and the stability and refinement
-checks one per control they draw or transfer.  Every solve of a problem
-shares its `ControlProblem.stepper`.
+the per-step residual `solve_state` stored with that state.  The FD, Taylor
+and stability checks march the controls they shift or draw as batches
+(`solve_states`, at most `_block_len` histories a batch) and give each
+state its own context; the refinement check solves one control per finer
+problem.  Every solve of a problem shares its `ControlProblem.stepper`.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +32,10 @@ import numpy as np
 from .errors import ConfigError
 from .grid import build_grid, inner
 from .model import Control, CostSpec
-from .optimize import SecondOrderContext, cost_eval
+from .optimize import SecondOrderContext, _block_len, cost_eval
 from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import LinearizedTrajectory
-from .state import InitialData, TimeGrid
+from .state import InitialData, StateTrajectory, TimeGrid, solve_states
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 FD_SEARCH_LADDER = EPS_LADDER + (3e-4, 1e-4, 3e-5, 1e-5)
@@ -98,6 +101,16 @@ def _shifted(u: Control, v: Control, t: float) -> Control:
     return Control(u.u1 + t * v.u1, u.u2 + t * v.u2)
 
 
+def _marched(problem: ControlProblem, controls: Iterable[Control]
+             ) -> Iterator[tuple[Control, StateTrajectory]]:
+    """Each control with its state, in order.  The controls are drawn and
+    marched in batches of at most `_block_len` histories, so only one batch
+    is held at a time."""
+    controls = iter(controls)
+    while batch := list(itertools.islice(controls, _block_len(problem))):
+        yield from zip(batch, solve_states(problem, batch))
+
+
 # ---------------------------------------------------------------------------
 # gradient and duality
 
@@ -120,18 +133,17 @@ def check_gradient_fd(context: SecondOrderContext,
 
     all_eps = tuple(sorted(set(eps_values) | set(search_values), reverse=True))
     ladder_idx = [all_eps.index(e) for e in eps_values]
-    errors = np.zeros((n_dirs, len(all_eps)))
-    exact_vals = np.zeros(n_dirs)
-    for d in range(n_dirs):
-        v = _random_direction(problem, rng)
-        exact = control_inner(grid, tgrid, gc, v)
-        exact_vals[d] = exact
-        for i, e in enumerate(all_eps):
-            up, down = _shifted(ubar, v, e), _shifted(ubar, v, -e)
-            jp = cost_eval(problem, problem.solve(up), up)
-            jm = cost_eval(problem, problem.solve(down), down)
-            fd = (jp - jm) / (2.0 * e)
-            errors[d, i] = abs(fd - exact) / max(1.0, abs(exact))
+    dirs = [_random_direction(problem, rng) for _ in range(n_dirs)]
+    exact_vals = np.array([control_inner(grid, tgrid, gc, v) for v in dirs])
+    # the +e and -e shift of every direction and rung, marched in batches
+    shifted = (_shifted(ubar, v, t) for v in dirs for e in all_eps
+               for t in (e, -e))
+    costs = np.array([cost_eval(problem, state, u)
+                      for u, state in _marched(problem, shifted)])
+    jp, jm = costs.reshape(n_dirs, len(all_eps), 2).transpose(2, 0, 1)
+    fd = (jp - jm) / (2.0 * np.array(all_eps))
+    errors = (np.abs(fd - exact_vals[:, None])
+              / np.maximum(1.0, np.abs(exact_vals))[:, None])
     best = errors.min(axis=1)
     ladder_err = errors[:, ladder_idx].max(axis=0)
     report = make_slope_report(
@@ -190,7 +202,8 @@ def check_taylor_orders(context: SecondOrderContext,
     2. DS increment      |DS(u+ev)h - DS(u)h - e D2S(u)(v,h)|   -> slope 2
     3. cost remainder    |J(u+ev) - J(u) - e<g,v> - e^2/2 B(v,v)| -> slope 3
 
-    u is the context's control; each shifted control gets its own context.
+    u is the context's control; the shifted controls are marched together
+    (`solve_states`), and each gets its own context.
     """
     problem, ubar = context.problem, context.ubar
     rng = np.random.default_rng(seed)
@@ -216,9 +229,9 @@ def check_taylor_orders(context: SecondOrderContext,
     err_ds = []
     err_cost = []
     state_scale = max(_norm3(problem, lin_v.y), 1e-300)
-    for e in eps_values:
-        ctx_e = SecondOrderContext(problem, _shifted(ubar, v, e))
-        state_e = ctx_e.state
+    shifted = (_shifted(ubar, v, e) for e in eps_values)
+    for e, (u_e, state_e) in zip(eps_values, _marched(problem, shifted)):
+        ctx_e = SecondOrderContext(problem, u_e, state=state_e)
         # 1: state remainder
         diff = _norm3(problem, state_e.x - state.x - e * lin_v.y)
         err_state.append(diff / state_scale)
@@ -375,6 +388,7 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
 
     def ratios_at(pr: ControlProblem, seeds) -> dict:
         out = {"state": [], "ds": [], "d2s": []}
+        pairs = []
         for s in seeds:
             rng = np.random.default_rng(int(s))
             ua = _smooth_random_control(pr, rng, amp)
@@ -387,8 +401,13 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
             nv = control_norm(pr.grid, pr.tgrid, v)
             if du == 0.0 or nh == 0.0 or nv == 0.0:
                 continue  # coincident draw: the ratio is undefined, skip it
-            ctx_a = SecondOrderContext(pr, ua)
-            ctx_b = SecondOrderContext(pr, ub)
+            pairs.append((ua, ub, h, v, du, nh, nv))
+        # the (ua, ub) controls of every kept pair, marched in batches
+        states = _marched(pr, (u for pair in pairs for u in pair[:2]))
+        for ua, ub, h, v, du, nh, nv in pairs:
+            (_, state_a), (_, state_b) = next(states), next(states)
+            ctx_a = SecondOrderContext(pr, ua, state=state_a)
+            ctx_b = SecondOrderContext(pr, ub, state=state_b)
             out["state"].append(_norm3(pr, ctx_a.state.x - ctx_b.state.x)
                                 / du)
             lin_ha, lin_va = ctx_a.linearize([h, v])

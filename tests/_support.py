@@ -7,14 +7,20 @@ import dataclasses
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from tumoropt import (Control, CostSpec, InitialData, ModelParams, SscReport,
-                      TimeGrid, build_grid, bump_shape, cone_project,
-                      constant_shape, control_norm, custom_polynomial_potential,
-                      default_tau, logarithmic_potential, make_nonlinearity,
-                      ramp_shape, regular_potential, strongly_active_sets)
+from tumoropt import (Control, CostSpec, InitialData, ModelParams,
+                      SecondOrderContext, SscReport, StabilityReport, TimeGrid,
+                      build_grid, bump_shape, cone_project, constant_shape,
+                      control_inner, control_norm, cost_eval,
+                      custom_polynomial_potential, default_tau,
+                      logarithmic_potential, make_nonlinearity,
+                      quadratic_form_bilinear_route, ramp_shape,
+                      refine_problem, regular_potential, strongly_active_sets)
 from tumoropt.grid import inner
 from tumoropt.problem import ControlProblem
-from tumoropt.state import SolverOptions
+from tumoropt.state import SolverOptions, _newton_step, _solve_alone
+from tumoropt.verify import (EPS_LADDER, FD_SEARCH_LADDER, _norm3,
+                             _random_direction, _shifted,
+                             _smooth_random_control, make_slope_report)
 
 
 def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
@@ -72,6 +78,16 @@ def smooth_control(problem: ControlProblem, amp=0.2) -> Control:
     t = problem.tgrid.times[:, None]
     return Control(amp * np.cos(np.pi * x) * np.cos(2.0 * t),
                    0.5 * amp * np.sin(np.pi * x) * (1.0 + t))
+
+
+def newton_step(stepper, x_prev, u1k, u2k, opts, k, start=None,
+                carried=None):
+    """One step of the forward Newton on its own: the requests of
+    `_newton_step` answered by one-level stepper calls.  Returns the state,
+    the iterations and the LUs formed."""
+    return _solve_alone(_newton_step(stepper, x_prev, opts, k, start=start,
+                                     carried=carried),
+                        stepper, x_prev, u1k, u2k)
 
 
 def energy_by_level(stepper, x: np.ndarray) -> float:
@@ -206,3 +222,132 @@ def dense_hessian_per_pair(context) -> np.ndarray:
             hess[a, b] = hess[b, a] = context.form(
                 dirs[a], dirs[b], lin_h=lins[a], lin_k=lins[b])
     return hess
+
+
+def gradient_fd_per_control(context, n_dirs=10, seed=0,
+                            eps_values=EPS_LADDER,
+                            search_values=FD_SEARCH_LADDER, slope_band=0.2):
+    """Reference: `check_gradient_fd` with one solve per shifted control,
+    each direction drawn just before its ladder."""
+    problem, ubar = context.problem, context.ubar
+    rng = np.random.default_rng(seed)
+    grid, tgrid = problem.grid, problem.tgrid
+    gc = context.gradient.as_control()
+    all_eps = tuple(sorted(set(eps_values) | set(search_values), reverse=True))
+    ladder_idx = [all_eps.index(e) for e in eps_values]
+    errors = np.zeros((n_dirs, len(all_eps)))
+    exact_vals = np.zeros(n_dirs)
+    for d in range(n_dirs):
+        v = _random_direction(problem, rng)
+        exact = control_inner(grid, tgrid, gc, v)
+        exact_vals[d] = exact
+        for i, e in enumerate(all_eps):
+            up, down = _shifted(ubar, v, e), _shifted(ubar, v, -e)
+            jp = cost_eval(problem, problem.solve(up), up)
+            jm = cost_eval(problem, problem.solve(down), down)
+            fd = (jp - jm) / (2.0 * e)
+            errors[d, i] = abs(fd - exact) / max(1.0, abs(exact))
+    best = errors.min(axis=1)
+    ladder_err = errors[:, ladder_idx].max(axis=0)
+    return make_slope_report(
+        np.asarray(eps_values), ladder_err, expected_slope=2.0,
+        band=slope_band, details={
+            "best_rel_error_per_dir": best.tolist(),
+            "worst_best_rel_error": float(best.max()),
+            "directional_derivatives": exact_vals.tolist(),
+        })
+
+
+def taylor_orders_per_control(context, v=None, h=None, eps_values=EPS_LADDER,
+                              seed=0, slope_bands=(0.2, 0.2, 0.2)):
+    """Reference: `check_taylor_orders` with one context, and so one solve,
+    per shifted control."""
+    problem, ubar = context.problem, context.ubar
+    rng = np.random.default_rng(seed)
+    if v is None:
+        v = _random_direction(problem, rng)
+    if h is None:
+        h = _random_direction(problem, rng)
+    grid, tgrid = problem.grid, problem.tgrid
+    state = context.state
+    lin_v, lin_h = context.linearize([v, h])
+    bilin_vh = context.bilinearize(lin_v, lin_h, v, h)
+    j0 = cost_eval(problem, state, ubar)
+    slope_v = control_inner(grid, tgrid, context.gradient.as_control(), v)
+    if problem.cost.b2 == 0.0:
+        b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
+    else:
+        b_vv = quadratic_form_bilinear_route(context, v, v, lin_h=lin_v,
+                                             lin_k=lin_v)
+    err_state, err_ds, err_cost = [], [], []
+    state_scale = max(_norm3(problem, lin_v.y), 1e-300)
+    for e in eps_values:
+        ctx_e = SecondOrderContext(problem, _shifted(ubar, v, e))
+        state_e = ctx_e.state
+        diff = _norm3(problem, state_e.x - state.x - e * lin_v.y)
+        err_state.append(diff / state_scale)
+        lin_h_e = ctx_e.linearize(h)
+        rem = _norm3(problem, lin_h_e.y - lin_h.y - e * bilin_vh.y)
+        err_ds.append(rem / max(_norm3(problem, lin_h.y), 1e-300))
+        j_e = cost_eval(problem, state_e, ctx_e.ubar)
+        r3 = j_e - j0 - e * slope_v - 0.5 * e * e * b_vv
+        err_cost.append(abs(r3) / max(1.0, abs(j0)))
+    return (make_slope_report(eps_values, err_state, 2.0, slope_bands[0]),
+            make_slope_report(eps_values, err_ds, 2.0, slope_bands[1]),
+            make_slope_report(eps_values, err_cost, 3.0, slope_bands[2]))
+
+
+def stability_ratios_per_control(problem, n_pairs=2, seed=0, amp=0.3,
+                                 factor_bound=2.0):
+    """Reference: `check_stability_ratios` with one context, and so one
+    solve, per drawn control."""
+    fine = refine_problem(problem)
+    rng_master = np.random.default_rng(seed)
+    pair_seeds = rng_master.integers(0, 2**32 - 1, size=n_pairs)
+
+    def ratios_at(pr, seeds):
+        out = {"state": [], "ds": [], "d2s": []}
+        for s in seeds:
+            rng = np.random.default_rng(int(s))
+            ua = _smooth_random_control(pr, rng, amp)
+            ub = _smooth_random_control(pr, rng, amp)
+            h = _smooth_random_control(pr, rng, amp)
+            v = _smooth_random_control(pr, rng, amp)
+            du = control_norm(pr.grid, pr.tgrid,
+                              Control(ua.u1 - ub.u1, ua.u2 - ub.u2))
+            nh = control_norm(pr.grid, pr.tgrid, h)
+            nv = control_norm(pr.grid, pr.tgrid, v)
+            if du == 0.0 or nh == 0.0 or nv == 0.0:
+                continue
+            ctx_a = SecondOrderContext(pr, ua)
+            ctx_b = SecondOrderContext(pr, ub)
+            out["state"].append(_norm3(pr, ctx_a.state.x - ctx_b.state.x)
+                                / du)
+            lin_ha, lin_va = ctx_a.linearize([h, v])
+            lin_hb, lin_vb = ctx_b.linearize([h, v])
+            out["ds"].append(_norm3(pr, lin_ha.y - lin_hb.y) / (du * nh))
+            bil_a = ctx_a.bilinearize(lin_ha, lin_va, h, v)
+            bil_b = ctx_b.bilinearize(lin_hb, lin_vb, h, v)
+            out["d2s"].append(_norm3(pr, bil_a.y - bil_b.y)
+                              / (du * nh * nv))
+        return {k: float(np.max(vals)) if vals else 0.0
+                for k, vals in out.items()}
+
+    base = ratios_at(problem, pair_seeds)
+    refined = ratios_at(fine, pair_seeds)
+    factors = []
+    for key in base:
+        lo, hi = sorted((base[key], refined[key]))
+        factors.append(hi / max(lo, 1e-300))
+    max_factor = float(np.max(factors))
+    rng = np.random.default_rng(int(pair_seeds[0]))
+    ua = _smooth_random_control(problem, rng, amp)
+    h = _smooth_random_control(problem, rng, amp)
+    ctx = SecondOrderContext(problem, ua)
+    lin1, lin2 = ctx.linearize([h, Control(2.0 * h.u1, 2.0 * h.u2)])
+    hom = float(np.max(np.abs(lin2.y - 2.0 * lin1.y)))
+    hom_rel = hom / max(_norm3(problem, lin1.y), 1e-300)
+    passed = bool(max_factor < factor_bound and hom_rel < 1e-12)
+    return StabilityReport(base_ratios=base, refined_ratios=refined,
+                           max_change_factor=max_factor,
+                           homogeneity_error=hom_rel, passed=passed)

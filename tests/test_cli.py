@@ -453,6 +453,28 @@ def test_energy_blowup_is_solver_error(tmp_path):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_verify_with_a_failing_shifted_control_is_solver_error(tmp_path,
+                                                                capsys):
+    # at u1 = -10 and 6 Newton iterations the verified control marches, but
+    # one of its FD shifts (the first direction at -0.1) runs out of
+    # iterations in its batch; warnings are errors here, so the batch must
+    # warn of nothing
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sets = ["grid.shape=[17]", "time.steps=25", "control.initial.u1=-10",
+            "solver.newton_max_iter=6"]
+    out = tmp_path / "out"
+    code = main(["verify", "--config",
+                 str(root / "configs" / "canonical_1d.yaml"), "--out-dir",
+                 str(out), "--quiet",
+                 *(arg for s in sets for arg in ("--set", s))])
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER
+    assert err.startswith("solver failure: step 16: Newton did not converge "
+                          "within 6 iterations")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_resolved_config_reparses(tmp_path):
     cfg = _write(tmp_path, COUPLED)
     out = tmp_path / "out"

@@ -124,6 +124,20 @@ def test_prox_obstacle_is_clamp(rng):
     assert yosida_eval(pot, 0.5, 1.5) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential()])
+def test_prox_rows_are_bitwise_each_row_alone(pot, rng):
+    # rows far apart in magnitude need different iteration counts; each
+    # row stops on its own, so stacking them moves no bit
+    for _ in range(8):
+        rows = np.stack([rng.uniform(-0.1, 0.1, 17),
+                         rng.uniform(-8.0, 8.0, 17),
+                         rng.uniform(-1.5, 1.5, 17)])
+        stacked = prox_f1(pot, 0.05, rows)
+        for row, got in zip(rows, stacked):
+            assert got.tobytes() == prox_f1(pot, 0.05, row).tobytes()
+        assert prox_f1(pot, 0.05, rows[None]).tobytes() == stacked.tobytes()
+
+
 def test_prox_custom_is_identity(rng):
     pot = custom_polynomial_potential([0.0, 1.0])
     r = rng.standard_normal(20)

@@ -11,15 +11,16 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       SolverOptions, TimeGrid, build_grid, bump_shape,
                       logarithmic_potential, make_nonlinearity,
                       obstacle_potential, ramp_shape, regular_potential,
-                      solve_state)
+                      solve_state, solve_states)
 from tumoropt import state
 from tumoropt import stepper as stepper_module
 from tumoropt.problem import ControlProblem
-from tumoropt.state import CarriedLU, _newton_step
+from tumoropt.state import CarriedLU
 from tumoropt.stepper import Stepper
 
 from _support import (energy_by_level, make_problem, mass_defect_by_level,
-                      ode_reduction_reference, random_control, smooth_control)
+                      newton_step, ode_reduction_reference, random_control,
+                      smooth_control)
 
 
 def _with_zero_data(problem: ControlProblem) -> ControlProblem:
@@ -198,10 +199,10 @@ def test_energy_blowup_raises_during_march():
 def test_earlier_energy_blowup_wins_over_later_newton_failure(monkeypatch):
     newton = state._newton_step
 
-    def failing_at_step_4(*args, **kwargs):
-        if args[5] == 4:
+    def failing_at_step_4(stepper, x_prev, opts, k, **kwargs):
+        if k == 4:
             raise SolverError("step 4: Newton stalled")
-        return newton(*args, **kwargs)
+        return (yield from newton(stepper, x_prev, opts, k, **kwargs))
 
     monkeypatch.setattr(state, "_newton_step", failing_at_step_4)
     pr = make_problem(steps=6, energy_blowup_factor=1e-16)
@@ -259,7 +260,7 @@ def test_polish_tries_the_full_step_once(monkeypatch):
         for polish in (0, 1, 4):
             calls.clear()
             lu_calls.clear()
-            x, iters, lus = _newton_step(
+            x, iters, lus = newton_step(
                 stepper, x_prev, u.u1[k], u.u2[k],
                 SolverOptions(polish_steps=polish), k)
             assert lus == len(lu_calls)
@@ -277,9 +278,9 @@ def test_polish_tries_the_full_step_once(monkeypatch):
         assert runs[1][2] <= rnorm0
         # a start that already meets the tolerance factors once, to polish
         lu_calls.clear()
-        _, iters, lus = _newton_step(stepper, x_prev, u.u1[k], u.u2[k],
-                                     SolverOptions(polish_steps=4), k,
-                                     start=traj.x[k])
+        _, iters, lus = newton_step(stepper, x_prev, u.u1[k], u.u2[k],
+                                    SolverOptions(polish_steps=4), k,
+                                    start=traj.x[k])
         assert lus == len(lu_calls) == 1
         assert 1 <= iters <= 4
     assert traj.mass_residual.max() <= 1e-12
@@ -294,8 +295,8 @@ def _predictor_case(potential):
 
 
 def _step_from(pr, u, x_prev, k, start):
-    return _newton_step(pr.stepper, x_prev, u.u1[k], u.u2[k], pr.options, k,
-                        start=start)
+    return newton_step(pr.stepper, x_prev, u.u1[k], u.u2[k], pr.options, k,
+                       start=start)
 
 
 def test_predictor_outside_separation_interval_falls_back(monkeypatch):
@@ -383,8 +384,8 @@ def test_predicted_march_matches_march_from_previous_level(case):
     oracle = [x]
     oracle_iters = oracle_lus = 0
     for k in range(1, pr.n_levels):
-        x, iters, lus = _newton_step(pr.stepper, x, u.u1[k], u.u2[k],
-                                     pr.options, k)
+        x, iters, lus = newton_step(pr.stepper, x, u.u1[k], u.u2[k],
+                                    pr.options, k)
         oracle.append(x)
         oracle_iters += iters
         oracle_lus += lus
@@ -414,7 +415,7 @@ def _per_iteration_march(pr, u):
     x[0] = pr.init.stacked()
     for k in range(1, pr.n_levels):
         guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
-        x[k], iters[k], lus[k] = _newton_step(
+        x[k], iters[k], lus[k] = newton_step(
             pr.stepper, x[k - 1], u.u1[k], u.u2[k], pr.options, k,
             start=guess)
     return x, iters, lus
@@ -461,9 +462,9 @@ def test_2d_chord_polish_runs_until_the_residual_stops_falling():
     carried = CarriedLU()
     for k in range(1, pr.n_levels):
         guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
-        xk, iters, lus = _newton_step(stepper, x[k - 1], u.u1[k], u.u2[k],
-                                      pr.options, k, start=guess,
-                                      carried=carried)
+        xk, iters, lus = newton_step(stepper, x[k - 1], u.u1[k], u.u2[k],
+                                     pr.options, k, start=guess,
+                                     carried=carried)
         assert xk.tobytes() == x[k].tobytes(), f"step {k}: march differs"
         assert (iters, lus) == (traj.newton_iters[k], traj.factorizations[k])
         # one more chord step would not lower the residual
@@ -502,11 +503,11 @@ def test_chord_step_refactors_when_the_carried_lu_does_not_contract():
     # its full step does not cut the residual to a quarter
     assert (np.abs(stepper.residual(chord, x_prev, u1, u2)).max()
             > 0.25 * np.abs(res).max())
-    x, iters, lus = _newton_step(stepper, x_prev, u1, u2, pr.options, 1,
-                                 carried=carried)
+    x, iters, lus = newton_step(stepper, x_prev, u1, u2, pr.options, 1,
+                                carried=carried)
     assert lus >= 1, "step 1: the stale LU was never replaced"
     assert carried.lu is not stale
-    ref, _, _ = _newton_step(stepper, x_prev, u1, u2, pr.options, 1)
+    ref, _, _ = newton_step(stepper, x_prev, u1, u2, pr.options, 1)
     _assert_levels_agree(np.stack([x_prev, x]), np.stack([x_prev, ref]))
     assert (np.abs(stepper.residual(x, x_prev, u1, u2)).max()
             <= pr.options.newton_tol * stepper.coef_scale
@@ -547,11 +548,11 @@ def test_stale_chord_step_pinned_at_the_ceiling_factors_again():
     assert ceiling(fresh) > 0.0
     assert ceiling(_Reversed(fresh)) == 0.0
     carried = CarriedLU(_Reversed(fresh))
-    x, iters, lus = _newton_step(stepper, x_prev, u1, u2, pr.options, 1,
-                                 carried=carried)
+    x, iters, lus = newton_step(stepper, x_prev, u1, u2, pr.options, 1,
+                                carried=carried)
     assert lus >= 1, "step 1: the pinned stale LU was never replaced"
     assert not isinstance(carried.lu, _Reversed)
-    ref, _, _ = _newton_step(stepper, x_prev, u1, u2, pr.options, 1)
+    ref, _, _ = newton_step(stepper, x_prev, u1, u2, pr.options, 1)
     _assert_levels_agree(np.stack([x_prev, x]), np.stack([x_prev, ref]))
 
 
@@ -606,9 +607,148 @@ def test_2d_newton_failures_name_the_step(monkeypatch):
 
     monkeypatch.setattr(stepper_module, "splu", singular)
     with pytest.raises(SolverError, match="^step 5: sparse LU failed"):
-        _newton_step(stepper, x_prev, u1, u2, pr.options, 5, carried=carried)
+        newton_step(stepper, x_prev, u1, u2, pr.options, 5, carried=carried)
     with pytest.raises(SolverError, match="^step 1: sparse LU failed"):
         pr.solve(u)
+
+
+# ---------------------------------------------------------------------------
+# batch marches
+
+
+TRAJECTORY_FIELDS = ("x", "newton_iters", "factorizations", "mass_residual",
+                     "energy", "phi_min", "phi_max")
+
+
+def _shifted_u1(u, shift):
+    return Control(u.u1 + shift, u.u2.copy())
+
+
+def _batch_controls(pr):
+    """Five controls whose marches differ.  On the logarithmic line over
+    [0, 3] the first one backtracks once, and the predictors of the first
+    two leave the separation interval at some steps."""
+    u = smooth_control(pr, amp=0.2)
+    return [smooth_control(pr, amp=1.0), _shifted_u1(u, -4.0), u,
+            _shifted_u1(u, 4.0), random_control(pr, seed=3, amp=0.5)]
+
+
+BATCH_CASES = {
+    "log-1d": lambda: make_problem(potential="logarithmic", steps=10,
+                                   t_final=3.0),
+    "regular-1d": lambda: make_problem(potential="regular", steps=10),
+    "obstacle-yosida-1d": lambda: dataclasses.replace(
+        make_problem(steps=10, yosida_eps=0.05),
+        potential=obstacle_potential()),
+    "log-yosida-1d": lambda: make_problem(potential="logarithmic", steps=10,
+                                          yosida_eps=0.05),
+    "log-2d": lambda: _problem_2d(steps=12),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_march_is_bitwise_the_per_control_march(monkeypatch, case, m):
+    pr = BATCH_CASES[case]()
+    controls = _batch_controls(pr)[:m]
+    _, residuals = _counting(monkeypatch, "residual")
+    alone = []
+    for u in controls:
+        residuals.clear()
+        alone.append((solve_state(pr, u), len(residuals)))
+    batch = solve_states(pr, controls)
+    assert len(batch) == m
+    for traj, (ref, _) in zip(batch, alone):
+        for name in TRAJECTORY_FIELDS:
+            got, want = getattr(traj, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        # each member owns its history: keeping one pins no other
+        assert traj.x.flags.owndata
+    if case == "log-1d" and m == 5:
+        # the members differ in iterations, and in residuals beyond one per
+        # iteration and step (backtracks)
+        iters = [ref.newton_iters.sum() for ref, _ in alone]
+        extra = [calls - ref.newton_iters.sum() for ref, calls in alone]
+        assert len(set(iters)) > 1 and len(set(extra)) > 1
+        leaves = [[k for k in range(2, pr.n_levels)
+                   if not state._inside_margin(
+                       pr.stepper, 2.0 * ref.x[k - 1] - ref.x[k - 2],
+                       pr.options)] for ref, _ in alone]
+        assert leaves[0] and leaves[1] and not leaves[2]
+    if pr.stepper.superlu:
+        # one carried LU per member: the batch forms every member's LUs
+        formed, splu = [], stepper_module.splu
+
+        def counted_splu(*args, **kwargs):
+            formed.append(None)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(stepper_module, "splu", counted_splu)
+        solve_states(pr, controls)
+        assert len(formed) == sum(ref.factorizations.sum()
+                                  for ref, _ in alone) >= m
+
+
+def _error_of(fn, *args):
+    with pytest.raises(SolverError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_batch_failure_is_the_lowest_member_at_the_first_failing_level():
+    pr = make_problem(potential="logarithmic", steps=10)
+    u = smooth_control(pr, amp=0.2)
+    at_4, at_3 = _shifted_u1(u, -100.0), _shifted_u1(u, -200.0)
+    nan_at_3 = Control(u.u1.copy(), u.u2.copy())
+    nan_at_3.u1[3, 4] = np.nan
+    assert _error_of(solve_state, pr, at_4).startswith("step 4: ")
+    for control in (at_3, nan_at_3):
+        assert _error_of(solve_state, pr, control).startswith("step 3: ")
+    # the first failing level wins over a lower member failing later
+    assert (_error_of(solve_states, pr, [u, at_4, at_3, u])
+            == _error_of(solve_state, pr, at_3))
+    # at one level, the lowest failing member wins
+    for first, second in ((at_3, nan_at_3), (nan_at_3, at_3)):
+        assert (_error_of(solve_states, pr, [u, first, second])
+                == _error_of(solve_state, pr, first))
+
+
+def test_batch_failure_checks_the_energy_of_the_failing_member():
+    pr = make_problem(potential="logarithmic", steps=10,
+                      energy_blowup_factor=1e-16)
+    u = smooth_control(pr, amp=0.2)
+    at_3 = _shifted_u1(u, -200.0)
+    single = _error_of(solve_state, pr, at_3)
+    assert single.startswith("energy ") and "at step 1 " in single
+    assert _error_of(solve_states, pr, [u, at_3]) == single
+    # with no Newton failure, the blow-up of the lowest member is reported
+    other = _shifted_u1(u, -5.0)
+    assert _error_of(solve_state, pr, u) != _error_of(solve_state, pr, other)
+    for pair in ([u, other], [other, u]):
+        assert (_error_of(solve_states, pr, pair)
+                == _error_of(solve_state, pr, pair[0]))
+
+
+def test_batch_factor_failure_meets_only_its_member(monkeypatch):
+    pr = make_problem(potential="logarithmic", steps=6)
+    u = smooth_control(pr, amp=0.2)
+    marked = _shifted_u1(u, 0.5)
+    marker = marked.u1[3]
+    factorize = Stepper.factorize
+
+    def singular_for_marked(self, x, u1k):
+        # the marked member's step-3 Jacobian is singular
+        rows = u1k if u1k.ndim == 2 else u1k[None]
+        if any(np.array_equal(row, marker) for row in rows):
+            raise SolverError("band LU failed: exactly singular at column 1")
+        return factorize(self, x, u1k)
+
+    monkeypatch.setattr(Stepper, "factorize", singular_for_marked)
+    single = _error_of(solve_state, pr, marked)
+    assert single == "step 3: band LU failed: exactly singular at column 1"
+    assert _error_of(solve_states, pr, [u, marked, u]) == single
+    assert _error_of(solve_states, pr, [marked, marked]) == single
 
 
 def test_non_finite_control_is_solver_error():

@@ -149,6 +149,40 @@ def test_factorize_turns_band_lu_failure_into_solver_error(monkeypatch):
         StepFactors(pr, state, ubar).lu(3)
 
 
+@pytest.mark.parametrize("coupling", ["full", "vanishing"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_stacked_rows_are_bitwise_the_one_level_calls(potential, dim,
+                                                      coupling):
+    st = _stepper(potential, dim, coupling)
+    states = [_state(st, seed=s) for s in range(3)]
+    x = np.stack([z for z, _ in states])
+    u1 = np.stack([u for _, u in states])
+    x_prev = np.stack([_state(st, seed=10 + s)[0] for s in range(3)])
+    u2 = 0.1 * np.random.default_rng(8).standard_normal(u1.shape)
+    res = st.residual(x, x_prev, u1, u2)
+    assert res.shape == x.shape
+    for i in range(3):
+        one = st.residual(x[i], x_prev[i], u1[i], u2[i])
+        assert np.array_equal(res[i], one) and res[i].tobytes() == one.tobytes()
+    factors = st.factorize(x, u1)
+    jacs = st.assemble(x, u1)
+    assert len(factors) == len(jacs) == 3
+    rhs = np.random.default_rng(9).standard_normal((3 * st.n, 2))
+    for i, (fac, jac) in enumerate(zip(factors, jacs)):
+        alone = st.assemble(x[i], u1[i])
+        assert jac.data.tobytes() == alone.data.tobytes()
+        assert jac.indices.tobytes() == alone.indices.tobytes()
+        one = st.factorize(x[i], u1[i])
+        for trans in ("N", "T"):
+            assert (fac.solve(rhs, trans=trans).tobytes()
+                    == one.solve(rhs, trans=trans).tobytes())
+    # a row that cannot be factored fails the whole call
+    x[1, st.n] = np.nan
+    with pytest.raises(SolverError, match="non-finite Jacobian entries"):
+        st.factorize(x, u1)
+
+
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
 def test_factorize_1d_band_solves_match_splu(potential):
     # the band LU pivots differently from SuperLU, so its solves move at

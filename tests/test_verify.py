@@ -9,16 +9,20 @@ from tumoropt import (Control, ControlProblem, CostSpec, InitialData,
                       ModelParams, SecondOrderContext, StepFactors, Stepper,
                       TimeGrid, build_grid, bump_shape, logarithmic_potential,
                       make_nonlinearity, norm, ramp_shape)
+import tumoropt.optimize as optimize_module
+import tumoropt.problem
 from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _refine_nested,
                              _strong_form_levels, adjoint_continuous_residual,
-                             check_duality,
+                             check_duality, check_gradient_fd,
                              check_stability_ratios, check_taylor_orders,
                              fit_slope, make_slope_report,
                              quadratic_form_bilinear_route, refine_control,
                              refine_problem, run_verification, THRESHOLDS)
 
-from _support import (make_problem, ode_reduction_reference, random_control,
-                      richardson_state_at_T, smooth_control)
+from _support import (gradient_fd_per_control, make_problem,
+                      ode_reduction_reference, random_control,
+                      richardson_state_at_T, smooth_control,
+                      stability_ratios_per_control, taylor_orders_per_control)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +515,56 @@ def test_run_verification_solves_and_factors_once_at_ubar(monkeypatch):
     assert sum(p is pr and c is u for p, c in solves) == 1
     # one factor pass: each step operator at ubar factored exactly once
     assert sorted(lus) == list(range(1, pr.n_levels))
+
+
+def _assert_same_slope_report(got, want):
+    for name in ("eps_values", "error_values", "fitted_slope",
+                 "expected_slope"):
+        assert (np.asarray(getattr(got, name)).tobytes()
+                == np.asarray(getattr(want, name)).tobytes()), name
+    assert got.passed == want.passed
+    assert got.details == want.details
+
+
+@pytest.mark.parametrize("directions", [None, 1, 3])
+def test_batched_checks_are_bitwise_the_per_control_loops(monkeypatch,
+                                                          directions):
+    pr = make_problem(nodes=9, steps=6, potential="logarithmic")
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.1))
+    if directions is not None:
+        # batches of 1, or of 3 with a shorter last one: 36 FD controls, 5
+        # Taylor ones and 4 stability ones at the base resolution
+        monkeypatch.setattr(optimize_module, "_BLOCK_BYTES",
+                            directions * 24 * pr.n_levels * pr.grid.n)
+    fd = check_gradient_fd(ctx, n_dirs=2, seed=1)
+    assert fd.details["best_rel_error_per_dir"]
+    _assert_same_slope_report(fd, gradient_fd_per_control(ctx, n_dirs=2,
+                                                          seed=1))
+    for got, want in zip(check_taylor_orders(ctx, seed=2),
+                         taylor_orders_per_control(ctx, seed=2)):
+        _assert_same_slope_report(got, want)
+    got = check_stability_ratios(pr, n_pairs=2, seed=3)
+    want = stability_ratios_per_control(pr, n_pairs=2, seed=3)
+    assert vars(got) == vars(want)
+
+
+def test_checks_solve_no_control_on_its_own(monkeypatch):
+    pr = make_problem(nodes=9, steps=6)
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.1))
+    solves = []
+    solve_state = tumoropt.problem.solve_state
+
+    def count_solve(problem, control):
+        solves.append(problem)
+        return solve_state(problem, control)
+
+    monkeypatch.setattr(tumoropt.problem, "solve_state", count_solve)
+    check_gradient_fd(ctx, n_dirs=2)
+    check_taylor_orders(ctx)
+    assert solves == []
+    # the homogeneity check's context is the one control solved alone
+    check_stability_ratios(pr, n_pairs=2)
+    assert solves == [pr]
 
 
 def test_run_verification_skips_strong_form_with_final_tracking():
