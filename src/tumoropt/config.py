@@ -12,7 +12,7 @@ import contextlib
 import copy
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +44,8 @@ _DEFAULTS: dict = {
                  "bounds": {"lower1": None, "upper1": None,
                             "lower2": None, "upper2": None}},
     "initial": {"mu0": 0.0, "phi0": 0.0, "sigma0": 0.0},
-    "solver": {"newton_tol": 1e-12, "newton_max_iter": 30,
-               "max_backtracks": 40, "separation_margin": 1e-8,
-               "yosida_eps": None, "polish_steps": 1,
-               "energy_blowup_factor": 1e8},
-    "optimizer": {"tol": 1e-6, "max_iter": 100, "initial_step": 1.0,
-                  "armijo_c": 1e-4, "shrink": 0.5, "max_backtracks": 40,
-                  "step_min": 1e-12, "step_max": 1e12},
+    "solver": asdict(SolverOptions()),
+    "optimizer": asdict(PgdOptions()),
     "ssc": {"tau": None, "n_samples": 64, "seed": 0},
     "output": {"out_dir": "out", "snapshot_times": None},
 }
@@ -91,55 +86,44 @@ def compile_expression(text: str, key: str, allow_t: bool = True):
     except SyntaxError as exc:
         raise ConfigError(f"{key}: cannot parse expression {text!r}: {exc.msg}")
 
-    def check(node: ast.AST) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.Constant):
+    def compiled(node: ast.AST):
+        """Check `node` and compile it into a function of the name values."""
+        if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ConfigError(f"{key}: only numeric literals are allowed")
-        elif isinstance(node, ast.Name):
+            return lambda env: float(node.value)
+        if isinstance(node, ast.Name):
             if node.id not in names:
                 raise ConfigError(f"{key}: unknown name {node.id!r} "
                                   f"(allowed: {', '.join(sorted(names))})")
-        elif isinstance(node, ast.BinOp):
+            return lambda env: env[node.id]
+        if isinstance(node, ast.BinOp):
             if type(node.op) not in _BINOPS:
                 raise ConfigError(f"{key}: operator not allowed in expressions")
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp):
+            op = _BINOPS[type(node.op)]
+            left, right = compiled(node.left), compiled(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp):
             if type(node.op) not in _UNARY:
                 raise ConfigError(f"{key}: operator not allowed in expressions")
-            check(node.operand)
-        elif isinstance(node, ast.Call):
+            op, operand = _UNARY[type(node.op)], compiled(node.operand)
+            return lambda env: op(operand(env))
+        if isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name)
                     and node.func.id in _CALLS):
                 raise ConfigError(f"{key}: only sin/cos/exp calls are allowed")
             if len(node.args) != 1 or node.keywords:
                 raise ConfigError(f"{key}: {node.func.id} takes one argument")
-            check(node.args[0])
-        else:
-            raise ConfigError(f"{key}: unsupported expression syntax "
-                              f"({type(node).__name__})")
+            call, arg = _CALLS[node.func.id], compiled(node.args[0])
+            return lambda env: call(arg(env))
+        raise ConfigError(f"{key}: unsupported expression syntax "
+                          f"({type(node).__name__})")
 
-    check(tree)
-
-    def evaluate(node: ast.AST, env: dict):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](evaluate(node.left, env),
-                                          evaluate(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            return _UNARY[type(node.op)](evaluate(node.operand, env))
-        return _CALLS[node.func.id](evaluate(node.args[0], env))
+    evaluate = compiled(tree.body)
 
     def func(x, y, t=0.0):
         env = {"x": x, "y": y, "t": t, "pi": math.pi}
-        return np.asarray(evaluate(tree, env), dtype=float)
+        return np.asarray(evaluate(env), dtype=float)
 
     return func
 
@@ -274,10 +258,7 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Plain dict that re-parses to an equivalent configuration."""
-        return {name: copy.deepcopy(getattr(self, name))
-                for name in ("grid", "time", "model", "potential",
-                             "nonlinearity", "cost", "control", "initial",
-                             "solver", "optimizer", "ssc", "output")}
+        return {name: copy.deepcopy(getattr(self, name)) for name in _DEFAULTS}
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +335,12 @@ def _build_shape(block: dict, key: str) -> ScalarShape:
         if kind == "ramp":
             return ramp_shape()
         if kind == "bump":
-            return bump_shape(scale=float(block.get("scale", 1.0)),
-                              center=float(block.get("center", 0.0)),
-                              width=float(block.get("width", 1.0)))
-        return table_shape(block.get("xs"), block.get("ys"))
+            bump = {"scale": 1.0, "center": 0.0, "width": 1.0, **block}
+            return bump_shape(scale=_number(bump, key, "scale"),
+                              center=_number(bump, key, "center"),
+                              width=_number(bump, key, "width"))
+        return table_shape(_numbers(block, key, "xs"),
+                           _numbers(block, key, "ys"))
 
 
 def build_potential(block: dict) -> PotentialSpec:
@@ -370,11 +353,11 @@ def build_potential(block: dict) -> PotentialSpec:
         if kind == "obstacle":
             return obstacle_potential(k2=_number(block, "potential", "k2"))
         if kind == "custom":
-            coeffs = block.get("coefficients")
-            if coeffs is None:
+            if block.get("coefficients") is None:
                 raise ConfigError("potential.coefficients is required for "
                                   "kind 'custom'")
-            return custom_polynomial_potential(coeffs)
+            return custom_polynomial_potential(
+                _numbers(block, "potential", "coefficients"))
     raise ConfigError("potential.kind must be one of "
                       "['regular', 'logarithmic', 'obstacle', 'custom']")
 

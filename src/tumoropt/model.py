@@ -380,7 +380,7 @@ def make_nonlinearity(P: ScalarShape, H: ScalarShape) -> NonlinearitySpec:
     return NonlinearitySpec(P=P, H=H, sup_P=bounds[0], sup_H=bounds[1])
 
 
-def _fd_consistency(shape: ScalarShape, name: str, tol: float = 1e-5) -> None:
+def _fd_consistency(shape: ScalarShape, name: str) -> None:
     # derivative evaluators must agree with central differences at sample points
     pts = np.array([-0.83, -0.31, 0.0, 0.27, 0.52, 0.9])
     d = 1e-5
@@ -388,7 +388,7 @@ def _fd_consistency(shape: ScalarShape, name: str, tol: float = 1e-5) -> None:
         fd = (shape.eval(pts + d, order - 1) - shape.eval(pts - d, order - 1)) / (2.0 * d)
         an = shape.eval(pts, order)
         scale = 1.0 + np.max(np.abs(an))
-        if np.max(np.abs(fd - an)) > tol * scale:
+        if np.max(np.abs(fd - an)) > 1e-5 * scale:
             raise ValueError(
                 f"shape {name}: order-{order} derivative disagrees with finite differences")
 

@@ -235,15 +235,14 @@ def default_tau(grad: GradientField) -> float:
 
 
 def cone_project(h: Control, ubar: Control, box: BoxConstraints,
-                 sets: ActiveSets, bound_tol: float | None = None) -> Control:
+                 sets: ActiveSets) -> Control:
     """Project a direction onto the critical cone approximation.
 
     Zeroes the strongly active points and clips the sign where ubar sits on
-    a bound (within bound_tol): nonnegative at the lower bound, nonpositive
-    at the upper one.
+    a bound (within 1e-9 of the box span): nonnegative at the lower bound,
+    nonpositive at the upper one.
     """
-    if bound_tol is None:
-        bound_tol = 1e-9 * box.span()
+    bound_tol = 1e-9 * box.span()
     v1 = np.where(sets.A1, 0.0, h.u1)
     v2 = np.where(sets.A2, 0.0, h.u2)
     at_lo1 = ubar.u1 <= np.asarray(box.lower1) + bound_tol

@@ -43,12 +43,6 @@ _REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
 _LAPACK_TRANS = {"N": 0, "T": 1}
 
 
-def _product(mat, v: np.ndarray) -> np.ndarray:
-    """mat @ v for one vector, or for each row of a (m, size) stack; a CSR
-    product sums every row in the same order either way."""
-    return mat @ v if v.ndim == 1 else (mat @ v.T).T
-
-
 class BandLU:
     """LAPACK band LU (dgbtrf) of a 1-D step Jacobian.
 
@@ -282,9 +276,10 @@ class Stepper:
         i, bitwise as if it were evaluated alone."""
         mu, phi, sigma = self.split(x)
         pm = self.nonlin.eval("P", phi) * self.m_field(mu, phi, sigma)
-        lmu, lphi, lsigma = self.split(_product(self._lap3, x))
+        # .T leaves one level as it is: a level and stacked rows share a path
+        lmu, lphi, lsigma = self.split((self._lap3 @ x.T).T)
         # the time differences are the transport of x - x_prev
-        res = _product(self.transport, x - x_prev)
+        res = (self.transport @ (x - x_prev).T).T
         r1, r2, r3 = self.split(res)
         r1[:] = r1 - lmu - pm + self.nonlin.eval("h", phi) * u1k
         r2[:] = (r2 - lphi + self.potential_eval(phi, 1) - mu

@@ -41,6 +41,19 @@ EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 FD_SEARCH_LADDER = EPS_LADDER + (3e-4, 1e-4, 3e-5, 1e-5)
 # share of [0, T] cut off at each end of the adjoint strong-form window
 STRONG_FORM_CUT = 0.1
+# amplitude of the smooth random controls of the stability check
+STABILITY_AMP = 0.3
+
+# every bound the verification gate applies
+THRESHOLDS = {
+    "duality": 1e-10,
+    "fd_agreement": 1e-8,
+    "slope_band": 0.2,
+    "stability_factor": 2.0,
+    "homogeneity": 1e-12,
+    "mass_residual": 1e-10,
+    "adjoint_residual_order": 0.8,
+}
 
 
 @dataclass(eq=False)
@@ -118,13 +131,13 @@ def _marched(problem: ControlProblem, controls: Iterable[Control]
 def check_gradient_fd(context: SecondOrderContext,
                       n_dirs: int = 10, seed: int = 0,
                       eps_values=EPS_LADDER,
-                      search_values=FD_SEARCH_LADDER,
-                      slope_band: float = 0.2) -> SlopeReport:
+                      search_values=FD_SEARCH_LADDER) -> SlopeReport:
     """Central differences of the cost against the adjoint gradient.
 
-    Fits the truncation slope (expected 2) on `eps_values` and records, per
-    direction, the best relative agreement over the wider `search_values`
-    ladder at the context's control; `details` carries those optima.
+    Fits the truncation slope (expected 2, within THRESHOLDS["slope_band"])
+    on `eps_values` and records, per direction, the best relative agreement
+    over the wider `search_values` ladder at the context's control;
+    `details` carries those optima.
     """
     problem, ubar = context.problem, context.ubar
     rng = np.random.default_rng(seed)
@@ -147,7 +160,8 @@ def check_gradient_fd(context: SecondOrderContext,
     best = errors.min(axis=1)
     ladder_err = errors[:, ladder_idx].max(axis=0)
     report = make_slope_report(
-        np.asarray(eps_values), ladder_err, expected_slope=2.0, band=slope_band,
+        np.asarray(eps_values), ladder_err, expected_slope=2.0,
+        band=THRESHOLDS["slope_band"],
         details={
             "best_rel_error_per_dir": best.tolist(),
             "worst_best_rel_error": float(best.max()),
@@ -194,16 +208,16 @@ def _norm3(problem: ControlProblem, y: np.ndarray) -> float:
 
 def check_taylor_orders(context: SecondOrderContext,
                         v: Control | None = None, h: Control | None = None,
-                        eps_values=EPS_LADDER, seed: int = 0,
-                        slope_bands=(0.2, 0.2, 0.2)) -> tuple[SlopeReport, SlopeReport, SlopeReport]:
-    """Three remainder regressions in one sweep over the epsilon ladder.
+                        seed: int = 0) -> tuple[SlopeReport, SlopeReport, SlopeReport]:
+    """Three remainder regressions in one sweep over `EPS_LADDER`.
 
     1. state remainder   |S(u+ev) - S(u) - e DS(u)v|            -> slope 2
     2. DS increment      |DS(u+ev)h - DS(u)h - e D2S(u)(v,h)|   -> slope 2
     3. cost remainder    |J(u+ev) - J(u) - e<g,v> - e^2/2 B(v,v)| -> slope 3
 
     u is the context's control; the shifted controls are marched together
-    (`solve_states`), and each gets its own context.
+    (`solve_states`), and each gets its own context.  Each fitted slope
+    passes within THRESHOLDS["slope_band"] of its expected one.
     """
     problem, ubar = context.problem, context.ubar
     rng = np.random.default_rng(seed)
@@ -229,8 +243,8 @@ def check_taylor_orders(context: SecondOrderContext,
     err_ds = []
     err_cost = []
     state_scale = max(_norm3(problem, lin_v.y), 1e-300)
-    shifted = (_shifted(ubar, v, e) for e in eps_values)
-    for e, (u_e, state_e) in zip(eps_values, _marched(problem, shifted)):
+    shifted = (_shifted(ubar, v, e) for e in EPS_LADDER)
+    for e, (u_e, state_e) in zip(EPS_LADDER, _marched(problem, shifted)):
         ctx_e = SecondOrderContext(problem, u_e, state=state_e)
         # 1: state remainder
         diff = _norm3(problem, state_e.x - state.x - e * lin_v.y)
@@ -244,10 +258,11 @@ def check_taylor_orders(context: SecondOrderContext,
         r3 = j_e - j0 - e * slope_v - 0.5 * e * e * b_vv
         err_cost.append(abs(r3) / max(1.0, abs(j0)))
 
+    band = THRESHOLDS["slope_band"]
     return (
-        make_slope_report(eps_values, err_state, 2.0, slope_bands[0]),
-        make_slope_report(eps_values, err_ds, 2.0, slope_bands[1]),
-        make_slope_report(eps_values, err_cost, 3.0, slope_bands[2]),
+        make_slope_report(EPS_LADDER, err_state, 2.0, band),
+        make_slope_report(EPS_LADDER, err_ds, 2.0, band),
+        make_slope_report(EPS_LADDER, err_cost, 3.0, band),
     )
 
 
@@ -368,8 +383,7 @@ def _smooth_random_control(problem: ControlProblem,
 
 
 def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
-                           seed: int = 0, amp: float = 0.3,
-                           factor_bound: float = 2.0) -> StabilityReport:
+                           seed: int = 0) -> StabilityReport:
     """Empirical stability/Lipschitz ratios at two nested resolutions.
 
     Ratios estimated per random pair of smooth controls:
@@ -378,9 +392,10 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
     * ds:      |(DS(u) - DS(u')) h| / (|u - u'| |h|)
     * d2s:     |(D2S(u) - D2S(u'))(v, h)| / (|u - u'| |h| |v|)
 
-    Passes when no ratio grows or shrinks by more than `factor_bound` under
-    one simultaneous (dt, h) refinement, and directional homogeneity holds
-    (doubling h doubles DS(u)h to round-off).
+    The controls are drawn with amplitude `STABILITY_AMP`.  Passes when
+    every ratio changes by a factor below THRESHOLDS["stability_factor"]
+    under one simultaneous (dt, h) refinement, and directional homogeneity
+    holds (doubling h doubles DS(u)h within THRESHOLDS["homogeneity"]).
     """
     fine = refine_problem(problem)
     rng_master = np.random.default_rng(seed)
@@ -391,10 +406,10 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
         pairs = []
         for s in seeds:
             rng = np.random.default_rng(int(s))
-            ua = _smooth_random_control(pr, rng, amp)
-            ub = _smooth_random_control(pr, rng, amp)
-            h = _smooth_random_control(pr, rng, amp)
-            v = _smooth_random_control(pr, rng, amp)
+            ua = _smooth_random_control(pr, rng, STABILITY_AMP)
+            ub = _smooth_random_control(pr, rng, STABILITY_AMP)
+            h = _smooth_random_control(pr, rng, STABILITY_AMP)
+            v = _smooth_random_control(pr, rng, STABILITY_AMP)
             du = control_norm(pr.grid, pr.tgrid,
                               Control(ua.u1 - ub.u1, ua.u2 - ub.u2))
             nh = control_norm(pr.grid, pr.tgrid, h)
@@ -431,14 +446,15 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
 
     # homogeneity: doubling the direction doubles the linearized response
     rng = np.random.default_rng(int(pair_seeds[0]))
-    ua = _smooth_random_control(problem, rng, amp)
-    h = _smooth_random_control(problem, rng, amp)
+    ua = _smooth_random_control(problem, rng, STABILITY_AMP)
+    h = _smooth_random_control(problem, rng, STABILITY_AMP)
     ctx = SecondOrderContext(problem, ua)
     lin1, lin2 = ctx.linearize([h, Control(2.0 * h.u1, 2.0 * h.u2)])
     hom = float(np.max(np.abs(lin2.y - 2.0 * lin1.y)))
     hom_rel = hom / max(_norm3(problem, lin1.y), 1e-300)
 
-    passed = bool(max_factor < factor_bound and hom_rel < 1e-12)
+    passed = bool(max_factor < THRESHOLDS["stability_factor"]
+                  and hom_rel < THRESHOLDS["homogeneity"])
     return StabilityReport(base_ratios=base, refined_ratios=refined,
                            max_change_factor=max_factor,
                            homogeneity_error=hom_rel, passed=passed)
@@ -546,16 +562,6 @@ def adjoint_continuous_residual(context: SecondOrderContext,
 
 # ---------------------------------------------------------------------------
 # aggregated report
-
-
-THRESHOLDS = {
-    "duality": 1e-10,
-    "fd_agreement": 1e-8,
-    "slope_band": 0.2,
-    "stability_factor": 2.0,
-    "mass_residual": 1e-10,
-    "adjoint_residual_order": 0.8,
-}
 
 
 def run_verification(problem: ControlProblem, ubar: Control,

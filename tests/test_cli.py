@@ -177,6 +177,8 @@ def _run_canonical(tmp_path, command, overrides):
     "control.bounds.lower1=.nan",
     "cost.target_Q=.nan",
     "cost.b0=.nan",
+    "nonlinearity.P={shape: bump, scale: .nan}",
+    "nonlinearity.P={shape: table, xs: [-1, 1], ys: [0, .inf]}",
 ])
 def test_non_finite_config_input_is_config_error(tmp_path, override):
     proc = _run_canonical(tmp_path, "simulate", [override])

@@ -263,6 +263,21 @@ def test_control_field_from_file(tmp_path, rng):
     ({"optimizer": {"shrink": 1.5}}, "shrink"),
     ({"output": {"snapshot_times": [2.0]}}, "snapshot_times"),
     ({"solver": {"yosida_eps": -0.1}}, "yosida_eps"),
+    ({"nonlinearity": {"P": {"shape": "bump", "scale": float("nan")}}},
+     "nonlinearity.P.scale must be finite"),
+    ({"nonlinearity": {"P": {"shape": "bump", "width": float("inf")}}},
+     "nonlinearity.P.width must be finite"),
+    ({"nonlinearity": {"P": {"shape": "bump", "center": True}}},
+     "nonlinearity.P.center must be a number"),
+    ({"nonlinearity": {"P": {"shape": "table", "xs": [-1, float("nan")],
+                             "ys": [0, 1]}}}, "nonlinearity.P.xs must be finite"),
+    ({"nonlinearity": {"P": {"shape": "table", "xs": [-1, True],
+                             "ys": [0, 1]}}}, "nonlinearity.P.xs must be a number"),
+    ({"nonlinearity": {"P": {"shape": "table", "xs": [-1, 1],
+                             "ys": [0, float("inf")]}}},
+     "nonlinearity.P.ys must be finite"),
+    ({"potential": {"kind": "custom", "coefficients": [0, float("nan"), 1]}},
+     "potential.coefficients must be finite"),
 ])
 def test_invalid_configs_raise(raw, needle):
     with pytest.raises(ConfigError, match=needle):

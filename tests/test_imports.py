@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every
-module-level private name is used somewhere in the package, and a CLI run
+module-level private name is used somewhere in the package, every entry of
+the verification gate's THRESHOLDS is read by the checks, and a CLI run
 imports no scipy module that only the tests need."""
 
 import ast
@@ -88,6 +89,39 @@ def test_every_private_name_is_used_in_the_package():
               for private, line in _private_definitions(tree).items()
               if private not in used]
     assert not unused, unused
+
+
+def _threshold_keys(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Keys of the module's THRESHOLDS table, and those read from it as
+    THRESHOLDS["key"]."""
+    defined, read = set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "THRESHOLDS"
+                        for t in node.targets)):
+            defined |= {key.value for key in node.value.keys}
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "THRESHOLDS"
+              and isinstance(node.slice, ast.Constant)):
+            read.add(node.slice.value)
+    return defined, read
+
+
+def test_the_check_sees_an_unread_and_a_missing_threshold():
+    tree = ast.parse('THRESHOLDS = {"a": 1, "b": 2}\n'
+                     'ok = THRESHOLDS["a"] < THRESHOLDS["c"]\n')
+    defined, read = _threshold_keys(tree)
+    assert (sorted(defined - read), sorted(read - defined)) == (["b"], ["c"])
+
+
+def test_every_threshold_is_read_by_the_checks():
+    path = SRC / "verify.py"
+    defined, read = _threshold_keys(ast.parse(path.read_text(),
+                                              filename=str(path)))
+    assert defined, "verify.py defines no THRESHOLDS table"
+    assert sorted(defined - read) == [], "defined but never read"
+    assert sorted(read - defined) == [], "read but never defined"
 
 
 # scipy.integrate and scipy.optimize serve only the tests' ODE oracle; a CLI

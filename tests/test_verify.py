@@ -280,7 +280,7 @@ def test_stability_ratios_pass_on_smooth_problem():
     rep = check_stability_ratios(make_problem(steps=6), n_pairs=2, seed=0)
     assert rep.passed
     assert rep.max_change_factor < THRESHOLDS["stability_factor"]
-    assert rep.homogeneity_error < 1e-12
+    assert rep.homogeneity_error < THRESHOLDS["homogeneity"]
     for key in ("state", "ds", "d2s"):
         assert rep.base_ratios[key] > 0.0
         assert np.isfinite(rep.refined_ratios[key])
@@ -565,6 +565,23 @@ def test_checks_solve_no_control_on_its_own(monkeypatch):
     # the homogeneity check's context is the one control solved alone
     check_stability_ratios(pr, n_pairs=2)
     assert solves == [pr]
+
+
+def test_the_checks_gate_on_thresholds(monkeypatch):
+    pr = make_problem(nodes=9, steps=6)
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.1))
+    assert check_gradient_fd(ctx, n_dirs=2).passed
+    assert all(rep.passed for rep in check_taylor_orders(ctx))
+    assert check_stability_ratios(pr, n_pairs=1).passed
+    with monkeypatch.context() as patch:
+        # the fitted slopes miss theirs by about 1e-5 to 3e-3
+        patch.setitem(THRESHOLDS, "slope_band", 1e-9)
+        assert not check_gradient_fd(ctx, n_dirs=2).passed
+        assert not any(rep.passed for rep in check_taylor_orders(ctx))
+    for name, value in (("stability_factor", 1.0), ("homogeneity", 0.0)):
+        with monkeypatch.context() as patch:
+            patch.setitem(THRESHOLDS, name, value)
+            assert not check_stability_ratios(pr, n_pairs=1).passed, name
 
 
 def test_run_verification_skips_strong_form_with_final_tracking():
