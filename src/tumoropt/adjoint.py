@@ -62,11 +62,16 @@ def solve_adjoint(factors: StepFactors) -> AdjointTrajectory:
     src_q[n_steps] += cost.b2 * misfit_T
     back = stepper.transport.T
     lam, raw = np.zeros_like(sources), np.zeros(sources.shape[1])
-    for k in range(n_steps, 0, -1):
-        rhs = back @ raw + sources[k]
-        raw = (stepper.solve_adjoint_step(factors.lu(k), rhs) if np.any(rhs)
-               else np.zeros_like(rhs))
-        lam[k] = raw / wt[k]
+    # the march solves from the last level with a source down to level 1
+    top = n_steps
+    while top and not np.any(sources[top]):
+        top -= 1
+    with factors.ahead(range(top, 0, -1)):
+        for k in range(n_steps, 0, -1):
+            rhs = back @ raw + sources[k]
+            raw = (stepper.solve_adjoint_step(factors.lu(k), rhs)
+                   if np.any(rhs) else np.zeros_like(rhs))
+            lam[k] = raw / wt[k]
 
     terminal = np.zeros_like(raw)
     stepper.split(terminal)[1][:] = cost.b2 * misfit_T / problem.params.beta

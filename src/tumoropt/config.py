@@ -72,26 +72,41 @@ _CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
            ast.Div: np.divide, ast.Pow: np.power}
 _UNARY = {ast.UAdd: np.positive, ast.USub: np.negative}
+# operators and calls one expression may nest; the compiled function
+# recurses once per level, so a deeper one would exhaust the stack
+_MAX_DEPTH = 100
 
 
 def compile_expression(text: str, key: str, allow_t: bool = True):
     """Compile `text` into f(x, y, t) accepting numpy arrays.
 
-    Grammar: numbers, the names x/y/t/pi, + - * / ** with unary sign, and
-    sin/cos/exp calls.  Anything else raises ConfigError naming `key`.
+    Grammar: numbers within float range, the names x/y/t/pi, + - * / **
+    with unary sign, and sin/cos/exp calls, nested at most `_MAX_DEPTH`
+    deep.  Anything else raises ConfigError naming `key`.
     """
     names = {"x", "y", "pi"} | ({"t"} if allow_t else set())
+    too_deep = f"{key}: expression nested more than {_MAX_DEPTH} deep"
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"{key}: cannot parse expression {text!r}: {exc.msg}")
+    except (RecursionError, MemoryError):
+        raise ConfigError(too_deep) from None
 
-    def compiled(node: ast.AST):
+    def compiled(node: ast.AST, depth: int = 0):
         """Check `node` and compile it into a function of the name values."""
+        if depth > _MAX_DEPTH:
+            raise ConfigError(too_deep)
+        depth += 1
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ConfigError(f"{key}: only numeric literals are allowed")
-            return lambda env: float(node.value)
+            try:
+                value = float(node.value)
+            except OverflowError:
+                raise ConfigError(f"{key}: numeric literal out of float "
+                                  "range") from None
+            return lambda env: value
         if isinstance(node, ast.Name):
             if node.id not in names:
                 raise ConfigError(f"{key}: unknown name {node.id!r} "
@@ -101,12 +116,13 @@ def compile_expression(text: str, key: str, allow_t: bool = True):
             if type(node.op) not in _BINOPS:
                 raise ConfigError(f"{key}: operator not allowed in expressions")
             op = _BINOPS[type(node.op)]
-            left, right = compiled(node.left), compiled(node.right)
+            left = compiled(node.left, depth)
+            right = compiled(node.right, depth)
             return lambda env: op(left(env), right(env))
         if isinstance(node, ast.UnaryOp):
             if type(node.op) not in _UNARY:
                 raise ConfigError(f"{key}: operator not allowed in expressions")
-            op, operand = _UNARY[type(node.op)], compiled(node.operand)
+            op, operand = _UNARY[type(node.op)], compiled(node.operand, depth)
             return lambda env: op(operand(env))
         if isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name)
@@ -114,7 +130,7 @@ def compile_expression(text: str, key: str, allow_t: bool = True):
                 raise ConfigError(f"{key}: only sin/cos/exp calls are allowed")
             if len(node.args) != 1 or node.keywords:
                 raise ConfigError(f"{key}: {node.func.id} takes one argument")
-            call, arg = _CALLS[node.func.id], compiled(node.args[0])
+            call, arg = _CALLS[node.func.id], compiled(node.args[0], depth)
             return lambda env: call(arg(env))
         raise ConfigError(f"{key}: unsupported expression syntax "
                           f"({type(node).__name__})")

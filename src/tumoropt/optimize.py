@@ -322,9 +322,11 @@ class SecondOrderContext:
         return float(total + acc)
 
 
-def _block_len(problem: ControlProblem) -> int:
-    """Directions one block march takes within `_BLOCK_BYTES` (at least 1)."""
-    return max(1, _BLOCK_BYTES // (24 * problem.n_levels * problem.grid.n))
+def _block_len(problem: ControlProblem, extra_bytes: int = 0) -> int:
+    """Directions one block march takes within `_BLOCK_BYTES` (at least 1),
+    each holding its history and `extra_bytes` beside it."""
+    return max(1, _BLOCK_BYTES // (24 * problem.n_levels * problem.grid.n
+                                   + extra_bytes))
 
 
 @dataclass(frozen=True)

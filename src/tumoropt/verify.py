@@ -16,7 +16,7 @@ Every check at the verified control takes one `SecondOrderContext` there:
 control once and factors its step operators once, and the mass check reads
 the per-step residual `solve_state` stored with that state.  The FD, Taylor
 and stability checks march the controls they shift or draw as batches
-(`solve_states`, at most `_block_len` histories a batch) and give each
+(`solve_states`, at most `_batch_len` controls a batch) and give each
 state its own context; the refinement check solves one control per finer
 problem.  Every solve of a problem shares its `ControlProblem.stepper`.
 """
@@ -114,13 +114,29 @@ def _shifted(u: Control, v: Control, t: float) -> Control:
     return Control(u.u1 + t * v.u1, u.u2 + t * v.u2)
 
 
+def _batch_len(problem: ControlProblem) -> int:
+    """Controls one `solve_states` batch takes within `_BLOCK_BYTES`.
+
+    Each holds its history and, in 2-D, the SuperLU factor its march
+    carries from step to step (`CarriedLU`): about 2.4 MB on a 33x33
+    rectangle, three times a 30-step history.  That factor is counted at 12
+    bytes per stored entry, as `StepFactors` counts it, of one LU of the
+    step Jacobian at the initial state.
+    """
+    if not problem.stepper.superlu:
+        return _block_len(problem)
+    lu = problem.stepper.factorize(problem.init.stacked(),
+                                   np.zeros(problem.grid.n))
+    return _block_len(problem, 12 * lu.nnz)
+
+
 def _marched(problem: ControlProblem, controls: Iterable[Control]
              ) -> Iterator[tuple[Control, StateTrajectory]]:
     """Each control with its state, in order.  The controls are drawn and
-    marched in batches of at most `_block_len` histories, so only one batch
+    marched in batches of at most `_batch_len` controls, so only one batch
     is held at a time."""
-    controls = iter(controls)
-    while batch := list(itertools.islice(controls, _block_len(problem))):
+    controls, size = iter(controls), _batch_len(problem)
+    while batch := list(itertools.islice(controls, size)):
         yield from zip(batch, solve_states(problem, batch))
 
 

@@ -189,6 +189,27 @@ def test_non_finite_config_input_is_config_error(tmp_path, override):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("override", [
+    "initial.phi0=1" + "0" * 400 + " * x",
+    "initial.phi0=" + "-" * 1500 + "x",
+], ids=["literal-past-float-range", "nested-1500-deep"])
+def test_oversized_expression_is_config_error(tmp_path, override):
+    proc = _run_canonical(tmp_path, "simulate", [override])
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: initial.phi0")
+    assert "Traceback" not in proc.stderr
+
+
+def test_2d_optimize_exits_cleanly(tmp_path):
+    # its factors form on worker threads, which the interpreter stops at
+    # exit after each has freed the factors it formed
+    proc = _run_canonical(tmp_path, "optimize", [
+        "grid.dim=2", "grid.shape=[9,9]", "grid.lengths=[1.0,1.0]",
+        "time.steps=40"])
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("command, overrides, key", [
     # a nonzero control keeps every gradient entry above tau = 0, so every
     # point is strongly active and the critical cone is trivial

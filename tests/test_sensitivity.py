@@ -1,11 +1,16 @@
 """Linearized system and the bilinearized second derivative."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import tumoropt.sensitivity as sensitivity_module
-from tumoropt import (Control, SolverError, StepFactors, solve_adjoint,
-                      solve_bilinearized, solve_generalized_linear)
+from tumoropt import (Control, SecondOrderContext, SolverError, StepFactors,
+                      solve_adjoint, solve_bilinearized,
+                      solve_generalized_linear)
 from tumoropt.stepper import Stepper
 
 from _support import make_problem, random_control, smooth_control
@@ -188,6 +193,21 @@ def test_factors_past_the_byte_budget_are_formed_again(monkeypatch):
             assert getattr(out, field).tobytes() == getattr(ref, field).tobytes()
 
 
+def _held_factors() -> int:
+    """Factors the look-ahead workers hold now (0 without a pool)."""
+    pool = sensitivity_module._factor_pool()
+    return sum(len(w.held) for w in pool.workers) if pool else 0
+
+
+def _wait_for_held(count: int) -> None:
+    """Wait up to 5 s for the workers to hold at most `count` factors;
+    releases reach them as messages."""
+    deadline = time.monotonic() + 5.0
+    while _held_factors() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _held_factors() <= count
+
+
 def test_factor_failure_names_the_step():
     pr = make_problem(steps=4)
     u = smooth_control(pr)
@@ -195,6 +215,71 @@ def test_factor_failure_names_the_step():
     state.phi[3, 2] = np.nan
     with pytest.raises(SolverError, match="step 3: non-finite Jacobian"):
         StepFactors(pr, state, u).lu(3)
+    # in 2-D the adjoint march queues steps 5, 4 and 3 before it solves;
+    # step 3 fails on a worker and raises when the march reaches it, and
+    # the march leaves nothing running and no factor held
+    pr = make_problem(nodes=9, ny=7, steps=5)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    state.phi[3, 2] = np.nan
+    held = _held_factors()
+    for cache_bytes in (0, None):
+        factors = StepFactors(pr, state, u, cache_bytes=cache_bytes)
+        with pytest.raises(SolverError, match="step 3: non-finite Jacobian"):
+            solve_adjoint(factors)
+        assert factors._ahead == {} and not factors._todo
+        del factors
+        _wait_for_held(held)
+
+
+def test_look_ahead_is_bitwise_the_serial_march(monkeypatch):
+    pr = make_problem(nodes=11, ny=9, steps=7)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    hs = [random_control(pr, seed=s) for s in (1, 2, 3)]
+
+    def outputs():
+        lean = StepFactors(pr, state, u, cache_bytes=0)
+        ctx = SecondOrderContext(pr, u, state=state)
+        lins = ctx.linearize(hs)
+        return [solve_adjoint(lean).lam,
+                *(lin.y for lin in solve_generalized_linear(lean, hs)),
+                ctx.adjoint.lam, *(lin.y for lin in lins),
+                np.float64(ctx.form(hs[0], hs[1], lin_h=lins[0],
+                                    lin_k=lins[1]))]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [outputs() for _ in range(3)]
+    finally:
+        sys.setswitchinterval(switch)
+    # no pool: every factor forms on this thread, as in a 1-D march
+    monkeypatch.setattr(sensitivity_module, "_factor_pool", lambda: None)
+    serial = outputs()
+    for got in pooled:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in serial]
+
+
+def test_look_ahead_pool_is_small_and_1d_marches_start_none(monkeypatch):
+    asked, pool = [], sensitivity_module._factor_pool
+    monkeypatch.setattr(sensitivity_module, "_factor_pool",
+                        lambda: asked.append(None) or pool())
+    threads = threading.active_count()
+    pr = make_problem(steps=4)
+    u = smooth_control(pr)
+    factors = StepFactors(pr, pr.solve(u), u, cache_bytes=0)
+    solve_adjoint(factors)
+    solve_generalized_linear(factors, random_control(pr))
+    assert asked == [] and threading.active_count() == threads
+
+    pr = make_problem(nodes=9, ny=7, steps=4)
+    u = smooth_control(pr)
+    solve_adjoint(StepFactors(pr, pr.solve(u), u))
+    assert asked
+    workers = [t for t in threading.enumerate() if t.name == "tumoropt-lu"]
+    assert len(workers) <= 2
+    assert pool() is None or set(pool().workers) == set(workers)
 
 
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])

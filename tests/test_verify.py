@@ -11,7 +11,9 @@ from tumoropt import (Control, ControlProblem, CostSpec, InitialData,
                       make_nonlinearity, norm, ramp_shape)
 import tumoropt.optimize as optimize_module
 import tumoropt.problem
-from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _refine_nested,
+import tumoropt.verify as verify_module
+from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _batch_len,
+                             _refine_nested,
                              _strong_form_levels, adjoint_continuous_residual,
                              check_duality, check_gradient_fd,
                              check_stability_ratios, check_taylor_orders,
@@ -546,6 +548,28 @@ def test_batched_checks_are_bitwise_the_per_control_loops(monkeypatch,
     got = check_stability_ratios(pr, n_pairs=2, seed=3)
     want = stability_ratios_per_control(pr, n_pairs=2, seed=3)
     assert vars(got) == vars(want)
+
+
+def test_2d_batches_count_the_lu_each_control_carries(monkeypatch):
+    # a 2-D march carries a SuperLU factor beside its history (here about
+    # 8.5 times its size), so a batch within room for 30 histories takes 3
+    pr = make_problem(nodes=9, ny=9, steps=6)
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.1))
+    history = 24 * pr.n_levels * pr.grid.n
+    monkeypatch.setattr(optimize_module, "_BLOCK_BYTES", 30 * history)
+    batches, solve_states = [], verify_module.solve_states
+    monkeypatch.setattr(verify_module, "solve_states", lambda problem, batch:
+                        batches.append(len(batch)) or solve_states(problem,
+                                                                   batch))
+    report = check_gradient_fd(ctx, n_dirs=1, seed=1)
+    lu_bytes = 12 * max(ctx.factors.lu(k).nnz for k in range(1, pr.n_levels))
+    assert max(batches) == 3
+    assert 3 * (history + lu_bytes) <= 30 * history
+    _assert_same_slope_report(report,
+                              gradient_fd_per_control(ctx, n_dirs=1, seed=1))
+    # a 1-D march carries no factor between steps
+    pr = make_problem(nodes=9, steps=6)
+    assert _batch_len(pr) == 30 * history // (24 * pr.n_levels * pr.grid.n)
 
 
 def test_checks_solve_no_control_on_its_own(monkeypatch):
