@@ -9,18 +9,18 @@ verification harness covering each identity.
 from .adjoint import AdjointTrajectory, solve_adjoint
 from .config import RunConfig, RunSetup, build_setup, compile_expression
 from .errors import ConfigError, SeparationViolation, SolverError
-from .grid import Grid, build_grid, inner, norm
+from .grid import Grid, build_grid, inner
 from .model import (BoxConstraints, Control, CostSpec, ModelParams,
                     NonlinearitySpec, PotentialSpec, ScalarShape, bump_shape,
                     constant_shape, custom_polynomial_potential,
                     logarithmic_potential, make_nonlinearity,
-                    obstacle_potential, potential_eval, project_admissible,
-                    prox_f1, ramp_shape, regular_potential, table_shape,
-                    unbounded_box, yosida_eval, zero_control)
+                    obstacle_potential, project_admissible, prox_f1,
+                    ramp_shape, regular_potential, table_shape, unbounded_box,
+                    yosida_eval, zero_control)
 from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
                        SecondOrderContext, SscReport, cone_project, cost_eval,
-                       default_tau, dense_hessian, projected_gradient,
-                       reduced_gradient, ssc_certificate, stationarity_measure,
+                       default_tau, projected_gradient, reduced_gradient,
+                       ssc_certificate, stationarity_measure,
                        strongly_active_sets)
 from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import (LinearizedTrajectory, StepFactors,

@@ -131,7 +131,3 @@ def inner(grid: Grid, v: np.ndarray, w: np.ndarray) -> float:
     if v.shape != (grid.n,) or w.shape != (grid.n,):
         raise ValueError(f"fields must have shape ({grid.n},)")
     return float(np.dot(grid.weights, v * w))
-
-
-def norm(grid: Grid, v: np.ndarray) -> float:
-    return float(np.sqrt(max(inner(grid, v, v), 0.0)))

@@ -69,7 +69,8 @@ def custom_polynomial_potential(coefficients) -> PotentialSpec:
 
 
 def _f1_eval(spec: PotentialSpec, r: np.ndarray, order: int) -> np.ndarray:
-    """Convex part F1 and derivatives; r is assumed domain-checked."""
+    """Convex part F1 and derivatives; the caller keeps r in the domain,
+    strictly inside it for logarithmic derivatives."""
     if spec.kind == "regular":
         if order == 0:
             return 0.25 * r**4
@@ -131,40 +132,6 @@ def _f2_eval(spec: PotentialSpec, r: np.ndarray, order: int) -> np.ndarray:
         return np.polynomial.polynomial.polyval(r, c)
     dc = np.polynomial.polynomial.polyder(c, order)
     return np.polynomial.polynomial.polyval(r, dc)
-
-
-def _check_domain(spec: PotentialSpec, r: np.ndarray, order: int) -> None:
-    lo, hi = spec.domain
-    if not np.isfinite(lo):
-        return
-    if spec.kind == "logarithmic" and order >= 1:
-        # derivatives blow up at the endpoints
-        if np.any(r <= lo) or np.any(r >= hi):
-            raise ValueError(
-                "logarithmic potential derivatives need values strictly inside (-1, 1)")
-    elif spec.kind == "logarithmic":
-        if np.any(r < lo) or np.any(r > hi):
-            raise ValueError("logarithmic potential is undefined outside [-1, 1]")
-    # obstacle order 0 returns inf outside instead of raising
-
-
-def potential_eval(spec: PotentialSpec, r, order: int = 0):
-    """Evaluate F = F1 + F2 or one of its first three derivatives.
-
-    Parameters
-    ----------
-    spec : PotentialSpec
-    r : array_like
-        Evaluation points.
-    order : int
-        0..3; order k returns the k-th derivative.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
-    arr = np.asarray(r, dtype=float)
-    _check_domain(spec, arr, order)
-    out = _f1_eval(spec, arr, order) + _f2_eval(spec, arr, order)
-    return out if np.ndim(r) else float(out)
 
 
 def prox_f1(spec: PotentialSpec, eps: float, r):
@@ -292,10 +259,6 @@ class ScalarShape:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         return out if np.ndim(r) else float(out)
 
-    @property
-    def smooth(self) -> bool:
-        return self.kind != "table"
-
 
 def _ramp_eval(r: np.ndarray, order: int) -> np.ndarray:
     # C^3 polynomial step: 0 for r <= -1, 1 for r >= 1
@@ -359,15 +322,10 @@ class NonlinearitySpec:
     sup_P: float = field(default=0.0)
     sup_H: float = field(default=0.0)
 
-    def eval(self, which: str, r, order: int = 0):
-        if which not in ("P", "h"):
-            raise ValueError(f"which must be 'P' or 'h', got {which!r}")
-        shape = self.P if which == "P" else self.H
-        return shape.eval(r, order)
-
 
 def make_nonlinearity(P: ScalarShape, H: ScalarShape) -> NonlinearitySpec:
-    """Bundle P and H, recording sup bounds and self-checking derivatives."""
+    """Bundle P and H, checking that both are nonnegative and recording
+    their sup bounds."""
     sample = np.linspace(-2.0, 2.0, 401)
     bounds = []
     for shape, name in ((P, "P"), (H, "H")):
@@ -375,22 +333,7 @@ def make_nonlinearity(P: ScalarShape, H: ScalarShape) -> NonlinearitySpec:
         if np.any(vals < -1e-12):
             raise ValueError(f"shape {name} must be nonnegative")
         bounds.append(float(np.max(np.abs(vals))))
-        if shape.smooth:
-            _fd_consistency(shape, name)
     return NonlinearitySpec(P=P, H=H, sup_P=bounds[0], sup_H=bounds[1])
-
-
-def _fd_consistency(shape: ScalarShape, name: str) -> None:
-    # derivative evaluators must agree with central differences at sample points
-    pts = np.array([-0.83, -0.31, 0.0, 0.27, 0.52, 0.9])
-    d = 1e-5
-    for order in (1, 2):
-        fd = (shape.eval(pts + d, order - 1) - shape.eval(pts - d, order - 1)) / (2.0 * d)
-        an = shape.eval(pts, order)
-        scale = 1.0 + np.max(np.abs(an))
-        if np.max(np.abs(fd - an)) > 1e-5 * scale:
-            raise ValueError(
-                f"shape {name}: order-{order} derivative disagrees with finite differences")
 
 
 # ---------------------------------------------------------------------------

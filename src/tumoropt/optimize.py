@@ -82,7 +82,7 @@ def _gradient_field(problem: ControlProblem, state: StateTrajectory,
     """The gradient (-h(phi) p + b0 u1, r + b0 u2) from the adjoint at ubar."""
     # level 0 of the multipliers is zero; 0.0 - x rather than -x keeps a
     # negated zero field from leaking -0.0
-    d1 = 0.0 - problem.nonlin.eval("h", state.phi) * adjoint.p
+    d1 = 0.0 - problem.nonlin.H.eval(state.phi) * adjoint.p
     d2 = adjoint.r.copy()
     b0 = problem.cost.b0
     return GradientField(d1=d1, d2=d2, grad1=b0 * ubar.u1 + d1,
@@ -391,35 +391,3 @@ def ssc_certificate(context: SecondOrderContext, tau: float | None,
                      requested_samples=int(n_samples),
                      min_rayleigh=float(min_q),
                      satisfied=bool(min_q > 0.0))
-
-
-def dense_hessian(context: SecondOrderContext) -> np.ndarray:
-    """Full Hessian matrix in the nodal basis at the context's control.
-
-    Guarded to at most 400 space-time control unknowns; used as an eigenvalue
-    cross-check of the sampled certificate.
-    """
-    problem = context.problem
-    n_unknowns = 2 * problem.n_levels * problem.grid.n
-    if n_unknowns > 400:
-        raise ValueError(
-            f"dense Hessian limited to 400 unknowns, got {n_unknowns}")
-    shape = (problem.n_levels, problem.grid.n)
-    size = problem.n_levels * problem.grid.n
-
-    def basis(i: int) -> Control:
-        flat = np.zeros(2 * size)
-        flat[i] = 1.0
-        return Control(flat[:size].reshape(shape), flat[size:].reshape(shape))
-
-    dirs = [basis(i) for i in range(n_unknowns)]
-    block = _block_len(problem)
-    lins = [lin for start in range(0, n_unknowns, block)
-            for lin in context.linearize(dirs[start:start + block])]
-    hess = np.empty((n_unknowns, n_unknowns))
-    for a in range(n_unknowns):
-        for b in range(a, n_unknowns):
-            val = context.form(dirs[a], dirs[b], lin_h=lins[a], lin_k=lins[b])
-            hess[a, b] = val
-            hess[b, a] = val
-    return hess

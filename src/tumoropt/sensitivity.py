@@ -275,7 +275,7 @@ class StepFactors:
     @functools.cached_property
     def h_phi(self) -> np.ndarray:
         """h(phi) on every level: the factor of u1 in the linearized source."""
-        return self.problem.nonlin.eval("h", self.state.phi)
+        return self.problem.nonlin.H.eval(self.state.phi)
 
     @functools.cached_property
     def coefficients(self) -> SecondOrderCoefficients:

@@ -365,7 +365,7 @@ def _step_diagnostics(stepper: Stepper, x: np.ndarray, control: Control
               + 0.5 * ((sigma * sigma) @ w) + 0.5 * alpha * ((mu * mu) @ w))
     mass = (alpha * mu + phi + sigma) @ w
     u1, u2 = control.u1[1:len(phi)], control.u2[1:len(phi)]
-    source = (u2 - stepper.nonlin.eval("h", phi[1:]) * u1) @ w
+    source = (u2 - stepper.nonlin.H.eval(phi[1:]) * u1) @ w
     raw = (mass[1:] - mass[:-1]) / dt - source
     scale = np.maximum(np.maximum(1.0, np.abs(mass[1:]) / dt), np.abs(source))
     return energy, np.concatenate([[0.0], np.abs(raw) / scale])

@@ -231,8 +231,8 @@ class Stepper:
         """
         mu, phi, sigma = self.split(x)
         m = self.m_field(mu, phi, sigma)
-        return (self.nonlin.eval("P", phi), self.nonlin.eval("P", phi, 1) * m,
-                self.nonlin.eval("h", phi, 1) * u1, self.potential_eval(phi, 2))
+        return (self.nonlin.P.eval(phi), self.nonlin.P.eval(phi, 1) * m,
+                self.nonlin.H.eval(phi, 1) * u1, self.potential_eval(phi, 2))
 
     def second_order_coefficients(self, x: np.ndarray,
                                   u1: np.ndarray) -> SecondOrderCoefficients:
@@ -241,9 +241,9 @@ class Stepper:
         mu, phi, sigma = self.split(x)
         nl = self.nonlin
         return SecondOrderCoefficients(
-            m=self.m_field(mu, phi, sigma), dp=nl.eval("P", phi, 1),
-            ddp=nl.eval("P", phi, 2), dh=nl.eval("h", phi, 1),
-            ddh=nl.eval("h", phi, 2), d3f=self.potential_eval(phi, 3), u1=u1)
+            m=self.m_field(mu, phi, sigma), dp=nl.P.eval(phi, 1),
+            ddp=nl.P.eval(phi, 2), dh=nl.H.eval(phi, 1),
+            ddh=nl.H.eval(phi, 2), d3f=self.potential_eval(phi, 3), u1=u1)
 
     def second_order_source(self, coef: SecondOrderCoefficients,
                             yh: np.ndarray, yk: np.ndarray,
@@ -275,13 +275,13 @@ class Stepper:
         them with rows of x_prev, u1k and u2k: row i is the residual of row
         i, bitwise as if it were evaluated alone."""
         mu, phi, sigma = self.split(x)
-        pm = self.nonlin.eval("P", phi) * self.m_field(mu, phi, sigma)
+        pm = self.nonlin.P.eval(phi) * self.m_field(mu, phi, sigma)
         # .T leaves one level as it is: a level and stacked rows share a path
         lmu, lphi, lsigma = self.split((self._lap3 @ x.T).T)
         # the time differences are the transport of x - x_prev
         res = (self.transport @ (x - x_prev).T).T
         r1, r2, r3 = self.split(res)
-        r1[:] = r1 - lmu - pm + self.nonlin.eval("h", phi) * u1k
+        r1[:] = r1 - lmu - pm + self.nonlin.H.eval(phi) * u1k
         r2[:] = (r2 - lphi + self.potential_eval(phi, 1) - mu
                  - self.chi * sigma)
         r3[:] = r3 - lsigma + self.chi * lphi + pm - u2k

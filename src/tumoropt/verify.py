@@ -489,7 +489,6 @@ class AdjointResidualReport:
     eq2: np.ndarray
     eq3: np.ndarray
     aggregate: float
-    form: str
 
 
 def _strong_form_levels(tgrid: TimeGrid, cut: float) -> np.ndarray:
@@ -506,7 +505,6 @@ def _strong_form_levels(tgrid: TimeGrid, cut: float) -> np.ndarray:
 
 
 def adjoint_continuous_residual(context: SecondOrderContext,
-                                form: str = "primal",
                                 cut: float = STRONG_FORM_CUT) -> AdjointResidualReport:
     """Plug the transpose multipliers into a centered strong-form assembly.
 
@@ -514,9 +512,7 @@ def adjoint_continuous_residual(context: SecondOrderContext,
     recursion identically, so this diagnostic uses a different consistent
     discretization: half-level differences with level-averaged reaction,
     diffusion and source terms.  The residual then measures the first-order
-    consistency gap and must shrink under refinement.  `form` selects either
-    the primal first equation or the equivalent one with the nutrient
-    diffusion eliminated through the third equation.  Level pairs are kept
+    consistency gap and must shrink under refinement.  Level pairs are kept
     only on the fixed window [cut*T, (1-cut)*T] so that runs at different
     resolutions integrate the residual over the same time interval.  The
     state and adjoint are the context's, and every pair of the window is
@@ -527,8 +523,6 @@ def adjoint_continuous_residual(context: SecondOrderContext,
         raise ValueError(
             "the strong-form diagnostic needs final-time tracking disabled "
             "(set b2 = 0)")
-    if form not in ("primal", "eliminated"):
-        raise ValueError(f"unknown form {form!r}")
     if not 0.0 <= cut < 0.5:
         raise ValueError("cut must lie in [0, 0.5)")
     levels = _strong_form_levels(problem.tgrid, cut)
@@ -558,14 +552,8 @@ def adjoint_continuous_residual(context: SecondOrderContext,
     dPm_pmr = avg(dPm * (p - r))
     f2q = avg(f2 * q)
     src = problem.cost.b1 * avg(mis)
-    if form == "primal":
-        res1 = (-dtp - pr.beta * dtq - lap_of(q_bar) + pr.chi * lap_of(r_bar)
-                + f2q + hu_p - dPm_pmr + pr.chi * reactP_bar - src)
-    else:
-        # Delta r replaced through the third equation; the chi P (p - r)
-        # contributions cancel and a chi^2 q term appears
-        res1 = (-dtp - pr.beta * dtq - pr.chi * dtr - lap_of(q_bar)
-                + f2q - pr.chi * pr.chi * q_bar + hu_p - dPm_pmr - src)
+    res1 = (-dtp - pr.beta * dtq - lap_of(q_bar) + pr.chi * lap_of(r_bar)
+            + f2q + hu_p - dPm_pmr + pr.chi * reactP_bar - src)
     res2 = -pr.alpha * dtp - lap_of(p_bar) - q_bar + reactP_bar
     res3 = -dtr - lap_of(r_bar) - pr.chi * q_bar - reactP_bar
     eq1, eq2, eq3 = (np.sqrt((res * res) @ grid.weights)
@@ -573,7 +561,7 @@ def adjoint_continuous_residual(context: SecondOrderContext,
 
     aggregate = float(np.sqrt(dt * np.sum(eq1**2 + eq2**2 + eq3**2)))
     return AdjointResidualReport(levels=levels, eq1=eq1, eq2=eq2, eq3=eq3,
-                                 aggregate=aggregate, form=form)
+                                 aggregate=aggregate)
 
 
 # ---------------------------------------------------------------------------

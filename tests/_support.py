@@ -16,11 +16,13 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       quadratic_form_bilinear_route, ramp_shape,
                       refine_problem, regular_potential, strongly_active_sets)
 from tumoropt.grid import inner
+from tumoropt.optimize import _block_len
 from tumoropt.problem import ControlProblem
 from tumoropt.state import SolverOptions, _newton_step, _solve_alone
-from tumoropt.verify import (EPS_LADDER, FD_SEARCH_LADDER, _norm3,
-                             _random_direction, _shifted,
-                             _smooth_random_control, make_slope_report)
+from tumoropt.verify import (EPS_LADDER, FD_SEARCH_LADDER, STRONG_FORM_CUT,
+                             AdjointResidualReport, _norm3, _random_direction,
+                             _shifted, _smooth_random_control,
+                             _strong_form_levels, make_slope_report)
 
 
 def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
@@ -107,7 +109,7 @@ def mass_defect_by_level(stepper, traj, control: Control, k: int) -> float:
     mass = [inner(grid, alpha * traj.mu[j] + traj.phi[j] + traj.sigma[j],
                   np.ones(n)) for j in (k - 1, k)]
     source = inner(grid, control.u2[k]
-                   - stepper.nonlin.eval("h", traj.phi[k]) * control.u1[k],
+                   - stepper.nonlin.H.eval(traj.phi[k]) * control.u1[k],
                    np.ones(n))
     raw = (mass[1] - mass[0]) / dt - source
     return abs(raw) / max(1.0, abs(mass[1]) / dt, abs(source))
@@ -133,8 +135,8 @@ def ode_reduction_reference(problem: ControlProblem, u1_of_t, u2_of_t,
         m = sigma + pr.chi * (1.0 - phi) - mu
         arr = np.array([phi])
         fp = float(problem.stepper.potential_eval(arr, 1)[0])
-        pv = float(nl.eval("P", phi))
-        hv = float(nl.eval("h", phi))
+        pv = float(nl.P.eval(phi))
+        hv = float(nl.H.eval(phi))
         dphi = (-fp + mu + pr.chi * sigma) / pr.beta
         dmu = (pv * m - hv * u1_of_t(t) - dphi) / pr.alpha
         dsigma = -pv * m + u2_of_t(t)
@@ -203,6 +205,38 @@ def ssc_certificate_per_direction(context, tau, n_samples, box, seed=0):
     return report, quotients
 
 
+def dense_hessian(context) -> np.ndarray:
+    """Full Hessian matrix in the nodal basis at the context's control.
+
+    Guarded to at most 400 space-time control unknowns; used as an eigenvalue
+    cross-check of the sampled certificate.
+    """
+    problem = context.problem
+    n_unknowns = 2 * problem.n_levels * problem.grid.n
+    if n_unknowns > 400:
+        raise ValueError(
+            f"dense Hessian limited to 400 unknowns, got {n_unknowns}")
+    shape = (problem.n_levels, problem.grid.n)
+    size = problem.n_levels * problem.grid.n
+
+    def basis(i: int) -> Control:
+        flat = np.zeros(2 * size)
+        flat[i] = 1.0
+        return Control(flat[:size].reshape(shape), flat[size:].reshape(shape))
+
+    dirs = [basis(i) for i in range(n_unknowns)]
+    block = _block_len(problem)
+    lins = [lin for start in range(0, n_unknowns, block)
+            for lin in context.linearize(dirs[start:start + block])]
+    hess = np.empty((n_unknowns, n_unknowns))
+    for a in range(n_unknowns):
+        for b in range(a, n_unknowns):
+            val = context.form(dirs[a], dirs[b], lin_h=lins[a], lin_k=lins[b])
+            hess[a, b] = val
+            hess[b, a] = val
+    return hess
+
+
 def dense_hessian_per_pair(context) -> np.ndarray:
     """Reference: the nodal Hessian, each basis direction linearized on its
     own and each entry of the upper triangle one form."""
@@ -222,6 +256,54 @@ def dense_hessian_per_pair(context) -> np.ndarray:
             hess[a, b] = hess[b, a] = context.form(
                 dirs[a], dirs[b], lin_h=lins[a], lin_k=lins[b])
     return hess
+
+
+def adjoint_residual_eliminated(context, cut=STRONG_FORM_CUT
+                                ) -> AdjointResidualReport:
+    """Oracle of `adjoint_continuous_residual`: the same centered strong-form
+    assembly, with the nutrient diffusion of the first equation eliminated
+    through the third.  The two first equations agree in the limit, so the
+    residuals agree to leading order."""
+    problem = context.problem
+    levels = _strong_form_levels(problem.tgrid, cut)
+    state, adj = context.state, context.adjoint
+    pr = problem.params
+    grid, dt, lap = problem.grid, problem.tgrid.dt, problem.grid.lap
+    # the kept levels are consecutive: rows levels and levels + 1 together
+    rows = slice(levels[0], levels[-1] + 2)
+    P, dPm, dh_u, f2 = problem.stepper.reaction_terms(
+        state.x[rows], context.ubar.u1[rows])
+    p, q, r = adj.p[rows], adj.q[rows], adj.r[rows]
+    mis = state.phi[rows] - problem.target_q()[rows]
+
+    def avg(f):
+        return 0.5 * (f[:-1] + f[1:])
+
+    def ddt(f):
+        return (f[1:] - f[:-1]) / dt
+
+    def lap_of(f):
+        return (lap @ f.T).T
+
+    dtp, dtq, dtr = ddt(p), ddt(q), ddt(r)
+    p_bar, q_bar, r_bar = avg(p), avg(q), avg(r)
+    reactP_bar = avg(P * (p - r))
+    hu_p = avg(dh_u * p)
+    dPm_pmr = avg(dPm * (p - r))
+    f2q = avg(f2 * q)
+    src = problem.cost.b1 * avg(mis)
+    # Delta r replaced through the third equation; the chi P (p - r)
+    # contributions cancel and a chi^2 q term appears
+    res1 = (-dtp - pr.beta * dtq - pr.chi * dtr - lap_of(q_bar)
+            + f2q - pr.chi * pr.chi * q_bar + hu_p - dPm_pmr - src)
+    res2 = -pr.alpha * dtp - lap_of(p_bar) - q_bar + reactP_bar
+    res3 = -dtr - lap_of(r_bar) - pr.chi * q_bar - reactP_bar
+    eq1, eq2, eq3 = (np.sqrt((res * res) @ grid.weights)
+                     for res in (res1, res2, res3))
+
+    aggregate = float(np.sqrt(dt * np.sum(eq1**2 + eq2**2 + eq3**2)))
+    return AdjointResidualReport(levels=levels, eq1=eq1, eq2=eq2, eq3=eq3,
+                                 aggregate=aggregate)
 
 
 def gradient_fd_per_control(context, n_dirs=10, seed=0,

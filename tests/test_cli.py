@@ -200,6 +200,18 @@ def test_oversized_expression_is_config_error(tmp_path, override):
     assert "Traceback" not in proc.stderr
 
 
+def test_narrow_bump_runs(tmp_path):
+    # a valid shape needs no derivative self-check at run time, however
+    # narrow it is; tests/test_model.py checks the derivative code instead
+    proc = _run_canonical(tmp_path, "simulate", [
+        "nonlinearity.P={shape: bump, scale: 0.5, center: 0.0, width: 0.003}",
+        "grid.shape=[33]", "time.steps=20"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = _read_rows(tmp_path / "out" / "diagnostics.csv")
+    assert rows[0][0] == "level"
+    assert [int(row[0]) for row in rows[1:]] == list(range(21))
+
+
 def test_2d_optimize_exits_cleanly(tmp_path):
     # its factors form on worker threads, which the interpreter stops at
     # exit after each has freed the factors it formed

@@ -100,13 +100,13 @@ def test_shape_blocks_replace_wholesale():
     cfg = RunConfig.from_dict({"nonlinearity": {
         "P": {"shape": "bump", "scale": 2.0, "center": 0.1, "width": 0.8}}})
     setup = build_setup(cfg)
-    assert setup.problem.nonlin.eval("P", np.array([0.1]))[0] == 2.0
+    assert setup.problem.nonlin.P.eval(np.array([0.1]))[0] == 2.0
     # default h stays the zero constant
-    assert setup.problem.nonlin.eval("h", np.array([0.3]))[0] == 0.0
+    assert setup.problem.nonlin.H.eval(np.array([0.3]))[0] == 0.0
     over = RunConfig.from_dict({}, overrides=(
         "nonlinearity.h={shape: ramp}",))
     setup2 = build_setup(over)
-    assert setup2.problem.nonlin.eval("h", np.array([1.0]))[0] == 1.0
+    assert setup2.problem.nonlin.H.eval(np.array([1.0]))[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

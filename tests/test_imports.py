@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every
-module-level private name is used somewhere in the package, every entry of
-the verification gate's THRESHOLDS is read by the checks, and a CLI run
-imports no scipy module that only the tests need."""
+module-level private name is used somewhere in the package, every name the
+package exports is read by one of its modules or by README's library
+example, every entry of the verification gate's THRESHOLDS is read by the
+checks, and a CLI run imports no scipy module that only the tests need."""
 
 import ast
 import os
@@ -147,3 +148,37 @@ def test_cli_run_imports_no_test_only_scipy_module(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """Names a package `__init__` binds by importing them."""
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _library_example(readme: str) -> ast.Module:
+    """The first python block of README's `## Library` section."""
+    section = readme.split("\n## Library\n", 1)[1]
+    return ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
+
+
+def test_the_check_sees_an_export_nothing_reads():
+    init = ast.parse("from .a import f, g, h\nfrom .b import K as L\n")
+    module = ast.parse("def g(): return f(1)\nx = obj.h\n")
+    readme = ("# x\n```python\ng()\n```\n## Library\n\n"
+              "```python\nfrom p import L\nL()\n```\n")
+    read = _loaded_names(module) | _loaded_names(_library_example(readme))
+    assert sorted(_exported_names(init) - read) == ["g", "h"]
+
+
+def test_every_export_is_read_in_the_package_or_the_readme_example():
+    exported = _exported_names(ast.parse((SRC / "__init__.py").read_text()))
+    read = _loaded_names(_library_example((ROOT / "README.md").read_text()))
+    for path in MODULES:
+        read |= _loaded_names(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(exported - read) == []

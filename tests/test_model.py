@@ -5,67 +5,74 @@ import pytest
 from scipy.optimize import brentq
 
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
-                      ModelParams, bump_shape, constant_shape,
-                      custom_polynomial_potential, logarithmic_potential,
-                      make_nonlinearity, obstacle_potential, potential_eval,
-                      project_admissible, prox_f1, ramp_shape,
-                      regular_potential, table_shape, unbounded_box,
-                      yosida_eval, zero_control)
-from tumoropt.model import _f1_eval
+                      ModelParams, Stepper, build_grid, bump_shape,
+                      constant_shape, custom_polynomial_potential,
+                      logarithmic_potential, make_nonlinearity,
+                      obstacle_potential, project_admissible, prox_f1,
+                      ramp_shape, regular_potential, table_shape,
+                      unbounded_box, yosida_eval, zero_control)
+from tumoropt.model import _f1_eval, _f2_eval
 
 
 # ---------------------------------------------------------------------------
 # potentials
 
 
+def exact_potential(pot, r, order=0):
+    """F = F1 + F2 or one of its derivatives, exact (no Yosida)."""
+    arr = np.asarray(r, dtype=float)
+    return _f1_eval(pot, arr, order) + _f2_eval(pot, arr, order)
+
+
+def run_potential(pot):
+    """The potential evaluator of a run: `Stepper.potential_eval`."""
+    nonlin = make_nonlinearity(constant_shape(0.0), constant_shape(0.0))
+    stepper = Stepper(build_grid(1, [3], [1.0]),
+                      ModelParams(alpha=1.0, beta=1.0, chi=0.0, T=1.0),
+                      pot, nonlin, 0.1)
+    return stepper.potential_eval
+
+
 def test_regular_potential_values():
     pot = regular_potential()
-    assert potential_eval(pot, 0.0) == pytest.approx(0.25)
-    assert potential_eval(pot, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert potential_eval(pot, -1.0) == pytest.approx(0.0, abs=1e-15)
+    assert exact_potential(pot, 0.0) == pytest.approx(0.25)
+    assert exact_potential(pot, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert exact_potential(pot, -1.0) == pytest.approx(0.0, abs=1e-15)
     # F'(r) = r^3 - r
-    assert potential_eval(pot, 2.0, order=1) == pytest.approx(6.0)
-    assert potential_eval(pot, 0.5, order=2) == pytest.approx(3 * 0.25 - 1.0)
-    assert potential_eval(pot, 0.5, order=3) == pytest.approx(3.0)
+    assert exact_potential(pot, 2.0, order=1) == pytest.approx(6.0)
+    assert exact_potential(pot, 0.5, order=2) == pytest.approx(3 * 0.25 - 1.0)
+    assert exact_potential(pot, 0.5, order=3) == pytest.approx(3.0)
 
 
 def test_logarithmic_potential_values():
     pot = logarithmic_potential(k1=2.0)
     # (1+r)ln(1+r) + (1-r)ln(1-r) - k1 r^2 at r = +-1 -> 2 ln 2 - k1
     val = 2.0 * np.log(2.0) - 2.0
-    assert potential_eval(pot, 1.0) == pytest.approx(val)
-    assert potential_eval(pot, -1.0) == pytest.approx(val)
-    assert potential_eval(pot, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert exact_potential(pot, 1.0) == pytest.approx(val)
+    assert exact_potential(pot, -1.0) == pytest.approx(val)
+    assert exact_potential(pot, 0.0) == pytest.approx(0.0, abs=1e-15)
     # derivative is odd, second derivative even
-    assert potential_eval(pot, 0.3, 1) == pytest.approx(
-        -potential_eval(pot, -0.3, 1))
-    assert potential_eval(pot, 0.3, 2) == pytest.approx(
-        potential_eval(pot, -0.3, 2))
-
-
-def test_logarithmic_derivatives_need_interior_points():
-    pot = logarithmic_potential()
-    with pytest.raises(ValueError):
-        potential_eval(pot, 1.0, order=1)
-    with pytest.raises(ValueError):
-        potential_eval(pot, np.array([0.0, -1.0]), order=2)
+    assert exact_potential(pot, 0.3, 1) == pytest.approx(
+        -exact_potential(pot, -0.3, 1))
+    assert exact_potential(pot, 0.3, 2) == pytest.approx(
+        exact_potential(pot, -0.3, 2))
 
 
 def test_obstacle_potential_values():
     pot = obstacle_potential(k2=1.0)
-    assert potential_eval(pot, 0.0) == pytest.approx(1.0)
-    assert potential_eval(pot, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert potential_eval(pot, 1.5) == np.inf
+    assert exact_potential(pot, 0.0) == pytest.approx(1.0)
+    assert exact_potential(pot, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert exact_potential(pot, 1.5) == np.inf
     with pytest.raises(ValueError, match="Yosida"):
-        potential_eval(pot, 0.0, order=1)
+        exact_potential(pot, 0.0, order=1)
 
 
 def test_custom_polynomial_potential():
     pot = custom_polynomial_potential([0.0, 0.0, 1.0])  # r^2
-    assert potential_eval(pot, 2.0) == pytest.approx(4.0)
-    assert potential_eval(pot, 2.0, 1) == pytest.approx(4.0)
-    assert potential_eval(pot, 2.0, 2) == pytest.approx(2.0)
-    assert potential_eval(pot, 2.0, 3) == pytest.approx(0.0, abs=1e-15)
+    assert exact_potential(pot, 2.0) == pytest.approx(4.0)
+    assert exact_potential(pot, 2.0, 1) == pytest.approx(4.0)
+    assert exact_potential(pot, 2.0, 2) == pytest.approx(2.0)
+    assert exact_potential(pot, 2.0, 3) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("pot,lo,hi", [
@@ -74,12 +81,13 @@ def test_custom_polynomial_potential():
     (custom_polynomial_potential([0.1, -0.3, 0.5, 0.2]), -2.0, 2.0),
 ])
 def test_potential_derivatives_match_finite_differences(pot, lo, hi):
+    # order 3 is the F''' that the second-order coefficients read
+    F = run_potential(pot)
     r = np.linspace(lo, hi, 11)
     d = 1e-6
-    fd1 = (potential_eval(pot, r + d) - potential_eval(pot, r - d)) / (2 * d)
-    assert np.abs(fd1 - potential_eval(pot, r, 1)).max() < 1e-7
-    fd2 = (potential_eval(pot, r + d, 1) - potential_eval(pot, r - d, 1)) / (2 * d)
-    assert np.abs(fd2 - potential_eval(pot, r, 2)).max() < 1e-6
+    for order, tol in ((1, 1e-7), (2, 1e-6), (3, 1e-6)):
+        fd = (F(r + d, order - 1) - F(r - d, order - 1)) / (2 * d)
+        assert np.abs(fd - F(r, order)).max() < tol, order
 
 
 def test_logarithmic_k1_must_exceed_one():
@@ -284,10 +292,41 @@ def test_make_nonlinearity_rejects_negative_shapes():
 def test_nonlinearity_eval_dispatch():
     nl = make_nonlinearity(constant_shape(0.4), ramp_shape())
     r = np.array([0.3])
-    assert nl.eval("P", r)[0] == 0.4
-    assert nl.eval("h", r)[0] == pytest.approx(ramp_shape().eval(r)[0])
-    with pytest.raises(ValueError):
-        nl.eval("Q", r)
+    assert nl.P.eval(r)[0] == 0.4
+    assert nl.H.eval(r)[0] == pytest.approx(ramp_shape().eval(r)[0])
+
+
+# the ramp is flat beyond +-1 and C^3 across the edges
+RAMP_POINTS = np.array([-2.0, -1.001, -1.0, -0.7, -0.2, 0.0, 0.35, 0.8, 1.0,
+                        1.001, 2.0])
+
+
+@pytest.mark.parametrize("shape, r, d", [
+    *(pytest.param(constant_shape(v), np.linspace(-2.0, 2.0, 9), 1e-5,
+                   id=f"constant-{v:g}") for v in (0.0, 0.4, 3.5)),
+    pytest.param(ramp_shape(), RAMP_POINTS, 1e-5, id="ramp"),
+    # points a few widths around the center, which is one of them (shift 0)
+    # or falls between them; the step scales with the width
+    *(pytest.param(bump_shape(0.5, center, width),
+                   center + width * (np.linspace(-3.0, 3.0, 13) + shift),
+                   1e-4 * width, id=f"bump-{width:g}-{center:g}-{shift:g}")
+      for width in (1.0, 0.1, 0.01, 1e-3)
+      for center, shift in ((0.0, 0.0), (0.5, 0.0), (0.003, 0.37))),
+])
+def test_smooth_shape_derivatives_match_finite_differences(shape, r, d):
+    for order in (1, 2):
+        fd = (shape.eval(r + d, order - 1)
+              - shape.eval(r - d, order - 1)) / (2 * d)
+        exact = shape.eval(r, order)
+        assert np.abs(fd - exact).max() <= 1e-6 * max(1.0, np.abs(exact).max())
+
+
+def test_table_slope_matches_finite_differences_between_knots():
+    tab = table_shape([-1.0, -0.2, 0.5, 1.0], [0.0, 0.3, 0.8, 0.6])
+    r = np.array([-0.9, -0.6, -0.21, -0.19, 0.1, 0.49, 0.51, 0.75, 0.99])
+    d = 1e-3
+    fd = (tab.eval(r + d) - tab.eval(r - d)) / (2 * d)
+    assert np.abs(fd - tab.eval(r, 1)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       PgdOptions, SecondOrderContext, cost_eval, cone_project,
-                      default_tau, dense_hessian, projected_gradient,
+                      default_tau, projected_gradient,
                       reduced_gradient, ssc_certificate,
                       stationarity_measure, strongly_active_sets,
                       solve_bilinearized, StepFactors, Stepper,
@@ -19,8 +19,9 @@ from tumoropt.problem import control_inner, control_norm, st_inner
 from tumoropt.verify import (_random_direction, check_gradient_fd,
                              check_taylor_orders)
 
-from _support import (dense_hessian_per_pair, make_problem, random_control,
-                      smooth_control, ssc_certificate_per_direction)
+from _support import (dense_hessian, dense_hessian_per_pair, make_problem,
+                      random_control, smooth_control,
+                      ssc_certificate_per_direction)
 
 
 def _trapz_time(values, times):

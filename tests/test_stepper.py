@@ -35,9 +35,9 @@ def _reference_jacobian(st: Stepper, x, u1k):
         [None, prm.chi * lap, 1.0 / dt * eye - lap],
     ], format="csc")
     m = st.m_field(mu, phi, sigma)
-    pv = st.nonlin.eval("P", phi)
-    dpm = st.nonlin.eval("P", phi, 1) * m
-    hpu = st.nonlin.eval("h", phi, 1) * u1k
+    pv = st.nonlin.P.eval(phi)
+    dpm = st.nonlin.P.eval(phi, 1) * m
+    hpu = st.nonlin.H.eval(phi, 1) * u1k
     dg = sps.diags
     ones = np.ones(st.n)
     d = sps.bmat([
@@ -223,10 +223,10 @@ def _reference_source(st: Stepper, mu, phi, sigma, u1k, dh, dk, h1, k1):
     (eta_h, xih, theta_h), (eta_k, xik, theta_k) = dh, dk
     mh = theta_h - chi * xih - eta_h
     mk = theta_k - chi * xik - eta_k
-    dp = nl.eval("P", phi, 1)
-    ddp = nl.eval("P", phi, 2)
-    dhv = nl.eval("h", phi, 1)
-    ddh = nl.eval("h", phi, 2)
+    dp = nl.P.eval(phi, 1)
+    ddp = nl.P.eval(phi, 2)
+    dhv = nl.H.eval(phi, 1)
+    ddh = nl.H.eval(phi, 2)
     reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
     s1 = (reaction - ddh * xih * xik * u1k
           - dhv * (xih * k1 + xik * h1))
@@ -290,7 +290,7 @@ def _reference_residual(st: Stepper, x, x_prev, u1k, u2k):
     (mu, phi, sigma), (mu0, phi0, sigma0) = st.split(x), st.split(x_prev)
     lap = st.grid.lap
     m = st.m_field(mu, phi, sigma)
-    pv, hv = st.nonlin.eval("P", phi), st.nonlin.eval("h", phi)
+    pv, hv = st.nonlin.P.eval(phi), st.nonlin.H.eval(phi)
     lphi = lap @ phi
     r1 = (st.s_a * (mu - mu0) + st.s * (phi - phi0)
           - lap @ mu - pv * m + hv * u1k)

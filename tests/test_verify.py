@@ -7,8 +7,8 @@ import pytest
 
 from tumoropt import (Control, ControlProblem, CostSpec, InitialData,
                       ModelParams, SecondOrderContext, StepFactors, Stepper,
-                      TimeGrid, build_grid, bump_shape, logarithmic_potential,
-                      make_nonlinearity, norm, ramp_shape)
+                      TimeGrid, build_grid, bump_shape, inner,
+                      logarithmic_potential, make_nonlinearity, ramp_shape)
 import tumoropt.optimize as optimize_module
 import tumoropt.problem
 import tumoropt.verify as verify_module
@@ -21,8 +21,8 @@ from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _batch_len,
                              quadratic_form_bilinear_route, refine_control,
                              refine_problem, run_verification, THRESHOLDS)
 
-from _support import (gradient_fd_per_control, make_problem,
-                      ode_reduction_reference, random_control,
+from _support import (adjoint_residual_eliminated, gradient_fd_per_control,
+                      make_problem, ode_reduction_reference, random_control,
                       richardson_state_at_T, smooth_control,
                       stability_ratios_per_control, taylor_orders_per_control)
 
@@ -334,8 +334,6 @@ def test_adjoint_residual_rejects_bad_arguments():
         adjoint_continuous_residual(SecondOrderContext(pr, smooth_control(pr)))
     pr = make_problem()
     ctx = SecondOrderContext(pr, smooth_control(pr))
-    with pytest.raises(ValueError, match="form"):
-        adjoint_continuous_residual(ctx, form="weak")
     with pytest.raises(ValueError, match="cut"):
         adjoint_continuous_residual(ctx, cut=0.5)
     with pytest.raises(ValueError, match="window"):
@@ -354,8 +352,8 @@ def test_adjoint_residual_window_selection():
 def test_adjoint_residual_forms_agree_to_leading_order():
     pr = make_problem(steps=32)
     ctx = SecondOrderContext(pr, smooth_control(pr))
-    primal = adjoint_continuous_residual(ctx, form="primal")
-    elim = adjoint_continuous_residual(ctx, form="eliminated")
+    primal = adjoint_continuous_residual(ctx)
+    elim = adjoint_residual_eliminated(ctx)
     gap = abs(primal.aggregate - elim.aggregate)
     assert gap <= 0.1 * max(primal.aggregate, elim.aggregate)
 
@@ -416,7 +414,8 @@ def _strong_form_by_level(context, form, cut=STRONG_FORM_CUT):
                     + f2q - pr.chi * pr.chi * q_bar + hu_p - dpm - src)
         res2 = -pr.alpha * dtp - lap @ p_bar - q_bar + react
         res3 = -dtr - lap @ r_bar - pr.chi * q_bar - react
-        eqs[:, i] = [norm(grid, res) for res in (res1, res2, res3)]
+        eqs[:, i] = [np.sqrt(inner(grid, res, res))
+                     for res in (res1, res2, res3)]
     return levels, eqs, float(np.sqrt(dt * np.sum(eqs**2)))
 
 
@@ -446,10 +445,10 @@ def test_adjoint_residual_matches_per_level_loop(dim, form):
         pr = _tracking_problem_2d()
         u = random_control(pr, seed=5)
     ctx = SecondOrderContext(pr, u)
-    rep = adjoint_continuous_residual(ctx, form=form)
+    rep = (adjoint_continuous_residual(ctx) if form == "primal"
+           else adjoint_residual_eliminated(ctx))
     levels, eqs, aggregate = _strong_form_by_level(ctx, form)
     assert np.array_equal(rep.levels, levels)
-    assert rep.form == form
     assert np.all(eqs > 0.0)
     for got, want in zip((rep.eq1, rep.eq2, rep.eq3), eqs):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
