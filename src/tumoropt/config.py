@@ -538,6 +538,12 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         u2=np.zeros((n_levels, grid.n)) if u2 is None else u2)
 
     ob = cfg.optimizer
+    step_min = _number(ob, "optimizer", "step_min", positive=True)
+    step_max = _number(ob, "optimizer", "step_max", positive=True)
+    if step_min > step_max:
+        raise ConfigError(
+            f"optimizer.step_min must not exceed optimizer.step_max, got "
+            f"{step_min} > {step_max}")
     pgd = PgdOptions(
         tol=_number(ob, "optimizer", "tol", positive=True),
         max_iter=_number(ob, "optimizer", "max_iter", positive=True,
@@ -546,9 +552,8 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         armijo_c=_number(ob, "optimizer", "armijo_c", positive=True),
         shrink=_number(ob, "optimizer", "shrink", positive=True),
         max_backtracks=_number(ob, "optimizer", "max_backtracks",
-                               nonnegative=True, integer=True),
-        step_min=_number(ob, "optimizer", "step_min", positive=True),
-        step_max=_number(ob, "optimizer", "step_max", positive=True))
+                               positive=True, integer=True),
+        step_min=step_min, step_max=step_max)
     if not pgd.shrink < 1.0:
         raise ConfigError("optimizer.shrink must lie in (0, 1)")
 

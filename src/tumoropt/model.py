@@ -245,24 +245,41 @@ class ScalarShape:
         elif self.kind == "ramp":
             out = _ramp_eval(arr, order)
         elif self.kind == "bump":
-            z = (arr - self.center) / self.width
-            g = np.exp(-z * z)
-            if order == 0:
-                out = self.scale * g
-            elif order == 1:
-                out = self.scale * (-2.0 * z / self.width) * g
-            else:
-                out = self.scale * (4.0 * z * z - 2.0) / self.width**2 * g
+            out, = _bump_eval(self, arr, (order,))
         elif self.kind == "table":
             out = _table_eval(self.xs, self.ys, arr, order)
         else:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         return out if np.ndim(r) else float(out)
 
+    def eval_orders(self, r: np.ndarray, orders: tuple[int, ...]
+                    ) -> tuple[np.ndarray, ...]:
+        """`eval(r, k)` of an array r for each k in `orders`, bitwise; a
+        bump evaluates its Gaussian once for all of them."""
+        if self.kind == "bump":
+            return _bump_eval(self, np.asarray(r, dtype=float), orders)
+        return tuple(self.eval(r, k) for k in orders)
+
+
+def _bump_eval(shape: ScalarShape, r: np.ndarray, orders) -> tuple:
+    z = (r - shape.center) / shape.width
+    g = np.exp(-z * z)
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(shape.scale * g)
+        elif order == 1:
+            out.append(shape.scale * (-2.0 * z / shape.width) * g)
+        elif order == 2:
+            out.append(shape.scale * (4.0 * z * z - 2.0) / shape.width**2 * g)
+        else:
+            raise ValueError(f"order must be in 0..2, got {order}")
+    return tuple(out)
+
 
 def _ramp_eval(r: np.ndarray, order: int) -> np.ndarray:
     # C^3 polynomial step: 0 for r <= -1, 1 for r >= 1
-    x = np.clip(0.5 * (r + 1.0), 0.0, 1.0)
+    x = np.minimum(np.maximum(0.5 * (r + 1.0), 0.0), 1.0)
     if order == 0:
         # x^4 (35 - 84 x + 70 x^2 - 20 x^3) by Horner, bitwise as polyval
         p = 70.0 - 20.0 * x

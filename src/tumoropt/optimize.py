@@ -113,6 +113,17 @@ class PgdOptions:
     step_min: float = 1e-12
     step_max: float = 1e12
 
+    def __post_init__(self):
+        # every descent iteration takes at least one Armijo trial, and the
+        # Barzilai-Borwein step is clamped into [step_min, step_max]
+        if self.max_backtracks < 1:
+            raise ValueError(
+                f"max_backtracks must be at least 1, got {self.max_backtracks}")
+        if self.step_min > self.step_max:
+            raise ValueError(
+                f"step_min must not exceed step_max, got {self.step_min} > "
+                f"{self.step_max}")
+
 
 @dataclass(eq=False)
 class PgdResult:

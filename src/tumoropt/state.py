@@ -167,15 +167,22 @@ def _validate_initial(stepper: Stepper, init: InitialData) -> None:
 
 def _step_ceiling(phi: np.ndarray, dphi: np.ndarray, lo: float, hi: float,
                   margin: float) -> float:
-    """Largest step fraction keeping phi + t*dphi inside (lo+margin, hi-margin)."""
-    t = 1.0
+    """Largest step fraction keeping phi + t*dphi inside (lo+margin, hi-margin).
+
+    One quotient per moving entry, toward the bound it moves to, and one
+    minimum over them all; 0.9 times the minimum is the minimum of 0.9
+    times each, as rounding is monotone.
+    """
     up = dphi > 0.0
-    if np.any(up):
-        t = min(t, 0.9 * np.min((hi - margin - phi[up]) / dphi[up]))
-    dn = dphi < 0.0
-    if np.any(dn):
-        t = min(t, 0.9 * np.min((lo + margin - phi[dn]) / dphi[dn]))
-    return max(t, 0.0)
+    gap = np.where(up, hi - margin, lo + margin) - phi
+    q = np.divide(gap, dphi, out=np.full_like(dphi, np.inf),
+                  where=up | (dphi < 0.0))
+    t = float(q.min())
+    if t != t:
+        # a NaN phi voids only the minimum of its own side, dphi > 0 or < 0
+        sides = (float(q[s].min(initial=np.inf)) for s in (up, dphi < 0.0))
+        t = min((m for m in sides if m == m), default=np.inf)
+    return max(min(1.0, 0.9 * t), 0.0)
 
 
 def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
@@ -324,13 +331,14 @@ def _answers(stepper: Stepper, kind: str, batch: list, x_prev: list,
     stacked factorization fails, each member is answered alone, to meet its
     own error."""
     who = [i for i, _ in batch]
-    rows = np.stack([z for _, z in batch])
-    u1_rows = np.stack([u1[i] for i in who])
+    # np.array stacks equal-length rows as np.stack does, at less overhead
+    rows = np.array([z for _, z in batch])
+    u1_rows = np.array([u1[i] for i in who])
     try:
         answers = (stepper.factorize(rows, u1_rows) if kind == "factor"
                    else stepper.residual(
-                       rows, np.stack([x_prev[i] for i in who]), u1_rows,
-                       np.stack([u2[i] for i in who])))
+                       rows, np.array([x_prev[i] for i in who]), u1_rows,
+                       np.array([u2[i] for i in who])))
     except SolverError:
         return [(i, *_answer(stepper, kind, z, x_prev[i], u1[i], u2[i]))
                 for i, z in batch]
@@ -417,14 +425,14 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
     if start is not None and _inside_margin(stepper, start, opts):
         res = yield ("residual", start)
         x = start
-    if res is None or not np.all(np.isfinite(res)):
+    if res is None or not np.isfinite(res).all():
         x = x_prev.copy()
         res = yield ("residual", x)
-    rnorm = float(np.max(np.abs(res)))
+    rnorm = float(np.abs(res).max())
 
     def tol_at(z: np.ndarray) -> float:
         return opts.newton_tol * stepper.coef_scale * (
-            1.0 + float(np.max(np.abs(z))))
+            1.0 + float(np.abs(z).max()))
 
     lag = carried is not None
     lu = carried.lu if lag else None
@@ -483,7 +491,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
             # one trial of the full step
             x_new = x + t * delta
             res_new = yield ("residual", x_new)
-            rnorm_new = float(np.max(np.abs(res_new)))
+            rnorm_new = float(np.abs(res_new).max())
             if converged:
                 # polish: kept only if it helps
                 if not rnorm_new < rnorm:
@@ -501,7 +509,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
         for _ in range(opts.max_backtracks):
             x_try = x + t * delta
             res_try = yield ("residual", x_try)
-            rnorm_try = float(np.max(np.abs(res_try)))
+            rnorm_try = float(np.abs(res_try).max())
             if best is None or rnorm_try < best[2]:
                 best = (x_try, res_try, rnorm_try)
             if rnorm_try <= (1.0 - 1e-4 * t) * rnorm:
@@ -532,4 +540,4 @@ def _inside_margin(stepper: Stepper, x: np.ndarray,
     lo, hi = stepper.potential.domain
     phi = stepper.split(x)[1]
     margin = opts.separation_margin
-    return bool(np.all((phi > lo + margin) & (phi < hi - margin)))
+    return bool(((phi > lo + margin) & (phi < hi - margin)).all())

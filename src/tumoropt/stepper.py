@@ -36,8 +36,10 @@ from .model import (ModelParams, NonlinearitySpec, PotentialSpec,
                     _f1_eval, _f2_eval, yosida_eval)
 
 # (row, column) blocks of the Jacobian that carry a reaction diagonal
-_REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
+_REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1),
                     (2, 0), (2, 1), (2, 2))
+# the one constant reaction diagonal, -chi of the sigma term of R2
+_CONSTANT_BLOCK = (1, 2)
 
 # LAPACK's `trans` argument for SuperLU's trans="N" and "T"
 _LAPACK_TRANS = {"N": 0, "T": 1}
@@ -137,25 +139,31 @@ class Stepper:
             [None, self.chi * lap, self.s * eye - lap],
         ], format="csc")
         # Fixed CSC pattern of the full Jacobian: `base` plus the reaction
-        # diagonals of the blocks in _REACTION_BLOCKS, duplicates summed and
-        # indices sorted.  `_base_data` holds base's values on that pattern
-        # and `_diag_slots` maps each diagonal entry to its slot in the data
-        # array.
+        # diagonals of the blocks in _REACTION_BLOCKS and _CONSTANT_BLOCK,
+        # duplicates summed and indices sorted.  `_base_data` holds base's
+        # values on that pattern, the constant diagonal added, and
+        # `_diag_slots` maps each state-dependent diagonal entry to its slot
+        # in the data array.
         size = 3 * n
         node = np.arange(n)
-        diag_rows = np.concatenate([i * n + node for i, _ in _REACTION_BLOCKS])
-        diag_cols = np.concatenate([j * n + node for _, j in _REACTION_BLOCKS])
+        blocks = _REACTION_BLOCKS + (_CONSTANT_BLOCK,)
+        diag_rows = np.concatenate([i * n + node for i, _ in blocks])
+        diag_cols = np.concatenate([j * n + node for _, j in blocks])
         base_coo = base.tocoo()
         full = sps.csc_matrix(
             (np.concatenate([base_coo.data, np.zeros(diag_rows.size)]),
              (np.concatenate([base_coo.row, diag_rows]),
               np.concatenate([base_coo.col, diag_cols]))), shape=(size, size))
         full.sum_duplicates()
-        self._base_data = full.data
         # (column, row) keys of the pattern, ascending in CSC order
         keys = (np.repeat(np.arange(size), np.diff(full.indptr)) * size
                 + full.indices)
-        self._diag_slots = np.searchsorted(keys, diag_cols * size + diag_rows)
+        slots = np.searchsorted(keys, diag_cols * size + diag_rows)
+        # -chi added to the pattern's zero, as a sparse sum adds it: chi = 0
+        # leaves +0.0 there
+        full.data[slots[-n:]] += -self.chi
+        self._base_data = full.data
+        self._diag_slots = slots[:-n]
         if not self.superlu:
             self._init_band(full.indices, keys // size)
         self._indices = full.indices
@@ -231,19 +239,20 @@ class Stepper:
         """
         mu, phi, sigma = self.split(x)
         m = self.m_field(mu, phi, sigma)
-        return (self.nonlin.P.eval(phi), self.nonlin.P.eval(phi, 1) * m,
-                self.nonlin.H.eval(phi, 1) * u1, self.potential_eval(phi, 2))
+        p, dp = self.nonlin.P.eval_orders(phi, (0, 1))
+        return (p, dp * m, self.nonlin.H.eval(phi, 1) * u1,
+                self.potential_eval(phi, 2))
 
     def second_order_coefficients(self, x: np.ndarray,
                                   u1: np.ndarray) -> SecondOrderCoefficients:
         """The state-only factors of `second_order_source` at a state `x`
         and control component `u1`: one level or whole histories."""
         mu, phi, sigma = self.split(x)
-        nl = self.nonlin
+        dp, ddp = self.nonlin.P.eval_orders(phi, (1, 2))
+        dh, ddh = self.nonlin.H.eval_orders(phi, (1, 2))
         return SecondOrderCoefficients(
-            m=self.m_field(mu, phi, sigma), dp=nl.P.eval(phi, 1),
-            ddp=nl.P.eval(phi, 2), dh=nl.H.eval(phi, 1),
-            ddh=nl.H.eval(phi, 2), d3f=self.potential_eval(phi, 3), u1=u1)
+            m=self.m_field(mu, phi, sigma), dp=dp, ddp=ddp, dh=dh, ddh=ddh,
+            d3f=self.potential_eval(phi, 3), u1=u1)
 
     def second_order_source(self, coef: SecondOrderCoefficients,
                             yh: np.ndarray, yk: np.ndarray,
@@ -277,14 +286,20 @@ class Stepper:
         mu, phi, sigma = self.split(x)
         pm = self.nonlin.P.eval(phi) * self.m_field(mu, phi, sigma)
         # .T leaves one level as it is: a level and stacked rows share a path
-        lmu, lphi, lsigma = self.split((self._lap3 @ x.T).T)
-        # the time differences are the transport of x - x_prev
+        lap = (self._lap3 @ x.T).T
+        # the time differences are the transport of x - x_prev; the terms
+        # are then added in place, in the order of the formulas above
         res = (self.transport @ (x - x_prev).T).T
+        res -= lap
         r1, r2, r3 = self.split(res)
-        r1[:] = r1 - lmu - pm + self.nonlin.H.eval(phi) * u1k
-        r2[:] = (r2 - lphi + self.potential_eval(phi, 1) - mu
-                 - self.chi * sigma)
-        r3[:] = r3 - lsigma + self.chi * lphi + pm - u2k
+        r1 -= pm
+        r1 += self.nonlin.H.eval(phi) * u1k
+        r2 += self.potential_eval(phi, 1)
+        r2 -= mu
+        r2 -= self.chi * sigma
+        r3 += self.chi * self.split(lap)[1]
+        r3 += pm
+        r3 -= u2k
         return res
 
     def _jacobian_data(self, x: np.ndarray, u1k: np.ndarray) -> np.ndarray:
@@ -292,8 +307,7 @@ class Stepper:
         one block of _REACTION_BLOCKS after another."""
         pv, dpm, hpu, f2 = self.reaction_terms(x, u1k)
         return np.concatenate([
-            pv, -dpm + self.chi * pv + hpu, -pv,
-            f2, np.full_like(pv, -self.chi),
+            pv, -dpm + self.chi * pv + hpu, -pv, f2,
             -pv, dpm - self.chi * pv, pv,
         ], axis=-1)
 
@@ -367,7 +381,7 @@ class Stepper:
 
     @staticmethod
     def _sparse_lu(jac: sps.csc_matrix):
-        if not np.all(np.isfinite(jac.data)):
+        if not np.isfinite(jac.data).all():
             raise SolverError("non-finite Jacobian entries")
         try:
             return splu(jac, permc_spec="MMD_AT_PLUS_A")
@@ -376,7 +390,7 @@ class Stepper:
 
     def _band_lu(self, band: np.ndarray) -> BandLU:
         """LAPACK LU of one Jacobian in flattened band storage, in place."""
-        if not np.all(np.isfinite(band)):
+        if not np.isfinite(band).all():
             raise SolverError("non-finite Jacobian entries")
         # the (ldab, 3n) Fortran-ordered view dgbtrf factors in place
         lu, ipiv, info = dgbtrf(band.reshape(-1, self._ldab).T, self._kl,

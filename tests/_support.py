@@ -92,6 +92,20 @@ def newton_step(stepper, x_prev, u1k, u2k, opts, k, start=None,
                         stepper, x_prev, u1k, u2k)
 
 
+def step_ceiling_two_pass(phi: np.ndarray, dphi: np.ndarray, lo: float,
+                          hi: float, margin: float) -> float:
+    """Reference: the separation ceiling of Newton, one masked pass for the
+    entries moving up and one for those moving down."""
+    t = 1.0
+    up = dphi > 0.0
+    if np.any(up):
+        t = min(t, 0.9 * np.min((hi - margin - phi[up]) / dphi[up]))
+    dn = dphi < 0.0
+    if np.any(dn):
+        t = min(t, 0.9 * np.min((lo + margin - phi[dn]) / dphi[dn]))
+    return max(t, 0.0)
+
+
 def energy_by_level(stepper, x: np.ndarray) -> float:
     """Reference: free energy of one stacked state, one `inner` per term."""
     grid = stepper.grid

@@ -254,6 +254,7 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     "grid.lengths=[true]",
     "grid.lengths=[.inf]",
     "solver.max_backtracks=0",
+    "optimizer.max_backtracks=0",
 ])
 def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
                                                        override):
@@ -266,6 +267,22 @@ def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
     assert err.startswith(f"config error: {override.partition('=')[0]} ")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_step_min_above_step_max_is_config_error(tmp_path, capsys):
+    # every Barzilai-Borwein step would be clamped to step_max
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    code = main(["optimize", "--config",
+                 str(root / "configs" / "canonical_1d.yaml"),
+                 "--out-dir", str(out), "--quiet", "--set", "time.steps=4",
+                 "--set", "optimizer.step_min=2e12"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error: optimizer.step_min must not exceed "
+                          "optimizer.step_max")
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
 
@@ -569,7 +586,8 @@ def _fuzz_table(seed=20201):
                  ("grid.shape", "boolean", "[true]"),
                  ("grid.shape", "string", "abc"),
                  ("grid.lengths", "boolean", "[true]"),
-                 ("solver.max_backtracks", "zero", "0")])
+                 ("solver.max_backtracks", "zero", "0"),
+                 ("optimizer.max_backtracks", "zero", "0")])
     return [(f"{key}-{kind}", str(rng.choice(FUZZ_COMMANDS)), key, kind, value)
             for key, kind, value in rows]
 

@@ -275,6 +275,36 @@ def test_bump_shape_values():
     assert np.abs(fd - p.eval(r, 1)).max() < 1e-6
 
 
+@pytest.mark.parametrize("shape, orders", [
+    (constant_shape(0.7), (0, 1, 2)),
+    (ramp_shape(), (0, 1, 2)),
+    (bump_shape(scale=0.6, center=0.1, width=0.8), (0, 1)),
+    (bump_shape(scale=0.6, center=0.1, width=0.8), (1, 2)),
+    (table_shape([-1.0, 0.0, 1.0], [0.0, 0.5, 0.6]), (0, 1)),
+], ids=["constant", "ramp", "bump-01", "bump-12", "table"])
+def test_eval_orders_is_bitwise_eval(shape, orders, rng):
+    r = np.concatenate([[-3.0, -1.0, 0.0, 1.0, 3.0],
+                        rng.uniform(-1.5, 1.5, 205)]).reshape(3, -1)
+    out = shape.eval_orders(r, orders)
+    assert len(out) == len(orders)
+    for k, values in zip(orders, out):
+        assert values.tobytes() == shape.eval(r, k).tobytes()
+    with pytest.raises(ValueError, match="order"):
+        shape.eval_orders(r, (0, 3))
+
+
+def test_ramp_clamp_is_bitwise_clip():
+    # the clamp of the ramp argument keeps np.clip's values, NaN included
+    r = np.array([np.nan, -np.inf, -5.0, -1.0, -0.3, 0.0, 0.999, 1.0, 7.0,
+                  np.inf])
+    for order in (0, 1, 2):
+        x = np.clip(0.5 * (r + 1.0), 0.0, 1.0)
+        out = ramp_shape().eval(r, order)
+        assert np.isnan(out[0]) and np.isnan(x[0])
+        assert np.array_equal(out[1:], ramp_shape().eval(2.0 * x[1:] - 1.0,
+                                                         order))
+
+
 def test_table_shape_interpolates_and_limits():
     tab = table_shape([-1.0, 0.0, 1.0], [0.0, 0.5, 0.6])
     assert tab.eval(np.array([-0.5]))[0] == pytest.approx(0.25)

@@ -241,6 +241,15 @@ def test_pgd_history_schema():
     assert res.n_iter == len(res.history) - 1
 
 
+def test_pgd_options_need_a_trial_and_ordered_step_bounds():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_backtracks"):
+            PgdOptions(max_backtracks=bad)
+    with pytest.raises(ValueError, match="step_min must not exceed step_max"):
+        PgdOptions(step_min=2e12)
+    PgdOptions(step_min=1.0, step_max=1.0)
+
+
 @pytest.mark.parametrize("opts, reason", [
     (PgdOptions(tol=1e-12, max_iter=10), "converged"),
     (PgdOptions(tol=1e-12, max_iter=1), "max_iter"),

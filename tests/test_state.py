@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tumoropt.stepper import Stepper
 
 from _support import (energy_by_level, make_problem, mass_defect_by_level,
                       newton_step, ode_reduction_reference, random_control,
-                      smooth_control)
+                      smooth_control, step_ceiling_two_pass)
 
 
 def _with_zero_data(problem: ControlProblem) -> ControlProblem:
@@ -771,6 +772,54 @@ def test_newton_converges_fast_on_smooth_data():
     traj = pr.solve(smooth_control(pr))
     assert traj.newton_iters[1:].max() <= 8
     assert traj.mass_residual.max() <= 1e-10
+
+
+def _ceiling_cases(n, rng):
+    """(phi, dphi, expected or None) cases for the separation ceiling."""
+    cases = []
+    for _ in range(200):
+        phi = rng.uniform(-0.999, 0.999, n)
+        dphi = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
+        dphi[rng.random(n) < 0.2] = 0.0
+        cases.append((phi, dphi, None))
+    phi = rng.uniform(-0.9, 0.9, n)
+    up = rng.uniform(0.1, 2.0, n)
+    cases += [(phi, np.zeros(n), 1.0), (phi, up, None), (phi, -up, None)]
+    # pinned: an entry at the upper margin moving up, one past the lower
+    # margin moving down
+    pinned = phi.copy()
+    pinned[3] = 1.0 - 1e-8
+    cases.append((pinned, np.where(np.arange(n) == 3, 1.0, -up), 0.0))
+    pinned = phi.copy()
+    pinned[5] = -1.0
+    cases.append((pinned, np.where(np.arange(n) == 5, -1.0, up), 0.0))
+    # NaN entries in phi, on one side or both, and in dphi
+    mixed = rng.normal(size=n)
+    for where in ([2], [2, 7], list(range(n))):
+        bad = phi.copy()
+        bad[where] = np.nan
+        cases += [(bad, mixed, None), (bad, up, None), (bad, -up, None)]
+        bad_d = mixed.copy()
+        bad_d[where] = np.nan
+        cases += [(phi, bad_d, None), (bad, bad_d, None)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [17, 129])
+def test_step_ceiling_is_the_two_pass_reference(n):
+    # one quotient array and one minimum give the float of the two masked
+    # passes they replaced, with no RuntimeWarning on any case
+    rng = np.random.default_rng(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi, dphi, expected in _ceiling_cases(n, rng):
+            got = state._step_ceiling(phi, dphi, -1.0, 1.0, 1e-8)
+            ref = step_ceiling_two_pass(phi, dphi, -1.0, 1.0, 1e-8)
+            assert type(got) is float
+            assert got == ref, (phi, dphi)
+            assert 0.0 <= got <= 1.0
+            if expected is not None:
+                assert got == expected
 
 
 def test_solver_options_need_a_backtrack():

@@ -310,6 +310,25 @@ def test_residual_matches_per_field_reference(potential, dim):
     assert st.residual(x, x_prev, u1, u2).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_residual_leaves_its_inputs_alone(dim, rows):
+    # the terms are added in place into a fresh array: the inputs keep
+    # their bytes and the result shares memory with none of them
+    st = _stepper("logarithmic", dim, "full")
+    seeds = range(rows or 1)
+    x = np.stack([_state(st, seed=s)[0] for s in seeds])
+    u1 = np.stack([_state(st, seed=s)[1] for s in seeds])
+    x_prev = np.stack([_state(st, seed=10 + s)[0] for s in seeds])
+    u2 = 0.1 * np.random.default_rng(8).standard_normal(u1.shape)
+    inputs = (x, x_prev, u1, u2) if rows else (x[0], x_prev[0], u1[0], u2[0])
+    before = [a.tobytes() for a in inputs]
+    res = st.residual(*inputs)
+    assert res.shape == inputs[0].shape
+    assert [a.tobytes() for a in inputs] == before
+    assert not any(np.shares_memory(res, a) for a in inputs)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_split_gives_views_of_levels_and_histories(dim):
     st = _stepper("regular", dim, "full")
