@@ -17,7 +17,7 @@ from .model import (Control, CostSpec, ModelParams, NonlinearitySpec,
                     PotentialSpec, zero_control)
 from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,
                     solve_state)
-from .stepper import Stepper
+from .stepper import Stepper, separation_guarded
 
 
 def st_inner(grid: Grid, tgrid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -64,6 +64,14 @@ class ControlProblem:
                 f"got {self.cost.target_Q.shape}")
         if self.cost.target_Omega is not None and self.cost.target_Omega.shape != (n,):
             raise ValueError(f"target_Omega must have shape ({n},)")
+        if separation_guarded(self.potential, self.options.yosida_eps):
+            lo, hi = self.potential.domain
+            margin = self.options.separation_margin
+            if not lo + margin < hi - margin:
+                raise ValueError(
+                    f"solver.separation_margin = {margin:g} leaves no "
+                    f"separation band inside ({lo:g}, {hi:g}): it must be "
+                    f"less than {0.5 * (hi - lo):g}")
 
     @functools.cached_property
     def stepper(self) -> Stepper:

@@ -7,14 +7,16 @@ domain; with a Yosida parameter set, the regularized potential is defined on
 the whole line and no ceiling is needed.  The Newton solutions, stacked
 levels (mu, phi, sigma), are the rows of one (N_t+1, 3n) history.
 
-The Newton step of one level asks for its residuals and LUs instead of
-calling the stepper, so `solve_states` marches many controls level by level
-and answers the requests of all of them with one stacked stepper call.
+`solve_states` marches many controls level by level in lockstep: their
+iterates are the rows of one array, and each round of Newton evaluates the
+residuals or LUs they ask for in one stacked stepper call.  A lone march
+is the batch of one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator, Sequence
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -107,9 +109,10 @@ class SolverOptions:
     within `newton_max_iter` iterations, so most 2-D steps form no LU.
 
     The options hold for each control of a batch march (`solve_states`)
-    as for a lone one: every control runs its own Newton step, with its own
-    carried LU, and only the residuals and LUs it asks for are evaluated
-    together with those of the other controls.
+    as for a lone one: the controls solve each level in lockstep, but every
+    one takes its own Newton decisions with its own carried LU, and only
+    the residuals and LUs it asks for are evaluated, stacked with those of
+    the other controls.
     """
 
     newton_tol: float = 1e-12
@@ -166,22 +169,34 @@ def _validate_initial(stepper: Stepper, init: InitialData) -> None:
 
 
 def _step_ceiling(phi: np.ndarray, dphi: np.ndarray, lo: float, hi: float,
-                  margin: float) -> float:
+                  margin: float):
     """Largest step fraction keeping phi + t*dphi inside (lo+margin, hi-margin).
 
     One quotient per moving entry, toward the bound it moves to, and one
     minimum over them all; 0.9 times the minimum is the minimum of 0.9
-    times each, as rounding is monotone.
+    times each, as rounding is monotone.  Rows (m, n) of phi and dphi give
+    a list of m fractions, each the float of its row alone.
     """
     up = dphi > 0.0
+    down = dphi < 0.0
     gap = np.where(up, hi - margin, lo + margin) - phi
-    q = np.divide(gap, dphi, out=np.full_like(dphi, np.inf),
-                  where=up | (dphi < 0.0))
-    t = float(q.min())
-    if t != t:
-        # a NaN phi voids only the minimum of its own side, dphi > 0 or < 0
-        sides = (float(q[s].min(initial=np.inf)) for s in (up, dphi < 0.0))
-        t = min((m for m in sides if m == m), default=np.inf)
+    q = np.divide(gap, dphi, out=np.full_like(dphi, np.inf), where=up | down)
+    if q.ndim == 1:
+        t = float(q.min())
+        return _fraction(t if t == t else _least_side(q, up, down))
+    return [_fraction(t if t == t else _least_side(q[i], up[i], down[i]))
+            for i, t in enumerate(q.min(axis=1).tolist())]
+
+
+def _least_side(q: np.ndarray, up: np.ndarray, down: np.ndarray) -> float:
+    """Least quotient of one row whose quotients q hold a NaN: a NaN phi
+    voids only the minimum of its own side, dphi > 0 or < 0."""
+    sides = (float(q[s].min(initial=np.inf)) for s in (up, down))
+    return min((m for m in sides if m == m), default=np.inf)
+
+
+def _fraction(t: float) -> float:
+    """The step fraction of a least quotient t: 0.9 t within [0, 1]."""
     return max(min(1.0, 0.9 * t), 0.0)
 
 
@@ -203,12 +218,11 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
                  ) -> list[StateTrajectory]:
     """March the implicit scheme of `problem` for every control at once.
 
-    Each control gets its own Newton step (`_newton_step`) at every level,
-    and every round of the level answers the pending requests of one kind
-    for all controls in one stacked call of the stepper; once one control
-    is left solving, it is answered by one-level calls.  Every trajectory
-    is bitwise the one `solve_state` gives for its control alone, and owns
-    its arrays.
+    The controls solve each level in lockstep (`_Lockstep`): each round of
+    the damped Newton method evaluates the residuals, or the LUs, that its
+    controls ask for in one stacked stepper call.  Every trajectory is
+    bitwise the one `solve_state` gives for its control alone, and owns its
+    arrays.
 
     Raises the errors of `solve_state`.  When Newton fails for some control,
     the error is that of the lowest-index control failing at the first
@@ -225,19 +239,17 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
                              f"expected ({n_levels}, {n})")
     stepper = problem.stepper
     _validate_initial(stepper, init)
+    if not controls:
+        return []
 
-    members = range(len(controls))
-    xs = [np.empty((n_levels, 3 * n)) for _ in members]
-    iters = [np.zeros(n_levels, dtype=int) for _ in members]
-    lus = [np.zeros(n_levels, dtype=int) for _ in members]
+    xs = [np.empty((n_levels, 3 * n)) for _ in controls]
+    iters = [np.zeros(n_levels, dtype=int) for _ in controls]
+    lus = [np.zeros(n_levels, dtype=int) for _ in controls]
     for x in xs:
         x[0] = init.stacked()
-    # a SuperLU factor costs far more than a residual, so each march
-    # carries one from iteration to iteration and step to step (chord Newton)
-    carried = [CarriedLU() if stepper.superlu else None for _ in members]
+    newton = _Lockstep(stepper, opts, xs, iters, lus, controls)
     for k in range(1, n_levels):
-        failures = _march_level(stepper, opts, k, xs, iters, lus, carried,
-                                controls)
+        failures = newton.level(k)
         if failures:
             # an energy blow-up on a level already marched is the earlier
             # failure
@@ -256,105 +268,6 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
             factorizations=factorizations, mass_residual=mass_rel,
             energy=energy, phi_min=phi.min(axis=1), phi_max=phi.max(axis=1)))
     return trajectories
-
-
-def _march_level(stepper: Stepper, opts: SolverOptions, k: int,
-                 xs: list, iters: list, lus: list, carried: list,
-                 controls: Sequence[Control]) -> dict[int, SolverError]:
-    """Solve step k of every march: x[k], its iterations and LUs go into
-    xs[i], iters[i] and lus[i].  Returns the SolverError of each member
-    whose step failed."""
-    x_prev = [x[k - 1] for x in xs]
-    u1 = [c.u1[k] for c in controls]
-    u2 = [c.u2[k] for c in controls]
-    steps, failures = [], {}
-    for i, x in enumerate(xs):
-        # linear extrapolation of the last two levels predicts the step
-        guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
-        steps.append(_newton_step(stepper, x_prev[i], opts, k, start=guess,
-                                  carried=carried[i]))
-
-    def resume(i, answer, error):
-        """Send member i its answer (or throw its error in); returns its
-        next request, or None once its step is solved or has failed."""
-        try:
-            return (steps[i].throw(error) if error is not None
-                    else steps[i].send(answer))
-        except StopIteration as done:
-            xs[i][k], iters[i][k], lus[i][k] = done.value
-        except SolverError as exc:
-            failures[i] = exc
-        return None
-
-    # (member, answer, error) to resume each member with; None starts it
-    replies = [(i, None, None) for i in range(len(steps))]
-    while len(replies) > 1:
-        asked = {}
-        for i, answer, error in replies:
-            request = resume(i, answer, error)
-            if request is not None:
-                asked.setdefault(request[0], []).append((i, request[1]))
-        replies = []
-        for kind, batch in asked.items():
-            replies += _answers(stepper, kind, batch, x_prev, u1, u2)
-    # the one member still solving is answered alone to the end of its step
-    for i, answer, error in replies:
-        try:
-            xs[i][k], iters[i][k], lus[i][k] = _solve_alone(
-                steps[i], stepper, x_prev[i], u1[i], u2[i], answer, error)
-        except SolverError as exc:
-            failures[i] = exc
-    return failures
-
-
-def _solve_alone(step, stepper: Stepper, x_prev: np.ndarray,
-                 u1k: np.ndarray, u2k: np.ndarray, answer=None,
-                 error: SolverError | None = None
-                 ) -> tuple[np.ndarray, int, int]:
-    """Resume a Newton step with (answer, error) and run it to its end,
-    answering its requests by one-level stepper calls; returns its result
-    and raises its SolverError."""
-    while True:
-        try:
-            kind, z = (step.throw(error) if error is not None
-                       else step.send(answer))
-        except StopIteration as done:
-            return done.value
-        answer, error = _answer(stepper, kind, z, x_prev, u1k, u2k)
-
-
-def _answers(stepper: Stepper, kind: str, batch: list, x_prev: list,
-             u1: list, u2: list) -> list:
-    """(member, answer, error) for each (member, state) request of `kind`
-    in `batch`, by one stepper call on their stacked rows; x_prev, u1 and
-    u2 hold each member's previous level and control components.  When the
-    stacked factorization fails, each member is answered alone, to meet its
-    own error."""
-    who = [i for i, _ in batch]
-    # np.array stacks equal-length rows as np.stack does, at less overhead
-    rows = np.array([z for _, z in batch])
-    u1_rows = np.array([u1[i] for i in who])
-    try:
-        answers = (stepper.factorize(rows, u1_rows) if kind == "factor"
-                   else stepper.residual(
-                       rows, np.array([x_prev[i] for i in who]), u1_rows,
-                       np.array([u2[i] for i in who])))
-    except SolverError:
-        return [(i, *_answer(stepper, kind, z, x_prev[i], u1[i], u2[i]))
-                for i, z in batch]
-    return [(i, answer, None) for i, answer in zip(who, answers)]
-
-
-def _answer(stepper: Stepper, kind: str, z: np.ndarray, x_prev: np.ndarray,
-            u1k: np.ndarray, u2k: np.ndarray) -> tuple:
-    """(answer, error) for one request at state z by the one-level stepper
-    call, error None on success."""
-    try:
-        if kind == "factor":
-            return stepper.factorize(z, u1k), None
-        return stepper.residual(z, x_prev, u1k, u2k), None
-    except SolverError as exc:
-        return None, exc
 
 
 def _step_diagnostics(stepper: Stepper, x: np.ndarray, control: Control
@@ -393,151 +306,318 @@ def _check_energy(energy: np.ndarray, opts: SolverOptions) -> None:
 # fraction of its value; a weaker one means the LU has gone stale
 _CHORD_CONTRACTION = 0.25
 
-
-@dataclass(eq=False)
-class CarriedLU:
-    """The last step LU of a march, which later Newton iterations and steps
-    may reuse (chord Newton); `lu` is None until the first factorization."""
-
-    lu: object = None
+# what the trial residual of a member decides: keep a polish step if it
+# helps, a chord step if it contracts, or backtrack (Armijo)
+_POLISH, _CHORD, _BACKTRACK = range(3)
 
 
-def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
-                 k: int, start: np.ndarray | None = None,
-                 carried: CarriedLU | None = None
-                 ) -> Generator[tuple[str, np.ndarray], object,
-                                tuple[np.ndarray, int, int]]:
-    """Solve step k from `start` (x_prev if None or unusable).
+def _rows(arrays: list) -> np.ndarray:
+    """One array as it is, or several stacked as the rows of one (np.array
+    stacks equal-length rows as np.stack does, at less overhead)."""
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
-    A request loop: the step never calls the stepper for a residual or an
-    LU.  It yields ("residual", x) and is sent the step residual at x
-    (from x_prev and the step's control), or yields ("factor", x) and is
-    sent the LU of the step Jacobian at x; a failed factorization is thrown
-    into it as the stepper's SolverError.  So one driver (`_march_level`)
-    can answer the requests of many steps in one stacked call.
 
-    With `carried`, each iteration first tries a chord step with the LU of
-    an earlier iterate, and `carried.lu` holds the last LU on return;
-    without it every Newton iteration factors at its iterate.  Returns the
-    state, the iterations (chord ones included) and the LUs formed.
+class _Member:
+    """Newton state of one control of a lockstep march at the level being
+    solved: its iterate x with residual `res` (norm `rnorm`), iterations,
+    LUs formed, the current LU and direction, and its pending trial."""
+
+    __slots__ = ("i", "prev", "u1", "u2", "x", "res", "rnorm", "converged",
+                 "polish_left", "it", "n_lu", "lu", "chord", "delta", "t",
+                 "trial", "backtracks", "best")
+
+    def __init__(self, i: int):
+        self.i = i
+        self.lu = None
+
+
+class _Lockstep:
+    """Damped Newton for one level of many marches at once.
+
+    Every control of the march is a member, and all members solve a level
+    together in rounds.  A round takes each member one step further in its
+    own Newton iteration: past the iteration's budget and convergence
+    tests, then to an LU at its iterate if it needs one, a direction and
+    its separation ceiling, and a trial residual.  The LUs of a round are
+    formed, and its trial residuals evaluated, in one stacked stepper call
+    each; the norms, tolerances, ceilings and trial points x + t delta in
+    one array operation over the rows of the members in that phase.  A
+    phase that holds one member makes one-level calls.  What follows from
+    each value, the polish, chord and Armijo tests, backtracks, pinning
+    and failures, is decided per member on Python floats, so each member
+    takes the iterations and forms the LUs it would alone, bitwise.
+
+    With the SuperLU backend each member carries its last LU from
+    iteration to iteration and step to step (chord Newton); with the band
+    backend every Newton iteration factors at its iterate.
     """
-    res = None
-    if start is not None and _inside_margin(stepper, start, opts):
-        res = yield ("residual", start)
-        x = start
-    if res is None or not np.isfinite(res).all():
-        x = x_prev.copy()
-        res = yield ("residual", x)
-    rnorm = float(np.abs(res).max())
 
-    def tol_at(z: np.ndarray) -> float:
-        return opts.newton_tol * stepper.coef_scale * (
-            1.0 + float(np.abs(z).max()))
+    def __init__(self, stepper: Stepper, opts: SolverOptions, xs: list,
+                 iters: list, lus: list, controls: Sequence[Control]):
+        self.stepper, self.opts = stepper, opts
+        self.xs, self.iters, self.lus = xs, iters, lus
+        self.controls = controls
+        self.members = [_Member(i) for i in range(len(controls))]
+        self.lag = stepper.superlu
+        self.guard = stepper.separation_guard
+        n = stepper.n
+        self.phi = slice(n, 2 * n)
+        lo, hi = stepper.potential.domain
+        margin = opts.separation_margin
+        self.ceiling_args = (lo, hi, margin)
+        self.band = (lo + margin, hi - margin)
+        self.tol_scale = opts.newton_tol * stepper.coef_scale
+        # a lagged polish runs while the residual falls, within the budget
+        self.polish = (opts.newton_max_iter
+                       if self.lag and opts.polish_steps > 0
+                       else opts.polish_steps)
 
-    lag = carried is not None
-    lu = carried.lu if lag else None
-    n_lu = 0
+    def level(self, k: int) -> dict[int, SolverError]:
+        """Solve step k of every member: x[k], its iterations and LUs go
+        into the histories.  Returns the SolverError of each member whose
+        step failed."""
+        self.k, self.failures = k, {}
+        members = self.members
+        for s, c in zip(members, self.controls):
+            s.prev, s.u1, s.u2 = self.xs[s.i][k - 1], c.u1[k], c.u2[k]
+        top = self._start(members)
+        factor, trials = [], []
+        while top or factor or trials:
+            direct = []
+            if top:
+                self._iterate(top, factor, direct)
+            if factor:
+                self._factor(factor, direct)
+            factor = self._direct(direct, trials) if direct else []
+            top, trials = self._try(trials, factor) if trials else ([], [])
+        return self.failures
 
-    def factor_at_x():
-        nonlocal n_lu
+    def _start(self, members: list) -> list:
+        """Each member's first iterate, residual and convergence test.
+
+        From the second step on, Newton starts at the linear extrapolation
+        2 x_{k-1} - x_{k-2} of the two previous levels, unless it leaves
+        the separation band or its residual is not finite; else at x_{k-1}.
+        """
+        fresh = members
+        if self.k > 1:
+            k = self.k
+            guess = (2.0 * _rows([s.prev for s in members])
+                     - _rows([x[k - 2] for x in self.xs]))
+            rows = [guess] if guess.ndim == 1 else list(guess)
+            inside = self._inside(guess)
+            if all(inside):
+                tried, fresh, z = members, [], guess
+            else:
+                tried = [s for s, ok in zip(members, inside) if ok]
+                fresh = [s for s, ok in zip(members, inside) if not ok]
+                z = _rows([rows[s.i] for s in tried]) if tried else None
+            if tried:
+                for s, res, rnorm in zip(tried, *self._residuals(tried, z)):
+                    if math.isfinite(rnorm):
+                        s.x, s.res, s.rnorm = rows[s.i], res, rnorm
+                    else:
+                        fresh.append(s)
+        if fresh:
+            z = (fresh[0].prev.copy() if len(fresh) == 1
+                 else np.array([s.prev for s in fresh]))
+            for s, x, res, rnorm in zip(fresh, [z] if z.ndim == 1 else z,
+                                        *self._residuals(fresh, z)):
+                s.x, s.res, s.rnorm = x, res, rnorm
+        self._test(members)
+        for s in members:
+            s.polish_left, s.it, s.n_lu = self.polish, 0, 0
+            if not self.lag:
+                s.lu = None
+        return members
+
+    def _inside(self, x: np.ndarray) -> list:
+        """Whether the phi of each row of x lies inside the separation band
+        (lo + separation_margin, hi - separation_margin); all True without
+        the separation guard.  A NaN phi lies outside."""
+        if not self.guard:
+            return [True] * (1 if x.ndim == 1 else len(x))
+        phi = x[..., self.phi]
+        lo, hi = self.band
+        if x.ndim == 1:
+            return [float(phi.min()) > lo and float(phi.max()) < hi]
+        return ((phi.min(axis=1) > lo) & (phi.max(axis=1) < hi)).tolist()
+
+    def _residuals(self, q: list, z: np.ndarray) -> tuple[list, list]:
+        """Step residuals at the points z of the members q (one row each)
+        and their max norms."""
+        if len(q) == 1:
+            s = q[0]
+            res = self.stepper.residual(z, s.prev, s.u1, s.u2)
+            return [res], [float(np.abs(res).max())]
+        res = self.stepper.residual(z, np.array([s.prev for s in q]),
+                                    np.array([s.u1 for s in q]),
+                                    np.array([s.u2 for s in q]))
+        return list(res), np.abs(res).max(axis=1).tolist()
+
+    def _test(self, q: list) -> None:
+        """Convergence test of each member of q at its iterate."""
+        if len(q) == 1:
+            sizes = [float(np.abs(q[0].x).max())]
+        else:
+            sizes = np.abs(np.array([s.x for s in q])).max(axis=1).tolist()
+        for s, size in zip(q, sizes):
+            s.converged = s.rnorm <= self.tol_scale * (1.0 + size)
+
+    def _iterate(self, q: list, factor: list, direct: list) -> None:
+        """The top of a Newton iteration for each member of q: end its
+        step, or count the iteration and queue the member for an LU or,
+        with the LU of an earlier iterate (chord), for its direction."""
+        max_iter, lag = self.opts.newton_max_iter, self.lag
+        for s in q:
+            if s.it >= max_iter or (s.converged and s.polish_left <= 0):
+                self._end(s)
+                continue
+            if s.converged:
+                s.polish_left -= 1
+            s.it += 1
+            if not math.isfinite(s.rnorm):
+                self._fail(s, "non-finite Newton residual")
+                continue
+            # the LU of an earlier iterate serves the polish and, when
+            # lagging, a first chord trial of every iteration
+            s.chord = s.lu is not None and (s.converged or lag)
+            (direct if s.chord else factor).append(s)
+
+    def _factor(self, q: list, direct: list) -> None:
+        """The step LU at the iterate of each member of q; those that get
+        one go on to their direction.  When the stacked factorization
+        fails, each member is factored alone, to meet its own error."""
+        stepper = self.stepper
+        if len(q) == 1:
+            lus = [self._factor_one(q[0])]
+        else:
+            try:
+                lus = stepper.factorize(np.array([s.x for s in q]),
+                                        np.array([s.u1 for s in q]))
+            except SolverError:
+                lus = [self._factor_one(s) for s in q]
+        for s, lu in zip(q, lus):
+            if isinstance(lu, SolverError):
+                self._fail(s, str(lu))
+            else:
+                s.lu = lu
+                s.n_lu += 1
+                direct.append(s)
+
+    def _factor_one(self, s: _Member):
         try:
-            fac = yield ("factor", x)
+            return self.stepper.factorize(s.x, s.u1)
         except SolverError as exc:
-            raise SolverError(f"step {k}: {exc}") from None
-        n_lu += 1
-        return fac
+            return exc
 
-    def direction(fac, may_pin: bool = False) -> tuple[np.ndarray, float]:
-        """Newton direction of `fac` at x and the largest step fraction the
-        separation ceiling allows; 0 when pinned, which raises unless
-        `may_pin`."""
-        delta = fac.solve(-res)
-        t = 1.0
-        if stepper.separation_guard:
-            t = _step_ceiling(stepper.split(x)[1], stepper.split(delta)[1],
-                              *stepper.potential.domain,
-                              opts.separation_margin)
-            if t <= 0.0 and not may_pin:
-                raise SolverError(
-                    f"step {k}: Newton update pinned at the separation "
-                    "margin; reduce dt or start further from the potential "
-                    "barrier")
-        return delta, t
+    def _direct(self, q: list, trials: list) -> list:
+        """The Newton direction of each member of q with its LU, and the
+        largest step fraction the separation ceiling allows; queues each
+        member's trial.  Returns the members whose lagged chord step the
+        ceiling pinned at t = 0, to factor afresh; any other pinned
+        member fails."""
+        for s in q:
+            s.delta = s.lu.solve(-s.res)
+        if not self.guard:
+            steps = [1.0] * len(q)
+        elif len(q) == 1:
+            s = q[0]
+            steps = [_step_ceiling(s.x[self.phi], s.delta[self.phi],
+                                   *self.ceiling_args)]
+        else:
+            phi = self.phi
+            steps = _step_ceiling(np.array([s.x[phi] for s in q]),
+                                  np.array([s.delta[phi] for s in q]),
+                                  *self.ceiling_args)
+        refactor = []
+        for s, t in zip(q, steps):
+            if t <= 0.0:
+                if s.chord and self.lag:
+                    s.chord = False
+                    refactor.append(s)
+                else:
+                    self._fail(s, "Newton update pinned at the separation "
+                               "margin; reduce dt or start further from the "
+                               "potential barrier")
+                continue
+            s.t = t
+            if s.converged:
+                s.trial = _POLISH
+            elif s.chord:
+                s.trial = _CHORD
+            else:
+                s.trial, s.best, s.backtracks = (_BACKTRACK, None,
+                                                 self.opts.max_backtracks)
+            trials.append(s)
+        return refactor
 
-    # a lagged polish runs while the residual falls, within the budget
-    polish_left = (opts.newton_max_iter if lag and opts.polish_steps > 0
-                   else opts.polish_steps)
-    converged = rnorm <= tol_at(x)
-    it = 0
-    while it < opts.newton_max_iter:
-        if converged and polish_left <= 0:
-            break
-        if converged:
-            polish_left -= 1
-        it += 1
-        if not np.isfinite(rnorm):
-            raise SolverError(f"step {k}: non-finite Newton residual")
-        # the LU of an earlier iterate serves the polish and, when lagging,
-        # a first chord trial of every iteration
-        chord = lu is not None and (converged or lag)
-        if not chord:
-            lu = yield from factor_at_x()
-        delta, t = direction(lu, may_pin=chord and lag)
-        if t <= 0.0:
-            # a lagged chord step pinned at the ceiling: factor afresh
-            lu, chord = (yield from factor_at_x()), False
-            delta, t = direction(lu)
-        if converged or chord:
-            # one trial of the full step
-            x_new = x + t * delta
-            res_new = yield ("residual", x_new)
-            rnorm_new = float(np.abs(res_new).max())
-            if converged:
+    def _try(self, q: list, factor: list) -> tuple[list, list]:
+        """Trial residual at x + t delta for each member of q, and what it
+        decides.  Returns the members back at the top of an iteration and
+        those that backtrack further; a chord step that does not contract
+        queues its member in `factor`."""
+        if len(q) == 1:
+            s = q[0]
+            z = s.x + s.t * s.delta
+            rows = [z]
+        else:
+            z = (np.array([s.x for s in q])
+                 + np.array([s.t for s in q])[:, None]
+                 * np.array([s.delta for s in q]))
+            rows = list(z)
+        top, again, moved = [], [], []
+        for s, x, res, rnorm in zip(q, rows, *self._residuals(q, z)):
+            if s.trial == _POLISH:
                 # polish: kept only if it helps
-                if not rnorm_new < rnorm:
-                    break
-                x, res, rnorm = x_new, res_new, rnorm_new
-                continue
-            # chord: kept if it contracts (False for a non-finite residual)
-            if rnorm_new <= _CHORD_CONTRACTION * rnorm:
-                x, res, rnorm = x_new, res_new, rnorm_new
-                converged = rnorm <= tol_at(x)
-                continue
-            lu = yield from factor_at_x()
-            delta, t = direction(lu)
-        best = None
-        for _ in range(opts.max_backtracks):
-            x_try = x + t * delta
-            res_try = yield ("residual", x_try)
-            rnorm_try = float(np.abs(res_try).max())
-            if best is None or rnorm_try < best[2]:
-                best = (x_try, res_try, rnorm_try)
-            if rnorm_try <= (1.0 - 1e-4 * t) * rnorm:
-                break
-            t *= 0.5
-        x_new, res_new, rnorm_new = best
-        if rnorm_new >= rnorm:
-            raise SolverError(
-                f"step {k}: Newton stalled at residual {rnorm:.3e} "
-                f"after {it} iterations")
-        x, res, rnorm = x_new, res_new, rnorm_new
-        converged = rnorm <= tol_at(x)
-    if lag:
-        carried.lu = lu
-    if not converged:
-        raise SolverError(
-            f"step {k}: Newton did not converge within "
-            f"{opts.newton_max_iter} iterations (residual {rnorm:.3e})")
-    return x, it, n_lu
+                if rnorm < s.rnorm:
+                    s.x, s.res, s.rnorm = x, res, rnorm
+                    top.append(s)
+                else:
+                    self._end(s)
+            elif s.trial == _CHORD:
+                # chord: kept if it contracts (False for a non-finite
+                # residual); else the damped Newton step from a fresh LU
+                if rnorm <= _CHORD_CONTRACTION * s.rnorm:
+                    s.x, s.res, s.rnorm = x, res, rnorm
+                    moved.append(s)
+                else:
+                    s.chord = False
+                    factor.append(s)
+            else:
+                best = s.best
+                # a finite trial replaces a non-finite best
+                if best is None or rnorm < best[2] or (
+                        best[2] != best[2] and rnorm < math.inf):
+                    s.best = (x, res, rnorm)
+                s.backtracks -= 1
+                if (rnorm <= (1.0 - 1e-4 * s.t) * s.rnorm
+                        or s.backtracks == 0):
+                    x, res, rnorm = s.best
+                    if rnorm >= s.rnorm:
+                        self._fail(s, f"Newton stalled at residual "
+                                   f"{s.rnorm:.3e} after {s.it} iterations")
+                        continue
+                    s.x, s.res, s.rnorm = x, res, rnorm
+                    moved.append(s)
+                else:
+                    s.t *= 0.5
+                    again.append(s)
+        if moved:
+            self._test(moved)
+            top += moved
+        return top, again
 
+    def _end(self, s: _Member) -> None:
+        """The end of a member's step: its result, or its failure if it did
+        not converge."""
+        if not s.converged:
+            self._fail(s, f"Newton did not converge within "
+                       f"{self.opts.newton_max_iter} iterations "
+                       f"(residual {s.rnorm:.3e})")
+            return
+        i, k = s.i, self.k
+        self.xs[i][k], self.iters[i][k], self.lus[i][k] = s.x, s.it, s.n_lu
 
-def _inside_margin(stepper: Stepper, x: np.ndarray,
-                   opts: SolverOptions) -> bool:
-    """False when the separation guard is on and the phi of the stacked state
-    x leaves (lo + separation_margin, hi - separation_margin)."""
-    if not stepper.separation_guard:
-        return True
-    lo, hi = stepper.potential.domain
-    phi = stepper.split(x)[1]
-    margin = opts.separation_margin
-    return bool(((phi > lo + margin) & (phi < hi - margin)).all())
+    def _fail(self, s: _Member, message: str) -> None:
+        self.failures[s.i] = SolverError(f"step {self.k}: {message}")

@@ -45,6 +45,14 @@ _CONSTANT_BLOCK = (1, 2)
 _LAPACK_TRANS = {"N": 0, "T": 1}
 
 
+def separation_guarded(potential: PotentialSpec,
+                       yosida_eps: float | None) -> bool:
+    """Whether Newton keeps phi strictly inside the separation band of the
+    potential: the derivatives of an exact logarithmic potential blow up at
+    +-1, so its updates must keep phi strictly inside (-1, 1)."""
+    return potential.kind == "logarithmic" and yosida_eps is None
+
+
 class BandLU:
     """LAPACK band LU (dgbtrf) of a 1-D step Jacobian.
 
@@ -106,10 +114,7 @@ class Stepper:
         self.nonlin = nonlin
         self.dt = float(dt)
         self.yosida_eps = yosida_eps
-        # the derivatives of an exact logarithmic potential blow up at +-1,
-        # so its Newton updates must keep phi strictly inside (-1, 1)
-        self.separation_guard = (potential.kind == "logarithmic"
-                                 and yosida_eps is None)
+        self.separation_guard = separation_guarded(potential, yosida_eps)
         # a 2-D step LU goes to SuperLU and costs far more than a residual;
         # a 1-D band LU costs about as much as one
         self.superlu = grid.dim == 2

@@ -118,7 +118,7 @@ def _batch_len(problem: ControlProblem) -> int:
     """Controls one `solve_states` batch takes within `_BLOCK_BYTES`.
 
     Each holds its history and, in 2-D, the SuperLU factor its march
-    carries from step to step (`CarriedLU`): about 2.4 MB on a 33x33
+    carries from step to step (chord Newton): about 2.4 MB on a 33x33
     rectangle, three times a 30-step history.  That factor is counted at 12
     bytes per stored entry, as `StepFactors` counts it, of one LU of the
     step Jacobian at the initial state.

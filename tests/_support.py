@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Generator
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,7 +20,11 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
 from tumoropt.grid import inner
 from tumoropt.optimize import _block_len
 from tumoropt.problem import ControlProblem
-from tumoropt.state import SolverOptions, _newton_step, _solve_alone
+from tumoropt.errors import SolverError
+from tumoropt.state import (_CHORD_CONTRACTION, SolverOptions,
+                            StateTrajectory, _check_energy, _step_ceiling,
+                            _step_diagnostics, _validate_initial)
+from tumoropt.stepper import Stepper
 from tumoropt.verify import (EPS_LADDER, FD_SEARCH_LADDER, STRONG_FORM_CUT,
                              AdjointResidualReport, _norm3, _random_direction,
                              _shifted, _smooth_random_control,
@@ -82,6 +88,188 @@ def smooth_control(problem: ControlProblem, amp=0.2) -> Control:
                    0.5 * amp * np.sin(np.pi * x) * (1.0 + t))
 
 
+# ---------------------------------------------------------------------------
+# the per-member Newton step: the oracle of the lockstep march
+
+
+@dataclass(eq=False)
+class CarriedLU:
+    """The last step LU of a march, which later Newton iterations and steps
+    may reuse (chord Newton); `lu` is None until the first factorization."""
+
+    lu: object = None
+
+
+def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
+                 k: int, start: np.ndarray | None = None,
+                 carried: CarriedLU | None = None
+                 ) -> Generator[tuple[str, np.ndarray], object,
+                                tuple[np.ndarray, int, int]]:
+    """Solve step k from `start` (x_prev if None or unusable).
+
+    A request loop: the step never calls the stepper for a residual or an
+    LU.  It yields ("residual", x) and is sent the step residual at x
+    (from x_prev and the step's control), or yields ("factor", x) and is
+    sent the LU of the step Jacobian at x; a failed factorization is thrown
+    into it as the stepper's SolverError (`_solve_alone` answers them).
+
+    With `carried`, each iteration first tries a chord step with the LU of
+    an earlier iterate, and `carried.lu` holds the last LU on return;
+    without it every Newton iteration factors at its iterate.  Returns the
+    state, the iterations (chord ones included) and the LUs formed.
+    """
+    res = None
+    if start is not None and _inside_margin(stepper, start, opts):
+        res = yield ("residual", start)
+        x = start
+    if res is None or not np.isfinite(res).all():
+        x = x_prev.copy()
+        res = yield ("residual", x)
+    rnorm = float(np.abs(res).max())
+
+    def tol_at(z: np.ndarray) -> float:
+        return opts.newton_tol * stepper.coef_scale * (
+            1.0 + float(np.abs(z).max()))
+
+    lag = carried is not None
+    lu = carried.lu if lag else None
+    n_lu = 0
+
+    def factor_at_x():
+        nonlocal n_lu
+        try:
+            fac = yield ("factor", x)
+        except SolverError as exc:
+            raise SolverError(f"step {k}: {exc}") from None
+        n_lu += 1
+        return fac
+
+    def direction(fac, may_pin: bool = False) -> tuple[np.ndarray, float]:
+        """Newton direction of `fac` at x and the largest step fraction the
+        separation ceiling allows; 0 when pinned, which raises unless
+        `may_pin`."""
+        delta = fac.solve(-res)
+        t = 1.0
+        if stepper.separation_guard:
+            t = _step_ceiling(stepper.split(x)[1], stepper.split(delta)[1],
+                              *stepper.potential.domain,
+                              opts.separation_margin)
+            if t <= 0.0 and not may_pin:
+                raise SolverError(
+                    f"step {k}: Newton update pinned at the separation "
+                    "margin; reduce dt or start further from the potential "
+                    "barrier")
+        return delta, t
+
+    # a lagged polish runs while the residual falls, within the budget
+    polish_left = (opts.newton_max_iter if lag and opts.polish_steps > 0
+                   else opts.polish_steps)
+    converged = rnorm <= tol_at(x)
+    it = 0
+    while it < opts.newton_max_iter:
+        if converged and polish_left <= 0:
+            break
+        if converged:
+            polish_left -= 1
+        it += 1
+        if not np.isfinite(rnorm):
+            raise SolverError(f"step {k}: non-finite Newton residual")
+        # the LU of an earlier iterate serves the polish and, when lagging,
+        # a first chord trial of every iteration
+        chord = lu is not None and (converged or lag)
+        if not chord:
+            lu = yield from factor_at_x()
+        delta, t = direction(lu, may_pin=chord and lag)
+        if t <= 0.0:
+            # a lagged chord step pinned at the ceiling: factor afresh
+            lu, chord = (yield from factor_at_x()), False
+            delta, t = direction(lu)
+        if converged or chord:
+            # one trial of the full step
+            x_new = x + t * delta
+            res_new = yield ("residual", x_new)
+            rnorm_new = float(np.abs(res_new).max())
+            if converged:
+                # polish: kept only if it helps
+                if not rnorm_new < rnorm:
+                    break
+                x, res, rnorm = x_new, res_new, rnorm_new
+                continue
+            # chord: kept if it contracts (False for a non-finite residual)
+            if rnorm_new <= _CHORD_CONTRACTION * rnorm:
+                x, res, rnorm = x_new, res_new, rnorm_new
+                converged = rnorm <= tol_at(x)
+                continue
+            lu = yield from factor_at_x()
+            delta, t = direction(lu)
+        best = None
+        for _ in range(opts.max_backtracks):
+            x_try = x + t * delta
+            res_try = yield ("residual", x_try)
+            rnorm_try = float(np.abs(res_try).max())
+            # a finite trial replaces a non-finite best
+            if best is None or rnorm_try < best[2] or (
+                    not np.isfinite(best[2]) and np.isfinite(rnorm_try)):
+                best = (x_try, res_try, rnorm_try)
+            if rnorm_try <= (1.0 - 1e-4 * t) * rnorm:
+                break
+            t *= 0.5
+        x_new, res_new, rnorm_new = best
+        if rnorm_new >= rnorm:
+            raise SolverError(
+                f"step {k}: Newton stalled at residual {rnorm:.3e} "
+                f"after {it} iterations")
+        x, res, rnorm = x_new, res_new, rnorm_new
+        converged = rnorm <= tol_at(x)
+    if lag:
+        carried.lu = lu
+    if not converged:
+        raise SolverError(
+            f"step {k}: Newton did not converge within "
+            f"{opts.newton_max_iter} iterations (residual {rnorm:.3e})")
+    return x, it, n_lu
+
+
+def _inside_margin(stepper: Stepper, x: np.ndarray,
+                   opts: SolverOptions) -> bool:
+    """False when the separation guard is on and the phi of the stacked state
+    x leaves (lo + separation_margin, hi - separation_margin)."""
+    if not stepper.separation_guard:
+        return True
+    lo, hi = stepper.potential.domain
+    phi = stepper.split(x)[1]
+    margin = opts.separation_margin
+    return bool(((phi > lo + margin) & (phi < hi - margin)).all())
+
+
+def _solve_alone(step, stepper: Stepper, x_prev: np.ndarray,
+                 u1k: np.ndarray, u2k: np.ndarray, answer=None,
+                 error: SolverError | None = None
+                 ) -> tuple[np.ndarray, int, int]:
+    """Resume a Newton step with (answer, error) and run it to its end,
+    answering its requests by one-level stepper calls; returns its result
+    and raises its SolverError."""
+    while True:
+        try:
+            kind, z = (step.throw(error) if error is not None
+                       else step.send(answer))
+        except StopIteration as done:
+            return done.value
+        answer, error = _answer(stepper, kind, z, x_prev, u1k, u2k)
+
+
+def _answer(stepper: Stepper, kind: str, z: np.ndarray, x_prev: np.ndarray,
+            u1k: np.ndarray, u2k: np.ndarray) -> tuple:
+    """(answer, error) for one request at state z by the one-level stepper
+    call, error None on success."""
+    try:
+        if kind == "factor":
+            return stepper.factorize(z, u1k), None
+        return stepper.residual(z, x_prev, u1k, u2k), None
+    except SolverError as exc:
+        return None, exc
+
+
 def newton_step(stepper, x_prev, u1k, u2k, opts, k, start=None,
                 carried=None):
     """One step of the forward Newton on its own: the requests of
@@ -90,6 +278,56 @@ def newton_step(stepper, x_prev, u1k, u2k, opts, k, start=None,
     return _solve_alone(_newton_step(stepper, x_prev, opts, k, start=start,
                                      carried=carried),
                         stepper, x_prev, u1k, u2k)
+
+
+def _march_per_member(problem: ControlProblem, control: Control):
+    """The march of one control with `newton_step`: (trajectory, None), or
+    (None, (k, error)) for a failure, k the step where Newton failed
+    (n_levels for an energy blow-up found after the march)."""
+    stepper, opts = problem.stepper, problem.options
+    n_levels = problem.n_levels
+    x = np.empty((n_levels, 3 * problem.grid.n))
+    iters = np.zeros(n_levels, dtype=int)
+    lus = np.zeros(n_levels, dtype=int)
+    x[0] = problem.init.stacked()
+    carried = CarriedLU() if stepper.superlu else None
+    for k in range(1, n_levels):
+        guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
+        try:
+            x[k], iters[k], lus[k] = newton_step(
+                stepper, x[k - 1], control.u1[k], control.u2[k], opts, k,
+                start=guess, carried=carried)
+        except SolverError as exc:
+            try:
+                _check_energy(_step_diagnostics(stepper, x[:k], control)[0],
+                              opts)
+            except SolverError as energy:
+                return None, (k, energy)
+            return None, (k, exc)
+    energy, mass_rel = _step_diagnostics(stepper, x, control)
+    try:
+        _check_energy(energy, opts)
+    except SolverError as exc:
+        return None, (n_levels, exc)
+    phi = stepper.split(x)[1]
+    return StateTrajectory(
+        x=x, times=problem.tgrid.times, newton_iters=iters,
+        factorizations=lus, mass_residual=mass_rel, energy=energy,
+        phi_min=phi.min(axis=1), phi_max=phi.max(axis=1)), None
+
+
+def solve_states_per_member(problem: ControlProblem, controls) -> list:
+    """Reference for `solve_states`: each control marched alone by the
+    per-member Newton step.  Raises the error the batch raises: that of
+    the lowest-index control among those whose Newton fails first, else
+    the energy blow-up of the lowest-index control."""
+    _validate_initial(problem.stepper, problem.init)
+    results = [_march_per_member(problem, u) for u in controls]
+    failed = [(fail[0], i, fail[1]) for i, (_, fail) in enumerate(results)
+              if fail is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[:2])[2]
+    return [traj for traj, _ in results]
 
 
 def step_ceiling_two_pass(phi: np.ndarray, dphi: np.ndarray, lo: float,

@@ -255,6 +255,8 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     "grid.lengths=[.inf]",
     "solver.max_backtracks=0",
     "optimizer.max_backtracks=0",
+    "solver.separation_margin=1",
+    "solver.separation_margin=2",
 ])
 def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
                                                        override):
@@ -588,6 +590,7 @@ def _fuzz_table(seed=20201):
                  ("grid.lengths", "boolean", "[true]"),
                  ("solver.max_backtracks", "zero", "0"),
                  ("optimizer.max_backtracks", "zero", "0")])
+    rows.append(("solver.separation_margin", "empty-band", "2"))
     return [(f"{key}-{kind}", str(rng.choice(FUZZ_COMMANDS)), key, kind, value)
             for key, kind, value in rows]
 

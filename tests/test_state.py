@@ -16,12 +16,13 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
 from tumoropt import state
 from tumoropt import stepper as stepper_module
 from tumoropt.problem import ControlProblem
-from tumoropt.state import CarriedLU
 from tumoropt.stepper import Stepper
 
-from _support import (energy_by_level, make_problem, mass_defect_by_level,
-                      newton_step, ode_reduction_reference, random_control,
-                      smooth_control, step_ceiling_two_pass)
+from _support import (CarriedLU, _inside_margin, energy_by_level,
+                      make_problem, mass_defect_by_level, newton_step,
+                      ode_reduction_reference, random_control,
+                      smooth_control, solve_states_per_member,
+                      step_ceiling_two_pass)
 
 
 def _with_zero_data(problem: ControlProblem) -> ControlProblem:
@@ -198,17 +199,25 @@ def test_energy_blowup_raises_during_march():
 
 
 def test_earlier_energy_blowup_wins_over_later_newton_failure(monkeypatch):
-    newton = state._newton_step
-
-    def failing_at_step_4(stepper, x_prev, opts, k, **kwargs):
-        if k == 4:
-            raise SolverError("step 4: Newton stalled")
-        return (yield from newton(stepper, x_prev, opts, k, **kwargs))
-
-    monkeypatch.setattr(state, "_newton_step", failing_at_step_4)
     pr = make_problem(steps=6, energy_blowup_factor=1e-16)
+    u = smooth_control(pr)
+    residual, fired = Stepper.residual, []
+
+    def failing_at_step_4(self, x, x_prev, u1k, u2k):
+        # every residual of step 4 is NaN, so its Newton step fails
+        if np.array_equal(u1k, u.u1[4]):
+            fired.append(None)
+            return np.full_like(x, np.nan)
+        return residual(self, x, x_prev, u1k, u2k)
+
+    monkeypatch.setattr(Stepper, "residual", failing_at_step_4)
+    # without the energy limit the injected failure is the error
+    with pytest.raises(SolverError, match="^step 4: non-finite"):
+        dataclasses.replace(pr, options=SolverOptions()).solve(u)
+    fired.clear()
     with pytest.raises(SolverError, match=r"energy .* at step 1 "):
-        pr.solve(smooth_control(pr))
+        pr.solve(u)
+    assert fired, "the step-4 failure was never injected"
 
 
 def test_self_convergence_first_order():
@@ -621,6 +630,13 @@ TRAJECTORY_FIELDS = ("x", "newton_iters", "factorizations", "mass_residual",
                      "energy", "phi_min", "phi_max")
 
 
+def _assert_trajectories_equal(got, want):
+    for name in TRAJECTORY_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def _shifted_u1(u, shift):
     return Control(u.u1 + shift, u.u2.copy())
 
@@ -660,10 +676,7 @@ def test_batch_march_is_bitwise_the_per_control_march(monkeypatch, case, m):
     batch = solve_states(pr, controls)
     assert len(batch) == m
     for traj, (ref, _) in zip(batch, alone):
-        for name in TRAJECTORY_FIELDS:
-            got, want = getattr(traj, name), getattr(ref, name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
+        _assert_trajectories_equal(traj, ref)
         # each member owns its history: keeping one pins no other
         assert traj.x.flags.owndata
     if case == "log-1d" and m == 5:
@@ -673,7 +686,7 @@ def test_batch_march_is_bitwise_the_per_control_march(monkeypatch, case, m):
         extra = [calls - ref.newton_iters.sum() for ref, calls in alone]
         assert len(set(iters)) > 1 and len(set(extra)) > 1
         leaves = [[k for k in range(2, pr.n_levels)
-                   if not state._inside_margin(
+                   if not _inside_margin(
                        pr.stepper, 2.0 * ref.x[k - 1] - ref.x[k - 2],
                        pr.options)] for ref, _ in alone]
         assert leaves[0] and leaves[1] and not leaves[2]
@@ -752,6 +765,138 @@ def test_batch_factor_failure_meets_only_its_member(monkeypatch):
     assert _error_of(solve_states, pr, [marked, marked]) == single
 
 
+def _shifted_batch(pr, m):
+    """m controls, the smooth one with u1 shifted by m values over [-4, 4]."""
+    u = smooth_control(pr, amp=0.2)
+    return [_shifted_u1(u, shift) for shift in np.linspace(-4.0, 4.0, m)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_lockstep_march_is_bitwise_the_per_member_oracle(case, m):
+    # the oracle marches each control alone with the per-member Newton step
+    # of tests/_support.py, a generator answered by one-level calls
+    pr = BATCH_CASES[case]()
+    controls = _batch_controls(pr)[:m]
+    for traj, ref in zip(solve_states(pr, controls),
+                         solve_states_per_member(pr, controls), strict=True):
+        _assert_trajectories_equal(traj, ref)
+
+
+def test_lockstep_march_of_54_members_is_bitwise_the_oracle():
+    # the shape of the FD check of verify-coarse: 54 controls, 17 x 25
+    pr = make_problem(potential="logarithmic", steps=25, t_final=3.0)
+    controls = _shifted_batch(pr, 54)
+    batch = solve_states(pr, controls)
+    for traj, ref in zip(batch, solve_states_per_member(pr, controls),
+                         strict=True):
+        _assert_trajectories_equal(traj, ref)
+    # the members take different iterations, so rounds hold some of them
+    assert len({traj.newton_iters.sum() for traj in batch}) > 10
+
+
+def _failing_batches(pr):
+    """Batches of the failure-order tests: the lowest member at the first
+    failing level, and an energy check before a Newton failure."""
+    u = smooth_control(pr, amp=0.2)
+    at_4, at_3 = _shifted_u1(u, -100.0), _shifted_u1(u, -200.0)
+    nan_at_3 = Control(u.u1.copy(), u.u2.copy())
+    nan_at_3.u1[3, 4] = np.nan
+    return [[u, at_4, at_3, u], [u, at_3, nan_at_3], [u, nan_at_3, at_3],
+            [at_4, u]]
+
+
+def test_lockstep_failures_are_those_of_the_per_member_oracle(monkeypatch):
+    pr = make_problem(potential="logarithmic", steps=10)
+    blowup = make_problem(potential="logarithmic", steps=10,
+                          energy_blowup_factor=1e-16)
+    u = smooth_control(pr, amp=0.2)
+    other = _shifted_u1(u, -5.0)
+    cases = [(pr, batch) for batch in _failing_batches(pr)]
+    cases += [(blowup, batch) for batch in _failing_batches(blowup)]
+    cases += [(blowup, [u, other]), (blowup, [other, u])]
+    for problem, batch in cases:
+        assert (_error_of(solve_states, problem, batch)
+                == _error_of(solve_states_per_member, problem, batch))
+    # a singular Jacobian met by one member of a stacked factorization
+    marked = _shifted_u1(u, 0.5)
+    factorize = Stepper.factorize
+
+    def singular_for_marked(self, x, u1k):
+        rows = u1k if u1k.ndim == 2 else u1k[None]
+        if any(np.array_equal(row, marked.u1[3]) for row in rows):
+            raise SolverError("band LU failed: exactly singular at column 1")
+        return factorize(self, x, u1k)
+
+    monkeypatch.setattr(Stepper, "factorize", singular_for_marked)
+    for batch in ([u, marked, u], [marked, marked], [marked]):
+        assert (_error_of(solve_states, pr, batch)
+                == _error_of(solve_states_per_member, pr, batch)
+                == "step 3: band LU failed: exactly singular at column 1")
+
+
+def _counting_rows(monkeypatch):
+    """Patch Stepper.residual and Stepper.factorize to count the rows they
+    are called on; returns the counts by method name."""
+    rows = {"residual": 0, "factorize": 0}
+    for name in rows:
+        original = getattr(Stepper, name)
+
+        def counted(self, x, *args, _name=name, _original=original):
+            rows[_name] += 1 if x.ndim == 1 else len(x)
+            return _original(self, x, *args)
+
+        monkeypatch.setattr(Stepper, name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["log-1d", "log-2d"])
+def test_lockstep_batch_asks_for_what_its_members_ask_alone(monkeypatch,
+                                                           case):
+    # no hidden work: a member that finished or failed its step asks for
+    # nothing more at that level, and no row is evaluated twice
+    pr = BATCH_CASES[case]()
+    controls = _batch_controls(pr)
+    rows = _counting_rows(monkeypatch)
+    # each member alone, by the lockstep march and by the per-member oracle
+    alone = {march: {"residual": 0, "factorize": 0}
+             for march in (solve_states, solve_states_per_member)}
+    for u in controls:
+        for march, counts in alone.items():
+            march(pr, [u])
+            for name in counts:
+                counts[name] += rows[name]
+                rows[name] = 0
+    solve_states(pr, controls)
+    assert rows == alone[solve_states] == alone[solve_states_per_member]
+    assert rows["factorize"] >= len(controls)
+
+
+def test_nan_first_backtracking_trial_gives_way_to_a_finite_one(monkeypatch):
+    pr = make_problem(potential="regular", steps=4)
+    u = smooth_control(pr, amp=0.4)
+    stepper, x0 = pr.stepper, pr.init.stacked()
+    res0 = stepper.residual(x0, x0, u.u1[1], u.u2[1])
+    delta = stepper.factorize(x0, u.u1[1]).solve(-res0)
+    residual, points = Stepper.residual, []
+
+    def nan_at_first_trial(self, x, x_prev, u1k, u2k):
+        # step 1 evaluates its start, then the full Newton step: NaN there
+        points.append(x.copy())
+        if len(points) == 2:
+            return np.full_like(x, np.nan)
+        return residual(self, x, x_prev, u1k, u2k)
+
+    monkeypatch.setattr(Stepper, "residual", nan_at_first_trial)
+    traj = solve_state(pr, u)
+    assert points[1].tobytes() == (x0 + 1.0 * delta).tobytes()
+    # the halved trial is kept: it meets the Armijo test
+    assert points[2].tobytes() == (x0 + 0.5 * delta).tobytes()
+    assert np.isfinite(traj.x).all()
+    points.clear()
+    _assert_trajectories_equal(traj, solve_states_per_member(pr, [u])[0])
+
+
 def test_non_finite_control_is_solver_error():
     pr = make_problem(steps=4)
     u = smooth_control(pr)
@@ -808,11 +953,12 @@ def _ceiling_cases(n, rng):
 @pytest.mark.parametrize("n", [17, 129])
 def test_step_ceiling_is_the_two_pass_reference(n):
     # one quotient array and one minimum give the float of the two masked
-    # passes they replaced, with no RuntimeWarning on any case
+    # passes they replaced, alone or as rows, with no RuntimeWarning
     rng = np.random.default_rng(n)
+    cases = _ceiling_cases(n, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for phi, dphi, expected in _ceiling_cases(n, rng):
+        for phi, dphi, expected in cases:
             got = state._step_ceiling(phi, dphi, -1.0, 1.0, 1e-8)
             ref = step_ceiling_two_pass(phi, dphi, -1.0, 1.0, 1e-8)
             assert type(got) is float
@@ -820,6 +966,13 @@ def test_step_ceiling_is_the_two_pass_reference(n):
             assert 0.0 <= got <= 1.0
             if expected is not None:
                 assert got == expected
+        # all cases as the rows of one call: each the float of its row
+        rows = state._step_ceiling(np.array([c[0] for c in cases]),
+                                   np.array([c[1] for c in cases]),
+                                   -1.0, 1.0, 1e-8)
+    assert rows == [step_ceiling_two_pass(phi, dphi, -1.0, 1.0, 1e-8)
+                    for phi, dphi, _ in cases]
+    assert all(type(t) is float for t in rows)
 
 
 def test_solver_options_need_a_backtrack():
