@@ -36,9 +36,8 @@ def main(argv=None) -> int:
     say = (lambda *a: None) if args.quiet else (lambda *a: print(*a))
 
     try:
-        cfg = RunConfig.from_file(args.config, overrides=tuple(args.set))
-        if args.seed is not None:
-            cfg.ssc["seed"] = args.seed
+        seed = [] if args.seed is None else [f"ssc.seed={args.seed}"]
+        cfg = RunConfig.from_file(args.config, overrides=(*args.set, *seed))
         setup = build_setup(cfg)
         out_dir = Path(args.out_dir) if args.out_dir else Path(setup.output["out_dir"])
         _prepare_out_dir(out_dir, force=args.force)
@@ -157,6 +156,18 @@ def _snapshot_levels(setup: RunSetup) -> list[int]:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _require_curvature(setup: RunSetup, command: str) -> None:
+    """Reject table shapes, which have no second derivative, before a
+    command that needs curvature solves anything."""
+    nonlin = setup.problem.nonlin
+    for key, shape in (("nonlinearity.P", nonlin.P),
+                       ("nonlinearity.h", nonlin.H)):
+        if shape.kind == "table":
+            raise ConfigError(f"{key}: a table shape has no second "
+                              f"derivative, which {command} needs; use a "
+                              "smooth shape")
+
+
 def _run_simulate(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
     state = problem.solve(setup.initial_control)
@@ -206,6 +217,7 @@ def _run_optimize(setup: RunSetup, out_dir: Path, say) -> int:
 
 def _run_verify(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
+    _require_curvature(setup, "verify")
     report = run_verification(problem, setup.initial_control,
                               seed=setup.ssc["seed"])
     _write_report(out_dir / "verification_report.json", report)
@@ -222,6 +234,8 @@ def _run_verify(setup: RunSetup, out_dir: Path, say) -> int:
 
 def _run_analyze(setup: RunSetup, out_dir: Path, say) -> int:
     problem = setup.problem
+    if problem.cost.b2 == 0.0:
+        _require_curvature(setup, "analyze with cost.b2 = 0")
     ubar = setup.initial_control
     context = SecondOrderContext(problem, ubar)
     adj, grad = context.adjoint, context.gradient

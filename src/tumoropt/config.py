@@ -50,19 +50,17 @@ _DEFAULTS: dict = {
     "output": {"out_dir": "out", "snapshot_times": None},
 }
 
-# field-spec values (number | expression | {file: ...} | null) are resolved
-# later with grid context; everything else is a plain scalar or list
-_FIELD_KEYS = {
+# entries that a mapping replaces whole instead of merging into key by key:
+# the shape blocks, whose keys depend on their `shape`, and the field specs
+# (number | expression | {file: ...} | null), resolved later with grid context
+_REPLACE_KEYS = {
+    "nonlinearity.P", "nonlinearity.h",
     "cost.target_Q", "cost.target_Omega",
     "control.initial.u1", "control.initial.u2",
     "control.bounds.lower1", "control.bounds.upper1",
     "control.bounds.lower2", "control.bounds.upper2",
     "initial.mu0", "initial.phi0", "initial.sigma0",
 }
-
-# dict-valued entries whose keys depend on a discriminator; overriding them
-# replaces the whole mapping instead of merging key by key
-_REPLACE_KEYS = _FIELD_KEYS | {"nonlinearity.P", "nonlinearity.h"}
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +209,9 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"))
 
 
-def apply_override(cfg: dict, assignment: str) -> None:
-    """Apply one `--set key.path=value` assignment in place."""
+def override_layer(assignment: str) -> dict:
+    """The one-key nested mapping that `key.path=value` spells: it merges
+    onto the config as the same mapping written in the file would."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     key, _, raw = assignment.partition("=")
@@ -221,16 +220,9 @@ def apply_override(cfg: dict, assignment: str) -> None:
         value = yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError:
         raise ConfigError(f"override {key}: cannot parse value {raw!r}")
-    node = cfg
-    parts = key.split(".")
-    for i, part in enumerate(parts[:-1]):
-        here = ".".join(parts[:i + 1])
-        if not isinstance(node.get(part), dict) or here in _REPLACE_KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key '{key}'")
-    node[parts[-1]] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
 @dataclass(eq=False)
@@ -265,11 +257,13 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str | Path = ".",
                   overrides: tuple[str, ...] = ()) -> "RunConfig":
+        """Merge `raw`, then each `key.path=value` of `overrides` in turn,
+        onto the defaults."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping of blocks")
         merged = deep_merge(_DEFAULTS, raw)
         for assignment in overrides:
-            apply_override(merged, assignment)
+            merged = deep_merge(merged, override_layer(assignment))
         return cls(base_dir=Path(base_dir), **merged)
 
     def resolved(self) -> dict:
@@ -428,18 +422,6 @@ def _field(value, grid: Grid, base_dir: Path, key: str,
                       "or {file: path}")
 
 
-def _bound_field(value, grid: Grid, tgrid: TimeGrid, base_dir: Path,
-                 key: str, default: float):
-    """A numeric bound (+-inf allowed, NaN not) or a finite field."""
-    if value is None:
-        return default
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if math.isnan(value):
-            raise ConfigError(f"{key} must not be NaN")
-        return float(value)
-    return _field(value, grid, base_dir, key, tgrid)
-
-
 @dataclass(eq=False)
 class RunSetup:
     """Solver-ready objects resolved from one RunConfig."""
@@ -468,8 +450,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     with _prefixed("model"):
         params = ModelParams(alpha=_number(cfg.model, "model", "alpha"),
                              beta=_number(cfg.model, "model", "beta"),
-                             chi=_number(cfg.model, "model", "chi"),
-                             T=t_final)
+                             chi=_number(cfg.model, "model", "chi"))
 
     potential = build_potential(cfg.potential)
     nonlin = build_nonlinearity(cfg.nonlinearity)
@@ -485,13 +466,11 @@ def build_setup(cfg: RunConfig) -> RunSetup:
             target_Omega=_field(cb["target_Omega"], grid, cfg.base_dir,
                                 "cost.target_Omega"))
 
-    def spatial(block, name, key):
-        out = _field(block[key], grid, cfg.base_dir, f"{name}.{key}")
+    def initial(key):
+        out = _field(cfg.initial[key], grid, cfg.base_dir, f"initial.{key}")
         return np.zeros(grid.n) if out is None else out
 
-    init = InitialData(mu0=spatial(cfg.initial, "initial", "mu0"),
-                       phi0=spatial(cfg.initial, "initial", "phi0"),
-                       sigma0=spatial(cfg.initial, "initial", "sigma0"))
+    init = InitialData(*map(initial, ("mu0", "phi0", "sigma0")))
 
     sb = cfg.solver
     yosida_eps = _number(sb, "solver", "yosida_eps", positive=True,
@@ -517,25 +496,29 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    bounds = cfg.control["bounds"]
-    with _prefixed("control.bounds"):
-        box = BoxConstraints(
-            lower1=_bound_field(bounds["lower1"], grid, tgrid, cfg.base_dir,
-                                "control.bounds.lower1", -np.inf),
-            upper1=_bound_field(bounds["upper1"], grid, tgrid, cfg.base_dir,
-                                "control.bounds.upper1", np.inf),
-            lower2=_bound_field(bounds["lower2"], grid, tgrid, cfg.base_dir,
-                                "control.bounds.lower2", -np.inf),
-            upper2=_bound_field(bounds["upper2"], grid, tgrid, cfg.base_dir,
-                                "control.bounds.upper2", np.inf))
+    def bound(key, default):
+        """A numeric bound (+-inf allowed, NaN not) or a finite field."""
+        value, name = cfg.control["bounds"][key], f"control.bounds.{key}"
+        if value is None:
+            return default
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if math.isnan(value):
+                raise ConfigError(f"{name} must not be NaN")
+            return float(value)
+        return _field(value, grid, cfg.base_dir, name, tgrid)
 
-    guess = cfg.control["initial"]
-    n_levels = tgrid.steps + 1
-    u1 = _field(guess["u1"], grid, cfg.base_dir, "control.initial.u1", tgrid)
-    u2 = _field(guess["u2"], grid, cfg.base_dir, "control.initial.u2", tgrid)
-    initial_control = Control(
-        u1=np.zeros((n_levels, grid.n)) if u1 is None else u1,
-        u2=np.zeros((n_levels, grid.n)) if u2 is None else u2)
+    with _prefixed("control.bounds"):
+        box = BoxConstraints(lower1=bound("lower1", -np.inf),
+                             upper1=bound("upper1", np.inf),
+                             lower2=bound("lower2", -np.inf),
+                             upper2=bound("upper2", np.inf))
+
+    def guess(key):
+        out = _field(cfg.control["initial"][key], grid, cfg.base_dir,
+                     f"control.initial.{key}", tgrid)
+        return np.zeros((tgrid.steps + 1, grid.n)) if out is None else out
+
+    initial_control = Control(guess("u1"), guess("u2"))
 
     ob = cfg.optimizer
     step_min = _number(ob, "optimizer", "step_min", positive=True)
@@ -574,7 +557,10 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     for t in snapshot_times:
         if not 0.0 <= t <= t_final + 1e-12:
             raise ConfigError(f"output.snapshot_times: {t} outside [0, T]")
-    output = {"out_dir": str(cfg.output["out_dir"]),
+    out_dir = cfg.output["out_dir"]
+    if out_dir is None or isinstance(out_dir, (list, dict)):
+        raise ConfigError(f"output.out_dir must be a path, got {out_dir!r}")
+    output = {"out_dir": str(out_dir),
               "snapshot_times": snapshot_times}
 
     return RunSetup(problem=problem, box=box, initial_control=initial_control,

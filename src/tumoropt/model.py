@@ -13,25 +13,22 @@ F1_eps'(r) = (r - prox_{eps F1}(r)) / eps.  Supported kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters: viscosities alpha, beta, chemotaxis chi, horizon T."""
+    """Physical parameters: viscosities alpha, beta and chemotaxis chi."""
 
     alpha: float
     beta: float
     chi: float
-    T: float
 
     def __post_init__(self):
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise ValueError("alpha and beta must be positive")
-        if self.T <= 0.0:
-            raise ValueError("final time T must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +36,15 @@ class PotentialSpec:
     kind: str
     k1: float = 2.0
     k2: float = 1.0
-    domain: tuple[float, float] = (-np.inf, np.inf)
     coefficients: np.ndarray | None = None
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        """The interval where F is finite: [-1, 1] for the logarithmic and
+        obstacle kinds, the whole line otherwise."""
+        if self.kind in ("logarithmic", "obstacle"):
+            return (-1.0, 1.0)
+        return (-np.inf, np.inf)
 
 
 def regular_potential() -> PotentialSpec:
@@ -50,13 +54,13 @@ def regular_potential() -> PotentialSpec:
 def logarithmic_potential(k1: float = 2.0) -> PotentialSpec:
     if k1 <= 1.0:
         raise ValueError("logarithmic potential needs k1 > 1")
-    return PotentialSpec(kind="logarithmic", k1=k1, domain=(-1.0, 1.0))
+    return PotentialSpec(kind="logarithmic", k1=k1)
 
 
 def obstacle_potential(k2: float = 1.0) -> PotentialSpec:
     if k2 <= 0.0:
         raise ValueError("obstacle potential needs k2 > 0")
-    return PotentialSpec(kind="obstacle", k2=k2, domain=(-1.0, 1.0))
+    return PotentialSpec(kind="obstacle", k2=k2)
 
 
 def custom_polynomial_potential(coefficients) -> PotentialSpec:
@@ -330,27 +334,27 @@ def table_shape(xs, ys) -> ScalarShape:
     return ScalarShape(kind="table", xs=xs, ys=ys)
 
 
+# the phase values on which the shapes are checked and their sups taken
+_PHI_SAMPLE = np.linspace(-2.0, 2.0, 401)
+
+
 @dataclass(frozen=True, eq=False)
 class NonlinearitySpec:
-    """Proliferation shape P and source distribution shape H with sup bounds."""
+    """Shapes P (proliferation) and H (source), with their sups on [-2, 2]."""
 
     P: ScalarShape
     H: ScalarShape
-    sup_P: float = field(default=0.0)
-    sup_H: float = field(default=0.0)
+
+    sup_P = property(lambda self: float(np.abs(self.P.eval(_PHI_SAMPLE)).max()))
+    sup_H = property(lambda self: float(np.abs(self.H.eval(_PHI_SAMPLE)).max()))
 
 
 def make_nonlinearity(P: ScalarShape, H: ScalarShape) -> NonlinearitySpec:
-    """Bundle P and H, checking that both are nonnegative and recording
-    their sup bounds."""
-    sample = np.linspace(-2.0, 2.0, 401)
-    bounds = []
+    """Bundle P and H, checking that both are nonnegative."""
     for shape, name in ((P, "P"), (H, "H")):
-        vals = shape.eval(sample, 0)
-        if np.any(vals < -1e-12):
+        if np.any(shape.eval(_PHI_SAMPLE) < -1e-12):
             raise ValueError(f"shape {name} must be nonnegative")
-        bounds.append(float(np.max(np.abs(vals))))
-    return NonlinearitySpec(P=P, H=H, sup_P=bounds[0], sup_H=bounds[1])
+    return NonlinearitySpec(P=P, H=H)
 
 
 # ---------------------------------------------------------------------------

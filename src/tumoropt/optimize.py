@@ -72,19 +72,19 @@ def reduced_gradient(ubar: Control, problem: ControlProblem,
     """
     if state is None:
         state = problem.solve(ubar)
-    adjoint = solve_adjoint(StepFactors(problem, state, ubar, cache_bytes=0))
-    return _gradient_field(problem, state, ubar, adjoint)
+    factors = StepFactors(problem, state, ubar, cache_bytes=0)
+    return _gradient_field(factors, solve_adjoint(factors))
 
 
-def _gradient_field(problem: ControlProblem, state: StateTrajectory,
-                    ubar: Control, adjoint: AdjointTrajectory
+def _gradient_field(factors: StepFactors, adjoint: AdjointTrajectory
                     ) -> GradientField:
-    """The gradient (-h(phi) p + b0 u1, r + b0 u2) from the adjoint at ubar."""
+    """The gradient (-h(phi) p + b0 u1, r + b0 u2) from the adjoint at the
+    linearization point of `factors`."""
     # level 0 of the multipliers is zero; 0.0 - x rather than -x keeps a
     # negated zero field from leaking -0.0
-    d1 = 0.0 - problem.nonlin.H.eval(state.phi) * adjoint.p
+    d1 = 0.0 - factors.h_phi * adjoint.p
     d2 = adjoint.r.copy()
-    b0 = problem.cost.b0
+    b0, ubar = factors.problem.cost.b0, factors.ubar
     return GradientField(d1=d1, d2=d2, grad1=b0 * ubar.u1 + d1,
                          grad2=b0 * ubar.u2 + d2)
 
@@ -290,8 +290,7 @@ class SecondOrderContext:
 
     @functools.cached_property
     def gradient(self) -> GradientField:
-        return _gradient_field(self.problem, self.state, self.ubar,
-                               self.adjoint)
+        return _gradient_field(self.factors, self.adjoint)
 
     def linearize(self, h: Control | Sequence[Control]
                   ) -> LinearizedTrajectory | list[LinearizedTrajectory]:

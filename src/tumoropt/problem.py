@@ -52,10 +52,6 @@ class ControlProblem:
     def __post_init__(self):
         n = self.grid.n
         n_levels = self.tgrid.steps + 1
-        if abs(self.tgrid.t_final - self.params.T) > 1e-12 * max(1.0, self.params.T):
-            raise ValueError(
-                f"time grid covers [0, {self.tgrid.t_final}] but the model "
-                f"horizon is T = {self.params.T}")
         if self.init.phi0.shape != (n,):
             raise ValueError(f"initial fields must have shape ({n},)")
         if self.cost.target_Q is not None and self.cost.target_Q.shape != (n_levels, n):

@@ -399,37 +399,37 @@ class _Lockstep:
         2 x_{k-1} - x_{k-2} of the two previous levels, unless it leaves
         the separation band or its residual is not finite; else at x_{k-1}.
         """
-        fresh = members
+        prev = _rows([s.prev for s in members])
+        guessed = [False] * len(members)
         if self.k > 1:
-            k = self.k
-            guess = (2.0 * _rows([s.prev for s in members])
-                     - _rows([x[k - 2] for x in self.xs]))
-            rows = [guess] if guess.ndim == 1 else list(guess)
-            inside = self._inside(guess)
-            if all(inside):
-                tried, fresh, z = members, [], guess
-            else:
-                tried = [s for s, ok in zip(members, inside) if ok]
-                fresh = [s for s, ok in zip(members, inside) if not ok]
-                z = _rows([rows[s.i] for s in tried]) if tried else None
-            if tried:
-                for s, res, rnorm in zip(tried, *self._residuals(tried, z)):
-                    if math.isfinite(rnorm):
-                        s.x, s.res, s.rnorm = rows[s.i], res, rnorm
-                    else:
-                        fresh.append(s)
-        if fresh:
-            z = (fresh[0].prev.copy() if len(fresh) == 1
-                 else np.array([s.prev for s in fresh]))
-            for s, x, res, rnorm in zip(fresh, [z] if z.ndim == 1 else z,
-                                        *self._residuals(fresh, z)):
-                s.x, s.res, s.rnorm = x, res, rnorm
+            guess = 2.0 * prev - _rows([x[self.k - 2] for x in self.xs])
+            guessed = self._inside(guess)
+        # one stacked residual call at the start points, then one at x_{k-1}
+        # for the members whose guess gave a residual that is not finite;
+        # the points are new arrays, as no iterate may alias a history row
+        if all(guessed):
+            z = guess
+        elif any(guessed):
+            z = np.where(np.array(guessed)[:, None], guess, prev)
+        else:
+            z = prev.copy()
+        self._begin(members, z)
+        retry = [s for s, ok in zip(members, guessed)
+                 if ok and not math.isfinite(s.rnorm)]
+        if retry:
+            self._begin(retry, _rows([s.prev for s in retry]).copy())
         self._test(members)
         for s in members:
             s.polish_left, s.it, s.n_lu = self.polish, 0, 0
             if not self.lag:
                 s.lu = None
         return members
+
+    def _begin(self, q: list, z: np.ndarray) -> None:
+        """Put the members of q at the rows of z, with their residuals."""
+        for s, x, res, rnorm in zip(q, [z] if z.ndim == 1 else z,
+                                    *self._residuals(q, z)):
+            s.x, s.res, s.rnorm = x, res, rnorm
 
     def _inside(self, x: np.ndarray) -> list:
         """Whether the phi of each row of x lies inside the separation band

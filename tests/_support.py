@@ -49,7 +49,7 @@ def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
     else:
         grid = build_grid(2, [nodes, ny], [1.0, 1.0])
     tgrid = TimeGrid(steps=steps, t_final=t_final)
-    params = ModelParams(alpha=alpha, beta=beta, chi=chi, T=t_final)
+    params = ModelParams(alpha=alpha, beta=beta, chi=chi)
     kinds = {"regular": regular_potential, "logarithmic": logarithmic_potential}
     if coupling == "none":
         nonlin = make_nonlinearity(constant_shape(0.0), constant_shape(0.0))
@@ -395,8 +395,8 @@ def ode_reduction_reference(problem: ControlProblem, u1_of_t, u2_of_t,
         return [dmu, dphi, dsigma]
 
     y0 = [float(f[0]) for f in problem.stepper.split(problem.init.stacked())]
-    sol = solve_ivp(rhs, (0.0, pr.T), y0, method="RK45", rtol=rtol, atol=atol,
-                    dense_output=False)
+    sol = solve_ivp(rhs, (0.0, problem.tgrid.t_final), y0, method="RK45",
+                    rtol=rtol, atol=atol, dense_output=False)
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
     return sol.y[:, -1]

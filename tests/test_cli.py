@@ -374,6 +374,61 @@ def test_seed_flag_reaches_reports(tmp_path):
     assert report["ssc"]["seed"] == 7
 
 
+def _outputs(out):
+    """Every output file's bytes, JSON reports without their timestamp."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            report = json.loads(path.read_text())
+            report.pop("timestamp")
+            files[path.name] = report
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_seed_flag_is_the_last_set_layer(tmp_path):
+    cfg = _write(tmp_path, COUPLED)
+    runs = {"flag": ["--seed", "7"], "set": ["--set", "ssc.seed=7"],
+            "both": ["--set", "ssc.seed=3", "--seed", "7"]}
+    for name, args in runs.items():
+        assert main(["analyze", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / name), "--quiet", *args]) == EXIT_OK
+    flag = _outputs(tmp_path / "flag")
+    assert flag == _outputs(tmp_path / "set") == _outputs(tmp_path / "both")
+    assert flag["ssc_report.json"]["ssc"]["seed"] == 7
+    assert yaml.safe_load(flag["resolved_config.yaml"])["ssc"]["seed"] == 7
+
+
+TABLE = "{shape: table, xs: [-1, 0, 1], ys: [0, 0.5, 1]}"
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("key", ["nonlinearity.P", "nonlinearity.h"])
+def test_table_shape_without_curvature_is_config_error(tmp_path, capsys,
+                                                       command, key):
+    cfg = _write(tmp_path, COUPLED)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet", "--set", f"{key}={TABLE}"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(f"config error: {key}: a table shape has no "
+                          "second derivative")
+    assert list(out.iterdir()) == []
+
+
+def test_table_shape_runs_analyze_without_curvature(tmp_path):
+    # final-time tracking skips the curvature sampling
+    cfg = _write(tmp_path, COUPLED)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet", "--set", f"nonlinearity.h={TABLE}",
+                 "--set", "cost.b2=0.5"]) == EXIT_OK
+    report = json.loads((out / "ssc_report.json").read_text())
+    assert report["ssc"] is None
+
+
 def test_unknown_override_key_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, ZERO)
     code = main(["simulate", "--config", str(cfg), "--out-dir",
@@ -563,6 +618,11 @@ FUZZ_FIELDS = (("initial.phi0", False), ("initial.mu0", False),
                ("control.initial.u1", True), ("cost.target_Q", True))
 FUZZ_WRONG_TYPES = ("[1, 2]", "{a: 1}", "true", "abc", "'0.5'", "null")
 FUZZ_COMMANDS = ("simulate", "optimize", "analyze", "verify")
+# every top-level block and the shape blocks must be mappings
+FUZZ_BLOCKS = ("grid", "time", "model", "potential", "nonlinearity", "cost",
+               "control", "initial", "solver", "optimizer", "ssc", "output",
+               "nonlinearity.P", "nonlinearity.h")
+FUZZ_NON_MAPPINGS = (("null", "null"), ("list", "[1, 2]"), ("number", "3"))
 
 
 def _fuzz_table(seed=20201):
@@ -591,6 +651,8 @@ def _fuzz_table(seed=20201):
                  ("solver.max_backtracks", "zero", "0"),
                  ("optimizer.max_backtracks", "zero", "0")])
     rows.append(("solver.separation_margin", "empty-band", "2"))
+    rows.extend((key, kind, value) for key in FUZZ_BLOCKS
+                for kind, value in FUZZ_NON_MAPPINGS)
     return [(f"{key}-{kind}", str(rng.choice(FUZZ_COMMANDS)), key, kind, value)
             for key, kind, value in rows]
 
@@ -635,5 +697,7 @@ def test_malformed_override_keeps_error_contract(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_GATE), err
     assert "Traceback" not in err
+    if key in FUZZ_BLOCKS:
+        assert code == EXIT_CONFIG, err
     if code == EXIT_CONFIG:
         assert not out.exists() or list(out.iterdir()) == []

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from tumoropt import ConfigError, build_grid
-from tumoropt.config import (RunConfig, apply_override, build_setup,
+from tumoropt.config import (RunConfig, build_setup,
                              compile_expression, deep_merge,
                              read_space_time_csv, read_spatial_csv)
 from tumoropt.state import TimeGrid
@@ -53,6 +53,33 @@ def test_override_assignments():
     assert cfg.model["chi"] == 0.7
     assert cfg.grid["shape"] == [17]
     assert cfg.time["steps"] == 8
+
+
+def test_override_merges_like_the_file(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("solver: {newton_tol: 1.0e-10}\n")
+    by_set = RunConfig.from_dict({}, overrides=(
+        "solver={newton_tol: 1e-10}",))
+    by_file = RunConfig.from_file(path)
+    assert by_set.solver == by_file.solver
+    assert by_set.solver == {**RunConfig.from_dict({}).solver,
+                             "newton_tol": 1e-10}
+    assert build_setup(by_set).problem.options.newton_tol == 1e-10
+
+
+@pytest.mark.parametrize("value", ["null", "[1, 2]", "3"])
+def test_blocks_must_be_mappings(value):
+    with pytest.raises(ConfigError, match="'solver' must be a mapping"):
+        RunConfig.from_dict({}, overrides=(f"solver={value}",))
+    with pytest.raises(ConfigError, match="'solver' must be a mapping"):
+        RunConfig.from_dict({"solver": yaml.safe_load(value)})
+
+
+@pytest.mark.parametrize("value", [None, ["a", "b"], {"path": "a"}])
+def test_out_dir_must_be_a_path(value):
+    cfg = _small(output={"out_dir": value})
+    with pytest.raises(ConfigError, match="output.out_dir must be a path"):
+        build_setup(cfg)
 
 
 EXPONENT_CASES = [("solver.newton_tol", "1e-10", 1e-10),

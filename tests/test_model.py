@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
-                      ModelParams, Stepper, build_grid, bump_shape,
+                      ModelParams, NonlinearitySpec, PotentialSpec, Stepper,
+                      TimeGrid, build_grid, bump_shape,
                       constant_shape, custom_polynomial_potential,
                       logarithmic_potential, make_nonlinearity,
                       obstacle_potential, project_admissible, prox_f1,
@@ -28,7 +29,7 @@ def run_potential(pot):
     """The potential evaluator of a run: `Stepper.potential_eval`."""
     nonlin = make_nonlinearity(constant_shape(0.0), constant_shape(0.0))
     stepper = Stepper(build_grid(1, [3], [1.0]),
-                      ModelParams(alpha=1.0, beta=1.0, chi=0.0, T=1.0),
+                      ModelParams(alpha=1.0, beta=1.0, chi=0.0),
                       pot, nonlin, 0.1)
     return stepper.potential_eval
 
@@ -319,6 +320,24 @@ def test_make_nonlinearity_rejects_negative_shapes():
         make_nonlinearity(table_shape([-1, 1], [-0.5, 1.0]), ramp_shape())
 
 
+def test_sup_bounds_derive_from_the_shapes():
+    P, H = bump_shape(scale=0.6, center=0.1, width=0.8), ramp_shape()
+    direct, checked = NonlinearitySpec(P, H), make_nonlinearity(P, H)
+    assert direct.sup_P == checked.sup_P == 0.6
+    assert direct.sup_H == checked.sup_H == 1.0
+    grid, params = build_grid(1, [9], [1.0]), ModelParams(1.0, 1.0, 0.3)
+    scales = [Stepper(grid, params, regular_potential(), nonlin, 0.1).coef_scale
+              for nonlin in (direct, checked)]
+    assert scales[0] == scales[1]
+
+
+@pytest.mark.parametrize("kind,domain", [
+    ("regular", (-np.inf, np.inf)), ("custom", (-np.inf, np.inf)),
+    ("logarithmic", (-1.0, 1.0)), ("obstacle", (-1.0, 1.0))])
+def test_potential_domain_follows_its_kind(kind, domain):
+    assert PotentialSpec(kind=kind).domain == domain
+
+
 def test_nonlinearity_eval_dispatch():
     nl = make_nonlinearity(constant_shape(0.4), ramp_shape())
     r = np.array([0.3])
@@ -365,9 +384,12 @@ def test_table_slope_matches_finite_differences_between_knots():
 
 def test_model_params_validation():
     with pytest.raises(ValueError):
-        ModelParams(alpha=0.0, beta=1.0, chi=0.0, T=1.0)
+        ModelParams(alpha=0.0, beta=1.0, chi=0.0)
     with pytest.raises(ValueError):
-        ModelParams(alpha=1.0, beta=1.0, chi=0.0, T=0.0)
+        ModelParams(alpha=1.0, beta=0.0, chi=0.0)
+    # the horizon T is the time grid's
+    with pytest.raises(ValueError, match="final time"):
+        TimeGrid(steps=4, t_final=0.0)
 
 
 def test_cost_spec_validation():

@@ -71,7 +71,7 @@ def test_cost_closed_form_constant_misfit():
     x = pr.grid.coordinates()[:, 0]
     qdens = np.trapezoid((0.3 * np.cos(np.pi * x))**2, x)
     odens = np.trapezoid((0.1 * np.sin(np.pi * x))**2, x)
-    expected = 0.5 * 2.0 * pr.params.T * qdens + 0.5 * 0.5 * odens
+    expected = 0.5 * 2.0 * pr.tgrid.t_final * qdens + 0.5 * 0.5 * odens
     assert j == pytest.approx(expected, rel=1e-13)
 
 

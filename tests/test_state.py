@@ -61,7 +61,7 @@ def test_mass_identity_1d(potential, rng):
 def test_mass_identity_2d():
     grid = build_grid(2, [9, 9], [1.0, 1.0])
     tgrid = TimeGrid(steps=6, t_final=0.3)
-    params = ModelParams(alpha=1.0, beta=0.8, chi=0.3, T=0.3)
+    params = ModelParams(alpha=1.0, beta=0.8, chi=0.3)
     nonlin = make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape())
     xy = grid.coordinates()
     init = InitialData(
@@ -366,7 +366,7 @@ def _problem_2d(potential="logarithmic", yosida_eps=None,
         sigma0=np.full(grid.n, 0.1))
     return ControlProblem(
         grid=grid, tgrid=TimeGrid(steps=steps, t_final=0.1),
-        params=ModelParams(alpha=1.0, beta=0.8, chi=0.3, T=0.1),
+        params=ModelParams(alpha=1.0, beta=0.8, chi=0.3),
         potential=kinds[potential](),
         nonlin=make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape()),
         cost=CostSpec(b0=1.0), init=init,
@@ -895,6 +895,34 @@ def test_nan_first_backtracking_trial_gives_way_to_a_finite_one(monkeypatch):
     assert np.isfinite(traj.x).all()
     points.clear()
     _assert_trajectories_equal(traj, solve_states_per_member(pr, [u])[0])
+
+
+def test_batch_member_with_non_finite_guess_residual_restarts(monkeypatch):
+    # the start points of a batch share one stacked residual call; only the
+    # member whose guess gives a residual that is not finite asks again,
+    # at x_{k-1}, and every member keeps its lone march
+    pr = make_problem(potential="regular", steps=4)
+    controls = _batch_controls(pr)[:3]
+    x = solve_state(pr, controls[1]).x
+    bad = (2.0 * x[1] - x[0]).tobytes()
+    residual, hits = Stepper.residual, []
+
+    def nan_at_bad_guess(self, z, *args):
+        out = residual(self, z, *args)
+        for row, res in zip(np.atleast_2d(z), np.atleast_2d(out)):
+            if row.tobytes() == bad:
+                res[:] = np.nan
+                hits.append(z.shape)
+        return out
+
+    monkeypatch.setattr(Stepper, "residual", nan_at_bad_guess)
+    batch = solve_states(pr, controls)
+    assert hits == [(3, x.shape[1])]
+    hits.clear()
+    for u, got in zip(controls, batch):
+        _assert_trajectories_equal(got, solve_state(pr, u))
+        _assert_trajectories_equal(got, solve_states_per_member(pr, [u])[0])
+    assert hits == [x.shape[1:]] * 2
 
 
 def test_non_finite_control_is_solver_error():

@@ -57,7 +57,7 @@ def _stepper(potential, dim, coupling):
         # chi = 0 and P = h = 0: whole reaction blocks vanish
         chi = 0.0
         nonlin = make_nonlinearity(constant_shape(0.0), constant_shape(0.0))
-    params = ModelParams(alpha=1.0, beta=0.8, chi=chi, T=1.0)
+    params = ModelParams(alpha=1.0, beta=0.8, chi=chi)
     make, eps = POTENTIALS[potential]
     return Stepper(grid, params, make(), nonlin, 0.02, yosida_eps=eps)
 

@@ -196,7 +196,7 @@ def test_refine_problem_2d():
     lin = 0.3 * xy[:, 0] + 0.1 * xy[:, 1]
     pr = ControlProblem(
         grid=grid, tgrid=TimeGrid(2, 0.2),
-        params=ModelParams(alpha=1.0, beta=1.0, chi=0.0, T=0.2),
+        params=ModelParams(alpha=1.0, beta=1.0, chi=0.0),
         potential=regular_potential(),
         nonlin=make_nonlinearity(constant_shape(0.0), constant_shape(0.0)),
         cost=CostSpec(b0=1.0), init=InitialData(lin, lin.copy(), lin.copy()))
@@ -345,8 +345,8 @@ def test_adjoint_residual_window_selection():
     rep = adjoint_continuous_residual(
         SecondOrderContext(pr, smooth_control(pr)), cut=0.4)
     t_mid = 0.5 * (pr.tgrid.times[:-1] + pr.tgrid.times[1:])
-    assert np.all(t_mid[rep.levels] >= 0.4 * pr.params.T)
-    assert np.all(t_mid[rep.levels] <= 0.6 * pr.params.T)
+    assert np.all(t_mid[rep.levels] >= 0.4 * pr.tgrid.t_final)
+    assert np.all(t_mid[rep.levels] <= 0.6 * pr.tgrid.t_final)
 
 
 def test_adjoint_residual_forms_agree_to_leading_order():
@@ -426,7 +426,7 @@ def _tracking_problem_2d():
     target = 0.3 * np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1] / 0.8)
     return ControlProblem(
         grid=grid, tgrid=tgrid,
-        params=ModelParams(alpha=1.0, beta=0.8, chi=0.3, T=0.4),
+        params=ModelParams(alpha=1.0, beta=0.8, chi=0.3),
         potential=logarithmic_potential(),
         nonlin=make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape()),
         cost=CostSpec(b0=1.0, b1=2.0, target_Q=np.tile(target, (9, 1))),
