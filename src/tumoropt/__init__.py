@@ -11,12 +11,8 @@ from .config import RunConfig, RunSetup, build_setup, compile_expression
 from .errors import ConfigError, SeparationViolation, SolverError
 from .grid import Grid, build_grid, inner
 from .model import (BoxConstraints, Control, CostSpec, ModelParams,
-                    NonlinearitySpec, PotentialSpec, ScalarShape, bump_shape,
-                    constant_shape, custom_polynomial_potential,
-                    logarithmic_potential, make_nonlinearity,
-                    obstacle_potential, project_admissible, prox_f1,
-                    ramp_shape, regular_potential, table_shape, unbounded_box,
-                    yosida_eval, zero_control)
+                    NonlinearitySpec, PotentialSpec, ScalarShape,
+                    project_admissible, prox_f1, yosida_eval, zero_control)
 from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
                        SecondOrderContext, SscReport, cone_project, cost_eval,
                        default_tau, projected_gradient, reduced_gradient,

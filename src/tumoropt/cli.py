@@ -43,8 +43,8 @@ def main(argv=None) -> int:
         _prepare_out_dir(out_dir, force=args.force)
         runner = {"simulate": _run_simulate, "optimize": _run_optimize,
                   "verify": _run_verify, "analyze": _run_analyze}[args.command]
-        # the first solve builds the step operator, which may still reject
-        # the configuration (an obstacle potential without yosida_eps); the
+        # a run may still meet a config error (a trivial critical cone at
+        # ssc.tau, a strong-form window too narrow for time.steps); the
         # resolved config is written only once the run got through, so a
         # config error leaves the directory empty for a rerun
         code = runner(setup, out_dir, say)

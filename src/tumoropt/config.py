@@ -21,11 +21,7 @@ import yaml
 from .errors import ConfigError
 from .grid import Grid, build_grid
 from .model import (BoxConstraints, Control, CostSpec, ModelParams,
-                    NonlinearitySpec, PotentialSpec, ScalarShape, bump_shape,
-                    constant_shape, custom_polynomial_potential,
-                    logarithmic_potential, make_nonlinearity,
-                    obstacle_potential, ramp_shape, regular_potential,
-                    table_shape)
+                    NonlinearitySpec, PotentialSpec, ScalarShape)
 from .optimize import PgdOptions
 from .problem import ControlProblem
 from .state import InitialData, SolverOptions, TimeGrid
@@ -314,69 +310,63 @@ def _checked(value, name: str, *, positive=False, nonnegative=False,
 
 
 @contextlib.contextmanager
-def _prefixed(block_name: str):
-    """Re-raise a library ValueError or TypeError as a ConfigError naming
-    `block_name`; a ConfigError already names its key and passes unchanged."""
+def _prefixed(key: str, **renames: str):
+    """Re-raise a library ValueError or TypeError as a ConfigError naming the
+    dotted key.  The message starts with the name of the offending field,
+    which `renames` maps to its config entry where the two differ; a
+    ConfigError already names its key and passes unchanged."""
     try:
         yield
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{block_name}: {exc}") from None
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{key}.{renames.get(name, name)} {rest}") from None
+
+
+# the entries a shape block may hold beside `shape`, by kind; a bump's are
+# optional and default to ScalarShape's
+_SHAPE_ENTRIES = {"constant": ("value",), "ramp": (),
+                  "bump": ("scale", "center", "width"), "table": ("xs", "ys")}
 
 
 def _build_shape(block: dict, key: str) -> ScalarShape:
     if not isinstance(block, dict) or "shape" not in block:
         raise ConfigError(f"{key} must be a mapping with a 'shape' entry")
     kind = block["shape"]
-    allowed = {"constant": {"shape", "value"},
-               "ramp": {"shape"},
-               "bump": {"shape", "scale", "center", "width"},
-               "table": {"shape", "xs", "ys"}}
-    if kind not in allowed:
-        raise ConfigError(f"{key}.shape must be one of {sorted(allowed)}")
-    extra = set(block) - allowed[kind]
+    # an unknown kind reads no entry, and ScalarShape rejects it
+    entries = _SHAPE_ENTRIES.get(kind, ()) if isinstance(kind, str) else ()
+    fields = {}
+    for name in entries:
+        if name in ("xs", "ys"):
+            fields[name] = _numbers(block, key, name)
+        elif name in block or kind != "bump":
+            fields[name] = _number(block, key, name)
+    with _prefixed(key, kind="shape"):
+        shape = ScalarShape(kind=kind, **fields)
+    extra = set(block) - {"shape", *entries}
     if extra:
         raise ConfigError(f"{key}: unexpected entries {sorted(extra)} "
                           f"for shape '{kind}'")
-    with _prefixed(key):
-        if kind == "constant":
-            return constant_shape(_number(block, key, "value", nonnegative=True))
-        if kind == "ramp":
-            return ramp_shape()
-        if kind == "bump":
-            bump = {"scale": 1.0, "center": 0.0, "width": 1.0, **block}
-            return bump_shape(scale=_number(bump, key, "scale"),
-                              center=_number(bump, key, "center"),
-                              width=_number(bump, key, "width"))
-        return table_shape(_numbers(block, key, "xs"),
-                           _numbers(block, key, "ys"))
+    return shape
 
 
 def build_potential(block: dict) -> PotentialSpec:
-    kind = block.get("kind")
+    coefficients = block.get("coefficients")
+    if coefficients is not None:
+        coefficients = _numbers(block, "potential", "coefficients")
     with _prefixed("potential"):
-        if kind == "regular":
-            return regular_potential()
-        if kind == "logarithmic":
-            return logarithmic_potential(k1=_number(block, "potential", "k1"))
-        if kind == "obstacle":
-            return obstacle_potential(k2=_number(block, "potential", "k2"))
-        if kind == "custom":
-            if block.get("coefficients") is None:
-                raise ConfigError("potential.coefficients is required for "
-                                  "kind 'custom'")
-            return custom_polynomial_potential(
-                _numbers(block, "potential", "coefficients"))
-    raise ConfigError("potential.kind must be one of "
-                      "['regular', 'logarithmic', 'obstacle', 'custom']")
+        return PotentialSpec(kind=block.get("kind"),
+                             k1=_number(block, "potential", "k1"),
+                             k2=_number(block, "potential", "k2"),
+                             coefficients=coefficients)
 
 
 def build_nonlinearity(block: dict) -> NonlinearitySpec:
     shape_p = _build_shape(block["P"], "nonlinearity.P")
     shape_h = _build_shape(block["h"], "nonlinearity.h")
-    with _prefixed("nonlinearity"):
-        return make_nonlinearity(shape_p, shape_h)
+    with _prefixed("nonlinearity", H="h"):
+        return NonlinearitySpec(shape_p, shape_h)
 
 
 def _finite(values: np.ndarray, key: str) -> np.ndarray:
@@ -437,15 +427,15 @@ class RunSetup:
 
 def build_setup(cfg: RunConfig) -> RunSetup:
     gb = cfg.grid
-    dim = _number(gb, "grid", "dim", integer=True)
-    shape = _numbers(gb, "grid", "shape", positive=True, integer=True)
-    lengths = _numbers(gb, "grid", "lengths", positive=True)
     with _prefixed("grid"):
-        grid = build_grid(dim, shape, lengths)
+        grid = build_grid(_number(gb, "grid", "dim", integer=True),
+                          _numbers(gb, "grid", "shape", integer=True),
+                          _numbers(gb, "grid", "lengths"))
 
-    t_final = _number(cfg.time, "time", "T", positive=True)
-    steps = _number(cfg.time, "time", "steps", positive=True, integer=True)
-    tgrid = TimeGrid(steps=steps, t_final=t_final)
+    with _prefixed("time", t_final="T"):
+        tgrid = TimeGrid(
+            steps=_number(cfg.time, "time", "steps", integer=True),
+            t_final=_number(cfg.time, "time", "T"))
 
     with _prefixed("model"):
         params = ModelParams(alpha=_number(cfg.model, "model", "alpha"),
@@ -458,9 +448,9 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     cb = cfg.cost
     with _prefixed("cost"):
         cost = CostSpec(
-            b0=_number(cb, "cost", "b0", positive=True),
-            b1=_number(cb, "cost", "b1", nonnegative=True),
-            b2=_number(cb, "cost", "b2", nonnegative=True),
+            b0=_number(cb, "cost", "b0"),
+            b1=_number(cb, "cost", "b1"),
+            b2=_number(cb, "cost", "b2"),
             target_Q=_field(cb["target_Q"], grid, cfg.base_dir,
                             "cost.target_Q", tgrid),
             target_Omega=_field(cb["target_Omega"], grid, cfg.base_dir,
@@ -473,21 +463,18 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     init = InitialData(*map(initial, ("mu0", "phi0", "sigma0")))
 
     sb = cfg.solver
-    yosida_eps = _number(sb, "solver", "yosida_eps", positive=True,
-                         optional=True)
-    options = SolverOptions(
-        newton_tol=_number(sb, "solver", "newton_tol", positive=True),
-        newton_max_iter=_number(sb, "solver", "newton_max_iter",
-                                positive=True, integer=True),
-        max_backtracks=_number(sb, "solver", "max_backtracks",
-                               positive=True, integer=True),
-        separation_margin=_number(sb, "solver", "separation_margin",
-                                  nonnegative=True),
-        yosida_eps=yosida_eps,
-        polish_steps=_number(sb, "solver", "polish_steps",
-                             nonnegative=True, integer=True),
-        energy_blowup_factor=_number(sb, "solver", "energy_blowup_factor",
-                                     positive=True))
+    with _prefixed("solver"):
+        options = SolverOptions(
+            newton_tol=_number(sb, "solver", "newton_tol"),
+            newton_max_iter=_number(sb, "solver", "newton_max_iter",
+                                    integer=True),
+            max_backtracks=_number(sb, "solver", "max_backtracks",
+                                   integer=True),
+            separation_margin=_number(sb, "solver", "separation_margin"),
+            yosida_eps=_number(sb, "solver", "yosida_eps", optional=True),
+            polish_steps=_number(sb, "solver", "polish_steps", integer=True),
+            energy_blowup_factor=_number(sb, "solver",
+                                         "energy_blowup_factor"))
 
     try:
         problem = ControlProblem(grid=grid, tgrid=tgrid, params=params,
@@ -497,15 +484,14 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         raise ConfigError(str(exc))
 
     def bound(key, default):
-        """A numeric bound (+-inf allowed, NaN not) or a finite field."""
-        value, name = cfg.control["bounds"][key], f"control.bounds.{key}"
+        """A numeric bound (+-inf allowed) or a finite field."""
+        value = cfg.control["bounds"][key]
         if value is None:
             return default
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if math.isnan(value):
-                raise ConfigError(f"{name} must not be NaN")
             return float(value)
-        return _field(value, grid, cfg.base_dir, name, tgrid)
+        return _field(value, grid, cfg.base_dir, f"control.bounds.{key}",
+                      tgrid)
 
     with _prefixed("control.bounds"):
         box = BoxConstraints(lower1=bound("lower1", -np.inf),
@@ -521,24 +507,13 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     initial_control = Control(guess("u1"), guess("u2"))
 
     ob = cfg.optimizer
-    step_min = _number(ob, "optimizer", "step_min", positive=True)
-    step_max = _number(ob, "optimizer", "step_max", positive=True)
-    if step_min > step_max:
-        raise ConfigError(
-            f"optimizer.step_min must not exceed optimizer.step_max, got "
-            f"{step_min} > {step_max}")
-    pgd = PgdOptions(
-        tol=_number(ob, "optimizer", "tol", positive=True),
-        max_iter=_number(ob, "optimizer", "max_iter", positive=True,
-                         integer=True),
-        initial_step=_number(ob, "optimizer", "initial_step", positive=True),
-        armijo_c=_number(ob, "optimizer", "armijo_c", positive=True),
-        shrink=_number(ob, "optimizer", "shrink", positive=True),
-        max_backtracks=_number(ob, "optimizer", "max_backtracks",
-                               positive=True, integer=True),
-        step_min=step_min, step_max=step_max)
-    if not pgd.shrink < 1.0:
-        raise ConfigError("optimizer.shrink must lie in (0, 1)")
+    with _prefixed("optimizer"):
+        pgd = PgdOptions(**{
+            name: _number(ob, "optimizer", name,
+                          integer=name in ("max_iter", "max_backtracks"))
+            for name in ("tol", "max_iter", "initial_step", "armijo_c",
+                         "shrink", "max_backtracks", "step_min",
+                         "step_max")})
 
     ssc = {"tau": _number(cfg.ssc, "ssc", "tau", nonnegative=True,
                           optional=True),
@@ -547,15 +522,12 @@ def build_setup(cfg: RunConfig) -> RunSetup:
            "seed": _number(cfg.ssc, "ssc", "seed", nonnegative=True,
                            integer=True)}
 
-    snapshot_times = cfg.output["snapshot_times"]
-    if snapshot_times is None:
-        snapshot_times = [0.0, t_final]
-    try:
-        snapshot_times = [float(t) for t in snapshot_times]
-    except (TypeError, ValueError):
-        raise ConfigError("output.snapshot_times must be a list of numbers")
+    if cfg.output["snapshot_times"] is None:
+        snapshot_times = [0.0, tgrid.t_final]
+    else:
+        snapshot_times = _numbers(cfg.output, "output", "snapshot_times")
     for t in snapshot_times:
-        if not 0.0 <= t <= t_final + 1e-12:
+        if not 0.0 <= t <= tgrid.t_final + 1e-12:
             raise ConfigError(f"output.snapshot_times: {t} outside [0, T]")
     out_dir = cfg.output["out_dir"]
     if out_dir is None or isinstance(out_dir, (list, dict)):

@@ -85,7 +85,7 @@ def build_grid(dim: int, shape: list[int] | tuple[int, ...],
             f"shape and lengths must hold numbers, got {list(shape)} and "
             f"{list(lengths)}")
     if not all(float(m).is_integer() for m in shape):
-        raise ValueError(f"node counts must be integers, got {list(shape)}")
+        raise ValueError(f"shape must hold integers, got {list(shape)}")
     shape = tuple(int(m) for m in shape)
     lengths = tuple(float(l) for l in lengths)
     if len(shape) != dim or len(lengths) != dim:
@@ -93,11 +93,11 @@ def build_grid(dim: int, shape: list[int] | tuple[int, ...],
             f"shape and lengths must have {dim} entries, got {len(shape)} and {len(lengths)}")
     for m in shape:
         if m < 3:
-            raise ValueError(f"need at least 3 nodes per axis, got {m}")
+            raise ValueError(f"shape needs at least 3 nodes per axis, got {m}")
     for l in lengths:
         if not (math.isfinite(l) and l > 0.0):
             raise ValueError(
-                f"domain lengths must be positive and finite, got {l}")
+                f"lengths must be positive and finite, got {l}")
 
     spacing = tuple(l / (m - 1) for m, l in zip(shape, lengths))
 

@@ -18,6 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_ranges(obj, *, positive=(), nonnegative=(), at_least_one=()):
+    """Raise a ValueError, starting with the field name, for the first named
+    field of `obj` outside its range: a `positive` field must exceed 0, a
+    `nonnegative` one must not fall below it and an `at_least_one` count
+    must be 1 or more.  A NaN lies outside every range."""
+    for names, inside, rule in (
+            (positive, lambda v: v > 0, "positive"),
+            (nonnegative, lambda v: v >= 0, "nonnegative"),
+            (at_least_one, lambda v: v >= 1, "at least 1")):
+        for name in names:
+            value = getattr(obj, name)
+            if not inside(value):
+                raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: viscosities alpha, beta and chemotaxis chi."""
@@ -27,16 +42,40 @@ class ModelParams:
     chi: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("alpha and beta must be positive")
+        check_ranges(self, positive=("alpha", "beta"))
+
+
+_POTENTIAL_KINDS = ("regular", "logarithmic", "obstacle", "custom")
 
 
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
+    """The double well F of one of the kinds above.  The logarithmic kind
+    needs k1 > 1 and the obstacle k2 > 0; the custom kind takes the
+    coefficients of F2 by increasing degree, kept as a read-only array."""
+
     kind: str
     k1: float = 2.0
     k2: float = 1.0
     coefficients: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in _POTENTIAL_KINDS:
+            raise ValueError(f"kind must be one of {list(_POTENTIAL_KINDS)}, "
+                             f"got {self.kind!r}")
+        if self.kind == "logarithmic" and not self.k1 > 1.0:
+            raise ValueError(f"k1 must exceed 1 for the logarithmic kind, "
+                             f"got {self.k1}")
+        if self.kind == "obstacle" and not self.k2 > 0.0:
+            raise ValueError(f"k2 must be positive for the obstacle kind, "
+                             f"got {self.k2}")
+        if self.kind == "custom":
+            coeffs = np.array(self.coefficients, dtype=float)
+            if coeffs.ndim != 1 or coeffs.size < 1:
+                raise ValueError("coefficients must be a non-empty 1-D "
+                                 "sequence for the custom kind")
+            coeffs.setflags(write=False)
+            object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -45,31 +84,6 @@ class PotentialSpec:
         if self.kind in ("logarithmic", "obstacle"):
             return (-1.0, 1.0)
         return (-np.inf, np.inf)
-
-
-def regular_potential() -> PotentialSpec:
-    return PotentialSpec(kind="regular")
-
-
-def logarithmic_potential(k1: float = 2.0) -> PotentialSpec:
-    if k1 <= 1.0:
-        raise ValueError("logarithmic potential needs k1 > 1")
-    return PotentialSpec(kind="logarithmic", k1=k1)
-
-
-def obstacle_potential(k2: float = 1.0) -> PotentialSpec:
-    if k2 <= 0.0:
-        raise ValueError("obstacle potential needs k2 > 0")
-    return PotentialSpec(kind="obstacle", k2=k2)
-
-
-def custom_polynomial_potential(coefficients) -> PotentialSpec:
-    coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size < 1:
-        raise ValueError("coefficients must be a non-empty 1-D sequence")
-    coeffs = coeffs.copy()
-    coeffs.setflags(write=False)
-    return PotentialSpec(kind="custom", coefficients=coeffs)
 
 
 def _f1_eval(spec: PotentialSpec, r: np.ndarray, order: int) -> np.ndarray:
@@ -165,7 +179,7 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
                 break
             s = np.where(live[..., None], s - g / (3.0 * eps * s**2 + 1.0), s)
         out = s
-    elif spec.kind == "logarithmic":
+    else:  # logarithmic
         # bracket strictly inside (-1, 1); for |r| so large that the root is
         # closer to +-1 than one ulp the endpoint is the representable answer
         edge = np.nextafter(1.0, 0.0)
@@ -190,8 +204,6 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
             s = np.where(done[..., None], s,
                          np.where(bad, 0.5 * (lo + hi), step))
         out = s
-    else:
-        raise ValueError(f"unknown potential kind {spec.kind!r}")
     return out if np.ndim(r) else float(out[0])
 
 
@@ -228,9 +240,15 @@ def yosida_eval(spec: PotentialSpec, eps: float, r, order: int = 1):
 # proliferation / distribution shapes
 
 
+_SHAPE_KINDS = ("bump", "constant", "ramp", "table")
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarShape:
-    """Scalar function of the phase variable with derivatives up to order 2."""
+    """Scalar function of the phase variable with derivatives up to order 2.
+
+    A bump needs scale >= 0 and width > 0; a table holds at least 2 points,
+    with strictly increasing `xs`, as read-only arrays."""
 
     kind: str
     value: float = 0.0
@@ -239,6 +257,24 @@ class ScalarShape:
     width: float = 1.0
     xs: np.ndarray | None = None
     ys: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in _SHAPE_KINDS:
+            raise ValueError(f"kind must be one of {list(_SHAPE_KINDS)}, "
+                             f"got {self.kind!r}")
+        if self.kind == "bump":
+            check_ranges(self, positive=("width",), nonnegative=("scale",))
+        if self.kind == "table":
+            xs = np.array(self.xs, dtype=float)
+            ys = np.array(self.ys, dtype=float)
+            if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+                raise ValueError("xs and ys must be matching 1-D sequences "
+                                 "of at least 2 points")
+            if np.any(np.diff(xs) <= 0.0):
+                raise ValueError("xs must be strictly increasing")
+            for name, values in (("xs", xs), ("ys", ys)):
+                values.setflags(write=False)
+                object.__setattr__(self, name, values)
 
     def eval(self, r, order: int = 0):
         if order not in (0, 1, 2):
@@ -250,10 +286,8 @@ class ScalarShape:
             out = _ramp_eval(arr, order)
         elif self.kind == "bump":
             out, = _bump_eval(self, arr, (order,))
-        elif self.kind == "table":
-            out = _table_eval(self.xs, self.ys, arr, order)
         else:
-            raise ValueError(f"unknown shape kind {self.kind!r}")
+            out = _table_eval(self.xs, self.ys, arr, order)
         return out if np.ndim(r) else float(out)
 
     def eval_orders(self, r: np.ndarray, orders: tuple[int, ...]
@@ -307,54 +341,26 @@ def _table_eval(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, order: int) -> np
     return np.where((r < xs[0]) | (r > xs[-1]), 0.0, out)
 
 
-def constant_shape(value: float) -> ScalarShape:
-    return ScalarShape(kind="constant", value=float(value))
-
-
-def ramp_shape() -> ScalarShape:
-    return ScalarShape(kind="ramp")
-
-
-def bump_shape(scale: float = 1.0, center: float = 0.0, width: float = 1.0) -> ScalarShape:
-    if scale < 0.0 or width <= 0.0:
-        raise ValueError("bump shape needs scale >= 0 and width > 0")
-    return ScalarShape(kind="bump", scale=float(scale), center=float(center),
-                       width=float(width))
-
-
-def table_shape(xs, ys) -> ScalarShape:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValueError("table shape needs matching 1-D xs, ys with >= 2 points")
-    if np.any(np.diff(xs) <= 0.0):
-        raise ValueError("table abscissae must be strictly increasing")
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return ScalarShape(kind="table", xs=xs, ys=ys)
-
-
 # the phase values on which the shapes are checked and their sups taken
 _PHI_SAMPLE = np.linspace(-2.0, 2.0, 401)
 
 
 @dataclass(frozen=True, eq=False)
 class NonlinearitySpec:
-    """Shapes P (proliferation) and H (source), with their sups on [-2, 2]."""
+    """Shapes P (proliferation) and H (source), both nonnegative, with their
+    sups on [-2, 2]."""
 
     P: ScalarShape
     H: ScalarShape
 
+    def __post_init__(self):
+        for name in ("P", "H"):
+            # a NaN fails the test as well
+            if not np.all(getattr(self, name).eval(_PHI_SAMPLE) >= -1e-12):
+                raise ValueError(f"{name} must be nonnegative on [-2, 2]")
+
     sup_P = property(lambda self: float(np.abs(self.P.eval(_PHI_SAMPLE)).max()))
     sup_H = property(lambda self: float(np.abs(self.H.eval(_PHI_SAMPLE)).max()))
-
-
-def make_nonlinearity(P: ScalarShape, H: ScalarShape) -> NonlinearitySpec:
-    """Bundle P and H, checking that both are nonnegative."""
-    for shape, name in ((P, "P"), (H, "H")):
-        if np.any(shape.eval(_PHI_SAMPLE) < -1e-12):
-            raise ValueError(f"shape {name} must be nonnegative")
-    return NonlinearitySpec(P=P, H=H)
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +378,11 @@ class CostSpec:
     target_Omega: np.ndarray | None = None   # (n,) final-time target
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.b0, self.b1, self.b2])):
-            raise ValueError("cost weights b0, b1, b2 must be finite")
-        for name in ("target_Q", "target_Omega"):
-            target = getattr(self, name)
-            if target is not None and not np.all(np.isfinite(target)):
+        for name in ("b0", "b1", "b2", "target_Q", "target_Omega"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        if self.b0 <= 0.0:
-            raise ValueError("control cost weight b0 must be positive")
-        if self.b1 < 0.0 or self.b2 < 0.0:
-            raise ValueError("tracking weights b1, b2 must be nonnegative")
+        check_ranges(self, positive=("b0",), nonnegative=("b1", "b2"))
 
 
 @dataclass(eq=False)
@@ -413,7 +414,8 @@ def zero_control(n_levels: int, n_nodes: int) -> Control:
 
 @dataclass(frozen=True, eq=False)
 class BoxConstraints:
-    """Pointwise bounds for both control components; entries may be +-inf."""
+    """Pointwise bounds for both control components; entries may be +-inf,
+    but a lower bound of +inf or an upper bound of -inf admits no control."""
 
     lower1: np.ndarray | float = -np.inf
     upper1: np.ndarray | float = np.inf
@@ -421,12 +423,16 @@ class BoxConstraints:
     upper2: np.ndarray | float = np.inf
 
     def __post_init__(self):
-        for lo, hi, tag in ((self.lower1, self.upper1, "1"),
-                            (self.lower2, self.upper2, "2")):
-            if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-                raise ValueError(f"component {tag}: bounds must not be NaN")
-            if np.any(np.asarray(lo) > np.asarray(hi)):
-                raise ValueError(f"component {tag}: lower bound exceeds upper bound")
+        for tag in ("1", "2"):
+            lo = np.asarray(getattr(self, "lower" + tag))
+            hi = np.asarray(getattr(self, "upper" + tag))
+            # a NaN fails both comparisons
+            if not np.all(lo < np.inf):
+                raise ValueError(f"lower{tag} must be below +inf and not NaN")
+            if not np.all(hi > -np.inf):
+                raise ValueError(f"upper{tag} must be above -inf and not NaN")
+            if np.any(lo > hi):
+                raise ValueError(f"lower{tag} must not exceed upper{tag}")
 
     def span(self) -> float:
         """Largest finite bound magnitude, used to scale boundary tolerances."""
@@ -435,10 +441,6 @@ class BoxConstraints:
         flat = np.concatenate(parts)
         flat = flat[np.isfinite(flat)]
         return float(np.max(np.abs(flat))) if flat.size else 1.0
-
-
-def unbounded_box() -> BoxConstraints:
-    return BoxConstraints()
 
 
 def project_admissible(u: Control, box: BoxConstraints) -> Control:

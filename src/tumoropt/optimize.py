@@ -20,7 +20,8 @@ import numpy as np
 from .adjoint import AdjointTrajectory, solve_adjoint
 from .errors import ConfigError
 from .grid import inner
-from .model import BoxConstraints, Control, project_admissible
+from .model import (BoxConstraints, Control, check_ranges,
+                    project_admissible)
 from .problem import (ControlProblem, control_inner, control_norm, st_inner)
 from .sensitivity import (LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
@@ -114,11 +115,14 @@ class PgdOptions:
     step_max: float = 1e12
 
     def __post_init__(self):
-        # every descent iteration takes at least one Armijo trial, and the
-        # Barzilai-Borwein step is clamped into [step_min, step_max]
-        if self.max_backtracks < 1:
-            raise ValueError(
-                f"max_backtracks must be at least 1, got {self.max_backtracks}")
+        # every descent iteration takes at least one Armijo trial, each
+        # backtrack shortens the step, and the Barzilai-Borwein step is
+        # clamped into [step_min, step_max]
+        check_ranges(self, positive=("tol", "initial_step", "armijo_c",
+                                     "step_min", "step_max"),
+                     at_least_one=("max_iter", "max_backtracks"))
+        if not 0.0 < self.shrink < 1.0:
+            raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
         if self.step_min > self.step_max:
             raise ValueError(
                 f"step_min must not exceed step_max, got {self.step_min} > "

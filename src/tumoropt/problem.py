@@ -60,6 +60,10 @@ class ControlProblem:
                 f"got {self.cost.target_Q.shape}")
         if self.cost.target_Omega is not None and self.cost.target_Omega.shape != (n,):
             raise ValueError(f"target_Omega must have shape ({n},)")
+        if self.potential.kind == "obstacle" and self.options.yosida_eps is None:
+            raise ValueError(
+                "the obstacle potential can only be stepped through its "
+                "Yosida regularization; set a positive yosida_eps")
         if separation_guarded(self.potential, self.options.yosida_eps):
             lo, hi = self.potential.domain
             margin = self.options.separation_margin

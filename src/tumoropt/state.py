@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SeparationViolation, SolverError
-from .model import Control
+from .model import Control, check_ranges
 from .stepper import Stepper
 
 if TYPE_CHECKING:
@@ -38,10 +38,10 @@ class TimeGrid:
     t_final: float
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("need at least one time step")
-        if self.t_final <= 0.0:
-            raise ValueError("final time must be positive")
+        check_ranges(self, at_least_one=("steps",))
+        if not self.t_final > 0.0:
+            raise ValueError(f"t_final (the final time) must be positive, "
+                             f"got {self.t_final}")
 
     @property
     def dt(self) -> float:
@@ -125,9 +125,12 @@ class SolverOptions:
 
     def __post_init__(self):
         # every damped Newton step takes at least one trial
-        if self.max_backtracks < 1:
-            raise ValueError(
-                f"max_backtracks must be at least 1, got {self.max_backtracks}")
+        check_ranges(self, positive=("newton_tol", "energy_blowup_factor"),
+                     nonnegative=("separation_margin", "polish_steps"),
+                     at_least_one=("newton_max_iter", "max_backtracks"))
+        if self.yosida_eps is not None and not self.yosida_eps > 0.0:
+            raise ValueError(f"yosida_eps must be positive or None, got "
+                             f"{self.yosida_eps}")
 
 
 @dataclass(eq=False)

@@ -30,7 +30,7 @@ import scipy.sparse as sps
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 from .grid import Grid
 from .model import (ModelParams, NonlinearitySpec, PotentialSpec,
                     _f1_eval, _f2_eval, yosida_eval)
@@ -102,12 +102,6 @@ class Stepper:
                  yosida_eps: float | None = None):
         if dt <= 0.0:
             raise ValueError("time step must be positive")
-        if potential.kind == "obstacle" and yosida_eps is None:
-            raise ConfigError(
-                "the obstacle potential can only be stepped through its "
-                "Yosida regularization; set a positive yosida_eps")
-        if yosida_eps is not None and yosida_eps <= 0.0:
-            raise ConfigError("yosida_eps must be positive")
         self.grid = grid
         self.params = params
         self.potential = potential

@@ -10,13 +10,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
+                      NonlinearitySpec, PotentialSpec, ScalarShape,
                       SecondOrderContext, SscReport, StabilityReport, TimeGrid,
-                      build_grid, bump_shape, cone_project, constant_shape,
-                      control_inner, control_norm, cost_eval,
-                      custom_polynomial_potential, default_tau,
-                      logarithmic_potential, make_nonlinearity,
-                      quadratic_form_bilinear_route, ramp_shape,
-                      refine_problem, regular_potential, strongly_active_sets)
+                      build_grid, cone_project, control_inner, control_norm,
+                      cost_eval, default_tau, quadratic_form_bilinear_route,
+                      refine_problem, strongly_active_sets)
 from tumoropt.grid import inner
 from tumoropt.optimize import _block_len
 from tumoropt.problem import ControlProblem
@@ -50,14 +48,15 @@ def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
         grid = build_grid(2, [nodes, ny], [1.0, 1.0])
     tgrid = TimeGrid(steps=steps, t_final=t_final)
     params = ModelParams(alpha=alpha, beta=beta, chi=chi)
-    kinds = {"regular": regular_potential, "logarithmic": logarithmic_potential}
     if coupling == "none":
-        nonlin = make_nonlinearity(constant_shape(0.0), constant_shape(0.0))
-        pot = custom_polynomial_potential([0.0, 0.0, 0.5])
+        zero = ScalarShape("constant", value=0.0)
+        nonlin = NonlinearitySpec(zero, zero)
+        pot = PotentialSpec("custom", coefficients=[0.0, 0.0, 0.5])
     else:
-        nonlin = make_nonlinearity(
-            bump_shape(scale=0.6, center=0.1, width=0.8), ramp_shape())
-        pot = kinds[potential]()
+        nonlin = NonlinearitySpec(
+            ScalarShape("bump", scale=0.6, center=0.1, width=0.8),
+            ScalarShape("ramp"))
+        pot = PotentialSpec(potential)
     x = grid.coordinates()[:, 0]
     n_levels = steps + 1
     target_q = (np.tile(0.3 * np.cos(np.pi * x), (n_levels, 1))

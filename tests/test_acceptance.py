@@ -12,9 +12,8 @@ import yaml
 from scipy.optimize import brentq
 
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
-                      PgdOptions, SecondOrderContext, cost_eval, cone_project,
-                      logarithmic_potential, obstacle_potential,
-                      projected_gradient, prox_f1, regular_potential,
+                      PgdOptions, PotentialSpec, SecondOrderContext,
+                      cost_eval, cone_project, projected_gradient, prox_f1,
                       ssc_certificate, strongly_active_sets,
                       project_admissible, yosida_eval)
 from tumoropt.config import RunConfig, build_setup
@@ -100,8 +99,8 @@ def test_criterion_03_ode_reduction_equivalence():
         return -0.1 + 0.05 * t
 
     errors = {}
-    for kind, pot in (("regular", regular_potential()),
-                      ("logarithmic", logarithmic_potential(2.0))):
+    for kind, pot in (("regular", PotentialSpec("regular")),
+                      ("logarithmic", PotentialSpec("logarithmic", k1=2.0))):
         pr = make_problem(**DESK, potential=kind, tracking=False, b1=0.0)
         n = pr.grid.n
         pr = ControlProblem(
@@ -131,9 +130,9 @@ def test_criterion_04_separation_property(canonical_traj):
 
 def test_criterion_05_yosida_properties():
     rng = np.random.default_rng(0)
-    kinds = (("regular", regular_potential()),
-             ("logarithmic", logarithmic_potential(2.0)),
-             ("obstacle", obstacle_potential()))
+    kinds = (("regular", PotentialSpec("regular")),
+             ("logarithmic", PotentialSpec("logarithmic", k1=2.0)),
+             ("obstacle", PotentialSpec("obstacle")))
     eps_ladder = (0.8, 0.4, 0.2, 0.1, 0.05, 0.025)
 
     exact_zero = all(yosida_eval(pot, eps, 0.0) == 0.0

@@ -257,6 +257,13 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     "optimizer.max_backtracks=0",
     "solver.separation_margin=1",
     "solver.separation_margin=2",
+    "optimizer.shrink=1",
+    "optimizer.tol=0",
+    "solver.newton_tol=0",
+    "solver.polish_steps=-1",
+    "solver.yosida_eps=-0.1",
+    "potential.k1=0.5",
+    "nonlinearity.P={shape: bump, width: 0}",
 ])
 def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
                                                        override):
@@ -267,8 +274,11 @@ def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
                  "--out-dir", str(out), "--quiet", "--set", "time.steps=4",
                  "--set", override])
     err = capsys.readouterr().err
+    # a shape block's message names the entry inside it
+    key = {"nonlinearity.P={shape: bump, width: 0}": "nonlinearity.P.width"
+           }.get(override, override.partition("=")[0])
     assert code == EXIT_CONFIG, err
-    assert err.startswith(f"config error: {override.partition('=')[0]} ")
+    assert err.startswith(f"config error: {key} ")
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
 
@@ -284,7 +294,28 @@ def test_step_min_above_step_max_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
     assert err.startswith("config error: optimizer.step_min must not exceed "
-                          "optimizer.step_max")
+                          "step_max")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bounds", [
+    ("control.bounds.lower1=.inf", "control.bounds.upper1=.inf"),
+    ("control.bounds.upper2=-.inf", "control.bounds.lower2=-.inf"),
+], ids=["lower-at-plus-inf", "upper-at-minus-inf"])
+def test_bound_pinned_at_infinity_is_config_error(tmp_path, capsys, bounds):
+    # no control lies below a lower bound of +inf or above an upper of -inf
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    argv = ["optimize", "--config", str(root / "configs" / "canonical_1d.yaml"),
+            "--out-dir", str(out), "--quiet", "--set", "grid.shape=[9]",
+            "--set", "time.steps=4"]
+    for assignment in bounds:
+        argv += ["--set", assignment]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(f"config error: {bounds[0].partition('=')[0]} ")
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
 

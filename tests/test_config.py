@@ -305,6 +305,12 @@ def test_control_field_from_file(tmp_path, rng):
      "nonlinearity.P.ys must be finite"),
     ({"potential": {"kind": "custom", "coefficients": [0, float("nan"), 1]}},
      "potential.coefficients must be finite"),
+    ({"output": {"snapshot_times": "01"}},
+     "output.snapshot_times must be a list of numbers"),
+    ({"output": {"snapshot_times": ["0.5"]}},
+     "output.snapshot_times must be a number"),
+    ({"output": {"snapshot_times": [True]}},
+     "output.snapshot_times must be a number"),
 ])
 def test_invalid_configs_raise(raw, needle):
     with pytest.raises(ConfigError, match=needle):

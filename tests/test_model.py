@@ -1,18 +1,19 @@
 """Potentials, Yosida regularization, nonlinearity shapes, and controls."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
-                      ModelParams, NonlinearitySpec, PotentialSpec, Stepper,
-                      TimeGrid, build_grid, bump_shape,
-                      constant_shape, custom_polynomial_potential,
-                      logarithmic_potential, make_nonlinearity,
-                      obstacle_potential, project_admissible, prox_f1,
-                      ramp_shape, regular_potential, table_shape,
-                      unbounded_box, yosida_eval, zero_control)
+                      ModelParams, NonlinearitySpec, PgdOptions,
+                      PotentialSpec, ScalarShape, SolverOptions, Stepper,
+                      TimeGrid, build_grid, project_admissible, prox_f1,
+                      yosida_eval, zero_control)
 from tumoropt.model import _f1_eval, _f2_eval
+
+from _support import make_problem
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +28,8 @@ def exact_potential(pot, r, order=0):
 
 def run_potential(pot):
     """The potential evaluator of a run: `Stepper.potential_eval`."""
-    nonlin = make_nonlinearity(constant_shape(0.0), constant_shape(0.0))
+    zero = ScalarShape("constant", value=0.0)
+    nonlin = NonlinearitySpec(zero, zero)
     stepper = Stepper(build_grid(1, [3], [1.0]),
                       ModelParams(alpha=1.0, beta=1.0, chi=0.0),
                       pot, nonlin, 0.1)
@@ -35,7 +37,7 @@ def run_potential(pot):
 
 
 def test_regular_potential_values():
-    pot = regular_potential()
+    pot = PotentialSpec("regular")
     assert exact_potential(pot, 0.0) == pytest.approx(0.25)
     assert exact_potential(pot, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert exact_potential(pot, -1.0) == pytest.approx(0.0, abs=1e-15)
@@ -46,7 +48,7 @@ def test_regular_potential_values():
 
 
 def test_logarithmic_potential_values():
-    pot = logarithmic_potential(k1=2.0)
+    pot = PotentialSpec("logarithmic", k1=2.0)
     # (1+r)ln(1+r) + (1-r)ln(1-r) - k1 r^2 at r = +-1 -> 2 ln 2 - k1
     val = 2.0 * np.log(2.0) - 2.0
     assert exact_potential(pot, 1.0) == pytest.approx(val)
@@ -60,7 +62,7 @@ def test_logarithmic_potential_values():
 
 
 def test_obstacle_potential_values():
-    pot = obstacle_potential(k2=1.0)
+    pot = PotentialSpec("obstacle", k2=1.0)
     assert exact_potential(pot, 0.0) == pytest.approx(1.0)
     assert exact_potential(pot, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert exact_potential(pot, 1.5) == np.inf
@@ -69,7 +71,7 @@ def test_obstacle_potential_values():
 
 
 def test_custom_polynomial_potential():
-    pot = custom_polynomial_potential([0.0, 0.0, 1.0])  # r^2
+    pot = PotentialSpec("custom", coefficients=[0.0, 0.0, 1.0])  # r^2
     assert exact_potential(pot, 2.0) == pytest.approx(4.0)
     assert exact_potential(pot, 2.0, 1) == pytest.approx(4.0)
     assert exact_potential(pot, 2.0, 2) == pytest.approx(2.0)
@@ -77,9 +79,9 @@ def test_custom_polynomial_potential():
 
 
 @pytest.mark.parametrize("pot,lo,hi", [
-    (regular_potential(), -2.0, 2.0),
-    (logarithmic_potential(), -0.95, 0.95),
-    (custom_polynomial_potential([0.1, -0.3, 0.5, 0.2]), -2.0, 2.0),
+    (PotentialSpec("regular"), -2.0, 2.0),
+    (PotentialSpec("logarithmic"), -0.95, 0.95),
+    (PotentialSpec("custom", coefficients=[0.1, -0.3, 0.5, 0.2]), -2.0, 2.0),
 ])
 def test_potential_derivatives_match_finite_differences(pot, lo, hi):
     # order 3 is the F''' that the second-order coefficients read
@@ -93,7 +95,7 @@ def test_potential_derivatives_match_finite_differences(pot, lo, hi):
 
 def test_logarithmic_k1_must_exceed_one():
     with pytest.raises(ValueError):
-        logarithmic_potential(k1=1.0)
+        PotentialSpec("logarithmic", k1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +104,19 @@ def test_logarithmic_k1_must_exceed_one():
 
 def test_prox_frozen_values():
     # roots of eps f1'(s) + s = r computed independently by bisection
-    assert prox_f1(regular_potential(), 0.5, 1.0) == pytest.approx(
+    assert prox_f1(PotentialSpec("regular"), 0.5, 1.0) == pytest.approx(
         0.7709169970592481, abs=1e-12)
-    assert prox_f1(regular_potential(), 0.2, -1.3) == pytest.approx(
+    assert prox_f1(PotentialSpec("regular"), 0.2, -1.3) == pytest.approx(
         -1.061072817267877, abs=1e-12)
-    assert prox_f1(logarithmic_potential(), 0.1, 0.5) == pytest.approx(
+    assert prox_f1(PotentialSpec("logarithmic"), 0.1, 0.5) == pytest.approx(
         0.41231948111388284, abs=1e-12)
-    assert prox_f1(logarithmic_potential(), 0.05, -0.9) == pytest.approx(
+    assert prox_f1(PotentialSpec("logarithmic"), 0.05, -0.9) == pytest.approx(
         -0.7922542701877744, abs=1e-12)
 
 
 def test_prox_matches_root_oracle(rng):
-    for pot, span in ((regular_potential(), 3.0),
-                      (logarithmic_potential(), 2.0)):
+    for pot, span in ((PotentialSpec("regular"), 3.0),
+                      (PotentialSpec("logarithmic"), 2.0)):
         for r in rng.uniform(-span, span, 12):
             for eps in (0.5, 0.1, 0.05):
                 def g(s, eps=eps, r=r):
@@ -126,14 +128,15 @@ def test_prox_matches_root_oracle(rng):
 
 
 def test_prox_obstacle_is_clamp(rng):
-    pot = obstacle_potential()
+    pot = PotentialSpec("obstacle")
     r = rng.uniform(-3, 3, 50)
     assert np.array_equal(prox_f1(pot, 0.3, r), np.clip(r, -1.0, 1.0))
     # spec'd point: prox(1.5) = 1, derivative (1.5-1)/0.5 = 1
     assert yosida_eval(pot, 0.5, 1.5) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential()])
+@pytest.mark.parametrize("pot", [PotentialSpec("regular"),
+                                 PotentialSpec("logarithmic")])
 def test_prox_rows_are_bitwise_each_row_alone(pot, rng):
     # rows far apart in magnitude need different iteration counts; each
     # row stops on its own, so stacking them moves no bit
@@ -148,20 +151,22 @@ def test_prox_rows_are_bitwise_each_row_alone(pot, rng):
 
 
 def test_prox_custom_is_identity(rng):
-    pot = custom_polynomial_potential([0.0, 1.0])
+    pot = PotentialSpec("custom", coefficients=[0.0, 1.0])
     r = rng.standard_normal(20)
     assert np.array_equal(prox_f1(pot, 0.2, r), r)
 
 
-@pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential(),
-                                 obstacle_potential(),
-                                 custom_polynomial_potential([0.0, -1.0])])
+@pytest.mark.parametrize("pot", [PotentialSpec("regular"),
+                                 PotentialSpec("logarithmic"),
+                                 PotentialSpec("obstacle"),
+                                 PotentialSpec("custom", coefficients=[0.0, -1.0])])
 def test_yosida_derivative_zero_at_origin(pot):
     assert yosida_eval(pot, 0.1, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential(),
-                                 obstacle_potential()])
+@pytest.mark.parametrize("pot", [PotentialSpec("regular"),
+                                 PotentialSpec("logarithmic"),
+                                 PotentialSpec("obstacle")])
 def test_yosida_derivative_lipschitz(pot, rng):
     eps = 0.07
     a = rng.uniform(-2, 2, 2000)
@@ -170,8 +175,9 @@ def test_yosida_derivative_lipschitz(pot, rng):
     assert np.all(gap <= np.abs(a - b) / eps * (1 + 1e-12) + 1e-14)
 
 
-@pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential(),
-                                 obstacle_potential()])
+@pytest.mark.parametrize("pot", [PotentialSpec("regular"),
+                                 PotentialSpec("logarithmic"),
+                                 PotentialSpec("obstacle")])
 def test_yosida_derivative_monotone_in_eps(pot, rng):
     # |F'_{1,eps}(r)| is nondecreasing as eps decreases, approaching the
     # minimal section of the subdifferential
@@ -192,7 +198,7 @@ def test_yosida_derivative_monotone_in_eps(pot, rng):
 
 def test_yosida_second_third_consistency(rng):
     # FD of the first Yosida derivative against the closed-form second
-    pot = regular_potential()
+    pot = PotentialSpec("regular")
     eps, d = 0.2, 1e-6
     r = rng.uniform(-2, 2, 20)
     fd = (yosida_eval(pot, eps, r + d, 1)
@@ -202,8 +208,9 @@ def test_yosida_second_third_consistency(rng):
            - yosida_eval(pot, eps, r - d, 2)) / (2 * d)
     assert np.abs(fd3 - yosida_eval(pot, eps, r, 3)).max() < 1e-5
     # FD of the envelope (order 0) against the first derivative
-    for pot in (regular_potential(), logarithmic_potential(),
-                obstacle_potential(), custom_polynomial_potential([0.0, -1.0])):
+    for pot in (PotentialSpec("regular"), PotentialSpec("logarithmic"),
+                PotentialSpec("obstacle"),
+                PotentialSpec("custom", coefficients=[0.0, -1.0])):
         fd0 = (yosida_eval(pot, eps, r + d, 0)
                - yosida_eval(pot, eps, r - d, 0)) / (2 * d)
         assert np.abs(fd0 - yosida_eval(pot, eps, r, 1)).max() < 1e-6
@@ -213,7 +220,7 @@ def test_yosida_second_third_consistency(rng):
 
 def test_yosida_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
-        prox_f1(regular_potential(), 0.0, 1.0)
+        prox_f1(PotentialSpec("regular"), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ def test_yosida_rejects_nonpositive_eps():
 
 
 def test_ramp_endpoint_values_exact():
-    h = ramp_shape()
+    h = ScalarShape("ramp")
     assert h.eval(np.array([-1.0]))[0] == 0.0
     assert h.eval(np.array([1.0]))[0] == 1.0
     assert h.eval(np.array([-2.5]))[0] == 0.0
@@ -239,11 +246,11 @@ def test_ramp_value_is_bitwise_its_polynomial(rng):
     x = np.clip(0.5 * (r + 1.0), 0.0, 1.0)
     ref = np.polynomial.polynomial.polyval(
         x, [0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])
-    assert ramp_shape().eval(r).tobytes() == ref.tobytes()
+    assert ScalarShape("ramp").eval(r).tobytes() == ref.tobytes()
 
 
 def test_ramp_monotone_and_bounded():
-    h = ramp_shape()
+    h = ScalarShape("ramp")
     r = np.linspace(-1.2, 1.2, 201)
     vals = h.eval(r)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
@@ -251,7 +258,7 @@ def test_ramp_monotone_and_bounded():
 
 
 def test_ramp_derivative_continuity():
-    h = ramp_shape()
+    h = ScalarShape("ramp")
     d = 1e-7
     for edge in (-1.0, 1.0):
         inside = h.eval(np.array([edge + (d if edge < 0 else -d)]), 2)[0]
@@ -259,7 +266,7 @@ def test_ramp_derivative_continuity():
 
 
 def test_constant_shape_derivatives_vanish(rng):
-    p = constant_shape(0.7)
+    p = ScalarShape("constant", value=0.7)
     r = rng.standard_normal(9)
     assert np.all(p.eval(r) == 0.7)
     assert np.all(p.eval(r, 1) == 0.0)
@@ -267,7 +274,7 @@ def test_constant_shape_derivatives_vanish(rng):
 
 
 def test_bump_shape_values():
-    p = bump_shape(scale=2.0, center=0.5, width=0.7)
+    p = ScalarShape("bump", scale=2.0, center=0.5, width=0.7)
     assert p.eval(np.array([0.5]))[0] == pytest.approx(2.0)
     assert p.eval(np.array([0.5]), 1)[0] == pytest.approx(0.0, abs=1e-15)
     d = 1e-6
@@ -277,11 +284,11 @@ def test_bump_shape_values():
 
 
 @pytest.mark.parametrize("shape, orders", [
-    (constant_shape(0.7), (0, 1, 2)),
-    (ramp_shape(), (0, 1, 2)),
-    (bump_shape(scale=0.6, center=0.1, width=0.8), (0, 1)),
-    (bump_shape(scale=0.6, center=0.1, width=0.8), (1, 2)),
-    (table_shape([-1.0, 0.0, 1.0], [0.0, 0.5, 0.6]), (0, 1)),
+    (ScalarShape("constant", value=0.7), (0, 1, 2)),
+    (ScalarShape("ramp"), (0, 1, 2)),
+    (ScalarShape("bump", scale=0.6, center=0.1, width=0.8), (0, 1)),
+    (ScalarShape("bump", scale=0.6, center=0.1, width=0.8), (1, 2)),
+    (ScalarShape("table", xs=[-1.0, 0.0, 1.0], ys=[0.0, 0.5, 0.6]), (0, 1)),
 ], ids=["constant", "ramp", "bump-01", "bump-12", "table"])
 def test_eval_orders_is_bitwise_eval(shape, orders, rng):
     r = np.concatenate([[-3.0, -1.0, 0.0, 1.0, 3.0],
@@ -300,14 +307,14 @@ def test_ramp_clamp_is_bitwise_clip():
                   np.inf])
     for order in (0, 1, 2):
         x = np.clip(0.5 * (r + 1.0), 0.0, 1.0)
-        out = ramp_shape().eval(r, order)
+        out = ScalarShape("ramp").eval(r, order)
         assert np.isnan(out[0]) and np.isnan(x[0])
-        assert np.array_equal(out[1:], ramp_shape().eval(2.0 * x[1:] - 1.0,
-                                                         order))
+        assert np.array_equal(out[1:], ScalarShape("ramp").eval(
+            2.0 * x[1:] - 1.0, order))
 
 
 def test_table_shape_interpolates_and_limits():
-    tab = table_shape([-1.0, 0.0, 1.0], [0.0, 0.5, 0.6])
+    tab = ScalarShape("table", xs=[-1.0, 0.0, 1.0], ys=[0.0, 0.5, 0.6])
     assert tab.eval(np.array([-0.5]))[0] == pytest.approx(0.25)
     assert tab.eval(np.array([2.0]))[0] == pytest.approx(0.6)
     assert tab.eval(np.array([0.5]), 1)[0] == pytest.approx(0.1)
@@ -315,34 +322,27 @@ def test_table_shape_interpolates_and_limits():
         tab.eval(np.array([0.0]), 2)  # piecewise linear: no curvature
 
 
-def test_make_nonlinearity_rejects_negative_shapes():
-    with pytest.raises(ValueError):
-        make_nonlinearity(table_shape([-1, 1], [-0.5, 1.0]), ramp_shape())
-
-
 def test_sup_bounds_derive_from_the_shapes():
-    P, H = bump_shape(scale=0.6, center=0.1, width=0.8), ramp_shape()
-    direct, checked = NonlinearitySpec(P, H), make_nonlinearity(P, H)
-    assert direct.sup_P == checked.sup_P == 0.6
-    assert direct.sup_H == checked.sup_H == 1.0
-    grid, params = build_grid(1, [9], [1.0]), ModelParams(1.0, 1.0, 0.3)
-    scales = [Stepper(grid, params, regular_potential(), nonlin, 0.1).coef_scale
-              for nonlin in (direct, checked)]
-    assert scales[0] == scales[1]
+    nonlin = NonlinearitySpec(
+        ScalarShape("bump", scale=0.6, center=0.1, width=0.8),
+        ScalarShape("ramp"))
+    assert nonlin.sup_P == 0.6
+    assert nonlin.sup_H == 1.0
 
 
 @pytest.mark.parametrize("kind,domain", [
     ("regular", (-np.inf, np.inf)), ("custom", (-np.inf, np.inf)),
     ("logarithmic", (-1.0, 1.0)), ("obstacle", (-1.0, 1.0))])
 def test_potential_domain_follows_its_kind(kind, domain):
-    assert PotentialSpec(kind=kind).domain == domain
+    assert PotentialSpec(kind=kind, coefficients=[0.0]).domain == domain
 
 
 def test_nonlinearity_eval_dispatch():
-    nl = make_nonlinearity(constant_shape(0.4), ramp_shape())
+    nl = NonlinearitySpec(ScalarShape("constant", value=0.4),
+                          ScalarShape("ramp"))
     r = np.array([0.3])
     assert nl.P.eval(r)[0] == 0.4
-    assert nl.H.eval(r)[0] == pytest.approx(ramp_shape().eval(r)[0])
+    assert nl.H.eval(r)[0] == pytest.approx(ScalarShape("ramp").eval(r)[0])
 
 
 # the ramp is flat beyond +-1 and C^3 across the edges
@@ -351,12 +351,13 @@ RAMP_POINTS = np.array([-2.0, -1.001, -1.0, -0.7, -0.2, 0.0, 0.35, 0.8, 1.0,
 
 
 @pytest.mark.parametrize("shape, r, d", [
-    *(pytest.param(constant_shape(v), np.linspace(-2.0, 2.0, 9), 1e-5,
+    *(pytest.param(ScalarShape("constant", value=v),
+                   np.linspace(-2.0, 2.0, 9), 1e-5,
                    id=f"constant-{v:g}") for v in (0.0, 0.4, 3.5)),
-    pytest.param(ramp_shape(), RAMP_POINTS, 1e-5, id="ramp"),
+    pytest.param(ScalarShape("ramp"), RAMP_POINTS, 1e-5, id="ramp"),
     # points a few widths around the center, which is one of them (shift 0)
     # or falls between them; the step scales with the width
-    *(pytest.param(bump_shape(0.5, center, width),
+    *(pytest.param(ScalarShape("bump", scale=0.5, center=center, width=width),
                    center + width * (np.linspace(-3.0, 3.0, 13) + shift),
                    1e-4 * width, id=f"bump-{width:g}-{center:g}-{shift:g}")
       for width in (1.0, 0.1, 0.01, 1e-3)
@@ -371,7 +372,8 @@ def test_smooth_shape_derivatives_match_finite_differences(shape, r, d):
 
 
 def test_table_slope_matches_finite_differences_between_knots():
-    tab = table_shape([-1.0, -0.2, 0.5, 1.0], [0.0, 0.3, 0.8, 0.6])
+    tab = ScalarShape("table", xs=[-1.0, -0.2, 0.5, 1.0],
+                      ys=[0.0, 0.3, 0.8, 0.6])
     r = np.array([-0.9, -0.6, -0.21, -0.19, 0.1, 0.49, 0.51, 0.75, 0.99])
     d = 1e-3
     fd = (tab.eval(r + d) - tab.eval(r - d)) / (2 * d)
@@ -380,6 +382,70 @@ def test_table_slope_matches_finite_differences_between_knots():
 
 # ---------------------------------------------------------------------------
 # parameters, cost, controls, box
+
+
+_NEGATIVE_TABLE = ScalarShape("table", xs=[-1, 1], ys=[-0.5, 1.0])
+
+
+# one invalid construction per rule that a model or option object checks on
+# itself, keyed "<object>-<field>[-<variant>]"
+INVALID_FIELDS = {
+    "solver-newton_tol": lambda: SolverOptions(newton_tol=-1.0),
+    "solver-newton_max_iter": lambda: SolverOptions(newton_max_iter=0),
+    "solver-separation_margin": lambda: SolverOptions(separation_margin=-1e-8),
+    "solver-yosida_eps": lambda: SolverOptions(yosida_eps=-0.1),
+    "solver-polish_steps": lambda: SolverOptions(polish_steps=-2),
+    "solver-energy_blowup_factor":
+        lambda: SolverOptions(energy_blowup_factor=0.0),
+    "pgd-tol": lambda: PgdOptions(tol=0.0),
+    "pgd-initial_step": lambda: PgdOptions(initial_step=-1.0),
+    "pgd-armijo_c": lambda: PgdOptions(armijo_c=0.0),
+    "pgd-step_min": lambda: PgdOptions(step_min=0.0),
+    "pgd-max_iter": lambda: PgdOptions(max_iter=0),
+    "pgd-shrink": lambda: PgdOptions(shrink=1.0),
+    "pgd-shrink-zero": lambda: PgdOptions(shrink=0.0),
+    "potential-kind": lambda: PotentialSpec("quartic"),
+    "potential-k1": lambda: PotentialSpec("logarithmic", k1=0.5),
+    "potential-k2": lambda: PotentialSpec("obstacle", k2=0.0),
+    "potential-coefficients": lambda: PotentialSpec("custom"),
+    "potential-coefficients-empty":
+        lambda: PotentialSpec("custom", coefficients=[]),
+    "potential-coefficients-2d":
+        lambda: PotentialSpec("custom", coefficients=[[1.0]]),
+    "shape-kind": lambda: ScalarShape("spike"),
+    "shape-width": lambda: ScalarShape("bump", width=0.0),
+    "shape-scale": lambda: ScalarShape("bump", scale=-1.0),
+    "shape-xs": lambda: ScalarShape("table", xs=[0.0], ys=[1.0]),
+    "shape-xs-unmatched": lambda: ScalarShape("table", xs=[0.0, 1.0], ys=[1.0]),
+    "shape-xs-decreasing":
+        lambda: ScalarShape("table", xs=[1.0, 0.0], ys=[1.0, 1.0]),
+    "nonlinearity-P": lambda: NonlinearitySpec(ScalarShape(
+        "table", xs=[-1, 1], ys=[-0.5, 1.0]), ScalarShape("ramp")),
+    "nonlinearity-H": lambda: NonlinearitySpec(ScalarShape("ramp"), ScalarShape(
+        "table", xs=[-1, 1], ys=[-0.5, 1.0])),
+    "nonlinearity-P-nan": lambda: NonlinearitySpec(
+        ScalarShape("constant", value=np.nan), ScalarShape("ramp")),
+    "box-lower1": lambda: BoxConstraints(lower1=np.inf),
+    "box-upper2": lambda: BoxConstraints(upper2=np.full((2, 3), -np.inf)),
+    "problem-obstacle": lambda: dataclasses.replace(
+        make_problem(), potential=PotentialSpec("obstacle")),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_FIELDS)
+def test_invalid_fields_are_rejected_on_construction(case):
+    # the message starts with the field, which a config error prefixes with
+    # its block; the obstacle rule couples two blocks and names neither first
+    field = case.split("-")[1] if case != "problem-obstacle" else "the obstacle"
+    with pytest.raises(ValueError, match=f"^{field} "):
+        INVALID_FIELDS[case]()
+
+
+def test_table_shape_arrays_are_read_only_copies():
+    xs = np.array([-1.0, 1.0])
+    tab = ScalarShape("table", xs=xs, ys=[0.0, 1.0])
+    assert xs.flags.writeable and not tab.xs.flags.writeable
+    assert not tab.ys.flags.writeable and tab.ys.dtype == float
 
 
 def test_model_params_validation():
@@ -436,7 +502,7 @@ def test_box_validation_and_span():
         BoxConstraints(lower1=1.0, upper1=0.0)
     box = BoxConstraints(lower1=-2.0, upper1=3.0)
     assert box.span() == 3.0
-    assert unbounded_box().span() == 1.0
+    assert BoxConstraints().span() == 1.0
 
 
 def test_projection_identity_inside_box(rng):

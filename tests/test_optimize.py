@@ -12,7 +12,7 @@ from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       reduced_gradient, ssc_certificate,
                       stationarity_measure, strongly_active_sets,
                       solve_bilinearized, StepFactors, Stepper,
-                      unbounded_box, zero_control)
+                      zero_control)
 from tumoropt import optimize as optimize_module
 from tumoropt import sensitivity as sensitivity_module
 from tumoropt.problem import control_inner, control_norm, st_inner
@@ -233,7 +233,7 @@ def test_pgd_tracking_run_descends_and_stops_at_fixed_point():
 
 def test_pgd_history_schema():
     pr = make_problem(b1=0.0, b2=0.0, tracking=False)
-    res = projected_gradient(random_control(pr), pr, unbounded_box(),
+    res = projected_gradient(random_control(pr), pr, BoxConstraints(),
                              PgdOptions(tol=1e-10, max_iter=5))
     assert res.history[0]["iteration"] == 0
     for key in ("iteration", "cost", "stationarity", "step_size"):
@@ -441,7 +441,7 @@ def test_dense_hessian_is_bitwise_the_per_pair_loop(monkeypatch, directions):
 def test_ssc_decoupled_rayleigh_equals_b0():
     pr = make_problem(coupling="none", b0=0.9, b1=0.0, tracking=False)
     rep = ssc_certificate(SecondOrderContext(pr, pr.zero_control()), tau=None,
-                          n_samples=8, box=unbounded_box(), seed=0)
+                          n_samples=8, box=BoxConstraints(), seed=0)
     assert rep.satisfied
     assert rep.sample_count == 8
     assert rep.min_rayleigh == pytest.approx(0.9, rel=1e-12)
@@ -473,9 +473,9 @@ def test_ssc_trivial_cone_raises():
     pr = make_problem(b1=2.0)
     ctx = SecondOrderContext(pr, random_control(pr, seed=9, amp=0.2))
     with pytest.raises(ValueError, match="strongly active"):
-        ssc_certificate(ctx, tau=0.0, n_samples=4, box=unbounded_box(), seed=0)
+        ssc_certificate(ctx, tau=0.0, n_samples=4, box=BoxConstraints(), seed=0)
     with pytest.raises(ValueError):
-        ssc_certificate(ctx, tau=None, n_samples=0, box=unbounded_box())
+        ssc_certificate(ctx, tau=None, n_samples=0, box=BoxConstraints())
 
 
 def _ssc_case(case):

@@ -9,10 +9,9 @@ import pytest
 
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       SecondOrderContext, SeparationViolation, SolverError,
-                      SolverOptions, TimeGrid, build_grid, bump_shape,
-                      logarithmic_potential, make_nonlinearity,
-                      obstacle_potential, ramp_shape, regular_potential,
-                      solve_state, solve_states)
+                      NonlinearitySpec, PotentialSpec, ScalarShape,
+                      SolverOptions, TimeGrid, build_grid, solve_state,
+                      solve_states)
 from tumoropt import state
 from tumoropt import stepper as stepper_module
 from tumoropt.problem import ControlProblem
@@ -62,7 +61,9 @@ def test_mass_identity_2d():
     grid = build_grid(2, [9, 9], [1.0, 1.0])
     tgrid = TimeGrid(steps=6, t_final=0.3)
     params = ModelParams(alpha=1.0, beta=0.8, chi=0.3)
-    nonlin = make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape())
+    nonlin = NonlinearitySpec(
+        ScalarShape("bump", scale=0.5, center=0.0, width=1.0),
+        ScalarShape("ramp"))
     xy = grid.coordinates()
     init = InitialData(
         mu0=0.05 * np.cos(np.pi * xy[:, 0]),
@@ -72,7 +73,7 @@ def test_mass_identity_2d():
     u = Control(0.1 * rng.standard_normal((7, grid.n)),
                 0.1 * rng.standard_normal((7, grid.n)))
     problem = ControlProblem(grid=grid, tgrid=tgrid, params=params,
-                             potential=regular_potential(), nonlin=nonlin,
+                             potential=PotentialSpec("regular"), nonlin=nonlin,
                              cost=CostSpec(b0=1.0), init=init)
     traj = solve_state(problem, u)
     assert traj.mass_residual[1:].max() <= 1e-10
@@ -139,10 +140,9 @@ def test_initial_data_on_log_boundary_rejected():
 
 
 def test_initial_data_outside_obstacle_range_rejected():
-    from tumoropt import obstacle_potential
     pr = make_problem(yosida_eps=0.1)
     pr = dataclasses.replace(
-        pr, potential=obstacle_potential(),
+        pr, potential=PotentialSpec("obstacle"),
         init=InitialData(np.zeros(pr.grid.n), np.full(pr.grid.n, 1.5),
                          np.zeros(pr.grid.n)))
     with pytest.raises(SeparationViolation):
@@ -349,15 +349,12 @@ def test_predictor_with_non_finite_residual_falls_back(monkeypatch):
 
 def _obstacle_yosida_problem() -> ControlProblem:
     pr = make_problem(steps=60, t_final=0.3, yosida_eps=0.05)
-    return dataclasses.replace(pr, potential=obstacle_potential())
+    return dataclasses.replace(pr, potential=PotentialSpec("obstacle"))
 
 
 def _problem_2d(potential="logarithmic", yosida_eps=None,
                 steps=40) -> ControlProblem:
     """9x9 problem on the unit square whose initial data vary in x and y."""
-    kinds = {"regular": regular_potential,
-             "logarithmic": logarithmic_potential,
-             "obstacle": obstacle_potential}
     grid = build_grid(2, [9, 9], [1.0, 1.0])
     xy = grid.coordinates()
     init = InitialData(
@@ -367,8 +364,10 @@ def _problem_2d(potential="logarithmic", yosida_eps=None,
     return ControlProblem(
         grid=grid, tgrid=TimeGrid(steps=steps, t_final=0.1),
         params=ModelParams(alpha=1.0, beta=0.8, chi=0.3),
-        potential=kinds[potential](),
-        nonlin=make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape()),
+        potential=PotentialSpec(potential),
+        nonlin=NonlinearitySpec(
+            ScalarShape("bump", scale=0.5, center=0.0, width=1.0),
+            ScalarShape("ramp")),
         cost=CostSpec(b0=1.0), init=init,
         options=SolverOptions(yosida_eps=yosida_eps))
 
@@ -656,7 +655,7 @@ BATCH_CASES = {
     "regular-1d": lambda: make_problem(potential="regular", steps=10),
     "obstacle-yosida-1d": lambda: dataclasses.replace(
         make_problem(steps=10, yosida_eps=0.05),
-        potential=obstacle_potential()),
+        potential=PotentialSpec("obstacle")),
     "log-yosida-1d": lambda: make_problem(potential="logarithmic", steps=10,
                                           yosida_eps=0.05),
     "log-2d": lambda: _problem_2d(steps=12),

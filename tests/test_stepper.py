@@ -8,18 +8,17 @@ from scipy.sparse.linalg import splu
 
 import tumoropt.stepper as stepper_module
 from tumoropt import (Control, ModelParams, SecondOrderContext, SolverError,
-                      StepFactors, build_grid, bump_shape, constant_shape,
-                      control_inner, logarithmic_potential, make_nonlinearity,
-                      obstacle_potential, ramp_shape, regular_potential,
-                      solve_state, st_inner)
+                      NonlinearitySpec, PotentialSpec, ScalarShape,
+                      StepFactors, build_grid, control_inner, solve_state,
+                      st_inner)
 from tumoropt.stepper import Stepper
 
 from _support import make_problem, smooth_control
 
 POTENTIALS = {
-    "regular": (regular_potential, None),
-    "logarithmic": (logarithmic_potential, None),
-    "yosida-obstacle": (obstacle_potential, 0.05),
+    "regular": ("regular", None),
+    "logarithmic": ("logarithmic", None),
+    "yosida-obstacle": ("obstacle", 0.05),
 }
 
 
@@ -52,14 +51,18 @@ def _stepper(potential, dim, coupling):
     grid = build_grid(dim, [33] if dim == 1 else [9, 9], [1.0] * dim)
     if coupling == "full":
         chi = 0.3
-        nonlin = make_nonlinearity(bump_shape(0.6, 0.1, 0.8), ramp_shape())
+        nonlin = NonlinearitySpec(
+            ScalarShape("bump", scale=0.6, center=0.1, width=0.8),
+            ScalarShape("ramp"))
     else:
         # chi = 0 and P = h = 0: whole reaction blocks vanish
         chi = 0.0
-        nonlin = make_nonlinearity(constant_shape(0.0), constant_shape(0.0))
+        zero = ScalarShape("constant", value=0.0)
+        nonlin = NonlinearitySpec(zero, zero)
     params = ModelParams(alpha=1.0, beta=0.8, chi=chi)
-    make, eps = POTENTIALS[potential]
-    return Stepper(grid, params, make(), nonlin, 0.02, yosida_eps=eps)
+    kind, eps = POTENTIALS[potential]
+    return Stepper(grid, params, PotentialSpec(kind), nonlin, 0.02,
+                   yosida_eps=eps)
 
 
 def _state(st: Stepper, seed):

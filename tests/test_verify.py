@@ -7,8 +7,8 @@ import pytest
 
 from tumoropt import (Control, ControlProblem, CostSpec, InitialData,
                       ModelParams, SecondOrderContext, StepFactors, Stepper,
-                      TimeGrid, build_grid, bump_shape, inner,
-                      logarithmic_potential, make_nonlinearity, ramp_shape)
+                      NonlinearitySpec, PotentialSpec, ScalarShape, TimeGrid,
+                      build_grid, inner)
 import tumoropt.optimize as optimize_module
 import tumoropt.problem
 import tumoropt.verify as verify_module
@@ -188,17 +188,15 @@ def test_refine_control_is_exact_on_bilinear_data():
 
 
 def test_refine_problem_2d():
-    from tumoropt import ModelParams, TimeGrid, build_grid, make_nonlinearity
-    from tumoropt import constant_shape, regular_potential
-    from tumoropt.problem import ControlProblem
     grid = build_grid(2, [5, 7], [1.0, 2.0])
     xy = grid.coordinates()
     lin = 0.3 * xy[:, 0] + 0.1 * xy[:, 1]
     pr = ControlProblem(
         grid=grid, tgrid=TimeGrid(2, 0.2),
         params=ModelParams(alpha=1.0, beta=1.0, chi=0.0),
-        potential=regular_potential(),
-        nonlin=make_nonlinearity(constant_shape(0.0), constant_shape(0.0)),
+        potential=PotentialSpec("regular"),
+        nonlin=NonlinearitySpec(ScalarShape("constant", value=0.0),
+                                ScalarShape("constant", value=0.0)),
         cost=CostSpec(b0=1.0), init=InitialData(lin, lin.copy(), lin.copy()))
     fine = refine_problem(pr)
     assert fine.grid.shape == (9, 13)
@@ -427,8 +425,10 @@ def _tracking_problem_2d():
     return ControlProblem(
         grid=grid, tgrid=tgrid,
         params=ModelParams(alpha=1.0, beta=0.8, chi=0.3),
-        potential=logarithmic_potential(),
-        nonlin=make_nonlinearity(bump_shape(0.5, 0.0, 1.0), ramp_shape()),
+        potential=PotentialSpec("logarithmic"),
+        nonlin=NonlinearitySpec(
+            ScalarShape("bump", scale=0.5, center=0.0, width=1.0),
+            ScalarShape("ramp")),
         cost=CostSpec(b0=1.0, b1=2.0, target_Q=np.tile(target, (9, 1))),
         init=InitialData(mu0=0.05 * np.cos(np.pi * xy[:, 0]),
                          phi0=0.2 * np.cos(np.pi * xy[:, 0]),
