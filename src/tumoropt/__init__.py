@@ -26,8 +26,7 @@ from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,
 from .stepper import Stepper
 from .verify import (SlopeReport, StabilityReport, adjoint_continuous_residual,
                      check_duality, check_gradient_fd, check_stability_ratios,
-                     check_taylor_orders, fit_slope,
-                     quadratic_form_bilinear_route, refine_control,
+                     check_taylor_orders, fit_slope, refine_control,
                      refine_problem, run_verification)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform grid on a 1-D interval or 2-D rectangle.
 

@@ -4,9 +4,8 @@ The reduced gradient combines the adjoint-derived field d = (-h(phi) p, r)
 with the control-cost term b0 u; it is exact for the discrete problem, so
 finite-difference checks agree to the differencing error alone.  The
 quadratic form assembled here is the exact Hessian of the discrete reduced
-cost (final-time tracking off), evaluated from first-order sensitivities of
-two directions and the adjoint, and cross-checkable against a march of the
-bilinearized system.
+cost, evaluated from first-order sensitivities of two directions and the
+adjoint, and cross-checkable against a march of the bilinearized system.
 """
 
 from __future__ import annotations
@@ -310,12 +309,8 @@ class SecondOrderContext:
     def form(self, h: Control, k: Control,
              lin_h: LinearizedTrajectory | None = None,
              lin_k: LinearizedTrajectory | None = None) -> float:
-        """Exact Hessian form B(h, k) of the discrete reduced cost (b2 = 0)."""
+        """Exact Hessian form B(h, k) of the discrete reduced cost."""
         pr = self.problem
-        if pr.cost.b2 != 0.0:
-            raise ValueError(
-                "final-time tracking must be disabled for second-order "
-                "analysis (set b2 = 0)")
         if lin_h is None:
             lin_h = self.linearize(h)
         if lin_k is None:
@@ -324,6 +319,8 @@ class SecondOrderContext:
         total = cost.b0 * control_inner(pr.grid, pr.tgrid, h, k)
         if cost.b1 != 0.0:
             total += cost.b1 * st_inner(pr.grid, pr.tgrid, lin_h.xi, lin_k.xi)
+        if cost.b2 != 0.0:
+            total += cost.b2 * inner(pr.grid, lin_h.xi[-1], lin_k.xi[-1])
 
         # sum_k <lambda_k, S_k(h, k)>: the step multipliers, wt_k (p, q, r)_k,
         # paired with the sources of the bilinearized steps 1..N_t

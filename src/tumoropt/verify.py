@@ -34,7 +34,6 @@ from .grid import build_grid, inner
 from .model import Control, CostSpec
 from .optimize import SecondOrderContext, _block_len, cost_eval
 from .problem import ControlProblem, control_inner, control_norm, st_inner
-from .sensitivity import LinearizedTrajectory
 from .state import InitialData, StateTrajectory, TimeGrid, solve_states
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -248,12 +247,7 @@ def check_taylor_orders(context: SecondOrderContext,
     bilin_vh = context.bilinearize(lin_v, lin_h, v, h)
     j0 = cost_eval(problem, state, ubar)
     slope_v = control_inner(grid, tgrid, context.gradient.as_control(), v)
-    # curvature via the adjoint-weighted form when b2 = 0, else bilinearized route
-    if problem.cost.b2 == 0.0:
-        b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
-    else:
-        b_vv = quadratic_form_bilinear_route(context, v, v, lin_h=lin_v,
-                                             lin_k=lin_v)
+    b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
 
     err_state = []
     err_ds = []
@@ -280,36 +274,6 @@ def check_taylor_orders(context: SecondOrderContext,
         make_slope_report(EPS_LADDER, err_ds, 2.0, band),
         make_slope_report(EPS_LADDER, err_cost, 3.0, band),
     )
-
-
-def quadratic_form_bilinear_route(context: SecondOrderContext, h: Control,
-                                  k: Control,
-                                  lin_h: LinearizedTrajectory | None = None,
-                                  lin_k: LinearizedTrajectory | None = None
-                                  ) -> float:
-    """B(h,k) without the adjoint: differentiate the reduced gradient.
-
-    Uses b1 <misfit, psi> with psi the bilinearized phase component, plus the
-    first-order tracking and control terms; valid for b2 = 0 and b2 != 0, and
-    a cross-check of `SecondOrderContext.form`.
-    """
-    problem, state = context.problem, context.state
-    if lin_h is None:
-        lin_h = context.linearize(h)
-    if lin_k is None:
-        lin_k = context.linearize(k) if k is not h else lin_h
-    bilin = context.bilinearize(lin_h, lin_k, h, k)
-    grid, tgrid = problem.grid, problem.tgrid
-    cost = problem.cost
-    total = cost.b0 * control_inner(grid, tgrid, h, k)
-    total += cost.b1 * st_inner(grid, tgrid, lin_h.xi, lin_k.xi)
-    misfit = state.phi - problem.target_q()
-    total += cost.b1 * st_inner(grid, tgrid, misfit, bilin.xi)
-    if cost.b2 != 0.0:
-        total += cost.b2 * inner(grid, lin_h.xi[-1], lin_k.xi[-1])
-        total += cost.b2 * inner(grid, state.phi[-1] - problem.target_omega(),
-                                 bilin.xi[-1])
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +478,12 @@ def adjoint_continuous_residual(context: SecondOrderContext,
     diffusion and source terms.  The residual then measures the first-order
     consistency gap and must shrink under refinement.  Level pairs are kept
     only on the fixed window [cut*T, (1-cut)*T] so that runs at different
-    resolutions integrate the residual over the same time interval.  The
-    state and adjoint are the context's, and every pair of the window is
-    assembled at once.
+    resolutions integrate the residual over the same time interval; the
+    final-time tracking source enters the adjoint at level N_t alone, which
+    the window leaves out from 6 steps on.  The state and adjoint are the
+    context's, and every pair of the window is assembled at once.
     """
     problem = context.problem
-    if problem.cost.b2 != 0.0:
-        raise ValueError(
-            "the strong-form diagnostic needs final-time tracking disabled "
-            "(set b2 = 0)")
     if not 0.0 <= cut < 0.5:
         raise ValueError("cut must lie in [0, 0.5)")
     levels = _strong_form_levels(problem.tgrid, cut)
@@ -571,21 +532,18 @@ def adjoint_continuous_residual(context: SecondOrderContext,
 def run_verification(problem: ControlProblem, ubar: Control,
                      seed: int = 0, n_dirs: int = 3,
                      n_pairs: int = 2) -> dict:
-    """Run every applicable check on one problem and collect a report.
+    """Run every check on one problem and collect a report.
 
     Returns a dict with one entry per check (name, description, metrics,
     passed) and an overall gate flag.
     """
-    if problem.cost.b2 == 0.0:
-        # the strong-form check runs last; reject its window before any solve
-        _strong_form_levels(problem.tgrid, STRONG_FORM_CUT)
+    # the strong-form check runs last; reject its window before any solve
+    _strong_form_levels(problem.tgrid, STRONG_FORM_CUT)
     checks: list[dict] = []
 
-    def add(name: str, description: str, metrics: dict, passed: bool,
-            skipped: bool = False):
+    def add(name: str, description: str, metrics: dict, passed: bool):
         checks.append({"name": name, "description": description,
-                       "metrics": metrics, "passed": bool(passed),
-                       "skipped": bool(skipped)})
+                       "metrics": metrics, "passed": bool(passed)})
 
     context = SecondOrderContext(problem, ubar)
     worst_mass = float(np.max(context.state.mass_residual[1:]))
@@ -625,29 +583,24 @@ def run_verification(problem: ControlProblem, ubar: Control,
          "homogeneity_error": stability.homogeneity_error},
         stability.passed)
 
-    if problem.cost.b2 == 0.0:
-        fine = refine_problem(problem)
-        finer = refine_problem(fine)
-        u_fine = refine_control(ubar, problem)
-        aggregates = [adjoint_continuous_residual(context).aggregate,
-                      adjoint_continuous_residual(
-                          SecondOrderContext(fine, u_fine)).aggregate,
-                      adjoint_continuous_residual(SecondOrderContext(
-                          finer, refine_control(u_fine, fine))).aggregate]
-        if max(aggregates) == 0.0:
-            order = np.inf
-            passed = True
-        else:
-            # gate on the finer pair; the coarsest one is pre-asymptotic
-            order = float(np.log2(aggregates[1] / max(aggregates[2], 1e-300)))
-            passed = order >= THRESHOLDS["adjoint_residual_order"]
-        add("adjoint_strong_form",
-            "centered strong-form residual of the adjoint, decay order",
-            {"aggregates": aggregates, "order": order}, passed)
+    fine = refine_problem(problem)
+    finer = refine_problem(fine)
+    u_fine = refine_control(ubar, problem)
+    aggregates = [adjoint_continuous_residual(context).aggregate,
+                  adjoint_continuous_residual(
+                      SecondOrderContext(fine, u_fine)).aggregate,
+                  adjoint_continuous_residual(SecondOrderContext(
+                      finer, refine_control(u_fine, fine))).aggregate]
+    if max(aggregates) == 0.0:
+        order = np.inf
+        passed = True
     else:
-        add("adjoint_strong_form",
-            "skipped: final-time tracking active (b2 != 0)", {}, True,
-            skipped=True)
+        # gate on the finer pair; the coarsest one is pre-asymptotic
+        order = float(np.log2(aggregates[1] / max(aggregates[2], 1e-300)))
+        passed = order >= THRESHOLDS["adjoint_residual_order"]
+    add("adjoint_strong_form",
+        "centered strong-form residual of the adjoint, decay order",
+        {"aggregates": aggregates, "order": order}, passed)
 
     return {"checks": checks,
             "all_passed": bool(all(c["passed"] for c in checks))}

@@ -13,11 +13,11 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       NonlinearitySpec, PotentialSpec, ScalarShape,
                       SecondOrderContext, SscReport, StabilityReport, TimeGrid,
                       build_grid, cone_project, control_inner, control_norm,
-                      cost_eval, default_tau, quadratic_form_bilinear_route,
-                      refine_problem, strongly_active_sets)
+                      cost_eval, default_tau, refine_problem,
+                      strongly_active_sets)
 from tumoropt.grid import inner
 from tumoropt.optimize import _block_len
-from tumoropt.problem import ControlProblem
+from tumoropt.problem import ControlProblem, st_inner
 from tumoropt.errors import SolverError
 from tumoropt.state import (_CHORD_CONTRACTION, SolverOptions,
                             StateTrajectory, _check_energy, _step_ceiling,
@@ -456,6 +456,34 @@ def ssc_certificate_per_direction(context, tau, n_samples, box, seed=0):
     return report, quotients
 
 
+def quadratic_form_bilinear_route(context, h: Control, k: Control,
+                                  lin_h=None, lin_k=None) -> float:
+    """Oracle of `SecondOrderContext.form`: B(h, k) without the adjoint.
+
+    Differentiates the reduced gradient along the bilinearized march: the
+    control and tracking terms of the linearized states plus the misfits
+    paired with the bilinearized phase component psi, b1 on every level and
+    b2 at the final one.
+    """
+    problem, state = context.problem, context.state
+    if lin_h is None:
+        lin_h = context.linearize(h)
+    if lin_k is None:
+        lin_k = context.linearize(k) if k is not h else lin_h
+    bilin = context.bilinearize(lin_h, lin_k, h, k)
+    grid, tgrid = problem.grid, problem.tgrid
+    cost = problem.cost
+    total = cost.b0 * control_inner(grid, tgrid, h, k)
+    total += cost.b1 * st_inner(grid, tgrid, lin_h.xi, lin_k.xi)
+    misfit = state.phi - problem.target_q()
+    total += cost.b1 * st_inner(grid, tgrid, misfit, bilin.xi)
+    if cost.b2 != 0.0:
+        total += cost.b2 * inner(grid, lin_h.xi[-1], lin_k.xi[-1])
+        total += cost.b2 * inner(grid, state.phi[-1] - problem.target_omega(),
+                                 bilin.xi[-1])
+    return float(total)
+
+
 def dense_hessian(context) -> np.ndarray:
     """Full Hessian matrix in the nodal basis at the context's control.
 
@@ -607,11 +635,7 @@ def taylor_orders_per_control(context, v=None, h=None, eps_values=EPS_LADDER,
     bilin_vh = context.bilinearize(lin_v, lin_h, v, h)
     j0 = cost_eval(problem, state, ubar)
     slope_v = control_inner(grid, tgrid, context.gradient.as_control(), v)
-    if problem.cost.b2 == 0.0:
-        b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
-    else:
-        b_vv = quadratic_form_bilinear_route(context, v, v, lin_h=lin_v,
-                                             lin_k=lin_v)
+    b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
     err_state, err_ds, err_cost = [], [], []
     state_scale = max(_norm3(problem, lin_v.y), 1e-300)
     for e in eps_values:

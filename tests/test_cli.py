@@ -1,6 +1,7 @@
 """Command line driver: outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 import tumoropt.stepper
-from tumoropt import StepFactors, solve_adjoint
+from tumoropt import SscReport, StepFactors, solve_adjoint
 from tumoropt.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_SOLVER, main)
 from tumoropt.config import RunConfig, build_setup
 
@@ -227,9 +228,12 @@ def test_2d_optimize_exits_cleanly(tmp_path):
     # point is strongly active and the critical cone is trivial
     ("analyze", ["control.initial.u1=0.5", "control.initial.u2=0.5",
                  "ssc.tau=0", "grid.shape=[17]", "time.steps=20"], "ssc.tau"),
-    # the adjoint strong-form window [0.1 T, 0.9 T] needs two level pairs
+    # the adjoint strong-form window [0.1 T, 0.9 T] needs two level pairs,
+    # with final-time tracking too
     ("verify", ["time.steps=2", "grid.shape=[9]"], "time.steps"),
-], ids=["trivial-cone", "narrow-window"])
+    ("verify", ["time.steps=2", "grid.shape=[9]", "cost.b2=0.5",
+                "cost.target_Omega=0.1"], "time.steps"),
+], ids=["trivial-cone", "narrow-window", "narrow-window-final-tracking"])
 def test_degenerate_check_settings_are_config_errors(tmp_path, command,
                                                      overrides, key):
     proc = _run_canonical(tmp_path, command, overrides)
@@ -350,9 +354,8 @@ def test_analyze_outputs(tmp_path, capsys):
     report = json.loads((out / "ssc_report.json").read_text())
     assert report["ssc"]["satisfied"] is True
     assert report["ssc"]["sample_count"] >= 1
-    assert set(report["ssc"]) == {"tau", "seed", "sample_count",
-                                  "requested_samples", "min_rayleigh",
-                                  "satisfied"}
+    assert set(report["ssc"]) == {f.name for f in
+                                  dataclasses.fields(SscReport)}
     assert 0.0 <= report["active_fraction_u1"] <= 1.0
     for tag in ("0000", "0006"):
         assert (out / f"adjoint_{tag}.csv").is_file()
@@ -385,7 +388,7 @@ def test_analyze_factors_and_marches_the_adjoint_once(tmp_path, monkeypatch):
     assert len(marches) == 1
 
 
-def test_analyze_skips_curvature_with_final_tracking(tmp_path):
+def test_analyze_certifies_curvature_with_final_tracking(tmp_path):
     cfg = _write(tmp_path, COUPLED)
     out = tmp_path / "out"
     code = main(["analyze", "--config", str(cfg), "--out-dir", str(out),
@@ -393,7 +396,8 @@ def test_analyze_skips_curvature_with_final_tracking(tmp_path):
                  "--set", "cost.target_Omega=0.1"])
     assert code == EXIT_OK
     report = json.loads((out / "ssc_report.json").read_text())
-    assert report["ssc"] is None
+    assert report["ssc"]["sample_count"] == 4
+    assert report["ssc"]["satisfied"] is True
 
 
 def test_seed_flag_reaches_reports(tmp_path):
@@ -449,15 +453,16 @@ def test_table_shape_without_curvature_is_config_error(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
-def test_table_shape_runs_analyze_without_curvature(tmp_path):
-    # final-time tracking skips the curvature sampling
+def test_table_shape_with_final_tracking_is_config_error(tmp_path, capsys):
+    # final-time tracking samples the curvature too
     cfg = _write(tmp_path, COUPLED)
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(cfg), "--out-dir", str(out),
                  "--quiet", "--set", f"nonlinearity.h={TABLE}",
-                 "--set", "cost.b2=0.5"]) == EXIT_OK
-    report = json.loads((out / "ssc_report.json").read_text())
-    assert report["ssc"] is None
+                 "--set", "cost.b2=0.5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: nonlinearity.h: a table shape has no second derivative")
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_override_key_is_config_error(tmp_path, capsys):

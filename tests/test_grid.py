@@ -146,3 +146,10 @@ def test_grid_arrays_read_only():
     g = build_grid(1, [5], [1.0])
     with pytest.raises(ValueError):
         g.weights[0] = 7.0
+
+
+def test_grids_compare_and_hash_by_identity():
+    # array fields make a field-wise == ambiguous and the grid unhashable
+    a, b = build_grid(1, [5], [1.0]), build_grid(1, [5], [1.0])
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -20,8 +20,8 @@ from tumoropt.verify import (_random_direction, check_gradient_fd,
                              check_taylor_orders)
 
 from _support import (dense_hessian, dense_hessian_per_pair, make_problem,
-                      random_control, smooth_control,
-                      ssc_certificate_per_direction)
+                      quadratic_form_bilinear_route, random_control,
+                      smooth_control, ssc_certificate_per_direction)
 
 
 def _trapz_time(values, times):
@@ -545,9 +545,11 @@ def test_ssc_requests_each_step_factor_at_most_once(monkeypatch):
     assert len(requested) <= ctx.problem.tgrid.steps
 
 
-def test_second_order_context_rejects_final_tracking():
+def test_second_order_context_forms_final_tracking():
     pr = make_problem(b2=1.0)
     ctx = SecondOrderContext(pr, pr.zero_control())
-    h = random_control(pr)
-    with pytest.raises(ValueError, match="b2"):
-        ctx.form(h, h)
+    h, k = random_control(pr), random_control(pr, seed=1)
+    assert ctx.form(h, h) > 0.0
+    assert ctx.form(h, k) == pytest.approx(
+        quadratic_form_bilinear_route(ctx, h, k), rel=1e-12, abs=0.0)
+    assert ctx.form(h, k) == pytest.approx(ctx.form(k, h), rel=1e-12)
