@@ -1,12 +1,12 @@
 """Optimal control of a viscous Cahn-Hilliard tumor-growth model.
 
 Finite-difference state solver, linearized/bilinearized sensitivities,
-transpose-exact adjoint and gradient, projected gradient descent under box
-constraints, and second-order analysis on the critical cone, with a
-verification harness covering each identity.
+transpose-exact adjoint and gradient, projected gradient and Newton-CG
+descent under box constraints, and second-order analysis on the critical
+cone, with a verification harness covering each identity.
 """
 
-from .adjoint import AdjointTrajectory, solve_adjoint
+from .adjoint import AdjointTrajectory, misfit_adjoint, solve_adjoint
 from .config import RunConfig, RunSetup, build_setup, compile_expression
 from .errors import ConfigError, SeparationViolation, SolverError
 from .grid import Grid, build_grid, inner

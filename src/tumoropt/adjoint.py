@@ -3,7 +3,9 @@
 The stacked multiplier (p, q, r) of the step-k residual is computed by
 marching backwards, lam^k = A_k*^-1 (B^T lam^{k+1} + S^k), with A_k* the
 step operator transposed in the trapezoid-weighted inner product, B the
-step's `transport` and S the misfit sources, one (N_t+1, 3n) history.
+step's `transport` and S a given source history (`solve_adjoint`): the
+tracking misfits for the gradient (`misfit_adjoint`), the derivative of the
+Hessian pairing for a Hessian-vector product.
 The stored snapshots are rescaled by the time quadrature weights so
 that the reduced gradient reads pointwise as (-h(phi) p + b0 u1, r + b0 u2);
 with this convention the duality identity between the linearized and adjoint
@@ -42,37 +44,59 @@ class AdjointTrajectory:
     r = property(lambda self: Stepper.split(self.lam)[2])
 
 
-def solve_adjoint(factors: StepFactors) -> AdjointTrajectory:
-    """Backward march of the transposed linearized system at `factors`.
+def solve_adjoint(factors: StepFactors, sources: np.ndarray) -> np.ndarray:
+    """Run A_k* lam^k = B^T lam^{k+1} + S^k from lam^{N_t+1} = 0 for a block
+    of source histories.
+
+    The mirror of `sensitivity._march`: `sources` stacks the histories of
+    S^k of m right-hand sides, (m, N_t+1, 3n) with level 0 unused, each
+    S^k paired with the step-k state in the grid-weighted inner product.
+    The result has the same shape and holds each multiplier divided by the
+    time weight of its level (level 0 is zero).  Each level takes one
+    transpose solve of a (3n, m) block; the march starts at the last level
+    where a source of the block is nonzero, and a level whose right-hand
+    sides are all zero is zero without a solve, so zero sources
+    short-circuit to exactly zero multipliers.  A zero right-hand side in
+    a block with nonzero ones is solved as a zero column, which may leave
+    -0.0.
+    """
+    stepper = factors.problem.stepper
+    wt = factors.problem.tgrid.weights()
+    back = stepper.transport.T
+    lam = np.zeros_like(sources)
+    live = np.flatnonzero(np.any(sources[:, 1:], axis=(0, 2)))
+    if live.size:
+        levels = range(live[-1] + 1, 0, -1)
+        raw = np.zeros((sources.shape[2], sources.shape[0]))
+        with factors.ahead(levels):
+            for k in levels:
+                rhs = back @ raw + sources[:, k].T
+                raw = (stepper.solve_adjoint_step(factors.lu(k), rhs)
+                       if np.any(rhs) else np.zeros_like(rhs))
+                lam[:, k] = raw.T / wt[k]
+    return lam
+
+
+def misfit_adjoint(factors: StepFactors) -> AdjointTrajectory:
+    """The adjoint of the tracking cost at `factors`, whose reduced gradient
+    it gives.
 
     The sources are the tracking misfits of the factors' problem cost: b1
     w_k (phi_k - target_Q_k) on every level and additionally b2 (phi_N -
-    target_Omega) at the final one.  Zero sources short-circuit to exactly
-    zero multipliers.
+    target_Omega) at the final one.
     """
     problem, state = factors.problem, factors.state
-    cost, stepper = problem.cost, problem.stepper
+    cost = problem.cost
     n_steps = problem.tgrid.steps
     wt = problem.tgrid.weights()
 
     misfit_T = state.phi[n_steps] - problem.target_omega()
-    sources = np.zeros_like(state.x)
-    src_q = stepper.split(sources)[1]
+    sources = np.zeros((1,) + state.x.shape)
+    src_q = Stepper.split(sources[0])[1]
     src_q[:] = (cost.b1 * wt)[:, None] * (state.phi - problem.target_q())
     src_q[n_steps] += cost.b2 * misfit_T
-    back = stepper.transport.T
-    lam, raw = np.zeros_like(sources), np.zeros(sources.shape[1])
-    # the march solves from the last level with a source down to level 1
-    top = n_steps
-    while top and not np.any(sources[top]):
-        top -= 1
-    with factors.ahead(range(top, 0, -1)):
-        for k in range(n_steps, 0, -1):
-            rhs = back @ raw + sources[k]
-            raw = (stepper.solve_adjoint_step(factors.lu(k), rhs)
-                   if np.any(rhs) else np.zeros_like(rhs))
-            lam[k] = raw / wt[k]
 
-    terminal = np.zeros_like(raw)
-    stepper.split(terminal)[1][:] = cost.b2 * misfit_T / problem.params.beta
-    return AdjointTrajectory(lam=lam, terminal=terminal)
+    terminal = np.zeros(state.x.shape[1])
+    Stepper.split(terminal)[1][:] = cost.b2 * misfit_T / problem.params.beta
+    return AdjointTrajectory(lam=solve_adjoint(factors, sources)[0],
+                             terminal=terminal)

@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
         "simulate": "march the state system and write snapshots",
-        "optimize": "run projected gradient descent on the tracking cost",
+        "optimize": "minimize the tracking cost: projected gradient (BB) "
+                    "steps, then projected Newton-CG once they stall",
         "verify": "run the self-check suite and gate on the outcome",
         "analyze": "adjoint, active sets and sampled curvature at the "
                    "configured control",
@@ -203,10 +204,11 @@ def _run_optimize(setup: RunSetup, out_dir: Path, say) -> int:
     _write_space_time_csv(out_dir / "gradient_u2.csv", grid, "g2",
                           result.gradient.grad2)
     _write_csv(out_dir / "history.csv",
-               ["iteration", "cost", "stationarity", "step_size"],
-               "%d,%.17g,%.17g,%.17g",
-               ([h["iteration"], h["cost"], h["stationarity"], h["step_size"]]
-                for h in result.history))
+               ["iteration", "cost", "stationarity", "step_size", "solves",
+                "cg_iters"],
+               "%d,%.17g,%.17g,%.17g,%d,%d",
+               ([h["iteration"], h["cost"], h["stationarity"], h["step_size"],
+                 h["solves"], h["cg_iters"]] for h in result.history))
     _write_report(out_dir / "optimize_report.json",
                   {"cost": result.cost, "stationarity": result.stationarity,
                    "converged": result.converged, "reason": result.reason,

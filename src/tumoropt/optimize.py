@@ -1,11 +1,14 @@
-"""Reduced cost, projected gradient descent, and second-order analysis.
+"""Reduced cost, projected descent, and second-order analysis.
 
 The reduced gradient combines the adjoint-derived field d = (-h(phi) p, r)
 with the control-cost term b0 u; it is exact for the discrete problem, so
 finite-difference checks agree to the differencing error alone.  The
 quadratic form assembled here is the exact Hessian of the discrete reduced
 cost, evaluated from first-order sensitivities of two directions and the
-adjoint, and cross-checkable against a march of the bilinearized system.
+adjoint, and cross-checkable against a march of the bilinearized system;
+its Hessian-vector products come from a second-order adjoint march.  The
+descent takes Barzilai-Borwein gradient steps, then projected Newton-CG
+steps on those products once a gradient step stalls.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, solve_adjoint
+from .adjoint import AdjointTrajectory, misfit_adjoint, solve_adjoint
 from .errors import ConfigError
 from .grid import inner
 from .model import (BoxConstraints, Control, check_ranges,
@@ -73,7 +76,7 @@ def reduced_gradient(ubar: Control, problem: ControlProblem,
     if state is None:
         state = problem.solve(ubar)
     factors = StepFactors(problem, state, ubar, cache_bytes=0)
-    return _gradient_field(factors, solve_adjoint(factors))
+    return _gradient_field(factors, misfit_adjoint(factors))
 
 
 def _gradient_field(factors: StepFactors, adjoint: AdjointTrajectory
@@ -99,7 +102,7 @@ def stationarity_measure(ubar: Control, problem: ControlProblem,
 
 
 # ---------------------------------------------------------------------------
-# projected gradient descent
+# projected descent: gradient steps, then Newton-CG steps
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,12 @@ class PgdResult:
 
     `reason` says why it stopped: "converged" (stationarity within tol),
     "max_iter" (the iteration budget ran out) or "line_search_failed" (no
-    Armijo trial was accepted within max_backtracks).
+    Armijo trial was accepted within max_backtracks).  Row i of `history`
+    describes iterate i and the iteration that reached it: its cost and
+    stationarity, the accepted step length (`step_size`), the Armijo trials
+    taken, each one state solve (`solves`), and the Hessian-vector products
+    of a Newton-CG step (`cg_iters`, 0 on a Barzilai-Borwein step).  Row 0
+    holds the initial step and no trial.
     """
 
     control: Control
@@ -150,15 +158,48 @@ class PgdResult:
         return self.reason == "converged"
 
 
+# A Barzilai-Borwein step that keeps more than this share of the stationarity
+# measure hands the run to Newton-CG steps.  The first step kept 0.064 of it
+# on desk-1d and 0.071 on rect-2d, which then converge at the next step, and
+# 0.93 on track-1d, where gradient steps alone need 9 iterations.
+_SWITCH_RATIO = 0.25
+# Cap of the CG forcing term eta = min(cap, sqrt(|r0|)): CG stops once the
+# residual falls below eta |r0|.  On track-1d a cap of 0.1 took 4 Newton
+# iterations (0.154 s) where 0.01 took 3 (0.125 s); 0.001 took as many
+# iterations and more products (0.129 s, and 0.252 s against 0.231 s at
+# b0 = 1e-3).
+_FORCING_CAP = 0.01
+# A point within min(this, stationarity) of a bound, where the gradient
+# pushes outward, is binding and takes a steepest-descent step (Bertsekas'
+# projected Newton).  With bounds +-0.02 on track-1d (93-97 % of the
+# points end on a bound at b0 = 1e-2 and 1e-3), every value from 0 to 1e-2
+# took the same 3 and 4 iterations.
+_BINDING_TOL = 1e-3
+# Hessian-vector products one Newton-CG step may take.  No step took more
+# than 5 on track-1d at b0 = 1e-2 and 1e-3 (any forcing cap above), its
+# bound-active variants, or rect-2d at b0 = 1e-2.  20 products take about
+# as long as 4 gradient steps on desk-1d (10.7 ms each, against 54 ms for a
+# state solve and a gradient) and 1.5 on rect-2d (13 ms against 180 ms).
+_CG_MAX_ITER = 20
+
+
 def projected_gradient(u0: Control, problem: ControlProblem,
                        box: BoxConstraints,
                        opts: PgdOptions | None = None) -> PgdResult:
-    """Projected gradient descent with a Barzilai-Borwein step seed.
+    """Projected descent: Barzilai-Borwein gradient steps, then projected
+    Newton-CG steps once a gradient step stalls.
 
-    Each iteration projects a gradient step onto the box and backtracks on
-    the Armijo condition J(trial) <= J(u) - c <grad, u - trial>.  The BB1
-    quotient <du, du> / <du, dg> seeds the step length; on a pure control
-    cost it equals 1/b0 and the iteration lands on the projected origin.
+    Each iteration projects a step u - t s onto the box and backtracks on
+    the Armijo condition J(trial) <= J(u) - c <grad, u - trial>.  A
+    gradient step takes s = grad, its length t seeded by the BB1 quotient
+    <du, du> / <du, dg> (on a pure control cost it equals 1/b0, and the
+    iteration lands on the projected origin).  While each gradient step cuts
+    the stationarity measure at least fourfold (`_SWITCH_RATIO`), the next
+    is a gradient step too; from the first that does not, every iteration
+    is a projected Newton-CG step (`_newton_direction`) with t = 1 first.
+    Its gradient and Hessian-vector products share one
+    `SecondOrderContext` of the iterate.  A table shape has no second
+    derivative, so with one the run keeps gradient steps.
     """
     opts = opts or PgdOptions()
     grid, tgrid = problem.grid, problem.tgrid
@@ -166,17 +207,23 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     state = problem.solve(u)
     j = cost_eval(problem, state, u)
     grad = reduced_gradient(u, problem, state=state)
+    curved = "table" not in (problem.nonlin.P.kind, problem.nonlin.H.kind)
     history: list[dict] = []
     step = opts.initial_step
     u_prev = None
     grad_prev = None
+    stat_prev = None
+    newton = False
+    context = None      # the iterate's SecondOrderContext, in the Newton phase
+    solves = cg_iters = 0
     reason = "max_iter"
     it = 0
 
     for it in range(opts.max_iter + 1):
         stat = stationarity_measure(u, problem, box, grad)
         history.append({"iteration": it, "cost": j, "stationarity": stat,
-                        "step_size": step})
+                        "step_size": step, "solves": solves,
+                        "cg_iters": cg_iters})
         if stat <= opts.tol:
             reason = "converged"
             break
@@ -191,14 +238,27 @@ def projected_gradient(u0: Control, problem: ControlProblem,
                 step = control_inner(grid, tgrid, du, du) / denom
         step = min(max(step, opts.step_min), opts.step_max)
 
+        if (not newton and curved and stat_prev is not None
+                and stat > _SWITCH_RATIO * stat_prev):
+            newton = True
+            context = SecondOrderContext(problem, u, state)
+        stat_prev = stat
+        s, t = grad.as_control(), step
+        cg_iters = 0
+        if newton:
+            d, cg_iters = _newton_direction(context, grad, box, stat)
+            # drop the factors before the trials solve states
+            context = None
+            if d is not None:
+                s, t = d, 1.0
+
         accepted = False
-        t = step
         j_new = j
         state_new = state
         trial = u
-        for _ in range(opts.max_backtracks):
+        for solves in range(1, opts.max_backtracks + 1):
             trial = project_admissible(
-                Control(u.u1 - t * grad.grad1, u.u2 - t * grad.grad2), box)
+                Control(u.u1 - t * s.u1, u.u2 - t * s.u2), box)
             decrease = control_inner(
                 grid, tgrid, grad.as_control(),
                 Control(u.u1 - trial.u1, u.u2 - trial.u2))
@@ -213,12 +273,65 @@ def projected_gradient(u0: Control, problem: ControlProblem,
             break
         u_prev, grad_prev = u, grad
         u, j, state, step = trial, j_new, state_new, t
-        grad = reduced_gradient(u, problem, state=state)
+        if newton:
+            context = SecondOrderContext(problem, u, state)
+            grad = context.gradient
+        else:
+            grad = reduced_gradient(u, problem, state=state)
 
     return PgdResult(control=u, cost=j,
                      stationarity=history[-1]["stationarity"],
                      reason=reason, n_iter=it, history=history,
                      gradient=grad)
+
+
+def _newton_direction(context: SecondOrderContext, grad: GradientField,
+                      box: BoxConstraints, stat: float
+                      ) -> tuple[Control | None, int]:
+    """The projected Newton-CG step s at the context's control, taken as
+    u - t s, and the Hessian-vector products it took.
+
+    A point within min(`_BINDING_TOL`, stat) of a bound, where the gradient
+    pushes outward, is binding: s is the gradient there.  On the free
+    points s = -d, with d from CG on H d = -grad restricted to them, in the
+    space-time control inner product, stopped once the residual falls by
+    the forcing term min(`_FORCING_CAP`, sqrt(|r0|)) or at `_CG_MAX_ITER`
+    products; curvature <= 0 stops it with the d reached so far.  None
+    comes back in place of s when the first product meets curvature <= 0.
+    """
+    problem, u = context.problem, context.ubar
+    wts = problem.tgrid.weights()[:, None] * problem.grid.weights
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sum(wts * (a * b).sum(axis=0)))
+
+    eps = min(_BINDING_TOL, stat)
+    g = np.stack([grad.grad1, grad.grad2])
+    near_lower = np.stack([u.u1 - box.lower1, u.u2 - box.lower2]) <= eps
+    near_upper = np.stack([box.upper1 - u.u1, box.upper2 - u.u2]) <= eps
+    free = ~((near_lower & (g > 0.0)) | (near_upper & (g < 0.0)))
+    r = np.where(free, -g, 0.0)
+    rr = dot(r, r)
+    stop = min(_FORCING_CAP, np.sqrt(np.sqrt(rr))) * np.sqrt(rr)
+    d = np.zeros_like(r)
+    p = r
+    n_products = 0
+    while n_products < _CG_MAX_ITER and np.sqrt(rr) > stop:
+        hp = context.hessian_product(Control(p[0], p[1]))
+        n_products += 1
+        hp = np.where(free, np.stack([hp.u1, hp.u2]), 0.0)
+        curv = dot(p, hp)
+        if curv <= 0.0:
+            if n_products == 1:
+                return None, n_products
+            break
+        alpha = rr / curv
+        d = d + alpha * p
+        r = r - alpha * hp
+        rr, rr_old = dot(r, r), rr
+        p = r + (rr / rr_old) * p
+    s = np.where(free, -d, g)
+    return Control(s[0], s[1]), n_products
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +386,9 @@ def cone_project(h: Control, ubar: Control, box: BoxConstraints,
 class SecondOrderContext:
     """State, step factors and adjoint at one control, each built once.
 
-    The gradient, the linearized and bilinearized marches and the exact
-    Hessian form at `ubar` all reuse the one factor pass along the state.
+    The gradient, the linearized and bilinearized marches, the exact
+    Hessian form and the Hessian-vector products at `ubar` all reuse the one
+    factor pass along the state.
     """
 
     def __init__(self, problem: ControlProblem, ubar: Control,
@@ -289,7 +403,7 @@ class SecondOrderContext:
 
     @functools.cached_property
     def adjoint(self) -> AdjointTrajectory:
-        return solve_adjoint(self.factors)
+        return misfit_adjoint(self.factors)
 
     @functools.cached_property
     def gradient(self) -> GradientField:
@@ -331,6 +445,40 @@ class SecondOrderContext:
         acc = np.einsum("k,ki,i->", pr.tgrid.weights()[1:], pairing,
                         pr.grid.weights)
         return float(total + acc)
+
+
+    def hessian_product(self, h: Control | Sequence[Control]
+                        ) -> Control | list[Control]:
+        """Riesz representative H h of the Hessian form in the space-time
+        control inner product, <H h, k> = B(h, k) for every k.
+
+        A second-order adjoint: one linearized march of the directions, then
+        one backward march (`solve_adjoint`) whose source is the derivative
+        of the form in its second direction's state, and
+        H h = (b0 h1 - h(phi) p~ - p h'(phi) xi_h, b0 h2 + r~) with (p~, r~)
+        the march's multipliers and p the adjoint's.  One Control gives one
+        product; a sequence is marched as one block and gives a list.
+        """
+        single = isinstance(h, Control)
+        dirs = [h] if single else list(h)
+        pr, coef = self.problem, self.factors.coefficients
+        stepper, cost, wt = pr.stepper, pr.cost, pr.tgrid.weights()
+        lins = self.linearize(dirs)
+        y = np.stack([lin.y for lin in lins])
+        h1 = np.stack([d.u1 for d in dirs])
+        xi = stepper.split(y)[1]
+        sources = np.zeros_like(y)
+        sources[:, 1:] = wt[1:, None] * stepper.second_order_source_adjoint(
+            coef, self.adjoint.lam[1:], y[:, 1:], h1[:, 1:])
+        src_q = stepper.split(sources)[1]
+        src_q += (cost.b1 * wt)[:, None] * xi
+        src_q[:, -1] += cost.b2 * xi[:, -1]
+        p_h, _, r_h = stepper.split(solve_adjoint(self.factors, sources))
+        out1 = cost.b0 * h1 - self.factors.h_phi * p_h
+        out1[:, 1:] -= self.adjoint.p[1:] * coef.dh * xi[:, 1:]
+        prods = [Control(a, cost.b0 * d.u2 + b)
+                 for a, b, d in zip(out1, r_h, dirs)]
+        return prods[0] if single else prods
 
 
 def _block_len(problem: ControlProblem, extra_bytes: int = 0) -> int:

@@ -183,7 +183,11 @@ def _step_ceiling(phi: np.ndarray, dphi: np.ndarray, lo: float, hi: float,
     up = dphi > 0.0
     down = dphi < 0.0
     gap = np.where(up, hi - margin, lo + margin) - phi
-    q = np.divide(gap, dphi, out=np.full_like(dphi, np.inf), where=up | down)
+    # a NaN dphi passes the mask; its NaN quotient is left out by
+    # `_least_side`, as is every entry neither up nor down
+    q = np.empty_like(dphi)
+    q.fill(np.inf)
+    np.divide(gap, dphi, out=q, where=dphi != 0.0)
     if q.ndim == 1:
         t = float(q.min())
         return _fraction(t if t == t else _least_side(q, up, down))

@@ -277,6 +277,29 @@ class Stepper:
         s2 = -coef.d3f * xih * xik
         return np.concatenate([s1, s2, -reaction], axis=-1)
 
+    def second_order_source_adjoint(self, coef: SecondOrderCoefficients,
+                                    lam: np.ndarray, yh: np.ndarray,
+                                    h1: np.ndarray) -> np.ndarray:
+        """Derivative of the pairing <lam, S(h, k)> in the linearized state
+        yk of the second direction, pointwise in space and time.
+
+        `lam` holds stacked multipliers (p, q, r) and the rest is as in
+        `second_order_source`, whose pairing with `lam` is the stacked
+        result paired with yk plus <-p h'(phi) xih, k1>: the source of the
+        backward march of a Hessian-vector product.
+        """
+        p, q, r = self.split(lam)
+        eta_h, xih, theta_h = self.split(yh)
+        mh = theta_h - self.chi * xih - eta_h
+        # the reaction term enters s1 and -s3, so it pairs with p - r
+        pr = p - r
+        react = pr * coef.dp * xih
+        d_xi = (pr * (coef.ddp * xih * coef.m + coef.dp * mh)
+                - self.chi * react
+                - p * (coef.ddh * xih * coef.u1 + coef.dh * h1)
+                - q * coef.d3f * xih)
+        return np.concatenate([-react, d_xi, react], axis=-1)
+
     def residual(self, x: np.ndarray, x_prev: np.ndarray,
                  u1k: np.ndarray, u2k: np.ndarray) -> np.ndarray:
         """Step residual at a stacked state x (3n,), or at rows (m, 3n) of
@@ -401,5 +424,7 @@ class Stepper:
                       self._band_inv_perm)
 
     def solve_adjoint_step(self, lu, rhs: np.ndarray) -> np.ndarray:
-        """Solve A* y = rhs where A* is the weighted-inner-product transpose."""
-        return lu.solve(self.w3 * rhs, trans="T") / self.w3
+        """Solve A* y = rhs where A* is the weighted-inner-product transpose,
+        for rhs of shape (3n,) or a block (3n, m)."""
+        w3 = self.w3 if rhs.ndim == 1 else self.w3[:, None]
+        return lu.solve(w3 * rhs, trans="T") / w3

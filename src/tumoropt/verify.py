@@ -456,10 +456,12 @@ class AdjointResidualReport:
 
 
 def _strong_form_levels(tgrid: TimeGrid, cut: float) -> np.ndarray:
-    """Levels k whose pair (k, k+1) has its midpoint in [cut*T, (1-cut)*T]."""
+    """Levels k whose pair (k, k+1) has its midpoint in [cut*T, (1-cut)*T],
+    the last pair (N_t - 1, N_t) left out: level N_t carries the half-weight
+    misfit and the final-time tracking source."""
     t_mid = 0.5 * (tgrid.times[:-1] + tgrid.times[1:])
     lo, hi = cut * tgrid.t_final, (1.0 - cut) * tgrid.t_final
-    pairs = np.arange(1, tgrid.steps)
+    pairs = np.arange(1, tgrid.steps - 1)
     levels = pairs[(t_mid[pairs] >= lo) & (t_mid[pairs] <= hi)]
     if levels.size < 2:
         raise ConfigError(
@@ -478,10 +480,11 @@ def adjoint_continuous_residual(context: SecondOrderContext,
     diffusion and source terms.  The residual then measures the first-order
     consistency gap and must shrink under refinement.  Level pairs are kept
     only on the fixed window [cut*T, (1-cut)*T] so that runs at different
-    resolutions integrate the residual over the same time interval; the
-    final-time tracking source enters the adjoint at level N_t alone, which
-    the window leaves out from 6 steps on.  The state and adjoint are the
-    context's, and every pair of the window is assembled at once.
+    resolutions integrate the residual over the same time interval.  The
+    pair ending at level N_t, where the half-weight misfit and the
+    final-time tracking source enter the adjoint, is never kept.  The state
+    and adjoint are the context's, and every pair of the window is
+    assembled at once.
     """
     problem = context.problem
     if not 0.0 <= cut < 0.5:

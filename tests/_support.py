@@ -484,6 +484,45 @@ def quadratic_form_bilinear_route(context, h: Control, k: Control,
     return float(total)
 
 
+def misfit_adjoint_per_level(factors) -> np.ndarray:
+    """Reference: the multipliers of `misfit_adjoint`, (N_t+1, 3n), by a
+    march of one vector per level from the last level down, each level with
+    a zero right-hand side short-circuited to zero."""
+    problem, state = factors.problem, factors.state
+    cost, stepper = problem.cost, problem.stepper
+    n_steps = problem.tgrid.steps
+    wt = problem.tgrid.weights()
+    sources = np.zeros_like(state.x)
+    src_q = stepper.split(sources)[1]
+    src_q[:] = (cost.b1 * wt)[:, None] * (state.phi - problem.target_q())
+    src_q[n_steps] += cost.b2 * (state.phi[n_steps] - problem.target_omega())
+    lam, raw = np.zeros_like(sources), np.zeros(sources.shape[1])
+    for k in range(n_steps, 0, -1):
+        rhs = stepper.transport.T @ raw + sources[k]
+        raw = (stepper.solve_adjoint_step(factors.lu(k), rhs)
+               if np.any(rhs) else np.zeros_like(rhs))
+        lam[k] = raw / wt[k]
+    return lam
+
+
+def nodal_hessian_columns(context, columns) -> np.ndarray:
+    """Columns of `dense_hessian` from Hessian-vector products: H e_i scaled
+    by the space-time quadrature weights, since B(e_i, e_j) = <H e_i, e_j>."""
+    problem = context.problem
+    shape = (problem.n_levels, problem.grid.n)
+    size = shape[0] * shape[1]
+    weights = (problem.tgrid.weights()[:, None] * problem.grid.weights).ravel()
+    out = []
+    for i in columns:
+        flat = np.zeros(2 * size)
+        flat[i] = 1.0
+        hh = context.hessian_product(
+            Control(flat[:size].reshape(shape), flat[size:].reshape(shape)))
+        out.append(np.concatenate([weights * hh.u1.ravel(),
+                                   weights * hh.u2.ravel()]))
+    return np.stack(out, axis=1)
+
+
 def dense_hessian(context) -> np.ndarray:
     """Full Hessian matrix in the nodal basis at the context's control.
 

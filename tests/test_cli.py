@@ -122,7 +122,11 @@ optimizer: {tol: 1.0e-10}
     assert report["reason"] == "converged"
     assert report["stationarity"] <= 1e-10
     hist = _read_rows(out / "history.csv")
-    assert hist[0] == ["iteration", "cost", "stationarity", "step_size"]
+    assert hist[0] == ["iteration", "cost", "stationarity", "step_size",
+                       "solves", "cg_iters"]
+    # row 0 is the start: no trial, no product
+    assert hist[1][4:] == ["0", "0"]
+    assert all(int(row[4]) >= 1 for row in hist[2:])
 
 
 def test_optimize_reruns_identical_up_to_timestamp(tmp_path):

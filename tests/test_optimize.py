@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
-                      PgdOptions, SecondOrderContext, cost_eval, cone_project,
-                      default_tau, projected_gradient,
+                      PgdOptions, ScalarShape, SecondOrderContext, cost_eval,
+                      cone_project, default_tau, project_admissible,
+                      projected_gradient,
                       reduced_gradient, ssc_certificate,
                       stationarity_measure, strongly_active_sets,
                       solve_bilinearized, StepFactors, Stepper,
@@ -20,8 +21,9 @@ from tumoropt.verify import (_random_direction, check_gradient_fd,
                              check_taylor_orders)
 
 from _support import (dense_hessian, dense_hessian_per_pair, make_problem,
-                      quadratic_form_bilinear_route, random_control,
-                      smooth_control, ssc_certificate_per_direction)
+                      nodal_hessian_columns, quadratic_form_bilinear_route,
+                      random_control, smooth_control,
+                      ssc_certificate_per_direction)
 
 
 def _trapz_time(values, times):
@@ -236,9 +238,16 @@ def test_pgd_history_schema():
     res = projected_gradient(random_control(pr), pr, BoxConstraints(),
                              PgdOptions(tol=1e-10, max_iter=5))
     assert res.history[0]["iteration"] == 0
-    for key in ("iteration", "cost", "stationarity", "step_size"):
-        assert key in res.history[0]
+    for row in res.history:
+        assert list(row) == ["iteration", "cost", "stationarity",
+                             "step_size", "solves", "cg_iters"]
     assert res.n_iter == len(res.history) - 1
+    # row 0 is the start; every later row took at least one Armijo trial,
+    # and a gradient step takes no product
+    assert (res.history[0]["solves"], res.history[0]["cg_iters"]) == (0, 0)
+    assert res.n_iter >= 1
+    assert all(row["solves"] >= 1 and row["cg_iters"] == 0
+               for row in res.history[1:])
 
 
 def test_pgd_options_need_a_trial_and_ordered_step_bounds():
@@ -553,3 +562,200 @@ def test_second_order_context_forms_final_tracking():
     assert ctx.form(h, k) == pytest.approx(
         quadratic_form_bilinear_route(ctx, h, k), rel=1e-12, abs=0.0)
     assert ctx.form(h, k) == pytest.approx(ctx.form(k, h), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Hessian-vector products and the Newton-CG phase of the descent
+
+
+_PRODUCT_CASES = {
+    "regular": dict(),
+    "logarithmic": dict(potential="logarithmic"),
+    "final-tracking": dict(b2=1.0),
+    "extruded-2d": dict(ny=3),
+}
+
+
+@pytest.mark.parametrize("case", _PRODUCT_CASES)
+def test_hessian_product_is_the_dense_hessian(case):
+    pr = make_problem(nodes=5, steps=3, **_PRODUCT_CASES[case])
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    dense = dense_hessian(ctx)
+    columns = nodal_hessian_columns(ctx, range(dense.shape[1]))
+    assert np.abs(columns - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("case", _PRODUCT_CASES)
+def test_hessian_product_pairs_as_the_form_and_is_symmetric(case):
+    pr = make_problem(**_PRODUCT_CASES[case])
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    grid, tgrid = pr.grid, pr.tgrid
+    for seed in (1, 3):
+        h, k = random_control(pr, seed=seed), random_control(pr, seed=seed + 1)
+        hh, hk = ctx.hessian_product([h, k])
+        form = ctx.form(h, k)
+        assert abs(control_inner(grid, tgrid, hh, k) - form) <= 1e-13 * abs(form)
+        assert (abs(control_inner(grid, tgrid, hh, k)
+                    - control_inner(grid, tgrid, h, hk)) <= 1e-13 * abs(form))
+
+
+@pytest.mark.parametrize("ny", [None, 5])
+def test_hessian_product_block_is_bitwise_each_direction(ny):
+    pr = make_problem(nodes=9, steps=6, b2=0.5, ny=ny)
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    hs = [random_control(pr, seed=s) for s in (1, 2, 3)]
+    block = ctx.hessian_product(hs)
+    for h, got in zip(hs, block):
+        alone = ctx.hessian_product(h)
+        assert got.u1.tobytes() == alone.u1.tobytes()
+        assert got.u2.tobytes() == alone.u2.tobytes()
+
+
+def test_hessian_product_reuses_the_factor_pass(monkeypatch):
+    pr = make_problem()
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    ctx.gradient
+    calls = []
+    factorize = Stepper.factorize
+    monkeypatch.setattr(Stepper, "factorize",
+                        lambda self, *a: calls.append(None)
+                        or factorize(self, *a))
+    ctx.hessian_product([random_control(pr), random_control(pr, seed=1)])
+    assert calls == []
+
+
+def test_hessian_product_of_a_pure_control_cost_is_b0_h():
+    pr = make_problem(b0=1.3, b1=0.0, b2=0.0, tracking=False)
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    h = random_control(pr)
+    hh = ctx.hessian_product(h)
+    # no tracking: zero multipliers and a zero backward source
+    assert np.array_equal(hh.u1, 1.3 * h.u1)
+    assert np.array_equal(hh.u2, 1.3 * h.u2)
+
+
+def _bb_only(monkeypatch, *args):
+    """The descent with gradient steps alone: no step ever switches."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize_module, "_SWITCH_RATIO", np.inf)
+        return projected_gradient(*args)
+
+
+def _same_run(a, b, columns=("iteration", "cost", "stationarity",
+                             "step_size", "solves")) -> bool:
+    return (a.reason == b.reason and a.n_iter == b.n_iter
+            and a.control.u1.tobytes() == b.control.u1.tobytes()
+            and a.control.u2.tobytes() == b.control.u2.tobytes()
+            and a.gradient.grad1.tobytes() == b.gradient.grad1.tobytes()
+            and [[row[c] for c in columns] for row in a.history]
+            == [[row[c] for c in columns] for row in b.history])
+
+
+def test_pgd_without_a_stall_is_bitwise_the_gradient_path(monkeypatch):
+    # b0 = 1: each gradient step cuts the stationarity a hundredfold
+    pr = make_problem(b0=1.0, b1=2.0)
+    args = (pr.zero_control(), pr, BoxConstraints(), PgdOptions(tol=1e-10))
+    res = projected_gradient(*args)
+    assert res.converged
+    assert all(row["cg_iters"] == 0 for row in res.history)
+    assert _same_run(res, _bb_only(monkeypatch, *args),
+                     columns=tuple(res.history[0]))
+
+
+@pytest.mark.parametrize("case", ["regular", "logarithmic", "final-tracking"])
+def test_pgd_switches_to_newton_on_a_weak_control_cost(monkeypatch, case):
+    pr = make_problem(b0=0.01, b1=2.0, **_PRODUCT_CASES[case])
+    args = (pr.zero_control(), pr, BoxConstraints(),
+            PgdOptions(tol=1e-8, max_iter=60))
+    res = projected_gradient(*args)
+    ref = _bb_only(monkeypatch, *args)
+    assert res.converged and ref.converged
+    # the first gradient step keeps over 0.9 of the stationarity; every
+    # later step is a Newton step, and the run needs fewer iterations
+    assert res.history[1]["cg_iters"] == 0
+    assert all(row["cg_iters"] >= 1 for row in res.history[2:])
+    assert res.n_iter < ref.n_iter
+    assert abs(res.cost - ref.cost) <= 1e-8 * ref.cost
+    assert res.stationarity <= 1e-8
+
+
+def test_newton_steps_keep_active_bounds():
+    pr = make_problem(b0=0.01, b1=2.0)
+    box = BoxConstraints(lower1=-0.05, upper1=0.05, lower2=-0.05, upper2=0.05)
+    res = projected_gradient(pr.zero_control(), pr, box,
+                             PgdOptions(tol=1e-8, max_iter=60))
+    assert res.converged
+    assert any(row["cg_iters"] for row in res.history)
+    u = np.stack([res.control.u1, res.control.u2])
+    assert np.abs(u).max() <= 0.05
+    assert np.mean(np.abs(u) == 0.05) > 0.2
+    # pointwise characterization: u = proj(-d / b0)
+    d = Control(res.gradient.d1 / 0.01, res.gradient.d2 / 0.01)
+    fixed = project_admissible(Control(-d.u1, -d.u2), box)
+    assert max(np.abs(res.control.u1 - fixed.u1).max(),
+               np.abs(res.control.u2 - fixed.u2).max()) <= 1e-6
+
+
+def test_nonpositive_curvature_falls_back_to_the_gradient_step(monkeypatch):
+    pr = make_problem(b0=0.01, b1=2.0)
+    args = (pr.zero_control(), pr, BoxConstraints(),
+            PgdOptions(tol=1e-8, max_iter=60))
+    ref = _bb_only(monkeypatch, *args)
+
+    def negated(self, h):
+        return Control(-h.u1, -h.u2)
+
+    monkeypatch.setattr(SecondOrderContext, "hessian_product", negated)
+    res = projected_gradient(*args)
+    # each Newton iteration stops at its first product and takes the
+    # gradient step the gradient path takes
+    assert res.converged
+    assert [row["cg_iters"] for row in res.history[2:]] == [1] * (res.n_iter - 1)
+    assert _same_run(res, ref)
+
+
+def test_newton_phase_reports_why_it_stopped(monkeypatch):
+    pr = make_problem(b0=0.01, b1=2.0)
+    args = (pr.zero_control(), pr, BoxConstraints())
+    res = projected_gradient(*args, PgdOptions(tol=1e-12, max_iter=2))
+    assert res.reason == "max_iter" and res.n_iter == 2
+    assert res.history[2]["cg_iters"] >= 1
+
+    # an ascent direction: no trial passes the Armijo test
+    def ascent(context, grad, box, stat):
+        return Control(-grad.grad1, -grad.grad2), 0
+
+    monkeypatch.setattr(optimize_module, "_newton_direction", ascent)
+    res = projected_gradient(*args, PgdOptions(tol=1e-12, max_backtracks=3))
+    assert res.reason == "line_search_failed"
+    # the first step is a gradient step, the second switches and fails
+    assert res.n_iter == 1
+    assert res.cost == res.history[1]["cost"]
+
+
+def test_table_shapes_keep_gradient_steps():
+    pr = make_problem(b0=0.01, b1=2.0)
+    pr = dataclasses.replace(pr, nonlin=dataclasses.replace(
+        pr.nonlin, H=ScalarShape("table", xs=[-1.0, 1.0], ys=[0.0, 1.0])))
+    res = projected_gradient(pr.zero_control(), pr, BoxConstraints(),
+                             PgdOptions(tol=1e-8, max_iter=60))
+    assert res.converged
+    assert all(row["cg_iters"] == 0 for row in res.history)
+    # the first step stalls as on the bump-and-ramp problem
+    assert res.history[1]["stationarity"] > 0.25 * res.history[0]["stationarity"]
+
+
+def test_newton_phase_holds_one_factor_pass_at_a_time(monkeypatch):
+    refs, init = [], StepFactors.__init__
+
+    def track(self, *args, **kwargs):
+        # the factor set of the previous iterate is gone already
+        assert all(ref() is None for ref in refs)
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(StepFactors, "__init__", track)
+    pr = make_problem(b0=0.01, b1=2.0)
+    res = projected_gradient(pr.zero_control(), pr, BoxConstraints(),
+                             PgdOptions(tol=1e-8))
+    assert res.converged and res.history[-1]["cg_iters"] >= 1

@@ -9,7 +9,7 @@ import pytest
 
 import tumoropt.sensitivity as sensitivity_module
 from tumoropt import (Control, SecondOrderContext, SolverError, StepFactors,
-                      solve_adjoint, solve_bilinearized,
+                      misfit_adjoint, solve_bilinearized,
                       solve_generalized_linear)
 from tumoropt.stepper import Stepper
 
@@ -167,7 +167,7 @@ def test_2d_factors_are_cached(monkeypatch):
     calls = _count_factorize(monkeypatch)
     solve_generalized_linear(factors, random_control(pr, seed=1))
     solve_generalized_linear(factors, random_control(pr, seed=2))
-    solve_adjoint(factors)
+    misfit_adjoint(factors)
     assert len(calls) == pr.tgrid.steps
     assert sorted(factors._lus) == list(range(1, pr.n_levels))
 
@@ -226,7 +226,7 @@ def test_factor_failure_names_the_step():
     for cache_bytes in (0, None):
         factors = StepFactors(pr, state, u, cache_bytes=cache_bytes)
         with pytest.raises(SolverError, match="step 3: non-finite Jacobian"):
-            solve_adjoint(factors)
+            misfit_adjoint(factors)
         assert factors._ahead == {} and not factors._todo
         del factors
         _wait_for_held(held)
@@ -242,7 +242,7 @@ def test_look_ahead_is_bitwise_the_serial_march(monkeypatch):
         lean = StepFactors(pr, state, u, cache_bytes=0)
         ctx = SecondOrderContext(pr, u, state=state)
         lins = ctx.linearize(hs)
-        return [solve_adjoint(lean).lam,
+        return [misfit_adjoint(lean).lam,
                 *(lin.y for lin in solve_generalized_linear(lean, hs)),
                 ctx.adjoint.lam, *(lin.y for lin in lins),
                 np.float64(ctx.form(hs[0], hs[1], lin_h=lins[0],
@@ -269,13 +269,13 @@ def test_look_ahead_pool_is_small_and_1d_marches_start_none(monkeypatch):
     pr = make_problem(steps=4)
     u = smooth_control(pr)
     factors = StepFactors(pr, pr.solve(u), u, cache_bytes=0)
-    solve_adjoint(factors)
+    misfit_adjoint(factors)
     solve_generalized_linear(factors, random_control(pr))
     assert asked == [] and threading.active_count() == threads
 
     pr = make_problem(nodes=9, ny=7, steps=4)
     u = smooth_control(pr)
-    solve_adjoint(StepFactors(pr, pr.solve(u), u))
+    misfit_adjoint(StepFactors(pr, pr.solve(u), u))
     assert asked
     workers = [t for t in threading.enumerate() if t.name == "tumoropt-lu"]
     assert len(workers) <= 2

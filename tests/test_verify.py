@@ -663,6 +663,33 @@ def test_run_verification_rejects_a_narrow_window_before_any_solve(
         run_verification(pr, pr.zero_control())
 
 
+def test_run_verification_rejects_three_steps_before_any_solve(monkeypatch):
+    # the one pair left at 3 steps is (1, 2); (2, 3) ends at level N_t
+    pr = make_problem(steps=3, b2=0.5)
+    monkeypatch.setattr(ControlProblem, "solve",
+                        lambda *args: pytest.fail("solved a state"))
+    with pytest.raises(ConfigError, match="time.steps = 3"):
+        run_verification(pr, pr.zero_control())
+
+
+@pytest.mark.parametrize("b2", [0.0, 1.0])
+@pytest.mark.parametrize("steps", [4, 5])
+def test_strong_form_window_leaves_out_the_terminal_level(steps, b2):
+    pr = make_problem(steps=steps, b2=b2)
+    levels = _strong_form_levels(pr.tgrid, STRONG_FORM_CUT)
+    assert list(levels) == list(range(1, steps - 1))
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    before = adjoint_continuous_residual(ctx)
+    # level N_t, with its half-weight misfit and final-time source, is
+    # never read: changing its multiplier and state leaves the residual
+    ctx.adjoint.lam[-1] += 1.0
+    ctx.state.x[-1] += 0.1
+    after = adjoint_continuous_residual(ctx)
+    assert after.aggregate == before.aggregate
+    for name in ("eq1", "eq2", "eq3"):
+        assert np.array_equal(getattr(after, name), getattr(before, name))
+
+
 def test_run_verification_runs_strong_form_with_final_tracking():
     # the strong-form order is pre-asymptotic below about 12 steps, with
     # b2 = 0 too (0.74 at 8 steps); from 12 on it sits near 1
