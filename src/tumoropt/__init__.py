@@ -21,8 +21,8 @@ from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
 from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import (LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
-from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,
-                    solve_state, solve_states)
+from .state import (InitialData, StateTrajectory, TimeGrid, solve_state,
+                    solve_states)
 from .stepper import Stepper
 from .verify import (SlopeReport, StabilityReport, adjoint_continuous_residual,
                      check_duality, check_gradient_fd, check_stability_ratios,

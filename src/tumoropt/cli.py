@@ -181,10 +181,9 @@ def _run_simulate(setup: RunSetup, out_dir: Path, say) -> int:
                ["level", "time", "newton_iters", "factorizations",
                 "mass_residual", "energy", "phi_min", "phi_max"],
                "%d,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g",
-               ([k, state.times[k], int(state.newton_iters[k]),
-                 int(state.factorizations[k]), state.mass_residual[k],
-                 state.energy[k], state.phi_min[k], state.phi_max[k]]
-                for k in range(state.n_levels)))
+               zip(range(state.n_levels), state.times, state.newton_iters,
+                   state.factorizations, state.mass_residual, state.energy,
+                   state.phi_min, state.phi_max))
     say(f"simulate: {state.n_levels - 1} steps, "
         f"max mass residual {state.mass_residual.max():.3e}")
     return EXIT_OK
@@ -248,7 +247,7 @@ def _run_analyze(setup: RunSetup, out_dir: Path, say) -> int:
     sets = strongly_active_sets(grad, tau)
     cost_value = cost_eval(problem, context.state, ubar)
     stationarity = stationarity_measure(ubar, problem, setup.box, grad)
-    ssc = ssc_certificate(context, tau, setup.ssc["n_samples"], setup.box,
+    ssc = ssc_certificate(context, sets, setup.ssc["n_samples"], setup.box,
                           seed=setup.ssc["seed"])
     payload = {"cost": cost_value, "stationarity": stationarity, "tau": tau,
                "active_fraction_u1": float(sets.A1.mean()),

@@ -24,14 +24,14 @@ from .model import (BoxConstraints, Control, CostSpec, ModelParams,
                     NonlinearitySpec, PotentialSpec, ScalarShape)
 from .optimize import PgdOptions
 from .problem import ControlProblem
-from .state import InitialData, SolverOptions, TimeGrid
+from .state import InitialData, TimeGrid
 
 _DEFAULTS: dict = {
     "grid": {"dim": 1, "shape": [129], "lengths": [1.0]},
     "time": {"T": 1.0, "steps": 200},
     "model": {"alpha": 1.0, "beta": 1.0, "chi": 0.0},
     "potential": {"kind": "regular", "k1": 2.0, "k2": 1.0,
-                  "coefficients": None},
+                  "coefficients": None, "yosida_eps": None},
     "nonlinearity": {"P": {"shape": "constant", "value": 0.0},
                      "h": {"shape": "constant", "value": 0.0}},
     "cost": {"b0": 1.0, "b1": 0.0, "b2": 0.0,
@@ -40,7 +40,6 @@ _DEFAULTS: dict = {
                  "bounds": {"lower1": None, "upper1": None,
                             "lower2": None, "upper2": None}},
     "initial": {"mu0": 0.0, "phi0": 0.0, "sigma0": 0.0},
-    "solver": asdict(SolverOptions()),
     "optimizer": asdict(PgdOptions()),
     "ssc": {"tau": None, "n_samples": 64, "seed": 0},
     "output": {"out_dir": "out", "snapshot_times": None},
@@ -178,17 +177,24 @@ def _read_node_rows(path: Path, grid: Grid, key: str, n_values: int,
 # ---------------------------------------------------------------------------
 # config loading
 
-def deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """Merge `override` onto `base`, rejecting keys absent from `base`."""
+def deep_merge(base: dict, override: dict, prefix: str = "",
+               spelled: str = "") -> dict:
+    """Merge `override` onto `base`, rejecting keys absent from `base`.
+
+    An unknown key is named by its dotted path, or by `spelled`, the key
+    of the `key.path=value` override that `override` is, when the path
+    leads into it: an override of a key in an unknown block names itself.
+    """
     merged = copy.deepcopy(base)
     for name, value in override.items():
         path = f"{prefix}{name}"
         if name not in base:
-            raise ConfigError(f"unknown config key '{path}'")
+            named = spelled if spelled.startswith(path) else path
+            raise ConfigError(f"unknown config key '{named}'")
         if isinstance(base[name], dict) and path not in _REPLACE_KEYS:
             if not isinstance(value, dict):
                 raise ConfigError(f"'{path}' must be a mapping")
-            merged[name] = deep_merge(base[name], value, prefix=f"{path}.")
+            merged[name] = deep_merge(base[name], value, f"{path}.", spelled)
         else:
             merged[name] = copy.deepcopy(value)
     return merged
@@ -233,7 +239,6 @@ class RunConfig:
     cost: dict
     control: dict
     initial: dict
-    solver: dict
     optimizer: dict
     ssc: dict
     output: dict
@@ -259,7 +264,8 @@ class RunConfig:
             raise ConfigError("config root must be a mapping of blocks")
         merged = deep_merge(_DEFAULTS, raw)
         for assignment in overrides:
-            merged = deep_merge(merged, override_layer(assignment))
+            merged = deep_merge(merged, override_layer(assignment),
+                                spelled=assignment.partition("=")[0].strip())
         return cls(base_dir=Path(base_dir), **merged)
 
     def resolved(self) -> dict:
@@ -359,7 +365,9 @@ def build_potential(block: dict) -> PotentialSpec:
         return PotentialSpec(kind=block.get("kind"),
                              k1=_number(block, "potential", "k1"),
                              k2=_number(block, "potential", "k2"),
-                             coefficients=coefficients)
+                             coefficients=coefficients,
+                             yosida_eps=_number(block, "potential",
+                                                "yosida_eps", optional=True))
 
 
 def build_nonlinearity(block: dict) -> NonlinearitySpec:
@@ -462,26 +470,9 @@ def build_setup(cfg: RunConfig) -> RunSetup:
 
     init = InitialData(*map(initial, ("mu0", "phi0", "sigma0")))
 
-    sb = cfg.solver
-    with _prefixed("solver"):
-        options = SolverOptions(
-            newton_tol=_number(sb, "solver", "newton_tol"),
-            newton_max_iter=_number(sb, "solver", "newton_max_iter",
-                                    integer=True),
-            max_backtracks=_number(sb, "solver", "max_backtracks",
-                                   integer=True),
-            separation_margin=_number(sb, "solver", "separation_margin"),
-            yosida_eps=_number(sb, "solver", "yosida_eps", optional=True),
-            polish_steps=_number(sb, "solver", "polish_steps", integer=True),
-            energy_blowup_factor=_number(sb, "solver",
-                                         "energy_blowup_factor"))
-
-    try:
-        problem = ControlProblem(grid=grid, tgrid=tgrid, params=params,
-                                 potential=potential, nonlin=nonlin,
-                                 cost=cost, init=init, options=options)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    problem = ControlProblem(grid=grid, tgrid=tgrid, params=params,
+                             potential=potential, nonlin=nonlin, cost=cost,
+                             init=init)
 
     def bound(key, default):
         """A numeric bound (+-inf allowed) or a finite field."""
@@ -508,12 +499,9 @@ def build_setup(cfg: RunConfig) -> RunSetup:
 
     ob = cfg.optimizer
     with _prefixed("optimizer"):
-        pgd = PgdOptions(**{
-            name: _number(ob, "optimizer", name,
-                          integer=name in ("max_iter", "max_backtracks"))
-            for name in ("tol", "max_iter", "initial_step", "armijo_c",
-                         "shrink", "max_backtracks", "step_min",
-                         "step_max")})
+        pgd = PgdOptions(
+            max_iter=_number(ob, "optimizer", "max_iter", integer=True),
+            tol=_number(ob, "optimizer", "tol"))
 
     ssc = {"tau": _number(cfg.ssc, "ssc", "tau", nonnegative=True,
                           optional=True),

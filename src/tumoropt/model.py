@@ -52,12 +52,18 @@ _POTENTIAL_KINDS = ("regular", "logarithmic", "obstacle", "custom")
 class PotentialSpec:
     """The double well F of one of the kinds above.  The logarithmic kind
     needs k1 > 1 and the obstacle k2 > 0; the custom kind takes the
-    coefficients of F2 by increasing degree, kept as a read-only array."""
+    coefficients of F2 by increasing degree, kept as a read-only array.
+
+    A positive `yosida_eps` steps the potential with F1 replaced by its
+    Yosida regularization F1_eps, defined on the whole line; None steps the
+    exact F1.  The obstacle has no classical derivative, so it needs one.
+    """
 
     kind: str
     k1: float = 2.0
     k2: float = 1.0
     coefficients: np.ndarray | None = None
+    yosida_eps: float | None = None
 
     def __post_init__(self):
         if self.kind not in _POTENTIAL_KINDS:
@@ -69,6 +75,13 @@ class PotentialSpec:
         if self.kind == "obstacle" and not self.k2 > 0.0:
             raise ValueError(f"k2 must be positive for the obstacle kind, "
                              f"got {self.k2}")
+        if self.yosida_eps is not None and not self.yosida_eps > 0.0:
+            raise ValueError(f"yosida_eps must be positive or None, got "
+                             f"{self.yosida_eps}")
+        if self.kind == "obstacle" and self.yosida_eps is None:
+            raise ValueError(
+                "yosida_eps must be set for the obstacle kind, which can "
+                "only be stepped through its Yosida regularization")
         if self.kind == "custom":
             coeffs = np.array(self.coefficients, dtype=float)
             if coeffs.ndim != 1 or coeffs.size < 1:

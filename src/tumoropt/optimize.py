@@ -41,8 +41,7 @@ def cost_eval(problem: ControlProblem, state: StateTrajectory,
               u: Control) -> float:
     """Tracking plus control cost of a state/control pair of `problem`."""
     grid, tgrid, cost = problem.grid, problem.tgrid, problem.cost
-    j = 0.5 * cost.b0 * (st_inner(grid, tgrid, u.u1, u.u1)
-                         + st_inner(grid, tgrid, u.u2, u.u2))
+    j = 0.5 * cost.b0 * control_inner(grid, tgrid, u, u)
     if cost.b1 != 0.0:
         mis = state.phi - problem.target_q()
         j += 0.5 * cost.b1 * st_inner(grid, tgrid, mis, mis)
@@ -107,28 +106,14 @@ def stationarity_measure(ubar: Control, problem: ControlProblem,
 
 @dataclass(frozen=True)
 class PgdOptions:
+    """The descent's budget and stopping tolerance on the stationarity
+    measure."""
+
     max_iter: int = 100
     tol: float = 1e-6
-    initial_step: float = 1.0
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 40
-    step_min: float = 1e-12
-    step_max: float = 1e12
 
     def __post_init__(self):
-        # every descent iteration takes at least one Armijo trial, each
-        # backtrack shortens the step, and the Barzilai-Borwein step is
-        # clamped into [step_min, step_max]
-        check_ranges(self, positive=("tol", "initial_step", "armijo_c",
-                                     "step_min", "step_max"),
-                     at_least_one=("max_iter", "max_backtracks"))
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if self.step_min > self.step_max:
-            raise ValueError(
-                f"step_min must not exceed step_max, got {self.step_min} > "
-                f"{self.step_max}")
+        check_ranges(self, positive=("tol",), at_least_one=("max_iter",))
 
 
 @dataclass(eq=False)
@@ -136,13 +121,13 @@ class PgdResult:
     """Outcome of `projected_gradient`.
 
     `reason` says why it stopped: "converged" (stationarity within tol),
-    "max_iter" (the iteration budget ran out) or "line_search_failed" (no
-    Armijo trial was accepted within max_backtracks).  Row i of `history`
+    "max_iter" (the iteration budget ran out) or "line_search_failed" (none
+    of `_MAX_BACKTRACKS` Armijo trials was accepted).  Row i of `history`
     describes iterate i and the iteration that reached it: its cost and
     stationarity, the accepted step length (`step_size`), the Armijo trials
     taken, each one state solve (`solves`), and the Hessian-vector products
     of a Newton-CG step (`cg_iters`, 0 on a Barzilai-Borwein step).  Row 0
-    holds the initial step and no trial.
+    holds `_INITIAL_STEP` and no trial.
     """
 
     control: Control
@@ -158,6 +143,18 @@ class PgdResult:
         return self.reason == "converged"
 
 
+# The Armijo line search of every iteration (Nocedal & Wright, Numerical
+# Optimization, ch. 3): a trial u(t) is accepted once
+# J(u(t)) <= J(u) - _ARMIJO_C <grad, u - u(t)>, and each rejected one halves
+# t (`_SHRINK`), within `_MAX_BACKTRACKS` trials.
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 40
+# The length of the first gradient step, and the clamp of every
+# Barzilai-Borwein step length.
+_INITIAL_STEP = 1.0
+_STEP_MIN = 1e-12
+_STEP_MAX = 1e12
 # A Barzilai-Borwein step that keeps more than this share of the stationarity
 # measure hands the run to Newton-CG steps.  The first step kept 0.064 of it
 # on desk-1d and 0.071 on rect-2d, which then converge at the next step, and
@@ -209,7 +206,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     grad = reduced_gradient(u, problem, state=state)
     curved = "table" not in (problem.nonlin.P.kind, problem.nonlin.H.kind)
     history: list[dict] = []
-    step = opts.initial_step
+    step = _INITIAL_STEP
     u_prev = None
     grad_prev = None
     stat_prev = None
@@ -236,7 +233,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
             denom = control_inner(grid, tgrid, du, dg)
             if denom > 0.0:
                 step = control_inner(grid, tgrid, du, du) / denom
-        step = min(max(step, opts.step_min), opts.step_max)
+        step = min(max(step, _STEP_MIN), _STEP_MAX)
 
         if (not newton and curved and stat_prev is not None
                 and stat > _SWITCH_RATIO * stat_prev):
@@ -256,7 +253,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
         j_new = j
         state_new = state
         trial = u
-        for solves in range(1, opts.max_backtracks + 1):
+        for solves in range(1, _MAX_BACKTRACKS + 1):
             trial = project_admissible(
                 Control(u.u1 - t * s.u1, u.u2 - t * s.u2), box)
             decrease = control_inner(
@@ -264,10 +261,10 @@ def projected_gradient(u0: Control, problem: ControlProblem,
                 Control(u.u1 - trial.u1, u.u2 - trial.u2))
             state_new = problem.solve(trial)
             j_new = cost_eval(problem, state_new, trial)
-            if j_new <= j - opts.armijo_c * decrease:
+            if j_new <= j - _ARMIJO_C * decrease:
                 accepted = True
                 break
-            t *= opts.shrink
+            t *= _SHRINK
         if not accepted:
             reason = "line_search_failed"
             break
@@ -500,24 +497,22 @@ class SscReport:
     satisfied: bool
 
 
-def ssc_certificate(context: SecondOrderContext, tau: float | None,
+def ssc_certificate(context: SecondOrderContext, sets: ActiveSets,
                     n_samples: int, box: BoxConstraints,
                     seed: int = 0) -> SscReport:
     """Estimate the coercivity constant on the critical cone by sampling.
 
-    Draws seeded Gaussian directions, projects them onto the cone (strongly
-    active points zeroed, signs clipped at the bounds), and minimizes the
-    Rayleigh quotient B(h, h)/|h|^2 over the retained samples at the
-    context's control.  The draws come in blocks of `_block_len` directions,
-    the same stream as one direction at a time, and the retained directions
-    of a block are linearized in one march.  Deterministic for a fixed seed.
+    Draws seeded Gaussian directions, projects them onto the cone (the
+    points strongly active in `sets` zeroed, signs clipped at the bounds),
+    and minimizes the Rayleigh quotient B(h, h)/|h|^2 over the retained
+    samples at the context's control.  The draws come in blocks of
+    `_block_len` directions, the same stream as one direction at a time, and
+    the retained directions of a block are linearized in one march.
+    Deterministic for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    problem, ubar = context.problem, context.ubar
-    if tau is None:
-        tau = default_tau(context.gradient)
-    sets = strongly_active_sets(context.gradient, tau)
+    problem, ubar, tau = context.problem, context.ubar, sets.tau
     rng = np.random.default_rng(seed)
     grid, tgrid = problem.grid, problem.tgrid
     shape = (problem.n_levels, grid.n)

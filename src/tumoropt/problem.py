@@ -8,16 +8,15 @@ form in the package is taken with respect to this product.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid
 from .model import (Control, CostSpec, ModelParams, NonlinearitySpec,
                     PotentialSpec, zero_control)
-from .state import (InitialData, SolverOptions, StateTrajectory, TimeGrid,
-                    solve_state)
-from .stepper import Stepper, separation_guarded
+from .state import InitialData, StateTrajectory, TimeGrid, solve_state
+from .stepper import Stepper
 
 
 def st_inner(grid: Grid, tgrid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -47,7 +46,6 @@ class ControlProblem:
     nonlin: NonlinearitySpec
     cost: CostSpec
     init: InitialData
-    options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         n = self.grid.n
@@ -60,24 +58,12 @@ class ControlProblem:
                 f"got {self.cost.target_Q.shape}")
         if self.cost.target_Omega is not None and self.cost.target_Omega.shape != (n,):
             raise ValueError(f"target_Omega must have shape ({n},)")
-        if self.potential.kind == "obstacle" and self.options.yosida_eps is None:
-            raise ValueError(
-                "the obstacle potential can only be stepped through its "
-                "Yosida regularization; set a positive yosida_eps")
-        if separation_guarded(self.potential, self.options.yosida_eps):
-            lo, hi = self.potential.domain
-            margin = self.options.separation_margin
-            if not lo + margin < hi - margin:
-                raise ValueError(
-                    f"solver.separation_margin = {margin:g} leaves no "
-                    f"separation band inside ({lo:g}, {hi:g}): it must be "
-                    f"less than {0.5 * (hi - lo):g}")
 
     @functools.cached_property
     def stepper(self) -> Stepper:
         """The backward Euler step operator every solve of this problem uses."""
         return Stepper(self.grid, self.params, self.potential, self.nonlin,
-                       self.tgrid.dt, yosida_eps=self.options.yosida_eps)
+                       self.tgrid.dt)
 
     @property
     def n_levels(self) -> int:

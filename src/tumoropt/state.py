@@ -77,60 +77,31 @@ class InitialData:
         return np.concatenate([self.mu0, self.phi0, self.sigma0])
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs of the per-step Newton solve.
-
-    From the second step on, Newton starts at the linear extrapolation
-    2 x_{k-1} - x_{k-2} of the two previous levels; it starts at x_{k-1}
-    instead on the first step, when the guess leaves the separation interval
-    (lo + separation_margin, hi - separation_margin) of an exact logarithmic
-    potential, or when the step residual at the guess is not finite.
-    newton_tol is relative to the natural residual scale (coefficient
-    magnitudes times field size).  A Newton iteration factors the Jacobian
-    at the iterate and backtracks (Armijo, at most `max_backtracks`
-    halvings).  After meeting the tolerance the solver polishes with chord
-    iterations: each reuses an LU formed at an earlier iterate (it factors
-    only when there is none), tries the full step once (shortened only by
-    the separation ceiling) and keeps it only if the residual strictly
-    drops; the first one that does not help ends the polish, and
-    `polish_steps = 0` turns it off.
-
-    How far the LU of an earlier iterate is trusted depends on the LU
-    backend.  A 1-D band LU costs about one residual: every Newton iteration
-    factors, and the polish takes at most `polish_steps` chord iterations
-    with the LU of the last one.  A 2-D SuperLU factor costs far more, so
-    the march carries the last LU across iterations and steps (chord
-    Newton): each iteration first tries the full chord step with it and
-    keeps that step when the residual stays finite and falls to at most
-    0.25 of its value; otherwise, or when the separation ceiling pins the
-    chord step at t = 0, it factors at the iterate and takes the damped
-    Newton step.  The 2-D polish runs while the residual strictly falls,
-    within `newton_max_iter` iterations, so most 2-D steps form no LU.
-
-    The options hold for each control of a batch march (`solve_states`)
-    as for a lone one: the controls solve each level in lockstep, but every
-    one takes its own Newton decisions with its own carried LU, and only
-    the residuals and LUs it asks for are evaluated, stacked with those of
-    the other controls.
-    """
-
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 30
-    max_backtracks: int = 40
-    separation_margin: float = 1e-8
-    yosida_eps: float | None = None
-    polish_steps: int = 1
-    energy_blowup_factor: float = 1e8
-
-    def __post_init__(self):
-        # every damped Newton step takes at least one trial
-        check_ranges(self, positive=("newton_tol", "energy_blowup_factor"),
-                     nonnegative=("separation_margin", "polish_steps"),
-                     at_least_one=("newton_max_iter", "max_backtracks"))
-        if self.yosida_eps is not None and not self.yosida_eps > 0.0:
-            raise ValueError(f"yosida_eps must be positive or None, got "
-                             f"{self.yosida_eps}")
+# The per-step Newton solve meets this tolerance relative to the natural
+# residual scale: the coefficient magnitudes times the field size,
+# `Stepper.coef_scale` (1 + max |x|).
+_NEWTON_TOL = 1e-12
+# Newton iterations one step may take, chord and polish iterations included.
+_NEWTON_MAX_ITER = 30
+# Armijo trials of one damped Newton step, each at half the step fraction
+# t of the one before.  A trial is kept once the residual falls to
+# (1 - 1e-4 t) of its value; after the last one the best trial is kept,
+# and the step fails if even that does not lower the residual.
+_MAX_BACKTRACKS = 40
+# Width of the separation band (lo + margin, hi - margin) inside the domain
+# of an exact logarithmic potential; the separation ceiling keeps every
+# Newton iterate in it.
+_SEPARATION_MARGIN = 1e-8
+# Chord iterations after meeting the tolerance (the polish).  Each reuses an
+# LU formed at an earlier iterate (it factors only when there is none), tries
+# the full step once, shortened only by the separation ceiling, and keeps it
+# only if the residual strictly drops; the first one that does not help ends
+# the polish, and 0 turns it off.  A march that carries its LU (`_Lockstep`)
+# polishes while the residual falls, within `_NEWTON_MAX_ITER`.
+_POLISH_STEPS = 1
+# A march fails once the free energy of a level exceeds this factor times
+# max(|E_0|, 1).
+_ENERGY_BLOWUP_FACTOR = 1e8
 
 
 @dataclass(eq=False)
@@ -143,12 +114,12 @@ class StateTrajectory:
     factorizations: np.ndarray  # Jacobian LUs formed per step, entry 0 is 0
     mass_residual: np.ndarray   # relative, entry k for step k, entry 0 is 0
     energy: np.ndarray
-    phi_min: np.ndarray
-    phi_max: np.ndarray
 
     mu = property(lambda self: Stepper.split(self.x)[0])
     phi = property(lambda self: Stepper.split(self.x)[1])
     sigma = property(lambda self: Stepper.split(self.x)[2])
+    phi_min = property(lambda self: self.phi.min(axis=1))
+    phi_max = property(lambda self: self.phi.max(axis=1))
 
     @property
     def n_levels(self) -> int:
@@ -214,7 +185,7 @@ def solve_state(problem: ControlProblem, control: Control) -> StateTrajectory:
     ------
     SolverError
         If a Newton solve stalls or diverges (reduce dt or soften data), or
-        the free energy grows past `energy_blowup_factor` x max(|E_0|, 1).
+        the free energy grows past `_ENERGY_BLOWUP_FACTOR` x max(|E_0|, 1).
     SeparationViolation
         If initial data sit outside the potential's admissible interval.
     """
@@ -237,7 +208,7 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
     marched); an energy blow-up alone is reported for the lowest-index
     control it happens to, once the march is done.
     """
-    tgrid, init, opts = problem.tgrid, problem.init, problem.options
+    tgrid, init = problem.tgrid, problem.init
     n = problem.grid.n
     n_levels = tgrid.steps + 1
     for control in controls:
@@ -254,7 +225,7 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
     lus = [np.zeros(n_levels, dtype=int) for _ in controls]
     for x in xs:
         x[0] = init.stacked()
-    newton = _Lockstep(stepper, opts, xs, iters, lus, controls)
+    newton = _Lockstep(stepper, xs, iters, lus, controls)
     for k in range(1, n_levels):
         failures = newton.level(k)
         if failures:
@@ -262,18 +233,17 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
             # failure
             i = min(failures)
             _check_energy(
-                _step_diagnostics(stepper, xs[i][:k], controls[i])[0], opts)
+                _step_diagnostics(stepper, xs[i][:k], controls[i])[0])
             raise failures[i]
 
     trajectories = []
     for x, its, factorizations, control in zip(xs, iters, lus, controls):
         energy, mass_rel = _step_diagnostics(stepper, x, control)
-        _check_energy(energy, opts)
-        phi = stepper.split(x)[1]
+        _check_energy(energy)
         trajectories.append(StateTrajectory(
             x=x, times=tgrid.times, newton_iters=its,
             factorizations=factorizations, mass_residual=mass_rel,
-            energy=energy, phi_min=phi.min(axis=1), phi_max=phi.max(axis=1)))
+            energy=energy))
     return trajectories
 
 
@@ -299,9 +269,9 @@ def _step_diagnostics(stepper: Stepper, x: np.ndarray, control: Control
     return energy, np.concatenate([[0.0], np.abs(raw) / scale])
 
 
-def _check_energy(energy: np.ndarray, opts: SolverOptions) -> None:
+def _check_energy(energy: np.ndarray) -> None:
     """Raise SolverError naming the first level past the blow-up limit."""
-    factor = opts.energy_blowup_factor
+    factor = _ENERGY_BLOWUP_FACTOR
     past = np.flatnonzero(np.abs(energy[1:]) > factor * max(abs(energy[0]), 1.0))
     if past.size:
         k = int(past[0]) + 1
@@ -354,14 +324,23 @@ class _Lockstep:
     and failures, is decided per member on Python floats, so each member
     takes the iterations and forms the LUs it would alone, bitwise.
 
-    With the SuperLU backend each member carries its last LU from
-    iteration to iteration and step to step (chord Newton); with the band
-    backend every Newton iteration factors at its iterate.
+    How far the LU of an earlier iterate is trusted depends on the LU
+    backend.  A 1-D band LU costs about one residual: every Newton
+    iteration factors at its iterate, and the polish takes at most
+    `_POLISH_STEPS` chord iterations with the LU of the last one.  A 2-D
+    SuperLU factor costs far more, so each member carries its last LU from
+    iteration to iteration and step to step (chord Newton): an iteration
+    first tries the full chord step with it and keeps that step when the
+    residual stays finite and falls to at most `_CHORD_CONTRACTION` of its
+    value; otherwise, or when the separation ceiling pins the chord step at
+    t = 0, it factors at the iterate and takes the damped Newton step.  The
+    2-D polish runs while the residual strictly falls, within
+    `_NEWTON_MAX_ITER` iterations, so most 2-D steps form no LU.
     """
 
-    def __init__(self, stepper: Stepper, opts: SolverOptions, xs: list,
-                 iters: list, lus: list, controls: Sequence[Control]):
-        self.stepper, self.opts = stepper, opts
+    def __init__(self, stepper: Stepper, xs: list, iters: list, lus: list,
+                 controls: Sequence[Control]):
+        self.stepper = stepper
         self.xs, self.iters, self.lus = xs, iters, lus
         self.controls = controls
         self.members = [_Member(i) for i in range(len(controls))]
@@ -370,14 +349,13 @@ class _Lockstep:
         n = stepper.n
         self.phi = slice(n, 2 * n)
         lo, hi = stepper.potential.domain
-        margin = opts.separation_margin
+        margin = _SEPARATION_MARGIN
         self.ceiling_args = (lo, hi, margin)
         self.band = (lo + margin, hi - margin)
-        self.tol_scale = opts.newton_tol * stepper.coef_scale
+        self.tol_scale = _NEWTON_TOL * stepper.coef_scale
         # a lagged polish runs while the residual falls, within the budget
-        self.polish = (opts.newton_max_iter
-                       if self.lag and opts.polish_steps > 0
-                       else opts.polish_steps)
+        self.polish = (_NEWTON_MAX_ITER if self.lag and _POLISH_STEPS > 0
+                       else _POLISH_STEPS)
 
     def level(self, k: int) -> dict[int, SolverError]:
         """Solve step k of every member: x[k], its iterations and LUs go
@@ -440,7 +418,7 @@ class _Lockstep:
 
     def _inside(self, x: np.ndarray) -> list:
         """Whether the phi of each row of x lies inside the separation band
-        (lo + separation_margin, hi - separation_margin); all True without
+        (lo + _SEPARATION_MARGIN, hi - _SEPARATION_MARGIN); all True without
         the separation guard.  A NaN phi lies outside."""
         if not self.guard:
             return [True] * (1 if x.ndim == 1 else len(x))
@@ -475,7 +453,7 @@ class _Lockstep:
         """The top of a Newton iteration for each member of q: end its
         step, or count the iteration and queue the member for an LU or,
         with the LU of an earlier iterate (chord), for its direction."""
-        max_iter, lag = self.opts.newton_max_iter, self.lag
+        max_iter, lag = _NEWTON_MAX_ITER, self.lag
         for s in q:
             if s.it >= max_iter or (s.converged and s.polish_left <= 0):
                 self._end(s)
@@ -555,7 +533,7 @@ class _Lockstep:
                 s.trial = _CHORD
             else:
                 s.trial, s.best, s.backtracks = (_BACKTRACK, None,
-                                                 self.opts.max_backtracks)
+                                                 _MAX_BACKTRACKS)
             trials.append(s)
         return refactor
 
@@ -620,7 +598,7 @@ class _Lockstep:
         not converge."""
         if not s.converged:
             self._fail(s, f"Newton did not converge within "
-                       f"{self.opts.newton_max_iter} iterations "
+                       f"{_NEWTON_MAX_ITER} iterations "
                        f"(residual {s.rnorm:.3e})")
             return
         i, k = s.i, self.k

@@ -45,12 +45,11 @@ _CONSTANT_BLOCK = (1, 2)
 _LAPACK_TRANS = {"N": 0, "T": 1}
 
 
-def separation_guarded(potential: PotentialSpec,
-                       yosida_eps: float | None) -> bool:
+def separation_guarded(potential: PotentialSpec) -> bool:
     """Whether Newton keeps phi strictly inside the separation band of the
     potential: the derivatives of an exact logarithmic potential blow up at
     +-1, so its updates must keep phi strictly inside (-1, 1)."""
-    return potential.kind == "logarithmic" and yosida_eps is None
+    return potential.kind == "logarithmic" and potential.yosida_eps is None
 
 
 class BandLU:
@@ -98,8 +97,7 @@ class Stepper:
     """Residuals, Jacobians and transport for one backward Euler step."""
 
     def __init__(self, grid: Grid, params: ModelParams, potential: PotentialSpec,
-                 nonlin: NonlinearitySpec, dt: float,
-                 yosida_eps: float | None = None):
+                 nonlin: NonlinearitySpec, dt: float):
         if dt <= 0.0:
             raise ValueError("time step must be positive")
         self.grid = grid
@@ -107,8 +105,7 @@ class Stepper:
         self.potential = potential
         self.nonlin = nonlin
         self.dt = float(dt)
-        self.yosida_eps = yosida_eps
-        self.separation_guard = separation_guarded(potential, yosida_eps)
+        self.separation_guard = separation_guarded(potential)
         # a 2-D step LU goes to SuperLU and costs far more than a residual;
         # a 1-D band LU costs about as much as one
         self.superlu = grid.dim == 2
@@ -208,14 +205,15 @@ class Stepper:
         """The potential this step uses (order 0) or one of its derivatives.
 
         That is F1 + F2, with the Yosida regularization F1_eps in place of F1
-        when yosida_eps is set.  There is no domain check: for an exact
-        logarithmic potential the separation ceiling of Newton
+        when the potential's yosida_eps is set.  There is no domain check:
+        for an exact logarithmic potential the separation ceiling of Newton
         (`separation_guard`) keeps phi strictly inside (-1, 1).
         """
-        if self.yosida_eps is None:
+        eps = self.potential.yosida_eps
+        if eps is None:
             f1 = _f1_eval(self.potential, phi, order)
         else:
-            f1 = yosida_eval(self.potential, self.yosida_eps, phi, order)
+            f1 = yosida_eval(self.potential, eps, phi, order)
         return f1 + _f2_eval(self.potential, phi, order)
 
     # -- residual and Jacobian ---------------------------------------------

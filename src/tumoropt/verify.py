@@ -330,8 +330,7 @@ def refine_problem(problem: ControlProblem) -> ControlProblem:
                          target_Q=target_q, target_Omega=target_omega)
     return ControlProblem(grid=fine_grid, tgrid=fine_tgrid,
                           params=problem.params, potential=problem.potential,
-                          nonlin=problem.nonlin, cost=fine_cost, init=init,
-                          options=problem.options)
+                          nonlin=problem.nonlin, cost=fine_cost, init=init)
 
 
 def refine_control(u: Control, problem: ControlProblem) -> Control:

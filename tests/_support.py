@@ -15,13 +15,14 @@ from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       build_grid, cone_project, control_inner, control_norm,
                       cost_eval, default_tau, refine_problem,
                       strongly_active_sets)
+from tumoropt import state as state_module
 from tumoropt.grid import inner
 from tumoropt.optimize import _block_len
 from tumoropt.problem import ControlProblem, st_inner
 from tumoropt.errors import SolverError
-from tumoropt.state import (_CHORD_CONTRACTION, SolverOptions,
-                            StateTrajectory, _check_energy, _step_ceiling,
-                            _step_diagnostics, _validate_initial)
+from tumoropt.state import (_CHORD_CONTRACTION, StateTrajectory,
+                            _check_energy, _step_ceiling, _step_diagnostics,
+                            _validate_initial)
 from tumoropt.stepper import Stepper
 from tumoropt.verify import (EPS_LADDER, FD_SEARCH_LADDER, STRONG_FORM_CUT,
                              AdjointResidualReport, _norm3, _random_direction,
@@ -31,8 +32,8 @@ from tumoropt.verify import (EPS_LADDER, FD_SEARCH_LADDER, STRONG_FORM_CUT,
 
 def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
                  alpha=1.0, beta=0.8, chi=0.4, b0=1.0, b1=2.0, b2=0.0,
-                 coupling="full", tracking=True, yosida_eps=None, ny=None,
-                 **solver_kwargs) -> ControlProblem:
+                 coupling="full", tracking=True, yosida_eps=None,
+                 ny=None) -> ControlProblem:
     """1-D problem small enough for exhaustive checks.
 
     With `ny` set, the same data on the unit square with `nodes` x `ny`
@@ -51,12 +52,13 @@ def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
     if coupling == "none":
         zero = ScalarShape("constant", value=0.0)
         nonlin = NonlinearitySpec(zero, zero)
-        pot = PotentialSpec("custom", coefficients=[0.0, 0.0, 0.5])
+        pot = PotentialSpec("custom", coefficients=[0.0, 0.0, 0.5],
+                            yosida_eps=yosida_eps)
     else:
         nonlin = NonlinearitySpec(
             ScalarShape("bump", scale=0.6, center=0.1, width=0.8),
             ScalarShape("ramp"))
-        pot = PotentialSpec(potential)
+        pot = PotentialSpec(potential, yosida_eps=yosida_eps)
     x = grid.coordinates()[:, 0]
     n_levels = steps + 1
     target_q = (np.tile(0.3 * np.cos(np.pi * x), (n_levels, 1))
@@ -67,10 +69,8 @@ def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
     init = InitialData(mu0=0.05 * np.cos(np.pi * x),
                        phi0=0.2 * np.cos(np.pi * x),
                        sigma0=np.full(grid.n, 0.1))
-    options = SolverOptions(yosida_eps=yosida_eps, **solver_kwargs)
     return ControlProblem(grid=grid, tgrid=tgrid, params=params,
-                          potential=pot, nonlin=nonlin, cost=cost, init=init,
-                          options=options)
+                          potential=pot, nonlin=nonlin, cost=cost, init=init)
 
 
 def random_control(problem: ControlProblem, seed=0, amp=0.1) -> Control:
@@ -99,8 +99,8 @@ class CarriedLU:
     lu: object = None
 
 
-def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
-                 k: int, start: np.ndarray | None = None,
+def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
+                 start: np.ndarray | None = None,
                  carried: CarriedLU | None = None
                  ) -> Generator[tuple[str, np.ndarray], object,
                                 tuple[np.ndarray, int, int]]:
@@ -115,10 +115,16 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
     With `carried`, each iteration first tries a chord step with the LU of
     an earlier iterate, and `carried.lu` holds the last LU on return;
     without it every Newton iteration factors at its iterate.  Returns the
-    state, the iterations (chord ones included) and the LUs formed.
+    state, the iterations (chord ones included) and the LUs formed.  The
+    solver constants are those of `tumoropt.state` when the step starts.
     """
+    tol = state_module._NEWTON_TOL
+    max_iter = state_module._NEWTON_MAX_ITER
+    max_backtracks = state_module._MAX_BACKTRACKS
+    margin = state_module._SEPARATION_MARGIN
+    polish_steps = state_module._POLISH_STEPS
     res = None
-    if start is not None and _inside_margin(stepper, start, opts):
+    if start is not None and _inside_margin(stepper, start, margin):
         res = yield ("residual", start)
         x = start
     if res is None or not np.isfinite(res).all():
@@ -127,7 +133,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
     rnorm = float(np.abs(res).max())
 
     def tol_at(z: np.ndarray) -> float:
-        return opts.newton_tol * stepper.coef_scale * (
+        return tol * stepper.coef_scale * (
             1.0 + float(np.abs(z).max()))
 
     lag = carried is not None
@@ -151,8 +157,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
         t = 1.0
         if stepper.separation_guard:
             t = _step_ceiling(stepper.split(x)[1], stepper.split(delta)[1],
-                              *stepper.potential.domain,
-                              opts.separation_margin)
+                              *stepper.potential.domain, margin)
             if t <= 0.0 and not may_pin:
                 raise SolverError(
                     f"step {k}: Newton update pinned at the separation "
@@ -161,11 +166,10 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
         return delta, t
 
     # a lagged polish runs while the residual falls, within the budget
-    polish_left = (opts.newton_max_iter if lag and opts.polish_steps > 0
-                   else opts.polish_steps)
+    polish_left = max_iter if lag and polish_steps > 0 else polish_steps
     converged = rnorm <= tol_at(x)
     it = 0
-    while it < opts.newton_max_iter:
+    while it < max_iter:
         if converged and polish_left <= 0:
             break
         if converged:
@@ -202,7 +206,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
             lu = yield from factor_at_x()
             delta, t = direction(lu)
         best = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(max_backtracks):
             x_try = x + t * delta
             res_try = yield ("residual", x_try)
             rnorm_try = float(np.abs(res_try).max())
@@ -225,19 +229,17 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, opts: SolverOptions,
     if not converged:
         raise SolverError(
             f"step {k}: Newton did not converge within "
-            f"{opts.newton_max_iter} iterations (residual {rnorm:.3e})")
+            f"{max_iter} iterations (residual {rnorm:.3e})")
     return x, it, n_lu
 
 
-def _inside_margin(stepper: Stepper, x: np.ndarray,
-                   opts: SolverOptions) -> bool:
+def _inside_margin(stepper: Stepper, x: np.ndarray, margin: float) -> bool:
     """False when the separation guard is on and the phi of the stacked state
-    x leaves (lo + separation_margin, hi - separation_margin)."""
+    x leaves (lo + margin, hi - margin)."""
     if not stepper.separation_guard:
         return True
     lo, hi = stepper.potential.domain
     phi = stepper.split(x)[1]
-    margin = opts.separation_margin
     return bool(((phi > lo + margin) & (phi < hi - margin)).all())
 
 
@@ -269,12 +271,11 @@ def _answer(stepper: Stepper, kind: str, z: np.ndarray, x_prev: np.ndarray,
         return None, exc
 
 
-def newton_step(stepper, x_prev, u1k, u2k, opts, k, start=None,
-                carried=None):
+def newton_step(stepper, x_prev, u1k, u2k, k, start=None, carried=None):
     """One step of the forward Newton on its own: the requests of
     `_newton_step` answered by one-level stepper calls.  Returns the state,
     the iterations and the LUs formed."""
-    return _solve_alone(_newton_step(stepper, x_prev, opts, k, start=start,
+    return _solve_alone(_newton_step(stepper, x_prev, k, start=start,
                                      carried=carried),
                         stepper, x_prev, u1k, u2k)
 
@@ -283,7 +284,7 @@ def _march_per_member(problem: ControlProblem, control: Control):
     """The march of one control with `newton_step`: (trajectory, None), or
     (None, (k, error)) for a failure, k the step where Newton failed
     (n_levels for an energy blow-up found after the march)."""
-    stepper, opts = problem.stepper, problem.options
+    stepper = problem.stepper
     n_levels = problem.n_levels
     x = np.empty((n_levels, 3 * problem.grid.n))
     iters = np.zeros(n_levels, dtype=int)
@@ -294,25 +295,22 @@ def _march_per_member(problem: ControlProblem, control: Control):
         guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
         try:
             x[k], iters[k], lus[k] = newton_step(
-                stepper, x[k - 1], control.u1[k], control.u2[k], opts, k,
+                stepper, x[k - 1], control.u1[k], control.u2[k], k,
                 start=guess, carried=carried)
         except SolverError as exc:
             try:
-                _check_energy(_step_diagnostics(stepper, x[:k], control)[0],
-                              opts)
+                _check_energy(_step_diagnostics(stepper, x[:k], control)[0])
             except SolverError as energy:
                 return None, (k, energy)
             return None, (k, exc)
     energy, mass_rel = _step_diagnostics(stepper, x, control)
     try:
-        _check_energy(energy, opts)
+        _check_energy(energy)
     except SolverError as exc:
         return None, (n_levels, exc)
-    phi = stepper.split(x)[1]
     return StateTrajectory(
         x=x, times=problem.tgrid.times, newton_iters=iters,
-        factorizations=lus, mass_residual=mass_rel, energy=energy,
-        phi_min=phi.min(axis=1), phi_max=phi.max(axis=1)), None
+        factorizations=lus, mass_residual=mass_rel, energy=energy), None
 
 
 def solve_states_per_member(problem: ControlProblem, controls) -> list:
@@ -426,6 +424,14 @@ def richardson_state_at_T(problem: ControlProblem, u1_of_t, u2_of_t):
     return (4.0 * z23 - z12) / 3.0
 
 
+def active_sets(context, tau=None):
+    """The strongly active sets at the context's control for threshold tau,
+    `default_tau` when None, as `analyze` forms them."""
+    grad = context.gradient
+    return strongly_active_sets(grad, default_tau(grad) if tau is None
+                                else tau)
+
+
 def ssc_certificate_per_direction(context, tau, n_samples, box, seed=0):
     """Reference: the sampled certificate one direction at a time.
 
@@ -434,9 +440,8 @@ def ssc_certificate_per_direction(context, tau, n_samples, box, seed=0):
     in draw order.
     """
     problem, ubar = context.problem, context.ubar
-    if tau is None:
-        tau = default_tau(context.gradient)
-    sets = strongly_active_sets(context.gradient, tau)
+    sets = active_sets(context, tau)
+    tau = sets.tau
     rng = np.random.default_rng(seed)
     grid, tgrid = problem.grid, problem.tgrid
     shape = (problem.n_levels, grid.n)

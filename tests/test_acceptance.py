@@ -22,8 +22,8 @@ from tumoropt.problem import ControlProblem, control_norm, control_inner, st_inn
 from tumoropt.verify import (check_duality, check_gradient_fd,
                              check_stability_ratios, check_taylor_orders)
 
-from _support import (make_problem, ode_reduction_reference, random_control,
-                      richardson_state_at_T, smooth_control)
+from _support import (active_sets, make_problem, ode_reduction_reference,
+                      random_control, richardson_state_at_T, smooth_control)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DESK = dict(nodes=129, steps=200, t_final=1.0)
@@ -107,8 +107,7 @@ def test_criterion_03_ode_reduction_equivalence():
             grid=pr.grid, tgrid=pr.tgrid, params=pr.params, potential=pot,
             nonlin=pr.nonlin, cost=CostSpec(b0=1.0),
             init=InitialData(mu0=np.full(n, 0.05), phi0=np.full(n, 0.2),
-                             sigma0=np.full(n, 0.1)),
-            options=pr.options)
+                             sigma0=np.full(n, 0.1)))
         rich = richardson_state_at_T(pr, u1_of_t, u2_of_t)
         ref = ode_reduction_reference(pr, u1_of_t, u2_of_t,
                                       rtol=1e-11, atol=1e-13)
@@ -132,7 +131,7 @@ def test_criterion_05_yosida_properties():
     rng = np.random.default_rng(0)
     kinds = (("regular", PotentialSpec("regular")),
              ("logarithmic", PotentialSpec("logarithmic", k1=2.0)),
-             ("obstacle", PotentialSpec("obstacle")))
+             ("obstacle", PotentialSpec("obstacle", yosida_eps=0.1)))
     eps_ladder = (0.8, 0.4, 0.2, 0.1, 0.05, 0.025)
 
     exact_zero = all(yosida_eval(pot, eps, 0.0) == 0.0
@@ -300,15 +299,15 @@ def test_criterion_10_ssc_sampling(canonical):
         nrm = control_norm(dec.grid, dec.tgrid, hdir)
         q = ctx.form(hdir, hdir) / nrm**2
         worst = max(worst, abs(q - 0.9) / 0.9)
-    rep = ssc_certificate(ctx, None, 16, box, seed=0)
+    rep = ssc_certificate(ctx, active_sets(ctx), 16, box, seed=0)
     dec_ok = (worst <= 1e-12
               and abs(rep.min_rayleigh - 0.9) / 0.9 <= 1e-12)
 
     pr = canonical.problem
-    a = ssc_certificate(SecondOrderContext(pr, canonical.initial_control),
-                        None, 64, canonical.box, seed=0)
-    b = ssc_certificate(SecondOrderContext(pr, canonical.initial_control),
-                        None, 64, canonical.box, seed=0)
+    ctx_a = SecondOrderContext(pr, canonical.initial_control)
+    ctx_b = SecondOrderContext(pr, canonical.initial_control)
+    a = ssc_certificate(ctx_a, active_sets(ctx_a), 64, canonical.box, seed=0)
+    b = ssc_certificate(ctx_b, active_sets(ctx_b), 64, canonical.box, seed=0)
     canon_ok = (a.requested_samples == 64 and a.sample_count == 64
                 and np.isfinite(a.min_rayleigh) and a == b)
 

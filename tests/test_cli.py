@@ -14,6 +14,7 @@ import yaml
 
 import tumoropt.stepper
 from tumoropt import SscReport, StepFactors, solve_adjoint
+from tumoropt import state
 from tumoropt.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_SOLVER, main)
 from tumoropt.config import RunConfig, build_setup
 
@@ -253,6 +254,17 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     assert again.stderr == proc.stderr
 
 
+# the former solver and descent settings, module constants now, and the
+# block that held most of them
+REMOVED_KEYS = {
+    "solver", "solver.newton_tol", "solver.newton_max_iter",
+    "solver.max_backtracks", "solver.separation_margin", "solver.yosida_eps",
+    "solver.polish_steps", "solver.energy_blowup_factor",
+    "optimizer.initial_step", "optimizer.armijo_c", "optimizer.shrink",
+    "optimizer.max_backtracks", "optimizer.step_min", "optimizer.step_max",
+}
+
+
 @pytest.mark.parametrize("override", [
     "grid.shape=[.inf]",
     "grid.shape=[1e400]",
@@ -270,6 +282,8 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     "solver.newton_tol=0",
     "solver.polish_steps=-1",
     "solver.yosida_eps=-0.1",
+    "potential.yosida_eps=-0.1",
+    "potential.yosida_eps=.nan",
     "potential.k1=0.5",
     "nonlinearity.P={shape: bump, width: 0}",
 ])
@@ -286,13 +300,16 @@ def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
     key = {"nonlinearity.P={shape: bump, width: 0}": "nonlinearity.P.width"
            }.get(override, override.partition("=")[0])
     assert code == EXIT_CONFIG, err
-    assert err.startswith(f"config error: {key} ")
+    if key in REMOVED_KEYS:
+        assert err.startswith(f"config error: unknown config key '{key}'\n")
+    else:
+        assert err.startswith(f"config error: {key} ")
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_step_min_above_step_max_is_config_error(tmp_path, capsys):
-    # every Barzilai-Borwein step would be clamped to step_max
+    # the Barzilai-Borwein clamp is a constant: the key is gone
     root = pathlib.Path(__file__).resolve().parents[1]
     out = tmp_path / "out"
     code = main(["optimize", "--config",
@@ -301,8 +318,7 @@ def test_step_min_above_step_max_is_config_error(tmp_path, capsys):
                  "--set", "optimizer.step_min=2e12"])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
-    assert err.startswith("config error: optimizer.step_min must not exceed "
-                          "step_max")
+    assert err == "config error: unknown config key 'optimizer.step_min'\n"
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
 
@@ -333,16 +349,18 @@ def test_obstacle_without_yosida_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out-dir",
                  str(tmp_path / "out"), "--set", "potential.kind=obstacle"])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: the obstacle")
+    assert capsys.readouterr().err.startswith(
+        "config error: potential.yosida_eps must be set for the obstacle")
 
 
-def test_verify_gate_failure_exit_code(tmp_path):
+def test_verify_gate_failure_exit_code(tmp_path, monkeypatch):
     # a sloppy Newton tolerance leaves the mass identity unsatisfied
+    monkeypatch.setattr(state, "_NEWTON_TOL", 1e-2)
+    monkeypatch.setattr(state, "_POLISH_STEPS", 0)
     cfg = _write(tmp_path, COUPLED)
     out = tmp_path / "out"
     code = main(["verify", "--config", str(cfg), "--out-dir", str(out),
-                 "--quiet", "--set", "solver.newton_tol=1.0e-2",
-                 "--set", "solver.polish_steps=0"])
+                 "--quiet"])
     assert code == EXIT_GATE
     report = json.loads((out / "verification_report.json").read_text())
     assert report["all_passed"] is False
@@ -512,11 +530,12 @@ def test_output_collision_needs_force(tmp_path):
                  "--quiet", "--force"]) == EXIT_OK
 
 
-def test_newton_budget_exhaustion_is_solver_error(tmp_path, capsys):
+def test_newton_budget_exhaustion_is_solver_error(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(state, "_NEWTON_MAX_ITER", 1)
     cfg = _write(tmp_path, COUPLED)
     code = main(["simulate", "--config", str(cfg), "--out-dir",
-                 str(tmp_path / "out"), "--set",
-                 "solver.newton_max_iter=1"])
+                 str(tmp_path / "out")])
     assert code == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
 
@@ -591,26 +610,31 @@ def test_1d_commands_never_call_splu(tmp_path, monkeypatch):
                      str(tmp_path / command), "--quiet"]) == EXIT_OK
 
 
-def test_energy_blowup_is_solver_error(tmp_path):
-    # an exponent without a dot is a number, not a string
-    proc = _run_canonical(tmp_path, "simulate",
-                          ["solver.energy_blowup_factor=1e-16"])
-    assert proc.returncode == EXIT_SOLVER
-    assert proc.stderr.startswith("solver failure: energy ")
-    assert "at step 1 " in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert list((tmp_path / "out").iterdir()) == []
+def test_energy_blowup_is_solver_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(state, "_ENERGY_BLOWUP_FACTOR", 1e-16)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    code = main(["simulate", "--config",
+                 str(root / "configs" / "canonical_1d.yaml"), "--out-dir",
+                 str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER
+    assert err.startswith("solver failure: energy ")
+    assert "at step 1 " in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_verify_with_a_failing_shifted_control_is_solver_error(tmp_path,
-                                                                capsys):
+                                                                capsys,
+                                                                monkeypatch):
     # at u1 = -10 and 6 Newton iterations the verified control marches, but
     # one of its FD shifts (the first direction at -0.1) runs out of
     # iterations in its batch; warnings are errors here, so the batch must
     # warn of nothing
+    monkeypatch.setattr(state, "_NEWTON_MAX_ITER", 6)
     root = pathlib.Path(__file__).resolve().parents[1]
-    sets = ["grid.shape=[17]", "time.steps=25", "control.initial.u1=-10",
-            "solver.newton_max_iter=6"]
+    sets = ["grid.shape=[17]", "time.steps=25", "control.initial.u1=-10"]
     out = tmp_path / "out"
     code = main(["verify", "--config",
                  str(root / "configs" / "canonical_1d.yaml"), "--out-dir",
@@ -658,7 +682,8 @@ FUZZ_FIELDS = (("initial.phi0", False), ("initial.mu0", False),
                ("control.initial.u1", True), ("cost.target_Q", True))
 FUZZ_WRONG_TYPES = ("[1, 2]", "{a: 1}", "true", "abc", "'0.5'", "null")
 FUZZ_COMMANDS = ("simulate", "optimize", "analyze", "verify")
-# every top-level block and the shape blocks must be mappings
+# every top-level block and the shape blocks must be mappings; the removed
+# `solver` block is an unknown key
 FUZZ_BLOCKS = ("grid", "time", "model", "potential", "nonlinearity", "cost",
                "control", "initial", "solver", "optimizer", "ssc", "output",
                "nonlinearity.P", "nonlinearity.h")
@@ -739,5 +764,7 @@ def test_malformed_override_keeps_error_contract(tmp_path, capsys, case):
     assert "Traceback" not in err
     if key in FUZZ_BLOCKS:
         assert code == EXIT_CONFIG, err
+    if key in REMOVED_KEYS:
+        assert err.startswith(f"config error: unknown config key '{key}'\n")
     if code == EXIT_CONFIG:
         assert not out.exists() or list(out.iterdir()) == []

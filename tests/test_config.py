@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 from tumoropt import ConfigError, build_grid
-from tumoropt.config import (RunConfig, build_setup,
-                             compile_expression, deep_merge,
+from tumoropt.config import (_DEFAULTS, _REPLACE_KEYS, RunConfig,
+                             build_setup, compile_expression, deep_merge,
                              read_space_time_csv, read_spatial_csv)
 from tumoropt.state import TimeGrid
 
@@ -57,22 +57,57 @@ def test_override_assignments():
 
 def test_override_merges_like_the_file(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text("solver: {newton_tol: 1.0e-10}\n")
-    by_set = RunConfig.from_dict({}, overrides=(
-        "solver={newton_tol: 1e-10}",))
+    path.write_text("optimizer: {tol: 1.0e-10}\n")
+    by_set = RunConfig.from_dict({}, overrides=("optimizer={tol: 1e-10}",))
     by_file = RunConfig.from_file(path)
-    assert by_set.solver == by_file.solver
-    assert by_set.solver == {**RunConfig.from_dict({}).solver,
-                             "newton_tol": 1e-10}
-    assert build_setup(by_set).problem.options.newton_tol == 1e-10
+    assert by_set.optimizer == by_file.optimizer
+    assert by_set.optimizer == {**RunConfig.from_dict({}).optimizer,
+                                "tol": 1e-10}
+    assert build_setup(by_set).pgd.tol == 1e-10
 
 
 @pytest.mark.parametrize("value", ["null", "[1, 2]", "3"])
 def test_blocks_must_be_mappings(value):
-    with pytest.raises(ConfigError, match="'solver' must be a mapping"):
-        RunConfig.from_dict({}, overrides=(f"solver={value}",))
-    with pytest.raises(ConfigError, match="'solver' must be a mapping"):
-        RunConfig.from_dict({"solver": yaml.safe_load(value)})
+    with pytest.raises(ConfigError, match="'optimizer' must be a mapping"):
+        RunConfig.from_dict({}, overrides=(f"optimizer={value}",))
+    with pytest.raises(ConfigError, match="'optimizer' must be a mapping"):
+        RunConfig.from_dict({"optimizer": yaml.safe_load(value)})
+
+
+def _leaf_keys(block: dict, prefix: str = "") -> set:
+    """Dotted keys a config may set: the entries of `_DEFAULTS` that hold a
+    value, a field spec or a shape block, and not a block of entries."""
+    keys = set()
+    for name, value in block.items():
+        key = f"{prefix}{name}"
+        if isinstance(value, dict) and key not in _REPLACE_KEYS:
+            keys |= _leaf_keys(value, f"{key}.")
+        else:
+            keys.add(key)
+    return keys
+
+
+# every key a run config may set; a new one takes a deliberate edit here
+SETTABLE_KEYS = {
+    "grid.dim", "grid.shape", "grid.lengths", "time.T", "time.steps",
+    "model.alpha", "model.beta", "model.chi",
+    "potential.kind", "potential.k1", "potential.k2",
+    "potential.coefficients", "potential.yosida_eps",
+    "nonlinearity.P", "nonlinearity.h",
+    "cost.b0", "cost.b1", "cost.b2", "cost.target_Q", "cost.target_Omega",
+    "control.initial.u1", "control.initial.u2",
+    "control.bounds.lower1", "control.bounds.upper1",
+    "control.bounds.lower2", "control.bounds.upper2",
+    "initial.mu0", "initial.phi0", "initial.sigma0",
+    "optimizer.max_iter", "optimizer.tol",
+    "ssc.tau", "ssc.n_samples", "ssc.seed",
+    "output.out_dir", "output.snapshot_times",
+}
+
+
+def test_settable_keys_are_pinned():
+    assert len(SETTABLE_KEYS) == 36
+    assert _leaf_keys(_DEFAULTS) == SETTABLE_KEYS
 
 
 @pytest.mark.parametrize("value", [None, ["a", "b"], {"path": "a"}])
@@ -82,8 +117,8 @@ def test_out_dir_must_be_a_path(value):
         build_setup(cfg)
 
 
-EXPONENT_CASES = [("solver.newton_tol", "1e-10", 1e-10),
-                  ("solver.energy_blowup_factor", "1E+5", 1e5),
+EXPONENT_CASES = [("optimizer.tol", "1e-10", 1e-10),
+                  ("cost.b0", "1E+5", 1e5),
                   ("model.chi", "-2e-3", -2e-3)]
 
 
@@ -118,6 +153,14 @@ def test_exponent_loader_keeps_strings_and_special_values():
 def test_override_requires_known_key_and_equals():
     with pytest.raises(ConfigError, match="model.zeta"):
         RunConfig.from_dict({}, overrides=("model.zeta=1",))
+    # an override into an unknown block names its whole key, its value no
+    # further; the same entry in a file names the block
+    for assignment in ("solver.newton_tol=1", "solver.newton_tol={a: 1}"):
+        with pytest.raises(ConfigError,
+                           match="^unknown config key 'solver.newton_tol'$"):
+            RunConfig.from_dict({}, overrides=(assignment,))
+    with pytest.raises(ConfigError, match="^unknown config key 'solver'$"):
+        RunConfig.from_dict({"solver": {"newton_tol": 1}})
     with pytest.raises(ConfigError, match="="):
         RunConfig.from_dict({}, overrides=("model.chi",))
 
@@ -287,9 +330,10 @@ def test_control_field_from_file(tmp_path, rng):
                              "ys": [-0.5, 1.0]}}}, "nonnegative"),
     ({"control": {"bounds": {"lower1": 1.0, "upper1": -1.0}}},
      "control.bounds"),
+    # the Armijo shrink factor is a constant: an unknown key
     ({"optimizer": {"shrink": 1.5}}, "shrink"),
     ({"output": {"snapshot_times": [2.0]}}, "snapshot_times"),
-    ({"solver": {"yosida_eps": -0.1}}, "yosida_eps"),
+    ({"potential": {"yosida_eps": -0.1}}, "yosida_eps"),
     ({"nonlinearity": {"P": {"shape": "bump", "scale": float("nan")}}},
      "nonlinearity.P.scale must be finite"),
     ({"nonlinearity": {"P": {"shape": "bump", "width": float("inf")}}},

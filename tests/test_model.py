@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
                       ModelParams, NonlinearitySpec, PgdOptions,
-                      PotentialSpec, ScalarShape, SolverOptions, Stepper,
+                      PotentialSpec, ScalarShape, Stepper,
                       TimeGrid, build_grid, project_admissible, prox_f1,
                       yosida_eval, zero_control)
 from tumoropt.model import _f1_eval, _f2_eval
@@ -62,7 +62,7 @@ def test_logarithmic_potential_values():
 
 
 def test_obstacle_potential_values():
-    pot = PotentialSpec("obstacle", k2=1.0)
+    pot = PotentialSpec("obstacle", k2=1.0, yosida_eps=0.1)
     assert exact_potential(pot, 0.0) == pytest.approx(1.0)
     assert exact_potential(pot, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert exact_potential(pot, 1.5) == np.inf
@@ -128,7 +128,7 @@ def test_prox_matches_root_oracle(rng):
 
 
 def test_prox_obstacle_is_clamp(rng):
-    pot = PotentialSpec("obstacle")
+    pot = PotentialSpec("obstacle", yosida_eps=0.1)
     r = rng.uniform(-3, 3, 50)
     assert np.array_equal(prox_f1(pot, 0.3, r), np.clip(r, -1.0, 1.0))
     # spec'd point: prox(1.5) = 1, derivative (1.5-1)/0.5 = 1
@@ -158,7 +158,7 @@ def test_prox_custom_is_identity(rng):
 
 @pytest.mark.parametrize("pot", [PotentialSpec("regular"),
                                  PotentialSpec("logarithmic"),
-                                 PotentialSpec("obstacle"),
+                                 PotentialSpec("obstacle", yosida_eps=0.1),
                                  PotentialSpec("custom", coefficients=[0.0, -1.0])])
 def test_yosida_derivative_zero_at_origin(pot):
     assert yosida_eval(pot, 0.1, 0.0) == 0.0
@@ -166,7 +166,7 @@ def test_yosida_derivative_zero_at_origin(pot):
 
 @pytest.mark.parametrize("pot", [PotentialSpec("regular"),
                                  PotentialSpec("logarithmic"),
-                                 PotentialSpec("obstacle")])
+                                 PotentialSpec("obstacle", yosida_eps=0.1)])
 def test_yosida_derivative_lipschitz(pot, rng):
     eps = 0.07
     a = rng.uniform(-2, 2, 2000)
@@ -177,7 +177,7 @@ def test_yosida_derivative_lipschitz(pot, rng):
 
 @pytest.mark.parametrize("pot", [PotentialSpec("regular"),
                                  PotentialSpec("logarithmic"),
-                                 PotentialSpec("obstacle")])
+                                 PotentialSpec("obstacle", yosida_eps=0.1)])
 def test_yosida_derivative_monotone_in_eps(pot, rng):
     # |F'_{1,eps}(r)| is nondecreasing as eps decreases, approaching the
     # minimal section of the subdifferential
@@ -209,7 +209,7 @@ def test_yosida_second_third_consistency(rng):
     assert np.abs(fd3 - yosida_eval(pot, eps, r, 3)).max() < 1e-5
     # FD of the envelope (order 0) against the first derivative
     for pot in (PotentialSpec("regular"), PotentialSpec("logarithmic"),
-                PotentialSpec("obstacle"),
+                PotentialSpec("obstacle", yosida_eps=0.1),
                 PotentialSpec("custom", coefficients=[0.0, -1.0])):
         fd0 = (yosida_eval(pot, eps, r + d, 0)
                - yosida_eval(pot, eps, r - d, 0)) / (2 * d)
@@ -334,7 +334,8 @@ def test_sup_bounds_derive_from_the_shapes():
     ("regular", (-np.inf, np.inf)), ("custom", (-np.inf, np.inf)),
     ("logarithmic", (-1.0, 1.0)), ("obstacle", (-1.0, 1.0))])
 def test_potential_domain_follows_its_kind(kind, domain):
-    assert PotentialSpec(kind=kind, coefficients=[0.0]).domain == domain
+    assert PotentialSpec(kind=kind, coefficients=[0.0],
+                         yosida_eps=0.1).domain == domain
 
 
 def test_nonlinearity_eval_dispatch():
@@ -390,20 +391,9 @@ _NEGATIVE_TABLE = ScalarShape("table", xs=[-1, 1], ys=[-0.5, 1.0])
 # one invalid construction per rule that a model or option object checks on
 # itself, keyed "<object>-<field>[-<variant>]"
 INVALID_FIELDS = {
-    "solver-newton_tol": lambda: SolverOptions(newton_tol=-1.0),
-    "solver-newton_max_iter": lambda: SolverOptions(newton_max_iter=0),
-    "solver-separation_margin": lambda: SolverOptions(separation_margin=-1e-8),
-    "solver-yosida_eps": lambda: SolverOptions(yosida_eps=-0.1),
-    "solver-polish_steps": lambda: SolverOptions(polish_steps=-2),
-    "solver-energy_blowup_factor":
-        lambda: SolverOptions(energy_blowup_factor=0.0),
+    "solver-yosida_eps": lambda: PotentialSpec("regular", yosida_eps=-0.1),
     "pgd-tol": lambda: PgdOptions(tol=0.0),
-    "pgd-initial_step": lambda: PgdOptions(initial_step=-1.0),
-    "pgd-armijo_c": lambda: PgdOptions(armijo_c=0.0),
-    "pgd-step_min": lambda: PgdOptions(step_min=0.0),
     "pgd-max_iter": lambda: PgdOptions(max_iter=0),
-    "pgd-shrink": lambda: PgdOptions(shrink=1.0),
-    "pgd-shrink-zero": lambda: PgdOptions(shrink=0.0),
     "potential-kind": lambda: PotentialSpec("quartic"),
     "potential-k1": lambda: PotentialSpec("logarithmic", k1=0.5),
     "potential-k2": lambda: PotentialSpec("obstacle", k2=0.0),
@@ -431,12 +421,38 @@ INVALID_FIELDS = {
         make_problem(), potential=PotentialSpec("obstacle")),
 }
 
+# the former solver and descent options that are module constants now: the
+# problem and the descent options take no such field
+REMOVED_FIELDS = {
+    "solver-newton_tol": lambda: _problem_with(newton_tol=-1.0),
+    "solver-newton_max_iter": lambda: _problem_with(newton_max_iter=0),
+    "solver-separation_margin":
+        lambda: _problem_with(separation_margin=-1e-8),
+    "solver-polish_steps": lambda: _problem_with(polish_steps=-2),
+    "solver-energy_blowup_factor":
+        lambda: _problem_with(energy_blowup_factor=0.0),
+    "pgd-initial_step": lambda: PgdOptions(initial_step=-1.0),
+    "pgd-armijo_c": lambda: PgdOptions(armijo_c=0.0),
+    "pgd-step_min": lambda: PgdOptions(step_min=0.0),
+    "pgd-shrink": lambda: PgdOptions(shrink=1.0),
+    "pgd-shrink-zero": lambda: PgdOptions(shrink=0.0),
+}
 
-@pytest.mark.parametrize("case", INVALID_FIELDS)
+
+def _problem_with(**fields):
+    return dataclasses.replace(make_problem(), **fields)
+
+
+@pytest.mark.parametrize("case", {**INVALID_FIELDS, **REMOVED_FIELDS})
 def test_invalid_fields_are_rejected_on_construction(case):
     # the message starts with the field, which a config error prefixes with
-    # its block; the obstacle rule couples two blocks and names neither first
-    field = case.split("-")[1] if case != "problem-obstacle" else "the obstacle"
+    # its block; the obstacle needs the potential's yosida_eps
+    field = case.split("-")[1] if case != "problem-obstacle" else "yosida_eps"
+    if case in REMOVED_FIELDS:
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{field}'"):
+            REMOVED_FIELDS[case]()
+        return
     with pytest.raises(ValueError, match=f"^{field} "):
         INVALID_FIELDS[case]()
 

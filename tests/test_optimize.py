@@ -22,7 +22,7 @@ from tumoropt.verify import (_random_direction, check_gradient_fd,
 
 from _support import (dense_hessian, dense_hessian_per_pair, make_problem,
                       nodal_hessian_columns, quadratic_form_bilinear_route,
-                      random_control, smooth_control,
+                      random_control, smooth_control, active_sets,
                       ssc_certificate_per_direction)
 
 
@@ -251,23 +251,28 @@ def test_pgd_history_schema():
 
 
 def test_pgd_options_need_a_trial_and_ordered_step_bounds():
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_backtracks"):
-            PgdOptions(max_backtracks=bad)
-    with pytest.raises(ValueError, match="step_min must not exceed step_max"):
-        PgdOptions(step_min=2e12)
-    PgdOptions(step_min=1.0, step_max=1.0)
+    # the line search and the step clamp are constants: every iteration
+    # takes a trial, each backtrack shortens the step, the clamp is ordered
+    assert optimize_module._MAX_BACKTRACKS >= 1
+    assert 0.0 < optimize_module._SHRINK < 1.0
+    assert 0.0 < optimize_module._STEP_MIN <= optimize_module._STEP_MAX
+    for name in ("max_backtracks", "step_min", "step_max", "shrink",
+                 "armijo_c", "initial_step"):
+        with pytest.raises(TypeError, match=name):
+            PgdOptions(**{name: 1.0})
 
 
-@pytest.mark.parametrize("opts, reason", [
-    (PgdOptions(tol=1e-12, max_iter=10), "converged"),
-    (PgdOptions(tol=1e-12, max_iter=1), "max_iter"),
+@pytest.mark.parametrize("opts, constants, reason", [
+    (PgdOptions(tol=1e-12, max_iter=10), {}, "converged"),
+    (PgdOptions(tol=1e-12, max_iter=1), {}, "max_iter"),
     # a step far too long for the three halvings the line search may take:
     # every trial lands on the corners of the box, and the cost rises
-    (PgdOptions(tol=1e-12, initial_step=1e8, max_backtracks=3),
+    (PgdOptions(tol=1e-12), {"_INITIAL_STEP": 1e8, "_MAX_BACKTRACKS": 3},
      "line_search_failed"),
 ], ids=["converged", "max_iter", "line_search_failed"])
-def test_pgd_reports_why_it_stopped(opts, reason):
+def test_pgd_reports_why_it_stopped(monkeypatch, opts, constants, reason):
+    for name, value in constants.items():
+        monkeypatch.setattr(optimize_module, name, value)
     # linear state with a tracking term: the cost is quadratic, not trivial
     pr = make_problem(coupling="none", b0=1.0, b1=2.0, steps=6)
     box = BoxConstraints(lower1=-1.0, upper1=1.0, lower2=-1.0, upper2=1.0)
@@ -449,8 +454,9 @@ def test_dense_hessian_is_bitwise_the_per_pair_loop(monkeypatch, directions):
 
 def test_ssc_decoupled_rayleigh_equals_b0():
     pr = make_problem(coupling="none", b0=0.9, b1=0.0, tracking=False)
-    rep = ssc_certificate(SecondOrderContext(pr, pr.zero_control()), tau=None,
-                          n_samples=8, box=BoxConstraints(), seed=0)
+    ctx = SecondOrderContext(pr, pr.zero_control())
+    rep = ssc_certificate(ctx, active_sets(ctx), n_samples=8,
+                          box=BoxConstraints(), seed=0)
     assert rep.satisfied
     assert rep.sample_count == 8
     assert rep.min_rayleigh == pytest.approx(0.9, rel=1e-12)
@@ -461,11 +467,11 @@ def test_ssc_deterministic_under_seed():
     u = smooth_control(pr, amp=0.1)
     box = BoxConstraints(lower1=-0.5, upper1=0.5, lower2=-0.5, upper2=0.5)
     ctx = SecondOrderContext(pr, u)
-    a = ssc_certificate(ctx, None, 6, box, seed=3)
-    b = ssc_certificate(ctx, None, 6, box, seed=3)
+    a = ssc_certificate(ctx, active_sets(ctx), 6, box, seed=3)
+    b = ssc_certificate(ctx, active_sets(ctx), 6, box, seed=3)
     assert a.min_rayleigh == b.min_rayleigh
     assert a.tau == b.tau and a.sample_count == b.sample_count
-    c = ssc_certificate(ctx, None, 6, box, seed=4)
+    c = ssc_certificate(ctx, active_sets(ctx), 6, box, seed=4)
     assert c.min_rayleigh != a.min_rayleigh
 
 
@@ -473,7 +479,8 @@ def test_ssc_positive_on_tracking_problem():
     pr = make_problem(b0=1.0, b1=2.0)
     u = smooth_control(pr, amp=0.05)
     box = BoxConstraints(lower1=-0.5, upper1=0.5, lower2=-0.5, upper2=0.5)
-    rep = ssc_certificate(SecondOrderContext(pr, u), None, 16, box, seed=0)
+    ctx = SecondOrderContext(pr, u)
+    rep = ssc_certificate(ctx, active_sets(ctx), 16, box, seed=0)
     assert rep.satisfied
     assert rep.min_rayleigh >= 0.9  # b0 = 1 dominates on this small problem
 
@@ -482,9 +489,11 @@ def test_ssc_trivial_cone_raises():
     pr = make_problem(b1=2.0)
     ctx = SecondOrderContext(pr, random_control(pr, seed=9, amp=0.2))
     with pytest.raises(ValueError, match="strongly active"):
-        ssc_certificate(ctx, tau=0.0, n_samples=4, box=BoxConstraints(), seed=0)
+        ssc_certificate(ctx, active_sets(ctx, 0.0), n_samples=4,
+                        box=BoxConstraints(), seed=0)
     with pytest.raises(ValueError):
-        ssc_certificate(ctx, tau=None, n_samples=0, box=BoxConstraints())
+        ssc_certificate(ctx, active_sets(ctx), n_samples=0,
+                        box=BoxConstraints())
 
 
 def _ssc_case(case):
@@ -527,7 +536,7 @@ def test_ssc_blocks_are_bitwise_the_per_direction_loop(monkeypatch, case,
         return val
 
     monkeypatch.setattr(SecondOrderContext, "form", record)
-    report = ssc_certificate(ctx, tau, 16, box, seed=1)
+    report = ssc_certificate(ctx, active_sets(ctx, tau), 16, box, seed=1)
     blocked = quotients[:]
     ref, ref_quotients = ssc_certificate_per_direction(ctx, tau, 16, box,
                                                        seed=1)
@@ -549,7 +558,7 @@ def test_ssc_requests_each_step_factor_at_most_once(monkeypatch):
         return lu(self, k)
 
     monkeypatch.setattr(StepFactors, "lu", count_lu)
-    report = ssc_certificate(ctx, tau, 16, box, seed=0)
+    report = ssc_certificate(ctx, active_sets(ctx, tau), 16, box, seed=0)
     assert report.sample_count == 16
     assert len(requested) <= ctx.problem.tgrid.steps
 
@@ -726,7 +735,8 @@ def test_newton_phase_reports_why_it_stopped(monkeypatch):
         return Control(-grad.grad1, -grad.grad2), 0
 
     monkeypatch.setattr(optimize_module, "_newton_direction", ascent)
-    res = projected_gradient(*args, PgdOptions(tol=1e-12, max_backtracks=3))
+    monkeypatch.setattr(optimize_module, "_MAX_BACKTRACKS", 3)
+    res = projected_gradient(*args, PgdOptions(tol=1e-12))
     assert res.reason == "line_search_failed"
     # the first step is a gradient step, the second switches and fails
     assert res.n_iter == 1

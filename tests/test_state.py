@@ -9,9 +9,8 @@ import pytest
 
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       SecondOrderContext, SeparationViolation, SolverError,
-                      NonlinearitySpec, PotentialSpec, ScalarShape,
-                      SolverOptions, TimeGrid, build_grid, solve_state,
-                      solve_states)
+                      NonlinearitySpec, PotentialSpec, ScalarShape, TimeGrid,
+                      build_grid, solve_state, solve_states)
 from tumoropt import state
 from tumoropt import stepper as stepper_module
 from tumoropt.problem import ControlProblem
@@ -142,7 +141,7 @@ def test_initial_data_on_log_boundary_rejected():
 def test_initial_data_outside_obstacle_range_rejected():
     pr = make_problem(yosida_eps=0.1)
     pr = dataclasses.replace(
-        pr, potential=PotentialSpec("obstacle"),
+        pr, potential=PotentialSpec("obstacle", yosida_eps=0.1),
         init=InitialData(np.zeros(pr.grid.n), np.full(pr.grid.n, 1.5),
                          np.zeros(pr.grid.n)))
     with pytest.raises(SeparationViolation):
@@ -192,14 +191,15 @@ def test_trajectory_fields_are_views_of_the_stacked_histories():
     assert traj.x[2, 2 * n + 1] == 7.0
 
 
-def test_energy_blowup_raises_during_march():
-    pr = make_problem(steps=6, energy_blowup_factor=1e-16)
+def test_energy_blowup_raises_during_march(monkeypatch):
+    monkeypatch.setattr(state, "_ENERGY_BLOWUP_FACTOR", 1e-16)
+    pr = make_problem(steps=6)
     with pytest.raises(SolverError, match="energy"):
         pr.solve(smooth_control(pr))
 
 
 def test_earlier_energy_blowup_wins_over_later_newton_failure(monkeypatch):
-    pr = make_problem(steps=6, energy_blowup_factor=1e-16)
+    pr = make_problem(steps=6)
     u = smooth_control(pr)
     residual, fired = Stepper.residual, []
 
@@ -213,8 +213,9 @@ def test_earlier_energy_blowup_wins_over_later_newton_failure(monkeypatch):
     monkeypatch.setattr(Stepper, "residual", failing_at_step_4)
     # without the energy limit the injected failure is the error
     with pytest.raises(SolverError, match="^step 4: non-finite"):
-        dataclasses.replace(pr, options=SolverOptions()).solve(u)
+        pr.solve(u)
     fired.clear()
+    monkeypatch.setattr(state, "_ENERGY_BLOWUP_FACTOR", 1e-16)
     with pytest.raises(SolverError, match=r"energy .* at step 1 "):
         pr.solve(u)
     assert fired, "the step-4 failure was never injected"
@@ -236,8 +237,9 @@ def test_self_convergence_first_order():
     assert errs[0] > errs[1]
 
 
-def test_newton_budget_exhaustion_raises():
-    pr = make_problem(newton_max_iter=1, steps=4)
+def test_newton_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(state, "_NEWTON_MAX_ITER", 1)
+    pr = make_problem(steps=4)
     with pytest.raises(SolverError, match="Newton"):
         pr.solve(smooth_control(pr, amp=0.5))
 
@@ -270,9 +272,8 @@ def test_polish_tries_the_full_step_once(monkeypatch):
         for polish in (0, 1, 4):
             calls.clear()
             lu_calls.clear()
-            x, iters, lus = newton_step(
-                stepper, x_prev, u.u1[k], u.u2[k],
-                SolverOptions(polish_steps=polish), k)
+            monkeypatch.setattr(state, "_POLISH_STEPS", polish)
+            x, iters, lus = newton_step(stepper, x_prev, u.u1[k], u.u2[k], k)
             assert lus == len(lu_calls)
             rnorm = np.abs(residual(stepper, x, x_prev, u.u1[k],
                                     u.u2[k])).max()
@@ -288,8 +289,8 @@ def test_polish_tries_the_full_step_once(monkeypatch):
         assert runs[1][2] <= rnorm0
         # a start that already meets the tolerance factors once, to polish
         lu_calls.clear()
-        _, iters, lus = newton_step(stepper, x_prev, u.u1[k], u.u2[k],
-                                    SolverOptions(polish_steps=4), k,
+        monkeypatch.setattr(state, "_POLISH_STEPS", 4)
+        _, iters, lus = newton_step(stepper, x_prev, u.u1[k], u.u2[k], k,
                                     start=traj.x[k])
         assert lus == len(lu_calls) == 1
         assert 1 <= iters <= 4
@@ -305,8 +306,7 @@ def _predictor_case(potential):
 
 
 def _step_from(pr, u, x_prev, k, start):
-    return newton_step(pr.stepper, x_prev, u.u1[k], u.u2[k], pr.options, k,
-                       start=start)
+    return newton_step(pr.stepper, x_prev, u.u1[k], u.u2[k], k, start=start)
 
 
 def test_predictor_outside_separation_interval_falls_back(monkeypatch):
@@ -316,7 +316,7 @@ def test_predictor_outside_separation_interval_falls_back(monkeypatch):
     n = pr.grid.n
     guess = x_prev.copy()
     # one node inside (hi - margin, hi): admissible, but too close to +1
-    guess[n + n // 2] = hi - 0.5 * pr.options.separation_margin
+    guess[n + n // 2] = hi - 0.5 * state._SEPARATION_MARGIN
     _, calls = _counting(monkeypatch, "residual")
     x_ref, iters_ref, lus_ref = _step_from(pr, u, x_prev, k, None)
     ref_calls = len(calls)
@@ -327,7 +327,7 @@ def test_predictor_outside_separation_interval_falls_back(monkeypatch):
     assert (iters, lus) == (iters_ref, lus_ref)
     assert np.array_equal(x, x_ref)
     res = pr.stepper.residual(x, x_prev, u.u1[k], u.u2[k])
-    assert np.abs(res).max() <= (pr.options.newton_tol * pr.stepper.coef_scale
+    assert np.abs(res).max() <= (state._NEWTON_TOL * pr.stepper.coef_scale
                                  * (1.0 + np.abs(x).max()))
 
 
@@ -348,8 +348,8 @@ def test_predictor_with_non_finite_residual_falls_back(monkeypatch):
 
 
 def _obstacle_yosida_problem() -> ControlProblem:
-    pr = make_problem(steps=60, t_final=0.3, yosida_eps=0.05)
-    return dataclasses.replace(pr, potential=PotentialSpec("obstacle"))
+    return make_problem(potential="obstacle", steps=60, t_final=0.3,
+                        yosida_eps=0.05)
 
 
 def _problem_2d(potential="logarithmic", yosida_eps=None,
@@ -364,12 +364,11 @@ def _problem_2d(potential="logarithmic", yosida_eps=None,
     return ControlProblem(
         grid=grid, tgrid=TimeGrid(steps=steps, t_final=0.1),
         params=ModelParams(alpha=1.0, beta=0.8, chi=0.3),
-        potential=PotentialSpec(potential),
+        potential=PotentialSpec(potential, yosida_eps=yosida_eps),
         nonlin=NonlinearitySpec(
             ScalarShape("bump", scale=0.5, center=0.0, width=1.0),
             ScalarShape("ramp")),
-        cost=CostSpec(b0=1.0), init=init,
-        options=SolverOptions(yosida_eps=yosida_eps))
+        cost=CostSpec(b0=1.0), init=init)
 
 
 ORACLE_CASES = {
@@ -393,8 +392,7 @@ def test_predicted_march_matches_march_from_previous_level(case):
     oracle = [x]
     oracle_iters = oracle_lus = 0
     for k in range(1, pr.n_levels):
-        x, iters, lus = newton_step(pr.stepper, x, u.u1[k], u.u2[k],
-                                    pr.options, k)
+        x, iters, lus = newton_step(pr.stepper, x, u.u1[k], u.u2[k], k)
         oracle.append(x)
         oracle_iters += iters
         oracle_lus += lus
@@ -425,8 +423,7 @@ def _per_iteration_march(pr, u):
     for k in range(1, pr.n_levels):
         guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
         x[k], iters[k], lus[k] = newton_step(
-            pr.stepper, x[k - 1], u.u1[k], u.u2[k], pr.options, k,
-            start=guess)
+            pr.stepper, x[k - 1], u.u1[k], u.u2[k], k, start=guess)
     return x, iters, lus
 
 
@@ -462,7 +459,7 @@ def test_2d_chord_march_matches_per_iteration_newton(case):
     assert traj.newton_iters.sum() > ref_iters.sum()
 
 
-def test_2d_chord_polish_runs_until_the_residual_stops_falling():
+def test_2d_chord_polish_runs_until_the_residual_stops_falling(monkeypatch):
     pr = _problem_2d("regular", steps=12)
     u = smooth_control(pr, amp=0.4)
     traj = pr.solve(u)
@@ -471,9 +468,8 @@ def test_2d_chord_polish_runs_until_the_residual_stops_falling():
     carried = CarriedLU()
     for k in range(1, pr.n_levels):
         guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
-        xk, iters, lus = newton_step(stepper, x[k - 1], u.u1[k], u.u2[k],
-                                     pr.options, k, start=guess,
-                                     carried=carried)
+        xk, iters, lus = newton_step(stepper, x[k - 1], u.u1[k], u.u2[k], k,
+                                     start=guess, carried=carried)
         assert xk.tobytes() == x[k].tobytes(), f"step {k}: march differs"
         assert (iters, lus) == (traj.newton_iters[k], traj.factorizations[k])
         # one more chord step would not lower the residual
@@ -482,9 +478,9 @@ def test_2d_chord_polish_runs_until_the_residual_stops_falling():
                                 u.u1[k], u.u2[k])
         assert not np.abs(more).max() < np.abs(res).max(), (
             f"step {k}: the polish stopped while the residual still fell")
-    # polish_steps = 0 stops each step at the tolerance
-    bare = dataclasses.replace(pr, options=SolverOptions(polish_steps=0))
-    unpolished = bare.solve(u)
+    # no polish stops each step at the tolerance
+    monkeypatch.setattr(state, "_POLISH_STEPS", 0)
+    unpolished = pr.solve(u)
     assert unpolished.newton_iters.sum() < traj.newton_iters.sum()
     _assert_levels_agree(unpolished.x, traj.x, rtol=1e-8)
 
@@ -512,14 +508,13 @@ def test_chord_step_refactors_when_the_carried_lu_does_not_contract():
     # its full step does not cut the residual to a quarter
     assert (np.abs(stepper.residual(chord, x_prev, u1, u2)).max()
             > 0.25 * np.abs(res).max())
-    x, iters, lus = newton_step(stepper, x_prev, u1, u2, pr.options, 1,
-                                carried=carried)
+    x, iters, lus = newton_step(stepper, x_prev, u1, u2, 1, carried=carried)
     assert lus >= 1, "step 1: the stale LU was never replaced"
     assert carried.lu is not stale
-    ref, _, _ = newton_step(stepper, x_prev, u1, u2, pr.options, 1)
+    ref, _, _ = newton_step(stepper, x_prev, u1, u2, 1)
     _assert_levels_agree(np.stack([x_prev, x]), np.stack([x_prev, ref]))
     assert (np.abs(stepper.residual(x, x_prev, u1, u2)).max()
-            <= pr.options.newton_tol * stepper.coef_scale
+            <= state._NEWTON_TOL * stepper.coef_scale
             * (1.0 + np.abs(x).max()))
 
 
@@ -537,7 +532,7 @@ def test_stale_chord_step_pinned_at_the_ceiling_factors_again():
     # one node of the initial phase field sits inside the separation margin
     pr = _problem_2d(steps=4)
     phi0 = pr.init.phi0.copy()
-    phi0[pr.grid.n // 2] = 1.0 - 0.5 * pr.options.separation_margin
+    phi0[pr.grid.n // 2] = 1.0 - 0.5 * state._SEPARATION_MARGIN
     pr = dataclasses.replace(pr, init=dataclasses.replace(pr.init,
                                                           phi0=phi0))
     stepper, x_prev, u1, u2 = _first_step(pr)
@@ -545,7 +540,7 @@ def test_stale_chord_step_pinned_at_the_ceiling_factors_again():
     fresh = stepper.factorize(x_prev, u1)
     res = stepper.residual(x_prev, x_prev, u1, u2)
     lo, hi = pr.potential.domain
-    margin = pr.options.separation_margin
+    margin = state._SEPARATION_MARGIN
 
     def ceiling(lu):
         delta = lu.solve(-res)
@@ -557,11 +552,10 @@ def test_stale_chord_step_pinned_at_the_ceiling_factors_again():
     assert ceiling(fresh) > 0.0
     assert ceiling(_Reversed(fresh)) == 0.0
     carried = CarriedLU(_Reversed(fresh))
-    x, iters, lus = newton_step(stepper, x_prev, u1, u2, pr.options, 1,
-                                carried=carried)
+    x, iters, lus = newton_step(stepper, x_prev, u1, u2, 1, carried=carried)
     assert lus >= 1, "step 1: the pinned stale LU was never replaced"
     assert not isinstance(carried.lu, _Reversed)
-    ref, _, _ = newton_step(stepper, x_prev, u1, u2, pr.options, 1)
+    ref, _, _ = newton_step(stepper, x_prev, u1, u2, 1)
     _assert_levels_agree(np.stack([x_prev, x]), np.stack([x_prev, ref]))
 
 
@@ -599,9 +593,11 @@ def test_1d_march_is_bitwise_the_per_iteration_newton(potential, yosida_eps):
 def test_2d_newton_failures_name_the_step(monkeypatch):
     pr = _problem_2d(steps=4)
     u = smooth_control(pr, amp=0.4)
-    with pytest.raises(SolverError, match="^step 1: Newton did not converge"):
-        dataclasses.replace(pr, options=SolverOptions(newton_max_iter=1)
-                            ).solve(u)
+    with monkeypatch.context() as patch:
+        patch.setattr(state, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(SolverError,
+                           match="^step 1: Newton did not converge"):
+            pr.solve(u)
     bad = Control(u.u1.copy(), u.u2.copy())
     bad.u1[3, 5] = np.nan
     # step 3 starts with an LU carried from the steps before it
@@ -616,7 +612,7 @@ def test_2d_newton_failures_name_the_step(monkeypatch):
 
     monkeypatch.setattr(stepper_module, "splu", singular)
     with pytest.raises(SolverError, match="^step 5: sparse LU failed"):
-        newton_step(stepper, x_prev, u1, u2, pr.options, 5, carried=carried)
+        newton_step(stepper, x_prev, u1, u2, 5, carried=carried)
     with pytest.raises(SolverError, match="^step 1: sparse LU failed"):
         pr.solve(u)
 
@@ -653,9 +649,8 @@ BATCH_CASES = {
     "log-1d": lambda: make_problem(potential="logarithmic", steps=10,
                                    t_final=3.0),
     "regular-1d": lambda: make_problem(potential="regular", steps=10),
-    "obstacle-yosida-1d": lambda: dataclasses.replace(
-        make_problem(steps=10, yosida_eps=0.05),
-        potential=PotentialSpec("obstacle")),
+    "obstacle-yosida-1d": lambda: make_problem(potential="obstacle", steps=10,
+                                               yosida_eps=0.05),
     "log-yosida-1d": lambda: make_problem(potential="logarithmic", steps=10,
                                           yosida_eps=0.05),
     "log-2d": lambda: _problem_2d(steps=12),
@@ -687,7 +682,7 @@ def test_batch_march_is_bitwise_the_per_control_march(monkeypatch, case, m):
         leaves = [[k for k in range(2, pr.n_levels)
                    if not _inside_margin(
                        pr.stepper, 2.0 * ref.x[k - 1] - ref.x[k - 2],
-                       pr.options)] for ref, _ in alone]
+                       state._SEPARATION_MARGIN)] for ref, _ in alone]
         assert leaves[0] and leaves[1] and not leaves[2]
     if pr.stepper.superlu:
         # one carried LU per member: the batch forms every member's LUs
@@ -727,9 +722,9 @@ def test_batch_failure_is_the_lowest_member_at_the_first_failing_level():
                 == _error_of(solve_state, pr, first))
 
 
-def test_batch_failure_checks_the_energy_of_the_failing_member():
-    pr = make_problem(potential="logarithmic", steps=10,
-                      energy_blowup_factor=1e-16)
+def test_batch_failure_checks_the_energy_of_the_failing_member(monkeypatch):
+    monkeypatch.setattr(state, "_ENERGY_BLOWUP_FACTOR", 1e-16)
+    pr = make_problem(potential="logarithmic", steps=10)
     u = smooth_control(pr, amp=0.2)
     at_3 = _shifted_u1(u, -200.0)
     single = _error_of(solve_state, pr, at_3)
@@ -807,16 +802,17 @@ def _failing_batches(pr):
 
 def test_lockstep_failures_are_those_of_the_per_member_oracle(monkeypatch):
     pr = make_problem(potential="logarithmic", steps=10)
-    blowup = make_problem(potential="logarithmic", steps=10,
-                          energy_blowup_factor=1e-16)
     u = smooth_control(pr, amp=0.2)
     other = _shifted_u1(u, -5.0)
-    cases = [(pr, batch) for batch in _failing_batches(pr)]
-    cases += [(blowup, batch) for batch in _failing_batches(blowup)]
-    cases += [(blowup, [u, other]), (blowup, [other, u])]
-    for problem, batch in cases:
-        assert (_error_of(solve_states, problem, batch)
-                == _error_of(solve_states_per_member, problem, batch))
+    for batch in _failing_batches(pr):
+        assert (_error_of(solve_states, pr, batch)
+                == _error_of(solve_states_per_member, pr, batch))
+    with monkeypatch.context() as patch:
+        # an energy limit that step 1 already exceeds
+        patch.setattr(state, "_ENERGY_BLOWUP_FACTOR", 1e-16)
+        for batch in _failing_batches(pr) + [[u, other], [other, u]]:
+            assert (_error_of(solve_states, pr, batch)
+                    == _error_of(solve_states_per_member, pr, batch))
     # a singular Jacobian met by one member of a stacked factorization
     marked = _shifted_u1(u, 0.5)
     factorize = Stepper.factorize
@@ -1003,9 +999,11 @@ def test_step_ceiling_is_the_two_pass_reference(n):
 
 
 def test_solver_options_need_a_backtrack():
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_backtracks"):
-            SolverOptions(max_backtracks=bad)
+    # the backtrack budget is a constant that grants every damped Newton
+    # step a trial, and no problem field
+    assert state._MAX_BACKTRACKS >= 1
+    with pytest.raises(TypeError, match="max_backtracks"):
+        dataclasses.replace(make_problem(), max_backtracks=0)
 
 
 def test_timegrid_validation():

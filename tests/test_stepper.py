@@ -61,8 +61,8 @@ def _stepper(potential, dim, coupling):
         nonlin = NonlinearitySpec(zero, zero)
     params = ModelParams(alpha=1.0, beta=0.8, chi=chi)
     kind, eps = POTENTIALS[potential]
-    return Stepper(grid, params, PotentialSpec(kind), nonlin, 0.02,
-                   yosida_eps=eps)
+    return Stepper(grid, params, PotentialSpec(kind, yosida_eps=eps), nonlin,
+                   0.02)
 
 
 def _state(st: Stepper, seed):
