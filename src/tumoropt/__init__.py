@@ -14,7 +14,7 @@ from .model import (BoxConstraints, Control, CostSpec, ModelParams,
                     NonlinearitySpec, PotentialSpec, ScalarShape,
                     project_admissible, prox_f1, yosida_eval, zero_control)
 from .optimize import (ActiveSets, GradientField, PgdOptions, PgdResult,
-                       SecondOrderContext, SscReport, cone_project, cost_eval,
+                       SecondOrderContext, SscReport, cost_eval,
                        default_tau, projected_gradient, reduced_gradient,
                        ssc_certificate, stationarity_measure,
                        strongly_active_sets)

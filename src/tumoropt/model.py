@@ -165,8 +165,9 @@ def _f2_eval(spec: PotentialSpec, r: np.ndarray, order: int) -> np.ndarray:
     return np.polynomial.polynomial.polyval(r, dc)
 
 
-def prox_f1(spec: PotentialSpec, eps: float, r):
-    """Proximal map of eps * F1, solved per component.
+def prox_f1(spec: PotentialSpec, r):
+    """Proximal map of eps * F1, solved per component, with eps the spec's
+    `yosida_eps` (a ValueError when it is None).
 
     For the regular kind this is the real root of eps s^3 + s = r, for the
     logarithmic kind the root of eps ln((1+s)/(1-s)) + s = r in (-1, 1),
@@ -176,8 +177,7 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
     of its components meet the tolerance, so the rows of a stack come out
     bitwise as if each were mapped alone.
     """
-    if eps <= 0.0:
-        raise ValueError("Yosida parameter eps must be positive")
+    eps = _yosida_eps(spec)
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if spec.kind == "obstacle":
         out = np.clip(arr, -1.0, 1.0)
@@ -220,8 +220,16 @@ def prox_f1(spec: PotentialSpec, eps: float, r):
     return out if np.ndim(r) else float(out[0])
 
 
-def yosida_eval(spec: PotentialSpec, eps: float, r, order: int = 1):
-    """Yosida-regularized convex part F1_eps (order 0) or its k-th derivative.
+def _yosida_eps(spec: PotentialSpec) -> float:
+    if spec.yosida_eps is None:
+        raise ValueError(f"the {spec.kind} potential has no yosida_eps")
+    return spec.yosida_eps
+
+
+def yosida_eval(spec: PotentialSpec, r, order: int = 1):
+    """Yosida-regularized convex part F1_eps (order 0) or its k-th
+    derivative, with eps the spec's `yosida_eps` (a ValueError when it is
+    None).
 
     Every order is computed from one point s = prox_{eps F1}(r): the envelope
     F1(s) + (r - s)^2 / (2 eps), its derivative (r - s)/eps, then
@@ -231,8 +239,9 @@ def yosida_eval(spec: PotentialSpec, eps: float, r, order: int = 1):
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
+    eps = _yosida_eps(spec)
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    s = prox_f1(spec, eps, arr)
+    s = prox_f1(spec, arr)
     if order == 0:
         out = _f1_eval(spec, s, 0) + (arr - s) ** 2 / (2.0 * eps)
     elif order == 1:

@@ -24,7 +24,8 @@ from .errors import ConfigError
 from .grid import inner
 from .model import (BoxConstraints, Control, check_ranges,
                     project_admissible)
-from .problem import (ControlProblem, control_inner, control_norm, st_inner)
+from .problem import (ControlProblem, control_inner, control_norm,
+                      st_integral, st_inner)
 from .sensitivity import (LinearizedTrajectory, StepFactors,
                           solve_bilinearized, solve_generalized_linear)
 from .state import StateTrajectory
@@ -74,8 +75,17 @@ def reduced_gradient(ubar: Control, problem: ControlProblem,
     """
     if state is None:
         state = problem.solve(ubar)
+    return _lean_gradient(problem, ubar, state)[0]
+
+
+def _lean_gradient(problem: ControlProblem, ubar: Control,
+                   state: StateTrajectory
+                   ) -> tuple[GradientField, AdjointTrajectory]:
+    """The gradient at ubar and the adjoint it came from, by a factor pass
+    that keeps no factor."""
     factors = StepFactors(problem, state, ubar, cache_bytes=0)
-    return _gradient_field(factors, misfit_adjoint(factors))
+    adjoint = misfit_adjoint(factors)
+    return _gradient_field(factors, adjoint), adjoint
 
 
 def _gradient_field(factors: StepFactors, adjoint: AdjointTrajectory
@@ -195,7 +205,8 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     is a gradient step too; from the first that does not, every iteration
     is a projected Newton-CG step (`_newton_direction`) with t = 1 first.
     Its gradient and Hessian-vector products share one
-    `SecondOrderContext` of the iterate.  A table shape has no second
+    `SecondOrderContext` of the iterate; at the switch the context takes the
+    adjoint of the gradient already formed.  A table shape has no second
     derivative, so with one the run keeps gradient steps.
     """
     opts = opts or PgdOptions()
@@ -203,7 +214,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     u = project_admissible(u0, box)
     state = problem.solve(u)
     j = cost_eval(problem, state, u)
-    grad = reduced_gradient(u, problem, state=state)
+    grad, adjoint = _lean_gradient(problem, u, state)
     curved = "table" not in (problem.nonlin.P.kind, problem.nonlin.H.kind)
     history: list[dict] = []
     step = _INITIAL_STEP
@@ -238,7 +249,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
         if (not newton and curved and stat_prev is not None
                 and stat > _SWITCH_RATIO * stat_prev):
             newton = True
-            context = SecondOrderContext(problem, u, state)
+            context = SecondOrderContext(problem, u, state, adjoint)
         stat_prev = stat
         s, t = grad.as_control(), step
         cg_iters = 0
@@ -274,7 +285,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
             context = SecondOrderContext(problem, u, state)
             grad = context.gradient
         else:
-            grad = reduced_gradient(u, problem, state=state)
+            grad, adjoint = _lean_gradient(problem, u, state)
 
     return PgdResult(control=u, cost=j,
                      stationarity=history[-1]["stationarity"],
@@ -358,30 +369,33 @@ def default_tau(grad: GradientField) -> float:
     return 1e-3 * scale
 
 
-def cone_project(h: Control, ubar: Control, box: BoxConstraints,
-                 sets: ActiveSets) -> Control:
-    """Project a direction onto the critical cone approximation.
-
-    Zeroes the strongly active points and clips the sign where ubar sits on
-    a bound (within 1e-9 of the box span): nonnegative at the lower bound,
-    nonpositive at the upper one.
-    """
+def _cone_masks(ubar: Control, box: BoxConstraints, sets: ActiveSets
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masks of the critical cone approximation at ubar, each stacked
+    over both components, (2, N_t+1, n): the strongly active points, and
+    the points where ubar sits on the lower and on the upper bound (within
+    1e-9 of the box span)."""
     bound_tol = 1e-9 * box.span()
-    v1 = np.where(sets.A1, 0.0, h.u1)
-    v2 = np.where(sets.A2, 0.0, h.u2)
-    at_lo1 = ubar.u1 <= np.asarray(box.lower1) + bound_tol
-    at_hi1 = ubar.u1 >= np.asarray(box.upper1) - bound_tol
-    at_lo2 = ubar.u2 <= np.asarray(box.lower2) + bound_tol
-    at_hi2 = ubar.u2 >= np.asarray(box.upper2) - bound_tol
-    v1 = np.where(at_lo1, np.maximum(v1, 0.0), v1)
-    v1 = np.where(at_hi1, np.minimum(v1, 0.0), v1)
-    v2 = np.where(at_lo2, np.maximum(v2, 0.0), v2)
-    v2 = np.where(at_hi2, np.minimum(v2, 0.0), v2)
-    return Control(v1, v2)
+    return (np.stack([sets.A1, sets.A2]),
+            np.stack([ubar.u1 <= np.asarray(box.lower1) + bound_tol,
+                      ubar.u2 <= np.asarray(box.lower2) + bound_tol]),
+            np.stack([ubar.u1 >= np.asarray(box.upper1) - bound_tol,
+                      ubar.u2 >= np.asarray(box.upper2) - bound_tol]))
+
+
+def _cone_clip(v: np.ndarray, masks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Project stacked direction components v onto the cone by its
+    `_cone_masks` (which broadcast against v): zero at the strongly active
+    points, nonnegative at the lower bound, nonpositive at the upper one."""
+    active, at_lo, at_hi = masks
+    v = np.where(active, 0.0, v)
+    v = np.where(at_lo, np.maximum(v, 0.0), v)
+    return np.where(at_hi, np.minimum(v, 0.0), v)
 
 
 class SecondOrderContext:
-    """State, step factors and adjoint at one control, each built once.
+    """State, step factors and adjoint at one control, each built once;
+    a state or adjoint already formed at the control may be handed in.
 
     The gradient, the linearized and bilinearized marches, the exact
     Hessian form and the Hessian-vector products at `ubar` all reuse the one
@@ -389,10 +403,13 @@ class SecondOrderContext:
     """
 
     def __init__(self, problem: ControlProblem, ubar: Control,
-                 state: StateTrajectory | None = None):
+                 state: StateTrajectory | None = None,
+                 adjoint: AdjointTrajectory | None = None):
         self.problem = problem
         self.ubar = ubar
         self.state = state if state is not None else problem.solve(ubar)
+        if adjoint is not None:
+            self.adjoint = adjoint
 
     @functools.cached_property
     def factors(self) -> StepFactors:
@@ -406,11 +423,11 @@ class SecondOrderContext:
     def gradient(self) -> GradientField:
         return _gradient_field(self.factors, self.adjoint)
 
-    def linearize(self, h: Control | Sequence[Control]
+    def linearize(self, h: Control | Sequence[Control], start: int = 1
                   ) -> LinearizedTrajectory | list[LinearizedTrajectory]:
         """`solve_generalized_linear` at this control: one trajectory for
         one Control, a list of them for a sequence marched as one block."""
-        return solve_generalized_linear(self.factors, h)
+        return solve_generalized_linear(self.factors, h, start)
 
     def bilinearize(self, lin_h: LinearizedTrajectory,
                     lin_k: LinearizedTrajectory, h: Control,
@@ -419,30 +436,45 @@ class SecondOrderContext:
 
     def form(self, h: Control, k: Control,
              lin_h: LinearizedTrajectory | None = None,
-             lin_k: LinearizedTrajectory | None = None) -> float:
-        """Exact Hessian form B(h, k) of the discrete reduced cost."""
+             lin_k: LinearizedTrajectory | None = None,
+             hk: float | None = None) -> float:
+        """Exact Hessian form B(h, k) of the discrete reduced cost.
+
+        `hk`, when given, is <h, k> in the control inner product.  The
+        state terms vanish before the level where the earlier of the two
+        trajectories starts (`LinearizedTrajectory.start`), so they are
+        formed from there on only; each is summed over every level, and the
+        value is bitwise that of whole histories.
+        """
         pr = self.problem
         if lin_h is None:
             lin_h = self.linearize(h)
         if lin_k is None:
             lin_k = self.linearize(k) if k is not h else lin_h
         cost, adj = pr.cost, self.adjoint
-        total = cost.b0 * control_inner(pr.grid, pr.tgrid, h, k)
+        if hk is None:
+            hk = control_inner(pr.grid, pr.tgrid, h, k)
+        total = cost.b0 * hk
+        first = min(lin_h.start, lin_k.start)
         if cost.b1 != 0.0:
-            total += cost.b1 * st_inner(pr.grid, pr.tgrid, lin_h.xi, lin_k.xi)
+            track = np.zeros((pr.n_levels, pr.grid.n))
+            track[first:] = lin_h.xi[first:] * lin_k.xi[first:]
+            total += cost.b1 * st_integral(pr.grid, pr.tgrid, track)
         if cost.b2 != 0.0:
             total += cost.b2 * inner(pr.grid, lin_h.xi[-1], lin_k.xi[-1])
 
         # sum_k <lambda_k, S_k(h, k)>: the step multipliers, wt_k (p, q, r)_k,
         # paired with the sources of the bilinearized steps 1..N_t
+        coef = self.factors.coefficients
         s1, s2, s3 = pr.stepper.split(pr.stepper.second_order_source(
-            self.factors.coefficients, lin_h.y[1:], lin_k.y[1:], h.u1[1:],
-            k.u1[1:]))
-        pairing = adj.p[1:] * s1 + adj.q[1:] * s2 + adj.r[1:] * s3
+            coef._make(c[first - 1:] for c in coef), lin_h.y[first:],
+            lin_k.y[first:], h.u1[first:], k.u1[first:]))
+        pairing = np.zeros((pr.tgrid.steps, pr.grid.n))
+        pairing[first - 1:] = (adj.p[first:] * s1 + adj.q[first:] * s2
+                               + adj.r[first:] * s3)
         acc = np.einsum("k,ki,i->", pr.tgrid.weights()[1:], pairing,
                         pr.grid.weights)
         return float(total + acc)
-
 
     def hessian_product(self, h: Control | Sequence[Control]
                         ) -> Control | list[Control]:
@@ -509,32 +541,64 @@ def ssc_certificate(context: SecondOrderContext, sets: ActiveSets,
     `_block_len` directions, the same stream as one direction at a time, and
     the retained directions of a block are linearized in one march.
     Deterministic for a fixed seed.
+
+    A cone direction vanishes on every level where each point is strongly
+    active, so the work after the draws runs on the other levels only (the
+    window): the projection, the linearized march from the window's first
+    level >= 1, and the form's second-order terms.  The norms and the form
+    are still summed over every level, so the report is bitwise that of
+    directions worked on whole.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     problem, ubar, tau = context.problem, context.ubar, sets.tau
-    rng = np.random.default_rng(seed)
     grid, tgrid = problem.grid, problem.tgrid
-    shape = (problem.n_levels, grid.n)
+    masks = _cone_masks(ubar, box, sets)
+    window = np.flatnonzero(~masks[0].all(axis=(0, 2)))
+    masks = tuple(mask[:, window] for mask in masks)
+    start = next((int(k) for k in window if k > 0), problem.n_levels)
+    # a draw's norm is at most sqrt(w_max |draw|^2), w_max the largest
+    # space-time weight: a projection longer than 1e-12 times twice that
+    # (room for the rounding of both sums) is kept without the draw's norm
+    w_max = tgrid.weights().max() * grid.weights.max()
 
+    rng = np.random.default_rng(seed)
+    block = _block_len(problem)
+    shape = (min(block, n_samples), 2, problem.n_levels, grid.n)
+    draws = np.empty(shape)
+    # the projected draws and their squares: only window rows are written,
+    # so the others stay zero
+    cone = np.zeros(shape)
+    squares = np.zeros(shape)
     kept = 0
     min_q = np.inf
-    block = _block_len(problem)
-    for start in range(0, n_samples, block):
-        draws = rng.standard_normal((min(block, n_samples - start), 2) + shape)
-        dirs, norms = [], []
-        for raw in map(Control, draws[:, 0], draws[:, 1]):
-            hdir = cone_project(raw, ubar, box, sets)
-            nrm = control_norm(grid, tgrid, hdir)
-            if nrm <= 1e-12 * max(control_norm(grid, tgrid, raw), 1.0):
+    for begin in range(0, n_samples, block):
+        raw = draws[:min(block, n_samples - begin)]
+        rng.standard_normal(out=raw)
+        v = _cone_clip(raw[:, :, window], masks)
+        cone[:len(raw), :, window] = v
+        squares[:len(raw), :, window] = v * v
+        flat = raw.reshape(len(raw), -1)
+        bounds = 2.0 * np.sqrt(w_max * np.einsum("mj,mj->m", flat, flat))
+        dirs, hhs, norms = [], [], []
+        for h, sq, r, bound in zip(cone, squares, raw, bounds):
+            # control_inner(hdir, hdir), from the squares
+            hh = (st_integral(grid, tgrid, sq[0])
+                  + st_integral(grid, tgrid, sq[1]))
+            nrm = float(np.sqrt(hh))
+            if (nrm <= 1e-12 * max(bound, 1.0) and nrm <= 1e-12 * max(
+                    control_norm(grid, tgrid, Control(r[0], r[1])), 1.0)):
                 continue
-            dirs.append(hdir)
+            dirs.append(Control(h[0], h[1]))
+            hhs.append(hh)
             norms.append(nrm)
         if not dirs:
             continue
         kept += len(dirs)
-        for hdir, nrm, lin in zip(dirs, norms, context.linearize(dirs)):
-            val = context.form(hdir, hdir, lin_h=lin, lin_k=lin) / nrm**2
+        lins = context.linearize(dirs, start)
+        for hdir, hh, nrm, lin in zip(dirs, hhs, norms, lins):
+            val = context.form(hdir, hdir, lin_h=lin, lin_k=lin,
+                               hk=hh) / nrm**2
             if val < min_q:
                 min_q = val
     if kept == 0:

@@ -21,8 +21,12 @@ from .stepper import Stepper
 
 def st_inner(grid: Grid, tgrid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
     """L2(Q) inner product of space-time fields shaped (N_t+1, n)."""
-    wt = tgrid.weights()
-    return float(np.einsum("k,ki,i->", wt, a * b, grid.weights))
+    return st_integral(grid, tgrid, a * b)
+
+
+def st_integral(grid: Grid, tgrid: TimeGrid, f: np.ndarray) -> float:
+    """Space-time quadrature of a field shaped (N_t+1, n)."""
+    return float(np.einsum("k,ki,i->", tgrid.weights(), f, grid.weights))
 
 
 def control_inner(grid: Grid, tgrid: TimeGrid, u: Control, v: Control) -> float:

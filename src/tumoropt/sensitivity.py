@@ -50,9 +50,13 @@ _LOOK_AHEAD = 3
 
 @dataclass(eq=False)
 class LinearizedTrajectory:
-    """Directional state sensitivities (eta, xi, theta), stacked per level."""
+    """Directional state sensitivities (eta, xi, theta), stacked per level.
+
+    The rows of `y` before level `start` are exactly zero.
+    """
 
     y: np.ndarray   # (N_t+1, 3n)
+    start: int = 1
 
     eta = property(lambda self: Stepper.split(self.y)[0])
     xi = property(lambda self: Stepper.split(self.y)[1])
@@ -285,46 +289,54 @@ class StepFactors:
             self.state.x[1:], self.ubar.u1[1:])
 
 
-def _march(factors: StepFactors, sources: np.ndarray) -> np.ndarray:
+def _march(factors: StepFactors, sources: np.ndarray,
+           start: int = 0) -> np.ndarray:
     """Run A_k y^k = B y^{k-1} + S^k from y^0 = 0 for a block of directions.
 
     A_k is the step Jacobian of `factors` at level k and B the step's
-    `transport`.  `sources` stacks the histories of S^k of m directions,
-    (m, N_t+1, 3n) with level 0 unused, and so does the result.  Each level
-    takes one solve of a (3n, m) block; the march starts at the first level
-    where a source of the block is nonzero, and the levels before it stay
-    exactly zero and request no factor.  A direction whose own sources start
-    later is solved as a zero column until then, which may leave -0.0.
+    `transport`.  `sources` stacks the histories of S^k of m directions from
+    level `start` on, (m, N_t+1-start, 3n), of which level 0 is not read;
+    the result stacks whole histories, (m, N_t+1, 3n).  Each level takes one
+    solve of a (3n, m) block; the march starts at the first level where a
+    source of the block is nonzero, and the levels before it stay exactly
+    zero and request no factor.  A direction whose own sources start later
+    is solved as a zero column until then, which may leave -0.0.
     """
     transport = factors.problem.stepper.transport
-    y = np.zeros_like(sources)
-    live = np.flatnonzero(np.any(sources[:, 1:], axis=(0, 2)))
+    m, _, width = sources.shape
+    y = np.zeros((m, factors.problem.n_levels, width))
+    skip = max(1 - start, 0)
+    live = np.flatnonzero(np.any(sources[:, skip:], axis=(0, 2)))
     if live.size:
-        levels = range(live[0] + 1, y.shape[1])
+        levels = range(start + skip + live[0], y.shape[1])
         with factors.ahead(levels):
             for k in levels:
-                rhs = transport @ y[:, k - 1].T + sources[:, k].T
+                rhs = transport @ y[:, k - 1].T + sources[:, k - start].T
                 y[:, k] = factors.lu(k).solve(rhs).T
     return y
 
 
 def solve_generalized_linear(
-        factors: StepFactors, h: Control | Sequence[Control]
+        factors: StepFactors, h: Control | Sequence[Control], start: int = 1
 ) -> LinearizedTrajectory | list[LinearizedTrajectory]:
     """Derivative of the control-to-state map at `factors` in direction `h`.
 
     `h` is one Control, which gives one trajectory, or a sequence of them,
     which are marched as one block and give a list of trajectories in the
-    same order.  Each direction enters as the source (-h(phi) h1, 0, h2) on
-    every level, built once as a whole history before the march.
+    same order.  Each direction enters as the source (-h(phi) h1, 0, h2),
+    built as one history before the march, from level `start` on:
+    directions that vanish on levels 1..start-1 may say so, and their
+    trajectories record it (`LinearizedTrajectory.start`).
     """
     single = isinstance(h, Control)
     dirs = [h] if single else list(h)
-    sources = np.zeros((len(dirs),) + factors.state.x.shape)
+    x = factors.state.x
+    sources = np.zeros((len(dirs), x.shape[0] - start, x.shape[1]))
     s1, _, s3 = Stepper.split(sources)
-    s1[:] = -factors.h_phi * np.stack([d.u1 for d in dirs])
-    s3[:] = np.stack([d.u2 for d in dirs])
-    lins = [LinearizedTrajectory(y) for y in _march(factors, sources)]
+    s1[:] = -factors.h_phi[start:] * np.stack([d.u1[start:] for d in dirs])
+    s3[:] = np.stack([d.u2[start:] for d in dirs])
+    lins = [LinearizedTrajectory(y, start)
+            for y in _march(factors, sources, start)]
     return lins[0] if single else lins
 
 
@@ -337,7 +349,6 @@ def solve_bilinearized(factors: StepFactors, lin_h: LinearizedTrajectory,
     produced by differentiating the step residual twice, mixing the
     first-order fields of the two directions.
     """
-    sources = np.zeros((1,) + lin_h.y.shape)
-    sources[0, 1:] = factors.problem.stepper.second_order_source(
+    sources = factors.problem.stepper.second_order_source(
         factors.coefficients, lin_h.y[1:], lin_k.y[1:], h.u1[1:], k.u1[1:])
-    return LinearizedTrajectory(_march(factors, sources)[0])
+    return LinearizedTrajectory(_march(factors, sources[None], 1)[0])

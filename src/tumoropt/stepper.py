@@ -209,11 +209,10 @@ class Stepper:
         for an exact logarithmic potential the separation ceiling of Newton
         (`separation_guard`) keeps phi strictly inside (-1, 1).
         """
-        eps = self.potential.yosida_eps
-        if eps is None:
+        if self.potential.yosida_eps is None:
             f1 = _f1_eval(self.potential, phi, order)
         else:
-            f1 = yosida_eval(self.potential, eps, phi, order)
+            f1 = yosida_eval(self.potential, phi, order)
         return f1 + _f2_eval(self.potential, phi, order)
 
     # -- residual and Jacobian ---------------------------------------------

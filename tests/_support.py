@@ -12,14 +12,13 @@ from scipy.integrate import solve_ivp
 from tumoropt import (Control, CostSpec, InitialData, ModelParams,
                       NonlinearitySpec, PotentialSpec, ScalarShape,
                       SecondOrderContext, SscReport, StabilityReport, TimeGrid,
-                      build_grid, cone_project, control_inner, control_norm,
-                      cost_eval, default_tau, refine_problem,
-                      strongly_active_sets)
+                      build_grid, control_inner, control_norm, cost_eval,
+                      default_tau, refine_problem, strongly_active_sets)
 from tumoropt import state as state_module
 from tumoropt.grid import inner
 from tumoropt.optimize import _block_len
 from tumoropt.problem import ControlProblem, st_inner
-from tumoropt.errors import SolverError
+from tumoropt.errors import ConfigError, SolverError
 from tumoropt.state import (_CHORD_CONTRACTION, StateTrajectory,
                             _check_energy, _step_ceiling, _step_diagnostics,
                             _validate_initial)
@@ -430,6 +429,72 @@ def active_sets(context, tau=None):
     grad = context.gradient
     return strongly_active_sets(grad, default_tau(grad) if tau is None
                                 else tau)
+
+
+def cone_project(h: Control, ubar: Control, box, sets) -> Control:
+    """Oracle of the certificate's projection onto the critical cone
+    approximation, one direction and one component at a time.
+
+    Zeroes the strongly active points and clips the sign where ubar sits on
+    a bound (within 1e-9 of the box span): nonnegative at the lower bound,
+    nonpositive at the upper one.
+    """
+    bound_tol = 1e-9 * box.span()
+    v1 = np.where(sets.A1, 0.0, h.u1)
+    v2 = np.where(sets.A2, 0.0, h.u2)
+    at_lo1 = ubar.u1 <= np.asarray(box.lower1) + bound_tol
+    at_hi1 = ubar.u1 >= np.asarray(box.upper1) - bound_tol
+    at_lo2 = ubar.u2 <= np.asarray(box.lower2) + bound_tol
+    at_hi2 = ubar.u2 >= np.asarray(box.upper2) - bound_tol
+    v1 = np.where(at_lo1, np.maximum(v1, 0.0), v1)
+    v1 = np.where(at_hi1, np.minimum(v1, 0.0), v1)
+    v2 = np.where(at_lo2, np.maximum(v2, 0.0), v2)
+    v2 = np.where(at_hi2, np.minimum(v2, 0.0), v2)
+    return Control(v1, v2)
+
+
+def ssc_certificate_full_levels(context, sets, n_samples, box, seed=0):
+    """Oracle of `ssc_certificate`: the same blocks of draws, with every
+    step on all levels.
+
+    Each draw is projected by `cone_project` and kept by the norms of the
+    whole projected and raw directions; the kept directions of a block are
+    marched from level 1 and formed on every level.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    problem, ubar, tau = context.problem, context.ubar, sets.tau
+    rng = np.random.default_rng(seed)
+    grid, tgrid = problem.grid, problem.tgrid
+    shape = (problem.n_levels, grid.n)
+    kept = 0
+    min_q = np.inf
+    block = _block_len(problem)
+    for start in range(0, n_samples, block):
+        draws = rng.standard_normal((min(block, n_samples - start), 2) + shape)
+        dirs, norms = [], []
+        for raw in map(Control, draws[:, 0], draws[:, 1]):
+            hdir = cone_project(raw, ubar, box, sets)
+            nrm = control_norm(grid, tgrid, hdir)
+            if nrm <= 1e-12 * max(control_norm(grid, tgrid, raw), 1.0):
+                continue
+            dirs.append(hdir)
+            norms.append(nrm)
+        if not dirs:
+            continue
+        kept += len(dirs)
+        for hdir, nrm, lin in zip(dirs, norms, context.linearize(dirs)):
+            val = context.form(hdir, hdir, lin_h=lin, lin_k=lin) / nrm**2
+            if val < min_q:
+                min_q = val
+    if kept == 0:
+        raise ConfigError(
+            "every sampled direction projected to zero; the cone is trivial "
+            f"at ssc.tau = {tau:g} (all points strongly active); raise it")
+    return SscReport(tau=float(tau), seed=int(seed), sample_count=kept,
+                     requested_samples=int(n_samples),
+                     min_rayleigh=float(min_q),
+                     satisfied=bool(min_q > 0.0))
 
 
 def ssc_certificate_per_direction(context, tau, n_samples, box, seed=0):

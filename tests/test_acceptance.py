@@ -4,6 +4,7 @@ Each test exercises one headline guarantee end to end and prints a single
 pass/fail line with the measured numbers (visible under `pytest -s`).
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.optimize import brentq
 
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
                       PgdOptions, PotentialSpec, SecondOrderContext,
-                      cost_eval, cone_project, projected_gradient, prox_f1,
+                      cost_eval, projected_gradient, prox_f1,
                       ssc_certificate, strongly_active_sets,
                       project_admissible, yosida_eval)
 from tumoropt.config import RunConfig, build_setup
@@ -22,8 +23,9 @@ from tumoropt.problem import ControlProblem, control_norm, control_inner, st_inn
 from tumoropt.verify import (check_duality, check_gradient_fd,
                              check_stability_ratios, check_taylor_orders)
 
-from _support import (active_sets, make_problem, ode_reduction_reference,
-                      random_control, richardson_state_at_T, smooth_control)
+from _support import (active_sets, cone_project, make_problem,
+                      ode_reduction_reference, random_control,
+                      richardson_state_at_T, smooth_control)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DESK = dict(nodes=129, steps=200, t_final=1.0)
@@ -134,7 +136,10 @@ def test_criterion_05_yosida_properties():
              ("obstacle", PotentialSpec("obstacle", yosida_eps=0.1)))
     eps_ladder = (0.8, 0.4, 0.2, 0.1, 0.05, 0.025)
 
-    exact_zero = all(yosida_eval(pot, eps, 0.0) == 0.0
+    def with_eps(pot, eps):
+        return dataclasses.replace(pot, yosida_eps=eps)
+
+    exact_zero = all(yosida_eval(with_eps(pot, eps), 0.0) == 0.0
                      for _, pot in kinds for eps in eps_ladder)
 
     lipschitz = True
@@ -142,8 +147,8 @@ def test_criterion_05_yosida_properties():
         for eps in (0.5, 0.1, 0.05):
             a = rng.uniform(-2.0, 2.0, 10_000)
             b = rng.uniform(-2.0, 2.0, 10_000)
-            diff = np.abs(yosida_eval(pot, eps, a)
-                          - yosida_eval(pot, eps, b))
+            diff = np.abs(yosida_eval(with_eps(pot, eps), a)
+                          - yosida_eval(with_eps(pot, eps), b))
             bound = np.abs(a - b) / eps * (1.0 + 1e-12) + 1e-14
             lipschitz &= bool(np.all(diff <= bound))
 
@@ -162,14 +167,15 @@ def test_criterion_05_yosida_properties():
                               if name == "logarithmic" else (-5.0, 5.0))
                     ref = brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16)
                 prox_worst = max(prox_worst,
-                                 abs(float(prox_f1(pot, eps, r)) - ref))
+                                 abs(float(prox_f1(with_eps(pot, eps), r))
+                                     - ref))
 
     monotone = True
     r = np.linspace(-2.0, 2.0, 100)
     for _, pot in kinds:
         prev = None
         for eps in eps_ladder:
-            vals = np.abs(yosida_eval(pot, eps, r))
+            vals = np.abs(yosida_eval(with_eps(pot, eps), r))
             if prev is not None:
                 monotone &= bool(np.all(vals >= prev - 1e-12))
             prev = vals

@@ -102,16 +102,20 @@ def test_logarithmic_k1_must_exceed_one():
 # prox and Yosida regularization
 
 
+def _with_eps(pot, eps):
+    return dataclasses.replace(pot, yosida_eps=eps)
+
+
 def test_prox_frozen_values():
     # roots of eps f1'(s) + s = r computed independently by bisection
-    assert prox_f1(PotentialSpec("regular"), 0.5, 1.0) == pytest.approx(
-        0.7709169970592481, abs=1e-12)
-    assert prox_f1(PotentialSpec("regular"), 0.2, -1.3) == pytest.approx(
-        -1.061072817267877, abs=1e-12)
-    assert prox_f1(PotentialSpec("logarithmic"), 0.1, 0.5) == pytest.approx(
-        0.41231948111388284, abs=1e-12)
-    assert prox_f1(PotentialSpec("logarithmic"), 0.05, -0.9) == pytest.approx(
-        -0.7922542701877744, abs=1e-12)
+    assert prox_f1(PotentialSpec("regular", yosida_eps=0.5),
+                   1.0) == pytest.approx(0.7709169970592481, abs=1e-12)
+    assert prox_f1(PotentialSpec("regular", yosida_eps=0.2),
+                   -1.3) == pytest.approx(-1.061072817267877, abs=1e-12)
+    assert prox_f1(PotentialSpec("logarithmic", yosida_eps=0.1),
+                   0.5) == pytest.approx(0.41231948111388284, abs=1e-12)
+    assert prox_f1(PotentialSpec("logarithmic", yosida_eps=0.05),
+                   -0.9) == pytest.approx(-0.7922542701877744, abs=1e-12)
 
 
 def test_prox_matches_root_oracle(rng):
@@ -124,15 +128,17 @@ def test_prox_matches_root_oracle(rng):
                 lo, hi = ((-1 + 1e-14, 1 - 1e-14)
                           if pot.kind == "logarithmic" else (-5.0, 5.0))
                 ref = brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16)
-                assert prox_f1(pot, eps, r) == pytest.approx(ref, abs=1e-12)
+                assert prox_f1(_with_eps(pot, eps), r) == pytest.approx(
+                    ref, abs=1e-12)
 
 
 def test_prox_obstacle_is_clamp(rng):
     pot = PotentialSpec("obstacle", yosida_eps=0.1)
     r = rng.uniform(-3, 3, 50)
-    assert np.array_equal(prox_f1(pot, 0.3, r), np.clip(r, -1.0, 1.0))
-    # spec'd point: prox(1.5) = 1, derivative (1.5-1)/0.5 = 1
-    assert yosida_eval(pot, 0.5, 1.5) == pytest.approx(1.0)
+    assert np.array_equal(prox_f1(pot, r), np.clip(r, -1.0, 1.0))
+    # spec'd point: prox(1.5) = 1, derivative (1.5-1)/eps, with the spec's eps
+    assert yosida_eval(pot, 1.5) == pytest.approx(5.0)
+    assert yosida_eval(_with_eps(pot, 0.5), 1.5) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("pot", [PotentialSpec("regular"),
@@ -140,20 +146,21 @@ def test_prox_obstacle_is_clamp(rng):
 def test_prox_rows_are_bitwise_each_row_alone(pot, rng):
     # rows far apart in magnitude need different iteration counts; each
     # row stops on its own, so stacking them moves no bit
+    pot = _with_eps(pot, 0.05)
     for _ in range(8):
         rows = np.stack([rng.uniform(-0.1, 0.1, 17),
                          rng.uniform(-8.0, 8.0, 17),
                          rng.uniform(-1.5, 1.5, 17)])
-        stacked = prox_f1(pot, 0.05, rows)
+        stacked = prox_f1(pot, rows)
         for row, got in zip(rows, stacked):
-            assert got.tobytes() == prox_f1(pot, 0.05, row).tobytes()
-        assert prox_f1(pot, 0.05, rows[None]).tobytes() == stacked.tobytes()
+            assert got.tobytes() == prox_f1(pot, row).tobytes()
+        assert prox_f1(pot, rows[None]).tobytes() == stacked.tobytes()
 
 
 def test_prox_custom_is_identity(rng):
-    pot = PotentialSpec("custom", coefficients=[0.0, 1.0])
+    pot = PotentialSpec("custom", coefficients=[0.0, 1.0], yosida_eps=0.2)
     r = rng.standard_normal(20)
-    assert np.array_equal(prox_f1(pot, 0.2, r), r)
+    assert np.array_equal(prox_f1(pot, r), r)
 
 
 @pytest.mark.parametrize("pot", [PotentialSpec("regular"),
@@ -161,7 +168,7 @@ def test_prox_custom_is_identity(rng):
                                  PotentialSpec("obstacle", yosida_eps=0.1),
                                  PotentialSpec("custom", coefficients=[0.0, -1.0])])
 def test_yosida_derivative_zero_at_origin(pot):
-    assert yosida_eval(pot, 0.1, 0.0) == 0.0
+    assert yosida_eval(_with_eps(pot, 0.1), 0.0) == 0.0
 
 
 @pytest.mark.parametrize("pot", [PotentialSpec("regular"),
@@ -169,9 +176,10 @@ def test_yosida_derivative_zero_at_origin(pot):
                                  PotentialSpec("obstacle", yosida_eps=0.1)])
 def test_yosida_derivative_lipschitz(pot, rng):
     eps = 0.07
+    pot = _with_eps(pot, eps)
     a = rng.uniform(-2, 2, 2000)
     b = rng.uniform(-2, 2, 2000)
-    gap = np.abs(yosida_eval(pot, eps, a) - yosida_eval(pot, eps, b))
+    gap = np.abs(yosida_eval(pot, a) - yosida_eval(pot, b))
     assert np.all(gap <= np.abs(a - b) / eps * (1 + 1e-12) + 1e-14)
 
 
@@ -184,7 +192,7 @@ def test_yosida_derivative_monotone_in_eps(pot, rng):
     r = rng.uniform(-0.95, 0.95, 64)
     prev = None
     for eps in (0.8, 0.4, 0.2, 0.1, 0.05, 0.025):
-        cur = np.abs(yosida_eval(pot, eps, r))
+        cur = np.abs(yosida_eval(_with_eps(pot, eps), r))
         if prev is not None:
             assert np.all(cur >= prev - 1e-12)
         prev = cur
@@ -198,29 +206,34 @@ def test_yosida_derivative_monotone_in_eps(pot, rng):
 
 def test_yosida_second_third_consistency(rng):
     # FD of the first Yosida derivative against the closed-form second
-    pot = PotentialSpec("regular")
-    eps, d = 0.2, 1e-6
+    pot = PotentialSpec("regular", yosida_eps=0.2)
+    d = 1e-6
     r = rng.uniform(-2, 2, 20)
-    fd = (yosida_eval(pot, eps, r + d, 1)
-          - yosida_eval(pot, eps, r - d, 1)) / (2 * d)
-    assert np.abs(fd - yosida_eval(pot, eps, r, 2)).max() < 1e-6
-    fd3 = (yosida_eval(pot, eps, r + d, 2)
-           - yosida_eval(pot, eps, r - d, 2)) / (2 * d)
-    assert np.abs(fd3 - yosida_eval(pot, eps, r, 3)).max() < 1e-5
+    fd = (yosida_eval(pot, r + d, 1) - yosida_eval(pot, r - d, 1)) / (2 * d)
+    assert np.abs(fd - yosida_eval(pot, r, 2)).max() < 1e-6
+    fd3 = (yosida_eval(pot, r + d, 2) - yosida_eval(pot, r - d, 2)) / (2 * d)
+    assert np.abs(fd3 - yosida_eval(pot, r, 3)).max() < 1e-5
     # FD of the envelope (order 0) against the first derivative
     for pot in (PotentialSpec("regular"), PotentialSpec("logarithmic"),
                 PotentialSpec("obstacle", yosida_eps=0.1),
                 PotentialSpec("custom", coefficients=[0.0, -1.0])):
-        fd0 = (yosida_eval(pot, eps, r + d, 0)
-               - yosida_eval(pot, eps, r - d, 0)) / (2 * d)
-        assert np.abs(fd0 - yosida_eval(pot, eps, r, 1)).max() < 1e-6
+        pot = _with_eps(pot, 0.2)
+        fd0 = (yosida_eval(pot, r + d, 0)
+               - yosida_eval(pot, r - d, 0)) / (2 * d)
+        assert np.abs(fd0 - yosida_eval(pot, r, 1)).max() < 1e-6
     with pytest.raises(ValueError, match="order"):
-        yosida_eval(pot, eps, r, 4)
+        yosida_eval(pot, r, 4)
 
 
 def test_yosida_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        prox_f1(PotentialSpec("regular"), 0.0, 1.0)
+    # eps lives on the spec, which rejects a nonpositive one; a spec
+    # without one has no Yosida map
+    with pytest.raises(ValueError, match="yosida_eps"):
+        PotentialSpec("regular", yosida_eps=0.0)
+    with pytest.raises(ValueError, match="yosida_eps"):
+        prox_f1(PotentialSpec("regular"), 1.0)
+    with pytest.raises(ValueError, match="yosida_eps"):
+        yosida_eval(PotentialSpec("regular"), 1.0)
 
 
 # ---------------------------------------------------------------------------

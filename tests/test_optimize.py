@@ -1,6 +1,7 @@
 """Reduced cost, gradient, projected descent, and curvature analysis."""
 
 import dataclasses
+import pathlib
 import weakref
 
 import numpy as np
@@ -8,21 +9,23 @@ import pytest
 
 from tumoropt import (BoxConstraints, Control, CostSpec, GradientField,
                       PgdOptions, ScalarShape, SecondOrderContext, cost_eval,
-                      cone_project, default_tau, project_admissible,
+                      default_tau, project_admissible,
                       projected_gradient,
                       reduced_gradient, ssc_certificate,
                       stationarity_measure, strongly_active_sets,
                       solve_bilinearized, StepFactors, Stepper,
                       zero_control)
 from tumoropt import optimize as optimize_module
+from tumoropt.config import RunConfig, build_setup
 from tumoropt import sensitivity as sensitivity_module
 from tumoropt.problem import control_inner, control_norm, st_inner
 from tumoropt.verify import (_random_direction, check_gradient_fd,
                              check_taylor_orders)
 
-from _support import (dense_hessian, dense_hessian_per_pair, make_problem,
-                      nodal_hessian_columns, quadratic_form_bilinear_route,
-                      random_control, smooth_control, active_sets,
+from _support import (cone_project, dense_hessian, dense_hessian_per_pair,
+                      make_problem, nodal_hessian_columns,
+                      quadratic_form_bilinear_route, random_control,
+                      smooth_control, active_sets, ssc_certificate_full_levels,
                       ssc_certificate_per_direction)
 
 
@@ -340,6 +343,10 @@ def test_cone_project_zeroes_and_clips():
     assert v.u1[0, 1] == -0.5         # upper bound: negative allowed
     assert v.u1[1, 0] == -0.5         # interior: untouched
     assert np.array_equal(v.u2, h.u2)
+    # the certificate's stacked projection is bitwise the oracle's
+    stacked = optimize_module._cone_clip(
+        np.stack([h.u1, h.u2]), optimize_module._cone_masks(ubar, box, sets))
+    assert stacked.tobytes() == np.stack([v.u1, v.u2]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +570,121 @@ def test_ssc_requests_each_step_factor_at_most_once(monkeypatch):
     assert len(requested) <= ctx.problem.tgrid.steps
 
 
+def _window(sets):
+    """The levels where some point is not strongly active."""
+    return np.flatnonzero(~(sets.A1.all(axis=1) & sets.A2.all(axis=1)))
+
+
+def _window_case(case):
+    """(context, sets, box) of a windowed-certificate test.
+
+    At a small smooth control of the tracking problem, with the default tau,
+    only level 0 and a few later levels hold points that are not strongly
+    active, and not as one run of levels.  "bounds" puts u1 on its lower and
+    u2 on its upper bound everywhere, so every kept entry is sign-clipped
+    and some draws project to zero; at "no-active" tau lies above every
+    gradient entry, so the window is every level.
+    """
+    if case == "2d":
+        pr = make_problem(nodes=9, ny=7, steps=12)
+    else:
+        pr = make_problem(nodes=17, steps=24,
+                          potential="logarithmic" if case == "logarithmic"
+                          else "regular")
+    u = smooth_control(pr, amp=0.05)
+    ctx = SecondOrderContext(pr, u)
+    box = BoxConstraints(lower1=-1.0, upper1=1.0, lower2=-1.0, upper2=1.0)
+    tau = None
+    if case == "bounds":
+        box = BoxConstraints(lower1=u.u1, upper1=1.0, lower2=-1.0,
+                             upper2=u.u2)
+    elif case == "no-active":
+        grad = ctx.gradient
+        tau = 2.0 * max(np.abs(grad.grad1).max(), np.abs(grad.grad2).max())
+    return ctx, active_sets(ctx, tau), box
+
+
+@pytest.mark.parametrize("case", ["regular", "logarithmic", "bounds",
+                                  "no-active", "2d"])
+def test_ssc_certificate_is_bitwise_the_full_level_oracle(case):
+    ctx, sets, box = _window_case(case)
+    window, n_levels = _window(sets), ctx.problem.n_levels
+    if case == "no-active":
+        assert window.size == n_levels
+    else:
+        assert window[0] == 0 and window.size <= 4
+        assert np.any(np.diff(window[1:]) > 1) or case == "2d"
+    report = ssc_certificate(ctx, sets, 16, box, seed=0)
+    assert report == ssc_certificate_full_levels(ctx, sets, 16, box, seed=0)
+    if case == "bounds":
+        assert 0 < report.sample_count < 16
+
+
+@pytest.mark.parametrize("b2", [0.0, 1.0])
+def test_form_of_late_trajectories_is_the_whole_history_form(b2):
+    pr = make_problem(nodes=17, steps=12, b2=b2)
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.05))
+    h, k = random_control(pr, seed=1), random_control(pr, seed=2)
+    # nonzero at level 0; h vanishes on levels 1-6, k on levels 1-3
+    h.u1[1:7] = h.u2[1:7] = 0.0
+    k.u1[1:4] = k.u2[1:4] = 0.0
+    late = {"h": ctx.linearize(h, 7), "k": ctx.linearize(k, 4)}
+    whole = {"h": ctx.linearize(h), "k": ctx.linearize(k)}
+    assert (late["h"].start, late["k"].start, whole["h"].start) == (7, 4, 1)
+    for name in "hk":
+        assert late[name].y.tobytes() == whole[name].y.tobytes()
+    dirs = {"h": h, "k": k}
+    for a, b in ("hh", "hk", "kh", "kk"):
+        value = ctx.form(dirs[a], dirs[b], lin_h=late[a], lin_k=late[b])
+        assert value == ctx.form(dirs[a], dirs[b], lin_h=whole[a],
+                                 lin_k=whole[b])
+        hk = control_inner(pr.grid, pr.tgrid, dirs[a], dirs[b])
+        assert value == ctx.form(dirs[a], dirs[b], lin_h=late[a],
+                                 lin_k=late[b], hk=hk)
+    assert ctx.form(h, k, lin_h=late["h"], lin_k=late["k"]) == pytest.approx(
+        quadratic_form_bilinear_route(ctx, h, k), rel=1e-12, abs=0.0)
+
+
+def _desk_shaped_context():
+    """The shipped config at 33 x 50: at its zero control only level 0 and
+    the last two levels hold points that are not strongly active."""
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    setup = build_setup(RunConfig.from_file(
+        config / "canonical_1d.yaml",
+        overrides=("grid.shape=[33]", "time.steps=50")))
+    ctx = SecondOrderContext(setup.problem, setup.initial_control)
+    return ctx, active_sets(ctx), setup.box
+
+
+def test_ssc_forms_the_window_levels_only(monkeypatch):
+    ctx, sets, box = _desk_shaped_context()
+    window = _window(sets)
+    assert window.tolist() == [0, 49, 50]
+    rows, source = [], Stepper.second_order_source
+
+    def count_rows(self, coef, yh, yk, h1, k1):
+        rows.append(yh.shape[-2])
+        return source(self, coef, yh, yk, h1, k1)
+
+    monkeypatch.setattr(Stepper, "second_order_source", count_rows)
+    report = ssc_certificate(ctx, sets, 16, box, seed=0)
+    assert report.sample_count == 16 == len(rows)
+    # 2 levels a form, where whole histories would give 50
+    assert sum(rows) <= window.size * report.sample_count
+
+
+@pytest.mark.parametrize("directions", [1, 3])
+def test_ssc_report_does_not_depend_on_the_block_size(monkeypatch,
+                                                       directions):
+    # the draws are one stream, so blocks of any size see the same draws
+    ctx, sets, box = _desk_shaped_context()
+    whole = ssc_certificate(ctx, sets, 16, box, seed=0)
+    assert optimize_module._block_len(ctx.problem) >= 16
+    monkeypatch.setattr(optimize_module, "_BLOCK_BYTES",
+                        _block_of(ctx.problem, directions))
+    assert ssc_certificate(ctx, sets, 16, box, seed=0) == whole
+
+
 def test_second_order_context_forms_final_tracking():
     pr = make_problem(b2=1.0)
     ctx = SecondOrderContext(pr, pr.zero_control())
@@ -753,6 +875,32 @@ def test_table_shapes_keep_gradient_steps():
     assert all(row["cg_iters"] == 0 for row in res.history)
     # the first step stalls as on the bump-and-ramp problem
     assert res.history[1]["stationarity"] > 0.25 * res.history[0]["stationarity"]
+
+
+def test_newton_switch_reuses_the_adjoint_of_its_gradient(monkeypatch):
+    pr = make_problem(b0=0.01, b1=2.0)
+    args = (pr.zero_control(), pr, BoxConstraints(), PgdOptions(tol=1e-8))
+    calls, misfit_adjoint = [], optimize_module.misfit_adjoint
+
+    def count(factors):
+        calls.append(None)
+        return misfit_adjoint(factors)
+
+    monkeypatch.setattr(optimize_module, "misfit_adjoint", count)
+    res = projected_gradient(*args)
+    assert res.converged and res.history[-1]["cg_iters"] >= 1
+    # one misfit march per iterate, the switch's included
+    assert len(calls) == res.n_iter + 1
+
+    class Remarching(SecondOrderContext):
+        def __init__(self, problem, ubar, state=None, adjoint=None):
+            super().__init__(problem, ubar, state)
+
+    monkeypatch.setattr(optimize_module, "SecondOrderContext", Remarching)
+    calls.clear()
+    ref = projected_gradient(*args)
+    assert len(calls) == res.n_iter + 2
+    assert _same_run(res, ref, columns=tuple(res.history[0]))
 
 
 def test_newton_phase_holds_one_factor_pass_at_a_time(monkeypatch):
