@@ -98,6 +98,27 @@ class PotentialSpec:
             return (-1.0, 1.0)
         return (-np.inf, np.inf)
 
+    @property
+    def guarded(self) -> bool:
+        """Whether Newton must keep phi strictly inside the separation band
+        of the domain: the derivatives of an exact logarithmic potential
+        blow up at +-1."""
+        return self.kind == "logarithmic" and self.yosida_eps is None
+
+    def eval(self, r: np.ndarray, order: int) -> np.ndarray:
+        """The potential a step uses (order 0) or one of its derivatives.
+
+        That is F1 + F2, with the Yosida regularization F1_eps in place of F1
+        when `yosida_eps` is set.  There is no domain check: for a `guarded`
+        potential the separation ceiling of Newton keeps phi strictly inside
+        (-1, 1).
+        """
+        if self.yosida_eps is None:
+            f1 = _f1_eval(self, r, order)
+        else:
+            f1 = yosida_eval(self, r, order)
+        return f1 + _f2_eval(self, r, order)
+
 
 def _f1_eval(spec: PotentialSpec, r: np.ndarray, order: int) -> np.ndarray:
     """Convex part F1 and derivatives; the caller keeps r in the domain,

@@ -42,24 +42,23 @@ def cost_eval(problem: ControlProblem, state: StateTrajectory,
               u: Control) -> float:
     """Tracking plus control cost of a state/control pair of `problem`."""
     grid, tgrid, cost = problem.grid, problem.tgrid, problem.cost
-    j = 0.5 * cost.b0 * control_inner(grid, tgrid, u, u)
-    if cost.b1 != 0.0:
-        mis = state.phi - problem.target_q()
-        j += 0.5 * cost.b1 * st_inner(grid, tgrid, mis, mis)
-    if cost.b2 != 0.0:
-        mis_t = state.phi[tgrid.steps] - problem.target_omega()
-        j += 0.5 * cost.b2 * inner(grid, mis_t, mis_t)
-    return float(j)
+    mis = state.phi - problem.target_q()
+    mis_t = state.phi[tgrid.steps] - problem.target_omega()
+    return float(0.5 * cost.b0 * control_inner(grid, tgrid, u, u)
+                 + 0.5 * cost.b1 * st_inner(grid, tgrid, mis, mis)
+                 + 0.5 * cost.b2 * inner(grid, mis_t, mis_t))
 
 
 @dataclass(eq=False)
 class GradientField:
-    """Adjoint field d and full gradient grad = d + b0 u, both components."""
+    """Adjoint field d and full gradient grad = d + b0 u, both components,
+    and the adjoint they came from."""
 
     d1: np.ndarray
     d2: np.ndarray
     grad1: np.ndarray
     grad2: np.ndarray
+    adjoint: AdjointTrajectory
 
     def as_control(self) -> Control:
         return Control(self.grad1.copy(), self.grad2.copy())
@@ -75,17 +74,8 @@ def reduced_gradient(ubar: Control, problem: ControlProblem,
     """
     if state is None:
         state = problem.solve(ubar)
-    return _lean_gradient(problem, ubar, state)[0]
-
-
-def _lean_gradient(problem: ControlProblem, ubar: Control,
-                   state: StateTrajectory
-                   ) -> tuple[GradientField, AdjointTrajectory]:
-    """The gradient at ubar and the adjoint it came from, by a factor pass
-    that keeps no factor."""
     factors = StepFactors(problem, state, ubar, cache_bytes=0)
-    adjoint = misfit_adjoint(factors)
-    return _gradient_field(factors, adjoint), adjoint
+    return _gradient_field(factors, misfit_adjoint(factors))
 
 
 def _gradient_field(factors: StepFactors, adjoint: AdjointTrajectory
@@ -98,7 +88,7 @@ def _gradient_field(factors: StepFactors, adjoint: AdjointTrajectory
     d2 = adjoint.r.copy()
     b0, ubar = factors.problem.cost.b0, factors.ubar
     return GradientField(d1=d1, d2=d2, grad1=b0 * ubar.u1 + d1,
-                         grad2=b0 * ubar.u2 + d2)
+                         grad2=b0 * ubar.u2 + d2, adjoint=adjoint)
 
 
 def stationarity_measure(ubar: Control, problem: ControlProblem,
@@ -214,7 +204,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
     u = project_admissible(u0, box)
     state = problem.solve(u)
     j = cost_eval(problem, state, u)
-    grad, adjoint = _lean_gradient(problem, u, state)
+    grad = reduced_gradient(u, problem, state)
     curved = "table" not in (problem.nonlin.P.kind, problem.nonlin.H.kind)
     history: list[dict] = []
     step = _INITIAL_STEP
@@ -249,7 +239,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
         if (not newton and curved and stat_prev is not None
                 and stat > _SWITCH_RATIO * stat_prev):
             newton = True
-            context = SecondOrderContext(problem, u, state, adjoint)
+            context = SecondOrderContext(problem, u, state, grad.adjoint)
         stat_prev = stat
         s, t = grad.as_control(), step
         cg_iters = 0
@@ -285,7 +275,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
             context = SecondOrderContext(problem, u, state)
             grad = context.gradient
         else:
-            grad, adjoint = _lean_gradient(problem, u, state)
+            grad = reduced_gradient(u, problem, state)
 
     return PgdResult(control=u, cost=j,
                      stationarity=history[-1]["stationarity"],
@@ -454,14 +444,12 @@ class SecondOrderContext:
         cost, adj = pr.cost, self.adjoint
         if hk is None:
             hk = control_inner(pr.grid, pr.tgrid, h, k)
-        total = cost.b0 * hk
         first = min(lin_h.start, lin_k.start)
-        if cost.b1 != 0.0:
-            track = np.zeros((pr.n_levels, pr.grid.n))
-            track[first:] = lin_h.xi[first:] * lin_k.xi[first:]
-            total += cost.b1 * st_integral(pr.grid, pr.tgrid, track)
-        if cost.b2 != 0.0:
-            total += cost.b2 * inner(pr.grid, lin_h.xi[-1], lin_k.xi[-1])
+        track = np.zeros((pr.n_levels, pr.grid.n))
+        track[first:] = lin_h.xi[first:] * lin_k.xi[first:]
+        total = (cost.b0 * hk
+                 + cost.b1 * st_integral(pr.grid, pr.tgrid, track)
+                 + cost.b2 * inner(pr.grid, lin_h.xi[-1], lin_k.xi[-1]))
 
         # sum_k <lambda_k, S_k(h, k)>: the step multipliers, wt_k (p, q, r)_k,
         # paired with the sources of the bilinearized steps 1..N_t

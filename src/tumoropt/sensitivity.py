@@ -290,25 +290,24 @@ class StepFactors:
 
 
 def _march(factors: StepFactors, sources: np.ndarray,
-           start: int = 0) -> np.ndarray:
+           start: int) -> np.ndarray:
     """Run A_k y^k = B y^{k-1} + S^k from y^0 = 0 for a block of directions.
 
     A_k is the step Jacobian of `factors` at level k and B the step's
     `transport`.  `sources` stacks the histories of S^k of m directions from
-    level `start` on, (m, N_t+1-start, 3n), of which level 0 is not read;
-    the result stacks whole histories, (m, N_t+1, 3n).  Each level takes one
-    solve of a (3n, m) block; the march starts at the first level where a
-    source of the block is nonzero, and the levels before it stay exactly
-    zero and request no factor.  A direction whose own sources start later
-    is solved as a zero column until then, which may leave -0.0.
+    level `start` >= 1 on, (m, N_t+1-start, 3n); the result stacks whole
+    histories, (m, N_t+1, 3n).  Each level takes one solve of a (3n, m)
+    block; the march starts at the first level where a source of the block
+    is nonzero, and the levels before it stay exactly zero and request no
+    factor.  A direction whose own sources start later is solved as a zero
+    column until then, which may leave -0.0.
     """
     transport = factors.problem.stepper.transport
     m, _, width = sources.shape
     y = np.zeros((m, factors.problem.n_levels, width))
-    skip = max(1 - start, 0)
-    live = np.flatnonzero(np.any(sources[:, skip:], axis=(0, 2)))
+    live = np.flatnonzero(np.any(sources, axis=(0, 2)))
     if live.size:
-        levels = range(start + skip + live[0], y.shape[1])
+        levels = range(start + live[0], y.shape[1])
         with factors.ahead(levels):
             for k in levels:
                 rhs = transport @ y[:, k - 1].T + sources[:, k - start].T

@@ -131,7 +131,7 @@ def _validate_initial(stepper: Stepper, init: InitialData) -> None:
     if not np.isfinite(lo):
         return
     phimin, phimax = float(np.min(init.phi0)), float(np.max(init.phi0))
-    if stepper.separation_guard:
+    if stepper.potential.guarded:
         if phimin <= lo or phimax >= hi:
             raise SeparationViolation(
                 f"initial phase field must lie strictly inside ({lo}, {hi}); "
@@ -259,7 +259,7 @@ def _step_diagnostics(stepper: Stepper, x: np.ndarray, control: Control
     w, dt, alpha = stepper.grid.weights, stepper.dt, stepper.params.alpha
     mu, phi, sigma = stepper.split(x)
     grad_sq = -((stepper.grid.lap @ phi.T).T * phi) @ w
-    energy = (stepper.potential_eval(phi, 0) @ w + 0.5 * grad_sq
+    energy = (stepper.potential.eval(phi, 0) @ w + 0.5 * grad_sq
               + 0.5 * ((sigma * sigma) @ w) + 0.5 * alpha * ((mu * mu) @ w))
     mass = (alpha * mu + phi + sigma) @ w
     u1, u2 = control.u1[1:len(phi)], control.u2[1:len(phi)]
@@ -283,10 +283,6 @@ def _check_energy(energy: np.ndarray) -> None:
 # fraction of its value; a weaker one means the LU has gone stale
 _CHORD_CONTRACTION = 0.25
 
-# what the trial residual of a member decides: keep a polish step if it
-# helps, a chord step if it contracts, or backtrack (Armijo)
-_POLISH, _CHORD, _BACKTRACK = range(3)
-
 
 def _rows(arrays: list) -> np.ndarray:
     """One array as it is, or several stacked as the rows of one (np.array
@@ -301,7 +297,7 @@ class _Member:
 
     __slots__ = ("i", "prev", "u1", "u2", "x", "res", "rnorm", "converged",
                  "polish_left", "it", "n_lu", "lu", "chord", "delta", "t",
-                 "trial", "backtracks", "best")
+                 "backtracks", "best")
 
     def __init__(self, i: int):
         self.i = i
@@ -345,7 +341,7 @@ class _Lockstep:
         self.controls = controls
         self.members = [_Member(i) for i in range(len(controls))]
         self.lag = stepper.superlu
-        self.guard = stepper.separation_guard
+        self.guard = stepper.potential.guarded
         n = stepper.n
         self.phi = slice(n, 2 * n)
         lo, hi = stepper.potential.domain
@@ -527,19 +523,16 @@ class _Lockstep:
                                "potential barrier")
                 continue
             s.t = t
-            if s.converged:
-                s.trial = _POLISH
-            elif s.chord:
-                s.trial = _CHORD
-            else:
-                s.trial, s.best, s.backtracks = (_BACKTRACK, None,
-                                                 _MAX_BACKTRACKS)
+            if not (s.converged or s.chord):
+                s.best, s.backtracks = None, _MAX_BACKTRACKS
             trials.append(s)
         return refactor
 
     def _try(self, q: list, factor: list) -> tuple[list, list]:
         """Trial residual at x + t delta for each member of q, and what it
-        decides.  Returns the members back at the top of an iteration and
+        decides: a converged member keeps its polish step if it helps, a
+        chord step is kept if it contracts, and a Newton step backtracks
+        (Armijo).  Returns the members back at the top of an iteration and
         those that backtrack further; a chord step that does not contract
         queues its member in `factor`."""
         if len(q) == 1:
@@ -553,14 +546,14 @@ class _Lockstep:
             rows = list(z)
         top, again, moved = [], [], []
         for s, x, res, rnorm in zip(q, rows, *self._residuals(q, z)):
-            if s.trial == _POLISH:
+            if s.converged:
                 # polish: kept only if it helps
                 if rnorm < s.rnorm:
                     s.x, s.res, s.rnorm = x, res, rnorm
                     top.append(s)
                 else:
                     self._end(s)
-            elif s.trial == _CHORD:
+            elif s.chord:
                 # chord: kept if it contracts (False for a non-finite
                 # residual); else the damped Newton step from a fresh LU
                 if rnorm <= _CHORD_CONTRACTION * s.rnorm:

@@ -32,8 +32,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 from .grid import Grid
-from .model import (ModelParams, NonlinearitySpec, PotentialSpec,
-                    _f1_eval, _f2_eval, yosida_eval)
+from .model import ModelParams, NonlinearitySpec, PotentialSpec
 
 # (row, column) blocks of the Jacobian that carry a reaction diagonal
 _REACTION_BLOCKS = ((0, 0), (0, 1), (0, 2), (1, 1),
@@ -43,13 +42,6 @@ _CONSTANT_BLOCK = (1, 2)
 
 # LAPACK's `trans` argument for SuperLU's trans="N" and "T"
 _LAPACK_TRANS = {"N": 0, "T": 1}
-
-
-def separation_guarded(potential: PotentialSpec) -> bool:
-    """Whether Newton keeps phi strictly inside the separation band of the
-    potential: the derivatives of an exact logarithmic potential blow up at
-    +-1, so its updates must keep phi strictly inside (-1, 1)."""
-    return potential.kind == "logarithmic" and potential.yosida_eps is None
 
 
 class BandLU:
@@ -105,7 +97,6 @@ class Stepper:
         self.potential = potential
         self.nonlin = nonlin
         self.dt = float(dt)
-        self.separation_guard = separation_guarded(potential)
         # a 2-D step LU goes to SuperLU and costs far more than a residual;
         # a 1-D band LU costs about as much as one
         self.superlu = grid.dim == 2
@@ -201,20 +192,6 @@ class Stepper:
         self._band_base[pos] = self._base_data
         self._band_slots = pos[self._diag_slots]
 
-    def potential_eval(self, phi: np.ndarray, order: int) -> np.ndarray:
-        """The potential this step uses (order 0) or one of its derivatives.
-
-        That is F1 + F2, with the Yosida regularization F1_eps in place of F1
-        when the potential's yosida_eps is set.  There is no domain check:
-        for an exact logarithmic potential the separation ceiling of Newton
-        (`separation_guard`) keeps phi strictly inside (-1, 1).
-        """
-        if self.potential.yosida_eps is None:
-            f1 = _f1_eval(self.potential, phi, order)
-        else:
-            f1 = yosida_eval(self.potential, phi, order)
-        return f1 + _f2_eval(self.potential, phi, order)
-
     # -- residual and Jacobian ---------------------------------------------
 
     @staticmethod
@@ -237,7 +214,7 @@ class Stepper:
         m = self.m_field(mu, phi, sigma)
         p, dp = self.nonlin.P.eval_orders(phi, (0, 1))
         return (p, dp * m, self.nonlin.H.eval(phi, 1) * u1,
-                self.potential_eval(phi, 2))
+                self.potential.eval(phi, 2))
 
     def second_order_coefficients(self, x: np.ndarray,
                                   u1: np.ndarray) -> SecondOrderCoefficients:
@@ -248,7 +225,7 @@ class Stepper:
         dh, ddh = self.nonlin.H.eval_orders(phi, (1, 2))
         return SecondOrderCoefficients(
             m=self.m_field(mu, phi, sigma), dp=dp, ddp=ddp, dh=dh, ddh=ddh,
-            d3f=self.potential_eval(phi, 3), u1=u1)
+            d3f=self.potential.eval(phi, 3), u1=u1)
 
     def second_order_source(self, coef: SecondOrderCoefficients,
                             yh: np.ndarray, yk: np.ndarray,
@@ -313,7 +290,7 @@ class Stepper:
         r1, r2, r3 = self.split(res)
         r1 -= pm
         r1 += self.nonlin.H.eval(phi) * u1k
-        r2 += self.potential_eval(phi, 1)
+        r2 += self.potential.eval(phi, 1)
         r2 -= mu
         r2 -= self.chi * sigma
         r3 += self.chi * self.split(lap)[1]

@@ -154,7 +154,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
         `may_pin`."""
         delta = fac.solve(-res)
         t = 1.0
-        if stepper.separation_guard:
+        if stepper.potential.guarded:
             t = _step_ceiling(stepper.split(x)[1], stepper.split(delta)[1],
                               *stepper.potential.domain, margin)
             if t <= 0.0 and not may_pin:
@@ -235,7 +235,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
 def _inside_margin(stepper: Stepper, x: np.ndarray, margin: float) -> bool:
     """False when the separation guard is on and the phi of the stacked state
     x leaves (lo + margin, hi - margin)."""
-    if not stepper.separation_guard:
+    if not stepper.potential.guarded:
         return True
     lo, hi = stepper.potential.domain
     phi = stepper.split(x)[1]
@@ -345,7 +345,7 @@ def energy_by_level(stepper, x: np.ndarray) -> float:
     grid = stepper.grid
     mu, phi, sigma = stepper.split(x)
     grad_sq = -inner(grid, grid.lap @ phi, phi)
-    fv = inner(grid, stepper.potential_eval(phi, 0), np.ones(stepper.n))
+    fv = inner(grid, stepper.potential.eval(phi, 0), np.ones(stepper.n))
     return float(fv + 0.5 * grad_sq + 0.5 * inner(grid, sigma, sigma)
                  + 0.5 * stepper.params.alpha * inner(grid, mu, mu))
 
@@ -382,7 +382,7 @@ def ode_reduction_reference(problem: ControlProblem, u1_of_t, u2_of_t,
         mu, phi, sigma = y
         m = sigma + pr.chi * (1.0 - phi) - mu
         arr = np.array([phi])
-        fp = float(problem.stepper.potential_eval(arr, 1)[0])
+        fp = float(problem.stepper.potential.eval(arr, 1)[0])
         pv = float(nl.P.eval(phi))
         hv = float(nl.H.eval(phi))
         dphi = (-fp + mu + pr.chi * sigma) / pr.beta

@@ -422,6 +422,25 @@ def test_analyze_certifies_curvature_with_final_tracking(tmp_path):
     assert report["ssc"]["satisfied"] is True
 
 
+def test_analyze_of_the_optimized_controls_reports_their_cost(tmp_path):
+    # optimize, then analyze at the controls it wrote; a relative `file`
+    # resolves against the directory of the config file
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = _write(tmp_path,
+                 (root / "configs" / "canonical_1d.yaml").read_text())
+    common = ["--config", str(cfg), "--quiet", "--set", "grid.shape=[33]",
+              "--set", "time.steps=50"]
+    opt, ana = tmp_path / "opt", tmp_path / "ana"
+    assert main(["optimize", "--out-dir", str(opt)] + common) == EXIT_OK
+    assert main(["analyze", "--out-dir", str(ana)] + common + [
+        "--set", "control.initial={u1: {file: opt/control_u1.csv}, "
+                 "u2: {file: opt/control_u2.csv}}"]) == EXIT_OK
+    optimized = json.loads((opt / "optimize_report.json").read_text())
+    analyzed = json.loads((ana / "ssc_report.json").read_text())
+    for key in ("cost", "stationarity"):
+        assert analyzed[key] == optimized[key], key
+
+
 def test_seed_flag_reaches_reports(tmp_path):
     cfg = _write(tmp_path, COUPLED)
     out = tmp_path / "out"

@@ -8,9 +8,8 @@ from scipy.optimize import brentq
 
 from tumoropt import (BoxConstraints, Control, CostSpec, InitialData,
                       ModelParams, NonlinearitySpec, PgdOptions,
-                      PotentialSpec, ScalarShape, Stepper,
-                      TimeGrid, build_grid, project_admissible, prox_f1,
-                      yosida_eval, zero_control)
+                      PotentialSpec, ScalarShape, TimeGrid,
+                      project_admissible, prox_f1, yosida_eval, zero_control)
 from tumoropt.model import _f1_eval, _f2_eval
 
 from _support import make_problem
@@ -24,16 +23,6 @@ def exact_potential(pot, r, order=0):
     """F = F1 + F2 or one of its derivatives, exact (no Yosida)."""
     arr = np.asarray(r, dtype=float)
     return _f1_eval(pot, arr, order) + _f2_eval(pot, arr, order)
-
-
-def run_potential(pot):
-    """The potential evaluator of a run: `Stepper.potential_eval`."""
-    zero = ScalarShape("constant", value=0.0)
-    nonlin = NonlinearitySpec(zero, zero)
-    stepper = Stepper(build_grid(1, [3], [1.0]),
-                      ModelParams(alpha=1.0, beta=1.0, chi=0.0),
-                      pot, nonlin, 0.1)
-    return stepper.potential_eval
 
 
 def test_regular_potential_values():
@@ -85,7 +74,7 @@ def test_custom_polynomial_potential():
 ])
 def test_potential_derivatives_match_finite_differences(pot, lo, hi):
     # order 3 is the F''' that the second-order coefficients read
-    F = run_potential(pot)
+    F = pot.eval
     r = np.linspace(lo, hi, 11)
     d = 1e-6
     for order, tol in ((1, 1e-7), (2, 1e-6), (3, 1e-6)):

@@ -302,7 +302,7 @@ def _shape(pr):
 def test_active_sets_empty_for_zero_gradient():
     pr = make_problem()
     z = np.zeros(_shape(pr))
-    grad = GradientField(d1=z, d2=z, grad1=z, grad2=z)
+    grad = GradientField(d1=z, d2=z, grad1=z, grad2=z, adjoint=None)
     sets = strongly_active_sets(grad, 0.5)
     assert not sets.A1.any() and not sets.A2.any()
     assert default_tau(grad) == 0.0
@@ -315,7 +315,8 @@ def test_active_sets_threshold():
     g1[1, 0] = 0.9
     g1[1, 1] = 0.1
     g2[2, 2] = -0.7
-    grad = GradientField(d1=g1, d2=g2, grad1=g1, grad2=g2)
+    grad = GradientField(d1=g1, d2=g2, grad1=g1, grad2=g2,
+                         adjoint=None)
     sets = strongly_active_sets(grad, 0.5)
     assert sets.A1[1, 0] and not sets.A1[1, 1]
     assert sets.A2[2, 2]
@@ -335,7 +336,8 @@ def test_cone_project_zeroes_and_clips():
     g = np.zeros(shape)
     g[1, 1] = 2.0  # strongly active point
     sets = strongly_active_sets(
-        GradientField(d1=g, d2=g * 0, grad1=g, grad2=g * 0), 1.0)
+        GradientField(d1=g, d2=g * 0, grad1=g, grad2=g * 0,
+                      adjoint=None), 1.0)
     h = Control(np.full(shape, -0.5), np.full(shape, 0.5))
     v = cone_project(h, ubar, box, sets)
     assert v.u1[1, 1] == 0.0          # active point zeroed
@@ -901,6 +903,33 @@ def test_newton_switch_reuses_the_adjoint_of_its_gradient(monkeypatch):
     ref = projected_gradient(*args)
     assert len(calls) == res.n_iter + 2
     assert _same_run(res, ref, columns=tuple(res.history[0]))
+
+
+@pytest.mark.parametrize("sets,gradient_steps", [
+    # the shipped run at 17 x 25: three gradient-step iterates, no switch
+    ((), 3),
+    # a weak control cost, as the track-1d benchmark: two gradient-step
+    # iterates, then Newton-CG from the second
+    (("cost.b0=0.01",), 2),
+], ids=["desk-like", "track-like"])
+def test_every_gradient_step_iterate_calls_reduced_gradient(
+        monkeypatch, sets, gradient_steps):
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    setup = build_setup(RunConfig.from_file(
+        config / "canonical_1d.yaml",
+        ("grid.shape=[17]", "time.steps=25") + sets))
+    calls, reduced = [], optimize_module.reduced_gradient
+
+    def count(*args, **kwargs):
+        calls.append(None)
+        return reduced(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "reduced_gradient", count)
+    res = projected_gradient(setup.initial_control, setup.problem, setup.box,
+                             setup.pgd)
+    assert res.converged
+    newton = sum(row["cg_iters"] > 0 for row in res.history)
+    assert len(calls) == gradient_steps == res.n_iter + 1 - newton
 
 
 def test_newton_phase_holds_one_factor_pass_at_a_time(monkeypatch):

@@ -116,7 +116,7 @@ def test_block_march_matches_one_direction_at_a_time(dim):
             # SuperLU may order a block solve's arithmetic otherwise
             assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    block = sensitivity_module._march(factors, sources)
+    block = sensitivity_module._march(factors, sources[:, 1:], 1)
     assert block.shape == sources.shape
     for out, src, start in zip(block, sources, starts):
         assert np.all(out[:start] == 0.0)
@@ -141,7 +141,7 @@ def test_block_march_starts_at_the_first_source_of_the_block(monkeypatch):
         return lu(self, k)
 
     monkeypatch.setattr(StepFactors, "lu", count_lu)
-    out = sensitivity_module._march(factors, sources)
+    out = sensitivity_module._march(factors, sources[:, 1:], 1)
     assert requested == [3, 4, 5, 6]
     assert out[:, :3].tobytes() == bytes(out[:, :3].nbytes)
     assert np.all(np.abs(out[1, 3:]).max(axis=1) > 0.0)

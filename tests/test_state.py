@@ -262,7 +262,7 @@ def test_polish_tries_the_full_step_once(monkeypatch):
     pr = make_problem(potential="logarithmic", steps=8)
     u = smooth_control(pr, amp=0.4)
     stepper = pr.stepper
-    assert stepper.separation_guard
+    assert stepper.potential.guarded
     residual, calls = _counting(monkeypatch, "residual")
     _, lu_calls = _counting(monkeypatch, "factorize")
     traj = pr.solve(u)
@@ -311,7 +311,7 @@ def _step_from(pr, u, x_prev, k, start):
 
 def test_predictor_outside_separation_interval_falls_back(monkeypatch):
     pr, u, x_prev, k = _predictor_case("logarithmic")
-    assert pr.stepper.separation_guard
+    assert pr.stepper.potential.guarded
     _, hi = pr.potential.domain
     n = pr.grid.n
     guess = x_prev.copy()
@@ -333,7 +333,7 @@ def test_predictor_outside_separation_interval_falls_back(monkeypatch):
 
 def test_predictor_with_non_finite_residual_falls_back(monkeypatch):
     pr, u, x_prev, k = _predictor_case("regular")
-    assert not pr.stepper.separation_guard
+    assert not pr.stepper.potential.guarded
     guess = x_prev.copy()
     guess[0] = np.nan
     _, calls = _counting(monkeypatch, "residual")
@@ -536,7 +536,7 @@ def test_stale_chord_step_pinned_at_the_ceiling_factors_again():
     pr = dataclasses.replace(pr, init=dataclasses.replace(pr.init,
                                                           phi0=phi0))
     stepper, x_prev, u1, u2 = _first_step(pr)
-    assert stepper.separation_guard
+    assert stepper.potential.guarded
     fresh = stepper.factorize(x_prev, u1)
     res = stepper.residual(x_prev, x_prev, u1, u2)
     lo, hi = pr.potential.domain

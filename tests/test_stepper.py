@@ -41,7 +41,7 @@ def _reference_jacobian(st: Stepper, x, u1k):
     ones = np.ones(st.n)
     d = sps.bmat([
         [dg(pv), dg(-dpm + st.chi * pv + hpu), dg(-pv)],
-        [None, dg(st.potential_eval(phi, 2)), dg(-st.chi * ones)],
+        [None, dg(st.potential.eval(phi, 2)), dg(-st.chi * ones)],
         [dg(-pv), dg(dpm - st.chi * pv), dg(pv)],
     ], format="csc")
     return (transport + d).tocsc()
@@ -233,7 +233,7 @@ def _reference_source(st: Stepper, mu, phi, sigma, u1k, dh, dk, h1, k1):
     reaction = ddp * xih * xik * m + dp * (xih * mk + xik * mh)
     s1 = (reaction - ddh * xih * xik * u1k
           - dhv * (xih * k1 + xik * h1))
-    s2 = -st.potential_eval(phi, 3) * xih * xik
+    s2 = -st.potential.eval(phi, 3) * xih * xik
     s3 = -reaction
     return np.concatenate([s1, s2, s3])
 
@@ -297,7 +297,7 @@ def _reference_residual(st: Stepper, x, x_prev, u1k, u2k):
     lphi = lap @ phi
     r1 = (st.s_a * (mu - mu0) + st.s * (phi - phi0)
           - lap @ mu - pv * m + hv * u1k)
-    r2 = (st.s_b * (phi - phi0) - lphi + st.potential_eval(phi, 1)
+    r2 = (st.s_b * (phi - phi0) - lphi + st.potential.eval(phi, 1)
           - mu - st.chi * sigma)
     r3 = (st.s * (sigma - sigma0) - lap @ sigma + st.chi * lphi
           + pv * m - u2k)

@@ -630,10 +630,9 @@ def test_checks_solve_no_control_on_its_own(monkeypatch):
     monkeypatch.setattr(tumoropt.problem, "solve_state", count_solve)
     check_gradient_fd(ctx, n_dirs=2)
     check_taylor_orders(ctx)
-    assert solves == []
-    # the homogeneity check's context is the one control solved alone
+    # the homogeneity check runs on the context of the first base pair
     check_stability_ratios(pr, n_pairs=2)
-    assert solves == [pr]
+    assert solves == []
 
 
 def test_the_checks_gate_on_thresholds(monkeypatch):
