@@ -25,8 +25,8 @@ from .state import (InitialData, StateTrajectory, TimeGrid, solve_state,
                     solve_states)
 from .stepper import Stepper
 from .verify import (SlopeReport, StabilityReport, adjoint_continuous_residual,
-                     check_duality, check_gradient_fd, check_stability_ratios,
-                     check_taylor_orders, fit_slope, refine_control,
-                     refine_problem, run_verification)
+                     check_duality, check_gradient_fd, check_hessian_duality,
+                     check_stability_ratios, check_taylor_orders, fit_slope,
+                     refine_control, refine_problem, run_verification)
 
 __version__ = "0.1.0"

@@ -135,18 +135,7 @@ def _write_space_time_csv(path: Path, grid: Grid, name: str,
 def _write_report(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _snapshot_levels(setup: RunSetup) -> list[int]:
@@ -199,9 +188,9 @@ def _run_optimize(setup: RunSetup, out_dir: Path, say) -> int:
     _write_space_time_csv(out_dir / "control_u2.csv", grid, "u2",
                           result.control.u2)
     _write_space_time_csv(out_dir / "gradient_u1.csv", grid, "g1",
-                          result.gradient.grad1)
+                          result.gradient.grad.u1)
     _write_space_time_csv(out_dir / "gradient_u2.csv", grid, "g2",
-                          result.gradient.grad2)
+                          result.gradient.grad.u2)
     _write_csv(out_dir / "history.csv",
                ["iteration", "cost", "stationarity", "step_size", "solves",
                 "cg_iters"],

@@ -495,7 +495,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                      f"control.initial.{key}", tgrid)
         return np.zeros((tgrid.steps + 1, grid.n)) if out is None else out
 
-    initial_control = Control(guess("u1"), guess("u2"))
+    initial_control = Control([guess("u1"), guess("u2")])
 
     ob = cfg.optimizer
     with _prefixed("optimizer"):

@@ -13,7 +13,7 @@ F1_eps'(r) = (r - prox_{eps F1}(r)) / eps.  Supported kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -430,40 +430,44 @@ class CostSpec:
 
 @dataclass(eq=False)
 class Control:
-    """Pair of space-time control fields, shape (N_t+1, n) each."""
+    """Pair of space-time control fields, stacked as the two rows of one
+    (2, N_t+1, n) array `v`; `u1` and `u2` are views of the rows, so
+    `Control([u1, u2])` builds one from two fields."""
 
-    u1: np.ndarray
-    u2: np.ndarray
+    v: np.ndarray
+
+    u1 = property(lambda self: self.v[0])
+    u2 = property(lambda self: self.v[1])
+    shape = property(lambda self: self.v.shape[1:])
 
     def __post_init__(self):
-        self.u1 = np.asarray(self.u1, dtype=float)
-        self.u2 = np.asarray(self.u2, dtype=float)
-        if self.u1.shape != self.u2.shape or self.u1.ndim != 2:
+        self.v = np.asarray(self.v, dtype=float)
+        if self.v.ndim != 3 or len(self.v) != 2:
             raise ValueError("u1 and u2 must share a (N_t+1, n) shape")
-        if not (np.all(np.isfinite(self.u1)) and np.all(np.isfinite(self.u2))):
+        if not np.all(np.isfinite(self.v)):
             raise ValueError("u1 and u2 must be finite")
 
     def copy(self) -> "Control":
-        return Control(self.u1.copy(), self.u2.copy())
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.u1.shape
+        return Control(self.v.copy())
 
 
 def zero_control(n_levels: int, n_nodes: int) -> Control:
-    return Control(np.zeros((n_levels, n_nodes)), np.zeros((n_levels, n_nodes)))
+    return Control(np.zeros((2, n_levels, n_nodes)))
 
 
 @dataclass(frozen=True, eq=False)
 class BoxConstraints:
     """Pointwise bounds for both control components; entries may be +-inf,
-    but a lower bound of +inf or an upper bound of -inf admits no control."""
+    but a lower bound of +inf or an upper bound of -inf admits no control.
+    `lower` and `upper` stack the bounds of both components as `Control.v`
+    stacks the components, each bound a number or a field."""
 
     lower1: np.ndarray | float = -np.inf
     upper1: np.ndarray | float = np.inf
     lower2: np.ndarray | float = -np.inf
     upper2: np.ndarray | float = np.inf
+    lower: np.ndarray = field(init=False, repr=False)
+    upper: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for tag in ("1", "2"):
@@ -476,18 +480,19 @@ class BoxConstraints:
                 raise ValueError(f"upper{tag} must be above -inf and not NaN")
             if np.any(lo > hi):
                 raise ValueError(f"lower{tag} must not exceed upper{tag}")
+        for side in ("lower", "upper"):
+            pair = [np.asarray(getattr(self, side + tag), dtype=float)
+                    for tag in "12"]
+            object.__setattr__(self, side, np.stack(
+                [np.atleast_2d(b) for b in np.broadcast_arrays(*pair)]))
 
     def span(self) -> float:
         """Largest finite bound magnitude, used to scale boundary tolerances."""
-        parts = [np.atleast_1d(np.asarray(b, dtype=float)).ravel()
-                 for b in (self.lower1, self.upper1, self.lower2, self.upper2)]
-        flat = np.concatenate(parts)
+        flat = np.concatenate([self.lower.ravel(), self.upper.ravel()])
         flat = flat[np.isfinite(flat)]
         return float(np.max(np.abs(flat))) if flat.size else 1.0
 
 
 def project_admissible(u: Control, box: BoxConstraints) -> Control:
     """Pointwise projection onto the admissible box."""
-    v1 = np.minimum(np.maximum(u.u1, box.lower1), box.upper1)
-    v2 = np.minimum(np.maximum(u.u2, box.lower2), box.upper2)
-    return Control(v1, v2)
+    return Control(np.minimum(np.maximum(u.v, box.lower), box.upper))

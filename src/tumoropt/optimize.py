@@ -51,17 +51,12 @@ def cost_eval(problem: ControlProblem, state: StateTrajectory,
 
 @dataclass(eq=False)
 class GradientField:
-    """Adjoint field d and full gradient grad = d + b0 u, both components,
+    """Adjoint field d and full gradient grad = d + b0 u, each a Control,
     and the adjoint they came from."""
 
-    d1: np.ndarray
-    d2: np.ndarray
-    grad1: np.ndarray
-    grad2: np.ndarray
+    d: Control
+    grad: Control
     adjoint: AdjointTrajectory
-
-    def as_control(self) -> Control:
-        return Control(self.grad1.copy(), self.grad2.copy())
 
 
 def reduced_gradient(ubar: Control, problem: ControlProblem,
@@ -84,20 +79,16 @@ def _gradient_field(factors: StepFactors, adjoint: AdjointTrajectory
     linearization point of `factors`."""
     # level 0 of the multipliers is zero; 0.0 - x rather than -x keeps a
     # negated zero field from leaking -0.0
-    d1 = 0.0 - factors.h_phi * adjoint.p
-    d2 = adjoint.r.copy()
-    b0, ubar = factors.problem.cost.b0, factors.ubar
-    return GradientField(d1=d1, d2=d2, grad1=b0 * ubar.u1 + d1,
-                         grad2=b0 * ubar.u2 + d2, adjoint=adjoint)
+    d = Control([0.0 - factors.h_phi * adjoint.p, adjoint.r])
+    grad = Control(factors.problem.cost.b0 * factors.ubar.v + d.v)
+    return GradientField(d=d, grad=grad, adjoint=adjoint)
 
 
 def stationarity_measure(ubar: Control, problem: ControlProblem,
                          box: BoxConstraints, grad: GradientField) -> float:
     """Norm of ubar - proj(ubar - grad), zero exactly at a stationary point."""
-    trial = project_admissible(
-        Control(ubar.u1 - grad.grad1, ubar.u2 - grad.grad2), box)
-    diff = Control(ubar.u1 - trial.u1, ubar.u2 - trial.u2)
-    return control_norm(problem.grid, problem.tgrid, diff)
+    trial = project_admissible(Control(ubar.v - grad.grad.v), box)
+    return control_norm(problem.grid, problem.tgrid, Control(ubar.v - trial.v))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +219,8 @@ def projected_gradient(u0: Control, problem: ControlProblem,
         if it == opts.max_iter:
             break
         if u_prev is not None:
-            du = Control(u.u1 - u_prev.u1, u.u2 - u_prev.u2)
-            dg = Control(grad.grad1 - grad_prev.grad1,
-                         grad.grad2 - grad_prev.grad2)
+            du = Control(u.v - u_prev.v)
+            dg = Control(grad.grad.v - grad_prev.grad.v)
             denom = control_inner(grid, tgrid, du, dg)
             if denom > 0.0:
                 step = control_inner(grid, tgrid, du, du) / denom
@@ -241,7 +231,7 @@ def projected_gradient(u0: Control, problem: ControlProblem,
             newton = True
             context = SecondOrderContext(problem, u, state, grad.adjoint)
         stat_prev = stat
-        s, t = grad.as_control(), step
+        s, t = grad.grad, step
         cg_iters = 0
         if newton:
             d, cg_iters = _newton_direction(context, grad, box, stat)
@@ -255,11 +245,9 @@ def projected_gradient(u0: Control, problem: ControlProblem,
         state_new = state
         trial = u
         for solves in range(1, _MAX_BACKTRACKS + 1):
-            trial = project_admissible(
-                Control(u.u1 - t * s.u1, u.u2 - t * s.u2), box)
-            decrease = control_inner(
-                grid, tgrid, grad.as_control(),
-                Control(u.u1 - trial.u1, u.u2 - trial.u2))
+            trial = project_admissible(Control(u.v - t * s.v), box)
+            decrease = control_inner(grid, tgrid, grad.grad,
+                                     Control(u.v - trial.v))
             state_new = problem.solve(trial)
             j_new = cost_eval(problem, state_new, trial)
             if j_new <= j - _ARMIJO_C * decrease:
@@ -304,9 +292,9 @@ def _newton_direction(context: SecondOrderContext, grad: GradientField,
         return float(np.sum(wts * (a * b).sum(axis=0)))
 
     eps = min(_BINDING_TOL, stat)
-    g = np.stack([grad.grad1, grad.grad2])
-    near_lower = np.stack([u.u1 - box.lower1, u.u2 - box.lower2]) <= eps
-    near_upper = np.stack([box.upper1 - u.u1, box.upper2 - u.u2]) <= eps
+    g = grad.grad.v
+    near_lower = u.v - box.lower <= eps
+    near_upper = box.upper - u.v <= eps
     free = ~((near_lower & (g > 0.0)) | (near_upper & (g < 0.0)))
     r = np.where(free, -g, 0.0)
     rr = dot(r, r)
@@ -315,9 +303,9 @@ def _newton_direction(context: SecondOrderContext, grad: GradientField,
     p = r
     n_products = 0
     while n_products < _CG_MAX_ITER and np.sqrt(rr) > stop:
-        hp = context.hessian_product(Control(p[0], p[1]))
+        hp = context.hessian_product(Control(p))
         n_products += 1
-        hp = np.where(free, np.stack([hp.u1, hp.u2]), 0.0)
+        hp = np.where(free, hp.v, 0.0)
         curv = dot(p, hp)
         if curv <= 0.0:
             if n_products == 1:
@@ -328,8 +316,7 @@ def _newton_direction(context: SecondOrderContext, grad: GradientField,
         r = r - alpha * hp
         rr, rr_old = dot(r, r), rr
         p = r + (rr / rr_old) * p
-    s = np.where(free, -d, g)
-    return Control(s[0], s[1]), n_products
+    return Control(np.where(free, -d, g)), n_products
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +325,25 @@ def _newton_direction(context: SecondOrderContext, grad: GradientField,
 
 @dataclass(eq=False)
 class ActiveSets:
-    """Strongly active masks for both control components, shape (N_t+1, n)."""
+    """Strongly active mask of both control components, stacked as
+    `Control.v` stacks them, (2, N_t+1, n); `A1` and `A2` view its rows."""
 
-    A1: np.ndarray
-    A2: np.ndarray
+    A: np.ndarray
     tau: float
+
+    A1 = property(lambda self: self.A[0])
+    A2 = property(lambda self: self.A[1])
 
 
 def strongly_active_sets(grad: GradientField, tau: float) -> ActiveSets:
     """Points where the gradient magnitude exceeds the threshold tau."""
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
-    return ActiveSets(A1=np.abs(grad.grad1) > tau,
-                      A2=np.abs(grad.grad2) > tau, tau=tau)
+    return ActiveSets(A=np.abs(grad.grad.v) > tau, tau=tau)
 
 
 def default_tau(grad: GradientField) -> float:
-    scale = max(float(np.max(np.abs(grad.grad1))),
-                float(np.max(np.abs(grad.grad2))), 0.0)
-    return 1e-3 * scale
+    return 1e-3 * max(float(np.max(np.abs(grad.grad.v))), 0.0)
 
 
 def _cone_masks(ubar: Control, box: BoxConstraints, sets: ActiveSets
@@ -366,11 +353,8 @@ def _cone_masks(ubar: Control, box: BoxConstraints, sets: ActiveSets
     the points where ubar sits on the lower and on the upper bound (within
     1e-9 of the box span)."""
     bound_tol = 1e-9 * box.span()
-    return (np.stack([sets.A1, sets.A2]),
-            np.stack([ubar.u1 <= np.asarray(box.lower1) + bound_tol,
-                      ubar.u2 <= np.asarray(box.lower2) + bound_tol]),
-            np.stack([ubar.u1 >= np.asarray(box.upper1) - bound_tol,
-                      ubar.u2 >= np.asarray(box.upper2) - bound_tol]))
+    return (sets.A, ubar.v <= box.lower + bound_tol,
+            ubar.v >= box.upper - bound_tol)
 
 
 def _cone_clip(v: np.ndarray, masks: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -473,7 +457,9 @@ class SecondOrderContext:
         one backward march (`solve_adjoint`) whose source is the derivative
         of the form in its second direction's state, and
         H h = (b0 h1 - h(phi) p~ - p h'(phi) xi_h, b0 h2 + r~) with (p~, r~)
-        the march's multipliers and p the adjoint's.  One Control gives one
+        the march's multipliers and p the adjoint's; the march's source and
+        -p h'(phi) xi_h are the two parts that
+        `Stepper.second_order_source_adjoint` returns.  One Control gives one
         product; a sequence is marched as one block and gives a list.
         """
         single = isinstance(h, Control)
@@ -482,19 +468,21 @@ class SecondOrderContext:
         stepper, cost, wt = pr.stepper, pr.cost, pr.tgrid.weights()
         lins = self.linearize(dirs)
         y = np.stack([lin.y for lin in lins])
-        h1 = np.stack([d.u1 for d in dirs])
+        hv = np.stack([d.v for d in dirs])
         xi = stepper.split(y)[1]
         sources = np.zeros_like(y)
-        sources[:, 1:] = wt[1:, None] * stepper.second_order_source_adjoint(
-            coef, self.adjoint.lam[1:], y[:, 1:], h1[:, 1:])
+        state_part, u1_part = stepper.second_order_source_adjoint(
+            coef, self.adjoint.lam[1:], y[:, 1:], hv[:, 0, 1:])
+        sources[:, 1:] = wt[1:, None] * state_part
         src_q = stepper.split(sources)[1]
         src_q += (cost.b1 * wt)[:, None] * xi
         src_q[:, -1] += cost.b2 * xi[:, -1]
         p_h, _, r_h = stepper.split(solve_adjoint(self.factors, sources))
-        out1 = cost.b0 * h1 - self.factors.h_phi * p_h
-        out1[:, 1:] -= self.adjoint.p[1:] * coef.dh * xi[:, 1:]
-        prods = [Control(a, cost.b0 * d.u2 + b)
-                 for a, b, d in zip(out1, r_h, dirs)]
+        out = cost.b0 * hv
+        out[:, 0] -= self.factors.h_phi * p_h
+        out[:, 0, 1:] += u1_part
+        out[:, 1] += r_h
+        prods = [Control(v) for v in out]
         return prods[0] if single else prods
 
 
@@ -575,9 +563,9 @@ def ssc_certificate(context: SecondOrderContext, sets: ActiveSets,
                   + st_integral(grid, tgrid, sq[1]))
             nrm = float(np.sqrt(hh))
             if (nrm <= 1e-12 * max(bound, 1.0) and nrm <= 1e-12 * max(
-                    control_norm(grid, tgrid, Control(r[0], r[1])), 1.0)):
+                    control_norm(grid, tgrid, Control(r)), 1.0)):
                 continue
-            dirs.append(Control(h[0], h[1]))
+            dirs.append(Control(h))
             hhs.append(hh)
             norms.append(nrm)
         if not dirs:

@@ -253,14 +253,17 @@ class Stepper:
 
     def second_order_source_adjoint(self, coef: SecondOrderCoefficients,
                                     lam: np.ndarray, yh: np.ndarray,
-                                    h1: np.ndarray) -> np.ndarray:
-        """Derivative of the pairing <lam, S(h, k)> in the linearized state
-        yk of the second direction, pointwise in space and time.
+                                    h1: np.ndarray
+                                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of the pairing <lam, S(h, k)> in the linearized state
+        yk and in the u1 component k1 of the second direction, pointwise in
+        space and time.
 
         `lam` holds stacked multipliers (p, q, r) and the rest is as in
-        `second_order_source`, whose pairing with `lam` is the stacked
-        result paired with yk plus <-p h'(phi) xih, k1>: the source of the
-        backward march of a Hessian-vector product.
+        `second_order_source`, whose pairing with `lam` is the stacked state
+        part paired with yk plus the u1 part, -p h'(phi) xih, paired with k1:
+        the source of the backward march of a Hessian-vector product and
+        the reaction term of the product itself.
         """
         p, q, r = self.split(lam)
         eta_h, xih, theta_h = self.split(yh)
@@ -272,7 +275,8 @@ class Stepper:
                 - self.chi * react
                 - p * (coef.ddh * xih * coef.u1 + coef.dh * h1)
                 - q * coef.d3f * xih)
-        return np.concatenate([-react, d_xi, react], axis=-1)
+        return (np.concatenate([-react, d_xi, react], axis=-1),
+                -p * coef.dh * xih)
 
     def residual(self, x: np.ndarray, x_prev: np.ndarray,
                  u1k: np.ndarray, u2k: np.ndarray) -> np.ndarray:

@@ -46,6 +46,7 @@ STABILITY_AMP = 0.3
 # every bound the verification gate applies
 THRESHOLDS = {
     "duality": 1e-10,
+    "hessian_duality": 1e-10,
     "fd_agreement": 1e-8,
     "slope_band": 0.2,
     "stability_factor": 2.0,
@@ -106,11 +107,11 @@ def _random_direction(problem: ControlProblem, rng: np.random.Generator) -> Cont
     """
     h = _smooth_random_control(problem, rng, amp=1.0)
     nrm = control_norm(problem.grid, problem.tgrid, h)
-    return Control(h.u1 / nrm, h.u2 / nrm)
+    return Control(h.v / nrm)
 
 
 def _shifted(u: Control, v: Control, t: float) -> Control:
-    return Control(u.u1 + t * v.u1, u.u2 + t * v.u2)
+    return Control(u.v + t * v.v)
 
 
 def _batch_len(problem: ControlProblem) -> int:
@@ -157,7 +158,7 @@ def check_gradient_fd(context: SecondOrderContext,
     problem, ubar = context.problem, context.ubar
     rng = np.random.default_rng(seed)
     grid, tgrid = problem.grid, problem.tgrid
-    gc = context.gradient.as_control()
+    gc = context.gradient.grad
 
     all_eps = tuple(sorted(set(eps_values) | set(search_values), reverse=True))
     ladder_idx = [all_eps.index(e) for e in eps_values]
@@ -199,14 +200,36 @@ def check_duality(context: SecondOrderContext, h: Control | None = None,
         h = _random_direction(problem, np.random.default_rng(seed))
     grid, tgrid = problem.grid, problem.tgrid
     state, lin = context.state, context.linearize(h)
-    lhs = control_inner(grid, tgrid,
-                        Control(context.gradient.d1, context.gradient.d2), h)
+    lhs = control_inner(grid, tgrid, context.gradient.d, h)
     cost = problem.cost
     misfit = state.phi - problem.target_q()
     rhs = (cost.b1 * st_inner(grid, tgrid, misfit, lin.xi)
            + cost.b2 * inner(grid, state.phi[-1] - problem.target_omega(),
                              lin.xi[-1]))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+def check_hessian_duality(context: SecondOrderContext,
+                          seed: int = 0) -> tuple[float, float]:
+    """Relative residuals of the Hessian-vector product against the Hessian
+    form, |<Hh, k> - B(h, k)| / |B|, and against its own transpose,
+    |<Hh, k> - <h, Hk>| / |B|.
+
+    h and k are two directions drawn from a fresh generator of `seed`, and
+    their products come from one block `hessian_product`; the form and the
+    products come from different marches and must agree to round-off.
+    """
+    problem = context.problem
+    rng = np.random.default_rng(seed)
+    h, k = (_random_direction(problem, rng) for _ in range(2))
+    hess_h, hess_k = context.hessian_product([h, k])
+    lin_h, lin_k = context.linearize([h, k])
+    form = context.form(h, k, lin_h=lin_h, lin_k=lin_k)
+    grid, tgrid = problem.grid, problem.tgrid
+    hh_k = control_inner(grid, tgrid, hess_h, k)
+    scale = abs(form) if form else 1.0
+    return (abs(hh_k - form) / scale,
+            abs(hh_k - control_inner(grid, tgrid, h, hess_k)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +267,7 @@ def check_taylor_orders(context: SecondOrderContext,
     lin_v, lin_h = context.linearize([v, h])
     bilin_vh = context.bilinearize(lin_v, lin_h, v, h)
     j0 = cost_eval(problem, state, ubar)
-    slope_v = control_inner(grid, tgrid, context.gradient.as_control(), v)
+    slope_v = control_inner(grid, tgrid, context.gradient.grad, v)
     b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
 
     err_state = []
@@ -333,8 +356,7 @@ def refine_problem(problem: ControlProblem) -> ControlProblem:
 
 def refine_control(u: Control, problem: ControlProblem) -> Control:
     """Transfer a control of `problem` to `refine_problem(problem)`."""
-    return Control(_refine_nested(u.u1, problem.grid.shape),
-                   _refine_nested(u.u2, problem.grid.shape))
+    return Control([_refine_nested(c, problem.grid.shape) for c in u.v])
 
 
 def _smooth_random_control(problem: ControlProblem,
@@ -342,9 +364,8 @@ def _smooth_random_control(problem: ControlProblem,
     """Low-frequency random field, transferable across nested grids."""
     coords = problem.grid.coordinates()
     times = problem.tgrid.times
-    comps = []
-    for _ in range(2):
-        fld = np.zeros((problem.n_levels, problem.grid.n))
+    comps = np.zeros((2, problem.n_levels, problem.grid.n))
+    for fld in comps:
         for jx in range(3):
             cx = np.cos(jx * np.pi * coords[:, 0] / problem.grid.lengths[0])
             if problem.grid.dim == 2:
@@ -355,8 +376,7 @@ def _smooth_random_control(problem: ControlProblem,
             tmod = c0 + c1 * np.cos((jx + 1) * np.pi * times
                                     / problem.tgrid.t_final)
             fld += np.outer(tmod, cx)
-        comps.append(amp * fld / 3.0)
-    return Control(comps[0], comps[1])
+    return Control(amp * comps / 3.0)
 
 
 def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
@@ -393,8 +413,7 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
             ub = _smooth_random_control(pr, rng, STABILITY_AMP)
             h = _smooth_random_control(pr, rng, STABILITY_AMP)
             v = _smooth_random_control(pr, rng, STABILITY_AMP)
-            du = control_norm(pr.grid, pr.tgrid,
-                              Control(ua.u1 - ub.u1, ua.u2 - ub.u2))
+            du = control_norm(pr.grid, pr.tgrid, Control(ua.v - ub.v))
             nh = control_norm(pr.grid, pr.tgrid, h)
             nv = control_norm(pr.grid, pr.tgrid, v)
             if du == 0.0 or nh == 0.0 or nv == 0.0:
@@ -421,7 +440,7 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
 
     base, (ctx, h) = ratios_at(problem, pair_seeds)
     # homogeneity: doubling the direction doubles the linearized response
-    lin1, lin2 = ctx.linearize([h, Control(2.0 * h.u1, 2.0 * h.u2)])
+    lin1, lin2 = ctx.linearize([h, Control(2.0 * h.v)])
     hom = float(np.max(np.abs(lin2.y - 2.0 * lin1.y)))
     hom_rel = hom / max(_norm3(problem, lin1.y), 1e-300)
     del ctx     # its step factors, before the finer pass
@@ -559,6 +578,14 @@ def run_verification(problem: ControlProblem, ubar: Control,
     add("duality",
         "linearized/adjoint pairing identity, relative residual",
         {"relative_residual": dual}, dual <= THRESHOLDS["duality"])
+
+    form_gap, symmetry_gap = check_hessian_duality(context, seed=seed)
+    add("hessian_duality",
+        "Hessian-vector products against the Hessian form and their own "
+        "transpose, relative residuals",
+        {"form_relative_residual": form_gap,
+         "symmetry_relative_residual": symmetry_gap},
+        max(form_gap, symmetry_gap) <= THRESHOLDS["hessian_duality"])
 
     gradient = check_gradient_fd(context, n_dirs=n_dirs, seed=seed)
     worst_best = gradient.details["worst_best_rel_error"]

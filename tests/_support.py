@@ -75,15 +75,15 @@ def make_problem(nodes=17, steps=8, t_final=0.5, potential="regular",
 def random_control(problem: ControlProblem, seed=0, amp=0.1) -> Control:
     rng = np.random.default_rng(seed)
     shape = (problem.n_levels, problem.grid.n)
-    return Control(amp * rng.standard_normal(shape),
-                   amp * rng.standard_normal(shape))
+    return Control([amp * rng.standard_normal(shape),
+                    amp * rng.standard_normal(shape)])
 
 
 def smooth_control(problem: ControlProblem, amp=0.2) -> Control:
     x = problem.grid.coordinates()[:, 0][None, :]
     t = problem.tgrid.times[:, None]
-    return Control(amp * np.cos(np.pi * x) * np.cos(2.0 * t),
-                   0.5 * amp * np.sin(np.pi * x) * (1.0 + t))
+    return Control([amp * np.cos(np.pi * x) * np.cos(2.0 * t),
+                    0.5 * amp * np.sin(np.pi * x) * (1.0 + t)])
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +410,9 @@ def richardson_state_at_T(problem: ControlProblem, u1_of_t, u2_of_t):
         tg = TimeGrid(problem.tgrid.steps * factor, problem.tgrid.t_final)
         n = problem.grid.n
         times = tg.times
-        u = Control(
+        u = Control([
             np.repeat([[u1_of_t(t) for t in times]], n, axis=0).T.copy(),
-            np.repeat([[u2_of_t(t) for t in times]], n, axis=0).T.copy())
+            np.repeat([[u2_of_t(t) for t in times]], n, axis=0).T.copy()])
         # no targets: they are shaped for the base grid, and no cost is taken
         traj = dataclasses.replace(
             problem, tgrid=tg, cost=CostSpec(b0=problem.cost.b0)).solve(u)
@@ -450,7 +450,7 @@ def cone_project(h: Control, ubar: Control, box, sets) -> Control:
     v1 = np.where(at_hi1, np.minimum(v1, 0.0), v1)
     v2 = np.where(at_lo2, np.maximum(v2, 0.0), v2)
     v2 = np.where(at_hi2, np.minimum(v2, 0.0), v2)
-    return Control(v1, v2)
+    return Control([v1, v2])
 
 
 def ssc_certificate_full_levels(context, sets, n_samples, box, seed=0):
@@ -473,7 +473,7 @@ def ssc_certificate_full_levels(context, sets, n_samples, box, seed=0):
     for start in range(0, n_samples, block):
         draws = rng.standard_normal((min(block, n_samples - start), 2) + shape)
         dirs, norms = [], []
-        for raw in map(Control, draws[:, 0], draws[:, 1]):
+        for raw in map(Control, draws):
             hdir = cone_project(raw, ubar, box, sets)
             nrm = control_norm(grid, tgrid, hdir)
             if nrm <= 1e-12 * max(control_norm(grid, tgrid, raw), 1.0):
@@ -512,7 +512,7 @@ def ssc_certificate_per_direction(context, tau, n_samples, box, seed=0):
     shape = (problem.n_levels, grid.n)
     quotients = []
     for _ in range(n_samples):
-        raw = Control(rng.standard_normal(shape), rng.standard_normal(shape))
+        raw = Control([rng.standard_normal(shape), rng.standard_normal(shape)])
         hdir = cone_project(raw, ubar, box, sets)
         nrm = control_norm(grid, tgrid, hdir)
         if nrm <= 1e-12 * max(control_norm(grid, tgrid, raw), 1.0):
@@ -587,7 +587,7 @@ def nodal_hessian_columns(context, columns) -> np.ndarray:
         flat = np.zeros(2 * size)
         flat[i] = 1.0
         hh = context.hessian_product(
-            Control(flat[:size].reshape(shape), flat[size:].reshape(shape)))
+            Control(flat.reshape((2,) + shape)))
         out.append(np.concatenate([weights * hh.u1.ravel(),
                                    weights * hh.u2.ravel()]))
     return np.stack(out, axis=1)
@@ -610,7 +610,7 @@ def dense_hessian(context) -> np.ndarray:
     def basis(i: int) -> Control:
         flat = np.zeros(2 * size)
         flat[i] = 1.0
-        return Control(flat[:size].reshape(shape), flat[size:].reshape(shape))
+        return Control(flat.reshape((2,) + shape))
 
     dirs = [basis(i) for i in range(n_unknowns)]
     block = _block_len(problem)
@@ -635,8 +635,7 @@ def dense_hessian_per_pair(context) -> np.ndarray:
     for i in range(2 * size):
         flat = np.zeros(2 * size)
         flat[i] = 1.0
-        dirs.append(Control(flat[:size].reshape(shape),
-                            flat[size:].reshape(shape)))
+        dirs.append(Control(flat.reshape((2,) + shape)))
     lins = [context.linearize(d) for d in dirs]
     hess = np.empty((2 * size, 2 * size))
     for a in range(2 * size):
@@ -702,7 +701,7 @@ def gradient_fd_per_control(context, n_dirs=10, seed=0,
     problem, ubar = context.problem, context.ubar
     rng = np.random.default_rng(seed)
     grid, tgrid = problem.grid, problem.tgrid
-    gc = context.gradient.as_control()
+    gc = context.gradient.grad
     all_eps = tuple(sorted(set(eps_values) | set(search_values), reverse=True))
     ladder_idx = [all_eps.index(e) for e in eps_values]
     errors = np.zeros((n_dirs, len(all_eps)))
@@ -743,7 +742,7 @@ def taylor_orders_per_control(context, v=None, h=None, eps_values=EPS_LADDER,
     lin_v, lin_h = context.linearize([v, h])
     bilin_vh = context.bilinearize(lin_v, lin_h, v, h)
     j0 = cost_eval(problem, state, ubar)
-    slope_v = control_inner(grid, tgrid, context.gradient.as_control(), v)
+    slope_v = control_inner(grid, tgrid, context.gradient.grad, v)
     b_vv = context.form(v, v, lin_h=lin_v, lin_k=lin_v)
     err_state, err_ds, err_cost = [], [], []
     state_scale = max(_norm3(problem, lin_v.y), 1e-300)
@@ -780,7 +779,7 @@ def stability_ratios_per_control(problem, n_pairs=2, seed=0, amp=0.3,
             h = _smooth_random_control(pr, rng, amp)
             v = _smooth_random_control(pr, rng, amp)
             du = control_norm(pr.grid, pr.tgrid,
-                              Control(ua.u1 - ub.u1, ua.u2 - ub.u2))
+                              Control(ua.v - ub.v))
             nh = control_norm(pr.grid, pr.tgrid, h)
             nv = control_norm(pr.grid, pr.tgrid, v)
             if du == 0.0 or nh == 0.0 or nv == 0.0:
@@ -810,7 +809,7 @@ def stability_ratios_per_control(problem, n_pairs=2, seed=0, amp=0.3,
     ua = _smooth_random_control(problem, rng, amp)
     h = _smooth_random_control(problem, rng, amp)
     ctx = SecondOrderContext(problem, ua)
-    lin1, lin2 = ctx.linearize([h, Control(2.0 * h.u1, 2.0 * h.u2)])
+    lin1, lin2 = ctx.linearize([h, Control(2.0 * h.v)])
     hom = float(np.max(np.abs(lin2.y - 2.0 * lin1.y)))
     hom_rel = hom / max(_norm3(problem, lin1.y), 1e-300)
     passed = bool(max_factor < factor_bound and hom_rel < 1e-12)

@@ -49,10 +49,10 @@ def _bitwise_zero(*arrays) -> bool:
 def _unit_smooth(problem: ControlProblem, a1: float, a2: float) -> Control:
     x = problem.grid.coordinates()[:, 0]
     t = problem.tgrid.times
-    u = Control(a1 * np.outer(np.cos(np.pi * t), np.cos(np.pi * x)),
-                a2 * np.outer(1.0 - t, np.sin(2.0 * np.pi * x)))
+    u = Control([a1 * np.outer(np.cos(np.pi * t), np.cos(np.pi * x)),
+                 a2 * np.outer(1.0 - t, np.sin(2.0 * np.pi * x))])
     nrm = control_norm(problem.grid, problem.tgrid, u)
-    return Control(u.u1 / nrm, u.u2 / nrm)
+    return Control(u.v / nrm)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def test_criterion_01_zero_fixed_point():
     j = cost_eval(pr, traj, u)
     ok = (_bitwise_zero(traj.mu, traj.phi, traj.sigma,
                         adj.p, adj.q, adj.r,
-                        grad.d1, grad.d2, grad.grad1, grad.grad2)
+                        grad.d.v, grad.grad.v)
           and j == 0.0)
     _emit(1, "zero configuration is a bitwise-zero fixed point", ok,
           f"cost = {j!r}")
@@ -244,7 +244,7 @@ def test_criterion_08_bilinear_form():
     def second_diff(e):
         vals = []
         for s in (e, -e):
-            us = Control(ubar.u1 + s * h.u1, ubar.u2 + s * h.u2)
+            us = Control(ubar.v + s * h.v)
             vals.append(cost_eval(pr, pr.solve(us), us))
         return (vals[0] - 2.0 * j0 + vals[1]) / e**2
 
@@ -262,7 +262,7 @@ def test_criterion_09_optimality_machinery(canonical):
     pure = make_problem(**DESK, b0=2.0, b1=0.0, b2=0.0, tracking=False)
     box = BoxConstraints(lower1=0.1, upper1=0.5, lower2=-0.5, upper2=-0.2)
     shape = (pure.n_levels, pure.grid.n)
-    u0 = Control(np.full(shape, 0.45), np.full(shape, -0.45))
+    u0 = Control([np.full(shape, 0.45), np.full(shape, -0.45)])
     res = projected_gradient(u0, pure, box, PgdOptions(max_iter=30, tol=1e-12))
     dev = max(float(np.abs(res.control.u1 - 0.1).max()),
               float(np.abs(res.control.u2 + 0.2).max()))
@@ -276,11 +276,9 @@ def test_criterion_09_optimality_machinery(canonical):
     monotone = all(b <= a + 1e-14 * max(1.0, abs(a))
                    for a, b in zip(costs, costs[1:]))
     g = track.gradient
-    fp = project_admissible(Control(-g.d1 / pr.cost.b0, -g.d2 / pr.cost.b0),
-                            tbox)
+    fp = project_admissible(Control(-g.d.v / pr.cost.b0), tbox)
     gap = control_norm(pr.grid, pr.tgrid,
-                       Control(track.control.u1 - fp.u1,
-                               track.control.u2 - fp.u2))
+                       Control(track.control.v - fp.v))
     track_ok = monotone and track.stationarity <= 1e-6 and gap <= 1e-6
 
     _emit(9, "projected descent: projected origin, monotonicity, fixed point",
@@ -300,7 +298,7 @@ def test_criterion_10_ssc_sampling(canonical):
     shape = (dec.n_levels, dec.grid.n)
     worst = 0.0
     for _ in range(16):
-        raw = Control(rng.standard_normal(shape), rng.standard_normal(shape))
+        raw = Control([rng.standard_normal(shape), rng.standard_normal(shape)])
         hdir = cone_project(raw, ubar, box, sets)
         nrm = control_norm(dec.grid, dec.tgrid, hdir)
         q = ctx.form(hdir, hdir) / nrm**2

@@ -97,7 +97,7 @@ def test_duality_linear_in_direction(rng):
     pr = make_problem()
     u = smooth_control(pr)
     h = random_control(pr, seed=2)
-    big = Control(10.0 * h.u1, 10.0 * h.u2)
+    big = Control(10.0 * h.v)
     ctx = SecondOrderContext(pr, u)
     r1 = check_duality(ctx, h=h)
     r2 = check_duality(ctx, h=big)
@@ -142,9 +142,9 @@ def test_misfit_adjoint_is_bitwise_the_per_level_march(case):
     # and so is the gradient built from it
     grad = reduced_gradient(u, pr, state=state)
     factors = StepFactors(pr, state, u)
-    d1 = 0.0 - factors.h_phi * Stepper.split(ref)[0]
-    assert grad.d1.tobytes() == d1.tobytes()
-    assert grad.d2.tobytes() == Stepper.split(ref)[2].tobytes()
+    want_u1 = 0.0 - factors.h_phi * Stepper.split(ref)[0]
+    assert grad.d.u1.tobytes() == want_u1.tobytes()
+    assert grad.d.u2.tobytes() == Stepper.split(ref)[2].tobytes()
 
 
 @pytest.mark.parametrize("ny", [None, 5])

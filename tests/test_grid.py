@@ -65,6 +65,14 @@ def test_quadrature_x_squared():
     assert inner(g, x, x) == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
+def test_inner_rejects_fields_of_another_shape():
+    grid = build_grid(1, [5], [1.0])
+    for v, w in ((np.zeros(4), np.zeros(5)), (np.zeros(5), np.zeros((1, 5)))):
+        with pytest.raises(ValueError) as info:
+            inner(grid, v, w)
+        assert str(info.value) == "fields must have shape (5,)"
+
+
 def test_norm_nonnegative_definite(rng):
     g = build_grid(1, [17], [1.0])
     v = rng.standard_normal(g.n)

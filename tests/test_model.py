@@ -485,7 +485,7 @@ def test_cost_spec_validation():
 
 def test_control_shape_validation():
     with pytest.raises(ValueError):
-        Control(np.zeros((3, 5)), np.zeros((3, 4)))
+        Control([np.zeros((3, 5)), np.zeros((3, 4))])
     u = zero_control(3, 5)
     assert u.shape == (3, 5)
     v = u.copy()
@@ -493,12 +493,30 @@ def test_control_shape_validation():
     assert u.u1[0, 0] == 0.0
 
 
+def test_control_is_one_stacked_array():
+    u1, u2 = np.arange(6.0).reshape(2, 3), -np.arange(6.0).reshape(2, 3)
+    u = Control([u1, u2])
+    assert u.v.shape == (2, 2, 3) and u.shape == (2, 3)
+    assert np.array_equal(u.u1, u1) and np.array_equal(u.u2, u2)
+    assert np.shares_memory(u.u1, u.v) and np.shares_memory(u.u2, u.v)
+    # a stacked array is kept as it is, and the views write through
+    v = Control(u.v)
+    assert v.v is u.v
+    v.u2[1, 2] = 7.0
+    assert u.v[1, 1, 2] == 7.0
+    with pytest.raises(AttributeError):
+        u.u1 = u2
+    for bad in (np.zeros((3, 2, 2)), np.zeros((2, 3)), np.zeros((2, 2, 2, 2))):
+        with pytest.raises(ValueError, match="share a"):
+            Control(bad)
+
+
 _NAN = np.full((3, 2), np.nan)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Control(_NAN, np.zeros((3, 2))),
-    lambda: Control(np.zeros((3, 2)), np.full((3, 2), np.inf)),
+    lambda: Control([_NAN, np.zeros((3, 2))]),
+    lambda: Control([np.zeros((3, 2)), np.full((3, 2), np.inf)]),
     lambda: InitialData(np.zeros(2), np.array([0.0, np.nan]), np.zeros(2)),
     lambda: InitialData(np.zeros(2), np.zeros(2), np.array([np.inf, 0.0])),
     lambda: CostSpec(b0=np.nan),
@@ -523,16 +541,57 @@ def test_box_validation_and_span():
     assert BoxConstraints().span() == 1.0
 
 
+def test_box_stacks_its_bounds_as_a_control_stacks_its_components():
+    field = np.linspace(0.5, 1.0, 12).reshape(3, 4)
+    box = BoxConstraints(lower1=-1.0, upper1=field, lower2=-2.0)
+    assert box.lower.shape == (2, 1, 1)
+    assert box.lower.ravel().tolist() == [-1.0, -2.0]
+    assert box.upper.shape == (2, 3, 4)
+    assert np.array_equal(box.upper[0], field)
+    assert np.all(box.upper[1] == np.inf)
+    # the four bounds stay the settable fields
+    assert [f.name for f in dataclasses.fields(box) if f.init] == [
+        "lower1", "upper1", "lower2", "upper2"]
+    assert box.span() == 2.0
+    u = Control([np.full((3, 4), 0.8), np.full((3, 4), -3.0)])
+    p = project_admissible(u, box)
+    assert np.array_equal(p.u1, np.minimum(0.8, field))
+    assert np.all(p.u2 == -2.0)
+    # 1-D bounds are fields of one level, broadcast over every level
+    row = BoxConstraints(upper2=np.full(4, 0.1))
+    assert row.upper.shape == (2, 1, 4)
+    assert np.all(project_admissible(u, row).u2 == -3.0)
+
+
+def test_control_problem_rejects_misshapen_data():
+    pr = make_problem(nodes=5, steps=3)
+    cases = [
+        ({"init": InitialData(np.zeros(4), np.zeros(4), np.zeros(4))},
+         "initial fields must have shape (5,)"),
+        ({"cost": CostSpec(b0=1.0, target_Q=np.zeros((3, 5)))},
+         "target_Q must have shape (4, 5), got (3, 5)"),
+        ({"cost": CostSpec(b0=1.0, target_Omega=np.zeros(4))},
+         "target_Omega must have shape (5,)"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(pr, **change)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        InitialData(np.zeros(5), np.zeros(4), np.zeros(5))
+    assert str(info.value) == "initial fields must share one shape"
+
+
 def test_projection_identity_inside_box(rng):
     box = BoxConstraints(lower1=-1.0, upper1=1.0, lower2=-1.0, upper2=1.0)
-    u = Control(rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4)))
+    u = Control([rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4))])
     p = project_admissible(u, box)
     assert np.array_equal(p.u1, u.u1) and np.array_equal(p.u2, u.u2)
 
 
 def test_projection_clamps():
     box = BoxConstraints(upper1=2.0)
-    u = Control(np.full((2, 3), 5.0), np.zeros((2, 3)))
+    u = Control([np.full((2, 3), 5.0), np.zeros((2, 3))])
     p = project_admissible(u, box)
     assert np.all(p.u1 == 2.0)
     assert np.array_equal(p.u2, u.u2)
@@ -541,8 +600,8 @@ def test_projection_clamps():
 def test_projection_nonexpansive(rng):
     box = BoxConstraints(lower1=-0.3, upper1=0.8, lower2=0.0, upper2=0.5)
     for _ in range(20):
-        u = Control(rng.standard_normal((2, 6)), rng.standard_normal((2, 6)))
-        v = Control(rng.standard_normal((2, 6)), rng.standard_normal((2, 6)))
+        u = Control([rng.standard_normal((2, 6)), rng.standard_normal((2, 6))])
+        v = Control([rng.standard_normal((2, 6)), rng.standard_normal((2, 6))])
         pu, pv = project_admissible(u, box), project_admissible(v, box)
         dp = np.hypot(pu.u1 - pv.u1, pu.u2 - pv.u2)
         d = np.hypot(u.u1 - v.u1, u.u2 - v.u2)

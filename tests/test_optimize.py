@@ -84,9 +84,9 @@ def test_gradient_is_plain_control_without_tracking():
     pr = make_problem(b0=1.7, b1=0.0, b2=0.0, tracking=False)
     u = random_control(pr, seed=8)
     grad = reduced_gradient(u, pr)
-    assert np.array_equal(grad.grad1, 1.7 * u.u1)
-    assert np.array_equal(grad.grad2, 1.7 * u.u2)
-    assert np.all(grad.d1 == 0.0) and np.all(grad.d2 == 0.0)
+    assert np.array_equal(grad.grad.u1, 1.7 * u.u1)
+    assert np.array_equal(grad.grad.u2, 1.7 * u.u2)
+    assert np.all(grad.d.v == 0.0)
 
 
 def test_reduced_gradient_releases_its_step_factors(monkeypatch):
@@ -140,8 +140,8 @@ def test_reduced_gradient_drops_each_step_factor_after_its_solve(
     assert len(alive) == pr.tgrid.steps
     monkeypatch.setattr(Stepper, "factorize", factorize)
     ref = SecondOrderContext(pr, u, state).gradient
-    for name in ("d1", "d2", "grad1", "grad2"):
-        assert getattr(grad, name).tobytes() == getattr(ref, name).tobytes()
+    for got, want in ((grad.d, ref.d), (grad.grad, ref.grad)):
+        assert got.v.tobytes() == want.v.tobytes()
 
 
 @pytest.mark.parametrize("potential", ["regular", "logarithmic"])
@@ -154,7 +154,7 @@ def test_extruded_2d_problem_reproduces_1d_row_by_row(potential):
     pr2 = make_problem(nodes=nx, steps=16, potential=potential, ny=ny)
 
     def extrude(c):
-        return Control(np.repeat(c.u1, ny, axis=1), np.repeat(c.u2, ny, axis=1))
+        return Control(np.repeat(c.v, ny, axis=2))
 
     def rows_err(a, b):
         gap = np.abs(b.reshape(pr1.n_levels, nx, ny) - a[:, :, None]).max()
@@ -167,9 +167,8 @@ def test_extruded_2d_problem_reproduces_1d_row_by_row(potential):
     for name in ("mu", "phi", "sigma"):
         assert rows_err(getattr(ctx1.state, name),
                         getattr(ctx2.state, name)) < 1e-14
-    for name in ("grad1", "grad2"):
-        assert rows_err(getattr(ctx1.gradient, name),
-                        getattr(ctx2.gradient, name)) < 1e-14
+    for g1, g2 in zip(ctx1.gradient.grad.v, ctx2.gradient.grad.v):
+        assert rows_err(g1, g2) < 1e-14
     form1, form2 = ctx1.form(h, h), ctx2.form(extrude(h), extrude(h))
     assert abs(form2 - form1) <= 2e-14 * abs(form1)
     # the Taylor oracle along the same extruded unit directions: an extruded
@@ -207,8 +206,8 @@ def test_pgd_lands_on_projected_origin():
 def test_pgd_respects_active_bounds():
     pr = make_problem(b0=1.0, b1=0.0, b2=0.0, tracking=False)
     box = BoxConstraints(lower1=0.1, upper1=0.5, lower2=-0.5, upper2=-0.2)
-    u0 = Control(np.full((pr.n_levels, pr.grid.n), 0.4),
-                 np.full((pr.n_levels, pr.grid.n), -0.4))
+    u0 = Control([np.full((pr.n_levels, pr.grid.n), 0.4),
+                  np.full((pr.n_levels, pr.grid.n), -0.4)])
     res = projected_gradient(u0, pr, box, PgdOptions(tol=1e-12, max_iter=20))
     assert res.converged
     # minimum of |u|^2 over the box sits on the nearest bounds
@@ -227,8 +226,7 @@ def test_pgd_tracking_run_descends_and_stops_at_fixed_point():
     assert res.stationarity <= 1e-8
     # pointwise characterization: u = proj(-d / b0)
     from tumoropt import project_admissible
-    d = Control(res.gradient.d1, res.gradient.d2)
-    fixed = project_admissible(Control(-d.u1, -d.u2), box)
+    fixed = project_admissible(Control(-res.gradient.d.v), box)
     gap = max(np.abs(res.control.u1 - fixed.u1).max(),
               np.abs(res.control.u2 - fixed.u2).max())
     assert gap <= 1e-7
@@ -302,7 +300,8 @@ def _shape(pr):
 def test_active_sets_empty_for_zero_gradient():
     pr = make_problem()
     z = np.zeros(_shape(pr))
-    grad = GradientField(d1=z, d2=z, grad1=z, grad2=z, adjoint=None)
+    grad = GradientField(d=Control([z, z]), grad=Control([z, z]),
+                         adjoint=None)
     sets = strongly_active_sets(grad, 0.5)
     assert not sets.A1.any() and not sets.A2.any()
     assert default_tau(grad) == 0.0
@@ -315,9 +314,12 @@ def test_active_sets_threshold():
     g1[1, 0] = 0.9
     g1[1, 1] = 0.1
     g2[2, 2] = -0.7
-    grad = GradientField(d1=g1, d2=g2, grad1=g1, grad2=g2,
-                         adjoint=None)
+    g = Control([g1, g2])
+    grad = GradientField(d=g, grad=g, adjoint=None)
     sets = strongly_active_sets(grad, 0.5)
+    assert sets.A.shape == (2,) + _shape(pr)
+    assert np.shares_memory(sets.A1, sets.A) and np.shares_memory(sets.A2,
+                                                                  sets.A)
     assert sets.A1[1, 0] and not sets.A1[1, 1]
     assert sets.A2[2, 2]
     assert sets.A1.sum() == 1 and sets.A2.sum() == 1
@@ -330,15 +332,15 @@ def test_cone_project_zeroes_and_clips():
     pr = make_problem(steps=2, nodes=3)
     shape = _shape(pr)
     box = BoxConstraints(lower1=-1.0, upper1=1.0, lower2=-1.0, upper2=1.0)
-    ubar = Control(np.zeros(shape), np.zeros(shape))
+    ubar = Control([np.zeros(shape), np.zeros(shape)])
     ubar.u1[0, 0] = -1.0  # sits on the lower bound
     ubar.u1[0, 1] = 1.0   # sits on the upper bound
     g = np.zeros(shape)
     g[1, 1] = 2.0  # strongly active point
     sets = strongly_active_sets(
-        GradientField(d1=g, d2=g * 0, grad1=g, grad2=g * 0,
+        GradientField(d=Control([g, g * 0]), grad=Control([g, g * 0]),
                       adjoint=None), 1.0)
-    h = Control(np.full(shape, -0.5), np.full(shape, 0.5))
+    h = Control([np.full(shape, -0.5), np.full(shape, 0.5)])
     v = cone_project(h, ubar, box, sets)
     assert v.u1[1, 1] == 0.0          # active point zeroed
     assert v.u1[0, 0] == 0.0          # lower bound: negative part clipped
@@ -405,7 +407,7 @@ def test_quadratic_form_against_cost_differences():
     def second_diff(eps):
         vals = []
         for s in (eps, 0.0, -eps):
-            us = Control(u.u1 + s * h.u1, u.u2 + s * h.u2)
+            us = Control(u.v + s * h.v)
             vals.append(cost_eval(pr, pr.solve(us), us))
         return (vals[0] - 2.0 * vals[1] + vals[2]) / eps**2
 
@@ -522,8 +524,7 @@ def _ssc_case(case):
     box = BoxConstraints(lower1=u.u1, upper1=u.u1 + 1.0, lower2=u.u2,
                          upper2=u.u2 + 1.0)
     ctx = SecondOrderContext(pr, u)
-    grad = np.sort(np.abs(np.concatenate([ctx.gradient.grad1.ravel(),
-                                          ctx.gradient.grad2.ravel()])))
+    grad = np.sort(np.abs(ctx.gradient.grad.v.ravel()))
     return ctx, 0.5 * (grad[1] + grad[2]), box
 
 
@@ -602,7 +603,7 @@ def _window_case(case):
                              upper2=u.u2)
     elif case == "no-active":
         grad = ctx.gradient
-        tau = 2.0 * max(np.abs(grad.grad1).max(), np.abs(grad.grad2).max())
+        tau = 2.0 * np.abs(grad.grad.v).max()
     return ctx, active_sets(ctx, tau), box
 
 
@@ -779,7 +780,7 @@ def _same_run(a, b, columns=("iteration", "cost", "stationarity",
     return (a.reason == b.reason and a.n_iter == b.n_iter
             and a.control.u1.tobytes() == b.control.u1.tobytes()
             and a.control.u2.tobytes() == b.control.u2.tobytes()
-            and a.gradient.grad1.tobytes() == b.gradient.grad1.tobytes()
+            and a.gradient.grad.u1.tobytes() == b.gradient.grad.u1.tobytes()
             and [[row[c] for c in columns] for row in a.history]
             == [[row[c] for c in columns] for row in b.history])
 
@@ -823,8 +824,7 @@ def test_newton_steps_keep_active_bounds():
     assert np.abs(u).max() <= 0.05
     assert np.mean(np.abs(u) == 0.05) > 0.2
     # pointwise characterization: u = proj(-d / b0)
-    d = Control(res.gradient.d1 / 0.01, res.gradient.d2 / 0.01)
-    fixed = project_admissible(Control(-d.u1, -d.u2), box)
+    fixed = project_admissible(Control(-res.gradient.d.v / 0.01), box)
     assert max(np.abs(res.control.u1 - fixed.u1).max(),
                np.abs(res.control.u2 - fixed.u2).max()) <= 1e-6
 
@@ -836,7 +836,7 @@ def test_nonpositive_curvature_falls_back_to_the_gradient_step(monkeypatch):
     ref = _bb_only(monkeypatch, *args)
 
     def negated(self, h):
-        return Control(-h.u1, -h.u2)
+        return Control(-h.v)
 
     monkeypatch.setattr(SecondOrderContext, "hessian_product", negated)
     res = projected_gradient(*args)
@@ -856,7 +856,7 @@ def test_newton_phase_reports_why_it_stopped(monkeypatch):
 
     # an ascent direction: no trial passes the Armijo test
     def ascent(context, grad, box, stat):
-        return Control(-grad.grad1, -grad.grad2), 0
+        return Control(-grad.grad.v), 0
 
     monkeypatch.setattr(optimize_module, "_newton_direction", ascent)
     monkeypatch.setattr(optimize_module, "_MAX_BACKTRACKS", 3)

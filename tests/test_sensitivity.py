@@ -27,7 +27,7 @@ def test_superposition_of_directions():
     factors = StepFactors(pr, pr.solve(u), u)
     h1 = random_control(pr, seed=2)
     h2 = random_control(pr, seed=3)
-    both = Control(h1.u1 + h2.u1, h1.u2 + h2.u2)
+    both = Control(h1.v + h2.v)
     a = solve_generalized_linear(factors, h1)
     b = solve_generalized_linear(factors, h2)
     c = solve_generalized_linear(factors, both)
@@ -291,7 +291,7 @@ def test_linearization_is_first_derivative(potential):
     lin = solve_generalized_linear(StepFactors(pr, state, u), h)
 
     def remainder(eps):
-        pert = pr.solve(Control(u.u1 + eps * h.u1, u.u2 + eps * h.u2))
+        pert = pr.solve(Control(u.v + eps * h.v))
         return max(np.abs(pert.mu - state.mu - eps * lin.eta).max(),
                    np.abs(pert.phi - state.phi - eps * lin.xi).max(),
                    np.abs(pert.sigma - state.sigma - eps * lin.theta).max())
@@ -324,7 +324,7 @@ def test_bilinearized_is_derivative_increment():
     bil = solve_bilinearized(factors, lin, lin, h, h)
 
     def remainder(eps):
-        up = Control(u.u1 + eps * h.u1, u.u2 + eps * h.u2)
+        up = Control(u.v + eps * h.v)
         lp = solve_generalized_linear(StepFactors(pr, pr.solve(up), up), h)
         return max(np.abs(lp.eta - lin.eta - eps * bil.eta).max(),
                    np.abs(lp.xi - lin.xi - eps * bil.xi).max(),
@@ -344,7 +344,7 @@ def test_second_order_taylor_expansion():
     bil = solve_bilinearized(factors, lin, lin, h, h)
 
     def remainder(eps):
-        pert = pr.solve(Control(u.u1 + eps * h.u1, u.u2 + eps * h.u2))
+        pert = pr.solve(Control(u.v + eps * h.v))
         half = 0.5 * eps * eps
         return max(
             np.abs(pert.mu - state.mu - eps * lin.eta - half * bil.eta).max(),

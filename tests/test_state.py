@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -69,8 +70,8 @@ def test_mass_identity_2d():
         phi0=0.2 * np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1]),
         sigma0=np.full(grid.n, 0.1))
     rng = np.random.default_rng(7)
-    u = Control(0.1 * rng.standard_normal((7, grid.n)),
-                0.1 * rng.standard_normal((7, grid.n)))
+    u = Control([0.1 * rng.standard_normal((7, grid.n)),
+                 0.1 * rng.standard_normal((7, grid.n))])
     problem = ControlProblem(grid=grid, tgrid=tgrid, params=params,
                              potential=PotentialSpec("regular"), nonlin=nonlin,
                              cost=CostSpec(b0=1.0), init=init)
@@ -94,7 +95,7 @@ def test_constant_data_reduces_to_ode(potential):
     for steps in (64, 128):
         pr = _constant_problem(potential, steps)
         shape = (pr.n_levels, pr.grid.n)
-        u = Control(np.full(shape, u1v), np.full(shape, u2v))
+        u = Control([np.full(shape, u1v), np.full(shape, u2v)])
         traj = pr.solve(u)
         # spatial constancy is preserved (Laplacian of constants vanishes)
         assert max(np.ptp(traj.mu[-1]), np.ptp(traj.phi[-1]),
@@ -598,7 +599,7 @@ def test_2d_newton_failures_name_the_step(monkeypatch):
         with pytest.raises(SolverError,
                            match="^step 1: Newton did not converge"):
             pr.solve(u)
-    bad = Control(u.u1.copy(), u.u2.copy())
+    bad = Control([u.u1.copy(), u.u2.copy()])
     bad.u1[3, 5] = np.nan
     # step 3 starts with an LU carried from the steps before it
     with pytest.raises(SolverError, match="^step 3: non-finite"):
@@ -633,7 +634,7 @@ def _assert_trajectories_equal(got, want):
 
 
 def _shifted_u1(u, shift):
-    return Control(u.u1 + shift, u.u2.copy())
+    return Control([u.u1 + shift, u.u2.copy()])
 
 
 def _batch_controls(pr):
@@ -708,7 +709,7 @@ def test_batch_failure_is_the_lowest_member_at_the_first_failing_level():
     pr = make_problem(potential="logarithmic", steps=10)
     u = smooth_control(pr, amp=0.2)
     at_4, at_3 = _shifted_u1(u, -100.0), _shifted_u1(u, -200.0)
-    nan_at_3 = Control(u.u1.copy(), u.u2.copy())
+    nan_at_3 = Control([u.u1.copy(), u.u2.copy()])
     nan_at_3.u1[3, 4] = np.nan
     assert _error_of(solve_state, pr, at_4).startswith("step 4: ")
     for control in (at_3, nan_at_3):
@@ -794,7 +795,7 @@ def _failing_batches(pr):
     failing level, and an energy check before a Newton failure."""
     u = smooth_control(pr, amp=0.2)
     at_4, at_3 = _shifted_u1(u, -100.0), _shifted_u1(u, -200.0)
-    nan_at_3 = Control(u.u1.copy(), u.u2.copy())
+    nan_at_3 = Control([u.u1.copy(), u.u2.copy()])
     nan_at_3.u1[3, 4] = np.nan
     return [[u, at_4, at_3, u], [u, at_3, nan_at_3], [u, nan_at_3, at_3],
             [at_4, u]]
@@ -828,6 +829,100 @@ def test_lockstep_failures_are_those_of_the_per_member_oracle(monkeypatch):
         assert (_error_of(solve_states, pr, batch)
                 == _error_of(solve_states_per_member, pr, batch)
                 == "step 3: band LU failed: exactly singular at column 1")
+
+
+def _chord_fallbacks(monkeypatch):
+    """Patch `_Lockstep` to count the chord steps that fall back to a fresh
+    LU: those the separation ceiling pinned at t = 0 ("pinned") and those
+    that did not contract ("stale")."""
+    counts = {"pinned": 0, "stale": 0}
+    direct, trial = state._Lockstep._direct, state._Lockstep._try
+
+    def counted_direct(self, q, trials):
+        refactor = direct(self, q, trials)
+        counts["pinned"] += len(refactor)
+        return refactor
+
+    def counted_try(self, q, factor):
+        before = len(factor)
+        out = trial(self, q, factor)
+        counts["stale"] += len(factor) - before
+        return out
+
+    monkeypatch.setattr(state._Lockstep, "_direct", counted_direct)
+    monkeypatch.setattr(state._Lockstep, "_try", counted_try)
+    return counts
+
+
+def _pulse_2d(component, amp):
+    """The 9x9 logarithmic problem over [0, 1] in 8 steps, driven by a pulse
+    of one control component at level 4 alone."""
+    pr = _problem_2d(steps=8)
+    pr = dataclasses.replace(pr, tgrid=TimeGrid(steps=8, t_final=1.0))
+    v = np.zeros((2, pr.n_levels, pr.grid.n))
+    v[component, 4] = amp
+    return pr, Control(v)
+
+
+def test_lockstep_chord_step_that_does_not_contract_factors_again(
+        monkeypatch):
+    pr, u = _pulse_2d(0, 30.0)
+    counts = _chord_fallbacks(monkeypatch)
+    traj = solve_state(pr, u)
+    assert counts == {"pinned": 0, "stale": 7}
+    _assert_trajectories_equal(traj, solve_states_per_member(pr, [u])[0])
+
+
+def test_lockstep_chord_step_pinned_at_the_ceiling_factors_again(
+        monkeypatch):
+    # one node of the initial phase field sits inside the separation margin,
+    # and the LU carried into step 1 points the other way (as in
+    # test_stale_chord_step_pinned_at_the_ceiling_factors_again)
+    pr = _problem_2d(steps=4)
+    phi0 = pr.init.phi0.copy()
+    phi0[pr.grid.n // 2] = 1.0 - 0.5 * state._SEPARATION_MARGIN
+    pr = dataclasses.replace(pr, init=dataclasses.replace(pr.init,
+                                                          phi0=phi0))
+    stepper, x_prev, u1, u2 = _first_step(pr)
+    u = smooth_control(pr, amp=0.4)
+    reversed_lu = _Reversed(stepper.factorize(x_prev, u1))
+    counts = _chord_fallbacks(monkeypatch)
+    xs = [np.empty((pr.n_levels, 3 * pr.grid.n))]
+    xs[0][0] = x_prev
+    iters, lus = [np.zeros(pr.n_levels, dtype=int)], [
+        np.zeros(pr.n_levels, dtype=int)]
+    newton = state._Lockstep(stepper, xs, iters, lus, [u])
+    newton.members[0].lu = reversed_lu
+    assert newton.level(1) == {}
+    assert counts["pinned"] == 1
+    assert not isinstance(newton.members[0].lu, _Reversed)
+    x, its, n_lu = newton_step(stepper, x_prev, u1, u2, 1,
+                               carried=CarriedLU(reversed_lu))
+    assert xs[0][1].tobytes() == x.tobytes()
+    assert (iters[0][1], lus[0][1]) == (its, n_lu)
+    # a march whose phase field presses on the margin: the pinned chord
+    # step factors again, the fresh step is pinned too, and the march fails
+    # as the per-member oracle does
+    pr, u = _pulse_2d(1, 1000.0)
+    counts["pinned"] = 0
+    message = _error_of(solve_state, pr, u)
+    assert counts["pinned"] == 1
+    assert message.startswith("step 4: Newton update pinned")
+    assert message == _error_of(solve_states_per_member, pr, [u])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lockstep_newton_stall_is_that_of_the_per_member_oracle(
+        monkeypatch, dim):
+    # a tolerance below round-off: Newton reaches the residual's floor, where
+    # no Armijo trial lowers it
+    pr = make_problem(steps=4) if dim == 1 else _problem_2d(steps=4)
+    u = smooth_control(pr, amp=0.4)
+    monkeypatch.setattr(state, "_NEWTON_TOL", 1e-20)
+    message = _error_of(solve_state, pr, u)
+    assert re.fullmatch(r"step 1: Newton stalled at residual \S+ after "
+                        r"\d+ iterations", message)
+    assert message == _error_of(solve_states_per_member, pr, [u])
 
 
 def _counting_rows(monkeypatch):
@@ -930,7 +1025,7 @@ def test_non_finite_control_is_solver_error():
 
 def test_control_shape_mismatch_rejected():
     pr = make_problem()
-    bad = Control(np.zeros((3, pr.grid.n)), np.zeros((3, pr.grid.n)))
+    bad = Control([np.zeros((3, pr.grid.n)), np.zeros((3, pr.grid.n))])
     with pytest.raises(ValueError, match="control"):
         pr.solve(bad)
 

@@ -268,6 +268,31 @@ def test_second_order_source_matches_inline_reference(potential, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_second_order_source_adjoint_is_the_pairing_derivative(potential,
+                                                               dim):
+    # pointwise, <lam, S(h, k)> is linear in (yk, k1): the state part paired
+    # with yk plus the u1 part paired with k1, at one level and on histories
+    st = _stepper(potential, dim, "full")
+    rng = np.random.default_rng(11)
+    for levels in (None, 4):
+        states = [_state(st, seed=20 + j) for j in range(levels or 1)]
+        x, u1 = (np.stack(f) if levels else f[0] for f in zip(*states))
+        lead = x.shape[:-1]
+        lam, yh, yk = rng.standard_normal((3,) + lead + (3 * st.n,))
+        h1, k1 = rng.standard_normal((2,) + lead + (st.n,))
+        coef = st.second_order_coefficients(x, u1)
+        state_part, u1_part = st.second_order_source_adjoint(coef, lam, yh,
+                                                             h1)
+        assert state_part.shape == yk.shape and u1_part.shape == k1.shape
+        src = st.second_order_source(coef, yh, yk, h1, k1)
+        want = sum(a * b for a, b in zip(st.split(lam), st.split(src)))
+        got = sum(a * b for a, b in zip(st.split(state_part),
+                                        st.split(yk))) + u1_part * k1
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_transport_matches_per_field_formula(dim):
     st = _stepper("regular", dim, "full")
     rng = np.random.default_rng(11)
@@ -348,7 +373,7 @@ def test_form_is_multiplier_weighted_sum_of_sources():
     ubar = smooth_control(pr, amp=0.3)
     ctx = SecondOrderContext(pr, ubar)
     h = smooth_control(pr, amp=0.5)
-    k = Control(np.sin(h.u1), -0.5 * h.u2)
+    k = Control([np.sin(h.u1), -0.5 * h.u2])
     lin_h, lin_k = ctx.linearize(h), ctx.linearize(k)
     st, state, adj = ctx.problem.stepper, ctx.state, ctx.adjoint
     wt, w = pr.tgrid.weights(), pr.grid.weights

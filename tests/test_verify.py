@@ -17,6 +17,7 @@ from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _batch_len,
                              _refine_nested,
                              _strong_form_levels, adjoint_continuous_residual,
                              check_duality, check_gradient_fd,
+                             check_hessian_duality,
                              check_stability_ratios, check_taylor_orders,
                              fit_slope, make_slope_report, refine_control,
                              refine_problem, run_verification, THRESHOLDS)
@@ -140,6 +141,53 @@ def test_duality_zero_cost_is_exactly_zero():
     assert check_duality(SecondOrderContext(pr, smooth_control(pr))) == 0.0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {}, {"b2": 1.0}, {"potential": "logarithmic"}, {"nodes": 9, "ny": 9}])
+def test_hessian_duality_holds_to_round_off(kwargs):
+    pr = make_problem(**kwargs)
+    form_gap, symmetry_gap = check_hessian_duality(
+        SecondOrderContext(pr, smooth_control(pr)))
+    assert type(form_gap) is float and type(symmetry_gap) is float
+    assert form_gap <= 1e-13 and symmetry_gap <= 1e-13
+    assert THRESHOLDS["hessian_duality"] == 1e-10
+
+
+def test_hessian_duality_draws_its_own_stream(monkeypatch):
+    # the check draws from a fresh generator, so no other check's draws move
+    pr = make_problem(steps=4)
+    ctx = SecondOrderContext(pr, smooth_control(pr))
+    seen = []
+    product = SecondOrderContext.hessian_product
+
+    def recorded(self, h):
+        seen.append(h)
+        return product(self, h)
+
+    monkeypatch.setattr(SecondOrderContext, "hessian_product", recorded)
+    check_hessian_duality(ctx, seed=3)
+    rng = np.random.default_rng(3)
+    want = [verify_module._random_direction(pr, rng) for _ in range(2)]
+    (got,) = seen
+    assert [d.v.tobytes() for d in got] == [d.v.tobytes() for d in want]
+
+
+def test_hessian_duality_fails_a_perturbed_product(monkeypatch):
+    pr = make_problem(steps=6)
+    u = smooth_control(pr, amp=0.1)
+    product = SecondOrderContext.hessian_product
+
+    def scaled(self, h):
+        return [Control(1.01 * p.v) for p in product(self, h)]
+
+    monkeypatch.setattr(SecondOrderContext, "hessian_product", scaled)
+    form_gap, symmetry_gap = check_hessian_duality(SecondOrderContext(pr, u))
+    assert form_gap == pytest.approx(0.01, rel=1e-9)
+    assert symmetry_gap <= 1e-13
+    report = run_verification(pr, u, n_dirs=2, n_pairs=1)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["hessian_duality"] and not report["all_passed"]
+
+
 # ---------------------------------------------------------------------------
 # ODE reduction oracle
 
@@ -197,7 +245,7 @@ def test_refine_control_is_exact_on_bilinear_data():
     fine = refine_problem(pr)
     x = pr.grid.coordinates()[:, 0][None, :]
     t = pr.tgrid.times[:, None]
-    u = Control((1.0 + t) * (0.2 + x), (2.0 - t) * (0.1 - 0.3 * x))
+    u = Control([(1.0 + t) * (0.2 + x), (2.0 - t) * (0.1 - 0.3 * x)])
     uf = refine_control(u, pr)
     xf = fine.grid.coordinates()[:, 0][None, :]
     tf = fine.tgrid.times[:, None]
@@ -327,7 +375,7 @@ def test_bilinear_route_supports_final_tracking():
     assert ctx.form(h, h) == pytest.approx(exact, rel=1e-12)
 
     def jval(s):
-        us = Control(u.u1 + s * h.u1, u.u2 + s * h.u2)
+        us = Control(u.v + s * h.v)
         return cost_eval(pr, pr.solve(us), us)
 
     eps = 1e-2
@@ -352,8 +400,8 @@ def test_form_with_final_tracking_is_the_gradient_derivative(case):
                                  rel=1e-12, abs=0.0)
 
     def slope(t):
-        grad = reduced_gradient(Control(u.u1 + t * h.u1, u.u2 + t * h.u2), pr)
-        return control_inner(pr.grid, pr.tgrid, grad.as_control(), k)
+        grad = reduced_gradient(Control(u.v + t * h.v), pr)
+        return control_inner(pr.grid, pr.tgrid, grad.grad, k)
 
     fd = (slope(FORM_FD_EPS) - slope(-FORM_FD_EPS)) / (2.0 * FORM_FD_EPS)
     assert abs(fd - form) <= FORM_FD_BOUND * abs(form)
@@ -510,7 +558,8 @@ def test_run_verification_all_pass():
     report = run_verification(pr, smooth_control(pr, amp=0.1), seed=0,
                               n_dirs=2, n_pairs=1)
     names = [c["name"] for c in report["checks"]]
-    assert names == ["mass_identity", "duality", "gradient_fd",
+    assert names == ["mass_identity", "duality", "hessian_duality",
+                     "gradient_fd",
                      "taylor_state", "taylor_ds_increment", "taylor_cost",
                      "stability_ratios", "adjoint_strong_form"]
     for check in report["checks"]:
