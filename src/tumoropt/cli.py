@@ -89,14 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare_out_dir(out_dir: Path, force: bool) -> None:
-    if out_dir.exists():
-        if not out_dir.is_dir():
-            raise ConfigError(f"output path {out_dir} is not a directory")
-        if any(out_dir.iterdir()) and not force:
-            raise ConfigError(
-                f"output directory {out_dir} is not empty (use --force)")
-    else:
-        out_dir.mkdir(parents=True)
+    try:
+        if out_dir.exists():
+            if not out_dir.is_dir():
+                raise ConfigError(f"output path {out_dir} is not a directory")
+            if any(out_dir.iterdir()) and not force:
+                raise ConfigError(
+                    f"output directory {out_dir} is not empty (use --force)")
+        else:
+            out_dir.mkdir(parents=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +172,13 @@ def _run_simulate(setup: RunSetup, out_dir: Path, say) -> int:
                                    problem.stepper.split(state.x[k]))))
     _write_csv(out_dir / "diagnostics.csv",
                ["level", "time", "newton_iters", "factorizations",
-                "mass_residual", "energy", "phi_min", "phi_max"],
-               "%d,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g",
+                "final_residual", "mass_residual", "energy", "phi_min",
+                "phi_max"],
+               "%d,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g",
                zip(range(state.n_levels), state.times, state.newton_iters,
-                   state.factorizations, state.mass_residual, state.energy,
-                   state.phi_min, state.phi_max))
+                   state.factorizations, state.final_residual,
+                   state.mass_residual, state.energy, state.phi_min,
+                   state.phi_max))
     say(f"simulate: {state.n_levels - 1} steps, "
         f"max mass residual {state.mass_residual.max():.3e}")
     return EXIT_OK

@@ -95,9 +95,12 @@ _SEPARATION_MARGIN = 1e-8
 # Chord iterations after meeting the tolerance (the polish).  Each reuses an
 # LU formed at an earlier iterate (it factors only when there is none), tries
 # the full step once, shortened only by the separation ceiling, and keeps it
-# only if the residual strictly drops; the first one that does not help ends
-# the polish, and 0 turns it off.  A march that carries its LU (`_Lockstep`)
-# polishes while the residual falls, within `_NEWTON_MAX_ITER`.
+# only if the residual strictly drops.  Another follows only if the kept one
+# cut the residual to at most `_CHORD_CONTRACTION` of its value: the first
+# that does not help or contracts less ends the polish, and 0 turns it off.
+# A march that carries its LU (`_Lockstep`) polishes within
+# `_NEWTON_MAX_ITER` rather than this count, so it stops where the chord
+# iteration loses its contraction, at the round-off floor.
 _POLISH_STEPS = 1
 # A march fails once the free energy of a level exceeds this factor times
 # max(|E_0|, 1).
@@ -112,6 +115,7 @@ class StateTrajectory:
     times: np.ndarray   # (N_t+1,)
     newton_iters: np.ndarray
     factorizations: np.ndarray  # Jacobian LUs formed per step, entry 0 is 0
+    final_residual: np.ndarray  # max-norm step residual at x[k], entry 0 is 0
     mass_residual: np.ndarray   # relative, entry k for step k, entry 0 is 0
     energy: np.ndarray
 
@@ -237,13 +241,14 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
             raise failures[i]
 
     trajectories = []
-    for x, its, factorizations, control in zip(xs, iters, lus, controls):
+    for x, its, factorizations, final, control in zip(
+            xs, iters, lus, newton.finals, controls):
         energy, mass_rel = _step_diagnostics(stepper, x, control)
         _check_energy(energy)
         trajectories.append(StateTrajectory(
             x=x, times=tgrid.times, newton_iters=its,
-            factorizations=factorizations, mass_residual=mass_rel,
-            energy=energy))
+            factorizations=factorizations, final_residual=final,
+            mass_residual=mass_rel, energy=energy))
     return trajectories
 
 
@@ -330,14 +335,18 @@ class _Lockstep:
     residual stays finite and falls to at most `_CHORD_CONTRACTION` of its
     value; otherwise, or when the separation ceiling pins the chord step at
     t = 0, it factors at the iterate and takes the damped Newton step.  The
-    2-D polish runs while the residual strictly falls, within
-    `_NEWTON_MAX_ITER` iterations, so most 2-D steps form no LU.
+    2-D polish runs while each kept step cuts the residual to at most
+    `_CHORD_CONTRACTION` of its value, within `_NEWTON_MAX_ITER`
+    iterations, so most 2-D steps form no LU and none polishes on at the
+    round-off floor.  `finals` holds the residual norm each member ends
+    each step at.
     """
 
     def __init__(self, stepper: Stepper, xs: list, iters: list, lus: list,
                  controls: Sequence[Control]):
         self.stepper = stepper
         self.xs, self.iters, self.lus = xs, iters, lus
+        self.finals = [np.zeros(len(x)) for x in xs]
         self.controls = controls
         self.members = [_Member(i) for i in range(len(controls))]
         self.lag = stepper.superlu
@@ -349,7 +358,7 @@ class _Lockstep:
         self.ceiling_args = (lo, hi, margin)
         self.band = (lo + margin, hi - margin)
         self.tol_scale = _NEWTON_TOL * stepper.coef_scale
-        # a lagged polish runs while the residual falls, within the budget
+        # a lagged polish runs while it contracts, within the budget
         self.polish = (_NEWTON_MAX_ITER if self.lag and _POLISH_STEPS > 0
                        else _POLISH_STEPS)
 
@@ -547,12 +556,15 @@ class _Lockstep:
         top, again, moved = [], [], []
         for s, x, res, rnorm in zip(q, rows, *self._residuals(q, z)):
             if s.converged:
-                # polish: kept only if it helps
+                # polish: kept only if it helps, and followed by another
+                # only if it contracts as a kept chord step does
                 if rnorm < s.rnorm:
+                    contracts = rnorm <= _CHORD_CONTRACTION * s.rnorm
                     s.x, s.res, s.rnorm = x, res, rnorm
-                    top.append(s)
-                else:
-                    self._end(s)
+                    if contracts:
+                        top.append(s)
+                        continue
+                self._end(s)
             elif s.chord:
                 # chord: kept if it contracts (False for a non-finite
                 # residual); else the damped Newton step from a fresh LU
@@ -596,6 +608,7 @@ class _Lockstep:
             return
         i, k = s.i, self.k
         self.xs[i][k], self.iters[i][k], self.lus[i][k] = s.x, s.it, s.n_lu
+        self.finals[i][k] = s.rnorm
 
     def _fail(self, s: _Member, message: str) -> None:
         self.failures[s.i] = SolverError(f"step {self.k}: {message}")

@@ -102,7 +102,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
                  start: np.ndarray | None = None,
                  carried: CarriedLU | None = None
                  ) -> Generator[tuple[str, np.ndarray], object,
-                                tuple[np.ndarray, int, int]]:
+                                tuple[np.ndarray, int, int, float]]:
     """Solve step k from `start` (x_prev if None or unusable).
 
     A request loop: the step never calls the stepper for a residual or an
@@ -114,8 +114,9 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
     With `carried`, each iteration first tries a chord step with the LU of
     an earlier iterate, and `carried.lu` holds the last LU on return;
     without it every Newton iteration factors at its iterate.  Returns the
-    state, the iterations (chord ones included) and the LUs formed.  The
-    solver constants are those of `tumoropt.state` when the step starts.
+    state, the iterations (chord ones included), the LUs formed and the
+    max norm of the residual at the state.  The solver constants are those
+    of `tumoropt.state` when the step starts.
     """
     tol = state_module._NEWTON_TOL
     max_iter = state_module._NEWTON_MAX_ITER
@@ -164,7 +165,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
                     "barrier")
         return delta, t
 
-    # a lagged polish runs while the residual falls, within the budget
+    # a lagged polish runs while it contracts, within the budget
     polish_left = max_iter if lag and polish_steps > 0 else polish_steps
     converged = rnorm <= tol_at(x)
     it = 0
@@ -192,10 +193,14 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
             res_new = yield ("residual", x_new)
             rnorm_new = float(np.abs(res_new).max())
             if converged:
-                # polish: kept only if it helps
+                # polish: kept only if it helps, and followed by another
+                # only if it contracts as a kept chord step does
                 if not rnorm_new < rnorm:
                     break
+                contracts = rnorm_new <= _CHORD_CONTRACTION * rnorm
                 x, res, rnorm = x_new, res_new, rnorm_new
+                if not contracts:
+                    break
                 continue
             # chord: kept if it contracts (False for a non-finite residual)
             if rnorm_new <= _CHORD_CONTRACTION * rnorm:
@@ -229,7 +234,7 @@ def _newton_step(stepper: Stepper, x_prev: np.ndarray, k: int,
         raise SolverError(
             f"step {k}: Newton did not converge within "
             f"{max_iter} iterations (residual {rnorm:.3e})")
-    return x, it, n_lu
+    return x, it, n_lu, rnorm
 
 
 def _inside_margin(stepper: Stepper, x: np.ndarray, margin: float) -> bool:
@@ -245,7 +250,7 @@ def _inside_margin(stepper: Stepper, x: np.ndarray, margin: float) -> bool:
 def _solve_alone(step, stepper: Stepper, x_prev: np.ndarray,
                  u1k: np.ndarray, u2k: np.ndarray, answer=None,
                  error: SolverError | None = None
-                 ) -> tuple[np.ndarray, int, int]:
+                 ) -> tuple[np.ndarray, int, int, float]:
     """Resume a Newton step with (answer, error) and run it to its end,
     answering its requests by one-level stepper calls; returns its result
     and raises its SolverError."""
@@ -276,7 +281,7 @@ def newton_step(stepper, x_prev, u1k, u2k, k, start=None, carried=None):
     the iterations and the LUs formed."""
     return _solve_alone(_newton_step(stepper, x_prev, k, start=start,
                                      carried=carried),
-                        stepper, x_prev, u1k, u2k)
+                        stepper, x_prev, u1k, u2k)[:3]
 
 
 def _march_per_member(problem: ControlProblem, control: Control):
@@ -288,14 +293,16 @@ def _march_per_member(problem: ControlProblem, control: Control):
     x = np.empty((n_levels, 3 * problem.grid.n))
     iters = np.zeros(n_levels, dtype=int)
     lus = np.zeros(n_levels, dtype=int)
+    final = np.zeros(n_levels)
     x[0] = problem.init.stacked()
     carried = CarriedLU() if stepper.superlu else None
     for k in range(1, n_levels):
         guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
         try:
-            x[k], iters[k], lus[k] = newton_step(
-                stepper, x[k - 1], control.u1[k], control.u2[k], k,
-                start=guess, carried=carried)
+            x[k], iters[k], lus[k], final[k] = _solve_alone(
+                _newton_step(stepper, x[k - 1], k, start=guess,
+                             carried=carried),
+                stepper, x[k - 1], control.u1[k], control.u2[k])
         except SolverError as exc:
             try:
                 _check_energy(_step_diagnostics(stepper, x[:k], control)[0])
@@ -309,7 +316,8 @@ def _march_per_member(problem: ControlProblem, control: Control):
         return None, (n_levels, exc)
     return StateTrajectory(
         x=x, times=problem.tgrid.times, newton_iters=iters,
-        factorizations=lus, mass_residual=mass_rel, energy=energy), None
+        factorizations=lus, final_residual=final, mass_residual=mass_rel,
+        energy=energy), None
 
 
 def solve_states_per_member(problem: ControlProblem, controls) -> list:

@@ -95,6 +95,10 @@ def test_simulate_diagnostics_record_factorizations(tmp_path):
     state = setup.problem.solve(setup.initial_control)
     assert [int(r["factorizations"]) for r in rows] == \
         state.factorizations.tolist()
+    # the final residual follows them, written to round-trip
+    assert list(rows[0])[4] == "final_residual"
+    assert [float(r["final_residual"]) for r in rows] == \
+        state.final_residual.tolist()
     # chord polish: fewer LUs than Newton iterations, at least one per step
     lus = [int(r["factorizations"]) for r in rows[1:]]
     iters = [int(r["newton_iters"]) for r in rows[1:]]
@@ -252,6 +256,39 @@ def test_degenerate_check_settings_are_config_errors(tmp_path, command,
     again = _run_canonical(tmp_path, command, overrides)
     assert again.returncode == EXIT_CONFIG
     assert again.stderr == proc.stderr
+
+
+def test_output_directory_that_cannot_be_made_is_a_config_error(tmp_path):
+    # the output directory would sit inside a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    proc = _run_canonical(blocker, "simulate",
+                          ["grid.shape=[9]", "time.steps=4"])
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(
+        f"config error: cannot use output directory {blocker / 'out'}: ")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept\n"
+
+
+def test_output_directory_that_cannot_be_listed_is_a_config_error(
+        tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, ZERO)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def denied(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(pathlib.Path, "iterdir", denied)
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot use output directory {out}: "
+        "Permission denied\n")
+    monkeypatch.undo()
+    assert list(out.iterdir()) == []
 
 
 # the former solver and descent settings, module constants now, and the

@@ -192,6 +192,19 @@ def test_trajectory_fields_are_views_of_the_stacked_histories():
     assert traj.x[2, 2 * n + 1] == 7.0
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_final_residual_is_the_residual_at_each_accepted_state(dim):
+    pr = (make_problem(potential="logarithmic", steps=8) if dim == 1
+          else _problem_2d("logarithmic", steps=8))
+    u = smooth_control(pr, amp=0.4)
+    traj = pr.solve(u)
+    x, stepper = traj.x, pr.stepper
+    assert traj.final_residual[0] == 0.0
+    for k in range(1, pr.n_levels):
+        res = stepper.residual(x[k], x[k - 1], u.u1[k], u.u2[k])
+        assert traj.final_residual[k] == np.abs(res).max(), f"step {k}"
+
+
 def test_energy_blowup_raises_during_march(monkeypatch):
     monkeypatch.setattr(state, "_ENERGY_BLOWUP_FACTOR", 1e-16)
     pr = make_problem(steps=6)
@@ -460,8 +473,36 @@ def test_2d_chord_march_matches_per_iteration_newton(case):
     assert traj.newton_iters.sum() > ref_iters.sum()
 
 
-def test_2d_chord_polish_runs_until_the_residual_stops_falling(monkeypatch):
-    pr = _problem_2d("regular", steps=12)
+def _polish_by_rule(stepper, x_prev, u1, u2, x, lu):
+    """Chord steps with `lu` from the converged iterate x: a trial is kept
+    if it lowers the residual, and followed by another only if it cut the
+    residual to at most a quarter.  Returns the end point and the trials."""
+    res = stepper.residual(x, x_prev, u1, u2)
+    trials = 0
+    while True:
+        delta = lu.solve(-res)
+        t = 1.0
+        if stepper.potential.guarded:
+            t = state._step_ceiling(stepper.split(x)[1],
+                                    stepper.split(delta)[1],
+                                    *stepper.potential.domain,
+                                    state._SEPARATION_MARGIN)
+        trial = x + t * delta
+        res_trial = stepper.residual(trial, x_prev, u1, u2)
+        trials += 1
+        before, after = np.abs(res).max(), np.abs(res_trial).max()
+        if not after < before:
+            return x, trials
+        x, res = trial, res_trial
+        if not after <= state._CHORD_CONTRACTION * before:
+            return x, trials
+
+
+@pytest.mark.parametrize("case", sorted(CHORD_CASES))
+def test_2d_chord_polish_stops_once_a_step_contracts_less_than_fourfold(
+        monkeypatch, case):
+    pr = dataclasses.replace(CHORD_CASES[case](),
+                             tgrid=TimeGrid(steps=12, t_final=0.1))
     u = smooth_control(pr, amp=0.4)
     traj = pr.solve(u)
     stepper, x = pr.stepper, traj.x
@@ -469,16 +510,32 @@ def test_2d_chord_polish_runs_until_the_residual_stops_falling(monkeypatch):
     carried = CarriedLU()
     for k in range(1, pr.n_levels):
         guess = None if k == 1 else 2.0 * x[k - 1] - x[k - 2]
+        lu_in = carried.lu
         xk, iters, lus = newton_step(stepper, x[k - 1], u.u1[k], u.u2[k], k,
                                      start=guess, carried=carried)
         assert xk.tobytes() == x[k].tobytes(), f"step {k}: march differs"
         assert (iters, lus) == (traj.newton_iters[k], traj.factorizations[k])
-        # one more chord step would not lower the residual
+        # the same step stopped at the tolerance, then polished by the rule
+        with monkeypatch.context() as patch:
+            patch.setattr(state, "_POLISH_STEPS", 0)
+            x0, iters0, _ = newton_step(stepper, x[k - 1], u.u1[k], u.u2[k],
+                                        k, start=guess,
+                                        carried=CarriedLU(lu_in))
+        polished, trials = _polish_by_rule(stepper, x[k - 1], u.u1[k],
+                                           u.u2[k], x0, carried.lu)
+        assert polished.tobytes() == xk.tobytes(), f"step {k}: polish differs"
+        assert iters == iters0 + trials
+        # one more chord step would not cut the residual to a quarter
         res = stepper.residual(xk, x[k - 1], u.u1[k], u.u2[k])
         more = stepper.residual(xk + carried.lu.solve(-res), x[k - 1],
                                 u.u1[k], u.u2[k])
-        assert not np.abs(more).max() < np.abs(res).max(), (
-            f"step {k}: the polish stopped while the residual still fell")
+        assert not (np.abs(more).max()
+                    <= state._CHORD_CONTRACTION * np.abs(res).max()), (
+            f"step {k}: the polish stopped while it still contracted")
+    # every step ends at the round-off floor, far below its tolerance
+    tol = (state._NEWTON_TOL * stepper.coef_scale
+           * (1.0 + np.abs(x[1:]).max(axis=1)))
+    assert np.all(traj.final_residual[1:] <= 1e-4 * tol)
     # no polish stops each step at the tolerance
     monkeypatch.setattr(state, "_POLISH_STEPS", 0)
     unpolished = pr.solve(u)
@@ -622,8 +679,8 @@ def test_2d_newton_failures_name_the_step(monkeypatch):
 # batch marches
 
 
-TRAJECTORY_FIELDS = ("x", "newton_iters", "factorizations", "mass_residual",
-                     "energy", "phi_min", "phi_max")
+TRAJECTORY_FIELDS = ("x", "newton_iters", "factorizations", "final_residual",
+                     "mass_residual", "energy", "phi_min", "phi_max")
 
 
 def _assert_trajectories_equal(got, want):
