@@ -146,13 +146,17 @@ class _FactorPool:
             worker.join()
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 @functools.cache
 def _factor_pool() -> _FactorPool | None:
     """The look-ahead pool of this process, started on first use: one
     worker per usable CPU up to `_WORKERS`, and None on a single CPU."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(_WORKERS, cpus)
+    workers = min(_WORKERS, usable_cpus())
     return _FactorPool(workers) if workers > 1 else None
 
 

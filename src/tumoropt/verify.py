@@ -19,21 +19,35 @@ and stability checks march the controls they shift or draw as batches
 (`solve_states`, at most `_batch_len` controls a batch) and give each
 state its own context; the refinement check solves one control per finer
 problem.  Every solve of a problem shares its `ControlProblem.stepper`.
+
+The battery's tail, the stability and strong-form checks, reads no result
+of another check.  After the mass and duality checks have formed the state,
+step factors and adjoint at ubar, `run_verification` forks once and a child
+runs the tail on the context it inherited, while the parent runs the FD and
+Taylor checks.  It forks only where `os.fork` exists, two CPUs are usable
+and no other thread is alive; in 2-D the look-ahead LU pool's threads are
+alive by then, so 2-D runs serially.  The report and the errors it raises,
+their order included, are those of a serial run.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import signal
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .grid import build_grid, inner
 from .model import Control, CostSpec
 from .optimize import SecondOrderContext, _block_len, cost_eval
 from .problem import ControlProblem, control_inner, control_norm, st_inner
+from .sensitivity import usable_cpus
 from .state import InitialData, StateTrajectory, TimeGrid, solve_states
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -551,6 +565,69 @@ def adjoint_continuous_residual(context: SecondOrderContext,
 # aggregated report
 
 
+def _may_fork() -> bool:
+    """Whether the battery's tail may run in a forked child: the platform
+    forks, a second CPU can run it, and no other thread is alive.  A child
+    forked beside the look-ahead LU pool would wait on workers it lacks."""
+    return (hasattr(os, "fork") and usable_cpus() >= 2
+            and threading.active_count() == 1)
+
+
+class _Forked:
+    """`fn()` run in a forked child, which pickles its result or exception
+    into a pipe and exits."""
+
+    def __init__(self, fn):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                try:
+                    out = (True, fn())
+                except BaseException as exc:
+                    out = (False, exc)
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(out))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self._pipe = open(read, "rb")
+
+    def result(self):
+        """The child's result, or its exception raised again here; read to
+        the end of the pipe before the child is reaped."""
+        try:
+            data = self._pipe.read()
+        except BaseException:
+            self.kill()
+            raise
+        self._pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if not data:
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with status {code}")
+            raise SolverError("the child running the stability and "
+                              f"strong-form checks {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        """Stop the child and reap it."""
+        os.kill(self.pid, signal.SIGKILL)
+        self._pipe.close()
+        os.waitpid(self.pid, 0)
+
+
 def run_verification(problem: ControlProblem, ubar: Control,
                      seed: int = 0, n_dirs: int = 3,
                      n_pairs: int = 2) -> dict:
@@ -587,7 +664,34 @@ def run_verification(problem: ControlProblem, ubar: Control,
          "symmetry_relative_residual": symmetry_gap},
         max(form_gap, symmetry_gap) <= THRESHOLDS["hessian_duality"])
 
-    gradient = check_gradient_fd(context, n_dirs=n_dirs, seed=seed)
+    def tail() -> tuple[StabilityReport, list[float]]:
+        stability = check_stability_ratios(problem, n_pairs=n_pairs,
+                                           seed=seed)
+        fine = refine_problem(problem)
+        finer = refine_problem(fine)
+        u_fine = refine_control(ubar, problem)
+        return stability, [
+            adjoint_continuous_residual(context).aggregate,
+            adjoint_continuous_residual(
+                SecondOrderContext(fine, u_fine)).aggregate,
+            adjoint_continuous_residual(SecondOrderContext(
+                finer, refine_control(u_fine, fine))).aggregate]
+
+    child = None
+    if _may_fork():
+        try:
+            child = _Forked(tail)
+        except OSError:     # no process to spare: the tail runs here
+            pass
+    try:
+        gradient = check_gradient_fd(context, n_dirs=n_dirs, seed=seed)
+        taylor = check_taylor_orders(context, seed=seed)
+    except BaseException:
+        if child is not None:
+            child.kill()
+        raise
+    stability, aggregates = tail() if child is None else child.result()
+
     worst_best = gradient.details["worst_best_rel_error"]
     add("gradient_fd",
         "central differences of the cost against the adjoint gradient",
@@ -595,7 +699,6 @@ def run_verification(problem: ControlProblem, ubar: Control,
          "worst_best_rel_error": worst_best},
         gradient.passed and worst_best <= THRESHOLDS["fd_agreement"])
 
-    taylor = check_taylor_orders(context, seed=seed)
     names = ("taylor_state", "taylor_ds_increment", "taylor_cost")
     descriptions = (
         "first-order state remainder, expected quadratic decay",
@@ -605,7 +708,6 @@ def run_verification(problem: ControlProblem, ubar: Control,
         add(nm, desc, {"fitted_slope": rep.fitted_slope,
                        "expected_slope": rep.expected_slope}, rep.passed)
 
-    stability = check_stability_ratios(problem, n_pairs=n_pairs, seed=seed)
     add("stability_ratios",
         "state/first/second sensitivity ratios stable under refinement",
         {"base": stability.base_ratios, "refined": stability.refined_ratios,
@@ -613,14 +715,6 @@ def run_verification(problem: ControlProblem, ubar: Control,
          "homogeneity_error": stability.homogeneity_error},
         stability.passed)
 
-    fine = refine_problem(problem)
-    finer = refine_problem(fine)
-    u_fine = refine_control(ubar, problem)
-    aggregates = [adjoint_continuous_residual(context).aggregate,
-                  adjoint_continuous_residual(
-                      SecondOrderContext(fine, u_fine)).aggregate,
-                  adjoint_continuous_residual(SecondOrderContext(
-                      finer, refine_control(u_fine, fine))).aggregate]
     if max(aggregates) == 0.0:
         order = np.inf
         passed = True

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
+import signal
 from collections.abc import Generator
 from dataclasses import dataclass
 
@@ -23,6 +26,7 @@ from tumoropt.state import (_CHORD_CONTRACTION, StateTrajectory,
                             _check_energy, _step_ceiling, _step_diagnostics,
                             _validate_initial)
 from tumoropt.stepper import Stepper
+from tumoropt import verify as verify_module
 from tumoropt.verify import (EPS_LADDER, FD_SEARCH_LADDER, STRONG_FORM_CUT,
                              AdjointResidualReport, _norm3, _random_direction,
                              _shifted, _smooth_random_control,
@@ -824,3 +828,59 @@ def stability_ratios_per_control(problem, n_pairs=2, seed=0, amp=0.3,
     return StabilityReport(base_ratios=base, refined_ratios=refined,
                            max_change_factor=max_factor,
                            homogeneity_error=hom_rel, passed=passed)
+
+
+# ---------------------------------------------------------------------------
+# the forked tail of the verification battery
+
+
+def force_tail_path(monkeypatch, fork: bool) -> list[int]:
+    """Make `run_verification` fork its tail (`fork`) or run it inline, and
+    record the pid `os.fork` returns to this process at each call."""
+    forks: list[int] = []
+    real_fork = os.fork
+
+    def recorded_fork() -> int:
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(verify_module, "_may_fork", lambda: fork)
+    return forks
+
+
+def in_forked_child(parent_pid: int, action):
+    """A stand-in for a check of the battery's tail: it runs `action()` in
+    a forked child, and refuses to run in the test's own process."""
+    def check(*args, **kwargs):
+        if os.getpid() == parent_pid:
+            raise AssertionError("the tail ran in the test's process")
+        return action()
+    return check
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the block with a TimeoutError once it has run `seconds`: a
+    wait on a forked child that never ends fails instead of hanging."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process was left behind")

@@ -13,10 +13,14 @@ import pytest
 import yaml
 
 import tumoropt.stepper
-from tumoropt import SscReport, StepFactors, solve_adjoint
+import tumoropt.verify
+from tumoropt import (ConfigError, SolverError, SscReport, StepFactors,
+                      solve_adjoint)
 from tumoropt import state
 from tumoropt.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_SOLVER, main)
 from tumoropt.config import RunConfig, build_setup
+
+from _support import assert_no_child_left, force_tail_path, in_forked_child
 
 COUPLED = """\
 grid: {shape: [17]}
@@ -702,6 +706,29 @@ def test_verify_with_a_failing_shifted_control_is_solver_error(tmp_path,
                           "within 6 iterations")
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (SolverError, EXIT_SOLVER, "solver failure"),
+    (ConfigError, EXIT_CONFIG, "config error"),
+])
+def test_verify_error_in_the_forked_tail_keeps_its_exit_code(
+        tmp_path, capsys, monkeypatch, error, code, prefix):
+    def fail():
+        raise error("step 2: stand-in failure in the child")
+
+    monkeypatch.setattr(tumoropt.verify, "check_stability_ratios",
+                        in_forked_child(os.getpid(), fail))
+    forks = force_tail_path(monkeypatch, fork=True)
+    cfg = _write(tmp_path, COUPLED)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert err == f"{prefix}: step 2: stand-in failure in the child\n"
+    assert len(forks) == 1
+    assert not out.exists() or list(out.iterdir()) == []
+    assert_no_child_left()
 
 
 def test_resolved_config_reparses(tmp_path):

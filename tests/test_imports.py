@@ -125,29 +125,52 @@ def test_every_threshold_is_read_by_the_checks():
     assert sorted(read - defined) == [], "read but never defined"
 
 
-# scipy.integrate and scipy.optimize serve only the tests' ODE oracle; a CLI
-# run that imports either pays their start-up for nothing
+# scipy.integrate and scipy.optimize serve only the tests' ODE oracle, and
+# `verify` forks its tail with os.fork alone: a CLI run that imports any of
+# them pays its start-up for nothing.  The guard prints the exit code, the
+# number of forks and any such module the run imported.
 GUARD = """\
+import os
 import sys
 import tumoropt.cli
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(None)
+    return fork()
+os.fork = counted_fork
 code = tumoropt.cli.main(sys.argv[1:])
-print(code, *[m for m in ("scipy.integrate", "scipy.optimize")
-              if m in sys.modules])
+print(code, len(forks), *[m for m in ("scipy.integrate", "scipy.optimize",
+                                      "multiprocessing") if m in sys.modules])
 """
 
 
-def test_cli_run_imports_no_test_only_scipy_module(tmp_path):
+def _guarded_run(tmp_path, command: str, config: str, sets) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", GUARD, "simulate",
-         "--config", str(ROOT / "configs" / "zero.yaml"),
+        [sys.executable, "-c", GUARD, command,
+         "--config", str(ROOT / "configs" / config),
          "--out-dir", str(tmp_path / "out"), "--quiet",
-         "--set", "grid.shape=[9]", "--set", "time.steps=4"],
+         *(arg for s in sets for arg in ("--set", s))],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    return proc.stdout.split()
+
+
+def test_cli_run_imports_no_test_only_scipy_module(tmp_path):
+    assert _guarded_run(tmp_path, "simulate", "zero.yaml",
+                        ["grid.shape=[9]", "time.steps=4"]) == ["0", "0"]
+
+
+def test_cli_verify_forks_without_multiprocessing(tmp_path):
+    from tumoropt.sensitivity import usable_cpus
+    # a fresh 1-D verify has no other thread, so it forks on two CPUs
+    forks = int(usable_cpus() >= 2)
+    assert _guarded_run(tmp_path, "verify", "canonical_1d.yaml",
+                        ["grid.shape=[17]", "time.steps=12"]) == ["0",
+                                                                  str(forks)]
 
 
 def _exported_names(tree: ast.Module) -> set[str]:

@@ -1,17 +1,23 @@
 """The verification harness itself: oracles, slopes, and the gate."""
 
 import dataclasses
+import json
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
 
 from tumoropt import (ConfigError, Control, ControlProblem, CostSpec,
+                      SolverError,
                       InitialData, ModelParams, SecondOrderContext,
                       StepFactors, Stepper, NonlinearitySpec, PotentialSpec,
                       ScalarShape, TimeGrid, build_grid, control_inner,
                       cost_eval, inner, reduced_gradient)
 import tumoropt.optimize as optimize_module
 import tumoropt.problem
+import tumoropt.sensitivity as sensitivity_module
 import tumoropt.verify as verify_module
 from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _batch_len,
                              _refine_nested,
@@ -22,8 +28,10 @@ from tumoropt.verify import (EPS_LADDER, STRONG_FORM_CUT, _batch_len,
                              fit_slope, make_slope_report, refine_control,
                              refine_problem, run_verification, THRESHOLDS)
 
-from _support import (adjoint_residual_eliminated, gradient_fd_per_control,
-                      make_problem, ode_reduction_reference,
+from _support import (adjoint_residual_eliminated, assert_no_child_left,
+                      force_tail_path, gradient_fd_per_control,
+                      in_forked_child, make_problem, ode_reduction_reference,
+                      time_limit,
                       quadratic_form_bilinear_route, random_control,
                       richardson_state_at_T, smooth_control,
                       stability_ratios_per_control, taylor_orders_per_control)
@@ -584,6 +592,9 @@ def test_run_verification_builds_one_stepper_per_problem(monkeypatch):
 
     monkeypatch.setattr(ControlProblem, "__post_init__", count_problem)
     monkeypatch.setattr(Stepper, "__init__", count_stepper)
+    # a forked tail would build its refined problems where this count
+    # cannot see them
+    force_tail_path(monkeypatch, fork=False)
     run_verification(pr, smooth_control(pr, amp=0.1), n_dirs=1, n_pairs=1)
     assert len(steppers) <= len(problems) <= 4
 
@@ -607,10 +618,155 @@ def test_run_verification_solves_and_factors_once_at_ubar(monkeypatch):
 
     monkeypatch.setattr(tumoropt.problem, "solve_state", count_solve)
     monkeypatch.setattr(StepFactors, "lu", count_lu)
+    # the counts are of one process: the whole battery runs in this one
+    force_tail_path(monkeypatch, fork=False)
     run_verification(pr, u, n_dirs=1, n_pairs=1)
     assert sum(p is pr and c is u for p, c in solves) == 1
     # one factor pass: each step operator at ubar factored exactly once
     assert sorted(lus) == list(range(1, pr.n_levels))
+
+
+def test_forked_tail_solves_and_factors_nothing_at_ubar(monkeypatch):
+    # the child reads the state, factors and adjoint at ubar from the
+    # context it inherited: any solve or factor request there fails it
+    pr = make_problem(nodes=9, steps=6)
+    u = smooth_control(pr, amp=0.1)
+    parent = os.getpid()
+    solve_state = tumoropt.problem.solve_state
+    lu = StepFactors.lu
+
+    def parent_solve(problem, control):
+        if os.getpid() != parent and problem is pr and control is u:
+            raise AssertionError("the child solved the state at ubar")
+        return solve_state(problem, control)
+
+    def parent_lu(self, k):
+        if os.getpid() != parent and self.ubar is u:
+            raise AssertionError(f"the child asked for step {k}'s factor "
+                                 "at ubar")
+        return lu(self, k)
+
+    monkeypatch.setattr(tumoropt.problem, "solve_state", parent_solve)
+    monkeypatch.setattr(StepFactors, "lu", parent_lu)
+    forks = force_tail_path(monkeypatch, fork=True)
+    assert run_verification(pr, u, n_dirs=1, n_pairs=1)["all_passed"]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def _report_bytes(pr, u) -> bytes:
+    """The report as JSON: floats written exactly, in the report's order."""
+    return json.dumps(run_verification(pr, u, n_dirs=1, n_pairs=1)).encode()
+
+
+def test_forked_and_inline_tails_give_the_same_report(monkeypatch):
+    pr = make_problem(nodes=9, steps=6)
+    u = smooth_control(pr, amp=0.1)
+    forks = force_tail_path(monkeypatch, fork=True)
+    forked = _report_bytes(pr, u)
+    assert len(forks) == 1
+    assert_no_child_left()
+    force_tail_path(monkeypatch, fork=False)
+    assert _report_bytes(pr, u) == forked
+
+
+def test_tail_runs_inline_when_no_process_can_be_forked(monkeypatch):
+    pr = make_problem(nodes=9, steps=6)
+    u = smooth_control(pr, amp=0.1)
+    force_tail_path(monkeypatch, fork=False)
+    inline = _report_bytes(pr, u)
+    opened = set(os.listdir("/proc/self/fd"))
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(verify_module, "_may_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _report_bytes(pr, u) == inline
+    assert set(os.listdir("/proc/self/fd")) == opened   # the pipe closed
+
+
+def test_2d_verification_beside_the_lu_pool_runs_inline(monkeypatch):
+    pr = make_problem(nodes=5, steps=4, ny=5)
+    u = smooth_control(pr, amp=0.1)
+    with monkeypatch.context() as inline_only:
+        force_tail_path(inline_only, fork=False)
+        inline = _report_bytes(pr, u)
+    # the pool's threads are alive on two CPUs; a child forked beside them
+    # would wait on workers it lacks, so any fork fails the test
+    pool = sensitivity_module._factor_pool()
+    assert (pool is None) == (sensitivity_module.usable_cpus() < 2)
+    assert pool is None or threading.active_count() > 1
+
+    def refused():
+        raise AssertionError("forked beside the LU pool")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert _report_bytes(pr, u) == inline
+
+
+def test_error_in_the_forked_tail_is_raised_again(monkeypatch):
+    pr = make_problem(nodes=9, steps=6)
+    u = smooth_control(pr, amp=0.1)
+
+    def fail():
+        raise SolverError("step 2: stand-in failure")
+
+    monkeypatch.setattr(verify_module, "check_stability_ratios",
+                        in_forked_child(os.getpid(), fail))
+    forks = force_tail_path(monkeypatch, fork=True)
+    with time_limit(60), pytest.raises(SolverError,
+                                       match="^step 2: stand-in failure$"):
+        run_verification(pr, u, n_dirs=1, n_pairs=1)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("child_failed", [True, False])
+def test_parent_error_wins_over_the_forked_tail(monkeypatch, child_failed):
+    # the child has failed and exited, its error waiting in the pipe, or
+    # still runs when the parent's half fails
+    pr = make_problem(nodes=9, steps=6)
+    u = smooth_control(pr, amp=0.1)
+    forks = force_tail_path(monkeypatch, fork=True)
+
+    def child():
+        if child_failed:
+            raise SolverError("the child's half failed")
+        signal.pause()      # until the parent kills it
+
+    def parent_fails(*args, **kwargs):
+        if child_failed:
+            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        raise SolverError("the parent's half failed")
+
+    monkeypatch.setattr(verify_module, "check_stability_ratios",
+                        in_forked_child(os.getpid(), child))
+    monkeypatch.setattr(verify_module, "check_gradient_fd", parent_fails)
+    with time_limit(60), pytest.raises(SolverError,
+                                       match="^the parent's half failed$"):
+        run_verification(pr, u, n_dirs=1, n_pairs=1)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("death, named", [
+    (lambda: os._exit(7), "exited with status 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+])
+def test_forked_tail_that_dies_without_a_result_is_solver_error(
+        monkeypatch, death, named):
+    pr = make_problem(nodes=9, steps=6)
+    u = smooth_control(pr, amp=0.1)
+    monkeypatch.setattr(verify_module, "check_stability_ratios",
+                        in_forked_child(os.getpid(), death))
+    forks = force_tail_path(monkeypatch, fork=True)
+    with time_limit(60), pytest.raises(
+            SolverError, match=f"strong-form checks {named} without a "
+                               "result$"):
+        run_verification(pr, u, n_dirs=1, n_pairs=1)
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def _assert_same_slope_report(got, want):
