@@ -49,8 +49,8 @@ def main(argv=None) -> int:
         # resolved config is written only once the run got through, so a
         # config error leaves the directory empty for a rerun
         code = runner(setup, out_dir, say)
-        (out_dir / "resolved_config.yaml").write_text(
-            yaml.safe_dump(setup.resolved, sort_keys=True))
+        _write_text(out_dir / "resolved_config.yaml",
+                    yaml.safe_dump(setup.resolved, sort_keys=True))
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -106,6 +106,15 @@ def _prepare_out_dir(out_dir: Path, force: bool) -> None:
 # ---------------------------------------------------------------------------
 # formatting helpers
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; failing to is a config error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
     """One line per row, formatted by `fmt` in one % operation.
 
@@ -113,7 +122,7 @@ def _write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
     """
     lines = [",".join(header)]
     lines.extend(fmt % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _coord_names(grid: Grid) -> list[str]:
@@ -139,7 +148,7 @@ def _write_space_time_csv(path: Path, grid: Grid, name: str,
 def _write_report(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _snapshot_levels(setup: RunSetup) -> list[int]:

@@ -39,6 +39,12 @@ from .stepper import SecondOrderCoefficients, Stepper
 # line about 11 MB.
 _CACHE_BYTES = 128 * 2**20
 
+# Bytes of Jacobian values a serial march evaluates in one stacked call
+# (`Stepper.jacobian_values`): 28 levels of a 129-node line.  One stack of
+# all 200 levels (7.4 MB) made desk-1d slower than 32-level chunks; chunks
+# of 8 to 128 levels timed alike.
+_CHUNK_BYTES = 2**20
+
 # Worker threads that form 2-D step LUs ahead of a march (SuperLU releases
 # the GIL while it factors), and the factors a march has formed or queued
 # ahead of its requests.  On a 33x33x30 rectangle (2-core x86-64 VM) an
@@ -178,11 +184,13 @@ class StepFactors:
     formed again on each request.  A single march that uses each factor once
     (the adjoint of a gradient) passes `cache_bytes=0` and keeps none.
 
-    A march names the levels it will request, in order (`ahead`).  In 2-D a
-    pool of worker threads forms the next `_LOOK_AHEAD` of them while the
-    march solves; each factor is the same computation, so the solves are
-    bitwise those of a serial march.  A factor `lu` returns during such a
-    march and does not keep is valid until the next request.
+    A march names the levels it will request, in order (`ahead`): in 2-D on
+    more than one CPU a pool of worker threads forms the next `_LOOK_AHEAD`
+    of them while the march solves, else their Jacobian values are
+    evaluated in stacked chunks.  Each factor is the same computation, so
+    the solves are bitwise those of a march level by level.  A factor `lu`
+    returns during a pooled march and does not keep is valid until the next
+    request.
     """
 
     def __init__(self, problem: ControlProblem, state: StateTrajectory,
@@ -194,35 +202,42 @@ class StepFactors:
         self._cached_bytes = 0
         self._cache_bytes = (_CACHE_BYTES if cache_bytes is None
                              else cache_bytes)
-        # the look-ahead of a march: levels still to queue, queued futures,
-        # and the factor last returned and not kept
+        # the look-ahead of a march: levels still to queue, chunks not yet
+        # evaluated by first level, rows evaluated and not yet factored,
+        # queued futures, and the factor last returned and not kept
         self._pool: _FactorPool | None = None
         self._todo: collections.deque[int] = collections.deque()
+        self._chunks: dict[int, list[int]] = {}
+        self._chunk: dict[int, np.ndarray] = {}
         self._ahead: dict[int, Future] = {}
         self._borrowed: _PooledLU | None = None
         self._finalizer: weakref.finalize | None = None
 
+    @contextlib.contextmanager
     def ahead(self, levels: Iterable[int]):
         """Context of a march that requests the factors of `levels`, in that
-        order.  In 2-D, with more than one usable CPU, the factors not kept
-        are formed ahead on `_factor_pool`; on exit, after a return or an
-        error, no factor work of the march is still running and every factor
-        it formed and does not keep has been released.  1-D band LUs cost
-        less than handing them to a thread, so 1-D marches stay serial."""
-        pool = _factor_pool() if self.problem.stepper.superlu else None
-        if pool is None:
-            return contextlib.nullcontext()
-        return self._looking_ahead(pool, levels)
-
-    @contextlib.contextmanager
-    def _looking_ahead(self, pool: _FactorPool, levels: Iterable[int]):
-        self._pool = pool
-        self._todo = collections.deque(k for k in levels if k not in self._lus)
-        self._fill()
+        order: formed ahead on `_factor_pool` in 2-D with more than one
+        usable CPU (1-D band LUs cost less than handing them to a thread),
+        else from Jacobian values evaluated a chunk of at most `_CHUNK_BYTES`
+        at a time.  A factor that may be kept is formed from a copy of its
+        row, so it does not hold its chunk and `cache_bytes` counts what is
+        held.  On exit, after a return or an error, no factor work or chunk
+        of the march is left, and every factor it formed and does not keep
+        has been released."""
+        self._pool = _factor_pool() if self.problem.stepper.superlu else None
+        todo = [k for k in levels if k not in self._lus]
+        if self._pool is None:
+            size = max(1, _CHUNK_BYTES // self.problem.stepper.values_nbytes)
+            self._chunks = {todo[i]: todo[i:i + size]
+                            for i in range(0, len(todo), size)}
+        else:
+            self._todo = collections.deque(todo)
+            self._fill()
         try:
             yield
         finally:
             self._todo.clear()
+            self._chunks, self._chunk = {}, {}
             self._release_borrowed()
             pending, self._ahead = self._ahead, {}
             for future in pending.values():
@@ -252,9 +267,7 @@ class StepFactors:
             return hit
         pooled = k in self._ahead
         try:
-            fac = (self._formed_ahead(k) if pooled
-                   else self.problem.stepper.factorize(self.state.x[k],
-                                                       self.ubar.u1[k]))
+            fac = self._formed_ahead(k) if pooled else self._formed(k)
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
         size = 12 * fac.nnz
@@ -269,6 +282,19 @@ class StepFactors:
         elif pooled:
             self._borrowed = fac
         return fac
+
+    def _formed(self, k: int):
+        """The factor of level k from its row of Jacobian values.  Without
+        that row, the march's chunk that k starts, or else k alone, is
+        evaluated first."""
+        stepper = self.problem.stepper
+        if k not in self._chunk:
+            levels = self._chunks.pop(k, [k])
+            self._chunk = {}    # rows of skipped levels are freed first
+            self._chunk = dict(zip(levels, stepper.jacobian_values(
+                self.state.x[levels], self.ubar.u1[levels])))
+        row = self._chunk.pop(k)
+        return stepper.factor(row.copy() if self._cache_bytes else row)
 
     def _formed_ahead(self, k: int) -> _PooledLU:
         """The factor of level k queued ahead, once formed; the next level

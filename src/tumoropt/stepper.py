@@ -153,6 +153,10 @@ class Stepper:
         self._diag_slots = slots[:-n]
         if not self.superlu:
             self._init_band(full.indices, keys // size)
+        # the base and slots of `jacobian_values`, and the bytes of one row
+        self._values = ((self._base_data, self._diag_slots) if self.superlu
+                        else (self._band_base, self._band_slots))
+        self.values_nbytes = self._values[0].nbytes
         self._indices = full.indices
         self._indptr = full.indptr
         # shared by every assembled matrix, so no caller may edit them in place
@@ -373,11 +377,23 @@ class Stepper:
         if self.superlu:
             factor, values = self._sparse_lu, self.assemble(x, u1k)
         else:
-            factor, values = self._band_lu, self._with_reaction(
-                self._band_base, self._band_slots, x, u1k)
+            factor, values = self._band_lu, self.jacobian_values(x, u1k)
         if x.ndim == 1:
             return factor(values)
         return [factor(row) for row in values]
+
+    def jacobian_values(self, x: np.ndarray, u1k: np.ndarray) -> np.ndarray:
+        """The Jacobian values `factor` takes (the fixed CSC pattern's data
+        in 2-D, band storage in 1-D) at a stacked state x (3n,), or at rows
+        (m, 3n) of them, row i bitwise that of state i alone."""
+        return self._with_reaction(*self._values, x, u1k)
+
+    def factor(self, values: np.ndarray):
+        """`factorize` at one state from its `jacobian_values`; a 1-D
+        factor is formed in place and holds `values`."""
+        if self.superlu:
+            return self._sparse_lu(self._csc(values))
+        return self._band_lu(values)
 
     @staticmethod
     def _sparse_lu(jac: sps.csc_matrix):

@@ -295,6 +295,24 @@ def test_output_directory_that_cannot_be_listed_is_a_config_error(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("simulate", "diagnostics.csv"),
+    ("simulate", "resolved_config.yaml"),
+    ("verify", "verification_report.json"),
+])
+def test_output_file_that_cannot_be_written_is_a_config_error(
+        tmp_path, capsys, command, blocked):
+    # a directory stands where the run writes one of its files
+    cfg = _write(tmp_path, COUPLED)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", str(cfg), "--out-dir", str(out),
+                 "--force", "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output file {out / blocked}: "
+        "Is a directory\n")
+
+
 # the former solver and descent settings, module constants now, and the
 # block that held most of them
 REMOVED_KEYS = {

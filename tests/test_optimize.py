@@ -110,14 +110,18 @@ def test_reduced_gradient_drops_each_step_factor_after_its_solve(
     pr = make_problem(steps=6, nodes=9, ny=ny)
     u = smooth_control(pr)
     state = pr.solve(u)
-    alive = []
-    factorize = Stepper.factorize
+    alive, chunks = [], []
     # a 2-D march forms up to _LOOK_AHEAD factors ahead of the one it
     # solves with, and the worker that formed a factor drops it; with two
     # workers taking jobs in turn, each is dropped before the factor
-    # _LOOK_AHEAD + 1 places on starts
+    # _LOOK_AHEAD + 1 places on starts.  A serial march holds at most one
+    # chunk of Jacobian values, here two levels, and the factor in use.
     pooled = ny is not None and sensitivity_module._factor_pool() is not None
-    ahead = sensitivity_module._LOOK_AHEAD if pooled else 0
+    monkeypatch.setattr(sensitivity_module, "_CHUNK_BYTES",
+                        2 * pr.stepper.values_nbytes)
+
+    def live(refs):
+        return sum(ref() is not None for ref in refs)
 
     class Held:
         """A factor behind a proxy that weak references can follow (a
@@ -126,19 +130,39 @@ def test_reduced_gradient_drops_each_step_factor_after_its_solve(
         def __init__(self, fac):
             self.nnz, self.solve = fac.nnz, fac.solve
 
-    def tracked(self, *args):
-        # every factor formed before those ahead is gone already
-        assert sum(ref() is not None for ref in alive) <= ahead, (
-            f"a factor outlived its solve at LU {len(alive) + 1}")
-        fac = Held(factorize(self, *args))
-        alive.append(weakref.ref(fac))
-        return fac
+    def track(name, ahead):
+        form = getattr(Stepper, name)
 
-    monkeypatch.setattr(Stepper, "factorize", tracked)
+        def tracked(self, *args):
+            # every factor formed before those ahead is gone already
+            assert live(alive) <= ahead, (
+                f"a factor outlived its solve at LU {len(alive) + 1}")
+            assert live(chunks) <= 1
+            fac = Held(form(self, *args))
+            alive.append(weakref.ref(fac))
+            return fac
+
+        monkeypatch.setattr(Stepper, name, tracked)
+
+    if pooled:
+        track("factorize", sensitivity_module._LOOK_AHEAD)
+    else:
+        track("factor", 0)
+        values = Stepper.jacobian_values
+
+        def stacked(self, *args):
+            # the chunk before, and every factor formed from it, is gone
+            assert live(chunks) == 0 and live(alive) == 0
+            out = values(self, *args)
+            chunks.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(Stepper, "jacobian_values", stacked)
     grad = reduced_gradient(u, pr, state=state)
     # one LU per step, as many as a factor set that keeps them all forms
     assert len(alive) == pr.tgrid.steps
-    monkeypatch.setattr(Stepper, "factorize", factorize)
+    assert len(chunks) == (0 if pooled else pr.tgrid.steps // 2)
+    monkeypatch.undo()
     ref = SecondOrderContext(pr, u, state).gradient
     for got, want in ((grad.d, ref.d), (grad.grad, ref.grad)):
         assert got.v.tobytes() == want.v.tobytes()

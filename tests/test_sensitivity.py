@@ -9,7 +9,7 @@ import pytest
 
 import tumoropt.sensitivity as sensitivity_module
 from tumoropt import (Control, SecondOrderContext, SolverError, StepFactors,
-                      misfit_adjoint, solve_bilinearized,
+                      misfit_adjoint, reduced_gradient, solve_bilinearized,
                       solve_generalized_linear)
 from tumoropt.stepper import Stepper
 
@@ -147,15 +147,16 @@ def test_block_march_starts_at_the_first_source_of_the_block(monkeypatch):
     assert np.all(np.abs(out[1, 3:]).max(axis=1) > 0.0)
 
 
-def _count_factorize(monkeypatch):
-    """A list that gains one entry per `Stepper.factorize` call."""
-    calls, factorize = [], Stepper.factorize
+def _count_lus(monkeypatch):
+    """A list that gains one entry per step LU formed: by `Stepper.factorize`
+    on the look-ahead pool, or by `Stepper.factor` from a chunk's row."""
+    calls = []
+    for name in ("factorize", "factor"):
+        def count(self, *args, form=getattr(Stepper, name)):
+            calls.append(None)
+            return form(self, *args)
 
-    def count(self, *args):
-        calls.append(None)
-        return factorize(self, *args)
-
-    monkeypatch.setattr(Stepper, "factorize", count)
+        monkeypatch.setattr(Stepper, name, count)
     return calls
 
 
@@ -164,7 +165,7 @@ def test_2d_factors_are_cached(monkeypatch):
     pr = make_problem(nodes=23, ny=23, steps=4)
     u = smooth_control(pr)
     factors = StepFactors(pr, pr.solve(u), u)
-    calls = _count_factorize(monkeypatch)
+    calls = _count_lus(monkeypatch)
     solve_generalized_linear(factors, random_control(pr, seed=1))
     solve_generalized_linear(factors, random_control(pr, seed=2))
     misfit_adjoint(factors)
@@ -183,7 +184,7 @@ def test_factors_past_the_byte_budget_are_formed_again(monkeypatch):
     monkeypatch.setattr(sensitivity_module, "_CACHE_BYTES",
                         12 * (full.lu(1).nnz + full.lu(2).nnz))
     factors = StepFactors(pr, state, u)
-    calls = _count_factorize(monkeypatch)
+    calls = _count_lus(monkeypatch)
     first = solve_generalized_linear(factors, h)
     second = solve_generalized_linear(factors, h)
     assert sorted(factors._lus) == [1, 2]
@@ -191,6 +192,42 @@ def test_factors_past_the_byte_budget_are_formed_again(monkeypatch):
     for out in (first, second):
         for field in ("eta", "xi", "theta"):
             assert getattr(out, field).tobytes() == getattr(ref, field).tobytes()
+
+
+@pytest.mark.parametrize("potential", [
+    dict(potential="regular"), dict(potential="logarithmic"),
+    dict(potential="logarithmic", yosida_eps=0.05)])
+def test_chunked_factor_pass_is_bitwise_one_level_at_a_time(monkeypatch,
+                                                             potential):
+    pr = make_problem(steps=7, **potential)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    hs = [random_control(pr, seed=s) for s in (1, 2)]
+
+    def outputs(chunk_levels=None):
+        if chunk_levels:
+            monkeypatch.setattr(sensitivity_module, "_CHUNK_BYTES",
+                                chunk_levels * pr.stepper.values_nbytes)
+        ctx = SecondOrderContext(pr, u, state=state)
+        lean = StepFactors(pr, state, u, cache_bytes=0)
+        out = [reduced_gradient(u, pr, state=state).grad.v,
+               ctx.gradient.grad.v, ctx.hessian_product(hs[0]).v,
+               *(lin.y for lin in ctx.linearize(hs)),
+               *(lin.y for lin in solve_generalized_linear(lean, hs))]
+        kept = [ctx.factors.lu(k) for k in range(1, pr.n_levels)]
+        for fac in kept:
+            # it holds its own values, not a view of its chunk
+            owner = fac._lu if fac._lu.base is None else fac._lu.base
+            assert owner.nbytes == fac._lu.nbytes
+        out += [a for fac in kept for a in (fac._lu, fac._ipiv)]
+        return [a.tobytes() for a in out]
+
+    # the default bound holds all 7 steps in one chunk, 3 levels split
+    # them, and one level per chunk is a pass level by level
+    assert sensitivity_module._CHUNK_BYTES >= 7 * pr.stepper.values_nbytes
+    whole = outputs()
+    assert outputs(3) == whole
+    assert outputs(1) == whole
 
 
 def _held_factors() -> int:
@@ -215,6 +252,20 @@ def test_factor_failure_names_the_step():
     state.phi[3, 2] = np.nan
     with pytest.raises(SolverError, match="step 3: non-finite Jacobian"):
         StepFactors(pr, state, u).lu(3)
+    # inside a chunk, after its first level: the adjoint march (4, 3, ...)
+    # and a block march (1, 2, 3, ...) each evaluate all four levels at
+    # their first request, factor (and keep) the levels before step 3, and
+    # raise when they request it
+    for march, kept in ((misfit_adjoint, [4]),
+                        (lambda f: solve_generalized_linear(
+                            f, [random_control(pr, seed=s) for s in (1, 2)]),
+                         [1, 2])):
+        factors = StepFactors(pr, state, u)
+        with pytest.raises(SolverError,
+                           match=r"^step 3: non-finite Jacobian entries$"):
+            march(factors)
+        assert sorted(factors._lus) == kept
+        assert factors._chunks == factors._chunk == {}
     # in 2-D the adjoint march queues steps 5, 4 and 3 before it solves;
     # step 3 fails on a worker and raises when the march reaches it, and
     # the march leaves nothing running and no factor held
