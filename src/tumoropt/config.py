@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, SeparationViolation
 from .grid import Grid, build_grid
 from .model import (BoxConstraints, Control, CostSpec, ModelParams,
                     NonlinearitySpec, PotentialSpec, ScalarShape)
 from .optimize import PgdOptions
 from .problem import ControlProblem
-from .state import InitialData, TimeGrid
+from .state import InitialData, TimeGrid, _validate_initial
 
 _DEFAULTS: dict = {
     "grid": {"dim": 1, "shape": [129], "lengths": [1.0]},
@@ -469,6 +469,10 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         return np.zeros(grid.n) if out is None else out
 
     init = InitialData(*map(initial, ("mu0", "phi0", "sigma0")))
+    try:
+        _validate_initial(potential, init)
+    except SeparationViolation as exc:
+        raise ConfigError(f"initial.phi0: {exc}") from None
 
     problem = ControlProblem(grid=grid, tgrid=tgrid, params=params,
                              potential=potential, nonlin=nonlin, cost=cost,

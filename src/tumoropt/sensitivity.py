@@ -39,7 +39,7 @@ from .stepper import SecondOrderCoefficients, Stepper
 # line about 11 MB.
 _CACHE_BYTES = 128 * 2**20
 
-# Bytes of Jacobian values a serial march evaluates in one stacked call
+# Bytes of Jacobian values a march evaluates in one stacked call
 # (`Stepper.jacobian_values`): 28 levels of a 129-node line.  One stack of
 # all 200 levels (7.4 MB) made desk-1d slower than 32-level chunks; chunks
 # of 8 to 128 levels timed alike.
@@ -94,11 +94,11 @@ class _FactorWorker(threading.Thread):
                 self._form(*job)
         self.held.clear()
 
-    def _form(self, key: int, future: Future, factorize, x, u1) -> None:
+    def _form(self, key: int, future: Future, factorize, values) -> None:
         if not future.set_running_or_notify_cancel():
             return
         try:
-            lu = factorize(x, u1)
+            lu = factorize(values)
         except Exception as exc:    # raised again where the result is read
             future.set_exception(exc)
             del future      # the error's traceback holds this frame
@@ -138,11 +138,11 @@ class _FactorPool:
             worker.start()
         atexit.register(self.close)
 
-    def submit(self, factorize, x: np.ndarray, u1: np.ndarray) -> Future:
-        """A future of the `_PooledLU` of factorize(x, u1)."""
+    def submit(self, factorize, values: np.ndarray) -> Future:
+        """A future of the `_PooledLU` of factorize(values)."""
         future = Future()
-        next(self._turn).inbox.put((next(self._keys), future, factorize, x,
-                                    u1))
+        next(self._turn).inbox.put((next(self._keys), future, factorize,
+                                    values))
         return future
 
     def close(self) -> None:
@@ -184,13 +184,15 @@ class StepFactors:
     formed again on each request.  A single march that uses each factor once
     (the adjoint of a gradient) passes `cache_bytes=0` and keeps none.
 
-    A march names the levels it will request, in order (`ahead`): in 2-D on
-    more than one CPU a pool of worker threads forms the next `_LOOK_AHEAD`
-    of them while the march solves, else their Jacobian values are
-    evaluated in stacked chunks.  Each factor is the same computation, so
-    the solves are bitwise those of a march level by level.  A factor `lu`
-    returns during a pooled march and does not keep is valid until the next
-    request.
+    A march names the levels it will request, in order (`ahead`), and their
+    Jacobian values are evaluated on this thread a chunk of at most
+    `_CHUNK_BYTES` at a time (`Stepper.jacobian_values`).  Each level's LU
+    is formed from its own row (`Stepper.factorize`): when it is requested,
+    or, in 2-D with more than one CPU, by a pool of worker threads up to
+    `_LOOK_AHEAD` levels ahead while the march solves.  Each factor is the
+    same computation, so the solves are bitwise those of a march level by
+    level.  A factor `lu` returns during a pooled march and does not keep
+    is valid until the next request.
     """
 
     def __init__(self, problem: ControlProblem, state: StateTrajectory,
@@ -202,13 +204,13 @@ class StepFactors:
         self._cached_bytes = 0
         self._cache_bytes = (_CACHE_BYTES if cache_bytes is None
                              else cache_bytes)
-        # the look-ahead of a march: levels still to queue, chunks not yet
-        # evaluated by first level, rows evaluated and not yet factored,
-        # queued futures, and the factor last returned and not kept
-        self._pool: _FactorPool | None = None
-        self._todo: collections.deque[int] = collections.deque()
+        # the look-ahead of a march: chunks not yet evaluated by first level,
+        # rows evaluated and not yet factored, levels still to queue, queued
+        # futures, and the factor last returned and not kept
         self._chunks: dict[int, list[int]] = {}
         self._chunk: dict[int, np.ndarray] = {}
+        self._pool: _FactorPool | None = None
+        self._todo: collections.deque[int] = collections.deque()
         self._ahead: dict[int, Future] = {}
         self._borrowed: _PooledLU | None = None
         self._finalizer: weakref.finalize | None = None
@@ -216,24 +218,25 @@ class StepFactors:
     @contextlib.contextmanager
     def ahead(self, levels: Iterable[int]):
         """Context of a march that requests the factors of `levels`, in that
-        order: formed ahead on `_factor_pool` in 2-D with more than one
+        order.  The values of the levels not kept are evaluated in chunks of
+        at most `_CHUNK_BYTES`, each when its first level is needed, and
+        their LUs formed ahead on `_factor_pool` in 2-D with more than one
         usable CPU (1-D band LUs cost less than handing them to a thread),
-        else from Jacobian values evaluated a chunk of at most `_CHUNK_BYTES`
-        at a time.  A factor that may be kept is formed from a copy of its
-        row, so it does not hold its chunk and `cache_bytes` counts what is
-        held.  On exit, after a return or an error, no factor work or chunk
-        of the march is left, and every factor it formed and does not keep
-        has been released."""
-        self._pool = _factor_pool() if self.problem.stepper.superlu else None
-        todo = [k for k in levels if k not in self._lus]
-        if self._pool is None:
+        else when requested.  A factor that may be kept is formed from a
+        copy of its row, so it does not hold its chunk and `cache_bytes`
+        counts what is held.  On exit, after a return or an error, no factor
+        work or chunk of the march is left, and every factor it formed and
+        does not keep has been released."""
+        try:
+            todo = [k for k in levels if k not in self._lus]
             size = max(1, _CHUNK_BYTES // self.problem.stepper.values_nbytes)
             self._chunks = {todo[i]: todo[i:i + size]
                             for i in range(0, len(todo), size)}
-        else:
-            self._todo = collections.deque(todo)
-            self._fill()
-        try:
+            self._pool = (_factor_pool() if self.problem.stepper.superlu
+                          else None)
+            if self._pool is not None:
+                self._todo = collections.deque(todo)
+                self._fill()
             yield
         finally:
             self._todo.clear()
@@ -247,13 +250,24 @@ class StepFactors:
                 if not future.cancelled() and future.exception() is None:
                     future.result().release()
 
+    def _values(self, k: int) -> np.ndarray:
+        """The row of Jacobian values of level k.  Without it, the march's
+        chunk that k starts, or else k alone, is evaluated first."""
+        if k not in self._chunk:
+            levels = self._chunks.pop(k, [k])
+            self._chunk = {}    # rows of skipped levels are freed first
+            values = self.problem.stepper.jacobian_values(
+                self.state.x[levels], self.ubar.u1[levels])
+            self._chunk = dict(zip(levels, values))
+        row = self._chunk.pop(k)
+        return row.copy() if self._cache_bytes else row
+
     def _fill(self) -> None:
         """Queue the next levels of the march up to `_LOOK_AHEAD` ahead."""
-        stepper = self.problem.stepper
+        factorize = self.problem.stepper.factorize
         while self._todo and len(self._ahead) < _LOOK_AHEAD:
             k = self._todo.popleft()
-            self._ahead[k] = self._pool.submit(
-                stepper.factorize, self.state.x[k], self.ubar.u1[k])
+            self._ahead[k] = self._pool.submit(factorize, self._values(k))
 
     def _release_borrowed(self) -> None:
         if self._borrowed is not None:
@@ -265,46 +279,29 @@ class StepFactors:
         hit = self._lus.get(k)
         if hit is not None:
             return hit
-        pooled = k in self._ahead
+        future = self._ahead.pop(k, None)
         try:
-            fac = self._formed_ahead(k) if pooled else self._formed(k)
+            if future is None:
+                fac = self.problem.stepper.factorize(self._values(k))
+            else:
+                self._fill()    # the next level is queued first
+                fac = future.result()
         except SolverError as exc:
             raise SolverError(f"step {k}: {exc}") from None
+        finally:
+            del future      # its error's traceback holds this frame
         size = 12 * fac.nnz
         # each factor held ahead counts as one of this size
         if (self._cached_bytes + size * (1 + len(self._ahead))
                 <= self._cache_bytes):
             self._lus[k] = fac
             self._cached_bytes += size
-            if pooled and self._finalizer is None:
+            if isinstance(fac, _PooledLU) and self._finalizer is None:
                 self._finalizer = weakref.finalize(self, _release_pooled,
                                                    self._lus)
-        elif pooled:
+        elif isinstance(fac, _PooledLU):
             self._borrowed = fac
         return fac
-
-    def _formed(self, k: int):
-        """The factor of level k from its row of Jacobian values.  Without
-        that row, the march's chunk that k starts, or else k alone, is
-        evaluated first."""
-        stepper = self.problem.stepper
-        if k not in self._chunk:
-            levels = self._chunks.pop(k, [k])
-            self._chunk = {}    # rows of skipped levels are freed first
-            self._chunk = dict(zip(levels, stepper.jacobian_values(
-                self.state.x[levels], self.ubar.u1[levels])))
-        row = self._chunk.pop(k)
-        return stepper.factor(row.copy() if self._cache_bytes else row)
-
-    def _formed_ahead(self, k: int) -> _PooledLU:
-        """The factor of level k queued ahead, once formed; the next level
-        is queued first."""
-        future = self._ahead.pop(k)
-        self._fill()
-        try:
-            return future.result()
-        finally:
-            del future      # its error's traceback holds this frame
 
     @functools.cached_property
     def h_phi(self) -> np.ndarray:

@@ -9,8 +9,8 @@ levels (mu, phi, sigma), are the rows of one (N_t+1, 3n) history.
 
 `solve_states` marches many controls level by level in lockstep: their
 iterates are the rows of one array, and each round of Newton evaluates the
-residuals or LUs they ask for in one stacked stepper call.  A lone march
-is the batch of one.
+residuals, or the Jacobian values of the LUs, they ask for in one stacked
+stepper call.  A lone march is the batch of one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SeparationViolation, SolverError
-from .model import Control, check_ranges
+from .model import Control, PotentialSpec, check_ranges
 from .stepper import Stepper
 
 if TYPE_CHECKING:
@@ -130,12 +130,12 @@ class StateTrajectory:
         return self.x.shape[0]
 
 
-def _validate_initial(stepper: Stepper, init: InitialData) -> None:
-    lo, hi = stepper.potential.domain
+def _validate_initial(potential: PotentialSpec, init: InitialData) -> None:
+    lo, hi = potential.domain
     if not np.isfinite(lo):
         return
     phimin, phimax = float(np.min(init.phi0)), float(np.max(init.phi0))
-    if stepper.potential.guarded:
+    if potential.guarded:
         if phimin <= lo or phimax >= hi:
             raise SeparationViolation(
                 f"initial phase field must lie strictly inside ({lo}, {hi}); "
@@ -201,10 +201,10 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
     """March the implicit scheme of `problem` for every control at once.
 
     The controls solve each level in lockstep (`_Lockstep`): each round of
-    the damped Newton method evaluates the residuals, or the LUs, that its
-    controls ask for in one stacked stepper call.  Every trajectory is
-    bitwise the one `solve_state` gives for its control alone, and owns its
-    arrays.
+    the damped Newton method evaluates the residuals, or the Jacobian values
+    of the LUs, that its controls ask for in one stacked stepper call.
+    Every trajectory is bitwise the one `solve_state` gives for its control
+    alone, and owns its arrays.
 
     Raises the errors of `solve_state`.  When Newton fails for some control,
     the error is that of the lowest-index control failing at the first
@@ -220,7 +220,7 @@ def solve_states(problem: ControlProblem, controls: Sequence[Control]
             raise ValueError(f"control has shape {control.shape}, "
                              f"expected ({n_levels}, {n})")
     stepper = problem.stepper
-    _validate_initial(stepper, init)
+    _validate_initial(problem.potential, init)
     if not controls:
         return []
 
@@ -316,14 +316,15 @@ class _Lockstep:
     together in rounds.  A round takes each member one step further in its
     own Newton iteration: past the iteration's budget and convergence
     tests, then to an LU at its iterate if it needs one, a direction and
-    its separation ceiling, and a trial residual.  The LUs of a round are
-    formed, and its trial residuals evaluated, in one stacked stepper call
-    each; the norms, tolerances, ceilings and trial points x + t delta in
-    one array operation over the rows of the members in that phase.  A
-    phase that holds one member makes one-level calls.  What follows from
-    each value, the polish, chord and Armijo tests, backtracks, pinning
-    and failures, is decided per member on Python floats, so each member
-    takes the iterations and forms the LUs it would alone, bitwise.
+    its separation ceiling, and a trial residual.  The Jacobian values of
+    a round's LUs, and its trial residuals, are evaluated in one stacked
+    stepper call each, and each LU is formed from its own row; the norms,
+    tolerances, ceilings and trial points x + t delta in one array
+    operation over the rows of the members in that phase.  A phase that
+    holds one member makes one-level calls.  What follows from each
+    value, the polish, chord and Armijo tests, backtracks, pinning and
+    failures, is decided per member on Python floats, so each member takes
+    the iterations and forms the LUs it would alone, bitwise.
 
     How far the LU of an earlier iterate is trusted depends on the LU
     backend.  A 1-D band LU costs about one residual: every Newton
@@ -475,31 +476,24 @@ class _Lockstep:
             (direct if s.chord else factor).append(s)
 
     def _factor(self, q: list, direct: list) -> None:
-        """The step LU at the iterate of each member of q; those that get
-        one go on to their direction.  When the stacked factorization
-        fails, each member is factored alone, to meet its own error."""
+        """The step LU at the iterate of each member of q, each from its row
+        of one stacked evaluation of Jacobian values; those that get one go
+        on to their direction, and a member whose LU cannot be formed
+        fails alone."""
         stepper = self.stepper
         if len(q) == 1:
-            lus = [self._factor_one(q[0])]
+            values = [stepper.jacobian_values(q[0].x, q[0].u1)]
         else:
+            values = stepper.jacobian_values(np.array([s.x for s in q]),
+                                             np.array([s.u1 for s in q]))
+        for s, row in zip(q, values):
             try:
-                lus = stepper.factorize(np.array([s.x for s in q]),
-                                        np.array([s.u1 for s in q]))
-            except SolverError:
-                lus = [self._factor_one(s) for s in q]
-        for s, lu in zip(q, lus):
-            if isinstance(lu, SolverError):
-                self._fail(s, str(lu))
-            else:
-                s.lu = lu
-                s.n_lu += 1
-                direct.append(s)
-
-    def _factor_one(self, s: _Member):
-        try:
-            return self.stepper.factorize(s.x, s.u1)
-        except SolverError as exc:
-            return exc
+                s.lu = stepper.factorize(row)
+            except SolverError as exc:
+                self._fail(s, str(exc))
+                continue
+            s.n_lu += 1
+            direct.append(s)
 
     def _direct(self, q: list, trials: list) -> list:
         """The Newton direction of each member of q with its LU, and the

@@ -337,12 +337,9 @@ class Stepper:
         diagonals).  When no entry vanishes the result uses that pattern as
         is, and its index arrays are shared between calls and read-only;
         entries that vanish are dropped from a private copy of the pattern.
-        Rows (m, 3n) of states give a list of m Jacobians.
         """
-        data = self._with_reaction(self._base_data, self._diag_slots, x, u1k)
-        if x.ndim == 2:
-            return [self._csc(row) for row in data]
-        return self._csc(data)
+        return self._csc(self._with_reaction(self._base_data,
+                                             self._diag_slots, x, u1k))
 
     def _csc(self, data: np.ndarray) -> sps.csc_matrix:
         size = 3 * self.n
@@ -356,60 +353,35 @@ class Stepper:
         jac.eliminate_zeros()
         return jac
 
-    def factorize(self, x: np.ndarray, u1k: np.ndarray):
-        """LU of the step Jacobian at `x`; SolverError if it cannot be formed.
-
-        Either factor solves `solve(b, trans="N"|"T")` in the stacked order
-        and counts its stored entries in `nnz`.  A 1-D Jacobian is written
-        straight into band storage and factored by LAPACK (`BandLU`), with
-        no sparse matrix formed.  A 2-D Jacobian goes to SuperLU with minimum
-        degree on A^T + A: the matrix is structurally symmetric, and that
-        order leaves far less fill than COLAMD (204k against 354k nonzeros
-        in L + U on a 33x33 grid), so both its factor and its solves are
-        faster.
-
-        Rows (m, 3n) of states with rows (m, n) of u1k give a list of m
-        factors, each bitwise the factor of its row alone: the reaction
-        diagonals of all rows are evaluated at once, then every row is
-        factored on its own.  A row that cannot be factored raises for the
-        whole call.
-        """
-        if self.superlu:
-            factor, values = self._sparse_lu, self.assemble(x, u1k)
-        else:
-            factor, values = self._band_lu, self.jacobian_values(x, u1k)
-        if x.ndim == 1:
-            return factor(values)
-        return [factor(row) for row in values]
-
     def jacobian_values(self, x: np.ndarray, u1k: np.ndarray) -> np.ndarray:
-        """The Jacobian values `factor` takes (the fixed CSC pattern's data
-        in 2-D, band storage in 1-D) at a stacked state x (3n,), or at rows
-        (m, 3n) of them, row i bitwise that of state i alone."""
+        """The Jacobian values `factorize` takes (the fixed CSC pattern's
+        data in 2-D, band storage in 1-D) at a stacked state x (3n,), or at
+        rows (m, 3n) of them with rows (m, n) of u1k, row i bitwise that of
+        state i alone."""
         return self._with_reaction(*self._values, x, u1k)
 
-    def factor(self, values: np.ndarray):
-        """`factorize` at one state from its `jacobian_values`; a 1-D
-        factor is formed in place and holds `values`."""
+    def factorize(self, values: np.ndarray):
+        """LU of the step Jacobian from one row of its `jacobian_values`;
+        SolverError if it cannot be formed.
+
+        Either factor solves `solve(b, trans="N"|"T")` in the stacked order
+        and counts its stored entries in `nnz`.  A 1-D Jacobian is factored
+        in its band storage by LAPACK (`BandLU`), in place, so the factor
+        holds `values`; no sparse matrix is formed.  A 2-D Jacobian goes to
+        SuperLU with minimum degree on A^T + A: the matrix is structurally
+        symmetric, and that order leaves far less fill than COLAMD (204k
+        against 354k nonzeros in L + U on a 33x33 grid), so both its factor
+        and its solves are faster.
+        """
+        if not np.isfinite(values).all():
+            raise SolverError("non-finite Jacobian entries")
         if self.superlu:
-            return self._sparse_lu(self._csc(values))
-        return self._band_lu(values)
-
-    @staticmethod
-    def _sparse_lu(jac: sps.csc_matrix):
-        if not np.isfinite(jac.data).all():
-            raise SolverError("non-finite Jacobian entries")
-        try:
-            return splu(jac, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU failed: {exc}") from None
-
-    def _band_lu(self, band: np.ndarray) -> BandLU:
-        """LAPACK LU of one Jacobian in flattened band storage, in place."""
-        if not np.isfinite(band).all():
-            raise SolverError("non-finite Jacobian entries")
+            try:
+                return splu(self._csc(values), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise SolverError(f"sparse LU failed: {exc}") from None
         # the (ldab, 3n) Fortran-ordered view dgbtrf factors in place
-        lu, ipiv, info = dgbtrf(band.reshape(-1, self._ldab).T, self._kl,
+        lu, ipiv, info = dgbtrf(values.reshape(-1, self._ldab).T, self._kl,
                                 self._ku, overwrite_ab=True)
         if info > 0:
             raise SolverError(

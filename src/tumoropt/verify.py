@@ -139,8 +139,9 @@ def _batch_len(problem: ControlProblem) -> int:
     """
     if not problem.stepper.superlu:
         return _block_len(problem)
-    lu = problem.stepper.factorize(problem.init.stacked(),
-                                   np.zeros(problem.grid.n))
+    stepper = problem.stepper
+    lu = stepper.factorize(stepper.jacobian_values(problem.init.stacked(),
+                                                   np.zeros(problem.grid.n)))
     return _block_len(problem, 12 * lu.nnz)
 
 

@@ -267,13 +267,19 @@ def _solve_alone(step, stepper: Stepper, x_prev: np.ndarray,
         answer, error = _answer(stepper, kind, z, x_prev, u1k, u2k)
 
 
+def lu_at(stepper: Stepper, x: np.ndarray, u1k: np.ndarray):
+    """The step LU at one state: `Stepper.factorize` of its
+    `jacobian_values`."""
+    return stepper.factorize(stepper.jacobian_values(x, u1k))
+
+
 def _answer(stepper: Stepper, kind: str, z: np.ndarray, x_prev: np.ndarray,
             u1k: np.ndarray, u2k: np.ndarray) -> tuple:
     """(answer, error) for one request at state z by the one-level stepper
     call, error None on success."""
     try:
         if kind == "factor":
-            return stepper.factorize(z, u1k), None
+            return lu_at(stepper, z, u1k), None
         return stepper.residual(z, x_prev, u1k, u2k), None
     except SolverError as exc:
         return None, exc
@@ -329,7 +335,7 @@ def solve_states_per_member(problem: ControlProblem, controls) -> list:
     per-member Newton step.  Raises the error the batch raises: that of
     the lowest-index control among those whose Newton fails first, else
     the energy blow-up of the lowest-index control."""
-    _validate_initial(problem.stepper, problem.init)
+    _validate_initial(problem.potential, problem.init)
     results = [_march_per_member(problem, u) for u in controls]
     failed = [(fail[0], i, fail[1]) for i, (_, fail) in enumerate(results)
               if fail is not None]

@@ -214,6 +214,18 @@ def test_oversized_expression_is_config_error(tmp_path, override):
     assert "Traceback" not in proc.stderr
 
 
+def test_initial_phase_outside_the_potential_domain_is_config_error(tmp_path):
+    # the canonical logarithmic potential lives on (-1, 1)
+    proc = _run_canonical(tmp_path, "simulate", ["initial.phi0=2"])
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(
+        "config error: initial.phi0: initial phase field must lie strictly "
+        "inside (-1.0, 1.0); got range [2.0, 2.0]")
+    assert "Traceback" not in proc.stderr
+    out = tmp_path / "out"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_narrow_bump_runs(tmp_path):
     # a valid shape needs no derivative self-check at run time, however
     # narrow it is; tests/test_model.py checks the derivative code instead

@@ -236,6 +236,16 @@ def test_initial_fields_from_expressions():
     assert np.all(setup.problem.init.sigma0 == 0.0)
 
 
+def test_initial_phase_outside_the_potential_domain_is_config_error():
+    log = {"kind": "logarithmic", "k1": 2.0}
+    touching = {"phi0": "2 * x - 1"}    # [-1, 1] on the unit interval
+    with pytest.raises(ConfigError, match=r"^initial\.phi0: initial phase "
+                       r"field must lie strictly inside \(-1\.0, 1\.0\)"):
+        build_setup(_small(potential=log, initial=touching))
+    # the regularized potential is defined on the whole line
+    build_setup(_small(potential=dict(log, yosida_eps=0.05), initial=touching))
+
+
 def test_constant_expression_fills_spatial_field():
     setup = build_setup(_small(initial={"phi0": "0.1 * 2"}))
     assert setup.problem.init.phi0.shape == (9,)

@@ -114,8 +114,9 @@ def test_reduced_gradient_drops_each_step_factor_after_its_solve(
     # a 2-D march forms up to _LOOK_AHEAD factors ahead of the one it
     # solves with, and the worker that formed a factor drops it; with two
     # workers taking jobs in turn, each is dropped before the factor
-    # _LOOK_AHEAD + 1 places on starts.  A serial march holds at most one
-    # chunk of Jacobian values, here two levels, and the factor in use.
+    # _LOOK_AHEAD + 1 places on starts.  Every march evaluates Jacobian
+    # values a chunk of two levels at a time, and a serial one holds at most
+    # one chunk and the factor in use.
     pooled = ny is not None and sensitivity_module._factor_pool() is not None
     monkeypatch.setattr(sensitivity_module, "_CHUNK_BYTES",
                         2 * pr.stepper.values_nbytes)
@@ -130,38 +131,33 @@ def test_reduced_gradient_drops_each_step_factor_after_its_solve(
         def __init__(self, fac):
             self.nnz, self.solve = fac.nnz, fac.solve
 
-    def track(name, ahead):
-        form = getattr(Stepper, name)
+    factorize, values = Stepper.factorize, Stepper.jacobian_values
+    ahead = sensitivity_module._LOOK_AHEAD if pooled else 0
 
-        def tracked(self, *args):
-            # every factor formed before those ahead is gone already
-            assert live(alive) <= ahead, (
-                f"a factor outlived its solve at LU {len(alive) + 1}")
-            assert live(chunks) <= 1
-            fac = Held(form(self, *args))
-            alive.append(weakref.ref(fac))
-            return fac
+    def tracked(self, row):
+        # every factor formed before those ahead is gone already
+        assert live(alive) <= ahead, (
+            f"a factor outlived its solve at LU {len(alive) + 1}")
+        assert pooled or live(chunks) <= 1
+        fac = Held(factorize(self, row))
+        alive.append(weakref.ref(fac))
+        return fac
 
-        monkeypatch.setattr(Stepper, name, tracked)
+    def stacked(self, *args):
+        # serially, the chunk before and every factor formed from it are
+        # gone
+        assert pooled or live(chunks) == live(alive) == 0
+        out = values(self, *args)
+        chunks.append(weakref.ref(out))
+        return out
 
-    if pooled:
-        track("factorize", sensitivity_module._LOOK_AHEAD)
-    else:
-        track("factor", 0)
-        values = Stepper.jacobian_values
-
-        def stacked(self, *args):
-            # the chunk before, and every factor formed from it, is gone
-            assert live(chunks) == 0 and live(alive) == 0
-            out = values(self, *args)
-            chunks.append(weakref.ref(out))
-            return out
-
-        monkeypatch.setattr(Stepper, "jacobian_values", stacked)
+    monkeypatch.setattr(Stepper, "factorize", tracked)
+    monkeypatch.setattr(Stepper, "jacobian_values", stacked)
     grad = reduced_gradient(u, pr, state=state)
-    # one LU per step, as many as a factor set that keeps them all forms
+    # one LU per step, as many as a factor set that keeps them all forms,
+    # from values evaluated two levels at a time
     assert len(alive) == pr.tgrid.steps
-    assert len(chunks) == (0 if pooled else pr.tgrid.steps // 2)
+    assert len(chunks) == pr.tgrid.steps // 2
     monkeypatch.undo()
     ref = SecondOrderContext(pr, u, state).gradient
     for got, want in ((grad.d, ref.d), (grad.grad, ref.grad)):

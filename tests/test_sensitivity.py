@@ -148,15 +148,15 @@ def test_block_march_starts_at_the_first_source_of_the_block(monkeypatch):
 
 
 def _count_lus(monkeypatch):
-    """A list that gains one entry per step LU formed: by `Stepper.factorize`
-    on the look-ahead pool, or by `Stepper.factor` from a chunk's row."""
-    calls = []
-    for name in ("factorize", "factor"):
-        def count(self, *args, form=getattr(Stepper, name)):
-            calls.append(None)
-            return form(self, *args)
+    """A list that gains one entry per step LU formed (`Stepper.factorize`,
+    on this thread or on the look-ahead pool)."""
+    calls, factorize = [], Stepper.factorize
 
-        monkeypatch.setattr(Stepper, name, count)
+    def count(self, values):
+        calls.append(None)
+        return factorize(self, values)
+
+    monkeypatch.setattr(Stepper, "factorize", count)
     return calls
 
 
@@ -196,13 +196,17 @@ def test_factors_past_the_byte_budget_are_formed_again(monkeypatch):
 
 @pytest.mark.parametrize("potential", [
     dict(potential="regular"), dict(potential="logarithmic"),
-    dict(potential="logarithmic", yosida_eps=0.05)])
+    dict(potential="logarithmic", yosida_eps=0.05),
+    dict(potential="logarithmic", nodes=9, ny=7)])
 def test_chunked_factor_pass_is_bitwise_one_level_at_a_time(monkeypatch,
                                                              potential):
+    # in 2-D with more than one CPU the LUs are formed on the look-ahead
+    # pool, from the same chunks
     pr = make_problem(steps=7, **potential)
     u = smooth_control(pr)
     state = pr.solve(u)
     hs = [random_control(pr, seed=s) for s in (1, 2)]
+    rhs = np.random.default_rng(3).standard_normal((3 * pr.grid.n, 2))
 
     def outputs(chunk_levels=None):
         if chunk_levels:
@@ -215,11 +219,13 @@ def test_chunked_factor_pass_is_bitwise_one_level_at_a_time(monkeypatch,
                *(lin.y for lin in ctx.linearize(hs)),
                *(lin.y for lin in solve_generalized_linear(lean, hs))]
         kept = [ctx.factors.lu(k) for k in range(1, pr.n_levels)]
-        for fac in kept:
-            # it holds its own values, not a view of its chunk
-            owner = fac._lu if fac._lu.base is None else fac._lu.base
-            assert owner.nbytes == fac._lu.nbytes
-        out += [a for fac in kept for a in (fac._lu, fac._ipiv)]
+        out += [fac.solve(rhs, trans) for fac in kept for trans in "NT"]
+        if not pr.stepper.superlu:
+            for fac in kept:
+                # it holds its own values, not a view of its chunk
+                owner = fac._lu if fac._lu.base is None else fac._lu.base
+                assert owner.nbytes == fac._lu.nbytes
+            out += [a for fac in kept for a in (fac._lu, fac._ipiv)]
         return [a.tobytes() for a in out]
 
     # the default bound holds all 7 steps in one chunk, 3 levels split

@@ -17,7 +17,7 @@ from tumoropt import stepper as stepper_module
 from tumoropt.problem import ControlProblem
 from tumoropt.stepper import Stepper
 
-from _support import (CarriedLU, _inside_margin, energy_by_level,
+from _support import (CarriedLU, _inside_margin, energy_by_level, lu_at,
                       make_problem, mass_defect_by_level, newton_step,
                       ode_reduction_reference, random_control,
                       smooth_control, solve_states_per_member,
@@ -552,7 +552,7 @@ def _distant_lu(stepper, x, u1):
     """Step LU at x with phi moved near the barrier everywhere."""
     far = x.copy()
     stepper.split(far)[1][:] = 0.99
-    return stepper.factorize(far, u1)
+    return lu_at(stepper, far, u1)
 
 
 def test_chord_step_refactors_when_the_carried_lu_does_not_contract():
@@ -595,7 +595,7 @@ def test_stale_chord_step_pinned_at_the_ceiling_factors_again():
                                                           phi0=phi0))
     stepper, x_prev, u1, u2 = _first_step(pr)
     assert stepper.potential.guarded
-    fresh = stepper.factorize(x_prev, u1)
+    fresh = lu_at(stepper, x_prev, u1)
     res = stepper.residual(x_prev, x_prev, u1, u2)
     lo, hi = pr.potential.domain
     margin = state._SEPARATION_MARGIN
@@ -796,25 +796,59 @@ def test_batch_failure_checks_the_energy_of_the_failing_member(monkeypatch):
                 == _error_of(solve_state, pr, pair[0]))
 
 
+def _poison(monkeypatch, marker, value=0.0):
+    """Patch Stepper.jacobian_values to set every value of each state whose
+    u1 is `marker` to `value`: with 0 the band LU of such a step is exactly
+    singular, with NaN its Jacobian is not finite."""
+    values = Stepper.jacobian_values
+
+    def poisoned(self, x, u1k):
+        out = values(self, x, u1k)
+        rows = (out, u1k) if out.ndim == 2 else (out[None], u1k[None])
+        for row, u1 in zip(*rows):
+            if np.array_equal(u1, marker):
+                row[:] = value
+        return out
+
+    monkeypatch.setattr(Stepper, "jacobian_values", poisoned)
+
+
 def test_batch_factor_failure_meets_only_its_member(monkeypatch):
     pr = make_problem(potential="logarithmic", steps=6)
     u = smooth_control(pr, amp=0.2)
     marked = _shifted_u1(u, 0.5)
-    marker = marked.u1[3]
-    factorize = Stepper.factorize
-
-    def singular_for_marked(self, x, u1k):
-        # the marked member's step-3 Jacobian is singular
-        rows = u1k if u1k.ndim == 2 else u1k[None]
-        if any(np.array_equal(row, marker) for row in rows):
-            raise SolverError("band LU failed: exactly singular at column 1")
-        return factorize(self, x, u1k)
-
-    monkeypatch.setattr(Stepper, "factorize", singular_for_marked)
+    # the marked member's step-3 Jacobian is singular
+    _poison(monkeypatch, marked.u1[3])
     single = _error_of(solve_state, pr, marked)
     assert single == "step 3: band LU failed: exactly singular at column 1"
     assert _error_of(solve_states, pr, [u, marked, u]) == single
     assert _error_of(solve_states, pr, [marked, marked]) == single
+
+
+def test_batch_member_that_cannot_be_factored_fails_alone(monkeypatch):
+    # the marked member's step-3 Jacobian is not finite: it fails with the
+    # error of its lone march, and every other LU of the batch is formed
+    # once, as its member forms it alone
+    pr = make_problem(potential="logarithmic", steps=6)
+    u = smooth_control(pr, amp=0.2)
+    marked, other = _shifted_u1(u, 0.5), _shifted_u1(u, -0.5)
+    # LUs of the batch up to step 3: those of u and other alone, and those
+    # of the marked member before it
+    want = (solve_state(pr, u).factorizations[:4].sum()
+            + solve_state(pr, other).factorizations[:4].sum()
+            + solve_state(pr, marked).factorizations[:3].sum())
+    _poison(monkeypatch, marked.u1[3], np.nan)
+    single = _error_of(solve_state, pr, marked)
+    assert single == "step 3: non-finite Jacobian entries"
+    dgbtrf, formed = stepper_module.dgbtrf, []
+
+    def counted(*args, **kwargs):
+        formed.append(None)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(stepper_module, "dgbtrf", counted)
+    assert _error_of(solve_states, pr, [u, marked, other]) == single
+    assert len(formed) == want
 
 
 def _shifted_batch(pr, m):
@@ -873,15 +907,7 @@ def test_lockstep_failures_are_those_of_the_per_member_oracle(monkeypatch):
                     == _error_of(solve_states_per_member, pr, batch))
     # a singular Jacobian met by one member of a stacked factorization
     marked = _shifted_u1(u, 0.5)
-    factorize = Stepper.factorize
-
-    def singular_for_marked(self, x, u1k):
-        rows = u1k if u1k.ndim == 2 else u1k[None]
-        if any(np.array_equal(row, marked.u1[3]) for row in rows):
-            raise SolverError("band LU failed: exactly singular at column 1")
-        return factorize(self, x, u1k)
-
-    monkeypatch.setattr(Stepper, "factorize", singular_for_marked)
+    _poison(monkeypatch, marked.u1[3])
     for batch in ([u, marked, u], [marked, marked], [marked]):
         assert (_error_of(solve_states, pr, batch)
                 == _error_of(solve_states_per_member, pr, batch)
@@ -942,7 +968,7 @@ def test_lockstep_chord_step_pinned_at_the_ceiling_factors_again(
                                                           phi0=phi0))
     stepper, x_prev, u1, u2 = _first_step(pr)
     u = smooth_control(pr, amp=0.4)
-    reversed_lu = _Reversed(stepper.factorize(x_prev, u1))
+    reversed_lu = _Reversed(lu_at(stepper, x_prev, u1))
     counts = _chord_fallbacks(monkeypatch)
     xs = [np.empty((pr.n_levels, 3 * pr.grid.n))]
     xs[0][0] = x_prev
@@ -983,9 +1009,10 @@ def test_lockstep_newton_stall_is_that_of_the_per_member_oracle(
 
 
 def _counting_rows(monkeypatch):
-    """Patch Stepper.residual and Stepper.factorize to count the rows they
-    are called on; returns the counts by method name."""
-    rows = {"residual": 0, "factorize": 0}
+    """Patch Stepper.residual, Stepper.jacobian_values and
+    Stepper.factorize to count the rows they are called on (a `factorize`
+    call takes one row of values); returns the counts by method name."""
+    rows = {"residual": 0, "jacobian_values": 0, "factorize": 0}
     for name in rows:
         original = getattr(Stepper, name)
 
@@ -1006,7 +1033,7 @@ def test_lockstep_batch_asks_for_what_its_members_ask_alone(monkeypatch,
     controls = _batch_controls(pr)
     rows = _counting_rows(monkeypatch)
     # each member alone, by the lockstep march and by the per-member oracle
-    alone = {march: {"residual": 0, "factorize": 0}
+    alone = {march: dict.fromkeys(rows, 0)
              for march in (solve_states, solve_states_per_member)}
     for u in controls:
         for march, counts in alone.items():
@@ -1024,7 +1051,7 @@ def test_nan_first_backtracking_trial_gives_way_to_a_finite_one(monkeypatch):
     u = smooth_control(pr, amp=0.4)
     stepper, x0 = pr.stepper, pr.init.stacked()
     res0 = stepper.residual(x0, x0, u.u1[1], u.u2[1])
-    delta = stepper.factorize(x0, u.u1[1]).solve(-res0)
+    delta = lu_at(stepper, x0, u.u1[1]).solve(-res0)
     residual, points = Stepper.residual, []
 
     def nan_at_first_trial(self, x, x_prev, u1k, u2k):

@@ -13,7 +13,7 @@ from tumoropt import (Control, ModelParams, SecondOrderContext, SolverError,
                       st_inner)
 from tumoropt.stepper import Stepper
 
-from _support import make_problem, smooth_control
+from _support import lu_at, make_problem, smooth_control
 
 POTENTIALS = {
     "regular": ("regular", None),
@@ -115,7 +115,7 @@ def test_factorize_rejects_non_finite_jacobian():
     x, u1 = _state(st, seed=0)
     u1[4] = np.nan
     with pytest.raises(SolverError, match="non-finite Jacobian"):
-        st.factorize(x, u1)
+        lu_at(st, x, u1)
 
 
 def test_factorize_turns_lu_failure_into_solver_error(monkeypatch):
@@ -126,11 +126,11 @@ def test_factorize_turns_lu_failure_into_solver_error(monkeypatch):
     monkeypatch.setattr(stepper_module, "splu", singular)
     st = _stepper("regular", 2, "full")
     with pytest.raises(SolverError, match="exactly singular"):
-        st.factorize(*_state(st, seed=0))
+        lu_at(st, *_state(st, seed=0))
     x, u1 = _state(st, seed=0)
     u1[4] = np.inf
     with pytest.raises(SolverError, match="non-finite Jacobian"):
-        st.factorize(x, u1)
+        lu_at(st, x, u1)
 
 
 def test_factorize_turns_band_lu_failure_into_solver_error(monkeypatch):
@@ -144,7 +144,7 @@ def test_factorize_turns_band_lu_failure_into_solver_error(monkeypatch):
     monkeypatch.setattr(stepper_module, "dgbtrf", singular)
     st = _stepper("regular", 1, "full")
     with pytest.raises(SolverError, match="exactly singular at column 7"):
-        st.factorize(*_state(st, seed=0))
+        lu_at(st, *_state(st, seed=0))
     # both callers name the step
     with pytest.raises(SolverError, match="^step 1: band LU failed"):
         solve_state(pr, ubar)
@@ -168,22 +168,23 @@ def test_stacked_rows_are_bitwise_the_one_level_calls(potential, dim,
     for i in range(3):
         one = st.residual(x[i], x_prev[i], u1[i], u2[i])
         assert np.array_equal(res[i], one) and res[i].tobytes() == one.tobytes()
-    factors = st.factorize(x, u1)
-    jacs = st.assemble(x, u1)
-    assert len(factors) == len(jacs) == 3
+    values = st.jacobian_values(x, u1)
+    assert values.shape == (3, st.values_nbytes // 8)
     rhs = np.random.default_rng(9).standard_normal((3 * st.n, 2))
-    for i, (fac, jac) in enumerate(zip(factors, jacs)):
-        alone = st.assemble(x[i], u1[i])
-        assert jac.data.tobytes() == alone.data.tobytes()
-        assert jac.indices.tobytes() == alone.indices.tobytes()
-        one = st.factorize(x[i], u1[i])
+    for i, row in enumerate(values):
+        alone = st.jacobian_values(x[i], u1[i])
+        assert row.tobytes() == alone.tobytes()
+        fac, one = st.factorize(row.copy()), st.factorize(alone)
         for trans in ("N", "T"):
             assert (fac.solve(rhs, trans=trans).tobytes()
                     == one.solve(rhs, trans=trans).tobytes())
-    # a row that cannot be factored fails the whole call
+    # a row that cannot be factored fails alone
     x[1, st.n] = np.nan
+    values = st.jacobian_values(x, u1)
+    for i in (0, 2):
+        st.factorize(values[i])
     with pytest.raises(SolverError, match="non-finite Jacobian entries"):
-        st.factorize(x, u1)
+        st.factorize(values[1])
 
 
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
@@ -192,7 +193,7 @@ def test_factorize_1d_band_solves_match_splu(potential):
     # round-off only
     st = _stepper(potential, 1, "full")
     state = _state(st, seed=4)
-    lu, ref = st.factorize(*state), splu(st.assemble(*state))
+    lu, ref = lu_at(st, *state), splu(st.assemble(*state))
     # 4 subdiagonals (chi Lap in the sigma row) and 3 superdiagonals
     assert (lu.kl, lu.ku) == (4, 3)
     assert lu.nnz == (2 * 4 + 3 + 1) * 3 * st.n
@@ -210,7 +211,7 @@ def test_factorize_2d_solves_match_colamd_lu(potential):
     st = _stepper(potential, 2, "full")
     state = _state(st, seed=6)
     jac = st.assemble(*state)
-    lu, ref = st.factorize(*state), splu(jac, permc_spec="COLAMD")
+    lu, ref = lu_at(st, *state), splu(jac, permc_spec="COLAMD")
     assert lu.nnz < ref.nnz
     rhs = np.random.default_rng(7).standard_normal(3 * st.n)
     for trans in ("N", "T"):
