@@ -39,7 +39,11 @@ def main(argv=None) -> int:
     try:
         seed = [] if args.seed is None else [f"ssc.seed={args.seed}"]
         cfg = RunConfig.from_file(args.config, overrides=(*args.set, *seed))
-        setup = build_setup(cfg)
+        try:
+            setup = build_setup(cfg)
+        except MemoryError:
+            raise ConfigError("grid.shape, time.steps: the problem does not "
+                              "fit in memory") from None
         out_dir = Path(args.out_dir) if args.out_dir else Path(setup.output["out_dir"])
         _prepare_out_dir(out_dir, force=args.force)
         runner = {"simulate": _run_simulate, "optimize": _run_optimize,
@@ -57,6 +61,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError:
+        print("solver failure: out of memory", file=sys.stderr)
         return EXIT_SOLVER
 
 

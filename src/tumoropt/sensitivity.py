@@ -19,9 +19,8 @@ import itertools
 import os
 import queue
 import threading
-import weakref
 from collections.abc import Iterable, Sequence
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,9 @@ from .problem import ControlProblem
 from .state import StateTrajectory
 from .stepper import SecondOrderCoefficients, Stepper
 
-# Bytes of step factors one StepFactors keeps, counted as 12 bytes per stored
-# entry (`nnz`) of a factor: a float64 value and an int32 index of SuperLU's
-# L + U in 2-D, or a float64 band entry in 1-D, which it over-counts.  The
-# 30 steps of a 33x33 rectangle take about 78 MB; all 200 steps of a 129-node
-# line about 11 MB.
+# Bytes of step factors one StepFactors keeps, counted by `factor_bytes`.
+# The 30 steps of a 33x33 rectangle take about 78 MB; all 200 steps of a
+# 129-node line about 11 MB.
 _CACHE_BYTES = 128 * 2**20
 
 # Bytes of Jacobian values a march evaluates in one stacked call
@@ -69,16 +66,23 @@ class LinearizedTrajectory:
     theta = property(lambda self: Stepper.split(self.y)[2])
 
 
+def factor_bytes(lu) -> int:
+    """The bytes a step LU is counted at: 12 per stored entry (`nnz`), a
+    float64 value and an int32 index of SuperLU's L + U in 2-D, or a float64
+    band entry in 1-D, which it over-counts."""
+    return 12 * lu.nnz
+
+
 class _FactorWorker(threading.Thread):
-    """A thread that forms step LUs and holds each until it is released.
+    """A thread that forms step LUs and holds each until its handle goes.
 
     A SuperLU factor freed on a thread other than the one that formed it
     stays resident (with scipy 1.17, 100 factors of a 17x17 square, 0.5 MB
     each, left 60 MiB behind), and one freed off its thread at interpreter
     exit can make the exit fail.  So the factors this thread forms live in
     `held`, keyed by job, and are dropped here: other threads only borrow
-    them (`_PooledLU`).  The inbox takes jobs, the keys of factors to
-    release, and None to stop.
+    them (`_PooledLU`).  The inbox takes jobs, the keys of factors whose
+    handles are gone, and None to stop.
     """
 
     def __init__(self):
@@ -92,6 +96,7 @@ class _FactorWorker(threading.Thread):
                 self.held.pop(job, None)
             else:
                 self._form(*job)
+            del job     # its future holds the factor's handle
         self.held.clear()
 
     def _form(self, key: int, future: Future, factorize, values) -> None:
@@ -109,8 +114,8 @@ class _FactorWorker(threading.Thread):
 
 class _PooledLU:
     """A step LU held by the `_FactorWorker` that formed it.  `solve` borrows
-    it for the call; `release` has the worker drop it, after which it cannot
-    solve."""
+    it for the call; once no one holds this handle, its key goes to the
+    worker, which drops the factor on its own thread."""
 
     __slots__ = ("_worker", "_key", "nnz")
 
@@ -122,8 +127,8 @@ class _PooledLU:
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         return self._worker.held[self._key].solve(b, trans=trans)
 
-    def release(self) -> None:
-        self._worker.inbox.put(self._key)
+    def __del__(self) -> None:
+        self._worker.inbox.put(self._key)   # SimpleQueue.put is reentrant
 
 
 class _FactorPool:
@@ -166,12 +171,6 @@ def _factor_pool() -> _FactorPool | None:
     return _FactorPool(workers) if workers > 1 else None
 
 
-def _release_pooled(lus: dict) -> None:
-    for fac in lus.values():
-        if isinstance(fac, _PooledLU):
-            fac.release()
-
-
 class StepFactors:
     """LU factorizations of the linearized step operators along a trajectory.
 
@@ -191,8 +190,7 @@ class StepFactors:
     or, in 2-D with more than one CPU, by a pool of worker threads up to
     `_LOOK_AHEAD` levels ahead while the march solves.  Each factor is the
     same computation, so the solves are bitwise those of a march level by
-    level.  A factor `lu` returns during a pooled march and does not keep
-    is valid until the next request.
+    level.  Every factor lives while it is kept or referenced.
     """
 
     def __init__(self, problem: ControlProblem, state: StateTrajectory,
@@ -205,15 +203,13 @@ class StepFactors:
         self._cache_bytes = (_CACHE_BYTES if cache_bytes is None
                              else cache_bytes)
         # the look-ahead of a march: chunks not yet evaluated by first level,
-        # rows evaluated and not yet factored, levels still to queue, queued
-        # futures, and the factor last returned and not kept
+        # rows evaluated and not yet factored, levels still to queue, and
+        # queued futures
         self._chunks: dict[int, list[int]] = {}
         self._chunk: dict[int, np.ndarray] = {}
         self._pool: _FactorPool | None = None
         self._todo: collections.deque[int] = collections.deque()
         self._ahead: dict[int, Future] = {}
-        self._borrowed: _PooledLU | None = None
-        self._finalizer: weakref.finalize | None = None
 
     @contextlib.contextmanager
     def ahead(self, levels: Iterable[int]):
@@ -225,8 +221,8 @@ class StepFactors:
         else when requested.  A factor that may be kept is formed from a
         copy of its row, so it does not hold its chunk and `cache_bytes`
         counts what is held.  On exit, after a return or an error, no factor
-        work or chunk of the march is left, and every factor it formed and
-        does not keep has been released."""
+        work or chunk of the march is left: queued LUs are cancelled, and
+        running ones waited for."""
         try:
             todo = [k for k in levels if k not in self._lus]
             size = max(1, _CHUNK_BYTES // self.problem.stepper.values_nbytes)
@@ -241,14 +237,10 @@ class StepFactors:
         finally:
             self._todo.clear()
             self._chunks, self._chunk = {}, {}
-            self._release_borrowed()
-            pending, self._ahead = self._ahead, {}
-            for future in pending.values():
-                future.cancel()
-            for future in pending.values():
-                # waits for a factorization already running
-                if not future.cancelled() and future.exception() is None:
-                    future.result().release()
+            # a comprehension: no future stays bound in this frame, which an
+            # error's traceback holds
+            wait([f for f in self._ahead.values() if not f.cancel()])
+            self._ahead = {}
 
     def _values(self, k: int) -> np.ndarray:
         """The row of Jacobian values of level k.  Without it, the march's
@@ -269,13 +261,7 @@ class StepFactors:
             k = self._todo.popleft()
             self._ahead[k] = self._pool.submit(factorize, self._values(k))
 
-    def _release_borrowed(self) -> None:
-        if self._borrowed is not None:
-            self._borrowed.release()
-            self._borrowed = None
-
     def lu(self, k: int):
-        self._release_borrowed()
         hit = self._lus.get(k)
         if hit is not None:
             return hit
@@ -290,17 +276,12 @@ class StepFactors:
             raise SolverError(f"step {k}: {exc}") from None
         finally:
             del future      # its error's traceback holds this frame
-        size = 12 * fac.nnz
+        size = factor_bytes(fac)
         # each factor held ahead counts as one of this size
         if (self._cached_bytes + size * (1 + len(self._ahead))
                 <= self._cache_bytes):
             self._lus[k] = fac
             self._cached_bytes += size
-            if isinstance(fac, _PooledLU) and self._finalizer is None:
-                self._finalizer = weakref.finalize(self, _release_pooled,
-                                                   self._lus)
-        elif isinstance(fac, _PooledLU):
-            self._borrowed = fac
         return fac
 
     @functools.cached_property

@@ -47,7 +47,7 @@ from .grid import build_grid, inner
 from .model import Control, CostSpec
 from .optimize import SecondOrderContext, _block_len, cost_eval
 from .problem import ControlProblem, control_inner, control_norm, st_inner
-from .sensitivity import usable_cpus
+from .sensitivity import factor_bytes, usable_cpus
 from .state import InitialData, StateTrajectory, TimeGrid, solve_states
 
 EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -133,16 +133,16 @@ def _batch_len(problem: ControlProblem) -> int:
 
     Each holds its history and, in 2-D, the SuperLU factor its march
     carries from step to step (chord Newton): about 2.4 MB on a 33x33
-    rectangle, three times a 30-step history.  That factor is counted at 12
-    bytes per stored entry, as `StepFactors` counts it, of one LU of the
-    step Jacobian at the initial state.
+    rectangle, three times a 30-step history.  That factor is counted by
+    `factor_bytes`, as `StepFactors` counts it, of one LU of the step
+    Jacobian at the initial state.
     """
     if not problem.stepper.superlu:
         return _block_len(problem)
     stepper = problem.stepper
     lu = stepper.factorize(stepper.jacobian_values(problem.init.stacked(),
                                                    np.zeros(problem.grid.n)))
-    return _block_len(problem, 12 * lu.nnz)
+    return _block_len(problem, factor_bytes(lu))
 
 
 def _marched(problem: ControlProblem, controls: Iterable[Control]

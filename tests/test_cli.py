@@ -226,6 +226,32 @@ def test_initial_phase_outside_the_potential_domain_is_config_error(tmp_path):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def _out_of_memory(*args, **kwargs):
+    # a huge allocation may or may not fail at once, by the machine's
+    # overcommit mode, so the error is raised by hand
+    raise MemoryError("Unable to allocate 745. GiB")
+
+
+@pytest.mark.parametrize("target, name, fake, code, message", [
+    (state.TimeGrid, "times", property(_out_of_memory), EXIT_CONFIG,
+     "config error: grid.shape, time.steps: the problem does not fit in "
+     "memory\n"),
+    (tumoropt.stepper.Stepper, "residual", _out_of_memory, EXIT_SOLVER,
+     "solver failure: out of memory\n"),
+], ids=["setup", "run"])
+def test_problem_too_large_for_memory_exits_cleanly(
+        tmp_path, capsys, monkeypatch, target, name, fake, code, message):
+    # setup lays out the time levels, and the run's first step evaluates
+    # its residual
+    monkeypatch.setattr(target, name, fake)
+    cfg = _write(tmp_path, COUPLED)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet"]) == code
+    assert capsys.readouterr().err == message
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_narrow_bump_runs(tmp_path):
     # a valid shape needs no derivative self-check at run time, however
     # narrow it is; tests/test_model.py checks the derivative code instead

@@ -242,13 +242,13 @@ def _held_factors() -> int:
     return sum(len(w.held) for w in pool.workers) if pool else 0
 
 
-def _wait_for_held(count: int) -> None:
-    """Wait up to 5 s for the workers to hold at most `count` factors;
-    releases reach them as messages."""
+def _wait_until(done) -> None:
+    """Wait up to 5 s for `done()`; the key of a dropped handle reaches its
+    worker as a message."""
     deadline = time.monotonic() + 5.0
-    while _held_factors() > count and time.monotonic() < deadline:
+    while not done() and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert _held_factors() <= count
+    assert done()
 
 
 def test_factor_failure_names_the_step():
@@ -286,7 +286,50 @@ def test_factor_failure_names_the_step():
             misfit_adjoint(factors)
         assert factors._ahead == {} and not factors._todo
         del factors
-        _wait_for_held(held)
+        _wait_until(lambda: _held_factors() <= held)
+
+
+def test_pooled_factor_lives_while_it_is_held(monkeypatch):
+    # a lean march keeps no factor, but one held past the next request and
+    # past the march still solves, bitwise as the factor formed serially
+    pr = make_problem(nodes=9, ny=7, steps=5)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    rhs = np.random.default_rng(3).standard_normal((3 * pr.grid.n, 2))
+    held = _held_factors()
+    factors = StepFactors(pr, state, u, cache_bytes=0)
+    with factors.ahead([5, 4, 3]):
+        kept = factors.lu(5)
+        factors.lu(4)
+    assert factors._lus == {} and factors._ahead == {}
+    got = [kept.solve(rhs, trans).tobytes() for trans in "NT"]
+    monkeypatch.setattr(sensitivity_module, "_factor_pool", lambda: None)
+    serial = StepFactors(pr, state, u, cache_bytes=0).lu(5)
+    assert got == [serial.solve(rhs, trans).tobytes() for trans in "NT"]
+    if sensitivity_module.usable_cpus() > 1:
+        assert kept._key in kept._worker.held
+    del kept
+    _wait_until(lambda: _held_factors() <= held)
+
+
+def test_pooled_gradient_leaves_no_factor_held(monkeypatch):
+    # on two levels each worker forms one LU, and the one that formed level
+    # 1 gets no message after that job: it may keep no reference to the job,
+    # whose future holds the handle
+    pr = make_problem(nodes=9, ny=7, steps=2)
+    u = smooth_control(pr)
+    state = pr.solve(u)
+    formed, init = [], sensitivity_module._PooledLU.__init__
+
+    def track(self, worker, key, nnz):
+        init(self, worker, key, nnz)
+        formed.append((worker, key))
+
+    monkeypatch.setattr(sensitivity_module._PooledLU, "__init__", track)
+    reduced_gradient(u, pr, state=state)
+    assert len(formed) == (2 if sensitivity_module._factor_pool() else 0)
+    _wait_until(lambda: all(key not in worker.held
+                            for worker, key in formed))
 
 
 def test_look_ahead_is_bitwise_the_serial_march(monkeypatch):
