@@ -54,11 +54,9 @@ def solve_adjoint(factors: StepFactors, sources: np.ndarray) -> np.ndarray:
     The result has the same shape and holds each multiplier divided by the
     time weight of its level (level 0 is zero).  Each level takes one
     transpose solve of a (3n, m) block; the march starts at the last level
-    where a source of the block is nonzero, and a level whose right-hand
-    sides are all zero is zero without a solve, so zero sources
-    short-circuit to exactly zero multipliers.  A zero right-hand side in
-    a block with nonzero ones is solved as a zero column, which may leave
-    -0.0.
+    where a source of the block is nonzero, so zero sources short-circuit
+    to exactly zero multipliers.  A zero right-hand side in a block with
+    nonzero ones is solved as a zero column, which may leave -0.0.
     """
     stepper = factors.problem.stepper
     wt = factors.problem.tgrid.weights()
@@ -71,8 +69,7 @@ def solve_adjoint(factors: StepFactors, sources: np.ndarray) -> np.ndarray:
         with factors.ahead(levels):
             for k in levels:
                 rhs = back @ raw + sources[:, k].T
-                raw = (stepper.solve_adjoint_step(factors.lu(k), rhs)
-                       if np.any(rhs) else np.zeros_like(rhs))
+                raw = stepper.solve_adjoint_step(factors.lu(k), rhs)
                 lam[:, k] = raw.T / wt[k]
     return lam
 

@@ -132,13 +132,9 @@ def _write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _coord_names(grid: Grid) -> list[str]:
-    return ["x", "y"][:grid.dim]
-
-
 def _write_fields_csv(path: Path, grid: Grid, fields: dict) -> None:
     """One row per node: index, coordinates, one column per named field."""
-    header = ["index", *_coord_names(grid), *fields]
+    header = ["index", *["x", "y"][:grid.dim], *fields]
     # integer fields (0/1 active sets) print alike under %d and %.17g
     table = np.column_stack([grid.coordinates(), *fields.values()]).tolist()
     _write_csv(path, header, "%d" + ",%.17g" * (len(header) - 1),

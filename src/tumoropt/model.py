@@ -1,13 +1,13 @@
 """Model data: parameters, double-well potentials, nonlinearities, cost, controls.
 
 Potentials are split as F = F1 + F2 with F1 convex (lower semicontinuous,
-F1(0) = 0) and F2 a smooth perturbation.  The convex part can be replaced by
-its Moreau-Yosida regularization, whose derivative is
-F1_eps'(r) = (r - prox_{eps F1}(r)) / eps.  Supported kinds:
+F1(0) = 0) and F2 a smooth perturbation, c (a - r^2) for the built-in kinds.
+The convex part can be replaced by its Moreau-Yosida regularization, whose
+derivative is F1_eps'(r) = (r - prox_{eps F1}(r)) / eps.  Supported kinds:
 
-* ``regular``      F1 = r^4/4,                    F2 = 1/4 - r^2/2
-* ``logarithmic``  F1 = (1+r)ln(1+r)+(1-r)ln(1-r), F2 = -k1 r^2
-* ``obstacle``     F1 = indicator of [-1, 1],      F2 = k2 (1 - r^2)
+* ``regular``      F1 = r^4/4,                    (c, a) = (1/2, 1/2)
+* ``logarithmic``  F1 = (1+r)ln(1+r)+(1-r)ln(1-r), (c, a) = (k1, 0)
+* ``obstacle``     F1 = indicator of [-1, 1],      (c, a) = (k2, 1)
 * ``custom``       F1 = 0,                         F2 = polynomial
 """
 
@@ -155,35 +155,22 @@ def _f1_eval(spec: PotentialSpec, r: np.ndarray, order: int) -> np.ndarray:
 
 
 def _f2_eval(spec: PotentialSpec, r: np.ndarray, order: int) -> np.ndarray:
+    """F2 = c (a - r^2) and its derivatives; a polynomial for the custom kind."""
+    # a = -0.0 keeps -k1 r^2 at r = 0 a signed zero
     if spec.kind == "regular":
-        if order == 0:
-            return 0.25 - 0.5 * r**2
-        if order == 1:
-            return -r
-        if order == 2:
-            return np.full_like(r, -1.0)
-        return np.zeros_like(r)
-    if spec.kind == "logarithmic":
-        if order == 0:
-            return -spec.k1 * r**2
-        if order == 1:
-            return -2.0 * spec.k1 * r
-        if order == 2:
-            return np.full_like(r, -2.0 * spec.k1)
-        return np.zeros_like(r)
-    if spec.kind == "obstacle":
-        if order == 0:
-            return spec.k2 * (1.0 - r**2)
-        if order == 1:
-            return -2.0 * spec.k2 * r
-        if order == 2:
-            return np.full_like(r, -2.0 * spec.k2)
-        return np.zeros_like(r)
-    c = spec.coefficients
+        c, a = 0.5, 0.5
+    elif spec.kind == "logarithmic":
+        c, a = spec.k1, -0.0
+    elif spec.kind == "obstacle":
+        c, a = spec.k2, 1.0
+    else:
+        dc = np.polynomial.polynomial.polyder(spec.coefficients, order)
+        return np.polynomial.polynomial.polyval(r, dc)
     if order == 0:
-        return np.polynomial.polynomial.polyval(r, c)
-    dc = np.polynomial.polynomial.polyder(c, order)
-    return np.polynomial.polynomial.polyval(r, dc)
+        return c * (a - r**2)
+    if order == 1:
+        return -2.0 * c * r
+    return np.full_like(r, -2.0 * c if order == 2 else 0.0)
 
 
 def prox_f1(spec: PotentialSpec, r):
@@ -195,8 +182,9 @@ def prox_f1(spec: PotentialSpec, r):
     for the obstacle kind the clamp onto [-1, 1], and the identity for the
     custom kind (F1 = 0).  Smooth kinds use a safeguarded Newton iteration
     driven to round-off.  Each row along the last axis iterates until all
-    of its components meet the tolerance, so the rows of a stack come out
-    bitwise as if each were mapped alone.
+    of its components meet the tolerance (for the logarithmic kind, or have
+    no float left strictly inside their bracket), so the rows of a stack
+    come out bitwise as if each were mapped alone.
     """
     eps = _yosida_eps(spec)
     arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -214,8 +202,8 @@ def prox_f1(spec: PotentialSpec, r):
             s = np.where(live[..., None], s - g / (3.0 * eps * s**2 + 1.0), s)
         out = s
     else:  # logarithmic
-        # bracket strictly inside (-1, 1); for |r| so large that the root is
-        # closer to +-1 than one ulp the endpoint is the representable answer
+        # bracket strictly inside (-1, 1), up to the edge +-(1 - 2^-53); a
+        # root beyond the edge comes out one float short of it, +-(1 - 2^-52)
         edge = np.nextafter(1.0, 0.0)
         lo = np.full_like(arr, -edge)
         hi = np.full_like(arr, edge)
@@ -223,12 +211,13 @@ def prox_f1(spec: PotentialSpec, r):
         done = np.zeros(arr.shape[:-1], dtype=bool)
         for _ in range(200):
             g = eps * (np.log1p(s) - np.log1p(-s)) + s - arr
-            done |= np.all(np.abs(g) <= 1e-16 * (1.0 + np.abs(arr)), axis=-1)
-            if done.all():
-                break
             hi = np.where(g > 0.0, s, hi)
             lo = np.where(g < 0.0, s, lo)
-            done |= np.all(hi - lo <= 0.0, axis=-1)
+            # near +-1 g may skip the tolerance band: a point is settled
+            # too once no float lies strictly inside its bracket
+            settled = ((np.abs(g) <= 1e-16 * (1.0 + np.abs(arr)))
+                       | (np.nextafter(lo, hi) >= hi))
+            done |= np.all(settled, axis=-1)
             if done.all():
                 break
             dg = eps * (1.0 / (1.0 + s) + 1.0 / (1.0 - s)) + 1.0

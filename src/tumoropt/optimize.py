@@ -240,10 +240,6 @@ def projected_gradient(u0: Control, problem: ControlProblem,
             if d is not None:
                 s, t = d, 1.0
 
-        accepted = False
-        j_new = j
-        state_new = state
-        trial = u
         for solves in range(1, _MAX_BACKTRACKS + 1):
             trial = project_admissible(Control(u.v - t * s.v), box)
             decrease = control_inner(grid, tgrid, grad.grad,
@@ -251,10 +247,9 @@ def projected_gradient(u0: Control, problem: ControlProblem,
             state_new = problem.solve(trial)
             j_new = cost_eval(problem, state_new, trial)
             if j_new <= j - _ARMIJO_C * decrease:
-                accepted = True
                 break
             t *= _SHRINK
-        if not accepted:
+        else:
             reason = "line_search_failed"
             break
         u_prev, grad_prev = u, grad

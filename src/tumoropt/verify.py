@@ -38,13 +38,13 @@ import pickle
 import signal
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, SolverError
 from .grid import build_grid, inner
-from .model import Control, CostSpec
+from .model import Control
 from .optimize import SecondOrderContext, _block_len, cost_eval
 from .problem import ControlProblem, control_inner, control_norm, st_inner
 from .sensitivity import factor_bytes, usable_cpus
@@ -347,26 +347,19 @@ def _refine_nested(values: np.ndarray, shape) -> np.ndarray:
 
 def refine_problem(problem: ControlProblem) -> ControlProblem:
     """Nested refinement: doubled steps, midpoint-added nodes, data interpolated."""
-    g = problem.grid
-    fine_shape = [2 * m - 1 for m in g.shape]
-    fine_grid = build_grid(g.dim, fine_shape, list(g.lengths))
-    fine_tgrid = TimeGrid(2 * problem.tgrid.steps, problem.tgrid.t_final)
-    init = InitialData(
-        mu0=_refine_nested(problem.init.mu0, g.shape),
-        phi0=_refine_nested(problem.init.phi0, g.shape),
-        sigma0=_refine_nested(problem.init.sigma0, g.shape))
-    cost = problem.cost
-    target_q = None
-    if cost.target_Q is not None:
-        target_q = _refine_nested(cost.target_Q, g.shape)
-    target_omega = None
-    if cost.target_Omega is not None:
-        target_omega = _refine_nested(cost.target_Omega, g.shape)
-    fine_cost = CostSpec(b0=cost.b0, b1=cost.b1, b2=cost.b2,
-                         target_Q=target_q, target_Omega=target_omega)
-    return ControlProblem(grid=fine_grid, tgrid=fine_tgrid,
-                          params=problem.params, potential=problem.potential,
-                          nonlin=problem.nonlin, cost=fine_cost, init=init)
+    g, init, cost = problem.grid, problem.init, problem.cost
+
+    def fine(values):
+        return None if values is None else _refine_nested(values, g.shape)
+
+    return replace(
+        problem,
+        grid=build_grid(g.dim, [2 * m - 1 for m in g.shape], list(g.lengths)),
+        tgrid=TimeGrid(2 * problem.tgrid.steps, problem.tgrid.t_final),
+        init=InitialData(mu0=fine(init.mu0), phi0=fine(init.phi0),
+                         sigma0=fine(init.sigma0)),
+        cost=replace(cost, target_Q=fine(cost.target_Q),
+                     target_Omega=fine(cost.target_Omega)))
 
 
 def refine_control(u: Control, problem: ControlProblem) -> Control:
@@ -408,7 +401,7 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
     every ratio changes by a factor below THRESHOLDS["stability_factor"]
     under one simultaneous (dt, h) refinement, and directional homogeneity
     holds (doubling h doubles DS(u)h within THRESHOLDS["homogeneity"]).
-    Homogeneity is tested at the ua of the first kept base pair in the
+    Homogeneity is tested at the ua of the first base pair in the
     direction of its ub, on that pair's context, so the check solves no
     control of its own.
     """
@@ -418,7 +411,7 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
 
     def ratios_at(pr: ControlProblem, seeds) -> tuple[dict, tuple]:
         """The ratios at `pr`, and the context at ua and the ub of its
-        first kept pair."""
+        first pair."""
         out = {"state": [], "ds": [], "d2s": []}
         first = None
         pairs = []
@@ -431,10 +424,8 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
             du = control_norm(pr.grid, pr.tgrid, Control(ua.v - ub.v))
             nh = control_norm(pr.grid, pr.tgrid, h)
             nv = control_norm(pr.grid, pr.tgrid, v)
-            if du == 0.0 or nh == 0.0 or nv == 0.0:
-                continue  # coincident draw: the ratio is undefined, skip it
             pairs.append((ua, ub, h, v, du, nh, nv))
-        # the (ua, ub) controls of every kept pair, marched in batches
+        # the (ua, ub) controls of every pair, marched in batches
         states = _marched(pr, (u for pair in pairs for u in pair[:2]))
         for ua, ub, h, v, du, nh, nv in pairs:
             (_, state_a), (_, state_b) = next(states), next(states)
@@ -450,8 +441,7 @@ def check_stability_ratios(problem: ControlProblem, n_pairs: int = 2,
             out["d2s"].append(_norm3(pr, bil_a.y - bil_b.y)
                               / (du * nh * nv))
             first = first or (ctx_a, ub)
-        return ({k: float(np.max(vals)) if vals else 0.0
-                 for k, vals in out.items()}, first)
+        return {k: float(np.max(vals)) for k, vals in out.items()}, first
 
     base, (ctx, h) = ratios_at(problem, pair_seeds)
     # homogeneity: doubling the direction doubles the linearized response

@@ -314,6 +314,18 @@ def test_output_directory_that_cannot_be_made_is_a_config_error(tmp_path):
     assert blocker.read_text() == "kept\n"
 
 
+def test_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, ZERO)
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: output path {out} is not a directory\n")
+    assert out.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.yaml"]
+
+
 def test_output_directory_that_cannot_be_listed_is_a_config_error(
         tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, ZERO)
@@ -383,6 +395,11 @@ REMOVED_KEYS = {
     "potential.yosida_eps=.nan",
     "potential.k1=0.5",
     "nonlinearity.P={shape: bump, width: 0}",
+    "ssc.n_samples=0",
+    "ssc.tau=-1",
+    "ssc.seed=-1",
+    "model.chi=[1",
+    "initial.phi0=~x",
 ])
 def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
                                                        override):
@@ -393,14 +410,23 @@ def test_bad_grid_or_backtrack_setting_is_config_error(tmp_path, capsys,
                  "--out-dir", str(out), "--quiet", "--set", "time.steps=4",
                  "--set", override])
     err = capsys.readouterr().err
-    # a shape block's message names the entry inside it
-    key = {"nonlinearity.P={shape: bump, width: 0}": "nonlinearity.P.width"
-           }.get(override, override.partition("=")[0])
+    key = override.partition("=")[0]
+    # the message or its start: the key by default, the entry inside a
+    # shape block, the whole message where it says more than a rule
+    message = {
+        "nonlinearity.P={shape: bump, width: 0}": "nonlinearity.P.width ",
+        "ssc.n_samples=0": "ssc.n_samples must be positive\n",
+        "ssc.tau=-1": "ssc.tau must be nonnegative\n",
+        "ssc.seed=-1": "ssc.seed must be nonnegative\n",
+        "model.chi=[1": "override model.chi: cannot parse value '[1'\n",
+        "initial.phi0=~x":
+            "initial.phi0: operator not allowed in expressions\n",
+    }.get(override, f"{key} ")
     assert code == EXIT_CONFIG, err
     if key in REMOVED_KEYS:
         assert err.startswith(f"config error: unknown config key '{key}'\n")
     else:
-        assert err.startswith(f"config error: {key} ")
+        assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
 

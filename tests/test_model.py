@@ -87,6 +87,55 @@ def test_logarithmic_k1_must_exceed_one():
         PotentialSpec("logarithmic", k1=1.0)
 
 
+def _f2_by_kind(pot, r, order):
+    """F2 or one of its derivatives, written out per kind as four orders."""
+    if pot.kind == "regular":
+        return (0.25 - 0.5 * r**2, -r, np.full_like(r, -1.0),
+                np.zeros_like(r))[order]
+    if pot.kind == "logarithmic":
+        return (-pot.k1 * r**2, -2.0 * pot.k1 * r,
+                np.full_like(r, -2.0 * pot.k1), np.zeros_like(r))[order]
+    if pot.kind == "obstacle":
+        return (pot.k2 * (1.0 - r**2), -2.0 * pot.k2 * r,
+                np.full_like(r, -2.0 * pot.k2), np.zeros_like(r))[order]
+    return np.polynomial.polynomial.polyval(
+        r, np.polynomial.polynomial.polyder(pot.coefficients, order))
+
+
+# signed zeros, the wells, tiny and huge magnitudes (r^2 overflows) and a
+# spread of ordinary points
+_F2_POINTS = np.concatenate([
+    [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e200, -1e200, 1e-8, 0.999999],
+    np.random.default_rng(3).uniform(-3.0, 3.0, 64)])
+
+
+@pytest.mark.parametrize("pot", [
+    PotentialSpec("regular"),
+    PotentialSpec("regular", yosida_eps=0.1),
+    PotentialSpec("logarithmic", k1=2.5),
+    PotentialSpec("logarithmic", k1=2.5, yosida_eps=0.05),
+    PotentialSpec("obstacle", k2=1.7, yosida_eps=0.1),
+    PotentialSpec("custom", coefficients=[0.3, -0.2, 0.5, 0.1]),
+    PotentialSpec("custom", coefficients=[0.3, -0.2, 0.5, 0.1],
+                  yosida_eps=0.2),
+], ids=lambda pot: f"{pot.kind}-{pot.yosida_eps}")
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_potential_eval_is_bitwise_f2_by_kind(pot, order):
+    # F2 = c (a - r^2) moves no bit, the sign of zero included
+    r = _F2_POINTS
+    if pot.guarded:
+        # the exact logarithmic F1 is finite on [-1, 1], its derivatives
+        # strictly inside
+        r = r[np.abs(r) < 1.0] if order else r[np.abs(r) <= 1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = (_f1_eval(pot, r, order) if pot.yosida_eps is None
+              else yosida_eval(pot, r, order))
+        assert (pot.eval(r, order).tobytes()
+                == (f1 + _f2_by_kind(pot, r, order)).tobytes())
+        assert (_f2_eval(pot, r, order).tobytes()
+                == _f2_by_kind(pot, r, order).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # prox and Yosida regularization
 
@@ -144,6 +193,62 @@ def test_prox_rows_are_bitwise_each_row_alone(pot, rng):
         for row, got in zip(rows, stacked):
             assert got.tobytes() == prox_f1(pot, row).tobytes()
         assert prox_f1(pot, rows[None]).tobytes() == stacked.tobytes()
+
+
+def _log_prox_to_cap(eps, arr):
+    """The logarithmic prox stopped by the tolerance alone, up to 200
+    iterations, and which rows ran to that cap."""
+    edge = np.nextafter(1.0, 0.0)
+    lo, hi = np.full_like(arr, -edge), np.full_like(arr, edge)
+    s = np.clip(arr, -1.0 + 1e-6, 1.0 - 1e-6)
+    done = np.zeros(arr.shape[:-1], dtype=bool)
+    for _ in range(200):
+        g = eps * (np.log1p(s) - np.log1p(-s)) + s - arr
+        done |= np.all(np.abs(g) <= 1e-16 * (1.0 + np.abs(arr)), axis=-1)
+        if done.all():
+            break
+        hi = np.where(g > 0.0, s, hi)
+        lo = np.where(g < 0.0, s, lo)
+        dg = eps * (1.0 / (1.0 + s) + 1.0 / (1.0 - s)) + 1.0
+        step = s - g / dg
+        bad = (step <= lo) | (step >= hi)
+        s = np.where(done[..., None], s, np.where(bad, 0.5 * (lo + hi), step))
+    return s, ~done
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.5])
+def test_log_prox_stops_once_no_float_is_left_in_a_bracket(monkeypatch, eps):
+    # near +-1 the residual may skip its tolerance band; one such point
+    # once kept its whole row iterating to the 200-iteration cap
+    row = np.full(129, 0.5)
+    row[64] = 1.2
+    calls = []
+    log1p = np.log1p
+
+    def counted(x):
+        calls.append(1)
+        return log1p(x)
+
+    monkeypatch.setattr(np, "log1p", counted)
+    prox_f1(PotentialSpec("logarithmic", yosida_eps=eps), row)
+    monkeypatch.undo()
+    # two calls per iteration: 37 iterations at eps 0.01, 12-13 above
+    assert len(calls) <= 2 * 40
+    # stopped by the tolerance alone, the row runs to the cap
+    assert _log_prox_to_cap(eps, row)[1]
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.05, 0.01])
+def test_log_prox_moves_only_capped_points_by_one_ulp(eps, rng):
+    r = rng.uniform(-3.0, 3.0, (200, 1))
+    got = prox_f1(PotentialSpec("logarithmic", yosida_eps=eps), r)
+    capped, ran_to_cap = _log_prox_to_cap(eps, r)
+    moved = (got != capped)[:, 0]
+    assert not np.any(moved & ~ran_to_cap)
+    assert np.all(np.abs(got - capped) <= np.spacing(np.abs(capped)))
+    # inside the wells every row meets its tolerance
+    inside = np.abs(r[:, 0]) < 0.99
+    assert got[inside].tobytes() == capped[inside].tobytes()
 
 
 def test_prox_custom_is_identity(rng):

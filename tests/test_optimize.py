@@ -867,6 +867,31 @@ def test_nonpositive_curvature_falls_back_to_the_gradient_step(monkeypatch):
     assert _same_run(res, ref)
 
 
+def test_nonpositive_curvature_later_keeps_the_cg_step_so_far(monkeypatch):
+    pr = make_problem(b0=0.01, b1=2.0)
+    ctx = SecondOrderContext(pr, smooth_control(pr, amp=0.1))
+    grad = ctx.gradient
+    weights = 1.0 + np.random.default_rng(0).uniform(size=grad.grad.v.shape)
+    products = []
+
+    def positive_then_negative(self, h):
+        # curvature > 0 on the first product, < 0 on the second
+        products.append(h)
+        return Control((weights if len(products) == 1 else -1.0) * h.v)
+
+    monkeypatch.setattr(SecondOrderContext, "hessian_product",
+                        positive_then_negative)
+    s, n_products = optimize_module._newton_direction(ctx, grad,
+                                                      BoxConstraints(), 1.0)
+    assert n_products == 2
+    # the one CG step taken: d = alpha r0 with r0 = -grad, and s = -d
+    g = grad.grad.v
+    wts = pr.tgrid.weights()[:, None] * pr.grid.weights
+    alpha = np.sum(wts * (g * g).sum(axis=0)) / np.sum(
+        wts * (g * weights * g).sum(axis=0))
+    np.testing.assert_allclose(s.v, alpha * g, rtol=1e-13, atol=0.0)
+
+
 def test_newton_phase_reports_why_it_stopped(monkeypatch):
     pr = make_problem(b0=0.01, b1=2.0)
     args = (pr.zero_control(), pr, BoxConstraints())

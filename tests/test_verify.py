@@ -576,6 +576,19 @@ def test_run_verification_all_pass():
     assert report["all_passed"]
 
 
+def test_run_verification_on_zero_data_passes_the_strong_form():
+    # with no tracking the adjoint is zero at every resolution, so the
+    # strong-form residual has no order to fit
+    pr = make_problem(nodes=9, steps=6, b1=0.0, b2=0.0, tracking=False)
+    report = run_verification(pr, pr.zero_control(), seed=0, n_dirs=1,
+                              n_pairs=1)
+    strong = report["checks"][-1]
+    assert strong["name"] == "adjoint_strong_form"
+    assert strong["metrics"] == {"aggregates": [0.0, 0.0, 0.0],
+                                 "order": np.inf}
+    assert strong["passed"]
+
+
 def test_run_verification_builds_one_stepper_per_problem(monkeypatch):
     pr = make_problem(nodes=9, steps=4)
     problems, steppers = [pr], []
